@@ -294,10 +294,18 @@ impl CornerStructure {
     /// Release every page owned by the structure (a shared vertical blocking
     /// belongs to the host metablock and is left alone).
     pub fn free(self, store: &mut TypedStore<Point>) {
+        self.free_pages(store);
+    }
+
+    /// [`CornerStructure::free`] through a shared handle: the metablock
+    /// tree keeps its corner structures behind `Arc` (an epoch snapshot may
+    /// still hold the directory), so it releases the pages by reference and
+    /// drops its handle.
+    pub(crate) fn free_pages(&self, store: &mut TypedStore<Point>) {
         if self.owns_vertical {
             store.free_run(&self.vertical);
         }
-        for c in self.cstars {
+        for c in &self.cstars {
             store.free_run(&c.pages);
         }
     }

@@ -146,51 +146,22 @@ impl MetablockTree {
         let target = cur;
 
         // Phase 2 — refresh ancestor caches in memory, marking real changes.
-        for i in 0..path.len() {
-            let a = path[i];
-            let on_path_child = path.get(i + 1).copied().unwrap_or(target);
-            let m = self.metas[a].as_mut().expect("pinned ancestor is live");
-            let e = m
-                .children
-                .iter_mut()
-                .find(|c| c.mb == on_path_child)
-                .expect("descent child present in parent");
-            let changed = if on_path_child == target {
-                if e.upd_ymax.is_none_or(|y| p.ykey() > y) {
-                    e.upd_ymax = Some(p.ykey());
-                    true
-                } else {
-                    false
-                }
-            } else if e.sub_yhi.is_none_or(|y| p.ykey() > y) {
-                e.sub_yhi = Some(p.ykey());
-                true
-            } else {
-                false
-            };
-            if changed {
-                mark_dirty(dirty, a);
-            }
-        }
+        self.raise_path_tops(&path, target, p, dirty);
 
         // Phase 3 — append to the target's update buffer.
         let b = self.geo.b;
         let open_page = {
-            let m = self.metas[target].as_ref().expect("target is live");
+            let m = self.meta_unbilled(target);
             (!m.n_upd.is_multiple_of(b)).then(|| *m.update.last().expect("partial page exists"))
         };
         match open_page {
             Some(pg) => self.store.append(pg, p),
             None => {
                 let pg = self.store.alloc(vec![p]);
-                self.metas[target]
-                    .as_mut()
-                    .expect("target is live")
-                    .update
-                    .push(pg);
+                self.meta_mut(target).update.push(pg);
                 if self.pack_h() > 0 {
                     if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
+                        let pm = self.meta_mut(par);
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
                             e.packed.upd_pages.push(pg);
                             mark_dirty(dirty, par);
@@ -200,7 +171,7 @@ impl MetablockTree {
             }
         }
         let update_full = {
-            let m = self.metas[target].as_mut().expect("target is live");
+            let m = self.meta_mut(target);
             m.n_upd += 1;
             m.n_upd >= self.upd_cap_pages() * b
         };
@@ -213,11 +184,7 @@ impl MetablockTree {
         if let Some(par) = parent {
             ctx.touch_meta(par);
             let open_page = {
-                let td = self.metas[par]
-                    .as_ref()
-                    .expect("parent is live")
-                    .td
-                    .as_ref();
+                let td = self.meta_unbilled(par).td.as_ref();
                 let td = td.expect("internal metablock carries a TD");
                 (!td.n_staged.is_multiple_of(b))
                     .then(|| *td.staged.last().expect("partial page exists"))
@@ -226,9 +193,7 @@ impl MetablockTree {
                 Some(pg) => self.store.append(pg, p),
                 None => {
                     let pg = self.store.alloc(vec![p]);
-                    self.metas[par]
-                        .as_mut()
-                        .expect("parent is live")
+                    self.meta_mut(par)
                         .td
                         .as_mut()
                         .expect("TD present")
@@ -236,12 +201,7 @@ impl MetablockTree {
                         .push(pg);
                 }
             }
-            let td = self.metas[par]
-                .as_mut()
-                .expect("parent is live")
-                .td
-                .as_mut()
-                .expect("TD present");
+            let td = self.meta_mut(par).td.as_mut().expect("TD present");
             td.n_staged += 1;
             td_total = td.total() + td.del_total();
             staged_full = td.n_staged >= self.td_cap_pages() * b;
@@ -275,7 +235,7 @@ impl MetablockTree {
                 fired = true;
             }
         }
-        if t.update_full && self.metas[t.target].is_some() {
+        if t.update_full && self.is_live(t.target) {
             self.flush_dirty(dirty);
             dirty.clear();
             let n_main = self.with_shunt(|tr| tr.level_i(t.target, t.parent));

@@ -21,6 +21,8 @@
 //! the children's planned y-orders and a capped incremental merge instead
 //! of re-sorting a growing prefix per child.
 
+use std::sync::Arc;
+
 use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, Point, SortedRun};
 
 use super::{ChildEntry, MbId, MetaBlock, MetablockTree, TdInfo, TsInfo};
@@ -332,7 +334,8 @@ impl MetablockTree {
         let hkeys: Vec<Key> = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
         let h_live: Vec<u32> = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
         let horizontal = self.store.alloc_run(by_y);
-        let corner = corner.map(|cp| cp.materialise(&mut self.store, vertical.clone(), false));
+        let corner =
+            corner.map(|cp| Arc::new(cp.materialise(&mut self.store, vertical.clone(), false)));
         MetaBlock {
             vertical,
             vkeys,
@@ -361,9 +364,8 @@ impl MetablockTree {
     /// re-sorts a snapshot here.
     pub(crate) fn install_ts_snapshots(&mut self, parent: MbId, snapshots: Vec<Vec<Point>>) {
         let cap = self.ts_cap_points();
-        let child_ids: Vec<MbId> = self.metas[parent]
-            .as_ref()
-            .expect("live parent")
+        let child_ids: Vec<MbId> = self
+            .meta_unbilled(parent)
             .children
             .iter()
             .map(|c| c.mb)
@@ -386,11 +388,11 @@ impl MetablockTree {
                 if let Some(old) = meta.ts.take() {
                     self.store.free_run(&old.pages);
                 }
-                meta.ts = Some(TsInfo {
+                meta.ts = Some(Arc::new(TsInfo {
                     pages,
                     n: top.len(),
                     truncated,
-                });
+                }));
                 self.put_meta(child_ids[i], meta);
             }
             total += snap.len();
@@ -400,7 +402,7 @@ impl MetablockTree {
         // TS route reads the snapshot without loading its owner's control
         // block first (in-memory: the parent is held by this operation).
         if self.pack_h() > 0 {
-            let pm = self.metas[parent].as_mut().expect("live parent");
+            let pm = self.meta_mut(parent);
             for (i, pages, truncated) in mirrors {
                 pm.children[i].packed.ts_pages = pages;
                 pm.children[i].packed.ts_truncated = truncated;

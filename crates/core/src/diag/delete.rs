@@ -172,23 +172,19 @@ impl MetablockTree {
         // (pages fill left-to-right, B at a time).
         let b = self.geo.b;
         let open_page = {
-            let m = self.metas[target].as_ref().expect("target is live");
+            let m = self.meta_unbilled(target);
             (!m.n_tomb.is_multiple_of(b)).then(|| *m.tomb.last().expect("partial page exists"))
         };
         match open_page {
             Some(pg) => self.store.append(pg, p),
             None => {
                 let pg = self.store.alloc(vec![p]);
-                self.metas[target]
-                    .as_mut()
-                    .expect("target is live")
-                    .tomb
-                    .push(pg);
+                self.meta_mut(target).tomb.push(pg);
                 // Mirror the new tombstone page into the parent's packed
                 // entry (in-memory: the parent is pinned on the descent).
                 if self.pack_h() > 0 {
                     if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
+                        let pm = self.meta_mut(par);
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
                             e.packed.tomb_pages.push(pg);
                             mark_dirty(dirty, par);
@@ -198,7 +194,7 @@ impl MetablockTree {
             }
         }
         let tomb_full = {
-            let m = self.metas[target].as_mut().expect("target is live");
+            let m = self.meta_mut(target);
             m.n_tomb += 1;
             m.tomb_buf.push(p);
             m.n_tomb >= self.tomb_cap_pages() * b
@@ -217,7 +213,7 @@ impl MetablockTree {
         // leaf has no descendants to hide it in), so the decrement is
         // certain without touching the page.
         let probe = {
-            let m = self.metas[target].as_ref().expect("target is live");
+            let m = self.meta_unbilled(target);
             if !m.hkeys.is_empty() && p.ykey() <= m.hkeys[0] {
                 let i = m.hkeys.partition_point(|&hk| hk >= p.ykey()) - 1;
                 let certain = m.is_leaf() && m.n_upd == 0;
@@ -228,12 +224,12 @@ impl MetablockTree {
         };
         if let Some((i, pg)) = probe {
             if pg.is_none_or(|pg| self.ctx_read(ctx, pg).iter().any(|q| q.id == p.id)) {
-                let m = self.metas[target].as_mut().expect("target is live");
+                let m = self.meta_mut(target);
                 debug_assert!(m.h_live[i] > 0, "live count underflow");
                 m.h_live[i] -= 1;
                 if i < self.pack_h() {
                     if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
+                        let pm = self.meta_mut(par);
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
                             if let Some(slot) = e.packed.h_live.get_mut(i) {
                                 *slot = slot.saturating_sub(1);
@@ -253,11 +249,7 @@ impl MetablockTree {
         if let Some(par) = parent {
             ctx.touch_meta(par);
             let open_page = {
-                let td = self.metas[par]
-                    .as_ref()
-                    .expect("parent is live")
-                    .td
-                    .as_ref();
+                let td = self.meta_unbilled(par).td.as_ref();
                 let td = td.expect("internal metablock carries a TD");
                 (!td.n_del_staged.is_multiple_of(b))
                     .then(|| *td.del_staged.last().expect("partial page exists"))
@@ -266,9 +258,7 @@ impl MetablockTree {
                 Some(pg) => self.store.append(pg, p),
                 None => {
                     let pg = self.store.alloc(vec![p]);
-                    self.metas[par]
-                        .as_mut()
-                        .expect("parent is live")
+                    self.meta_mut(par)
                         .td
                         .as_mut()
                         .expect("TD present")
@@ -276,12 +266,7 @@ impl MetablockTree {
                         .push(pg);
                 }
             }
-            let td = self.metas[par]
-                .as_mut()
-                .expect("parent is live")
-                .td
-                .as_mut()
-                .expect("TD present");
+            let td = self.meta_mut(par).td.as_mut().expect("TD present");
             td.n_del_staged += 1;
             td.del_staged_buf.push(p);
             td_total = td.total() + td.del_total();
@@ -317,7 +302,7 @@ impl MetablockTree {
                 fired = true;
             }
         }
-        if t.tomb_full && self.metas[t.target].is_some() {
+        if t.tomb_full && self.is_live(t.target) {
             self.flush_dirty(dirty);
             dirty.clear();
             self.with_shunt(|tr| tr.level_i(t.target, t.parent));
@@ -344,7 +329,7 @@ impl MetablockTree {
             let meta = self.ctx_meta(&mut ctx, from);
             meta.children.partition_point(|c| c.slab_hi <= p.xkey())
         };
-        let child = self.metas[from].as_ref().expect("live metablock").children[idx].mb;
+        let child = self.meta_unbilled(from).children[idx].mb;
         let triggers = self.route_tombstone(&mut ctx, &mut dirty, vec![from], child, p);
         self.run_del_triggers(&mut dirty, triggers);
         self.flush_dirty(&dirty);

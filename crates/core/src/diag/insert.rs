@@ -37,6 +37,8 @@
 //! so I/O counts are bit-identical — only the `O(n log n)` CPU re-sorts
 //! disappear.
 
+use std::sync::Arc;
+
 use ccix_extmem::{Point, SortedRun};
 
 use super::{mark_dirty, ChildEntry, MbId, MetablockTree, TdInfo};
@@ -113,41 +115,15 @@ impl MetablockTree {
 
         // Phase 2 — refresh the caches the query relies on, along the newly
         // descended part of the path (ancestors above `start` already cover
-        // `p`). Purely in-memory on pinned blocks; only actual changes make
-        // a block dirty.
-        for i in fix_from..path.len() {
-            let a = path[i];
-            let on_path_child = path.get(i + 1).copied().unwrap_or(target);
-            let m = self.metas[a].as_mut().expect("pinned ancestor is live");
-            let e = m
-                .children
-                .iter_mut()
-                .find(|c| c.mb == on_path_child)
-                .expect("descent child present in parent");
-            let changed = if on_path_child == target {
-                if e.upd_ymax.is_none_or(|y| p.ykey() > y) {
-                    e.upd_ymax = Some(p.ykey());
-                    true
-                } else {
-                    false
-                }
-            } else if e.sub_yhi.is_none_or(|y| p.ykey() > y) {
-                e.sub_yhi = Some(p.ykey());
-                true
-            } else {
-                false
-            };
-            if changed {
-                mark_dirty(&mut dirty, a);
-            }
-        }
+        // `p`).
+        self.raise_path_tops(&path[fix_from..], target, p, &mut dirty);
 
         // Phase 3 — append to the target's update buffer (pages fill
         // left-to-right, B at a time, so a non-multiple-of-B count means the
         // last page has room).
         let b = self.geo.b;
         let open_page = {
-            let m = self.metas[target].as_ref().expect("target is live");
+            let m = self.meta_unbilled(target);
             (!m.n_upd.is_multiple_of(b)).then(|| *m.update.last().expect("partial page exists"))
         };
         match open_page {
@@ -156,16 +132,12 @@ impl MetablockTree {
             Some(pg) => self.store.append(pg, p),
             None => {
                 let pg = self.store.alloc(vec![p]);
-                self.metas[target]
-                    .as_mut()
-                    .expect("target is live")
-                    .update
-                    .push(pg);
+                self.meta_mut(target).update.push(pg);
                 // Mirror the new buffer page into the parent's packed entry
                 // (in-memory: the parent is pinned on the descent path).
                 if self.pack_h() > 0 {
                     if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
+                        let pm = self.meta_mut(par);
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
                             e.packed.upd_pages.push(pg);
                             mark_dirty(&mut dirty, par);
@@ -175,7 +147,7 @@ impl MetablockTree {
             }
         }
         let update_full = {
-            let m = self.metas[target].as_mut().expect("target is live");
+            let m = self.meta_mut(target);
             m.n_upd += 1;
             m.n_upd >= self.upd_cap_pages() * b
         };
@@ -188,11 +160,7 @@ impl MetablockTree {
         if let Some(par) = parent {
             self.pin_meta(&mut pinned, par);
             let open_page = {
-                let td = self.metas[par]
-                    .as_ref()
-                    .expect("parent is live")
-                    .td
-                    .as_ref();
+                let td = self.meta_unbilled(par).td.as_ref();
                 let td = td.expect("internal metablock carries a TD");
                 (!td.n_staged.is_multiple_of(b))
                     .then(|| *td.staged.last().expect("partial page exists"))
@@ -201,9 +169,7 @@ impl MetablockTree {
                 Some(pg) => self.store.append(pg, p),
                 None => {
                     let pg = self.store.alloc(vec![p]);
-                    self.metas[par]
-                        .as_mut()
-                        .expect("parent is live")
+                    self.meta_mut(par)
                         .td
                         .as_mut()
                         .expect("TD present")
@@ -211,12 +177,7 @@ impl MetablockTree {
                         .push(pg);
                 }
             }
-            let td = self.metas[par]
-                .as_mut()
-                .expect("parent is live")
-                .td
-                .as_mut()
-                .expect("TD present");
+            let td = self.meta_mut(par).td.as_mut().expect("TD present");
             td.n_staged += 1;
             td_total = td.total() + td.del_total();
             staged_full = td.n_staged >= self.td_cap_pages() * b;
@@ -238,10 +199,46 @@ impl MetablockTree {
                 self.with_shunt(|t| t.td_rebuild(par));
             }
         }
-        if update_full && self.metas[target].is_some() {
+        if update_full && self.is_live(target) {
             let n_main = self.with_shunt(|t| t.level_i(target, parent));
             if n_main >= 2 * self.cap() {
                 self.with_shunt(|t| t.level_ii(target, &path));
+            }
+        }
+    }
+
+    /// Raise the cached tops (`upd_ymax` of the landing child, `sub_yhi` of
+    /// every child above it) along `path` — the descent's ancestors, the
+    /// last of which is `target`'s parent — so queries keep classifying the
+    /// children correctly once `p` is buffered at `target`. Purely
+    /// in-memory on pinned blocks; a block is touched (copied away from an
+    /// epoch that shares it, marked dirty) only when a top actually rises.
+    pub(super) fn raise_path_tops(
+        &mut self,
+        path: &[MbId],
+        target: MbId,
+        p: Point,
+        dirty: &mut Vec<MbId>,
+    ) {
+        for (i, &a) in path.iter().enumerate() {
+            let on_path_child = path.get(i + 1).copied().unwrap_or(target);
+            let lands = on_path_child == target;
+            let (idx, e) = self
+                .meta_unbilled(a)
+                .children
+                .iter()
+                .enumerate()
+                .find(|(_, c)| c.mb == on_path_child)
+                .expect("descent child present in parent");
+            let top = if lands { e.upd_ymax } else { e.sub_yhi };
+            if top.is_none_or(|y| p.ykey() > y) {
+                let e = &mut self.meta_mut(a).children[idx];
+                if lands {
+                    e.upd_ymax = Some(p.ykey());
+                } else {
+                    e.sub_yhi = Some(p.ykey());
+                }
+                mark_dirty(dirty, a);
             }
         }
     }
@@ -265,7 +262,7 @@ impl MetablockTree {
         let built = match td.corner.take() {
             Some(c) => {
                 let v = SortedRun::from_sorted(c.collect_points(&self.store));
-                c.free(&mut self.store);
+                c.free_pages(&mut self.store);
                 v
             }
             None => SortedRun::new(),
@@ -281,7 +278,7 @@ impl MetablockTree {
         let del_built = match td.del_corner.take() {
             Some(c) => {
                 let v = SortedRun::from_sorted(c.collect_points(&self.store));
-                c.free(&mut self.store);
+                c.free_pages(&mut self.store);
                 v
             }
             None => SortedRun::new(),
@@ -300,16 +297,20 @@ impl MetablockTree {
         let (pts, unmatched) = merged.cancel(&tombs);
         td.n_built = pts.len();
         td.corner = (!pts.is_empty()).then(|| {
-            CornerStructure::build_from_sorted(&mut self.store, &pts, self.tuning.corner_alpha)
+            Arc::new(CornerStructure::build_from_sorted(
+                &mut self.store,
+                &pts,
+                self.tuning.corner_alpha,
+            ))
         });
         let survivors = SortedRun::from_sorted(unmatched);
         td.n_del_built = survivors.len();
         td.del_corner = (!survivors.is_empty()).then(|| {
-            CornerStructure::build_from_sorted(
+            Arc::new(CornerStructure::build_from_sorted(
                 &mut self.store,
                 &survivors,
                 self.tuning.corner_alpha,
-            )
+            ))
         });
         self.put_meta(parent, m);
     }
@@ -336,11 +337,11 @@ impl MetablockTree {
         let mut m = self.take_meta(parent);
         if let Some(td) = m.td.as_mut() {
             if let Some(c) = td.corner.take() {
-                c.free(&mut self.store);
+                c.free_pages(&mut self.store);
             }
             self.store.free_run(&td.staged);
             if let Some(c) = td.del_corner.take() {
-                c.free(&mut self.store);
+                c.free_pages(&mut self.store);
             }
             self.store.free_run(&td.del_staged);
             *td = TdInfo::default();
@@ -408,7 +409,7 @@ impl MetablockTree {
         self.store.free_run(&m.vertical);
         self.store.free_run(&m.horizontal);
         if let Some(c) = m.corner.take() {
-            c.free(&mut self.store);
+            c.free_pages(&mut self.store);
         }
         self.store.free_run(&m.update);
         m.update.clear();
@@ -424,12 +425,12 @@ impl MetablockTree {
         m.y_lo_main = by_y.last().map(Point::ykey);
         if let (Some(bb), Some(ylo)) = (m.main_bbox, m.y_lo_main) {
             if self.options.corner_structures && ylo.0 <= bb.xhi.0 && by_x.len() > self.geo.b {
-                m.corner = Some(CornerStructure::build_shared(
+                m.corner = Some(Arc::new(CornerStructure::build_shared(
                     &mut self.store,
                     by_x,
                     &m.vertical,
                     self.tuning.corner_alpha,
-                ));
+                )));
             }
         }
     }
@@ -483,8 +484,7 @@ impl MetablockTree {
         // rebuilt any metablock on the path away, fall back to routing from
         // the root — the destination is identical, the path just re-descends.
         for p in bottom {
-            let path_alive =
-                self.metas[mb].is_some() && path.iter().all(|&a| self.metas[a].is_some());
+            let path_alive = self.is_live(mb) && path.iter().all(|&a| self.is_live(a));
             if path_alive {
                 self.insert_routed(path.to_vec(), mb, p);
             } else {
@@ -682,7 +682,7 @@ impl MetablockTree {
     /// Free a subtree's metablocks and every page they own.
     pub(crate) fn free_subtree(&mut self, mb: MbId) {
         let meta = self.free_metablock(mb);
-        for c in meta.children {
+        for c in &meta.children {
             self.free_subtree(c.mb);
         }
     }

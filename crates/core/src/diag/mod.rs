@@ -28,6 +28,8 @@ pub(crate) fn mark_dirty(dirty: &mut Vec<MbId>, mb: MbId) {
     }
 }
 
+use std::sync::Arc;
+
 use ccix_extmem::{BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, TypedStore};
 
 use crate::bbox::{BBox, Key};
@@ -202,8 +204,11 @@ pub(crate) struct TsInfo {
 /// predates the TD survive into `del_corner`.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct TdInfo {
-    /// Corner structure over the settled TD points.
-    pub corner: Option<CornerStructure>,
+    /// Corner structure over the settled TD points. Behind `Arc`, like
+    /// every control-block member that is only ever replaced wholesale, so
+    /// copying a control block shared with an epoch bumps a handle instead
+    /// of cloning the structure's nested directories.
+    pub corner: Option<Arc<CornerStructure>>,
     pub n_built: usize,
     /// Staging pages: points awaiting the next TD rebuild, at most
     /// [`MetablockTree::td_cap_pages`] pages of `B`.
@@ -211,7 +216,7 @@ pub(crate) struct TdInfo {
     pub n_staged: usize,
     /// Corner structure over the settled tombstones (queried alongside
     /// `corner` by the crossing case, reporting ids to subtract).
-    pub del_corner: Option<CornerStructure>,
+    pub del_corner: Option<Arc<CornerStructure>>,
     pub n_del_built: usize,
     /// Tombstone staging pages, at most [`MetablockTree::td_cap_pages`]
     /// pages of `B`.
@@ -264,7 +269,7 @@ pub(crate) struct MetaBlock {
     /// Corner structure (Lemma 3.1), present when the metablock's region can
     /// contain a query corner (its mains straddle some diagonal value). Its
     /// stage-2 blocking is shared with `vertical`.
-    pub corner: Option<CornerStructure>,
+    pub corner: Option<Arc<CornerStructure>>,
     /// Update buffer: buffered inserts (§3.2), at most
     /// [`MetablockTree::upd_cap_pages`] pages of `B`. The paper's update
     /// *block* is the 1-page special case.
@@ -287,7 +292,7 @@ pub(crate) struct MetaBlock {
     /// reorganisations still read and bill them.
     pub tomb_buf: Vec<Point>,
     /// Left-sibling snapshot; `None` for a first child or the root.
-    pub ts: Option<TsInfo>,
+    pub ts: Option<Arc<TsInfo>>,
     /// TD corner structure; `Some` for internal metablocks.
     pub td: Option<TdInfo>,
     /// Child slots, in slab order. Empty for leaves.
@@ -343,7 +348,11 @@ pub struct MetablockTree {
     pub(crate) geo: Geometry,
     pub(crate) counter: IoCounter,
     pub(crate) store: TypedStore<Point>,
-    pub(crate) metas: Vec<Option<MetaBlock>>,
+    /// Control blocks, shared with every [`MetablockTree::fork_snapshot`]
+    /// taken since a block last changed; all mutation goes through
+    /// [`MetablockTree::meta_mut`] / `take_meta`, which copy a shared block
+    /// first.
+    pub(crate) metas: Vec<Option<Arc<MetaBlock>>>,
     /// Count of freed meta slots (slots are never reused; see `alloc_meta`).
     pub(crate) dead_metas: usize,
     pub(crate) root: Option<MbId>,
@@ -418,10 +427,12 @@ impl MetablockTree {
     /// Fork a frozen read **snapshot** of this tree, charging its I/O to
     /// `counter`.
     ///
-    /// The snapshot shares every data page with the live tree copy-on-write
-    /// (see [`ccix_extmem::TypedStore::fork`]) and deep-copies only the
-    /// control blocks, so forking costs `O(metablocks)` memory and zero
-    /// I/O charges. It answers every read exactly as the live tree would
+    /// The snapshot shares every data page (see
+    /// [`ccix_extmem::TypedStore::fork`]) and every control block with the
+    /// live tree: forking costs one handle bump per 16 page slots and one
+    /// per metablock, copies nothing, and charges no I/O. Afterwards a
+    /// mutation on either side copies only the chunks, pages and control
+    /// blocks it touches. It answers every read exactly as the live tree would
     /// at the moment of the fork — buffered updates, pending tombstones
     /// and even a mid-flight incremental shrink job (whose frozen runs and
     /// side delta are part of the copied control state) included. Reads on
@@ -430,8 +441,8 @@ impl MetablockTree {
     ///
     /// This is the storage half of epoch-based publication: the serving
     /// layer forks an epoch after each group commit, readers hold it via
-    /// `Arc`, and the pages a later mutation replaces stay alive until the
-    /// last holder drops — see `ccix-serve`.
+    /// `Arc`, and the pages and control blocks a later mutation replaces
+    /// stay alive until the last holder drops — see `ccix-serve`.
     pub fn fork_snapshot(&self, counter: IoCounter) -> Self {
         Self {
             geo: self.geo,
@@ -578,16 +589,34 @@ impl MetablockTree {
     /// Pair with [`MetablockTree::put_meta`].
     pub(crate) fn take_meta(&mut self, mb: MbId) -> MetaBlock {
         self.counter.add_reads(1);
-        self.metas[mb].take().expect("take of freed metablock")
+        Arc::unwrap_or_clone(self.metas[mb].take().expect("take of freed metablock"))
     }
 
     /// Write back control information: one write I/O.
     pub(crate) fn put_meta(&mut self, mb: MbId, meta: MetaBlock) {
         self.counter.add_writes(1);
-        self.metas[mb] = Some(meta);
+        self.metas[mb] = Some(Arc::new(meta));
     }
 
-    /// Access control information without billing (tests/validation only).
+    /// Control information for in-place mutation, unbilled (the caller's
+    /// operation holds the block pinned and pays one write per dirty block
+    /// through [`MetablockTree::flush_dirty`]). Copies the block first if an
+    /// epoch snapshot still shares it.
+    pub(crate) fn meta_mut(&mut self, mb: MbId) -> &mut MetaBlock {
+        Arc::make_mut(
+            self.metas[mb]
+                .as_mut()
+                .expect("mutation of freed metablock"),
+        )
+    }
+
+    /// Whether `mb` has not been freed (meta slots are never reused).
+    pub(crate) fn is_live(&self, mb: MbId) -> bool {
+        self.metas[mb].is_some()
+    }
+
+    /// Access control information without billing: validation, and
+    /// operations re-reading a block they already hold pinned.
     pub(crate) fn meta_unbilled(&self, mb: MbId) -> &MetaBlock {
         self.metas[mb].as_ref().expect("read of freed metablock")
     }
@@ -625,7 +654,7 @@ impl MetablockTree {
     /// within the model's `Θ(B²)`-point working memory, so pinning it is the
     /// faithful charge — the paper's update analysis (§3.2) likewise counts
     /// each control block once per insert, not once per access. Mutations go
-    /// through `metas[..].as_mut()` and are paid by one write per *dirty*
+    /// through [`MetablockTree::meta_mut`] and are paid by one write per *dirty*
     /// block at the end of the operation (see `flush_dirty`).
     pub(crate) fn pin_meta(&self, pinned: &mut Vec<MbId>, mb: MbId) -> &MetaBlock {
         if !pinned.contains(&mb) {
@@ -647,20 +676,21 @@ impl MetablockTree {
         // which makes `metas[id].is_some()` a reliable liveness test for the
         // restructuring cascades of §3.2 (reorganisations fall back to
         // re-routing when a metablock they hold a handle to disappears).
-        self.metas.push(Some(meta));
+        self.metas.push(Some(Arc::new(meta)));
         self.metas.len() - 1
     }
 
-    /// Free a metablock's control block and every data page it owns.
-    pub(crate) fn free_metablock(&mut self, mb: MbId) -> MetaBlock {
+    /// Free a metablock's control block and every data page it owns,
+    /// returning the (possibly still snapshot-shared) block.
+    pub(crate) fn free_metablock(&mut self, mb: MbId) -> Arc<MetaBlock> {
         let meta = self.metas[mb].take().expect("double free of metablock");
         self.dead_metas += 1;
         self.store.free_run(&meta.vertical);
         self.store.free_run(&meta.horizontal);
-        if let Some(c) = meta.corner.clone() {
+        if let Some(c) = &meta.corner {
             // The corner's stage-2 blocking is `meta.vertical` (shared),
             // already freed above; this releases only the explicit sets.
-            c.free(&mut self.store);
+            c.free_pages(&mut self.store);
         }
         self.store.free_run(&meta.update);
         self.store.free_run(&meta.tomb);
@@ -669,12 +699,12 @@ impl MetablockTree {
             self.store.free_run(&ts.pages);
         }
         if let Some(td) = &meta.td {
-            if let Some(c) = td.corner.clone() {
-                c.free(&mut self.store);
+            if let Some(c) = &td.corner {
+                c.free_pages(&mut self.store);
             }
             self.store.free_run(&td.staged);
-            if let Some(c) = td.del_corner.clone() {
-                c.free(&mut self.store);
+            if let Some(c) = &td.del_corner {
+                c.free_pages(&mut self.store);
             }
             self.store.free_run(&td.del_staged);
         }
@@ -710,7 +740,7 @@ impl MetablockTree {
             return;
         }
         let (h_pages, h_tops, h_live, h_more, upd, tomb) = {
-            let cm = self.metas[child].as_ref().expect("live child");
+            let cm = self.meta_unbilled(child);
             (
                 cm.horizontal.iter().take(h).copied().collect::<Vec<_>>(),
                 cm.hkeys.iter().take(h).copied().collect::<Vec<_>>(),
@@ -720,7 +750,7 @@ impl MetablockTree {
                 cm.tomb.clone(),
             )
         };
-        let pm = self.metas[parent].as_mut().expect("live parent");
+        let pm = self.meta_mut(parent);
         let e = pm
             .children
             .iter_mut()
@@ -740,9 +770,8 @@ impl MetablockTree {
         if self.pack_h() == 0 {
             return;
         }
-        let children: Vec<MbId> = self.metas[parent]
-            .as_ref()
-            .expect("live parent")
+        let children: Vec<MbId> = self
+            .meta_unbilled(parent)
             .children
             .iter()
             .map(|c| c.mb)
@@ -750,5 +779,86 @@ impl MetablockTree {
         for c in children {
             self.sync_packed_entry(parent, c);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Control blocks of `live` no longer shared with `fork`.
+    fn diverged(live: &MetablockTree, fork: &MetablockTree) -> Vec<MbId> {
+        (0..live.metas.len())
+            .filter(|&mb| match (&live.metas[mb], fork.metas.get(mb)) {
+                (Some(a), Some(Some(b))) => !Arc::ptr_eq(a, b),
+                (None, Some(None)) => false,
+                _ => true,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writes_after_a_fork_copy_only_the_control_blocks_they_touch() {
+        let geo = Geometry::new(4);
+        let pts: Vec<Point> = (0..4000i64)
+            .map(|i| Point::new(i, i + (i * 7) % 50, i as u64))
+            .collect();
+        let mut tree = MetablockTree::build(geo, IoCounter::new(), pts);
+        let stats = tree.stats();
+        assert!(stats.metablocks > 100 && stats.height >= 3, "{stats:?}");
+        let fork = tree.fork_snapshot(IoCounter::new());
+        assert!(diverged(&tree, &fork).is_empty(), "a fork shares all");
+
+        // k buffered writes (no reorganisation fires this early): each one
+        // touches at most its descent path.
+        let k = 3;
+        tree.insert(Point::new(10, 40, 10_000));
+        tree.insert(Point::new(2_000, 2_020, 10_001));
+        tree.delete(Point::new(3_999, 3_999 + (3_999 * 7) % 50, 3_999));
+        let touched = diverged(&tree, &fork);
+        assert!(!touched.is_empty());
+        assert!(touched.len() <= k * stats.height, "{touched:?}");
+
+        // A copied block still shares the members that are only ever
+        // replaced wholesale.
+        for &mb in &touched {
+            let (live, frozen) = (tree.meta_unbilled(mb), fork.meta_unbilled(mb));
+            for (a, b) in [
+                (&live.corner, &frozen.corner),
+                (
+                    &live.td.as_ref().and_then(|td| td.corner.clone()),
+                    &frozen.td.as_ref().and_then(|td| td.corner.clone()),
+                ),
+            ] {
+                assert_eq!(a.is_some(), b.is_some());
+                if let (Some(a), Some(b)) = (a, b) {
+                    assert!(
+                        Arc::ptr_eq(a, b),
+                        "corner structure of {mb} was deep-copied"
+                    );
+                }
+            }
+            if let (Some(a), Some(b)) = (&live.ts, &frozen.ts) {
+                assert!(Arc::ptr_eq(a, b), "TS directory of {mb} was deep-copied");
+            }
+        }
+
+        // A fork of the mutated tree, mutated again, leaves all three with
+        // their own contents.
+        let mut second = tree.fork_snapshot(IoCounter::new());
+        second.insert(Point::new(500, 600, 10_002));
+        assert_eq!((fork.len(), tree.len(), second.len()), (4000, 4001, 4002));
+        let ids = |t: &MetablockTree, q| {
+            let mut ids: Vec<u64> = t.query(q).iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert!(!ids(&fork, 30).contains(&10_000));
+        assert!(ids(&tree, 30).contains(&10_000));
+        assert!(!ids(&tree, 550).contains(&10_002));
+        assert!(ids(&second, 550).contains(&10_002));
+        fork.validate_unbilled();
+        tree.validate_unbilled();
+        second.validate_unbilled();
     }
 }

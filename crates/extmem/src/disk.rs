@@ -6,19 +6,26 @@
 //! so its fanout is genuinely determined by the byte size of keys and page
 //! headers rather than by fiat.
 
+use std::sync::Arc;
+
 use crate::backend::{BackendSpec, FileMirror};
+use crate::cow::PageTable;
 use crate::stats::IoCounter;
 use crate::store::PageId;
 
-/// An owned page-sized byte buffer.
-pub type PageBuf = Box<[u8]>;
+/// A page-sized byte buffer, shared between a device and its forks until
+/// one of them overwrites the page.
+pub type PageBuf = Arc<[u8]>;
 
 /// A simulated block device with fixed page size and exact I/O accounting.
+///
+/// Pages sit in the same chunked copy-on-write table as
+/// [`crate::TypedStore`]'s, so [`Disk::fork`] shares every page with the
+/// fork and a write replaces one handle.
 #[derive(Debug)]
 pub struct Disk {
     page_size: usize,
-    pages: Vec<Option<PageBuf>>,
-    free: Vec<PageId>,
+    pages: PageTable<PageBuf>,
     counter: IoCounter,
     /// Physical mirror when opened on [`BackendSpec::File`]; `None` is
     /// the pure in-memory model (see [`crate::TypedStore`] — same
@@ -36,8 +43,7 @@ impl Disk {
         assert!(page_size > 0, "page size must be positive");
         Self {
             page_size,
-            pages: Vec::new(),
-            free: Vec::new(),
+            pages: PageTable::new(),
             counter,
             file: None,
         }
@@ -75,10 +81,7 @@ impl Disk {
     /// Raw on-disk bytes of a live page, cache bypassed, nothing charged.
     /// `None` on the model backend; for differential tests only.
     pub fn file_page_bytes(&self, id: PageId) -> Option<Vec<u8>> {
-        assert!(
-            self.pages[id.0 as usize].is_some(),
-            "file image of freed page {id:?}"
-        );
+        self.live(id, "file image of");
         self.file
             .as_ref()
             .map(|m| m.slot_bytes_raw(id, self.page_size))
@@ -86,11 +89,16 @@ impl Disk {
 
     /// Ids of every live page, ascending. Uncharged; for tests.
     pub fn live_page_ids(&self) -> Vec<PageId> {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|_| PageId(i as u32)))
-            .collect()
+        self.pages.iter().map(|(id, _)| id).collect()
+    }
+
+    /// Resolve a live page or panic naming the operation and the page.
+    #[track_caller]
+    fn live(&self, id: PageId, what: &str) -> &[u8] {
+        match self.pages.get(id) {
+            Some(page) => page,
+            None => panic!("{what} freed page {id:?}"),
+        }
     }
 
     /// Page size in bytes.
@@ -107,17 +115,9 @@ impl Disk {
     /// Allocate a zeroed page without touching the counter (allocation is a
     /// metadata operation; the caller pays when it writes contents).
     pub fn alloc(&mut self) -> PageId {
-        let id = if let Some(id) = self.free.pop() {
-            self.pages[id.0 as usize] = Some(vec![0u8; self.page_size].into_boxed_slice());
-            id
-        } else {
-            let id = PageId(u32::try_from(self.pages.len()).expect("page id overflow"));
-            self.pages
-                .push(Some(vec![0u8; self.page_size].into_boxed_slice()));
-            id
-        };
+        let id = self.pages.insert(vec![0u8; self.page_size].into());
         if let Some(m) = &self.file {
-            m.write_page(id, self.pages[id.0 as usize].as_deref().expect("allocated"));
+            m.write_page(id, self.live(id, "alloc of"));
         }
         id
     }
@@ -125,9 +125,7 @@ impl Disk {
     /// Read a page into a fresh buffer. Costs one read I/O.
     pub fn read(&self, id: PageId) -> &[u8] {
         self.counter.add_reads(1);
-        let page = self.pages[id.0 as usize]
-            .as_deref()
-            .expect("read of freed page");
+        let page = self.live(id, "read of");
         if let Some(m) = &self.file {
             m.read_page(id, page);
         }
@@ -140,33 +138,28 @@ impl Disk {
     /// Panics if `buf` is not exactly one page long.
     pub fn write(&mut self, id: PageId, buf: &[u8]) {
         assert_eq!(buf.len(), self.page_size, "partial page write");
-        assert!(
-            self.pages[id.0 as usize].is_some(),
-            "write to freed page {id:?}"
-        );
+        let Some(page) = self.pages.get_mut(id) else {
+            panic!("write to freed page {id:?}")
+        };
         self.counter.add_writes(1);
         if let Some(m) = &self.file {
             m.write_page(id, buf);
         }
-        self.pages[id.0 as usize] = Some(buf.to_vec().into_boxed_slice());
+        *page = buf.into();
     }
 
-    /// Fork a deep-copy snapshot of this device, charging future I/O on the
-    /// fork to `counter`.
+    /// Fork a copy-on-write snapshot of this device, charging future I/O on
+    /// the fork to `counter`.
     ///
-    /// Uncharged, like [`crate::TypedStore::fork`] — it models publishing an
-    /// epoch, not a transfer. Unlike the typed store the byte device copies
-    /// its pages eagerly: it only backs auxiliary structures (the B+-tree
-    /// endpoint directory, class-hierarchy baselines) whose page counts are
-    /// small next to the point stores, so copy-on-write plumbing isn't worth
-    /// the complexity here.
-    /// Forks are always model-backed, like [`crate::TypedStore::fork`]:
-    /// an epoch is an in-memory publication.
+    /// Exactly [`crate::TypedStore::fork`]'s contract: uncharged (it models
+    /// publishing an epoch, not a transfer), one handle bump per chunk of
+    /// 16 page slots, no page copied — a later [`Disk::write`] on either
+    /// side replaces that side's handle only — and always model-backed (an
+    /// epoch is an in-memory publication).
     pub fn fork(&self, counter: IoCounter) -> Self {
         Self {
             page_size: self.page_size,
             pages: self.pages.clone(),
-            free: self.free.clone(),
             counter,
             file: None,
         }
@@ -177,26 +170,21 @@ impl Disk {
     /// Only for validation code in tests (oracle comparisons, invariant
     /// checks); never used on a measured query path.
     pub fn read_unbilled(&self, id: PageId) -> &[u8] {
-        self.pages[id.0 as usize]
-            .as_deref()
-            .expect("read of freed page")
+        self.live(id, "read of")
     }
 
     /// Release a page.
     pub fn free_page(&mut self, id: PageId) {
-        assert!(
-            self.pages[id.0 as usize].take().is_some(),
-            "double free of page {id:?}"
-        );
+        let freed = self.pages.remove(id);
+        assert!(freed.is_some(), "double free of page {id:?}");
         if let Some(m) = &self.file {
             m.free_page(id);
         }
-        self.free.push(id);
     }
 
     /// Number of live pages — the structure's space in disk blocks.
     pub fn pages_in_use(&self) -> usize {
-        self.pages.len() - self.free.len()
+        self.pages.in_use()
     }
 }
 
@@ -224,6 +212,39 @@ mod tests {
         let mut d = Disk::new(64, IoCounter::new());
         let id = d.alloc();
         d.write(id, &[0u8; 10]);
+    }
+
+    #[test]
+    fn fork_is_uncharged_and_copy_on_write() {
+        let mut d = Disk::new(8, IoCounter::new());
+        let a = d.alloc();
+        d.write(a, &[1; 8]);
+        let snap_counter = IoCounter::new();
+        let f = d.fork(snap_counter.clone());
+        assert_eq!(d.counter().total(), 1, "fork charges nothing");
+        assert_eq!(snap_counter.total(), 0);
+        assert!(
+            std::ptr::eq(d.read_unbilled(a), f.read_unbilled(a)),
+            "the fork shares the page buffer, it does not copy it"
+        );
+
+        // Mutating the original never shows through the fork.
+        d.write(a, &[9; 8]);
+        assert_eq!(f.read(a), &[1; 8], "fork sees the frozen page");
+        assert_eq!(d.read_unbilled(a), &[9; 8]);
+        // Fork reads bill the fork's counter, not the original's.
+        assert_eq!(snap_counter.reads(), 1);
+        assert_eq!(d.counter().reads(), 0);
+
+        // Freeing and reallocating a shared slot on the original leaves the
+        // fork intact, and the fork allocates from its own free list.
+        d.free_page(a);
+        assert_eq!(f.read_unbilled(a), &[1; 8]);
+        assert_eq!(d.alloc(), a, "freed slot is reused");
+        assert_eq!(f.pages_in_use(), 1);
+        let mut f = f;
+        assert_ne!(f.alloc(), a, "the fork never saw the free");
+        assert_eq!(f.read_unbilled(a), &[1; 8]);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod cow;
 mod disk;
 pub mod fs;
 mod geometry;

@@ -9,6 +9,7 @@
 //! serialised node layout on the same accounting substrate.)
 
 use crate::backend::{BackendSpec, FileConfig, FileMirror};
+use crate::cow::PageTable;
 use crate::ser::FixedBytes;
 use crate::stats::IoCounter;
 use std::path::Path;
@@ -20,7 +21,7 @@ pub struct PageId(pub u32);
 
 impl PageId {
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -31,17 +32,17 @@ impl PageId {
 /// [`IoCounter`]. Allocation writes the initial contents (one I/O), matching
 /// the convention that building a structure pays for every page it emits.
 ///
-/// Pages are held behind [`Arc`] so a store can be [`TypedStore::fork`]ed
-/// into a copy-on-write snapshot in O(pages) pointer bumps: the fork shares
-/// every page buffer with the original, and subsequent in-place mutations on
-/// either side ([`TypedStore::append`]) clone only the touched page. This is
-/// the storage half of the epoch-snapshot mechanism the serving layer uses;
-/// I/O accounting is unchanged because sharing is invisible to the charge
-/// points.
+/// Pages are held behind [`Arc`] in a chunked copy-on-write page table, so
+/// a store can be [`TypedStore::fork`]ed into a snapshot in one handle bump
+/// per *chunk* of 16 page slots: the fork shares every chunk and every page
+/// buffer with the original, and a later mutation on either side copies
+/// only the touched chunk's handles and ([`TypedStore::append`]) the touched
+/// page. This is the storage half of the epoch-snapshot mechanism the
+/// serving layer uses; I/O accounting is unchanged because sharing is
+/// invisible to the charge points.
 #[derive(Debug)]
 pub struct TypedStore<T> {
-    pages: Vec<Option<Arc<Vec<T>>>>,
-    free: Vec<PageId>,
+    pages: PageTable<Arc<Vec<T>>>,
     /// Recycled page buffers: freed pages park their (cleared) `Vec`
     /// allocations here and `alloc_run` reuses them, so the free→realloc
     /// churn of the amortised reorganisations stops hitting the allocator.
@@ -70,8 +71,7 @@ impl<T: Clone> TypedStore<T> {
     pub fn new(capacity: usize, counter: IoCounter) -> Self {
         assert!(capacity > 0, "page capacity must be positive");
         Self {
-            pages: Vec::new(),
-            free: Vec::new(),
+            pages: PageTable::new(),
             spare: Vec::new(),
             capacity,
             counter,
@@ -97,21 +97,31 @@ impl<T: Clone> TypedStore<T> {
     /// failure instead of a silently skewed I/O count.
     #[track_caller]
     fn live(&self, id: PageId, what: &str) -> &Arc<Vec<T>> {
-        match self.pages.get(id.index()) {
-            Some(Some(page)) => page,
-            Some(None) => panic!("{what} freed page {id:?}"),
-            None => panic!("{what} unallocated page {id:?}"),
+        match self.pages.get(id) {
+            Some(page) => page,
+            None => Self::dead(self.pages.slots(), id, what),
         }
     }
 
-    /// As [`TypedStore::live`], mutably.
+    /// As [`TypedStore::live`], mutably (the slot's chunk becomes private
+    /// to this store).
     #[track_caller]
     fn live_mut(&mut self, id: PageId, what: &str) -> &mut Arc<Vec<T>> {
-        match self.pages.get_mut(id.index()) {
-            Some(Some(page)) => page,
-            Some(None) => panic!("{what} freed page {id:?}"),
-            None => panic!("{what} unallocated page {id:?}"),
+        let slots = self.pages.slots();
+        match self.pages.get_mut(id) {
+            Some(page) => page,
+            None => Self::dead(slots, id, what),
         }
+    }
+
+    /// The panic of an access to a page that is not live, in a store that
+    /// has handed out `slots` ids.
+    #[track_caller]
+    fn dead(slots: usize, id: PageId, what: &str) -> ! {
+        if id.index() < slots {
+            panic!("{what} freed page {id:?}")
+        }
+        panic!("{what} unallocated page {id:?}")
     }
 
     /// Allocate a page initialised with `records` (≤ capacity). Costs one
@@ -124,16 +134,9 @@ impl<T: Clone> TypedStore<T> {
             self.capacity
         );
         self.counter.add_writes(1);
-        let id = if let Some(id) = self.free.pop() {
-            self.pages[id.index()] = Some(Arc::new(records));
-            id
-        } else {
-            let id = PageId(u32::try_from(self.pages.len()).expect("page id overflow"));
-            self.pages.push(Some(Arc::new(records)));
-            id
-        };
+        let id = self.pages.insert(Arc::new(records));
         if let Some(m) = &self.file {
-            m.write_page(id, self.pages[id.index()].as_ref().expect("just allocated"));
+            m.write_page(id, self.live(id, "alloc of"));
         }
         id
     }
@@ -170,12 +173,16 @@ impl<T: Clone> TypedStore<T> {
     /// Fork a copy-on-write snapshot of this store, charging future I/O on
     /// the fork to `counter`.
     ///
-    /// The fork shares every live page buffer with the original (an `Arc`
-    /// bump per page, no data copied); a later in-place mutation on either
-    /// side clones just the page it touches. Forking itself is uncharged —
-    /// it models publishing an epoch of an already-materialised structure,
-    /// not a transfer — and the fresh counter keeps snapshot readers from
-    /// polluting the writer's accounting (or its active shunt).
+    /// The fork shares the whole page table with the original — one handle
+    /// bump per chunk of 16 page slots plus one for the free list, no page
+    /// touched and no data copied. The first mutation of a chunk on either
+    /// side copies that chunk's 16 handles, an in-place mutation of a page
+    /// copies that page, and the first alloc/free copies the free list;
+    /// what a side replaces stays alive until the last fork that can see it
+    /// drops. Forking itself is uncharged — it models publishing an epoch
+    /// of an already-materialised structure, not a transfer — and the fresh
+    /// counter keeps snapshot readers from polluting the writer's
+    /// accounting (or its active shunt).
     ///
     /// Forks are always **model-backed**, even when the parent is file-
     /// backed: an epoch is an in-memory publication, and the writer is
@@ -184,7 +191,6 @@ impl<T: Clone> TypedStore<T> {
     pub fn fork(&self, counter: IoCounter) -> Self {
         Self {
             pages: self.pages.clone(),
-            free: self.free.clone(),
             spare: Vec::new(),
             capacity: self.capacity,
             counter,
@@ -210,7 +216,7 @@ impl<T: Clone> TypedStore<T> {
         );
         Arc::make_mut(page).push(record);
         if let Some(m) = &self.file {
-            m.write_page(id, self.pages[id.index()].as_ref().expect("live"));
+            m.write_page(id, self.live(id, "append to"));
         }
     }
 
@@ -222,23 +228,21 @@ impl<T: Clone> TypedStore<T> {
             records.len(),
             self.capacity
         );
-        self.live(id, "write to");
+        *self.live_mut(id, "write to") = Arc::new(records);
         self.counter.add_writes(1);
         if let Some(m) = &self.file {
-            m.write_page(id, &records);
+            m.write_page(id, self.live(id, "write to"));
         }
-        self.pages[id.index()] = Some(Arc::new(records));
     }
 
     /// Release a page back to the free list. Free of charge (deallocation
     /// needs no transfer). The page's buffer is recycled for `alloc_run`.
     pub fn free(&mut self, id: PageId) {
-        let slot = match self.pages.get_mut(id.index()) {
-            Some(slot) => slot,
-            None => panic!("free of unallocated page {id:?}"),
-        };
-        let Some(page) = slot.take() else {
-            panic!("double free of page {id:?}")
+        let Some(page) = self.pages.remove(id) else {
+            if id.index() < self.pages.slots() {
+                panic!("double free of page {id:?}")
+            }
+            panic!("free of unallocated page {id:?}")
         };
         // Recycling only works when no snapshot still shares the buffer;
         // otherwise the Arc keeps the page alive for its readers and we
@@ -253,7 +257,6 @@ impl<T: Clone> TypedStore<T> {
         if let Some(m) = &self.file {
             m.free_page(id);
         }
-        self.free.push(id);
     }
 
     /// Release every page in `ids`.
@@ -277,7 +280,7 @@ impl<T: Clone> TypedStore<T> {
     /// Number of live (allocated, unfreed) pages — the structure's space in
     /// disk blocks.
     pub fn pages_in_use(&self) -> usize {
-        self.pages.len() - self.free.len()
+        self.pages.in_use()
     }
 
     /// Number of records on page `id` without charging an I/O.
@@ -344,11 +347,7 @@ impl<T: Clone> TypedStore<T> {
     /// Ids of every live page, ascending. Uncharged; for tests and space
     /// walks (persist, differential image comparison).
     pub fn live_page_ids(&self) -> Vec<PageId> {
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|_| PageId(i as u32)))
-            .collect()
+        self.pages.iter().map(|(id, _)| id).collect()
     }
 }
 
@@ -374,10 +373,14 @@ impl<T: Clone + FixedBytes> TypedStore<T> {
         let live: Vec<(u32, u32)> = self
             .pages
             .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.as_ref().map(|p| (i as u32, p.len() as u32)))
+            .map(|(id, p)| (id.0, p.len() as u32))
             .collect();
-        m.persist(self.capacity, self.pages.len(), &live, &self.free);
+        m.persist(
+            self.capacity,
+            self.pages.slots(),
+            &live,
+            self.pages.free_list(),
+        );
     }
 
     /// `(page id, encoded bytes)` images of every live **model** page, in
@@ -416,9 +419,9 @@ impl<T: Clone + FixedBytes> TypedStore<T> {
     /// `ccix-durable`, this is the mechanism underneath it.
     pub fn open_from_file(cfg: &FileConfig, path: &Path, counter: IoCounter) -> Self {
         let (mirror, image) = FileMirror::load(cfg, path);
+        let slots = image.pages.into_iter().map(|p| p.map(Arc::new)).collect();
         Self {
-            pages: image.pages.into_iter().map(|p| p.map(Arc::new)).collect(),
-            free: image.free,
+            pages: PageTable::from_parts(slots, image.free),
             spare: Vec::new(),
             capacity: image.capacity,
             counter,
@@ -556,6 +559,63 @@ mod tests {
         // Freeing a shared page on the original leaves the fork intact.
         s.free(a);
         assert_eq!(f.read_unbilled(a), &[1, 2]);
+    }
+
+    #[test]
+    fn writes_after_a_fork_copy_only_the_chunks_they_touch() {
+        let mut s = store(2);
+        let ids: Vec<PageId> = (0..400).map(|i| s.alloc(vec![i])).collect();
+        let f = s.fork(IoCounter::new());
+        assert_eq!(s.pages.diverged_chunks(&f.pages), 0, "a fork shares all");
+        assert!(s.pages.shares_free_list_with(&f.pages));
+
+        // k = 5 mutations of every kind, each in a chunk of its own.
+        s.append(ids[3], 1000);
+        s.write(ids[40], vec![7]);
+        s.free(ids[80]);
+        let reused = s.alloc(vec![8]);
+        assert_eq!(reused, ids[80], "the freed slot comes back");
+        s.append(ids[399], 1001);
+        assert!(s.pages.diverged_chunks(&f.pages) <= 5);
+        assert!(s.pages.diverged_chunks(&f.pages) >= 4);
+        // An untouched page of a copied chunk is still the fork's buffer.
+        assert!(std::ptr::eq(
+            s.read_unbilled(ids[4]),
+            f.read_unbilled(ids[4])
+        ));
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(f.read_unbilled(id), &[i as u32], "fork page {i}");
+        }
+    }
+
+    #[test]
+    fn a_fork_of_a_mutated_fork_reads_its_own_frozen_contents() {
+        let mut a = store(4);
+        let p = a.alloc(vec![1]);
+        let q = a.alloc(vec![2]);
+        let mut b = a.fork(IoCounter::new());
+        b.append(p, 10);
+        b.free(q);
+        let c = b.fork(IoCounter::new());
+        // All three diverge again after the second fork.
+        a.append(p, 20);
+        let q2 = b.alloc(vec![3]);
+        assert_eq!(q2, q, "b recycles the slot it freed");
+        b.write(p, vec![30]);
+
+        assert_eq!(a.read_unbilled(p), &[1, 20]);
+        assert_eq!(a.read_unbilled(q), &[2]);
+        assert_eq!(b.read_unbilled(p), &[30]);
+        assert_eq!(b.read_unbilled(q), &[3]);
+        assert_eq!(c.read_unbilled(p), &[1, 10]);
+        assert_eq!(
+            (a.pages_in_use(), b.pages_in_use(), c.pages_in_use()),
+            (2, 2, 1)
+        );
+        let c_sees_q_freed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.read_unbilled(q);
+        }));
+        assert!(c_sees_q_freed.is_err(), "c forked after the free");
     }
 
     #[test]

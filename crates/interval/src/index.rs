@@ -418,6 +418,28 @@ impl IntervalIndex {
         self.stab.flush_reorgs()
     }
 
+    /// True while a background shrink job is in flight in the stabbing
+    /// structure (see [`ccix_core::MetablockTree::reorg_in_progress`]).
+    pub fn reorg_in_progress(&self) -> bool {
+        self.stab.reorg_in_progress()
+    }
+
+    /// Walk every component unbilled and assert its structural invariants
+    /// (see [`ccix_core::MetablockTree::validate_unbilled`]); the endpoint
+    /// B+-tree, when present, must hold exactly the live intervals.
+    /// Test/debug only.
+    pub fn validate_unbilled(&self) {
+        self.stab.validate_unbilled();
+        if let Some((disk, tree)) = &self.endpoints {
+            tree.validate_unbilled(disk);
+            assert_eq!(
+                tree.len(),
+                self.len as u64,
+                "endpoint tree out of step with the stabbing structure"
+            );
+        }
+    }
+
     /// Disk blocks occupied by all component structures.
     pub fn space_pages(&self) -> usize {
         let endpoints = self

@@ -21,10 +21,14 @@
 //! An epoch is immutable from the moment it is published. Readers obtain a
 //! [`Snapshot`] (an `Arc` clone) and query it without any lock; the writer
 //! never blocks on readers and readers never block on the writer. The
-//! copy-on-write stores mean consecutive epochs share almost every page;
-//! a page replaced by a later commit stays alive exactly until the last
-//! snapshot that can see it is dropped — `Arc` reference counts *are* the
-//! epoch-based reclamation, there is no separate garbage list to pump.
+//! copy-on-write stores mean consecutive epochs share almost every page
+//! and control block; one replaced by a later commit stays alive exactly
+//! until the last snapshot that can see it is dropped — `Arc` reference
+//! counts *are* the epoch-based reclamation, there is no separate garbage
+//! list to pump. The publish lock is held for the swap of one handle: the
+//! writer takes the retired epoch out of the slot, resolves the commit's
+//! tickets, and only then drops it, so the teardown (if no reader still
+//! holds the epoch) is on nobody's path.
 //!
 //! # Commit visibility
 //!
@@ -528,6 +532,16 @@ fn live_content(index: &ShardedIntervalIndex) -> Vec<Interval> {
         .left_range(i64::MIN, i64::MAX)
 }
 
+/// Swap `epoch` into the published slot and hand the retired epoch back
+/// **alive**, with the publish lock already released: the write guard lives
+/// for the swap of one handle and nothing else, so an [`Engine::snapshot`]
+/// never waits on an epoch's teardown. The caller drops the retired handle
+/// once the commit's tickets are resolved.
+#[must_use = "drop the retired epoch after resolving the commit's tickets"]
+fn publish(published: &RwLock<Arc<Epoch>>, epoch: Arc<Epoch>) -> Arc<Epoch> {
+    std::mem::replace(&mut *published.write().expect("publish lock"), epoch)
+}
+
 /// The writer thread's durable half: WAL + checkpoint store, the acks
 /// parked until their covering fsync, and the fsync batching state.
 struct DurableState {
@@ -691,12 +705,14 @@ fn writer_loop(
         debt.store(index.reorg_debt(), Relaxed);
         // Publish one epoch for the whole group, then resolve its tickets.
         cur_seq += 1;
-        let epoch = Arc::new(Epoch {
-            index: index.fork_snapshot(IoCounter::new()),
-            seq: cur_seq,
-            ops_applied,
-        });
-        *published.write().expect("publish lock") = epoch;
+        let retired = publish(
+            &published,
+            Arc::new(Epoch {
+                index: index.fork_snapshot(IoCounter::new()),
+                seq: cur_seq,
+                ops_applied,
+            }),
+        );
         seq.store(cur_seq, Relaxed);
         match durable.as_mut() {
             None => {
@@ -739,17 +755,24 @@ fn writer_loop(
                 {
                     return index;
                 }
-                // Checkpoint at flush/shutdown barriers and every
-                // `checkpoint_every_ops` logged operations; each one
-                // snapshots the live content and truncates the WAL.
-                if flush_requested || shutdown || d.store.wants_checkpoint() {
-                    let meta = Meta::new(index.geometry(), index.options());
-                    if d.store
-                        .checkpoint(meta, index.splits(), &live_content(&index))
-                        .is_err()
-                    {
-                        return index;
-                    }
+            }
+        }
+        // Only now let go of the retired epoch: if no reader still holds it,
+        // its teardown (every chunk, page and control block this commit
+        // replaced) runs here — off the publish lock and after the acks, so
+        // neither `Engine::snapshot` nor a waiting client pays for it.
+        drop(retired);
+        if let Some(d) = durable.as_mut() {
+            // Checkpoint at flush/shutdown barriers and every
+            // `checkpoint_every_ops` logged operations; each one snapshots
+            // the live content and truncates the WAL.
+            if flush_requested || shutdown || d.store.wants_checkpoint() {
+                let meta = Meta::new(index.geometry(), index.options());
+                if d.store
+                    .checkpoint(meta, index.splits(), &live_content(&index))
+                    .is_err()
+                {
+                    return index;
                 }
             }
         }
@@ -812,6 +835,61 @@ mod tests {
         assert_eq!(snap.len(), 2);
         let final_index = engine.shutdown();
         assert_eq!(final_index.len(), 2);
+    }
+
+    #[test]
+    fn publish_returns_the_retired_epoch_alive_and_the_lock_free() {
+        let idx = ShardedIntervalIndex::from_single(
+            IndexBuilder::new(Geometry::new(8)).bulk(IoCounter::new(), &ivs(200)),
+        );
+        let epoch = |seq| {
+            Arc::new(Epoch {
+                index: idx.fork_snapshot(IoCounter::new()),
+                seq,
+                ops_applied: 0,
+            })
+        };
+        let published = RwLock::new(epoch(0));
+        let retired = publish(&published, epoch(1));
+        assert_eq!(retired.seq, 0);
+        assert_eq!(
+            Arc::strong_count(&retired),
+            1,
+            "the swap dropped nothing: the teardown is the caller's, after its acks"
+        );
+        assert!(
+            published.try_write().is_ok(),
+            "the guard did not outlive the swap"
+        );
+        assert_eq!(published.read().expect("publish lock").seq, 1);
+    }
+
+    #[test]
+    fn a_reader_tears_a_retired_epoch_down_without_the_publish_lock() {
+        let idx = IndexBuilder::new(Geometry::new(8)).bulk(IoCounter::new(), &ivs(200));
+        let engine = Engine::start(idx, EngineConfig::default());
+        // The reader holds the only handle on epoch 0 besides the slot.
+        let old = engine.snapshot();
+        assert_eq!(Arc::strong_count(&old.0), 2);
+        let commit = |id| {
+            engine
+                .submit(vec![IntervalOp::Insert(Interval::new(0, 399, id))])
+                .wait()
+        };
+        assert_eq!(commit(10_000).seq, 1);
+        // The ticket resolves before the writer lets go of the retired
+        // epoch; wait for that handle, not for a clock.
+        while Arc::strong_count(&old.0) > 1 {
+            std::thread::yield_now();
+        }
+        // Epoch 0 is now the reader's alone: its whole teardown runs in this
+        // drop, on this thread, and the publish lock is nobody's meanwhile.
+        assert!(engine.published.try_write().is_ok());
+        drop(old);
+        assert!(engine.published.try_write().is_ok());
+        assert_eq!(commit(10_001).seq, 2, "the writer never noticed");
+        assert!(engine.snapshot().query(50).contains(&10_001));
+        engine.shutdown();
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! 1. **Epochs.** The writer thread owns the live index. After applying a
 //!    group of write submissions it *publishes* an [`Epoch`]: an immutable
 //!    [`ccix_interval::IntervalIndex::fork_snapshot`] wrapped in an `Arc`
-//!    and swapped into a shared slot. Forking is O(control blocks): the
-//!    copy-on-write page stores share every unchanged page between the
-//!    live index and all published epochs.
+//!    and swapped into a shared slot. Forking copies handles only — one
+//!    per 16 page slots and one per control block — because the page
+//!    tables and control blocks are structurally shared between the live
+//!    index and all published epochs; the next commit copies what it
+//!    dirties.
 //! 2. **Snapshots.** Readers grab [`Snapshot`]s (`Arc` clones of the
 //!    newest epoch) and query them lock-free; answers are exact for the
 //!    epoch's state, including mid-reorganisation states (the fork carries
@@ -18,10 +20,13 @@
 //!    [`ccix_extmem::IoCounter`], so reader traffic never perturbs the
 //!    writer's accounting — the single-threaded I/O tables stay
 //!    bit-identical with this crate in the picture.
-//! 3. **Reclamation.** A page replaced by a later commit lives exactly as
-//!    long as the last epoch that can see it: dropping the last `Arc` to
-//!    an epoch frees its unshared pages. Reference counts *are* the
-//!    epoch-based reclamation; there is no deferred-free list to tend.
+//! 3. **Reclamation.** A page, page-table chunk or control block replaced
+//!    by a later commit lives exactly as long as the last epoch that can
+//!    see it: dropping the last `Arc` to an epoch frees what it alone still
+//!    holds. Reference counts *are* the epoch-based reclamation; there is
+//!    no deferred-free list to tend. The writer lets go of a retired epoch
+//!    only after resolving the commit's tickets and never under the
+//!    publish lock.
 //! 4. **Group commit.** Writes enter a bounded queue ([`Engine::submit`])
 //!    and are drained in groups; each submission is applied as its own
 //!    sorted [`ccix_interval::IntervalIndex::apply_batch`] flood (the

@@ -76,13 +76,19 @@ fn rand_tuning(rng: &mut DetRng, trial: usize) -> ccix_core::Tuning {
 #[test]
 fn snapshots_agree_with_oracle_under_flood() {
     let trial = AtomicU64::new(0);
-    check::trials("serve_stress", 3, 0x5eed_c0de, |rng| {
+    check::trials("serve_stress", 4, 0x5eed_c0de, |rng| {
         let trial = trial.fetch_add(1, Relaxed) as usize;
-        let tuning = rand_tuning(rng, trial);
+        let builder = IndexBuilder::new(Geometry::new(8));
+        // The last trial serves the paper's §2.1 layout: every epoch then
+        // also forks the endpoint B+-tree's byte device, which the writer
+        // keeps rebalancing underneath the readers' `x_range` scans.
+        let builder = if trial == 3 {
+            builder.paper()
+        } else {
+            builder.tuning(rand_tuning(rng, trial))
+        };
         let plan: CommitPlan = commit_plan(rng, PLAN);
-        let idx = IndexBuilder::new(Geometry::new(8))
-            .tuning(tuning)
-            .bulk(IoCounter::new(), &plan.initial);
+        let idx = builder.bulk(IoCounter::new(), &plan.initial);
         let engine = Engine::start(
             idx,
             EngineConfig {

@@ -283,27 +283,73 @@ pub fn mixed_interval_flood(
     del_pct: u32,
     stab_pct: u32,
 ) -> Vec<IntervalOp> {
-    assert!(del_pct + stab_pct <= 100, "op percentages exceed 100");
-    let mut r = DetRng::new(seed);
-    let mut live: Vec<Interval> = Vec::new();
-    let mut next_id = 0u64;
-    (0..n_ops)
-        .map(|_| {
-            let roll = r.gen_range(0..100u32);
-            if roll < del_pct && !live.is_empty() {
-                let iv = live.swap_remove(r.gen_range(0..live.len()));
-                IntervalOp::Delete(iv)
-            } else if roll < del_pct + stab_pct {
-                IntervalOp::Stab(r.gen_range(-1..range + 1))
-            } else {
-                let lo = r.gen_range(0..range);
-                let iv = Interval::new(lo, lo + r.gen_range(0..max_len.max(1)), next_id);
-                next_id += 1;
-                live.push(iv);
-                IntervalOp::Insert(iv)
-            }
-        })
-        .collect()
+    let mut flood = IntervalFlood::new(seed, range, max_len, del_pct, stab_pct);
+    flood.next_ops(n_ops)
+}
+
+/// A resumable [`mixed_interval_flood`]: the same stream, drawn a few
+/// operations at a time, over a live set the caller can seed and read —
+/// for suites that interleave a flood with other steps (forks, probes) or
+/// continue one from an existing index's contents.
+#[derive(Clone, Debug)]
+pub struct IntervalFlood {
+    rng: DetRng,
+    /// Intervals inserted and not yet deleted, in the generator's order.
+    pub live: Vec<Interval>,
+    next_id: u64,
+    range: i64,
+    max_len: i64,
+    del_pct: u32,
+    stab_pct: u32,
+}
+
+impl IntervalFlood {
+    /// A flood starting from nothing live, ids from 0.
+    pub fn new(seed: u64, range: i64, max_len: i64, del_pct: u32, stab_pct: u32) -> Self {
+        assert!(del_pct + stab_pct <= 100, "op percentages exceed 100");
+        Self {
+            rng: DetRng::new(seed),
+            live: Vec::new(),
+            next_id: 0,
+            range,
+            max_len,
+            del_pct,
+            stab_pct,
+        }
+    }
+
+    /// Continue from `live` (deletes may target it), with fresh ids from
+    /// `next_id` — which must exceed every id ever used by the structure
+    /// under test.
+    pub fn resume_from(mut self, live: Vec<Interval>, next_id: u64) -> Self {
+        self.live = live;
+        self.next_id = next_id;
+        self
+    }
+
+    /// The next `n_ops` operations of the stream.
+    pub fn next_ops(&mut self, n_ops: usize) -> Vec<IntervalOp> {
+        (0..n_ops)
+            .map(|_| {
+                let roll = self.rng.gen_range(0..100u32);
+                if roll < self.del_pct && !self.live.is_empty() {
+                    let iv = self
+                        .live
+                        .swap_remove(self.rng.gen_range(0..self.live.len()));
+                    IntervalOp::Delete(iv)
+                } else if roll < self.del_pct + self.stab_pct {
+                    IntervalOp::Stab(self.rng.gen_range(-1..self.range + 1))
+                } else {
+                    let lo = self.rng.gen_range(0..self.range);
+                    let len = self.rng.gen_range(0..self.max_len.max(1));
+                    let iv = Interval::new(lo, lo + len, self.next_id);
+                    self.next_id += 1;
+                    self.live.push(iv);
+                    IntervalOp::Insert(iv)
+                }
+            })
+            .collect()
+    }
 }
 
 /// One operation of a mixed planar-point workload (for the 3-sided tree).
@@ -681,6 +727,21 @@ mod tests {
                 IntervalOp::Stab(_) => {}
             }
         }
+        // Drawn in pieces, a flood is the same stream; resumed from a live
+        // set, it deletes from that set and never reuses an id at or above
+        // the one it was told to start from.
+        let mut pieces = IntervalFlood::new(7, 500, 40, 30, 20);
+        let mut drawn = pieces.next_ops(120);
+        drawn.extend(pieces.next_ops(180));
+        assert_eq!(drawn, mixed_interval_flood(300, 7, 500, 40, 30, 20));
+        let seeded = vec![Interval::new(1, 2, 5), Interval::new(3, 9, 6)];
+        let mut resumed = IntervalFlood::new(9, 500, 40, 60, 0).resume_from(seeded.clone(), 100);
+        let ops = resumed.next_ops(50);
+        assert!(ops.contains(&IntervalOp::Delete(seeded[0])));
+        assert!(ops.iter().all(|op| match op {
+            IntervalOp::Insert(iv) => iv.id >= 100,
+            _ => true,
+        }));
         let mut live_p = std::collections::BTreeSet::new();
         for op in mixed_point_flood(800, 3, 300, 35, 15) {
             match op {
