@@ -43,7 +43,7 @@
 //!   terminal Type II node picks the cheaper of the corner query and a
 //!   filtered horizontal scan from exact directory-computed page counts.
 
-use ccix_extmem::Point;
+use ccix_extmem::{Point, SortedIds};
 
 use super::{ChildEntry, MbId, MetaBlock, MetablockTree, ReadCtx, SPACE_META};
 use crate::bbox::Key;
@@ -746,9 +746,9 @@ pub(crate) fn filter_deleted(ctx: &ReadCtx, start: usize, out: &mut Vec<Point>) 
     if ctx.del.is_empty() {
         return;
     }
-    let dead: std::collections::HashSet<u64> = ctx.del.iter().copied().collect();
+    let dead = SortedIds::new(ctx.del.iter().copied());
     let tail = out.split_off(start);
-    out.extend(tail.into_iter().filter(|p| !dead.contains(&p.id)));
+    out.extend(tail.into_iter().filter(|p| !dead.contains(p.id)));
 }
 
 /// As [`filter_deleted`], over every answer of a batch — the dead-id set
@@ -757,9 +757,9 @@ pub(crate) fn filter_deleted_batch(ctx: &ReadCtx, outs: &mut [Vec<Point>]) {
     if ctx.del.is_empty() {
         return;
     }
-    let dead: std::collections::HashSet<u64> = ctx.del.iter().copied().collect();
+    let dead = SortedIds::new(ctx.del.iter().copied());
     for out in outs {
-        out.retain(|p| !dead.contains(&p.id));
+        out.retain(|p| !dead.contains(p.id));
     }
 }
 

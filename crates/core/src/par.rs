@@ -13,6 +13,12 @@
 //! The same order-preserving fan-out also drives shard-level parallelism
 //! in `ccix-interval`'s sharded index (one task per shard, each charging
 //! its own striped counter), which is why [`run_parallel`] is public.
+//!
+//! A hand-off to a scoped thread costs a spawn and a join — tens of
+//! microseconds — so every caller gates it on the work it hands over and
+//! passes `budget = 1` (inline) below its own measured crossover:
+//! `PAR_THRESHOLD` points for a build-planning slab, `FAN_OUT_MIN_OPS`
+//! routed operations for a sharded write.
 
 /// Minimum number of points in a slab before planning it is worth a
 /// worker-thread handoff; smaller slabs run inline.

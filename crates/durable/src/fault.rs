@@ -24,13 +24,22 @@
 //!   filesystem performs its lossy crash flush and then fails everything,
 //!   forever — the moment the process "dies".
 //!
+//! Every mutating operation is also appended to a **trace**
+//! ([`FailFs::trace`]): what was done to which file, and whether it was
+//! interrupted, counted, or the crash point. Two runs that issue the same
+//! operations in the same order draw the same injections and record the
+//! same trace, so comparing traces is how a suite proves that its
+//! filesystem-operation order does not depend on thread timing — and an
+//! operation that *starts while a sync is still running*
+//! ([`FailFs::overlapped_syncs`]) is the signature of exactly that bug.
+//!
 //! The injected rng stream is splitmix64 with the same constants as
 //! `ccix_testkit::DetRng`, duplicated here (rather than imported) to keep
 //! this crate free of a test-kit dependency cycle.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::fs::{read_exact_at, write_all_at, Fs, RawFile};
 
@@ -83,12 +92,48 @@ impl Splitmix {
     }
 }
 
+/// What a traced operation did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum FsOpKind {
+    /// `RawFile::write_at`.
+    Write,
+    /// `RawFile::set_len`.
+    SetLen,
+    /// `RawFile::sync`.
+    Sync,
+    /// `Fs::rename` (traced under the destination's name).
+    Rename,
+    /// `Fs::remove_file`.
+    Remove,
+    /// `Fs::sync_dir`.
+    SyncDir,
+}
+
+/// One mutating operation as [`FailFs`] saw it.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct FsOp {
+    /// What was asked.
+    pub kind: FsOpKind,
+    /// The file's name within its directory (temp directories differ from
+    /// run to run; names do not), `.` for a directory sync.
+    pub file: String,
+    /// The operation's 1-based position among the counted ones — the value
+    /// of `crash_after_ops` that makes this very operation the crash point
+    /// — or `None` when it was interrupted before doing anything.
+    pub ordinal: Option<u64>,
+}
+
 #[derive(Debug)]
 struct FaultState {
     rng: Splitmix,
     plan: FaultPlan,
     ops: u64,
     crashed: bool,
+    trace: Vec<FsOp>,
+    /// Syncs currently flushing (decided, not yet returned).
+    syncing: u32,
+    /// Operations that began while a sync was still flushing.
+    overlapped: u64,
 }
 
 impl FaultState {
@@ -99,14 +144,25 @@ impl FaultState {
     /// Gate one mutating operation: transient error, crash, or proceed.
     /// Returns `Ok(true)` when this very operation is the crash point (the
     /// caller must do its lossy flush and then fail).
-    fn mutating_op(&mut self) -> io::Result<bool> {
+    fn mutating_op(&mut self, kind: FsOpKind, file: &str) -> io::Result<bool> {
         if self.crashed {
             return Err(Self::crash_error());
         }
-        if self.rng.next_f64() < self.plan.eintr {
+        if self.syncing > 0 {
+            self.overlapped += 1;
+        }
+        let interrupted = self.rng.next_f64() < self.plan.eintr;
+        if !interrupted {
+            self.ops += 1;
+        }
+        self.trace.push(FsOp {
+            kind,
+            file: file.to_owned(),
+            ordinal: (!interrupted).then_some(self.ops),
+        });
+        if interrupted {
             return Err(io::Error::new(io::ErrorKind::Interrupted, "injected EINTR"));
         }
-        self.ops += 1;
         if let Some(limit) = self.plan.crash_after_ops {
             if self.ops >= limit {
                 self.crashed = true;
@@ -154,6 +210,9 @@ impl FailFs {
                 plan,
                 ops: 0,
                 crashed: false,
+                trace: Vec::new(),
+                syncing: 0,
+                overlapped: 0,
             })),
         }
     }
@@ -167,6 +226,33 @@ impl FailFs {
     pub fn ops(&self) -> u64 {
         self.state.lock().expect("fault state").ops
     }
+
+    /// Gate one mutating namespace operation (see
+    /// [`FaultState::mutating_op`]).
+    fn mutating_op(&self, kind: FsOpKind, file: &str) -> io::Result<bool> {
+        let mut state = self.state.lock().expect("fault state");
+        state.mutating_op(kind, file)
+    }
+
+    /// Every mutating operation attempted so far, in order.
+    pub fn trace(&self) -> Vec<FsOp> {
+        self.state.lock().expect("fault state").trace.clone()
+    }
+
+    /// Mutating operations that began while a `sync` on this filesystem was
+    /// still flushing. Always 0 for a single-threaded user; a user that
+    /// syncs on a second thread must keep it 0 too, or its operation order
+    /// (and with it every seeded injection) depends on thread timing.
+    pub fn overlapped_syncs(&self) -> u64 {
+        self.state.lock().expect("fault state").overlapped
+    }
+}
+
+/// A path's final component, as traced.
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
 }
 
 /// One pending (unsynced) write in a file's shadow buffer.
@@ -179,6 +265,7 @@ struct DirtyWrite {
 /// A file whose writes are buffered until `sync`, with lossy crash flush.
 struct FailFile {
     inner: Box<dyn RawFile>,
+    name: String,
     /// The process's view of the file (synced content + pending writes).
     mem: Vec<u8>,
     /// Writes since the last successful sync, in order.
@@ -214,6 +301,15 @@ impl FailFile {
         let _ = self.inner.sync();
     }
 
+    /// Make the whole shadow the inner file's durable content.
+    fn flush_shadow(&mut self) -> io::Result<()> {
+        self.inner.set_len(self.mem.len() as u64)?;
+        write_all_at(self.inner.as_mut(), 0, &self.mem)?;
+        self.inner.sync()?;
+        self.dirty.clear();
+        Ok(())
+    }
+
     /// Reconstruct the last-synced content of the inner file.
     fn synced_image(&self) -> Vec<u8> {
         let len = self.inner.len().unwrap_or(0) as usize;
@@ -245,7 +341,7 @@ impl RawFile for FailFile {
     fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<usize> {
         let (crash, cut, torn, n) = {
             let mut st = self.state.lock().expect("fault state");
-            let crash = st.mutating_op()?;
+            let crash = st.mutating_op(FsOpKind::Write, &self.name)?;
             if crash {
                 let cut = st.rng.below(self.dirty.len() + 1);
                 let torn = st.rng.below(buf.len() + 1);
@@ -280,7 +376,7 @@ impl RawFile for FailFile {
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         let crash = {
             let mut st = self.state.lock().expect("fault state");
-            let crash = st.mutating_op()?;
+            let crash = st.mutating_op(FsOpKind::SetLen, &self.name)?;
             if crash {
                 let cut = st.rng.below(self.dirty.len() + 1);
                 (true, cut)
@@ -307,7 +403,8 @@ impl RawFile for FailFile {
     fn sync(&mut self) -> io::Result<()> {
         let crash = {
             let mut st = self.state.lock().expect("fault state");
-            let crash = st.mutating_op()?;
+            let crash = st.mutating_op(FsOpKind::Sync, &self.name)?;
+            st.syncing += 1;
             if crash {
                 let cut = st.rng.below(self.dirty.len() + 1);
                 let torn = self
@@ -320,16 +417,15 @@ impl RawFile for FailFile {
                 (false, 0, 0)
             }
         };
-        if crash.0 {
+        let flushed = if crash.0 {
             self.crash_flush(crash.1, crash.2);
-            return Err(FaultState::crash_error());
-        }
-        // A real sync: the whole shadow becomes the durable image.
-        self.inner.set_len(self.mem.len() as u64)?;
-        write_all_at(self.inner.as_mut(), 0, &self.mem)?;
-        self.inner.sync()?;
-        self.dirty.clear();
-        Ok(())
+            Err(FaultState::crash_error())
+        } else {
+            // A real sync: the whole shadow becomes the durable image.
+            self.flush_shadow()
+        };
+        self.state.lock().expect("fault state").syncing -= 1;
+        flushed
     }
 }
 
@@ -342,6 +438,7 @@ impl Fs for FailFs {
         read_exact_at(inner.as_ref(), 0, &mut mem)?;
         Ok(Box::new(FailFile {
             inner,
+            name: file_name(path),
             mem,
             dirty: Vec::new(),
             state: Arc::clone(&self.state),
@@ -354,7 +451,7 @@ impl Fs for FailFs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let crash = self.state.lock().expect("fault state").mutating_op()?;
+        let crash = self.mutating_op(FsOpKind::Rename, &file_name(to))?;
         if crash {
             // Crash at the rename point: the rename never happened.
             return Err(FaultState::crash_error());
@@ -363,7 +460,7 @@ impl Fs for FailFs {
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let crash = self.state.lock().expect("fault state").mutating_op()?;
+        let crash = self.mutating_op(FsOpKind::Remove, &file_name(path))?;
         if crash {
             return Err(FaultState::crash_error());
         }
@@ -375,10 +472,149 @@ impl Fs for FailFs {
     }
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        let crash = self.state.lock().expect("fault state").mutating_op()?;
+        let crash = self.mutating_op(FsOpKind::SyncDir, ".")?;
         if crash {
             return Err(FaultState::crash_error());
         }
+        self.inner.sync_dir(path)
+    }
+}
+
+/// A latch on commit syncs: an [`Fs`] wrapper whose `sync` parks while the
+/// gate is held, so a test can stand inside the window between "fsync
+/// started" and "fsync returned" for as long as it needs to look around.
+///
+/// Only a sync that covers written bytes of the one file named at
+/// construction (the WAL, in practice) parks; truncation syncs and every
+/// other file pass straight through, so checkpoints never trip the gate.
+/// Cloneable; clones share the gate. Wrap it *around* a [`FailFs`] to get
+/// the trace of the same operations: the gate must see the caller's own
+/// writes and truncations, and a `FailFs` rewrites its whole shadow on
+/// every sync, so to a gate inside one every sync looks like a commit's.
+#[derive(Clone)]
+pub struct GateFs {
+    inner: Arc<dyn Fs>,
+    file: String,
+    gate: Arc<(Mutex<Gate>, Condvar)>,
+}
+
+#[derive(Debug, Default)]
+struct Gate {
+    held: bool,
+    parked: bool,
+    /// The parked sync returns an error when released.
+    fail: bool,
+}
+
+impl GateFs {
+    /// Gate the commit syncs of the file called `file` under `inner`.
+    pub fn new(inner: Arc<dyn Fs>, file: &str) -> Self {
+        Self {
+            inner,
+            file: file.to_owned(),
+            gate: Arc::default(),
+        }
+    }
+
+    /// Park the next commit sync until [`GateFs::open`] or
+    /// [`GateFs::fail`].
+    pub fn hold(&self) {
+        self.gate.0.lock().expect("gate").held = true;
+    }
+
+    /// Whether a sync is parked at the gate right now.
+    pub fn is_parked(&self) -> bool {
+        self.gate.0.lock().expect("gate").parked
+    }
+
+    /// Release the gate; a parked sync proceeds to the inner filesystem.
+    pub fn open(&self) {
+        self.release(false);
+    }
+
+    /// Release the gate; a parked sync returns an error without reaching
+    /// the inner filesystem.
+    pub fn fail(&self) {
+        self.release(true);
+    }
+
+    fn release(&self, fail: bool) {
+        let mut gate = self.gate.0.lock().expect("gate");
+        gate.held = false;
+        gate.fail = fail && gate.parked;
+        self.gate.1.notify_all();
+    }
+}
+
+struct GateFile {
+    inner: Box<dyn RawFile>,
+    /// `None` for files the gate ignores.
+    gate: Option<Arc<(Mutex<Gate>, Condvar)>>,
+    /// Bytes written since the last sync: the next one is a commit sync.
+    wrote: bool,
+}
+
+impl RawFile for GateFile {
+    fn len(&self) -> io::Result<u64> {
+        self.inner.len()
+    }
+
+    fn read_at(&self, off: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read_at(off, buf)
+    }
+
+    fn write_at(&mut self, off: u64, buf: &[u8]) -> io::Result<usize> {
+        self.wrote = true;
+        self.inner.write_at(off, buf)
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        self.inner.set_len(len)
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        if let Some((lock, opened)) = self.gate.as_deref().filter(|_| self.wrote) {
+            let mut gate = lock.lock().expect("gate");
+            if gate.held {
+                gate.parked = true;
+                gate = opened.wait_while(gate, |g| g.held).expect("gate");
+                gate.parked = false;
+                if std::mem::take(&mut gate.fail) {
+                    return Err(io::Error::other("injected sync failure"));
+                }
+            }
+        }
+        self.wrote = false;
+        self.inner.sync()
+    }
+}
+
+impl Fs for GateFs {
+    fn open(&self, path: &Path, create: bool) -> io::Result<Box<dyn RawFile>> {
+        Ok(Box::new(GateFile {
+            inner: self.inner.open(path, create)?,
+            gate: (file_name(path) == self.file).then(|| Arc::clone(&self.gate)),
+            wrote: false,
+        }))
+    }
+
+    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+
+    fn sync_dir(&self, path: &Path) -> io::Result<()> {
         self.inner.sync_dir(path)
     }
 }
@@ -494,6 +730,77 @@ mod tests {
         crate::fs::retry_interrupted(|| f.sync()).expect("sync through noise");
         let real = std::fs::read(&path).expect("read");
         assert_eq!(real, payload);
+    }
+
+    #[test]
+    fn trace_names_every_operation_and_a_held_sync_exposes_overlap() {
+        let tmp = TempDir::new("fault-trace");
+        // The gate sits *inside* here, parking the shadow flush itself, so
+        // the FailFs counts the held sync as in flight.
+        let gate = GateFs::new(RealFs::shared(), "wal");
+        let fs = FailFs::new(
+            Arc::new(gate.clone()),
+            5,
+            FaultPlan {
+                crash_after_ops: None,
+                short_write: 0.0,
+                eintr: 0.0,
+            },
+        );
+        let mut wal = fs.open(&tmp.path().join("wal"), true).expect("open wal");
+        let mut other = fs
+            .open(&tmp.path().join("other"), true)
+            .expect("open other");
+        write_all_at(wal.as_mut(), 0, b"rec").expect("append");
+        gate.hold();
+        std::thread::scope(|scope| {
+            let syncing = scope.spawn(move || wal.sync());
+            while !gate.is_parked() {
+                std::thread::yield_now();
+            }
+            assert_eq!(fs.overlapped_syncs(), 0);
+            // A second thread touching the filesystem mid-sync is flagged.
+            write_all_at(other.as_mut(), 0, b"x").expect("write");
+            assert_eq!(fs.overlapped_syncs(), 1);
+            gate.open();
+            syncing.join().expect("sync thread").expect("sync");
+        });
+        let op = |kind, file: &str, ordinal| FsOp {
+            kind,
+            file: file.to_owned(),
+            ordinal: Some(ordinal),
+        };
+        assert_eq!(
+            fs.trace(),
+            vec![
+                op(FsOpKind::Write, "wal", 1),
+                op(FsOpKind::Sync, "wal", 2),
+                op(FsOpKind::Write, "other", 3),
+            ]
+        );
+        assert_eq!(std::fs::read(tmp.path().join("wal")).expect("read"), b"rec");
+    }
+
+    #[test]
+    fn a_failed_gate_fails_only_the_parked_sync() {
+        let tmp = TempDir::new("fault-gate-fail");
+        let gate = GateFs::new(RealFs::shared(), "wal");
+        let mut wal = Fs::open(&gate, &tmp.path().join("wal"), true).expect("open wal");
+        write_all_at(wal.as_mut(), 0, b"rec").expect("append");
+        // Nothing parked: fail() is just open().
+        gate.hold();
+        gate.fail();
+        wal.sync().expect("not parked, not failed");
+        write_all_at(wal.as_mut(), 3, b"ord").expect("append");
+        gate.hold();
+        std::thread::scope(|scope| {
+            let syncing = scope.spawn(|| wal.sync());
+            while !gate.is_parked() {
+                std::thread::yield_now();
+            }
+            gate.fail();
+            assert!(syncing.join().expect("sync thread").is_err());
+        });
     }
 
     #[test]

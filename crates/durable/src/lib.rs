@@ -41,7 +41,7 @@ use ccix_extmem::{BackendSpec, IoCounter};
 use ccix_interval::{IndexBuilder, Interval, IntervalIndex, IntervalOp, ShardedIntervalIndex};
 
 pub use checkpoint::{Checkpoint, Meta};
-pub use fault::{FailFs, FaultPlan, TempDir};
+pub use fault::{FailFs, FaultPlan, FsOp, FsOpKind, GateFs, TempDir};
 pub use fs::{Fs, RawFile, RealFs};
 pub use wal::{CommitRecord, Wal};
 

@@ -410,10 +410,39 @@ pub fn merge_delta_y_desc_cancel(
     if tombs.is_empty() {
         return merge_delta_y_desc(run, delta);
     }
-    let dead: std::collections::HashSet<u64> = tombs.iter().map(|t| t.id).collect();
+    let dead = SortedIds::new(tombs.iter().map(|t| t.id));
     let mut out = merge_delta_y_desc(run, delta);
-    out.retain(|p| !dead.contains(&p.id));
+    out.retain(|p| !dead.contains(p.id));
     out
+}
+
+/// A set of ids held sorted and deduplicated, probed by range pre-check
+/// plus binary search.
+///
+/// The tombstone sets an operation filters its answers against are small
+/// (hundreds of ids) and rebuilt per operation, while the answers probed
+/// run to tens of thousands — a shape where hashing every probe costs more
+/// than the comparisons it saves, and most probes fall outside `[min,
+/// max]` of the set altogether.
+#[derive(Debug)]
+pub struct SortedIds(Vec<u64>);
+
+impl SortedIds {
+    /// Collect `ids` (any order, duplicates allowed).
+    pub fn new(ids: impl IntoIterator<Item = u64>) -> Self {
+        let mut ids: Vec<u64> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
+        Self(ids)
+    }
+
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: u64) -> bool {
+        match (self.0.first(), self.0.last()) {
+            (Some(&min), Some(&max)) if min <= id && id <= max => self.0.binary_search(&id).is_ok(),
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -652,5 +681,22 @@ mod tests {
         assert_eq!(r.len(), 61);
         let rejoined: Vec<Point> = l.iter().chain(r.iter()).copied().collect();
         assert_eq!(rejoined, all);
+    }
+
+    #[test]
+    fn sorted_ids_agree_with_a_hash_set() {
+        let ids: Vec<u64> = pseudo_points(300, 0x51)
+            .iter()
+            .map(|p| p.id * 7 % 1000)
+            .collect();
+        let want: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        let got = SortedIds::new(ids);
+        for id in 0..1100 {
+            assert_eq!(got.contains(id), want.contains(&id), "id {id}");
+        }
+        assert!(
+            !SortedIds::new([]).contains(0),
+            "the empty set holds nothing"
+        );
     }
 }

@@ -562,10 +562,9 @@ impl IntervalIndex {
     /// `O(log_B n + Σtᵢ/B)` I/Os for a correlated flood; scattered batches
     /// degrade gracefully to per-query cost.
     pub fn stab_batch(&self, qs: &[i64]) -> Vec<Vec<u64>> {
-        self.stab_batch_intervals(qs)
-            .into_iter()
-            .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect())
-            .collect()
+        let mut outs = Vec::new();
+        self.stab_batch_into(qs, &mut outs);
+        outs
     }
 
     /// As [`IntervalIndex::stab_batch`], reusing `outs` for the per-query

@@ -46,4 +46,6 @@ mod sharded;
 pub use builder::IndexBuilder;
 pub use index::{EndpointMode, Interval, IntervalIndex, IntervalOp, IntervalOptions};
 pub use naive::NaiveIntervalStore;
-pub use sharded::{split_points_from_sample, ShardedBuilder, ShardedIntervalIndex};
+pub use sharded::{
+    split_points_from_sample, ShardedBuilder, ShardedIntervalIndex, FAN_OUT_MIN_OPS,
+};

@@ -32,6 +32,14 @@
 //! code path degenerates to the unsharded index: same structure, same
 //! bytes, same I/O counts.
 //!
+//! **The write path fans out only when the work pays for the threads.** A
+//! scoped worker costs a spawn and a join, tens of microseconds each; a
+//! routed write costs one to three. Writes that route fewer than
+//! [`FAN_OUT_MIN_OPS`] operations therefore run shard by shard on the
+//! calling thread, whatever the thread budget — same shards, same order,
+//! same bills, only no threads. Stab batches always fan out: their
+//! per-shard work is an order of magnitude above the hand-off.
+//!
 //! [`Tuning::shard_threads`]: ccix_core::Tuning::shard_threads
 
 use ccix_core::par::run_parallel;
@@ -39,6 +47,13 @@ use ccix_extmem::{Geometry, IoCounter, IoSnapshot};
 
 use crate::builder::IndexBuilder;
 use crate::index::{Interval, IntervalIndex, IntervalOp, IntervalOptions};
+
+/// Routed operations below which a write runs inline on the calling thread
+/// instead of fanning out (one pumped reorganisation slice counts as one
+/// operation). A constant, not a knob: it is the measured crossover of
+/// `apply_batch` inline against fanned out on 2 and 4 shards, 64 … 16 384
+/// ops — table in `docs/tuning.md` § Commit pipeline.
+pub const FAN_OUT_MIN_OPS: usize = 1024;
 
 /// Choose up to `shards − 1` split points as quantiles of a sample of left
 /// endpoints (duplicates collapse, so heavily skewed samples may yield
@@ -201,6 +216,26 @@ impl IndexBuilder {
     }
 }
 
+/// Gather per-shard stab answers into `n` per-query slots, contributions in
+/// shard order. A slot's first contribution moves in whole; only a query
+/// answered by more than one shard pays a copy.
+fn gather<T>(n: usize, parts: Vec<(Vec<usize>, Vec<Vec<T>>)>, outs: &mut Vec<Vec<T>>) {
+    outs.truncate(n);
+    for o in outs.iter_mut() {
+        o.clear();
+    }
+    outs.resize_with(n, Vec::new);
+    for (slots, answers) in parts {
+        for (slot, answer) in slots.into_iter().zip(answers) {
+            if outs[slot].is_empty() {
+                outs[slot] = answer;
+            } else {
+                outs[slot].extend(answer);
+            }
+        }
+    }
+}
+
 /// Per-shard routing bounds at construction. A single-shard directory is a
 /// pure pass-through — its bound is pinned at `i64::MAX` so it never
 /// prunes, keeping every operation (and every I/O count) identical to the
@@ -256,6 +291,16 @@ impl ShardedIntervalIndex {
     /// [`ccix_core::Tuning::shard_threads`]).
     fn budget(&self) -> usize {
         self.shards[0].options().tuning.effective_shard_threads()
+    }
+
+    /// Thread budget for a write that routed `work` operations: the shard
+    /// budget from [`FAN_OUT_MIN_OPS`] up, one thread (inline) below it.
+    fn write_budget(&self, work: usize) -> usize {
+        if work < FAN_OUT_MIN_OPS {
+            1
+        } else {
+            self.budget()
+        }
     }
 
     /// Shards a stabbing query at `q` must consult: every shard whose
@@ -382,7 +427,8 @@ impl ShardedIntervalIndex {
     /// total debt remaining — the writer thread's idle-time bleed.
     pub fn pump_reorg(&mut self, slices: usize) -> u64 {
         let with_debt: Vec<bool> = self.shards.iter().map(|s| s.reorg_debt() > 0).collect();
-        let budget = self.budget();
+        let pumped = slices * with_debt.iter().filter(|debt| **debt).count();
+        let budget = self.write_budget(pumped);
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
@@ -398,9 +444,7 @@ impl ShardedIntervalIndex {
                 }
             })
             .collect();
-        if !tasks.is_empty() {
-            run_parallel(tasks, budget);
-        }
+        run_parallel(tasks, budget);
         self.reorg_debt()
     }
 
@@ -447,7 +491,7 @@ impl ShardedIntervalIndex {
             per[self.shard_of(t.0)].push(t);
         }
         self.len -= intervals.len();
-        let budget = self.budget();
+        let budget = self.write_budget(intervals.len());
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
@@ -465,7 +509,7 @@ impl ShardedIntervalIndex {
     /// thread budget.
     pub fn apply_batch(&mut self, ops: &[IntervalOp]) {
         let per = self.route_ops(ops);
-        let budget = self.budget();
+        let budget = self.write_budget(ops.len());
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
@@ -523,7 +567,9 @@ impl ShardedIntervalIndex {
             }
         }
         let with_debt: Vec<bool> = self.shards.iter().map(|s| s.reorg_debt() > 0).collect();
-        let budget = self.budget();
+        let pumped = pump_slices * with_debt.iter().filter(|debt| **debt).count();
+        let routed: usize = subs.iter().map(Vec::len).sum();
+        let budget = self.write_budget(routed + pumped);
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
@@ -543,9 +589,7 @@ impl ShardedIntervalIndex {
                 }
             })
             .collect();
-        if !tasks.is_empty() {
-            run_parallel(tasks, budget);
-        }
+        run_parallel(tasks, budget);
     }
 
     /// Ids of all intervals containing `q`; consults only the shards the
@@ -580,18 +624,14 @@ impl ShardedIntervalIndex {
     }
 
     /// As [`ShardedIntervalIndex::stab_batch`], reusing `outs` for the
-    /// per-query result buffers.
+    /// per-query result slots.
     pub fn stab_batch_into(&self, qs: &[i64], outs: &mut Vec<Vec<u64>>) {
-        outs.truncate(qs.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(qs.len(), Vec::new);
-        for (slots, sub) in self.fan_out_stabs(qs) {
-            for (slot, ids) in slots.into_iter().zip(sub) {
-                outs[slot].extend(ids.iter().map(|iv| iv.id));
-            }
-        }
+        let parts = self.fan_out_stabs(qs, |shard, sub| {
+            let mut ids = Vec::new();
+            shard.stab_batch_into(sub, &mut ids);
+            ids
+        });
+        gather(qs.len(), parts, outs);
     }
 
     /// As [`ShardedIntervalIndex::stab_batch`], returning full intervals.
@@ -603,22 +643,18 @@ impl ShardedIntervalIndex {
 
     /// As [`ShardedIntervalIndex::stab_batch_intervals`], reusing `outs`.
     pub fn stab_batch_intervals_into(&self, qs: &[i64], outs: &mut Vec<Vec<Interval>>) {
-        outs.truncate(qs.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(qs.len(), Vec::new);
-        for (slots, sub) in self.fan_out_stabs(qs) {
-            for (slot, ivs) in slots.into_iter().zip(sub) {
-                outs[slot].extend(ivs);
-            }
-        }
+        let parts = self.fan_out_stabs(qs, IntervalIndex::stab_batch_intervals);
+        gather(qs.len(), parts, outs);
     }
 
-    /// Split a stab flood into per-shard sub-batches, run them in parallel,
-    /// and return `(input slots, per-slot intervals)` per consulted shard,
-    /// in shard order.
-    fn fan_out_stabs(&self, qs: &[i64]) -> Vec<(Vec<usize>, Vec<Vec<Interval>>)> {
+    /// Split a stab flood into per-shard sub-batches, answer each with
+    /// `stab` in parallel, and return `(input slots, per-slot answers)` per
+    /// consulted shard, in shard order.
+    fn fan_out_stabs<T: Send>(
+        &self,
+        qs: &[i64],
+        stab: impl Fn(&IntervalIndex, &[i64]) -> Vec<Vec<T>> + Sync,
+    ) -> Vec<(Vec<usize>, Vec<Vec<T>>)> {
         let k = self.shards.len();
         let mut slots: Vec<Vec<usize>> = vec![Vec::new(); k];
         let mut subs: Vec<Vec<i64>> = vec![Vec::new(); k];
@@ -629,13 +665,14 @@ impl ShardedIntervalIndex {
             }
         }
         let budget = self.budget();
+        let stab = &stab;
         let tasks: Vec<_> = subs
             .into_iter()
             .enumerate()
             .filter(|(_, sub)| !sub.is_empty())
             .map(|(s, sub)| {
                 let shard = &self.shards[s];
-                (s, move |_inner: usize| shard.stab_batch_intervals(&sub))
+                (s, move |_inner: usize| stab(shard, &sub))
             })
             .collect();
         let (order, tasks): (Vec<usize>, Vec<_>) = tasks.into_iter().unzip();

@@ -5,10 +5,11 @@
 //! on a dedicated writer thread. Writes enter through a bounded submission
 //! queue; the writer drains whatever has accumulated into one group,
 //! splits every submission into per-shard sub-floods, and applies the
-//! whole group **shard-parallel**
-//! ([`ShardedIntervalIndex::apply_submissions`]): one worker per shard
-//! applies that shard's floods in submission order, then pumps a bounded
-//! amount of the shard's own incremental-reorganisation debt. The writer
+//! whole group ([`ShardedIntervalIndex::apply_submissions`]): each shard
+//! applies its floods in submission order, then pumps a bounded amount of
+//! its own incremental-reorganisation debt — shard by shard on the writer
+//! thread for a small group, one worker per shard once the group is large
+//! enough to pay for the threads. The writer
 //! then **publishes** one new epoch for the whole group: a consistent
 //! all-shards [`ShardedIntervalIndex::fork_snapshot`] behind an `Arc`,
 //! swapped into the engine's published slot. While the queue is empty the
@@ -37,10 +38,25 @@
 //! moment every [`Engine::snapshot`] observes the write. The delay between
 //! submission and resolution is the commit-visibility latency the
 //! `exp_throughput` experiment reports at p99.
+//!
+//! # The durable commit pipeline
+//!
+//! With [`EngineConfig::durability`] set, a commit has two stages on two
+//! threads. *Stage one* is the drain loop: it appends each submission to
+//! the WAL (log before apply) and nothing else. When the group closes, its
+//! one covering fsync starts on the **log thread** — the writer lends it
+//! the store — and runs while the writer does *stage two*: apply, fork,
+//! publish. The writer then joins the fsync and only after that releases
+//! the group's tickets, so a ticket never resolves before its fsync has
+//! returned **and** its epoch is published; a failed fsync kills the
+//! writer with the epoch out and nothing acknowledged. While a sync is in
+//! flight the writer holds no handle on the store, so it cannot issue a
+//! filesystem operation beside it: the operation order on disk is the
+//! serial one. See `docs/architecture.md` § Durability.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -542,10 +558,59 @@ fn publish(published: &RwLock<Arc<Epoch>>, epoch: Arc<Epoch>) -> Arc<Epoch> {
     std::mem::replace(&mut *published.write().expect("publish lock"), epoch)
 }
 
+/// The log thread: stage two's other half. It is lent the store for one
+/// fsync at a time and hands it back with the result, so the group's sync
+/// runs while the writer applies, forks and publishes. A thread of its own
+/// rather than a spawn per group: the spawn sat on the commit's critical
+/// path (measured in `docs/tuning.md` § Commit pipeline).
+struct LogThread {
+    /// Dropped to stop the thread.
+    lend: Option<Sender<DurableStore>>,
+    back: Receiver<(DurableStore, io::Result<()>)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl LogThread {
+    fn spawn() -> Self {
+        let (lend, lent) = mpsc::channel::<DurableStore>();
+        let (give_back, back) = mpsc::channel();
+        let thread = std::thread::Builder::new()
+            .name("ccix-serve-log".into())
+            .spawn(move || {
+                for mut store in lent {
+                    let synced = store.sync();
+                    if give_back.send((store, synced)).is_err() {
+                        return; // the writer is gone
+                    }
+                }
+            })
+            .expect("spawn log thread");
+        Self {
+            lend: Some(lend),
+            back,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for LogThread {
+    fn drop(&mut self) {
+        drop(self.lend.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// The writer thread's durable half: WAL + checkpoint store, the acks
 /// parked until their covering fsync, and the fsync batching state.
 struct DurableState {
-    store: DurableStore,
+    /// `None` exactly while the log thread holds the store for a sync:
+    /// the writer *cannot* issue a filesystem operation while one is in
+    /// flight, so the order of filesystem operations is the serial one.
+    store: Option<DurableStore>,
+    log: LogThread,
+    fsync: FsyncPolicy,
     /// Acks withheld until the WAL records covering them are synced.
     pending: Vec<(Sender<CommitInfo>, CommitInfo)>,
     /// Commits appended since the last fsync (drives `EveryCommits`).
@@ -556,15 +621,70 @@ struct DurableState {
 }
 
 impl DurableState {
-    /// Fsync the WAL and release every parked ack. Any error is fatal.
-    fn sync_and_release(&mut self) -> std::io::Result<()> {
-        self.store.sync()?;
+    fn store(&mut self) -> &mut DurableStore {
+        self.store.as_mut().expect("a sync is in flight")
+    }
+
+    fn has_unsynced(&self) -> bool {
+        let store = self.store.as_ref().expect("a sync is in flight");
+        store.has_unsynced()
+    }
+
+    /// Log one submission ahead of its apply. **Not durable** until the
+    /// group's fsync.
+    fn append(&mut self, ops: &[IntervalOp]) -> io::Result<()> {
+        self.store().append_commit(ops)?;
+        self.appended_since_sync += 1;
+        self.oldest_unsynced.get_or_insert_with(Instant::now);
+        Ok(())
+    }
+
+    /// Whether the group that just closed owes an fsync. Decided when the
+    /// drain loop ends — before the group is applied — so the fsync can
+    /// run while the writer applies, forks and publishes. `barrier` is the
+    /// group-commit trigger: the queue ran dry (nothing left to amortise
+    /// against), an explicit flush, or shutdown. Otherwise the policy
+    /// decides: `EveryCommits(n)` once `n` commits are waiting (one fsync
+    /// for the group, however many multiples of `n` it holds), `Group` once
+    /// the oldest of them has waited out the delay bound.
+    fn sync_due(&self, barrier: bool) -> bool {
+        self.has_unsynced()
+            && (barrier
+                || match self.fsync {
+                    FsyncPolicy::EveryCommits(n) => self.appended_since_sync >= n.max(1),
+                    FsyncPolicy::Group { max_delay_ms } => self
+                        .oldest_unsynced
+                        .is_some_and(|t| t.elapsed().as_millis() as u64 >= max_delay_ms),
+                })
+    }
+
+    /// Hand the store to the log thread for the group's fsync.
+    fn start_sync(&mut self) {
+        let store = self.store.take().expect("one sync at a time");
+        let lend = self.log.lend.as_ref().expect("log thread runs until drop");
+        lend.send(store).expect("log thread gone");
+    }
+
+    /// Join the fsync started by [`DurableState::start_sync`], if one is in
+    /// flight, and take the store back. Any error is fatal to the writer.
+    fn finish_sync(&mut self) -> io::Result<()> {
+        if self.store.is_some() {
+            return Ok(());
+        }
+        let (store, synced) = self.log.back.recv().expect("log thread panicked");
+        self.store = Some(store);
+        synced
+    }
+
+    /// The covering fsync has returned and the epoch is published: nothing
+    /// appended is waiting any more, so every parked ack may leave.
+    fn release(&mut self) {
+        debug_assert!(!self.has_unsynced(), "ack before its fsync");
         self.appended_since_sync = 0;
         self.oldest_unsynced = None;
         for (ack, info) in self.pending.drain(..) {
             let _ = ack.send(info);
         }
-        Ok(())
     }
 }
 
@@ -582,36 +702,32 @@ fn writer_loop(
     let mut cur_seq = 0u64;
     let mut ops_applied = initial_ops;
     let mut durable = durable.map(|store| DurableState {
-        store,
+        store: Some(store),
+        log: LogThread::spawn(),
+        fsync: config
+            .durability
+            .as_ref()
+            .map(|d| d.fsync)
+            .unwrap_or_default(),
         pending: Vec::new(),
         appended_since_sync: 0,
         oldest_unsynced: None,
     });
-    let fsync = config
-        .durability
-        .as_ref()
-        .map(|d| d.fsync)
-        .unwrap_or_default();
+    // A submission taken off the queue after its predecessor filled the
+    // group budget: it opens the next group.
+    let mut carry: Option<Submission> = None;
     'serve: loop {
         // Block for the first submission of the group…
-        let first = match rx.try_recv() {
+        let first = match carry.take().map_or_else(|| rx.try_recv(), Ok) {
             Ok(s) => s,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => break 'serve,
-            Err(std::sync::mpsc::TryRecvError::Empty) => {
-                // A group that closed on its op budget skips the
-                // drained-empty check inside the drain loop; if the queue
-                // is idle now, that same trigger applies — settle the
-                // parked acks before blocking, or they wait forever.
-                if let Some(d) = durable.as_mut() {
-                    if !d.pending.is_empty() && d.sync_and_release().is_err() {
-                        return index;
-                    }
-                }
+            Err(TryRecvError::Disconnected) => break 'serve,
+            Err(TryRecvError::Empty) => {
                 // Idle pump: while the queue stays empty, keep bleeding
-                // reorganisation debt in bounded shard-parallel rounds,
-                // polling for new work between rounds. Quiet periods
-                // therefore converge to zero debt instead of carrying it
-                // into the next write burst.
+                // reorganisation debt in bounded rounds, polling for new
+                // work between rounds. Quiet periods therefore converge to
+                // zero debt instead of carrying it into the next write
+                // burst. No ack is parked here: a group that closes on an
+                // empty queue always syncs.
                 let mut woke = None;
                 while index.reorg_debt() > 0 {
                     let remaining = index.pump_reorg(config.reorg_pump_slices);
@@ -621,8 +737,8 @@ fn writer_loop(
                             woke = Some(s);
                             break;
                         }
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => break 'serve,
-                        Err(std::sync::mpsc::TryRecvError::Empty) => {}
+                        Err(TryRecvError::Disconnected) => break 'serve,
+                        Err(TryRecvError::Empty) => {}
                     }
                 }
                 match woke {
@@ -637,20 +753,20 @@ fn writer_loop(
         let mut group_ops = 0usize;
         let mut shutdown = false;
         let mut flush_requested = false;
-        let mut drained_empty = false;
         // This group's acks, resolved after its epoch publishes (volatile)
-        // or after the covering fsync (durable).
+        // or after that and the covering fsync (durable).
         let mut acks: Vec<(Sender<CommitInfo>, u64)> = Vec::new();
         // The group's submissions, each one sorted flood of its own (the
         // batch-independence contract holds within a submission, not
-        // across them). Logged at drain time, applied shard-parallel once
-        // the group closes.
+        // across them). Logged at drain time, applied once the group
+        // closes.
         let mut group: Vec<Vec<IntervalOp>> = Vec::new();
-        let mut sub = Some(first);
+        let mut sub = first;
         // …then opportunistically drain what else has queued up, bounded
-        // by the group budget: that's the group commit.
-        loop {
-            match sub.take().expect("submission set each iteration") {
+        // by the group budget: that's the group commit. Stage one of the
+        // commit pipeline — it only appends.
+        let drained_empty = loop {
+            match sub {
                 Submission::Apply(ops, ack) => {
                     if let Some(d) = durable.as_mut() {
                         // Log before apply: the WAL holds every operation
@@ -660,17 +776,9 @@ fn writer_loop(
                         // that *did* reach the WAL — the partially-applied
                         // index a later shutdown() hands back must match a
                         // log prefix — then die without acking.
-                        if d.store.append_commit(&ops).is_err() {
+                        if d.append(&ops).is_err() {
                             index.apply_submissions(&group, 0);
                             return index;
-                        }
-                        d.appended_since_sync += 1;
-                        d.oldest_unsynced.get_or_insert_with(Instant::now);
-                        if let FsyncPolicy::EveryCommits(n) = fsync {
-                            if d.appended_since_sync >= n.max(1) && d.store.sync().is_err() {
-                                index.apply_submissions(&group, 0);
-                                return index;
-                            }
                         }
                     }
                     ops_applied += ops.len() as u64;
@@ -682,28 +790,35 @@ fn writer_loop(
                     flush_requested = true;
                     acks.push((ack, ops_applied));
                 }
-                Submission::Shutdown => shutdown = true,
-            }
-            if shutdown || group_ops >= config.group_max_ops {
-                break;
-            }
-            match rx.try_recv() {
-                Ok(next) => sub = Some(next),
-                Err(_) => {
-                    drained_empty = true;
-                    break;
+                Submission::Shutdown => {
+                    shutdown = true;
+                    break false;
                 }
             }
+            match rx.try_recv() {
+                Ok(next) if group_ops >= config.group_max_ops => {
+                    carry = Some(next);
+                    break false;
+                }
+                Ok(next) => sub = next,
+                Err(_) => break true,
+            }
+        };
+        // Stage two: everything the sync decision needs is known, so the
+        // group's one fsync starts now, on the log thread, and runs while
+        // this thread applies, forks and publishes.
+        let barrier = drained_empty || flush_requested || shutdown;
+        if let Some(d) = durable.as_mut().filter(|d| d.sync_due(barrier)) {
+            d.start_sync();
         }
-        // Apply the whole group shard-parallel: every submission splits
-        // into per-shard sub-floods, one worker per shard applies its
-        // floods in submission order and then pumps a bounded slice of
-        // that shard's own reorganisation debt — so background shrink
-        // jobs advance concurrently on all shards even while write
+        // Apply the whole group: every submission splits into per-shard
+        // sub-floods, each shard applies its floods in submission order
+        // and then pumps a bounded slice of its own reorganisation debt —
+        // so background shrink jobs advance on all shards even while write
         // traffic is saturating, and publish latency stays bounded.
         index.apply_submissions(&group, config.reorg_pump_slices);
         debt.store(index.reorg_debt(), Relaxed);
-        // Publish one epoch for the whole group, then resolve its tickets.
+        // Publish one epoch for the whole group.
         cur_seq += 1;
         let retired = publish(
             &published,
@@ -714,46 +829,30 @@ fn writer_loop(
             }),
         );
         seq.store(cur_seq, Relaxed);
+        // Resolve the group's tickets.
+        let acks = acks.into_iter().map(|(ack, visible_at)| {
+            let info = CommitInfo {
+                seq: cur_seq,
+                ops_applied: visible_at,
+            };
+            (ack, info)
+        });
         match durable.as_mut() {
-            None => {
-                // Volatile: published == committed; ack immediately.
-                for (ack, visible_at) in acks.drain(..) {
-                    let _ = ack.send(CommitInfo {
-                        seq: cur_seq,
-                        ops_applied: visible_at,
-                    });
-                }
-            }
+            // Volatile: published == committed; ack immediately.
+            None => acks.for_each(|(ack, info)| {
+                let _ = ack.send(info);
+            }),
+            // Durable: published ≠ committed. Join the fsync — before any
+            // further filesystem operation — and only then let the acks it
+            // covers leave; a failed fsync kills the writer with the epoch
+            // published and nothing acknowledged.
             Some(d) => {
-                // Durable: published ≠ committed. Park the acks until the
-                // fsync that covers their WAL records.
-                for (ack, visible_at) in acks.drain(..) {
-                    d.pending.push((
-                        ack,
-                        CommitInfo {
-                            seq: cur_seq,
-                            ops_applied: visible_at,
-                        },
-                    ));
-                }
-                // Group-commit fsync points: the queue ran dry (nothing
-                // to amortise against), an explicit barrier, shutdown,
-                // `EveryCommits` leftovers already synced above, or the
-                // delay bound expired under sustained backlog.
-                let delay_expired = match fsync {
-                    FsyncPolicy::Group { max_delay_ms } => d
-                        .oldest_unsynced
-                        .is_some_and(|t| t.elapsed().as_millis() as u64 >= max_delay_ms),
-                    FsyncPolicy::EveryCommits(_) => false,
-                };
-                if (drained_empty
-                    || flush_requested
-                    || shutdown
-                    || delay_expired
-                    || !d.store.has_unsynced())
-                    && d.sync_and_release().is_err()
-                {
+                d.pending.extend(acks);
+                if d.finish_sync().is_err() {
                     return index;
+                }
+                if !d.has_unsynced() {
+                    d.release();
                 }
             }
         }
@@ -766,9 +865,9 @@ fn writer_loop(
             // Checkpoint at flush/shutdown barriers and every
             // `checkpoint_every_ops` logged operations; each one snapshots
             // the live content and truncates the WAL.
-            if flush_requested || shutdown || d.store.wants_checkpoint() {
+            if flush_requested || shutdown || d.store().wants_checkpoint() {
                 let meta = Meta::new(index.geometry(), index.options());
-                if d.store
+                if d.store()
                     .checkpoint(meta, index.splits(), &live_content(&index))
                     .is_err()
                 {
@@ -779,11 +878,6 @@ fn writer_loop(
         if shutdown {
             break 'serve;
         }
-    }
-    // Engine handles all dropped without shutdown: make whatever was
-    // appended durable so nothing acknowledged is lost.
-    if let Some(d) = durable.as_mut() {
-        let _ = d.sync_and_release();
     }
     index
 }

@@ -217,14 +217,16 @@ impl Server {
 /// end the loop.
 fn serve_connection(mut conn: TcpStream, engine: &Engine) -> io::Result<()> {
     conn.set_nodelay(true)?;
-    let mut req = Vec::new();
+    let (mut req, mut resp) = (Vec::new(), Vec::new());
     loop {
-        let resp = match read_frame(&mut conn, &mut req)? {
+        match read_frame(&mut conn, &mut req)? {
             FrameRead::Closed => return Ok(()), // clean close between frames
-            FrameRead::Frame => match handle_request(&req, engine) {
-                Ok(body) => frame(STATUS_OK, &body),
-                Err((code, msg)) => error_frame(code, &msg),
-            },
+            FrameRead::Frame => {
+                start_frame(&mut resp, STATUS_OK);
+                if let Err((code, msg)) = handle_request(&req, engine, &mut resp) {
+                    error_frame(&mut resp, code, &msg);
+                }
+            }
             FrameRead::Unframeable(len) => {
                 // The declared payload is discarded (never buffered), the
                 // client gets a typed error, and the stream stays usable:
@@ -232,51 +234,44 @@ fn serve_connection(mut conn: TcpStream, engine: &Engine) -> io::Result<()> {
                 // starts.
                 discard_exact(&mut conn, len as u64)?;
                 error_frame(
+                    &mut resp,
                     ERR_BAD_FRAME,
                     &format!("bad frame length {len} (cap {MAX_FRAME})"),
-                )
+                );
             }
         };
+        finish_frame(&mut resp);
         conn.write_all(&resp)?;
     }
 }
 
-/// Dispatch one decoded request frame (`[opcode][payload]`). Errors are
-/// `(ERR_* code, message)` pairs for the typed error frame.
-fn handle_request(req: &[u8], engine: &Engine) -> Result<Vec<u8>, (u8, String)> {
+/// Dispatch one decoded request frame (`[opcode][payload]`), appending the
+/// ok payload to `body` — the response frame under construction, so the
+/// answer is encoded once, where it is sent from. Errors are `(ERR_* code,
+/// message)` pairs for the typed error frame.
+fn handle_request(req: &[u8], engine: &Engine, body: &mut Vec<u8>) -> Result<(), (u8, String)> {
     let bad = |msg: String| (ERR_BAD_REQUEST, msg);
     let (&opcode, payload) = req.split_first().ok_or_else(|| bad("empty frame".into()))?;
     let mut r = Reader(payload);
-    let mut body = Vec::new();
     match opcode {
         OP_STAB => {
             let q = r.i64().map_err(bad)?;
             r.done().map_err(bad)?;
-            let ids = engine.snapshot().query(q);
-            put_u32(&mut body, ids.len());
-            for id in ids {
-                body.extend_from_slice(&id.to_le_bytes());
-            }
+            put_ids(body, &engine.snapshot().query(q));
         }
         OP_STAB_BATCH => {
             let n = r.u32().map_err(bad)? as usize;
-            let mut qs = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                qs.push(r.i64().map_err(bad)?);
-            }
+            let qs: Vec<i64> = r.words(n).map_err(bad)?.map(i64::from_le_bytes).collect();
             r.done().map_err(bad)?;
             for ids in engine.snapshot().stab_batch(&qs) {
-                put_u32(&mut body, ids.len());
-                for id in ids {
-                    body.extend_from_slice(&id.to_le_bytes());
-                }
+                put_ids(body, &ids);
             }
         }
         OP_XRANGE => {
             let (x1, x2) = (r.i64().map_err(bad)?, r.i64().map_err(bad)?);
             r.done().map_err(bad)?;
             let ivs = engine.snapshot().x_range(x1, x2);
-            put_u32(&mut body, ivs.len());
+            put_u32(body, ivs.len());
             for iv in ivs {
                 body.extend_from_slice(&iv.lo.to_le_bytes());
                 body.extend_from_slice(&iv.hi.to_le_bytes());
@@ -323,7 +318,7 @@ fn handle_request(req: &[u8], engine: &Engine) -> Result<Vec<u8>, (u8, String)> 
         OP_PING => r.done().map_err(bad)?,
         op => return Err(bad(format!("bad opcode {op}"))),
     }
-    Ok(body)
+    Ok(())
 }
 
 /// Connection policy for [`Client::connect_with`].
@@ -406,12 +401,14 @@ impl Client {
         Err(last_err.expect("at least one attempt"))
     }
 
-    fn call(&mut self, opcode: u8, payload: &[u8]) -> io::Result<Vec<u8>> {
-        let mut req = Vec::with_capacity(payload.len() + 5);
-        req.extend_from_slice(&(payload.len() as u32 + 1).to_le_bytes());
-        req.push(opcode);
-        req.extend_from_slice(payload);
-        self.conn.write_all(&req)?;
+    /// One round trip. The request payload is whatever `fill` appends; the
+    /// ok payload comes back as a cursor over the receive buffer, decoded
+    /// where it landed.
+    fn call(&mut self, opcode: u8, fill: impl FnOnce(&mut Vec<u8>)) -> io::Result<Reader<'_>> {
+        start_frame(&mut self.buf, opcode);
+        fill(&mut self.buf);
+        finish_frame(&mut self.buf);
+        self.conn.write_all(&self.buf)?;
         match read_frame(&mut self.conn, &mut self.buf)? {
             FrameRead::Frame => {}
             FrameRead::Closed => {
@@ -428,7 +425,7 @@ impl Client {
             }
         }
         match self.buf.split_first() {
-            Some((&STATUS_OK, body)) => Ok(body.to_vec()),
+            Some((&STATUS_OK, body)) => Ok(Reader(body)),
             Some((&STATUS_ERR, err)) => {
                 let (code, msg) = match err.split_first() {
                     Some((&code, msg)) => (code, String::from_utf8_lossy(msg).into_owned()),
@@ -447,36 +444,29 @@ impl Client {
 
     /// Ids of intervals containing `q`.
     pub fn stab(&mut self, q: i64) -> io::Result<Vec<u64>> {
-        let body = self.call(OP_STAB, &q.to_le_bytes())?;
-        let mut r = Reader(&body);
+        let mut r = self.call(OP_STAB, |p| p.extend_from_slice(&q.to_le_bytes()))?;
         decode_ids(&mut r).map_err(bad_reply)
     }
 
     /// Batched stabbing queries; answers in input order.
     pub fn stab_batch(&mut self, qs: &[i64]) -> io::Result<Vec<Vec<u64>>> {
-        let mut payload = Vec::with_capacity(4 + 8 * qs.len());
-        put_u32(&mut payload, qs.len());
-        for q in qs {
-            payload.extend_from_slice(&q.to_le_bytes());
-        }
-        let body = self.call(OP_STAB_BATCH, &payload)?;
-        let mut r = Reader(&body);
-        let mut out = Vec::with_capacity(qs.len());
-        for _ in 0..qs.len() {
-            out.push(decode_ids(&mut r).map_err(bad_reply)?);
-        }
-        Ok(out)
+        let mut r = self.call(OP_STAB_BATCH, |p| {
+            put_u32(p, qs.len());
+            put_words(p, qs.iter().map(|q| q.to_le_bytes()));
+        })?;
+        (0..qs.len())
+            .map(|_| decode_ids(&mut r).map_err(bad_reply))
+            .collect()
     }
 
     /// Intervals with left endpoint in `[x1, x2]`.
     pub fn x_range(&mut self, x1: i64, x2: i64) -> io::Result<Vec<Interval>> {
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&x1.to_le_bytes());
-        payload.extend_from_slice(&x2.to_le_bytes());
-        let body = self.call(OP_XRANGE, &payload)?;
-        let mut r = Reader(&body);
+        let mut r = self.call(OP_XRANGE, |p| {
+            p.extend_from_slice(&x1.to_le_bytes());
+            p.extend_from_slice(&x2.to_le_bytes());
+        })?;
         let n = r.u32().map_err(bad_reply)? as usize;
-        let mut out = Vec::with_capacity(n);
+        let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let (lo, hi) = (r.i64().map_err(bad_reply)?, r.i64().map_err(bad_reply)?);
             out.push(Interval::new(lo, hi, r.u64().map_err(bad_reply)?));
@@ -486,20 +476,19 @@ impl Client {
 
     /// Submit a write batch; returns once the commit is visible.
     pub fn apply(&mut self, ops: &[IntervalOp]) -> io::Result<CommitInfo> {
-        let mut payload = Vec::with_capacity(4 + 25 * ops.len());
-        put_u32(&mut payload, ops.len());
-        for op in ops {
-            let (tag, iv) = match *op {
-                IntervalOp::Insert(iv) => (0, iv),
-                IntervalOp::Delete(iv) => (1, iv),
-            };
-            payload.push(tag);
-            payload.extend_from_slice(&iv.lo.to_le_bytes());
-            payload.extend_from_slice(&iv.hi.to_le_bytes());
-            payload.extend_from_slice(&iv.id.to_le_bytes());
-        }
-        let body = self.call(OP_APPLY, &payload)?;
-        let mut r = Reader(&body);
+        let mut r = self.call(OP_APPLY, |p| {
+            put_u32(p, ops.len());
+            for op in ops {
+                let (tag, iv) = match *op {
+                    IntervalOp::Insert(iv) => (0, iv),
+                    IntervalOp::Delete(iv) => (1, iv),
+                };
+                p.push(tag);
+                p.extend_from_slice(&iv.lo.to_le_bytes());
+                p.extend_from_slice(&iv.hi.to_le_bytes());
+                p.extend_from_slice(&iv.id.to_le_bytes());
+            }
+        })?;
         Ok(CommitInfo {
             seq: r.u64().map_err(bad_reply)?,
             ops_applied: r.u64().map_err(bad_reply)?,
@@ -508,8 +497,7 @@ impl Client {
 
     /// `(seq, ops_applied, len)` of the newest published epoch.
     pub fn epoch(&mut self) -> io::Result<(u64, u64, u64)> {
-        let body = self.call(OP_EPOCH, &[])?;
-        let mut r = Reader(&body);
+        let mut r = self.call(OP_EPOCH, |_| {})?;
         Ok((
             r.u64().map_err(bad_reply)?,
             r.u64().map_err(bad_reply)?,
@@ -519,7 +507,7 @@ impl Client {
 
     /// Liveness round-trip.
     pub fn ping(&mut self) -> io::Result<()> {
-        self.call(OP_PING, &[]).map(|_| ())
+        self.call(OP_PING, |_| {}).map(|_| ())
     }
 }
 
@@ -579,32 +567,47 @@ fn discard_exact(conn: &mut TcpStream, mut n: u64) -> io::Result<()> {
     Ok(())
 }
 
-fn error_frame(code: u8, msg: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(msg.len() + 1);
-    body.push(code);
-    body.extend_from_slice(msg.as_bytes());
-    frame(STATUS_ERR, &body)
+/// Begin a `[len: u32][tag: u8][payload]` frame in `out` (reused across
+/// frames): the length is patched in by [`finish_frame`] once the payload
+/// has been appended in place.
+fn start_frame(out: &mut Vec<u8>, tag: u8) {
+    out.clear();
+    out.extend_from_slice(&[0, 0, 0, 0, tag]);
 }
 
-fn frame(status: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(body.len() + 5);
-    out.extend_from_slice(&(body.len() as u32 + 1).to_le_bytes());
-    out.push(status);
-    out.extend_from_slice(body);
-    out
+fn finish_frame(out: &mut [u8]) {
+    let len = u32::try_from(out.len() - 4).expect("frame length");
+    out[..4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Replace whatever `out` holds with a typed error frame's content.
+fn error_frame(out: &mut Vec<u8>, code: u8, msg: &str) {
+    start_frame(out, STATUS_ERR);
+    out.push(code);
+    out.extend_from_slice(msg.as_bytes());
 }
 
 fn put_u32(out: &mut Vec<u8>, n: usize) {
     out.extend_from_slice(&u32::try_from(n).expect("frame element count").to_le_bytes());
 }
 
+/// Append 8-byte words: one resize, then fixed-width copies.
+fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 8]>) {
+    let start = out.len();
+    out.resize(start + 8 * words.len(), 0);
+    for (dst, word) in out[start..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&word);
+    }
+}
+
+fn put_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    put_u32(out, ids.len());
+    put_words(out, ids.iter().map(|id| id.to_le_bytes()));
+}
+
 fn decode_ids(r: &mut Reader<'_>) -> Result<Vec<u64>, String> {
     let n = r.u32()? as usize;
-    let mut ids = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        ids.push(r.u64()?);
-    }
-    Ok(ids)
+    Ok(r.words(n)?.map(u64::from_le_bytes).collect())
 }
 
 fn bad_reply(msg: String) -> io::Error {
@@ -622,6 +625,15 @@ impl Reader<'_> {
         let (head, rest) = self.0.split_at(n);
         self.0 = rest;
         Ok(head)
+    }
+
+    /// The next `n` 8-byte words, bounds-checked once.
+    fn words(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = [u8; 8]> + '_, String> {
+        let bytes = n.checked_mul(8).ok_or("element count overflows")?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(8)
+            .map(|w| w.try_into().expect("8-byte chunk")))
     }
 
     fn u8(&mut self) -> Result<u8, String> {

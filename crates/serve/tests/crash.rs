@@ -20,11 +20,19 @@
 //! its total mutating-op count. Fsync policies and checkpoint cadences
 //! rotate per point so group commit, per-commit sync, and
 //! checkpoint-truncation windows all get hit.
+//!
+//! The group's fsync runs on the engine's log thread, concurrently with the
+//! writer's apply → fork → publish. Two further tests pin that down on a
+//! *lockstep* schedule (group boundaries forced by a [`GateFs`], not left
+//! to thread timing): the filesystem-operation trace and the (kill point →
+//! recovered prefix) map repeat exactly per seed, and a power cut landing
+//! between "fsync started" and "fsync returned" — the epoch may already be
+//! published — recovers to the acknowledged prefix like any other.
 
 use std::sync::Arc;
 
 use ccix_core::Tuning;
-use ccix_durable::{DurabilityConfig, FailFs, FaultPlan, RealFs, TempDir};
+use ccix_durable::{DurabilityConfig, FailFs, FaultPlan, FsOp, FsOpKind, GateFs, RealFs, TempDir};
 use ccix_extmem::{BackendSpec, Geometry, IoCounter};
 use ccix_interval::{IndexBuilder, Interval, IntervalOp, IntervalOptions};
 use ccix_serve::{Engine, EngineConfig, FsyncPolicy, Meta};
@@ -96,10 +104,27 @@ fn sorted(mut ivs: Vec<Interval>) -> Vec<Interval> {
     ivs
 }
 
+/// Resolve `tickets` in order into `max_acked`, the highest acknowledged
+/// `ops_applied`. Acks must form a prefix: once one ticket comes back dead,
+/// no later one may resolve. Returns whether the writer is still acking.
+fn resolve(tickets: Vec<ccix_serve::CommitTicket>, max_acked: &mut u64) -> bool {
+    let mut dead = false;
+    for ticket in tickets {
+        match ticket.wait_result() {
+            Some(info) => {
+                assert!(!dead, "acknowledgement after a dropped commit");
+                assert!(info.ops_applied > *max_acked, "acks must be in order");
+                *max_acked = info.ops_applied;
+            }
+            None => dead = true,
+        }
+    }
+    !dead
+}
+
 /// Flood the plan through `engine` without waiting per batch (so real
 /// group commits form), then resolve every ticket in order. Returns the
-/// highest acknowledged `ops_applied`. Acks must form a prefix: once one
-/// ticket comes back dead, no later one may resolve.
+/// highest acknowledged `ops_applied`.
 fn flood(engine: &Engine, plan: &CommitPlan) -> u64 {
     let mut tickets = Vec::with_capacity(plan.batches.len());
     for batch in &plan.batches {
@@ -108,18 +133,8 @@ fn flood(engine: &Engine, plan: &CommitPlan) -> u64 {
             Err(_) => break, // writer already dead: nothing further acks
         }
     }
-    let mut max_acked = 0u64;
-    let mut dead = false;
-    for ticket in tickets {
-        match ticket.wait_result() {
-            Some(info) => {
-                assert!(!dead, "acknowledgement after a dropped commit");
-                assert!(info.ops_applied > max_acked, "acks must be in order");
-                max_acked = info.ops_applied;
-            }
-            None => dead = true,
-        }
-    }
+    let mut max_acked = 0;
+    resolve(tickets, &mut max_acked);
     max_acked
 }
 
@@ -167,7 +182,7 @@ fn check_recovery(
     created: bool,
     file_backed: bool,
     context: &str,
-) {
+) -> u64 {
     let dcfg = DurabilityConfig {
         fsync: FsyncPolicy::EveryCommits(1),
         checkpoint_every_ops: 0,
@@ -232,6 +247,7 @@ fn check_recovery(
     assert_eq!(info.ops_applied, ops + 1);
     assert!(engine.snapshot().query(9_999).contains(&u64::MAX));
     engine.shutdown();
+    ops
 }
 
 #[test]
@@ -326,4 +342,263 @@ fn recovery_agrees_with_oracle_at_every_kill_point() {
 /// Per-trial base seeds (distinct from the stress suite's).
 fn trial_seed(trial: usize) -> u64 {
     0xdead_0001_u64.wrapping_mul(trial as u64 + 1) ^ 0x5afe_c0de
+}
+
+// ---- the lockstep schedule: group boundaries that do not depend on timing ----
+
+/// Batches per wave: a primer whose fsync is held at the gate, and the rest
+/// queued behind it while it is.
+const WAVE: usize = 8;
+
+/// Fsync policies whose sync points depend on group boundaries only, never
+/// on a clock: a delay bound of 0 is always due, one of a minute never is.
+const LOCKSTEP_POLICIES: [FsyncPolicy; 4] = [
+    FsyncPolicy::EveryCommits(1),
+    FsyncPolicy::EveryCommits(4),
+    FsyncPolicy::Group { max_delay_ms: 0 },
+    FsyncPolicy::Group {
+        max_delay_ms: 60_000,
+    },
+];
+
+/// What one lockstep run did to the filesystem and promised to its client.
+struct Lockstep {
+    max_acked: u64,
+    created: bool,
+    trace: Vec<FsOp>,
+    /// `FailFs::ops()` once the engine was up: later operations are the
+    /// flood's.
+    started_at: u64,
+}
+
+/// Run the plan in waves of [`WAVE`]: hold the gate, submit the primer,
+/// wait until its fsync is parked (the writer meanwhile applies, publishes
+/// and joins), queue the rest of the wave behind it, open the gate. Every
+/// group the writer forms is then fixed by the group budget alone, so the
+/// filesystem sees the same operations in the same order on every run.
+fn run_lockstep(
+    plan: &CommitPlan,
+    opts: IntervalOptions,
+    dir: &std::path::Path,
+    fs_seed: u64,
+    crash_after_ops: Option<u64>,
+    fsync: FsyncPolicy,
+    checkpoint_every_ops: u64,
+) -> Lockstep {
+    let fs = FailFs::new(
+        RealFs::shared(),
+        fs_seed,
+        FaultPlan {
+            crash_after_ops,
+            short_write: 0.05,
+            eintr: 0.02,
+        },
+    );
+    let gate = GateFs::new(Arc::new(fs.clone()), "wal");
+    let config = EngineConfig {
+        queue_depth: WAVE,
+        ..engine_config(Some(DurabilityConfig {
+            dir: dir.to_path_buf(),
+            fsync,
+            checkpoint_every_ops,
+            fs: Arc::new(gate.clone()),
+        }))
+    };
+    let index = IndexBuilder::new(geometry())
+        .options(opts)
+        .bulk(IoCounter::new(), &plan.initial);
+    let mut run = Lockstep {
+        max_acked: 0,
+        created: false,
+        trace: Vec::new(),
+        started_at: 0,
+    };
+    if let Ok(engine) = Engine::try_start(index, config) {
+        run.created = true;
+        run.started_at = fs.ops();
+        for wave in plan.batches.chunks(WAVE) {
+            gate.hold();
+            let mut tickets = Vec::with_capacity(wave.len());
+            for (i, batch) in wave.iter().enumerate() {
+                match engine.submit_checked(batch.clone()) {
+                    Ok(t) => tickets.push(t),
+                    Err(_) => break,
+                }
+                // The primer is in; the rest follow once its fsync is parked
+                // at the gate (or the writer has died before reaching it).
+                while i == 0 && !gate.is_parked() && engine.is_alive() {
+                    std::thread::yield_now();
+                }
+            }
+            gate.open();
+            if !resolve(tickets, &mut run.max_acked) {
+                break;
+            }
+        }
+        let _ = engine.flush_checked();
+        engine.shutdown();
+    }
+    assert_eq!(
+        fs.overlapped_syncs(),
+        0,
+        "a filesystem operation began while an fsync was in flight"
+    );
+    run.trace = fs.trace();
+    run
+}
+
+/// Ordinals of the flood's commit fsyncs: syncs of the WAL that cover an
+/// append — the ones that run on the log thread beside apply → publish.
+fn commit_syncs(run: &Lockstep) -> Vec<u64> {
+    let counted: Vec<&FsOp> = run.trace.iter().filter(|op| op.ordinal.is_some()).collect();
+    let wal = |op: &FsOp, kind| op.kind == kind && op.file == "wal";
+    counted
+        .windows(2)
+        .filter(|w| wal(w[0], FsOpKind::Write) && wal(w[1], FsOpKind::Sync))
+        .filter_map(|w| w[1].ordinal)
+        .filter(|&ordinal| ordinal > run.started_at)
+        .collect()
+}
+
+/// The configurations both lockstep tests sweep: every reorganisation
+/// regime under every clock-free fsync policy.
+fn lockstep_configs() -> impl Iterator<Item = (usize, FsyncPolicy, u64)> {
+    (0..TRIALS * LOCKSTEP_POLICIES.len()).map(|i| {
+        (
+            i % TRIALS,
+            LOCKSTEP_POLICIES[i % LOCKSTEP_POLICIES.len()],
+            CKPT_EVERY[i % CKPT_EVERY.len()],
+        )
+    })
+}
+
+#[test]
+fn fs_operation_order_and_recovered_prefixes_repeat_per_seed() {
+    // Kill points per configuration, strided over the whole run.
+    let points = if cfg!(debug_assertions) { 3 } else { 8 };
+    for (trial, fsync, ckpt) in lockstep_configs() {
+        let mut rng = DetRng::new(trial_seed(trial));
+        let opts = options(trial, &mut rng);
+        let plan = commit_plan(&mut rng, PLAN);
+        let fs_seed = rng.next_u64();
+        let pass = |crash_after_ops| {
+            let dir = TempDir::new("crash-lockstep");
+            let run = run_lockstep(
+                &plan,
+                opts,
+                dir.path(),
+                fs_seed,
+                crash_after_ops,
+                fsync,
+                ckpt,
+            );
+            let context = format!(
+                "trial {trial}, crash_at {crash_after_ops:?}, fsync {fsync:?}, ckpt {ckpt}"
+            );
+            let recovered = check_recovery(
+                &plan,
+                opts,
+                dir.path(),
+                run.max_acked,
+                run.created,
+                false,
+                &context,
+            );
+            (run, recovered)
+        };
+        let (probe, recovered) = pass(None);
+        let (again, recovered_again) = pass(None);
+        assert_eq!(probe.max_acked, (BATCHES * BATCH_OPS) as u64);
+        let diverge = probe
+            .trace
+            .iter()
+            .zip(&again.trace)
+            .position(|(a, b)| a != b);
+        assert!(
+            diverge.is_none() && probe.trace.len() == again.trace.len(),
+            "fs-op traces of two runs diverge at operation {diverge:?} of {} / {} \
+             (trial {trial}, {fsync:?}, ckpt {ckpt}): {:?} vs {:?}",
+            probe.trace.len(),
+            again.trace.len(),
+            diverge.map(|i| &probe.trace[i]),
+            diverge.map(|i| &again.trace[i]),
+        );
+        assert_eq!(recovered, recovered_again);
+        let total = probe.trace.iter().filter_map(|op| op.ordinal).max();
+        let total = total.expect("the probe touched the filesystem");
+        let digest = || -> Vec<(u64, u64, u64, usize)> {
+            (0..points)
+                .map(|p| {
+                    let crash_at = 1 + p * total / points;
+                    let (run, recovered) = pass(Some(crash_at));
+                    (crash_at, run.max_acked, recovered, run.trace.len())
+                })
+                .collect()
+        };
+        assert_eq!(
+            digest(),
+            digest(),
+            "kill point → (acked, recovered prefix, trace length) differs between two runs \
+             (trial {trial}, {fsync:?}, ckpt {ckpt})"
+        );
+    }
+}
+
+#[test]
+fn power_cuts_during_an_in_flight_fsync_recover_the_acked_prefix() {
+    let mut cuts = 0;
+    for (trial, fsync, ckpt) in lockstep_configs() {
+        let mut rng = DetRng::new(trial_seed(trial));
+        let opts = options(trial, &mut rng);
+        let plan = commit_plan(&mut rng, PLAN);
+        let fs_seed = rng.next_u64();
+        let probe_dir = TempDir::new("crash-inflight-probe");
+        let probe = run_lockstep(&plan, opts, probe_dir.path(), fs_seed, None, fsync, ckpt);
+        let syncs = commit_syncs(&probe);
+        assert!(
+            syncs.len() >= BATCHES / WAVE,
+            "every wave's primer syncs on its own ({fsync:?}: {syncs:?})"
+        );
+        // Debug builds keep the first, the last and one in between.
+        let step = if cfg!(debug_assertions) {
+            (syncs.len() - 1) / 2
+        } else {
+            1
+        };
+        for &crash_at in syncs.iter().step_by(step.max(1)) {
+            let dir = TempDir::new("crash-inflight");
+            let run = run_lockstep(
+                &plan,
+                opts,
+                dir.path(),
+                fs_seed,
+                Some(crash_at),
+                fsync,
+                ckpt,
+            );
+            // The schedule is deterministic, so the budget ran out exactly
+            // on that fsync: started, never returned.
+            let last = run.trace.last().expect("a crashed run has a trace");
+            assert_eq!(
+                (last.kind, last.file.as_str(), last.ordinal),
+                (FsOpKind::Sync, "wal", Some(crash_at)),
+                "the kill point moved (trial {trial}, {fsync:?}, ckpt {ckpt})"
+            );
+            let context = format!(
+                "in-flight fsync, trial {trial}, crash_at {crash_at}, fsync {fsync:?}, ckpt {ckpt}"
+            );
+            let file_backed = cuts % 3 == 2;
+            check_recovery(
+                &plan,
+                opts,
+                dir.path(),
+                run.max_acked,
+                run.created,
+                file_backed,
+                &context,
+            );
+            cuts += 1;
+        }
+    }
+    println!("{cuts} power cuts during an in-flight fsync");
 }

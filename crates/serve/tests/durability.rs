@@ -2,7 +2,11 @@
 //! directory states recovery must handle — the quiet corners the
 //! kill-point suite (`crash.rs`) only hits probabilistically.
 
-use ccix_durable::{DurabilityConfig, TempDir};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::Arc;
+use std::time::Duration;
+
+use ccix_durable::{DurabilityConfig, FailFs, FaultPlan, FsOpKind, GateFs, RealFs, TempDir};
 use ccix_extmem::{Geometry, IoCounter};
 use ccix_interval::{IndexBuilder, Interval, IntervalOp, IntervalOptions};
 use ccix_serve::{Engine, EngineConfig, FsyncPolicy, Meta};
@@ -176,5 +180,124 @@ fn durable_acks_survive_a_drop_without_shutdown() {
         Engine::recover(meta(), config(tmp.path(), FsyncPolicy::default())).expect("recover");
     assert_eq!(engine.snapshot().ops_applied(), 1);
     assert!(engine.snapshot().query(5).contains(&42));
+    engine.shutdown();
+}
+
+// ---- the ack rule under the commit pipeline ---------------------------------
+//
+// The group's fsync runs on the log thread while the writer applies and
+// publishes, so there is a window in which a commit is visible but not yet
+// durable. A `GateFs` holds the fsync open to stand inside that window.
+
+/// A durable engine on an empty index whose commit fsyncs park at the
+/// returned gate, over a `FailFs` (no injected faults) that traces every
+/// filesystem operation the engine issues.
+fn gated_engine(dir: &std::path::Path) -> (Engine, GateFs, FailFs) {
+    let quiet = FaultPlan {
+        crash_after_ops: None,
+        short_write: 0.0,
+        eintr: 0.0,
+    };
+    let fs = FailFs::new(RealFs::shared(), 1, quiet);
+    let gate = GateFs::new(Arc::new(fs.clone()), "wal");
+    let mut cfg = config(dir, FsyncPolicy::default());
+    let durability = cfg.durability.as_mut().expect("durable config");
+    durability.fs = Arc::new(gate.clone());
+    let idx = IndexBuilder::new(geometry()).open(IoCounter::new());
+    (Engine::start(idx, cfg), gate, fs)
+}
+
+/// Resolve `ticket` on a thread of its own, so the test can ask "has it
+/// resolved yet?" without blocking.
+fn resolution(ticket: ccix_serve::CommitTicket) -> Receiver<Option<ccix_serve::CommitInfo>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(ticket.wait_result());
+    });
+    rx
+}
+
+fn wal_appends(fs: &FailFs) -> usize {
+    let is_append = |op: &ccix_durable::FsOp| op.kind == FsOpKind::Write && op.file == "wal";
+    fs.trace().into_iter().filter(is_append).count()
+}
+
+fn spin_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn a_commit_is_visible_before_it_is_durable_and_acked_only_after() {
+    let tmp = TempDir::new("durable-ack-gate");
+    let (engine, gate, fs) = gated_engine(tmp.path());
+    gate.hold();
+    let first = resolution(engine.submit(vec![IntervalOp::Insert(Interval::new(1, 9, 1))]));
+    spin_until("fsync in flight", || gate.is_parked());
+    // Published ≠ durable: the epoch is out while the fsync is still held…
+    spin_until("epoch published", || engine.snapshot().ops_applied() == 1);
+    assert!(engine.snapshot().query(5).contains(&1));
+    let appends = wal_appends(&fs);
+    // …and a second submission may queue, but the writer is joined on the
+    // fsync: no ack, and no filesystem operation of its own meanwhile. (The
+    // pause can only make a writer that wrongly ran ahead easier to catch.)
+    let second = resolution(engine.submit(vec![IntervalOp::Insert(Interval::new(2, 8, 2))]));
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(first.try_recv().is_err(), "acked before its fsync returned");
+    assert!(second.try_recv().is_err());
+    assert_eq!(wal_appends(&fs), appends, "appended during a sync");
+    assert_eq!(fs.overlapped_syncs(), 0);
+    assert_eq!(engine.snapshot().ops_applied(), 1);
+
+    gate.open();
+    let first = first.recv().expect("resolver").expect("first commit acked");
+    let second = second
+        .recv()
+        .expect("resolver")
+        .expect("second commit acked");
+    assert_eq!((first.ops_applied, second.ops_applied), (1, 2));
+    assert_eq!(fs.overlapped_syncs(), 0);
+    engine.shutdown();
+}
+
+#[test]
+fn a_failed_fsync_after_publish_kills_the_engine_without_acking() {
+    let tmp = TempDir::new("durable-ack-fail");
+    let (engine, gate, _fs) = gated_engine(tmp.path());
+    let acked = engine
+        .submit(vec![IntervalOp::Insert(Interval::new(1, 9, 1))])
+        .wait();
+    assert_eq!(acked.ops_applied, 1);
+
+    gate.hold();
+    let doomed = resolution(engine.submit(vec![IntervalOp::Insert(Interval::new(2, 8, 2))]));
+    spin_until("fsync in flight", || gate.is_parked());
+    spin_until("epoch published", || engine.snapshot().ops_applied() == 2);
+    gate.fail();
+    assert_eq!(
+        doomed.recv().expect("resolver"),
+        None,
+        "acked a failed fsync"
+    );
+    spin_until("writer dead", || !engine.is_alive());
+    assert!(engine.submit_checked(Vec::new()).is_err());
+    // Readers keep the last published epoch; nobody was told it is durable.
+    assert_eq!(engine.snapshot().ops_applied(), 2);
+    engine.shutdown();
+
+    // Recovery lands on a whole-commit prefix that holds everything acked.
+    // (The failed fsync's record may or may not have reached the disk.)
+    let (engine, _) =
+        Engine::recover(meta(), config(tmp.path(), FsyncPolicy::default())).expect("recover");
+    let snap = engine.snapshot();
+    let want: Vec<Interval> = [Interval::new(1, 9, 1), Interval::new(2, 8, 2)]
+        .into_iter()
+        .take(snap.ops_applied() as usize)
+        .collect();
+    assert!(snap.ops_applied() >= acked.ops_applied);
+    assert_eq!(content(&snap), want);
     engine.shutdown();
 }

@@ -13,7 +13,10 @@
 
 use ccix_core::Tuning;
 use ccix_extmem::Geometry;
-use ccix_interval::{split_points_from_sample, IndexBuilder, Interval, IntervalOp};
+use ccix_interval::{
+    split_points_from_sample, IndexBuilder, Interval, IntervalOp, ShardedIntervalIndex,
+    FAN_OUT_MIN_OPS,
+};
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::{check, oracle, workloads, DetRng};
 
@@ -183,6 +186,93 @@ fn thread_budget_never_changes_results_or_io() {
                 (iot.reads, iot.writes),
                 "aggregate I/O differs at {threads} shard threads"
             );
+        }
+    });
+}
+
+/// The write path fans out only from [`FAN_OUT_MIN_OPS`] routed operations
+/// up and runs inline below. Which side of the constant a write falls on
+/// must be invisible: just below, at and above it, on 1, 2 and 4 shards,
+/// through every write entry point, a fanning index ends up with the ids,
+/// the per-shard I/O bills and the page images, byte for byte, of the
+/// always-sequential `shard_threads = 1`.
+#[test]
+fn writes_below_at_and_above_the_fan_out_constant_match_sequential() {
+    check::trials("sharded::fan_out_constant", 3, 0x5AAD5, |rng| {
+        let geo = Geometry::new(rng.gen_range(4usize..9));
+        let reorg_pages_per_op = [0usize, 4][rng.gen_range(0usize..2)];
+        let range = 4_000i64;
+        let n = 3 * FAN_OUT_MIN_OPS + 200;
+        let base = workloads::uniform_intervals(n, rng.next_u64(), range, 300);
+        let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+        let fresh =
+            workloads::uniform_intervals(2 * FAN_OUT_MIN_OPS + 2, rng.next_u64(), range, 300);
+        for shards in [1usize, 2, 4] {
+            for size in [FAN_OUT_MIN_OPS - 1, FAN_OUT_MIN_OPS, FAN_OUT_MIN_OPS + 1] {
+                // Three independent write floods of `size` ops each: a mixed
+                // one, a group commit of three submissions, and a delete
+                // batch. Deletes take distinct base intervals, inserts
+                // distinct fresh ones.
+                let mut victims = base.iter().copied();
+                let mut arrivals = fresh
+                    .iter()
+                    .map(|iv| Interval::new(iv.lo, iv.hi, n as u64 + iv.id));
+                let mut mixed = |len: usize| -> Vec<IntervalOp> {
+                    (0..len)
+                        .map(|i| match i % 3 {
+                            0 => IntervalOp::Delete(victims.next().expect("base interval")),
+                            _ => IntervalOp::Insert(arrivals.next().expect("fresh interval")),
+                        })
+                        .collect()
+                };
+                let flood = mixed(size);
+                let group: Vec<Vec<IntervalOp>> = [size / 3, size / 3, size - 2 * (size / 3)]
+                    .into_iter()
+                    .map(&mut mixed)
+                    .collect();
+                let doomed: Vec<(i64, i64, u64)> =
+                    victims.take(size).map(|iv| (iv.lo, iv.hi, iv.id)).collect();
+                let qs = workloads::uniform_flood(64, rng.next_u64(), range);
+
+                let run = |threads: usize| -> ShardedIntervalIndex {
+                    let tuning = Tuning {
+                        shard_threads: threads,
+                        reorg_pages_per_op,
+                        ..Tuning::default()
+                    };
+                    let mut idx = IndexBuilder::new(geo)
+                        .tuning(tuning)
+                        .sharded()
+                        .splits_from_sample(&sample, shards)
+                        .bulk(&base);
+                    idx.apply_batch(&flood);
+                    idx.apply_submissions(&group, 4);
+                    idx.delete_batch(&doomed);
+                    idx.pump_reorg(8);
+                    idx.pump_reorg(FAN_OUT_MIN_OPS);
+                    idx
+                };
+                let (sequential, fanned) = (run(1), run(4));
+                let context = format!("{shards} shards, {size} ops");
+                assert_eq!(
+                    sequential.stab_batch(&qs),
+                    fanned.stab_batch(&qs),
+                    "ids ({context})"
+                );
+                assert_eq!(sequential.len(), fanned.len(), "len ({context})");
+                for (s, (a, b)) in sequential.shards().iter().zip(fanned.shards()).enumerate() {
+                    assert_eq!(
+                        a.counter().snapshot(),
+                        b.counter().snapshot(),
+                        "I/O bill of shard {s} ({context})"
+                    );
+                    assert!(
+                        a.model_page_images() == b.model_page_images(),
+                        "page images of shard {s} ({context})"
+                    );
+                    b.validate_unbilled();
+                }
+            }
         }
     });
 }
