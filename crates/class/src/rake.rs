@@ -252,7 +252,9 @@ impl ClassIndex for RakeClassIndex {
         let pos = self.paths.pos_of[class] as i64;
         match &self.structures[path] {
             PathStructure::ThreeSided(t) => {
-                t.query(a1, a2, pos).into_iter().map(|p| p.id).collect()
+                let mut ids = Vec::new();
+                t.query_with(a1, a2, pos, |p| p.id, &mut ids);
+                ids
             }
             PathStructure::Flat(t) => t.range(&self.disk, a1, a2),
         }
@@ -282,8 +284,10 @@ impl ClassIndex for RakeClassIndex {
                             (a1, a2, self.paths.pos_of[class] as i64)
                         })
                         .collect();
-                    for (&i, pts) in group.iter().zip(t.query_batch(&batch)) {
-                        outs[i] = pts.into_iter().map(|p| p.id).collect();
+                    let mut answers = Vec::new();
+                    t.query_batch_with(&batch, |p| p.id, &mut answers);
+                    for (&i, ids) in group.iter().zip(answers) {
+                        outs[i] = ids;
                     }
                 }
                 PathStructure::Flat(t) => {

@@ -62,6 +62,18 @@ pub struct CornerStructure {
     n: usize,
 }
 
+/// A query's entry into a [`CornerStructure`] (see
+/// [`CornerStructure::route`]): valid for the structure and `q` it was
+/// computed from.
+#[derive(Clone, Copy, Debug)]
+pub struct CornerRoute {
+    /// The floor corner — rightmost adopted `c* ≤ q` — as an index into the
+    /// `C*` directory, with the number of its explicit pages stage 1 reads.
+    floor: Option<(usize, usize)>,
+    /// First vertical block of stage 2.
+    start_block: usize,
+}
+
 impl CornerStructure {
     /// Build over `points` (unsorted is fine; a copy is sorted internally),
     /// with the paper's adoption factor `α = 2` and an owned vertical
@@ -137,39 +149,46 @@ impl CornerStructure {
         vertical + self.cstars.iter().map(|c| c.pages.len()).sum::<usize>()
     }
 
-    /// Exact page count the query at `q` would read, computed purely from
-    /// directory information (per-page top keys, per-block y-maxima). Lets
-    /// a host metablock pick the cheaper of the corner query and a filtered
-    /// scan of its own horizontal blocking.
-    pub fn planned_cost(&self, q: i64) -> usize {
-        if self.n == 0 {
-            return 0;
-        }
+    /// Where the query at `q` enters the structure — a binary search of the
+    /// `C*` directory and a walk of the floor corner's page tops, done once
+    /// and handed to both [`CornerStructure::planned_cost`] and the query.
+    pub fn route(&self, q: i64) -> CornerRoute {
         let qkey: Key = (q, u64::MAX);
-        let qk: Key = (q, 0);
-        let floor = self.cstars.partition_point(|c| c.key <= qkey);
-        let (start_block, stage1) = match floor {
-            0 => (0, 0),
+        // Rightmost adopted corner at or left of q.
+        match self.cstars.partition_point(|c| c.key <= qkey) {
+            0 => CornerRoute {
+                floor: None,
+                start_block: 0,
+            },
             i => {
                 let c = &self.cstars[i - 1];
-                // The scan reads pages while their top is ≥ (q, 0) and
-                // stops inside the crossing page — exactly this count.
-                (
-                    c.block + 1,
-                    c.page_tops.iter().take_while(|&&t| t >= qk).count(),
-                )
+                // The stage-1 scan reads pages while their top is ≥ (q, 0)
+                // and stops inside the crossing page — exactly this count.
+                let pages = c.page_tops.iter().take_while(|&&t| t >= (q, 0)).count();
+                CornerRoute {
+                    floor: Some((i - 1, pages)),
+                    start_block: c.block + 1,
+                }
             }
-        };
-        let mut stage2 = 0;
-        for i in start_block..self.vertical.len() {
+        }
+    }
+
+    /// Exact page count the query at `q` would read along `route`, computed
+    /// purely from directory information (per-page top keys, per-block
+    /// y-maxima). Lets a host metablock pick the cheaper of the corner
+    /// query and a filtered scan of its own horizontal blocking.
+    pub fn planned_cost(&self, q: i64, route: &CornerRoute) -> usize {
+        let qkey: Key = (q, u64::MAX);
+        let mut cost = route.floor.map_or(0, |(_, pages)| pages);
+        for i in route.start_block..self.vertical.len() {
             if self.block_ymax[i] >= q {
-                stage2 += 1;
+                cost += 1;
             }
             if self.boundaries[i] >= qkey {
                 break;
             }
         }
-        stage1 + stage2
+        cost
     }
 
     /// Answer the diagonal-corner query at `q`, appending matches to `out`.
@@ -187,26 +206,30 @@ impl CornerStructure {
         // constant number of pages for k ≤ B (|C| = kB/B ≤ B entries);
         // charge one read.
         store.counter().add_reads(1);
-        self.query_stages(store, &mut PlainReads, q, out);
+        self.query_stages(store, &mut PlainReads, q, &self.route(q), out);
     }
 
-    /// As [`CornerStructure::query_into`] inside a pinned operation: pages
-    /// are billed through the operation's [`ReadCtx`], and the directory —
-    /// which rides in the host metablock's control block `host` — costs
-    /// nothing when that block is already resident.
+    /// As [`CornerStructure::query_into`] inside a pinned operation, along
+    /// a `route` the caller already holds: pages are billed through the
+    /// operation's [`ReadCtx`], and the directory — which rides in the host
+    /// metablock's control block `host` — costs nothing when that block is
+    /// already resident.
+    ///
+    /// [`ReadCtx`]: crate::diag::ReadCtx
     pub(crate) fn query_pinned(
         &self,
         store: &TypedStore<Point>,
         ctx: &mut crate::diag::ReadCtx,
         host: (u32, u64),
         q: i64,
+        route: &CornerRoute,
         out: &mut Vec<Point>,
     ) {
         if self.n == 0 {
             return;
         }
         ctx.touch(host.0, host.1);
-        self.query_stages(store, &mut PinnedReads { ctx }, q, out);
+        self.query_stages(store, &mut PinnedReads { ctx }, q, route, out);
     }
 
     /// The two query stages, parameterised over how page reads are billed.
@@ -215,27 +238,16 @@ impl CornerStructure {
         store: &TypedStore<Point>,
         reads: &mut R,
         q: i64,
+        route: &CornerRoute,
         out: &mut Vec<Point>,
     ) {
         let qkey: Key = (q, u64::MAX);
-        // Rightmost adopted corner at or left of q.
-        let floor = self.cstars.partition_point(|c| c.key <= qkey);
-        let (start_block, stage1) = match floor {
-            0 => (0, None),
-            i => {
-                let c = &self.cstars[i - 1];
-                (c.block + 1, Some(c))
-            }
-        };
 
         // Stage 1: explicit answer of the floor corner, top-down until the
         // query's bottom boundary. Every point there has x ≤ c* ≤ q; the
-        // page-top keys stop before a page with no answers.
-        if let Some(c) = stage1 {
-            'stage1: for (i, &page) in c.pages.iter().enumerate() {
-                if c.page_tops[i] < (q, 0) {
-                    break;
-                }
+        // route counted the pages that hold an answer.
+        if let Some((floor, pages)) = route.floor {
+            'stage1: for &page in &self.cstars[floor].pages[..pages] {
                 for p in reads.read(store, page) {
                     if p.y < q {
                         break 'stage1;
@@ -248,7 +260,7 @@ impl CornerStructure {
         // Stage 2: vertical blocks strictly right of the floor corner, left
         // to right, up to the block containing q; blocks whose largest y is
         // below the corner are skipped from the directory.
-        for i in start_block..self.vertical.len() {
+        for i in route.start_block..self.vertical.len() {
             if self.block_ymax[i] >= q {
                 let mut crossed = false;
                 for p in reads.read(store, self.vertical[i]) {

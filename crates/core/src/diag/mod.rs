@@ -17,7 +17,6 @@ pub use validate::DiagStats;
 // DiagOptions is defined below and re-exported from the crate root.
 
 pub(crate) use build::{extract_top_y, near_equal_ranges, FULL_RANGE};
-pub(crate) use query::{filter_deleted, filter_deleted_batch};
 
 /// Record `mb` as dirty (dedup'd) for an operation's end-of-operation
 /// control-block writeback — shared by both trees' insert and delete
@@ -28,9 +27,35 @@ pub(crate) fn mark_dirty(dirty: &mut Vec<MbId>, mb: MbId) {
     }
 }
 
+/// Size `outs` to `n` empty per-query slots, keeping the buffers it
+/// already holds — the `_into` contract of every batch surface.
+pub(crate) fn reset_slots<T>(outs: &mut Vec<Vec<T>>, n: usize) {
+    outs.truncate(n);
+    for o in outs.iter_mut() {
+        o.clear();
+    }
+    outs.resize_with(n, Vec::new);
+}
+
+/// Keep, in order, the points of `out[from..]` that satisfy `keep`: how a
+/// route that over-reports into the answer buffer (a snapshot scan, a TD
+/// query) narrows what it appended without a buffer of its own.
+pub(crate) fn retain_from(out: &mut Vec<Point>, from: usize, keep: impl Fn(&Point) -> bool) {
+    let mut live = from;
+    for i in from..out.len() {
+        if keep(&out[i]) {
+            out[live] = out[i];
+            live += 1;
+        }
+    }
+    out.truncate(live);
+}
+
 use std::sync::Arc;
 
-use ccix_extmem::{BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, TypedStore};
+use ccix_extmem::{
+    BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, SortedIds, TypedStore,
+};
 
 use crate::bbox::{BBox, Key};
 use crate::corner::CornerStructure;
@@ -63,13 +88,26 @@ pub(crate) struct ReadCtx {
     pub pin: PathPin,
     /// Control block held in dedicated memory (`(space, key)`).
     pub(crate) resident: Option<(u32, u64)>,
-    /// Ids of pending tombstones discovered while the operation scanned
-    /// tombstone pages. Any id recorded here belongs to a logically deleted
-    /// point (pending tombstones are globally unique and ids are never
-    /// reused), so the operation's answers are filtered against this set
-    /// once at the end — empty on insert-only workloads, where no
-    /// tombstone page exists to scan.
+    /// Ids of the pending tombstones the query in progress has selected.
+    /// A tombstone is an exact copy of its victim, so a query that reports
+    /// a victim selects its tombstone wherever the two sit, and finding a
+    /// tombstone never depends on what the pin holds: the ids one query
+    /// gathers are all it needs, whatever else its batch met. Emptied by
+    /// [`ReadCtx::emit_live`]; stays empty on insert-only workloads, where
+    /// no tombstone exists to select.
     pub(crate) del: Vec<u64>,
+    /// `del` in probe form, rebuilt by each [`ReadCtx::emit_live`].
+    dead: SortedIds,
+    /// Child-index scratch of `process_children`, reused level after level.
+    pub(crate) kids: ChildLists,
+}
+
+/// Children of one metablock by Fig. 16 class, as indices into its child
+/// table: those entirely inside the query and those straddling its bottom.
+#[derive(Default)]
+pub(crate) struct ChildLists {
+    pub full: Vec<usize>,
+    pub partial: Vec<usize>,
 }
 
 impl ReadCtx {
@@ -81,7 +119,35 @@ impl ReadCtx {
             pin: PathPin::new(counter, geo.b),
             resident: None,
             del: Vec::new(),
+            dead: SortedIds::default(),
+            kids: ChildLists::default(),
         }
+    }
+
+    /// Hand one query's `answers` to `out` through `project`, in order,
+    /// dropping those whose id the query recorded in `del` — the single
+    /// pass an answer makes from the page it was read off to the caller's
+    /// buffer. Leaves `del` empty for the next query of the batch. With no
+    /// tombstone selected (every insert-only query) this is one projecting
+    /// copy into an exactly reserved `out`.
+    pub(crate) fn emit_live<T>(
+        &mut self,
+        answers: &[Point],
+        project: impl Fn(&Point) -> T,
+        out: &mut Vec<T>,
+    ) {
+        if self.del.is_empty() {
+            out.extend(answers.iter().map(project));
+            return;
+        }
+        self.dead.refill(self.del.drain(..));
+        out.reserve(answers.len());
+        out.extend(
+            answers
+                .iter()
+                .filter(|p| !self.dead.contains(p.id))
+                .map(project),
+        );
     }
 
     /// Note a page touch: free when it is the resident block, otherwise
@@ -785,6 +851,44 @@ impl MetablockTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn answers(n: u64) -> Vec<Point> {
+        (0..n)
+            .map(|id| Point::new(id as i64, id as i64, id))
+            .collect()
+    }
+
+    #[test]
+    fn emit_live_drops_exactly_the_ids_the_query_selected() {
+        let mut ctx = ReadCtx::new(Geometry::new(4), IoCounter::new());
+        // 50 000 answers hold ~100 ids on each of the mask's 512 bits:
+        // every stranger sharing a dead id's bit must survive.
+        let answers = answers(50_000);
+        ctx.del.extend([9, 40_000, 9, 9, 123, 40_000]);
+        let mut out = vec![u64::MAX];
+        ctx.emit_live(&answers, |p| p.id, &mut out);
+        let want: Vec<u64> = std::iter::once(u64::MAX)
+            .chain((0..50_000).filter(|id| ![9, 123, 40_000].contains(id)))
+            .collect();
+        assert_eq!(out, want, "appended in order, minus the three dead ids");
+        assert!(ctx.del.is_empty(), "the next query starts with no dead id");
+
+        // The next query of the batch selected no tombstone: an id the
+        // previous query dropped is nothing to it.
+        let mut out = Vec::new();
+        ctx.emit_live(&answers[..200], |p| *p, &mut out);
+        assert_eq!(out, answers[..200], "no tombstone: every answer, untouched");
+    }
+
+    #[test]
+    fn retain_from_narrows_only_the_tail() {
+        let mut out = answers(10);
+        retain_from(&mut out, 4, |p| p.id % 2 == 1);
+        let ids: Vec<u64> = out.iter().map(|p| p.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 5, 7, 9]);
+        retain_from(&mut out, 7, |_| false);
+        assert_eq!(out.len(), 7, "an empty tail is left alone");
+    }
 
     /// Control blocks of `live` no longer shared with `fork`.
     fn diverged(live: &MetablockTree, fork: &MetablockTree) -> Vec<MbId> {

@@ -43,9 +43,11 @@
 //!   terminal Type II node picks the cheaper of the corner query and a
 //!   filtered horizontal scan from exact directory-computed page counts.
 
-use ccix_extmem::{Point, SortedIds};
+use ccix_extmem::Point;
 
-use super::{ChildEntry, MbId, MetaBlock, MetablockTree, ReadCtx, SPACE_META};
+use super::{
+    reset_slots, retain_from, ChildEntry, MbId, MetaBlock, MetablockTree, ReadCtx, SPACE_META,
+};
 use crate::bbox::Key;
 
 /// How a child relates to the query bottom `y = q` (Fig. 16), judged purely
@@ -100,10 +102,18 @@ impl MetablockTree {
     /// As [`MetablockTree::query`], appending into `out`.
     /// `O(log_B n + t/B)` I/Os.
     pub fn query_into(&self, q: i64, out: &mut Vec<Point>) {
+        self.query_with(q, |p| *p, out);
+    }
+
+    /// As [`MetablockTree::query_into`], appending `project` of each answer:
+    /// an answer is written to `out` once, in the shape the caller wants
+    /// (the interval index asks for ids or intervals), never as a point
+    /// first.
+    pub fn query_with<T>(&self, q: i64, project: impl Fn(&Point) -> T, out: &mut Vec<T>) {
         let mut ctx = self.read_ctx();
-        let start = out.len();
-        self.query_ctx(&mut ctx, q, out);
-        filter_deleted(&ctx, start, out);
+        let mut answers = Vec::new();
+        self.query_ctx(&mut ctx, q, &mut answers);
+        ctx.emit_live(&answers, project, out);
     }
 
     /// Answer a whole batch of diagonal-corner queries as **one pinned
@@ -129,21 +139,30 @@ impl MetablockTree {
     /// allocates nothing. This is the canonical `_into` shape of the batch
     /// surface — see `docs/architecture.md` § Batched operations.
     pub fn query_batch_into(&self, qs: &[i64], outs: &mut Vec<Vec<Point>>) {
-        outs.truncate(qs.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(qs.len(), Vec::new);
+        self.query_batch_with(qs, |p| *p, outs);
+    }
+
+    /// As [`MetablockTree::query_batch_into`], filling each slot with
+    /// `project` of the query's answers. Each query runs into one scratch
+    /// buffer the whole batch reuses, and its answers leave that buffer
+    /// once — live ones only, already projected — for a slot reserved to
+    /// fit them.
+    pub fn query_batch_with<T>(
+        &self,
+        qs: &[i64],
+        project: impl Fn(&Point) -> T,
+        outs: &mut Vec<Vec<T>>,
+    ) {
+        reset_slots(outs, qs.len());
         let mut order: Vec<usize> = (0..qs.len()).collect();
         order.sort_by_key(|&i| qs[i]);
         let mut ctx = self.read_ctx();
+        let mut answers = Vec::new();
         for &i in &order {
-            self.query_ctx(&mut ctx, qs[i], &mut outs[i]);
+            answers.clear();
+            self.query_ctx(&mut ctx, qs[i], &mut answers);
+            ctx.emit_live(&answers, &project, &mut outs[i]);
         }
-        // Tombstone ids are globally deleted (pending deletes shadow their
-        // unique victim), so the batch filters every answer against the
-        // ids the whole operation discovered.
-        filter_deleted_batch(&ctx, outs);
     }
 
     /// One query within an existing read context.
@@ -197,7 +216,8 @@ impl MetablockTree {
                 // corner directory rides in this metablock's control block,
                 // which the operation already holds.)
                 let h_cost = meta.hkeys.iter().take_while(|&&k| k >= qk).count();
-                if h_cost <= corner.planned_cost(q) {
+                let route = corner.route(q);
+                if h_cost <= corner.planned_cost(q, &route) {
                     let qx: Key = (q, u64::MAX);
                     'h: for (i, &pg) in meta.horizontal.iter().enumerate() {
                         if meta.hkeys[i] < qk {
@@ -218,7 +238,8 @@ impl MetablockTree {
                         }
                     }
                 } else {
-                    corner.query_pinned(&self.store, ctx, (SPACE_META, mb as u64), q, out);
+                    let host = (SPACE_META, mb as u64);
+                    corner.query_pinned(&self.store, ctx, host, q, &route, out);
                 }
             } else {
                 // Mains fit in one vertical block, or corner structures are
@@ -268,12 +289,17 @@ impl MetablockTree {
         // earlier children hold only x ≤ q; all later ones only x > q.
         let path_idx = children.partition_point(|c| c.slab_hi <= qx);
 
-        let mut full: Vec<usize> = Vec::new();
-        let mut partial: Vec<usize> = Vec::new();
-        for (i, c) in children[..path_idx.min(children.len())].iter().enumerate() {
+        // The class lists are the context's, borrowed for this level and
+        // handed back before the descent: no allocation per level. (The
+        // rare nested search of the `Recurse` arm finds the context's slot
+        // empty and grows lists of its own.)
+        let mut kids = std::mem::take(&mut ctx.kids);
+        kids.full.clear();
+        kids.partial.clear();
+        for (i, c) in children[..path_idx].iter().enumerate() {
             match classify(c, q) {
-                ChildClass::Full => full.push(i),
-                ChildClass::Partial => partial.push(i),
+                ChildClass::Full => kids.full.push(i),
+                ChildClass::Partial => kids.partial.push(i),
                 // Empty-mains child over a live subtree (delete-flood
                 // degenerate): no snapshot or TD covers its depths, so it
                 // takes a full recursive search, outside the TS protocol.
@@ -281,29 +307,20 @@ impl MetablockTree {
                 ChildClass::Dead => {}
             }
         }
+        let (full, partial) = (&kids.full, &kids.partial);
 
         match partial.len() {
-            0 => {
-                for &i in &full {
-                    self.report_all(ctx, children[i].mb, q, out);
-                }
-            }
+            0 => {}
             1 => {
                 // A single straddling child: examine it (from the packed
                 // summary when it suffices; ≤ 2 I/Os of slack otherwise,
                 // charged to the path — one such node per level).
                 self.examine_child(ctx, meta, partial[0], q, out);
-                for &i in &full {
-                    self.report_all(ctx, children[i].mb, q, out);
-                }
             }
             _ if !self.options.ts_shortcut => {
                 // Ablated (E13): examine every straddling sibling directly.
-                for &i in &partial {
+                for &i in partial {
                     self.examine_child(ctx, meta, i, q, out);
-                }
-                for &i in &full {
-                    self.report_all(ctx, children[i].mb, q, out);
                 }
             }
             _ => {
@@ -313,31 +330,28 @@ impl MetablockTree {
                 // page run is mirrored in the parent's entry, so no control
                 // block of cr is touched; otherwise read cr's meta for it.
                 let (ts_pages, ts_truncated) = if self.pack_h() > 0 {
-                    (
-                        children[cr].packed.ts_pages.clone(),
-                        children[cr].packed.ts_truncated,
-                    )
+                    let packed = &children[cr].packed;
+                    (&packed.ts_pages, packed.ts_truncated)
                 } else {
-                    let cr_meta = self.ctx_meta(ctx, children[cr].mb);
-                    let ts = cr_meta
-                        .ts
-                        .as_ref()
-                        .expect("non-first child carries a TS snapshot");
-                    (ts.pages.clone(), ts.truncated)
+                    let ts = self.ctx_meta(ctx, children[cr].mb).ts.as_ref();
+                    let ts = ts.expect("non-first child carries a TS snapshot");
+                    (&ts.pages, ts.truncated)
                 };
-                let mut scanned: Vec<Point> = Vec::new();
+                // The snapshot's points above the query bottom go straight
+                // onto `out`; the case decided below keeps the covered ones
+                // or takes them all back.
+                let scanned_from = out.len();
                 let mut crossed = false;
-                'ts: for &pg in &ts_pages {
+                'ts: for &pg in ts_pages {
                     for p in self.ctx_read(ctx, pg) {
                         if p.ykey() < (q, 0) {
                             crossed = true;
                             break 'ts;
                         }
-                        scanned.push(*p);
+                        out.push(*p);
                     }
                 }
-                let complete = crossed || !ts_truncated;
-                if complete {
+                if crossed || !ts_truncated {
                     // Crossing case (Fig. 17b): the snapshot contains every
                     // left-sibling point with y ≥ q as of the last TS reorg;
                     // the TD structure holds everything since. Report both,
@@ -346,25 +360,24 @@ impl MetablockTree {
                         let k = p.xkey();
                         covered.iter().any(|&i| children[i].slab_contains(k))
                     };
-                    out.extend(scanned.iter().filter(|p| in_covered(p)));
+                    retain_from(out, scanned_from, in_covered);
                     self.query_td(ctx, mb, meta, q, &in_covered, out);
                     self.examine_child(ctx, meta, cr, q, out);
-                    for &i in &full {
-                        self.report_all(ctx, children[i].mb, q, out);
-                    }
                 } else {
                     // Certificate case (Fig. 17a): the snapshot proves at
                     // least B² answers exist among the left siblings, so
                     // examining each individually is paid for by the output.
-                    for &i in &partial {
+                    out.truncate(scanned_from);
+                    for &i in partial {
                         self.examine_child(ctx, meta, i, q, out);
-                    }
-                    for &i in &full {
-                        self.report_all(ctx, children[i].mb, q, out);
                     }
                 }
             }
         }
+        for &i in full {
+            self.report_all(ctx, children[i].mb, q, out);
+        }
+        ctx.kids = kids;
 
         if let Some(path) = children.get(path_idx) {
             // Recurse only if the parent's cache says something can qualify.
@@ -385,9 +398,9 @@ impl MetablockTree {
     /// The TD's delete side is queried alongside: a snapshot-answered route
     /// reports points as of the last TS reorganisation, so tombstones
     /// younger than the snapshot — exactly what the delete side holds —
-    /// must subtract from the answer. Matching is global by id (any id the
-    /// delete side reports is a logically deleted point), so no slab
-    /// filter applies.
+    /// must subtract from this query's answer. Matching is by id alone (any
+    /// id the delete side reports is a logically deleted point), so no
+    /// slab filter applies.
     fn query_td(
         &self,
         ctx: &mut ReadCtx,
@@ -398,10 +411,11 @@ impl MetablockTree {
         out: &mut Vec<Point>,
     ) {
         let Some(td) = &meta.td else { return };
+        let host = (SPACE_META, mb as u64);
         if let Some(corner) = &td.corner {
-            let mut tmp = Vec::new();
-            corner.query_pinned(&self.store, ctx, (SPACE_META, mb as u64), q, &mut tmp);
-            out.extend(tmp.into_iter().filter(|p| filter(p)));
+            let from = out.len();
+            corner.query_pinned(&self.store, ctx, host, q, &corner.route(q), out);
+            retain_from(out, from, filter);
         }
         for &pg in &td.staged {
             for p in self.ctx_read(ctx, pg) {
@@ -411,9 +425,11 @@ impl MetablockTree {
             }
         }
         if let Some(del) = &td.del_corner {
-            let mut tmp = Vec::new();
-            del.query_pinned(&self.store, ctx, (SPACE_META, mb as u64), q, &mut tmp);
-            ctx.del.extend(tmp.into_iter().map(|t| t.id));
+            // Tombstones pass through the tail of `out` only to leave
+            // their ids behind.
+            let from = out.len();
+            del.query_pinned(&self.store, ctx, host, q, &del.route(q), out);
+            ctx.del.extend(out.drain(from..).map(|t| t.id));
         }
         mirror_tombs(ctx, &td.del_staged_buf, q);
     }
@@ -637,10 +653,22 @@ impl MetablockTree {
 
     /// As [`MetablockTree::x_range`], appending into `out`.
     pub fn x_range_into(&self, x1: i64, x2: i64, out: &mut Vec<Point>) {
+        self.x_range_with(x1, x2, |p| *p, out);
+    }
+
+    /// As [`MetablockTree::x_range_into`], appending `project` of each
+    /// answer (see [`MetablockTree::query_with`]).
+    pub fn x_range_with<T>(
+        &self,
+        x1: i64,
+        x2: i64,
+        project: impl Fn(&Point) -> T,
+        out: &mut Vec<T>,
+    ) {
         let mut ctx = self.read_ctx();
-        let start = out.len();
-        self.x_range_ctx(&mut ctx, x1, x2, out);
-        filter_deleted(&ctx, start, out);
+        let mut answers = Vec::new();
+        self.x_range_ctx(&mut ctx, x1, x2, &mut answers);
+        ctx.emit_live(&answers, project, out);
     }
 
     /// As [`MetablockTree::x_range_into`] within an existing read context.
@@ -737,30 +765,6 @@ fn mirror_tombs_x(ctx: &mut ReadCtx, tombs: &[Point], a1k: Key, a2k: Key) {
             .filter(|t| t.xkey() >= a1k && t.xkey() <= a2k)
             .map(|t| t.id),
     );
-}
-
-/// Filter the slice of `out` appended since `start` against the tombstone
-/// ids the operation discovered. Free when no tombstone was seen — the
-/// insert-only fast path.
-pub(crate) fn filter_deleted(ctx: &ReadCtx, start: usize, out: &mut Vec<Point>) {
-    if ctx.del.is_empty() {
-        return;
-    }
-    let dead = SortedIds::new(ctx.del.iter().copied());
-    let tail = out.split_off(start);
-    out.extend(tail.into_iter().filter(|p| !dead.contains(p.id)));
-}
-
-/// As [`filter_deleted`], over every answer of a batch — the dead-id set
-/// is built once for the whole operation.
-pub(crate) fn filter_deleted_batch(ctx: &ReadCtx, outs: &mut [Vec<Point>]) {
-    if ctx.del.is_empty() {
-        return;
-    }
-    let dead = SortedIds::new(ctx.del.iter().copied());
-    for out in outs {
-        out.retain(|p| !dead.contains(p.id));
-    }
 }
 
 /// Debug check: a partial metablock's children are all dead (routing

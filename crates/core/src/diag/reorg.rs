@@ -33,9 +33,9 @@
 //! is its own routing plus at most `k` bled transfers — the worst-case
 //! bound the EL latency table gates.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use ccix_extmem::{MergeCursor, PageId, Point, SortedRun};
+use ccix_extmem::{MergeCursor, PageId, Point, SortedIds, SortedRun};
 
 use super::{MbId, MetablockTree, ReadCtx};
 
@@ -124,10 +124,10 @@ pub(crate) struct DeltaBuf {
     pub n_tomb: usize,
     pub tomb_pos: usize,
     /// Ids of undrained, unannihilated delta update points.
-    pub upd_ids: HashSet<u64>,
+    pub upd_ids: SortedIds,
     /// Ids of delta update points whose delete arrived before their drain:
     /// the pair annihilated in place, the drain skips the stored copy.
-    pub annihilated: HashSet<u64>,
+    pub annihilated: SortedIds,
 }
 
 impl DeltaBuf {
@@ -415,10 +415,10 @@ impl MetablockTree {
             let take = (page.len() - off).min(budget);
             for p in &page[off..off + take] {
                 d.upd_pos += 1;
-                if d.annihilated.remove(&p.id) {
+                if d.annihilated.remove(p.id) {
                     continue;
                 }
-                d.upd_ids.remove(&p.id);
+                d.upd_ids.remove(p.id);
                 match self.root {
                     None => {
                         let id = self.make_metablock(
@@ -492,7 +492,7 @@ impl MetablockTree {
         };
         let frozen = job.frozen();
         let d = &mut job.delta;
-        if d.upd_ids.remove(&p.id) {
+        if d.upd_ids.remove(p.id) {
             d.annihilated.insert(p.id);
             return true;
         }
@@ -547,7 +547,7 @@ impl MetablockTree {
             }
             let skip = d.upd_pos.saturating_sub(i * b);
             for p in &self.ctx_read(ctx, pg)[skip..] {
-                if keep(p) && !d.annihilated.contains(&p.id) {
+                if keep(p) && !d.annihilated.contains(p.id) {
                     out.push(*p);
                 }
             }
@@ -558,12 +558,8 @@ impl MetablockTree {
             }
             let skip = d.tomb_pos.saturating_sub(i * b);
             let page = self.ctx_read(ctx, pg);
-            let dead: Vec<u64> = page[skip..]
-                .iter()
-                .filter(|t| keep(t))
-                .map(|t| t.id)
-                .collect();
-            ctx.del.extend(dead);
+            ctx.del
+                .extend(page[skip..].iter().filter(|t| keep(t)).map(|t| t.id));
         }
     }
 
@@ -582,7 +578,7 @@ impl MetablockTree {
             }
             let skip = d.upd_pos.saturating_sub(i * b);
             for p in &self.store.read_unbilled(pg)[skip..] {
-                if !d.annihilated.contains(&p.id) {
+                if !d.annihilated.contains(p.id) {
                     live.push(*p);
                 }
             }

@@ -30,7 +30,7 @@ use ccix_extmem::Point;
 
 use super::{ThreeSidedTree, TsMeta};
 use crate::bbox::Key;
-use crate::diag::{ChildEntry, MbId, ReadCtx};
+use crate::diag::{reset_slots, retain_from, ChildEntry, MbId, ReadCtx};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ChildClass {
@@ -91,10 +91,23 @@ impl ThreeSidedTree {
     /// As [`ThreeSidedTree::query`], appending into `out`.
     /// `O(log_B n + t/B + log2 B)` I/Os.
     pub fn query_into(&self, x1: i64, x2: i64, y0: i64, out: &mut Vec<Point>) {
+        self.query_with(x1, x2, y0, |p| *p, out);
+    }
+
+    /// As [`ThreeSidedTree::query_into`], appending `project` of each
+    /// answer (see [`crate::MetablockTree::query_with`]).
+    pub fn query_with<T>(
+        &self,
+        x1: i64,
+        x2: i64,
+        y0: i64,
+        project: impl Fn(&Point) -> T,
+        out: &mut Vec<T>,
+    ) {
         let mut ctx = self.read_ctx();
-        let start = out.len();
-        self.query_ctx(&mut ctx, x1, x2, y0, out);
-        crate::diag::filter_deleted(&ctx, start, out);
+        let mut answers = Vec::new();
+        self.query_ctx(&mut ctx, x1, x2, y0, &mut answers);
+        ctx.emit_live(&answers, project, out);
     }
 
     /// Answer a batch of 3-sided queries as one pinned operation: queries
@@ -113,21 +126,30 @@ impl ThreeSidedTree {
     /// cleared) — the canonical `_into` shape of the batch surface, see
     /// `docs/architecture.md` § Batched operations.
     pub fn query_batch_into(&self, queries: &[(i64, i64, i64)], outs: &mut Vec<Vec<Point>>) {
-        outs.truncate(queries.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(queries.len(), Vec::new);
+        self.query_batch_with(queries, |p| *p, outs);
+    }
+
+    /// As [`ThreeSidedTree::query_batch_into`], filling each slot with
+    /// `project` of the query's answers (see
+    /// [`crate::MetablockTree::query_batch_with`]: one scratch buffer per
+    /// batch, each answer written out once).
+    pub fn query_batch_with<T>(
+        &self,
+        queries: &[(i64, i64, i64)],
+        project: impl Fn(&Point) -> T,
+        outs: &mut Vec<Vec<T>>,
+    ) {
+        reset_slots(outs, queries.len());
         let mut order: Vec<usize> = (0..queries.len()).collect();
         order.sort_by_key(|&i| queries[i]);
         let mut ctx = self.read_ctx();
+        let mut answers = Vec::new();
         for &i in &order {
             let (x1, x2, y0) = queries[i];
-            self.query_ctx(&mut ctx, x1, x2, y0, &mut outs[i]);
+            answers.clear();
+            self.query_ctx(&mut ctx, x1, x2, y0, &mut answers);
+            ctx.emit_live(&answers, &project, &mut outs[i]);
         }
-        // Tombstone ids are globally deleted: filter every answer of the
-        // batch against the ids the whole operation discovered.
-        crate::diag::filter_deleted_batch(&ctx, outs);
     }
 
     /// One query within an existing read context.
@@ -250,19 +272,23 @@ impl ThreeSidedTree {
             return;
         }
 
-        let mut full: Vec<usize> = Vec::new();
-        let mut partial: Vec<usize> = Vec::new();
+        // Class lists borrowed from the context for this level (see the
+        // diagonal tree's `process_children`).
+        let mut kids = std::mem::take(&mut ctx.kids);
+        kids.full.clear();
+        kids.partial.clear();
         for (i, c) in children[m_start..m_end].iter().enumerate() {
             match classify(c, y0) {
-                ChildClass::Full => full.push(m_start + i),
-                ChildClass::Partial => partial.push(m_start + i),
+                ChildClass::Full => kids.full.push(m_start + i),
+                ChildClass::Partial => kids.partial.push(m_start + i),
                 // Delete-flood degenerate: full recursive search, outside
                 // the snapshot protocol (no snapshot covers its depths).
                 ChildClass::Recurse => self.process(ctx, c.mb, x1, x2, y0, out),
                 ChildClass::Dead => {}
             }
         }
-        for &i in &full {
+        let (full, partial) = (&kids.full, &kids.partial);
+        for &i in full {
             self.report_all(ctx, children[i].mb, x1, x2, y0, out);
         }
         match partial.len() {
@@ -277,15 +303,16 @@ impl ThreeSidedTree {
                 // node) fall back to the children PST.
                 if m_end == len && m_start > 0 {
                     let side = (m_start - 1, SnapshotSide::Right);
-                    self.snapshot_route(ctx, mb, meta, side, &partial, x1, x2, y0, out);
+                    self.snapshot_route(ctx, mb, meta, side, partial, x1, x2, y0, out);
                 } else if m_start == 0 && m_end < len {
                     let side = (m_end, SnapshotSide::Left);
-                    self.snapshot_route(ctx, mb, meta, side, &partial, x1, x2, y0, out);
+                    self.snapshot_route(ctx, mb, meta, side, partial, x1, x2, y0, out);
                 } else {
-                    self.children_pst_route(ctx, mb, meta, &partial, x1, x2, y0, out);
+                    self.children_pst_route(ctx, mb, meta, partial, x1, x2, y0, out);
                 }
             }
         }
+        ctx.kids = kids;
     }
 
     /// Resolve straddling middles from a sibling snapshot (`TSR` of the
@@ -308,11 +335,10 @@ impl ThreeSidedTree {
         let children = &parent.children;
         let anchor = &children[anchor_idx];
         let (ts_pages, ts_truncated) = if self.pack_h() > 0 {
+            let packed = &anchor.packed;
             match side {
-                SnapshotSide::Right => {
-                    (anchor.packed.tsr_pages.clone(), anchor.packed.tsr_truncated)
-                }
-                SnapshotSide::Left => (anchor.packed.ts_pages.clone(), anchor.packed.ts_truncated),
+                SnapshotSide::Right => (&packed.tsr_pages, packed.tsr_truncated),
+                SnapshotSide::Left => (&packed.ts_pages, packed.ts_truncated),
             }
         } else {
             let anchor_meta = self.ctx_meta(ctx, anchor.mb);
@@ -321,17 +347,19 @@ impl ThreeSidedTree {
                 SnapshotSide::Left => anchor_meta.tsl.as_ref(),
             };
             let info = info.expect("anchor child carries the sibling snapshot");
-            (info.pages.clone(), info.truncated)
+            (&info.pages, info.truncated)
         };
-        let mut scanned: Vec<Point> = Vec::new();
+        // Scanned straight onto `out`; the case decided below keeps the
+        // straddling middles' points or takes them all back.
+        let scanned_from = out.len();
         let mut crossed = false;
-        'ts: for &pg in &ts_pages {
+        'ts: for &pg in ts_pages {
             for p in self.ctx_read(ctx, pg) {
                 if p.ykey() < (y0, 0) {
                     crossed = true;
                     break 'ts;
                 }
-                scanned.push(*p);
+                out.push(*p);
             }
         }
         if crossed || !ts_truncated {
@@ -342,11 +370,12 @@ impl ThreeSidedTree {
                 let k = p.xkey();
                 partial.iter().any(|&i| children[i].slab_contains(k))
             };
-            out.extend(scanned.iter().filter(|p| in_partial(p)));
+            retain_from(out, scanned_from, in_partial);
             self.query_td(ctx, mb, parent, x1, x2, y0, &in_partial, out);
         } else {
             // Certificate: at least B² answers exist among the middles;
             // examining each individually is paid for by the output.
+            out.truncate(scanned_from);
             for &i in partial {
                 self.examine_child(ctx, parent, i, x1, x2, y0, out);
             }
@@ -373,9 +402,9 @@ impl ThreeSidedTree {
             partial.iter().any(|&i| children[i].slab_contains(k))
         };
         if let Some(cpst) = &parent.children_pst {
-            let mut tmp = Vec::new();
-            cpst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 1), x1, x2, y0, &mut tmp);
-            out.extend(tmp.into_iter().filter(|p| in_partial(p)));
+            let from = out.len();
+            cpst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 1), x1, x2, y0, out);
+            retain_from(out, from, in_partial);
         } else {
             // No snapshot yet (fresh interior node): examine individually.
             for &i in partial {
@@ -401,9 +430,9 @@ impl ThreeSidedTree {
     ) {
         let Some(td) = &meta.td else { return };
         if let Some(pst) = &td.pst {
-            let mut tmp = Vec::new();
-            pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 2), x1, x2, y0, &mut tmp);
-            out.extend(tmp.into_iter().filter(|p| filter(p)));
+            let from = out.len();
+            pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 2), x1, x2, y0, out);
+            retain_from(out, from, filter);
         }
         for &pg in &td.staged {
             for p in self.ctx_read(ctx, pg) {
@@ -413,12 +442,14 @@ impl ThreeSidedTree {
             }
         }
         // The TD's delete side: ids deleted since the last TS
-        // reorganisation, subtracted globally from the answer (a
+        // reorganisation, subtracted from this query's answer (a
         // snapshot-answered route may have reported their stale copies).
+        // The tombstones pass through the tail of `out` only to leave
+        // their ids behind.
         if let Some(del) = &td.del_pst {
-            let mut tmp = Vec::new();
-            del.query_pinned(&mut ctx.pin, Self::pst_space(mb, 3), x1, x2, y0, &mut tmp);
-            ctx.del.extend(tmp.into_iter().map(|t| t.id));
+            let from = out.len();
+            del.query_pinned(&mut ctx.pin, Self::pst_space(mb, 3), x1, x2, y0, out);
+            ctx.del.extend(out.drain(from..).map(|t| t.id));
         }
         mirror_tombs(ctx, &td.del_staged_buf, x1, x2, y0);
     }

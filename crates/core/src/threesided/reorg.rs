@@ -278,10 +278,10 @@ impl ThreeSidedTree {
             let take = (page.len() - off).min(budget);
             for p in &page[off..off + take] {
                 d.upd_pos += 1;
-                if d.annihilated.remove(&p.id) {
+                if d.annihilated.remove(p.id) {
                     continue;
                 }
-                d.upd_ids.remove(&p.id);
+                d.upd_ids.remove(p.id);
                 match self.root {
                     None => {
                         let id = self.make_metablock(
@@ -352,7 +352,7 @@ impl ThreeSidedTree {
         };
         let frozen = job.frozen();
         let d = &mut job.delta;
-        if d.upd_ids.remove(&p.id) {
+        if d.upd_ids.remove(p.id) {
             d.annihilated.insert(p.id);
             return true;
         }
@@ -394,7 +394,7 @@ impl ThreeSidedTree {
             }
             let skip = d.upd_pos.saturating_sub(i * b);
             for p in &self.ctx_read(ctx, pg)[skip..] {
-                if keep(p) && !d.annihilated.contains(&p.id) {
+                if keep(p) && !d.annihilated.contains(p.id) {
                     out.push(*p);
                 }
             }
@@ -405,12 +405,8 @@ impl ThreeSidedTree {
             }
             let skip = d.tomb_pos.saturating_sub(i * b);
             let page = self.ctx_read(ctx, pg);
-            let dead: Vec<u64> = page[skip..]
-                .iter()
-                .filter(|t| keep(t))
-                .map(|t| t.id)
-                .collect();
-            ctx.del.extend(dead);
+            ctx.del
+                .extend(page[skip..].iter().filter(|t| keep(t)).map(|t| t.id));
         }
     }
 
@@ -429,7 +425,7 @@ impl ThreeSidedTree {
             }
             let skip = d.upd_pos.saturating_sub(i * b);
             for p in &self.store.read_unbilled(pg)[skip..] {
-                if !d.annihilated.contains(&p.id) {
+                if !d.annihilated.contains(p.id) {
                     live.push(*p);
                 }
             }

@@ -416,32 +416,90 @@ pub fn merge_delta_y_desc_cancel(
     out
 }
 
-/// A set of ids held sorted and deduplicated, probed by range pre-check
-/// plus binary search.
+/// A set of ids held sorted and deduplicated behind a hashed bit mask of
+/// one cache line: a probe is one multiply, a shift and a word test, and
+/// only an id whose mask bit is set pays the binary search.
 ///
-/// The tombstone sets an operation filters its answers against are small
-/// (hundreds of ids) and rebuilt per operation, while the answers probed
-/// run to tens of thousands — a shape where hashing every probe costs more
-/// than the comparisons it saves, and most probes fall outside `[min,
-/// max]` of the set altogether.
-#[derive(Debug)]
-pub struct SortedIds(Vec<u64>);
+/// The one id-set type of the metablock trees. Its shapes are a query's
+/// discovered tombstone ids (a handful, rebuilt per query with
+/// [`SortedIds::refill`] and probed once per answer) and a shrink job's
+/// delta sets (thousands of ids maintained one at a time, where the mask
+/// saturates and the search does the work). The mask is 512 bits because
+/// a search that misses costs a mispredicted branch or two: with the
+/// `k ≈ 7` ids a stab selects, one word sent every tenth live answer to
+/// the search and the batch ran 14 % slower (docs/tuning.md § Read path).
+#[derive(Clone, Debug, Default)]
+pub struct SortedIds {
+    ids: Vec<u64>,
+    /// Union of [`mask_bit`] over every id inserted since the set was last
+    /// empty — a superset of the present ids' bits, so a clear bit proves
+    /// absence.
+    mask: [u64; 8],
+}
+
+/// The mask bit of `id` as `(word, bit)`: the top nine bits of a Fibonacci
+/// hash.
+fn mask_bit(id: u64) -> (usize, u64) {
+    let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55;
+    ((h >> 6) as usize, 1 << (h & 63))
+}
 
 impl SortedIds {
     /// Collect `ids` (any order, duplicates allowed).
     pub fn new(ids: impl IntoIterator<Item = u64>) -> Self {
-        let mut ids: Vec<u64> = ids.into_iter().collect();
-        ids.sort_unstable();
-        ids.dedup();
-        Self(ids)
+        let mut set = Self::default();
+        set.refill(ids);
+        set
+    }
+
+    /// Replace the contents with `ids` (any order, duplicates allowed),
+    /// keeping the allocation.
+    pub fn refill(&mut self, ids: impl IntoIterator<Item = u64>) {
+        self.ids.clear();
+        self.ids.extend(ids);
+        self.ids.sort_unstable();
+        self.ids.dedup();
+        self.mask = [0; 8];
+        for &id in &self.ids {
+            let (w, b) = mask_bit(id);
+            self.mask[w] |= b;
+        }
     }
 
     /// Whether `id` is in the set.
     pub fn contains(&self, id: u64) -> bool {
-        match (self.0.first(), self.0.last()) {
-            (Some(&min), Some(&max)) if min <= id && id <= max => self.0.binary_search(&id).is_ok(),
-            _ => false,
+        let (w, b) = mask_bit(id);
+        self.mask[w] & b != 0 && self.ids.binary_search(&id).is_ok()
+    }
+
+    /// Add `id`; false when it was already present.
+    pub fn insert(&mut self, id: u64) -> bool {
+        match self.ids.binary_search(&id) {
+            Ok(_) => false,
+            Err(at) => {
+                self.ids.insert(at, id);
+                let (w, b) = mask_bit(id);
+                self.mask[w] |= b;
+                true
+            }
         }
+    }
+
+    /// Remove `id`; false when it was not present. The id's mask bit stays
+    /// set (another id may share it) until the set empties.
+    pub fn remove(&mut self, id: u64) -> bool {
+        let (w, b) = mask_bit(id);
+        if self.mask[w] & b == 0 {
+            return false;
+        }
+        let Ok(at) = self.ids.binary_search(&id) else {
+            return false;
+        };
+        self.ids.remove(at);
+        if self.ids.is_empty() {
+            self.mask = [0; 8];
+        }
+        true
     }
 }
 
@@ -689,8 +747,8 @@ mod tests {
             .iter()
             .map(|p| p.id * 7 % 1000)
             .collect();
-        let want: std::collections::HashSet<u64> = ids.iter().copied().collect();
-        let got = SortedIds::new(ids);
+        let mut want: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        let mut got = SortedIds::new(ids);
         for id in 0..1100 {
             assert_eq!(got.contains(id), want.contains(&id), "id {id}");
         }
@@ -698,5 +756,42 @@ mod tests {
             !SortedIds::new([]).contains(0),
             "the empty set holds nothing"
         );
+        // One id at a time, as a shrink job's delta maintains its sets.
+        for (i, p) in pseudo_points(4000, 0x52).iter().enumerate() {
+            let id = (p.x * 1000 + p.y) as u64 % 1500;
+            if i % 3 == 0 {
+                assert_eq!(got.remove(id), want.remove(&id), "remove {id}");
+            } else {
+                assert_eq!(got.insert(id), want.insert(id), "insert {id}");
+            }
+        }
+        for id in 0..1600 {
+            assert_eq!(
+                got.contains(id),
+                want.contains(&id),
+                "id {id} after updates"
+            );
+        }
+        // Refilling forgets everything, duplicates collapse.
+        got.refill([7, 3, 7, 7]);
+        let held: Vec<u64> = (0..1600).filter(|&id| got.contains(id)).collect();
+        assert_eq!(held, [3, 7]);
+    }
+
+    #[test]
+    fn sorted_ids_mask_collisions_are_not_members() {
+        let a = 12_345u64;
+        let b = (a + 1..)
+            .find(|&b| mask_bit(b) == mask_bit(a))
+            .expect("512 mask bits collide within a few thousand ids");
+        let mut set = SortedIds::new([a]);
+        assert!(set.contains(a) && !set.contains(b), "b only shares a's bit");
+        assert!(!set.remove(b), "removing a colliding stranger is a no-op");
+        assert!(set.insert(b) && set.remove(b));
+        assert!(
+            set.contains(a) && !set.contains(b),
+            "the shared bit outlives b"
+        );
+        assert!(set.remove(a) && !set.contains(a) && !set.contains(b));
     }
 }

@@ -1,10 +1,7 @@
 //! The one way to construct an [`IntervalIndex`].
 //!
-//! Earlier revisions grew four constructors (`new`, `new_with`, `build`,
-//! `build_with`) whose cross-product with [`IntervalOptions`] kept
-//! expanding. [`IndexBuilder`] collapses them: configure once, then
-//! [`IndexBuilder::open`] an empty index or [`IndexBuilder::bulk`]-load
-//! one. The old constructors remain as thin deprecated shims.
+//! Configure once, then [`IndexBuilder::open`] an empty index or
+//! [`IndexBuilder::bulk`]-load one.
 
 use std::path::PathBuf;
 

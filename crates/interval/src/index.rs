@@ -44,6 +44,11 @@ impl Interval {
     fn point(&self) -> Point {
         Point::new(self.lo, self.hi, self.id)
     }
+
+    /// The interval a stored point stands for (the mapping's inverse).
+    pub(crate) fn of_point(p: &Point) -> Self {
+        Self::new(p.x, p.y, p.id)
+    }
 }
 
 /// Same wire layout as the [`Point`] an interval maps to — `lo`, `hi`, `id`
@@ -150,23 +155,6 @@ impl IntervalIndex {
         (24 * geo.b + 7).max(103)
     }
 
-    /// Create an empty index with the default (slab-endpoint, tuned) layout.
-    #[deprecated(note = "use `IndexBuilder::new(geo).open(counter)`")]
-    pub fn new(geo: Geometry, counter: IoCounter) -> Self {
-        Self::open_impl(
-            &BackendSpec::Model,
-            geo,
-            counter,
-            IntervalOptions::default(),
-        )
-    }
-
-    /// Create an empty index with explicit options.
-    #[deprecated(note = "use `IndexBuilder::new(geo).options(options).open(counter)`")]
-    pub fn new_with(geo: Geometry, counter: IoCounter, options: IntervalOptions) -> Self {
-        Self::open_impl(&BackendSpec::Model, geo, counter, options)
-    }
-
     pub(crate) fn open_impl(
         spec: &BackendSpec,
         geo: Geometry,
@@ -197,30 +185,6 @@ impl IntervalIndex {
             options,
             backend: spec.clone(),
         }
-    }
-
-    /// Bulk-build from a set of intervals (ids must be unique), with the
-    /// default layout.
-    #[deprecated(note = "use `IndexBuilder::new(geo).bulk(counter, intervals)`")]
-    pub fn build(geo: Geometry, counter: IoCounter, intervals: &[Interval]) -> Self {
-        Self::bulk_impl(
-            &BackendSpec::Model,
-            geo,
-            counter,
-            intervals,
-            IntervalOptions::default(),
-        )
-    }
-
-    /// Bulk-build with explicit options.
-    #[deprecated(note = "use `IndexBuilder::new(geo).options(options).bulk(counter, intervals)`")]
-    pub fn build_with(
-        geo: Geometry,
-        counter: IoCounter,
-        intervals: &[Interval],
-        options: IntervalOptions,
-    ) -> Self {
-        Self::bulk_impl(&BackendSpec::Model, geo, counter, intervals, options)
     }
 
     pub(crate) fn bulk_impl(
@@ -550,7 +514,16 @@ impl IntervalIndex {
     /// Ids of all intervals containing `q` (stabbing query).
     /// `O(log_B n + t/B)` I/Os.
     pub fn stabbing(&self, q: i64) -> Vec<u64> {
-        self.stabbing_intervals(q).iter().map(|iv| iv.id).collect()
+        let mut out = Vec::new();
+        self.stab_with(q, |p| p.id, &mut out);
+        out
+    }
+
+    /// Append `project` of every stored point that `q` stabs: each answer
+    /// is written once, as the id or interval the caller asked for (see
+    /// [`ccix_core::MetablockTree::query_with`]).
+    pub(crate) fn stab_with<T>(&self, q: i64, project: impl Fn(&Point) -> T, out: &mut Vec<T>) {
+        self.stab.query_with(q, project, out);
     }
 
     /// Answer a whole flood of stabbing queries as **one batched
@@ -572,16 +545,7 @@ impl IntervalIndex {
     /// canonical `_into` shape of the batch surface, see
     /// `docs/architecture.md` § Batched operations.
     pub fn stab_batch_into(&self, qs: &[i64], outs: &mut Vec<Vec<u64>>) {
-        outs.truncate(qs.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(qs.len(), Vec::new);
-        let mut pts = Vec::new();
-        self.stab.query_batch_into(qs, &mut pts);
-        for (o, ps) in outs.iter_mut().zip(&pts) {
-            o.extend(ps.iter().map(|p| p.id));
-        }
+        self.stab.query_batch_with(qs, |p| p.id, outs);
     }
 
     /// As [`IntervalIndex::stab_batch`], returning full intervals.
@@ -594,25 +558,14 @@ impl IntervalIndex {
     /// As [`IntervalIndex::stab_batch_intervals`], reusing `outs` (see
     /// [`IntervalIndex::stab_batch_into`]).
     pub fn stab_batch_intervals_into(&self, qs: &[i64], outs: &mut Vec<Vec<Interval>>) {
-        outs.truncate(qs.len());
-        for o in outs.iter_mut() {
-            o.clear();
-        }
-        outs.resize_with(qs.len(), Vec::new);
-        let mut pts = Vec::new();
-        self.stab.query_batch_into(qs, &mut pts);
-        for (o, ps) in outs.iter_mut().zip(&pts) {
-            o.extend(ps.iter().map(|p| Interval::new(p.x, p.y, p.id)));
-        }
+        self.stab.query_batch_with(qs, Interval::of_point, outs);
     }
 
     /// As [`IntervalIndex::stabbing`], returning full intervals.
     pub fn stabbing_intervals(&self, q: i64) -> Vec<Interval> {
-        let mut pts = Vec::new();
-        self.stab.query_into(q, &mut pts);
-        pts.into_iter()
-            .map(|p| Interval::new(p.x, p.y, p.id))
-            .collect()
+        let mut out = Vec::new();
+        self.stab_with(q, Interval::of_point, &mut out);
+        out
     }
 
     /// Report every stored interval whose **left endpoint** lies in
@@ -632,11 +585,7 @@ impl IntervalIndex {
                     out.push(Interval::new(e.key, e.aux as i64, e.value));
                 }
             }
-            None => {
-                let mut pts = Vec::new();
-                self.stab.x_range_into(x1, x2, &mut pts);
-                out.extend(pts.into_iter().map(|p| Interval::new(p.x, p.y, p.id)));
-            }
+            None => self.stab.x_range_with(x1, x2, Interval::of_point, &mut out),
         }
         out
     }
@@ -668,11 +617,9 @@ impl IntervalIndex {
                         out.push(Interval::new(e.key, e.aux as i64, e.value));
                     }
                 }
-                None => {
-                    let mut pts = Vec::new();
-                    self.stab.x_range_into(q1 + 1, q2, &mut pts);
-                    out.extend(pts.into_iter().map(|p| Interval::new(p.x, p.y, p.id)));
-                }
+                None => self
+                    .stab
+                    .x_range_with(q1 + 1, q2, Interval::of_point, &mut out),
             }
         }
         out

@@ -598,7 +598,7 @@ impl ShardedIntervalIndex {
     pub fn stabbing(&self, q: i64) -> Vec<u64> {
         let mut out = Vec::new();
         for s in self.stab_shards(q) {
-            out.extend(self.shards[s].stabbing(q));
+            self.shards[s].stab_with(q, |p| p.id, &mut out);
         }
         out
     }
@@ -607,7 +607,7 @@ impl ShardedIntervalIndex {
     pub fn stabbing_intervals(&self, q: i64) -> Vec<Interval> {
         let mut out = Vec::new();
         for s in self.stab_shards(q) {
-            out.extend(self.shards[s].stabbing_intervals(q));
+            self.shards[s].stab_with(q, Interval::of_point, &mut out);
         }
         out
     }
