@@ -1887,12 +1887,12 @@ pub fn er_recovery() -> Vec<Table> {
         ]);
     }
 
-    // -- ER-recover: replay wall-clock against WAL length. The WAL is
+    // -- ER-recover: recovery wall-clock against WAL length. The WAL is
     // built through the store directly (a clean engine shutdown would
     // checkpoint and truncate it — exactly what a crash does not do).
     let mut r = Table::new(
         "ER-recover — recovery wall clock vs WAL length",
-        "Recovery replays the WAL suffix deterministically; 100k ops stay far under the 2 s smoke ceiling.",
+        "Recovery folds the WAL suffix into the checkpoint and bulk-loads once; 100k ops stay far under the 2 s smoke ceiling.",
         &["wal ops", "commits", "wal KB", "recover ms", "replayed ops"],
     );
     for &wal_ops in &[10_000usize, 100_000] {

@@ -3,11 +3,7 @@
 use ccix_bptree::{BPlusTree, Entry};
 use ccix_extmem::{Disk, Geometry, IoCounter};
 
-use crate::{ClassId, ClassIndex, Hierarchy, Object};
-
-fn page_size(geo: Geometry) -> usize {
-    (24 * geo.b + 7).max(103)
-}
+use crate::{page_size, ClassId, ClassIndex, Hierarchy, Object};
 
 /// "Create a single B+-tree for all objects and answer a query by … filtering
 /// out the objects in the class of interest. This solution cannot compact a
@@ -26,8 +22,24 @@ pub struct SingleIndexBaseline {
 impl SingleIndexBaseline {
     /// Create an empty index over `hierarchy`.
     pub fn new(hierarchy: Hierarchy, geo: Geometry, counter: IoCounter) -> Self {
+        Self::bulk(hierarchy, geo, counter, &[])
+    }
+
+    /// Build the index over `objects` statically: one sort, one
+    /// [`BPlusTree::bulk_load`].
+    pub fn bulk(
+        hierarchy: Hierarchy,
+        geo: Geometry,
+        counter: IoCounter,
+        objects: &[Object],
+    ) -> Self {
         let mut disk = Disk::new(page_size(geo), counter);
-        let tree = BPlusTree::new(&mut disk);
+        let mut entries: Vec<Entry> = objects
+            .iter()
+            .map(|o| Entry::with_aux(o.attr, o.id, hierarchy.label(o.class) as u64))
+            .collect();
+        entries.sort_unstable();
+        let tree = BPlusTree::bulk_load(&mut disk, &entries);
         Self {
             hierarchy,
             disk,
@@ -81,9 +93,33 @@ pub struct FullExtentBaseline {
 impl FullExtentBaseline {
     /// Create empty per-class indexes over `hierarchy`.
     pub fn new(hierarchy: Hierarchy, geo: Geometry, counter: IoCounter) -> Self {
+        Self::bulk(hierarchy, geo, counter, &[])
+    }
+
+    /// Build the per-class indexes over `objects` statically: every object
+    /// is replicated into its ancestors' full extents once, and each class
+    /// sorts its extent and [`BPlusTree::bulk_load`]s it.
+    pub fn bulk(
+        hierarchy: Hierarchy,
+        geo: Geometry,
+        counter: IoCounter,
+        objects: &[Object],
+    ) -> Self {
         let mut disk = Disk::new(page_size(geo), counter);
-        let trees = (0..hierarchy.len())
-            .map(|_| BPlusTree::new(&mut disk))
+        let mut extents: Vec<Vec<Entry>> = vec![Vec::new(); hierarchy.len()];
+        for o in objects {
+            let mut cur = Some(o.class);
+            while let Some(c) = cur {
+                extents[c].push(Entry::new(o.attr, o.id));
+                cur = hierarchy.parent(c);
+            }
+        }
+        let trees = extents
+            .into_iter()
+            .map(|mut entries| {
+                entries.sort_unstable();
+                BPlusTree::bulk_load(&mut disk, &entries)
+            })
             .collect();
         Self {
             hierarchy,

@@ -10,8 +10,8 @@ use ccix_core::Tuning;
 use ccix_extmem::{Geometry, IoCounter};
 
 use crate::{
-    ClassIndex, ClassOp, FullExtentBaseline, Hierarchy, Object, RakeClassIndex,
-    RangeTreeClassIndex, SingleIndexBaseline,
+    ClassIndex, FullExtentBaseline, Hierarchy, Object, RakeClassIndex, RangeTreeClassIndex,
+    SingleIndexBaseline,
 };
 
 /// Which class-indexing strategy to construct (see the crate-level table
@@ -78,37 +78,28 @@ impl IndexBuilder {
     /// Open an empty index of the configured strategy, charging I/O to
     /// `counter`.
     pub fn open(&self, counter: IoCounter) -> Box<dyn ClassIndex> {
-        match self.strategy {
-            Strategy::Single => Box::new(SingleIndexBaseline::new(
-                self.hierarchy.clone(),
-                self.geo,
-                counter,
-            )),
-            Strategy::FullExtent => Box::new(FullExtentBaseline::new(
-                self.hierarchy.clone(),
-                self.geo,
-                counter,
-            )),
-            Strategy::RangeTree => Box::new(RangeTreeClassIndex::new(
-                self.hierarchy.clone(),
-                self.geo,
-                counter,
-            )),
-            Strategy::Rake => Box::new(RakeClassIndex::new_tuned(
-                self.hierarchy.clone(),
-                self.geo,
-                counter,
-                self.tuning,
-            )),
-        }
+        self.bulk(counter, &[])
     }
 
-    /// Open an index and load `objects` as one batched flood
-    /// ([`ClassIndex::apply_batch`]), charging the load's I/O to `counter`.
+    /// Build an index of the configured strategy over `objects` (unique
+    /// ids) **statically**, charging the build's I/O to `counter`: every
+    /// backing structure is constructed bottom-up from its sorted share of
+    /// the objects ([`ccix_core::ThreeSidedTree::build_tuned`] per heavy
+    /// path, [`ccix_bptree::BPlusTree::bulk_load`] per B+-tree) rather than
+    /// grown by inserts. The result is updatable like any other index.
     pub fn bulk(&self, counter: IoCounter, objects: &[Object]) -> Box<dyn ClassIndex> {
-        let mut idx = self.open(counter);
-        let ops: Vec<ClassOp> = objects.iter().map(|&o| ClassOp::Insert(o)).collect();
-        idx.apply_batch(&ops);
-        idx
+        let (h, geo) = (self.hierarchy.clone(), self.geo);
+        match self.strategy {
+            Strategy::Single => Box::new(SingleIndexBaseline::bulk(h, geo, counter, objects)),
+            Strategy::FullExtent => Box::new(FullExtentBaseline::bulk(h, geo, counter, objects)),
+            Strategy::RangeTree => Box::new(RangeTreeClassIndex::bulk(h, geo, counter, objects)),
+            Strategy::Rake => Box::new(RakeClassIndex::bulk_tuned(
+                h,
+                geo,
+                counter,
+                self.tuning,
+                objects,
+            )),
+        }
     }
 }

@@ -41,6 +41,12 @@ pub use hierarchy::{ClassId, Hierarchy};
 pub use rake::RakeClassIndex;
 pub use rangetree::RangeTreeClassIndex;
 
+/// Page size of the shared B+-tree device every strategy keeps: `B`
+/// 24-byte entries plus the node header.
+fn page_size(geo: ccix_extmem::Geometry) -> usize {
+    (24 * geo.b + 7).max(103)
+}
+
 /// An object to be indexed: a class, an attribute value, and a unique id.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Object {

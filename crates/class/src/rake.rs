@@ -17,7 +17,7 @@
 //! * insert I/Os `O(log2 c · (log_B n + (log_B n)²/B))` amortised,
 //! * space `O((n/B) · log2 c)` (Theorem 4.7).
 
-use ccix_bptree::BPlusTree;
+use ccix_bptree::{BPlusTree, Entry};
 use ccix_core::{Op, ThreeSidedTree, Tuning};
 use ccix_extmem::{Disk, Geometry, IoCounter, Point};
 
@@ -63,27 +63,32 @@ impl RakeClassIndex {
         counter: IoCounter,
         tuning: Tuning,
     ) -> Self {
+        Self::bulk_tuned(hierarchy, geo, counter, tuning, &[])
+    }
+
+    /// Build the index over `objects` **statically** (unique ids): every
+    /// object is grouped by placement once, and each heavy-path structure
+    /// is constructed bottom-up from its group — a 3-sided tree by
+    /// [`ThreeSidedTree::build_tuned`] (Lemma 4.1 / Thm. 4.7), a singleton
+    /// leaf path by [`BPlusTree::bulk_load`] — instead of pushing
+    /// `copies(class)` amortised inserts per object through the dynamic
+    /// side. The result takes inserts, deletes and batches afterwards
+    /// exactly as an incrementally grown index does; an empty `objects` is
+    /// [`RakeClassIndex::new_tuned`].
+    ///
+    /// # Panics
+    /// Panics if ids repeat within a 3-sided path ("duplicate point ids").
+    pub fn bulk_tuned(
+        hierarchy: Hierarchy,
+        geo: Geometry,
+        counter: IoCounter,
+        tuning: Tuning,
+        objects: &[Object],
+    ) -> Self {
         let paths = decompose(&hierarchy);
-        let mut disk = Disk::new((24 * geo.b + 7).max(103), counter.clone());
-        let structures: Vec<PathStructure> = paths
-            .paths
-            .iter()
-            .map(|p| {
-                let is_singleton_leaf = p.len() == 1 && hierarchy.children(p[0]).is_empty();
-                if is_singleton_leaf {
-                    PathStructure::Flat(BPlusTree::new(&mut disk))
-                } else {
-                    PathStructure::ThreeSided(Box::new(ThreeSidedTree::new_tuned(
-                        geo,
-                        counter.clone(),
-                        tuning,
-                    )))
-                }
-            })
-            .collect();
 
         // Placements (Lemma 4.6): walk thin edges toward the root.
-        let placements = (0..hierarchy.len())
+        let placements: Vec<Vec<(usize, i64)>> = (0..hierarchy.len())
             .map(|c| {
                 let mut list = vec![(paths.path_of[c], paths.pos_of[c] as i64)];
                 let mut cur = c;
@@ -101,6 +106,36 @@ impl RakeClassIndex {
             })
             .collect();
 
+        let mut groups: Vec<Vec<Point>> = vec![Vec::new(); paths.paths.len()];
+        for o in objects {
+            for &(path, y) in &placements[o.class] {
+                groups[path].push(Point::new(o.attr, y, o.id));
+            }
+        }
+
+        let mut disk = Disk::new(crate::page_size(geo), counter.clone());
+        let structures: Vec<PathStructure> = paths
+            .paths
+            .iter()
+            .zip(groups)
+            .map(|(p, group)| {
+                let is_singleton_leaf = p.len() == 1 && hierarchy.children(p[0]).is_empty();
+                if is_singleton_leaf {
+                    let mut entries: Vec<Entry> =
+                        group.iter().map(|pt| Entry::new(pt.x, pt.id)).collect();
+                    entries.sort_unstable();
+                    PathStructure::Flat(BPlusTree::bulk_load(&mut disk, &entries))
+                } else {
+                    PathStructure::ThreeSided(Box::new(ThreeSidedTree::build_tuned(
+                        geo,
+                        counter.clone(),
+                        group,
+                        tuning,
+                    )))
+                }
+            })
+            .collect();
+
         Self {
             hierarchy,
             paths,
@@ -108,7 +143,7 @@ impl RakeClassIndex {
             placements,
             disk,
             counter,
-            len: 0,
+            len: objects.len(),
         }
     }
 
@@ -132,6 +167,13 @@ impl RakeClassIndex {
         self.placements[class].len()
     }
 
+    /// Lemma 4.6's placements of a class: every `(heavy path, position)`
+    /// an object of `class` is stored at — its own path first, then one per
+    /// thin edge up to the root.
+    pub fn placements(&self, class: ClassId) -> &[(usize, i64)] {
+        &self.placements[class]
+    }
+
     /// The heavy-path decomposition used.
     pub fn heavy_paths(&self) -> &HeavyPaths {
         &self.paths
@@ -140,6 +182,28 @@ impl RakeClassIndex {
     /// The shared I/O counter (covers every path structure).
     pub fn counter(&self) -> &IoCounter {
         &self.counter
+    }
+
+    /// Run every path structure's own validator, unbilled, check that the
+    /// shared device holds the flat trees' pages and no orphan, and return
+    /// the number of live copies stored (`Σ copies(class)` over the live
+    /// objects). Test/debug only.
+    pub fn validate_unbilled(&self) -> usize {
+        let (mut copies, mut flat_pages) = (0, 0);
+        for s in &self.structures {
+            match s {
+                PathStructure::ThreeSided(t) => {
+                    t.validate_unbilled();
+                    copies += t.len();
+                }
+                PathStructure::Flat(t) => {
+                    flat_pages += t.validate_unbilled(&self.disk);
+                    copies += t.len() as usize;
+                }
+            }
+        }
+        assert_eq!(flat_pages, self.disk.pages_in_use(), "orphan B+-tree pages");
+        copies
     }
 }
 

@@ -9,10 +9,10 @@
 //! root-to-leaf path. Space is `O((n/B)·log2 c)` since each object lives at
 //! one node per level.
 
-use ccix_bptree::BPlusTree;
+use ccix_bptree::{BPlusTree, Entry};
 use ccix_extmem::{Disk, Geometry, IoCounter};
 
-use crate::{ClassId, ClassIndex, Hierarchy, Object};
+use crate::{page_size, ClassId, ClassIndex, Hierarchy, Object};
 
 /// A node of the balanced segment tree over label space.
 #[derive(Debug)]
@@ -39,28 +39,55 @@ pub struct RangeTreeClassIndex {
 impl RangeTreeClassIndex {
     /// Create an empty index over `hierarchy`.
     pub fn new(hierarchy: Hierarchy, geo: Geometry, counter: IoCounter) -> Self {
-        let disk = Disk::new((24 * geo.b + 7).max(103), counter);
-        let mut idx = Self {
-            root: None,
-            nodes: Vec::new(),
-            disk,
-            hierarchy,
-        };
-        let c = idx.hierarchy.len() as i64;
-        if c > 0 {
-            idx.root = Some(Self::build_segment(&mut idx.nodes, &mut idx.disk, 0, c));
-        }
-        idx
+        Self::bulk(hierarchy, geo, counter, &[])
     }
 
-    fn build_segment(nodes: &mut Vec<SegNode>, disk: &mut Disk, lo: i64, hi: i64) -> usize {
+    /// Build the index over `objects` statically: the objects are sorted by
+    /// attribute once, every segment node's collection is the (still
+    /// sorted) sub-run of its label range, and each collection is one
+    /// [`BPlusTree::bulk_load`].
+    pub fn bulk(
+        hierarchy: Hierarchy,
+        geo: Geometry,
+        counter: IoCounter,
+        objects: &[Object],
+    ) -> Self {
+        let mut disk = Disk::new(page_size(geo), counter);
+        let mut run: Vec<(i64, Entry)> = objects
+            .iter()
+            .map(|o| (hierarchy.label(o.class), Entry::new(o.attr, o.id)))
+            .collect();
+        run.sort_unstable_by_key(|&(_, e)| e);
+        let mut nodes = Vec::new();
+        let c = hierarchy.len() as i64;
+        let root = (c > 0).then(|| Self::build_segment(&mut nodes, &mut disk, 0, c, run));
+        Self {
+            hierarchy,
+            disk,
+            nodes,
+            root,
+        }
+    }
+
+    /// Build the segment node over labels `[lo, hi)` holding `run` (sorted
+    /// by attribute, every label inside the range) and its subtree.
+    fn build_segment(
+        nodes: &mut Vec<SegNode>,
+        disk: &mut Disk,
+        lo: i64,
+        hi: i64,
+        run: Vec<(i64, Entry)>,
+    ) -> usize {
         debug_assert!(lo < hi);
-        let tree = BPlusTree::new(disk);
+        let entries: Vec<Entry> = run.iter().map(|&(_, e)| e).collect();
+        let tree = BPlusTree::bulk_load(disk, &entries);
         let (left, right) = if hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
+            // A stable split keeps both halves sorted by attribute.
+            let (l, r): (Vec<_>, Vec<_>) = run.into_iter().partition(|&(label, _)| label < mid);
             (
-                Some(Self::build_segment(nodes, disk, lo, mid)),
-                Some(Self::build_segment(nodes, disk, mid, hi)),
+                Some(Self::build_segment(nodes, disk, lo, mid, l)),
+                Some(Self::build_segment(nodes, disk, mid, hi, r)),
             )
         } else {
             (None, None)

@@ -44,7 +44,7 @@ use ccix_extmem::{Geometry, Point};
 use ccix_interval::{EndpointMode, Interval, IntervalOptions};
 
 use crate::crc32;
-use crate::fs::{read_exact_at, retry_interrupted, write_all_at, Fs};
+use ccix_extmem::fs::{read_exact_at, retry_interrupted, write_all_at, Fs};
 
 /// File magic: identifies a checkpoint and pins its format version
 /// (`\x02` added the shard split points).
@@ -275,7 +275,8 @@ pub fn read_checkpoint(fs: &Arc<dyn Fs>, path: &Path) -> io::Result<Option<Check
     }
     let body_len = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(head[16..20].try_into().expect("4 bytes"));
-    if 20 + body_len != len {
+    // `body_len` is bytes from disk: a flipped header must not overflow.
+    if body_len.checked_add(20) != Some(len) {
         return Err(corrupt("length mismatch"));
     }
     let mut body = vec![0u8; body_len as usize];
@@ -292,8 +293,8 @@ pub fn read_checkpoint(fs: &Arc<dyn Fs>, path: &Path) -> io::Result<Option<Check
 mod tests {
     use super::*;
     use crate::fault::TempDir;
-    use crate::fs::RealFs;
     use ccix_core::Tuning;
+    use ccix_extmem::fs::RealFs;
 
     fn sample() -> Checkpoint {
         let options = IntervalOptions {
@@ -357,6 +358,26 @@ mod tests {
         std::fs::write(&path, &bytes).expect("corrupt");
         let err = read_checkpoint(&fs, &path).expect_err("corrupt");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn flipped_length_header_is_a_typed_error_not_an_overflow() {
+        let tmp = TempDir::new("ckpt-len");
+        let path = tmp.path().join("checkpoint");
+        let fs = RealFs::shared();
+        write_checkpoint(&fs, &path, &sample()).expect("write");
+        let good = std::fs::read(&path).expect("read");
+        // Every length within 20 of u64::MAX wraps `20 + body_len`; the
+        // off-by-one lengths are plain mismatches.
+        let real = u64::from_le_bytes(good[8..16].try_into().expect("8 bytes"));
+        for body_len in [u64::MAX, u64::MAX - 19, u64::MAX - 20, real + 1, real - 1] {
+            let mut bytes = good.clone();
+            bytes[8..16].copy_from_slice(&body_len.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("corrupt");
+            let err = read_checkpoint(&fs, &path).expect_err("length mismatch");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body_len:#x}");
+            assert!(err.to_string().contains("length mismatch"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: a power-loss simulator behind the
 //! [`Fs`] seam.
 //!
-//! [`FailFs`] wraps another filesystem (normally [`crate::fs::RealFs`] on
+//! [`FailFs`] wraps another filesystem (normally [`ccix_extmem::fs::RealFs`] on
 //! a temp directory) and models the failure behaviours a real disk stack
 //! exhibits, all driven by a seeded splitmix64 stream so every trial
 //! replays exactly from its seed:
@@ -41,7 +41,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::fs::{read_exact_at, write_all_at, Fs, RawFile};
+use ccix_extmem::fs::{read_exact_at, write_all_at, Fs, RawFile};
 
 /// What to inject, and when. All probabilities are per-operation.
 #[derive(Clone, Copy, Debug)]
@@ -653,7 +653,7 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::RealFs;
+    use ccix_extmem::fs::RealFs;
 
     #[test]
     fn unsynced_writes_can_be_lost_at_crash() {
@@ -727,7 +727,7 @@ mod tests {
         let mut f = fs.open(&path, true).expect("open");
         let payload: Vec<u8> = (0..=255u8).collect();
         write_all_at(f.as_mut(), 0, &payload).expect("write through noise");
-        crate::fs::retry_interrupted(|| f.sync()).expect("sync through noise");
+        ccix_extmem::fs::retry_interrupted(|| f.sync()).expect("sync through noise");
         let real = std::fs::read(&path).expect("read");
         assert_eq!(real, payload);
     }

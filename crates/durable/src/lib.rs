@@ -14,11 +14,12 @@
 //!   content plus its construction [`checkpoint::Meta`], then truncates
 //!   the log;
 //! * recovery ([`DurableStore::open`]) loads the newest valid checkpoint,
-//!   rebuilds the index deterministically, and replays the WAL suffix
-//!   through `apply_batch`, tolerating a torn or garbage tail (a crash
-//!   artifact, never an error).
+//!   folds the WAL suffix into its content in commit order
+//!   ([`Recovered::content`]) and rebuilds the index with one static bulk
+//!   load, tolerating a torn or garbage tail (a crash artifact, never an
+//!   error).
 //!
-//! The recovery invariant — **acknowledged ⇒ replayed; torn tail ⇒
+//! The recovery invariant — **acknowledged ⇒ recovered; torn tail ⇒
 //! truncated** — is enforced, not assumed: the [`fault::FailFs`]
 //! power-loss simulator drives a differential suite (in `ccix-serve`)
 //! that kills the engine at hundreds of deterministic points mid-flood
@@ -30,9 +31,10 @@
 
 pub mod checkpoint;
 pub mod fault;
-pub mod fs;
 pub mod wal;
 
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,9 +42,9 @@ use std::sync::Arc;
 use ccix_extmem::{BackendSpec, IoCounter};
 use ccix_interval::{IndexBuilder, Interval, IntervalIndex, IntervalOp, ShardedIntervalIndex};
 
+pub use ccix_extmem::fs::{Fs, RawFile, RealFs};
 pub use checkpoint::{Checkpoint, Meta};
 pub use fault::{FailFs, FaultPlan, FsOp, FsOpKind, GateFs, TempDir};
-pub use fs::{Fs, RawFile, RealFs};
 pub use wal::{CommitRecord, Wal};
 
 /// CRC-32 (IEEE 802.3, reflected) — the checksum framing every WAL record
@@ -167,7 +169,7 @@ pub struct RecoveryReport {
 }
 
 impl Recovered {
-    /// Cumulative operation count after full replay.
+    /// Cumulative operation count once the WAL suffix is folded in.
     pub fn ops_applied(&self) -> u64 {
         self.replay
             .last()
@@ -175,46 +177,83 @@ impl Recovered {
             .unwrap_or(self.report.checkpoint_ops)
     }
 
-    /// Deterministically rebuild the index this state describes: bulk-load
-    /// the checkpoint content with the checkpointed [`Meta`] (or
-    /// `fallback` for a pre-checkpoint directory), then replay the WAL
-    /// suffix batch by batch through `apply_batch`.
+    /// The live content this state describes, in a deterministic order:
+    /// the checkpoint's intervals with the WAL suffix **folded in** in
+    /// commit order — an insert adds, a delete of a checkpoint id drops
+    /// it, a delete of an interval the suffix itself inserted annihilates
+    /// the pair. The suffix is hashed (`O(|WAL|)` time and space); the
+    /// checkpoint's intervals are only filtered, and borrowed as they are
+    /// when there is no suffix.
+    ///
+    /// A delete of an id that is neither in the checkpoint nor inserted
+    /// earlier in the suffix is a **no-op**: the log only holds batches the
+    /// engine applied, so such a record cannot be an acknowledged write,
+    /// and recovery keeps what it can account for rather than refuse the
+    /// directory.
+    pub fn content(&self) -> Cow<'_, [Interval]> {
+        let base: &[Interval] = self.checkpoint.as_ref().map_or(&[], |c| &c.intervals);
+        if self.replay.is_empty() {
+            return Cow::Borrowed(base);
+        }
+        // Suffix inserts in commit order (`None` once annihilated), where
+        // each live one sits, and the ids deleted from under the suffix.
+        let mut added: Vec<Option<Interval>> = Vec::new();
+        let mut slot_of: HashMap<u64, usize> = HashMap::new();
+        let mut dropped: HashSet<u64> = HashSet::new();
+        for op in self.replay.iter().flat_map(|rec| &rec.ops) {
+            match *op {
+                IntervalOp::Insert(iv) => {
+                    slot_of.insert(iv.id, added.len());
+                    added.push(Some(iv));
+                }
+                IntervalOp::Delete(iv) => match slot_of.remove(&iv.id) {
+                    Some(slot) => added[slot] = None,
+                    None => {
+                        dropped.insert(iv.id);
+                    }
+                },
+            }
+        }
+        let kept = base.iter().filter(|iv| !dropped.contains(&iv.id));
+        Cow::Owned(kept.chain(added.iter().flatten()).copied().collect())
+    }
+
+    /// Deterministically rebuild the index this state describes: one
+    /// static bulk load of [`Recovered::content`] with the checkpointed
+    /// [`Meta`] (or `fallback` for a pre-checkpoint directory). The WAL
+    /// suffix is folded into the content first, never replayed through the
+    /// dynamic side, so the recovered tree carries no buffered updates or
+    /// tombstones.
     pub fn rebuild(&self, counter: IoCounter, fallback: Meta) -> IntervalIndex {
         self.rebuild_on(&BackendSpec::Model, counter, fallback)
     }
 
     /// As [`Recovered::rebuild`], on an explicit page backend. Recovery is
-    /// *logical* — the checkpoint + WAL replay reproduce the index's
-    /// contents, not its page file — so a file-backed rebuild writes a
-    /// fresh page file under the spec's directory rather than reopening an
-    /// old one; the old file (if any) is garbage a caller may unlink.
+    /// *logical* — the checkpoint + folded WAL suffix reproduce the
+    /// index's contents, not its page file — so a file-backed rebuild
+    /// writes a fresh page file under the spec's directory rather than
+    /// reopening an old one; the old file (if any) is garbage a caller may
+    /// unlink.
     pub fn rebuild_on(
         &self,
         spec: &BackendSpec,
         counter: IoCounter,
         fallback: Meta,
     ) -> IntervalIndex {
-        let (meta, base): (Meta, &[Interval]) = match &self.checkpoint {
-            Some(c) => (c.meta, &c.intervals),
-            None => (fallback, &[]),
-        };
-        let mut index = IndexBuilder::new(meta.geometry)
+        let meta = self.checkpoint.as_ref().map_or(fallback, |c| c.meta);
+        IndexBuilder::new(meta.geometry)
             .options(meta.options)
             .backend(spec.clone())
-            .bulk(counter, base);
-        for rec in &self.replay {
-            index.apply_batch(&rec.ops);
-        }
-        index
+            .bulk(counter, &self.content())
     }
 
     /// As [`Recovered::rebuild`], but restore the x-range sharding the
-    /// checkpoint recorded: the content is re-partitioned at the
+    /// checkpoint recorded: the folded content is partitioned at the
     /// checkpointed split points (or `fallback_splits` for a
-    /// pre-checkpoint directory), the shards bulk-load in parallel under
-    /// the recovered [`ccix_core::Tuning::shard_threads`] budget, and the
-    /// WAL suffix replays through the routing directory. With no splits
-    /// this is the unsharded rebuild behind a single-shard directory.
+    /// pre-checkpoint directory) and the shards bulk-load in parallel
+    /// under the recovered [`ccix_core::Tuning::shard_threads`] budget.
+    /// With no splits this is the unsharded rebuild behind a single-shard
+    /// directory.
     pub fn rebuild_sharded(&self, fallback: Meta, fallback_splits: &[i64]) -> ShardedIntervalIndex {
         self.rebuild_sharded_on(&BackendSpec::Model, fallback, fallback_splits)
     }
@@ -228,20 +267,16 @@ impl Recovered {
         fallback: Meta,
         fallback_splits: &[i64],
     ) -> ShardedIntervalIndex {
-        let (meta, splits, base): (Meta, &[i64], &[Interval]) = match &self.checkpoint {
-            Some(c) => (c.meta, &c.shard_splits, &c.intervals),
-            None => (fallback, fallback_splits, &[]),
+        let (meta, splits): (Meta, &[i64]) = match &self.checkpoint {
+            Some(c) => (c.meta, &c.shard_splits),
+            None => (fallback, fallback_splits),
         };
-        let mut index = IndexBuilder::new(meta.geometry)
+        IndexBuilder::new(meta.geometry)
             .options(meta.options)
             .backend(spec.clone())
             .sharded()
             .splits(splits.to_vec())
-            .bulk(base);
-        for rec in &self.replay {
-            index.apply_batch(&rec.ops);
-        }
-        index
+            .bulk(&self.content())
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! The WAL records **committed submissions** — whole batches of interval
 //! operations, exactly as the serving engine's writer applies them — not
-//! physical page images. Replay is deterministic: the same batches through
-//! [`ccix_interval::IntervalIndex::apply_batch`] reproduce the same index
-//! content, so logical logging is sufficient for the recovery invariant
-//! (*acknowledged ⇒ replayed*).
+//! physical page images. The batches determine the index's content
+//! (recovery folds them into the checkpoint's, see
+//! [`crate::Recovered::content`]), so logical logging is sufficient for
+//! the recovery invariant (*acknowledged ⇒ recovered*).
 //!
 //! ## On-disk format
 //!
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use ccix_interval::{Interval, IntervalOp};
 
 use crate::crc32;
-use crate::fs::{read_exact_at, retry_interrupted, write_all_at, Fs, RawFile};
+use ccix_extmem::fs::{read_exact_at, retry_interrupted, write_all_at, Fs, RawFile};
 
 /// File magic: identifies a WAL and pins its format version.
 pub const WAL_MAGIC: [u8; 8] = *b"CCIXWAL\x01";
@@ -281,7 +281,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::fault::TempDir;
-    use crate::fs::RealFs;
+    use ccix_extmem::fs::RealFs;
 
     fn iv(lo: i64, hi: i64, id: u64) -> Interval {
         Interval::new(lo, hi, id)

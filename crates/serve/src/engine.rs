@@ -219,7 +219,7 @@ pub struct EngineConfig {
     pub durability: Option<DurabilityConfig>,
     /// Page backend for indexes the engine itself constructs — i.e. the
     /// [`Engine::recover`]/[`Engine::recover_sharded`] rebuild (recovery
-    /// is logical: checkpoint + WAL replay rebuild the index's contents as
+    /// is logical: checkpoint + folded WAL suffix rebuild the index's contents as
     /// fresh page files under a [`BackendSpec::File`] directory). Ignored
     /// by [`Engine::start`]-family constructors, which take an index the
     /// caller already built on whatever backend it chose (e.g.
@@ -335,9 +335,10 @@ impl Engine {
     }
 
     /// Bring an engine up from a durable directory: load the newest valid
-    /// checkpoint, rebuild the index it describes (including its recorded
-    /// sharding), deterministically replay the WAL suffix through the
-    /// routing directory's `apply_batch`, and start serving. A torn or
+    /// checkpoint, fold the WAL suffix into its content in commit order
+    /// ([`ccix_durable::Recovered::content`]), bulk-load the index that
+    /// describes once (including its recorded sharding), and start
+    /// serving — from a static tree, with nothing replayed. A torn or
     /// garbage WAL tail is truncated, never an error. `fallback` supplies
     /// the construction parameters when the directory has no checkpoint
     /// yet (it was never fully initialised — nothing was ever acknowledged

@@ -416,30 +416,77 @@ pub fn mixed_object_flood(
     del_pct: u32,
     query_pct: u32,
 ) -> Vec<ObjectOp> {
-    assert!(del_pct + query_pct <= 100, "op percentages exceed 100");
-    let mut r = DetRng::new(seed);
-    let mut live: Vec<Object> = Vec::new();
-    let mut next_id = 0u64;
-    (0..n_ops)
-        .map(|_| {
-            let roll = r.gen_range(0..100u32);
-            if roll < del_pct && !live.is_empty() {
-                ObjectOp::Delete(live.swap_remove(r.gen_range(0..live.len())))
-            } else if roll < del_pct + query_pct {
-                let a1 = r.gen_range(-1..attr_range);
-                ObjectOp::Query(
-                    r.gen_range(0..h.len()),
-                    a1,
-                    a1 + r.gen_range(0..attr_range / 2 + 1),
-                )
-            } else {
-                let o = Object::new(r.gen_range(0..h.len()), r.gen_range(0..attr_range), next_id);
-                next_id += 1;
-                live.push(o);
-                ObjectOp::Insert(o)
-            }
-        })
-        .collect()
+    ObjectFlood::new(h, seed, attr_range, del_pct, query_pct).next_ops(n_ops)
+}
+
+/// A resumable [`mixed_object_flood`] — the class-hierarchy counterpart of
+/// [`IntervalFlood`]: the same stream, drawn a few operations at a time,
+/// over a live set the caller can seed (a bulk-loaded index's contents)
+/// and read.
+#[derive(Clone, Debug)]
+pub struct ObjectFlood {
+    rng: DetRng,
+    classes: usize,
+    /// Objects inserted and not yet deleted, in the generator's order.
+    pub live: Vec<Object>,
+    next_id: u64,
+    attr_range: i64,
+    del_pct: u32,
+    query_pct: u32,
+}
+
+impl ObjectFlood {
+    /// A flood over `h` starting from nothing live, ids from 0.
+    pub fn new(h: &Hierarchy, seed: u64, attr_range: i64, del_pct: u32, query_pct: u32) -> Self {
+        assert!(del_pct + query_pct <= 100, "op percentages exceed 100");
+        Self {
+            rng: DetRng::new(seed),
+            classes: h.len(),
+            live: Vec::new(),
+            next_id: 0,
+            attr_range,
+            del_pct,
+            query_pct,
+        }
+    }
+
+    /// Continue from `live` (deletes may target it), with fresh ids from
+    /// `next_id` — which must exceed every id ever used by the structure
+    /// under test.
+    pub fn resume_from(mut self, live: Vec<Object>, next_id: u64) -> Self {
+        self.live = live;
+        self.next_id = next_id;
+        self
+    }
+
+    /// The next `n_ops` operations of the stream.
+    pub fn next_ops(&mut self, n_ops: usize) -> Vec<ObjectOp> {
+        (0..n_ops)
+            .map(|_| {
+                let r = &mut self.rng;
+                let roll = r.gen_range(0..100u32);
+                if roll < self.del_pct && !self.live.is_empty() {
+                    ObjectOp::Delete(self.live.swap_remove(r.gen_range(0..self.live.len())))
+                } else if roll < self.del_pct + self.query_pct {
+                    let a1 = r.gen_range(-1..self.attr_range);
+                    ObjectOp::Query(
+                        r.gen_range(0..self.classes),
+                        a1,
+                        a1 + r.gen_range(0..self.attr_range / 2 + 1),
+                    )
+                } else {
+                    let o = Object::new(
+                        r.gen_range(0..self.classes),
+                        r.gen_range(0..self.attr_range),
+                        self.next_id,
+                    );
+                    self.next_id += 1;
+                    self.live.push(o);
+                    ObjectOp::Insert(o)
+                }
+            })
+            .collect()
+    }
 }
 
 // ------------------------------------------------------------ commit plans
