@@ -19,6 +19,8 @@
 //!    (stage 1, Fig. 13a), then reads vertical blocks to the right of `c*`
 //!    up to the block containing `q` (stage 2, Fig. 13b).
 
+use std::sync::Arc;
+
 use ccix_extmem::{PageId, Point, TypedStore};
 
 use crate::bbox::Key;
@@ -49,7 +51,8 @@ struct CStar {
 /// sets and cuts the structure's space by a full `|S|/B` blocks.
 #[derive(Clone, Debug, Default)]
 pub struct CornerStructure {
-    vertical: Vec<PageId>,
+    /// Stage-2 blocking: owned, or the host metablock's own run, shared.
+    vertical: Arc<[PageId]>,
     /// Whether `vertical` is owned (freed with the structure) or borrowed
     /// from the host metablock's vertical blocking.
     owns_vertical: bool,
@@ -113,7 +116,8 @@ impl CornerStructure {
     /// exists (a metablock's own vertical blocking): only the explicit
     /// answer sets are allocated; stage 2 reads the shared pages.
     ///
-    /// `by_x` must be x-sorted and `vertical` must be its `B`-per-page run.
+    /// `by_x` must be x-sorted and `vertical` must be its `B`-per-page run,
+    /// which the structure shares rather than copies.
     /// `alpha` is the greedy adoption factor: candidate `cᵢ` is adopted when
     /// `|S*_j| > α·Ωᵢ` (the paper's rule is `α = 2`, which bounds the
     /// explicit storage by `2|S|`; larger `α` adopts fewer corners — less
@@ -121,11 +125,12 @@ impl CornerStructure {
     pub fn build_shared(
         store: &mut TypedStore<Point>,
         by_x: &[Point],
-        vertical: &[PageId],
+        vertical: &Arc<[PageId]>,
         alpha: usize,
     ) -> Self {
         debug_assert!(by_x.windows(2).all(|w| w[0].xkey() <= w[1].xkey()));
-        CornerPlan::plan(by_x, store.capacity(), alpha).materialise(store, vertical.to_vec(), false)
+        let plan = CornerPlan::plan(by_x, store.capacity(), alpha);
+        plan.materialise(store, Arc::clone(vertical), false)
     }
 
     /// Number of points indexed.
@@ -287,7 +292,7 @@ impl CornerStructure {
     /// a TD structure is rebuilt with newly staged points.
     pub fn collect_points(&self, store: &TypedStore<Point>) -> Vec<Point> {
         let mut out = Vec::with_capacity(self.n);
-        for &pg in &self.vertical {
+        for &pg in self.vertical.iter() {
             out.extend_from_slice(store.read(pg));
         }
         out
@@ -297,7 +302,7 @@ impl CornerStructure {
     /// (validation only).
     pub fn collect_points_unbilled(&self, store: &TypedStore<Point>) -> Vec<Point> {
         let mut out = Vec::with_capacity(self.n);
-        for &pg in &self.vertical {
+        for &pg in self.vertical.iter() {
             out.extend_from_slice(store.read_unbilled(pg));
         }
         out
@@ -451,7 +456,7 @@ impl CornerPlan {
     pub(crate) fn materialise(
         self,
         store: &mut TypedStore<Point>,
-        vertical: Vec<PageId>,
+        vertical: Arc<[PageId]>,
         owns_vertical: bool,
     ) -> CornerStructure {
         let b = store.capacity();
@@ -698,7 +703,7 @@ mod tests {
         let mut store = TypedStore::new(8, counter);
         let mut by_x = pts.clone();
         ccix_extmem::sort_by_x(&mut by_x);
-        let vertical = store.alloc_run(&by_x);
+        let vertical: Arc<[PageId]> = store.alloc_run(&by_x);
         let cs = CornerStructure::build_shared(&mut store, &by_x, &vertical, 2);
         for q in (-5..305).step_by(11) {
             let mut out = Vec::new();

@@ -15,22 +15,9 @@
 
 use ccix_extmem::{Point, SortedRun};
 
-use super::{mark_dirty, MbId, MetablockTree, ReadCtx};
+use super::insert::InsTriggers;
+use super::{MbId, MetablockTree, ReadCtx};
 use crate::Op;
-
-/// Reorganisation triggers observed while routing one buffered insert.
-/// They run after the batch's dirty blocks are flushed — phase 6 of a
-/// serial insert, lifted out so the batch can refresh its context when
-/// one fires.
-struct InsTriggers {
-    target: MbId,
-    parent: Option<MbId>,
-    /// Root-first descent path (level-II cascades re-route through it).
-    path: Vec<MbId>,
-    update_full: bool,
-    staged_full: bool,
-    td_total: usize,
-}
 
 impl MetablockTree {
     /// Apply a mixed batch of inserts and deletes as **one pinned
@@ -49,7 +36,10 @@ impl MetablockTree {
         order.sort_by_key(|&i| ops[i].point().xkey());
         let mut ctx = self.read_ctx();
         let mut dirty: Vec<MbId> = Vec::new();
+        // One descent-path buffer for the whole batch.
+        let mut path: Vec<MbId> = Vec::new();
         for &i in &order {
+            path.clear();
             match ops[i] {
                 Op::Insert(p) => {
                     assert!(p.y >= p.x, "points must lie on or above the diagonal");
@@ -72,8 +62,8 @@ impl MetablockTree {
                             ctx = self.read_ctx();
                         }
                         Some(root) => {
-                            let t = self.route_insert(&mut ctx, &mut dirty, root, p);
-                            let fired = self.run_ins_triggers(&mut dirty, t);
+                            let t = self.route_insert(&mut ctx, &mut dirty, &mut path, root, p);
+                            let fired = self.run_ins_triggers(&mut dirty, t, &path);
                             let pumped = self.pump_reorg();
                             if fired || pumped {
                                 ctx = self.read_ctx();
@@ -96,7 +86,7 @@ impl MetablockTree {
                         continue;
                     }
                     let root = self.root.expect("tree is nonempty");
-                    let t = self.route_tombstone(&mut ctx, &mut dirty, Vec::new(), root, p);
+                    let t = self.route_tombstone(&mut ctx, &mut dirty, &mut path, root, p);
                     let fired = self.run_del_triggers(&mut dirty, t);
                     let pumped = self.pump_reorg();
                     if fired || pumped {
@@ -109,7 +99,8 @@ impl MetablockTree {
         self.maybe_shrink();
     }
 
-    /// Route `p` downward from the root and buffer it — phases 1–4 of
+    /// Route `p` downward from `start` (whose ancestors `path` holds, root
+    /// first; the descent extends it) and buffer it — phases 1–4 of
     /// [`MetablockTree::insert_routed`] with the descent billed through the
     /// shared context — recording (without running) the reorganisation
     /// triggers it pulled.
@@ -117,11 +108,10 @@ impl MetablockTree {
         &mut self,
         ctx: &mut ReadCtx,
         dirty: &mut Vec<MbId>,
+        path: &mut Vec<MbId>,
         start: MbId,
         p: Point,
     ) -> InsTriggers {
-        let mut path: Vec<MbId> = Vec::new();
-
         // Phase 1 — descend (the pure-router rule is `insert_routed`'s).
         let mut cur = start;
         loop {
@@ -145,105 +135,12 @@ impl MetablockTree {
         }
         let target = cur;
 
-        // Phase 2 — refresh ancestor caches in memory, marking real changes.
-        self.raise_path_tops(&path, target, p, dirty);
-
-        // Phase 3 — append to the target's update buffer.
-        let b = self.geo.b;
-        let open_page = {
-            let m = self.meta_unbilled(target);
-            (!m.n_upd.is_multiple_of(b)).then(|| *m.update.last().expect("partial page exists"))
-        };
-        match open_page {
-            Some(pg) => self.store.append(pg, p),
-            None => {
-                let pg = self.store.alloc(vec![p]);
-                self.meta_mut(target).update.push(pg);
-                if self.pack_h() > 0 {
-                    if let Some(&par) = path.last() {
-                        let pm = self.meta_mut(par);
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.upd_pages.push(pg);
-                            mark_dirty(dirty, par);
-                        }
-                    }
-                }
-            }
-        }
-        let update_full = {
-            let m = self.meta_mut(target);
-            m.n_upd += 1;
-            m.n_upd >= self.upd_cap_pages() * b
-        };
-        mark_dirty(dirty, target);
-
-        // Phase 4 — track the insert in the parent's TD structure.
-        let parent = path.last().copied();
-        let mut td_total = 0usize;
-        let mut staged_full = false;
-        if let Some(par) = parent {
+        // Phases 2–4 — refresh ancestor caches in memory (marking real
+        // changes), buffer at the target, track in the parent's TD.
+        self.raise_path_tops(path, target, p, dirty);
+        if let Some(&par) = path.last() {
             ctx.touch_meta(par);
-            let open_page = {
-                let td = self.meta_unbilled(par).td.as_ref();
-                let td = td.expect("internal metablock carries a TD");
-                (!td.n_staged.is_multiple_of(b))
-                    .then(|| *td.staged.last().expect("partial page exists"))
-            };
-            match open_page {
-                Some(pg) => self.store.append(pg, p),
-                None => {
-                    let pg = self.store.alloc(vec![p]);
-                    self.meta_mut(par)
-                        .td
-                        .as_mut()
-                        .expect("TD present")
-                        .staged
-                        .push(pg);
-                }
-            }
-            let td = self.meta_mut(par).td.as_mut().expect("TD present");
-            td.n_staged += 1;
-            td_total = td.total() + td.del_total();
-            staged_full = td.n_staged >= self.td_cap_pages() * b;
-            mark_dirty(dirty, par);
         }
-
-        InsTriggers {
-            target,
-            parent,
-            path,
-            update_full,
-            staged_full,
-            td_total,
-        }
-    }
-
-    /// Run the amortised triggers of one routed insert; returns whether any
-    /// reorganisation fired (so the batch context must be re-created).
-    fn run_ins_triggers(&mut self, dirty: &mut Vec<MbId>, t: InsTriggers) -> bool {
-        let mut fired = false;
-        if let Some(par) = t.parent {
-            if t.td_total >= self.cap() {
-                self.flush_dirty(dirty);
-                dirty.clear();
-                self.with_shunt(|tr| tr.ts_reorg(par));
-                fired = true;
-            } else if t.staged_full {
-                self.flush_dirty(dirty);
-                dirty.clear();
-                self.with_shunt(|tr| tr.td_rebuild(par));
-                fired = true;
-            }
-        }
-        if t.update_full && self.is_live(t.target) {
-            self.flush_dirty(dirty);
-            dirty.clear();
-            let n_main = self.with_shunt(|tr| tr.level_i(t.target, t.parent));
-            if n_main >= 2 * self.cap() {
-                self.with_shunt(|tr| tr.level_ii(t.target, &t.path));
-            }
-            fired = true;
-        }
-        fired
+        self.buffer_insert(path, target, p, dirty)
     }
 }

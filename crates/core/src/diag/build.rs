@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, Point, SortedRun};
+use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, PageId, Point, SortedRun};
 
 use super::{ChildEntry, MbId, MetaBlock, MetablockTree, TdInfo, TsInfo};
 use crate::bbox::{BBox, Key};
@@ -329,13 +329,15 @@ impl MetablockTree {
         internal: bool,
     ) -> MetaBlock {
         debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-        let vertical = self.store.alloc_run(by_x);
-        let vkeys: Vec<Key> = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
-        let hkeys: Vec<Key> = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
-        let h_live: Vec<u32> = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
+        // Every run is collected straight into its final form, one
+        // allocation each; the corner structure shares `vertical`.
+        let vertical: Arc<[PageId]> = self.store.alloc_run(by_x);
+        let vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
+        let hkeys = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
+        let h_live = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
         let horizontal = self.store.alloc_run(by_y);
-        let corner =
-            corner.map(|cp| Arc::new(cp.materialise(&mut self.store, vertical.clone(), false)));
+        let corner = corner
+            .map(|cp| Arc::new(cp.materialise(&mut self.store, Arc::clone(&vertical), false)));
         MetaBlock {
             vertical,
             vkeys,
@@ -346,9 +348,9 @@ impl MetablockTree {
             y_lo_main: by_y.last().map(Point::ykey),
             main_bbox: BBox::of_points(by_x),
             corner,
-            update: Vec::new(),
+            update: Arc::default(),
             n_upd: 0,
-            tomb: Vec::new(),
+            tomb: Arc::default(),
             n_tomb: 0,
             tomb_buf: Vec::new(),
             ts: None,
@@ -376,14 +378,14 @@ impl MetablockTree {
             .all(|s| s.windows(2).all(|w| w[0].ykey() > w[1].ykey())));
         // Maintain the top-`cap` prefix incrementally, merging each
         // (already sorted) snapshot into the running capped top list.
-        let mut mirrors: Vec<(usize, Vec<ccix_extmem::PageId>, bool)> = Vec::new();
+        let mut mirrors: Vec<(usize, Arc<[PageId]>, bool)> = Vec::new();
         let mut top: Vec<Point> = Vec::new();
         let mut total = 0usize;
         for (i, snap) in snapshots.into_iter().enumerate() {
             if i > 0 {
-                let pages = self.store.alloc_run(&top);
+                let pages: Arc<[PageId]> = self.store.alloc_run(&top);
                 let truncated = total > top.len();
-                mirrors.push((i, pages.clone(), truncated));
+                mirrors.push((i, Arc::clone(&pages), truncated));
                 let mut meta = self.take_meta(child_ids[i]);
                 if let Some(old) = meta.ts.take() {
                     self.store.free_run(&old.pages);

@@ -53,9 +53,11 @@
 //! contract violation (debug builds catch both — unmatched tombstones at
 //! the leaf level and duplicate ids in the validator).
 
+use std::sync::Arc;
+
 use ccix_extmem::Point;
 
-use super::{mark_dirty, MbId, MetablockTree, ReadCtx};
+use super::{mark_dirty, td_mut, MbId, MetablockTree, ReadCtx};
 
 /// Reorganisation triggers observed while routing one tombstone; they are
 /// run after the routing context's dirty blocks are flushed, exactly like
@@ -93,6 +95,8 @@ impl MetablockTree {
         order.sort_by_key(|&i| pts[i].xkey());
         let mut ctx = self.read_ctx();
         let mut dirty: Vec<MbId> = Vec::new();
+        // One descent-path buffer for the whole batch.
+        let mut path: Vec<MbId> = Vec::new();
         for &i in &order {
             let p = pts[i];
             assert!(p.y >= p.x, "points must lie on or above the diagonal");
@@ -113,7 +117,8 @@ impl MetablockTree {
                 continue;
             }
             let root = self.root.expect("tree is nonempty");
-            let triggers = self.route_tombstone(&mut ctx, &mut dirty, Vec::new(), root, p);
+            path.clear();
+            let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut path, root, p);
             let fired = self.run_del_triggers(&mut dirty, triggers);
             let pumped = self.pump_reorg();
             if fired || pumped {
@@ -126,21 +131,19 @@ impl MetablockTree {
         self.maybe_shrink();
     }
 
-    /// Route the tombstone `p` downward from `start` (ancestors in `above`,
-    /// root first), buffer it next to its victim, and mirror it into the
-    /// landing parent's TD delete side. Reads bill through `ctx`; control
-    /// blocks mutated in memory are recorded in `dirty` and paid by the
-    /// caller's flush.
+    /// Route the tombstone `p` downward from `start` (whose ancestors `path`
+    /// holds, root first; the descent extends it), buffer it next to its
+    /// victim, and mirror it into the landing parent's TD delete side.
+    /// Reads bill through `ctx`; control blocks mutated in memory are
+    /// recorded in `dirty` and paid by the caller's flush.
     pub(super) fn route_tombstone(
         &mut self,
         ctx: &mut ReadCtx,
         dirty: &mut Vec<MbId>,
-        above: Vec<MbId>,
+        path: &mut Vec<MbId>,
         start: MbId,
         p: Point,
     ) -> DelTriggers {
-        let mut path = above;
-
         // Phase 1 — descend, with the exact landing rule of the insert
         // routing. An interior metablock whose mains a delete flood
         // emptied is a pure router — nothing lands there (its buffer is
@@ -169,36 +172,21 @@ impl MetablockTree {
         let target = cur;
 
         // Phase 2 — append the tombstone to the target's tombstone buffer
-        // (pages fill left-to-right, B at a time).
+        // (a fresh page re-shares the grown run with the parent's packed
+        // mirror; in-memory: the parent is pinned on the descent).
         let b = self.geo.b;
-        let open_page = {
-            let m = self.meta_unbilled(target);
-            (!m.n_tomb.is_multiple_of(b)).then(|| *m.tomb.last().expect("partial page exists"))
-        };
-        match open_page {
-            Some(pg) => self.store.append(pg, p),
-            None => {
-                let pg = self.store.alloc(vec![p]);
-                self.meta_mut(target).tomb.push(pg);
-                // Mirror the new tombstone page into the parent's packed
-                // entry (in-memory: the parent is pinned on the descent).
-                if self.pack_h() > 0 {
-                    if let Some(&par) = path.last() {
-                        let pm = self.meta_mut(par);
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.tomb_pages.push(pg);
-                            mark_dirty(dirty, par);
-                        }
-                    }
-                }
+        let (fresh, n_tomb) = self.append_buffered(target, p, |m| {
+            m.tomb_buf.push(p);
+            (&mut m.tomb, &mut m.n_tomb)
+        });
+        if fresh.is_some() && self.pack_h() > 0 {
+            if let Some(&par) = path.last() {
+                let run = Arc::clone(&self.meta_unbilled(target).tomb);
+                self.child_entry_mut(par, target).packed.tomb_pages = run;
+                mark_dirty(dirty, par);
             }
         }
-        let tomb_full = {
-            let m = self.meta_mut(target);
-            m.n_tomb += 1;
-            m.tomb_buf.push(p);
-            m.n_tomb >= self.tomb_cap_pages() * b
-        };
+        let tomb_full = n_tomb >= self.tomb_cap_pages() * b;
         self.tombs_pending += 1;
         mark_dirty(dirty, target);
 
@@ -229,13 +217,13 @@ impl MetablockTree {
                 m.h_live[i] -= 1;
                 if i < self.pack_h() {
                     if let Some(&par) = path.last() {
-                        let pm = self.meta_mut(par);
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            if let Some(slot) = e.packed.h_live.get_mut(i) {
-                                *slot = slot.saturating_sub(1);
-                            }
-                            mark_dirty(dirty, par);
+                        let live = &mut self.child_entry_mut(par, target).packed.h_live;
+                        if i < live.len() {
+                            // Copied first while an epoch still shares it.
+                            let slot = &mut Arc::make_mut(live)[i];
+                            *slot = slot.saturating_sub(1);
                         }
+                        mark_dirty(dirty, par);
                     }
                 }
             }
@@ -248,29 +236,14 @@ impl MetablockTree {
         let mut del_staged_full = false;
         if let Some(par) = parent {
             ctx.touch_meta(par);
-            let open_page = {
-                let td = self.meta_unbilled(par).td.as_ref();
-                let td = td.expect("internal metablock carries a TD");
-                (!td.n_del_staged.is_multiple_of(b))
-                    .then(|| *td.del_staged.last().expect("partial page exists"))
-            };
-            match open_page {
-                Some(pg) => self.store.append(pg, p),
-                None => {
-                    let pg = self.store.alloc(vec![p]);
-                    self.meta_mut(par)
-                        .td
-                        .as_mut()
-                        .expect("TD present")
-                        .del_staged
-                        .push(pg);
-                }
-            }
-            let td = self.meta_mut(par).td.as_mut().expect("TD present");
-            td.n_del_staged += 1;
-            td.del_staged_buf.push(p);
+            let (_, n_del_staged) = self.append_buffered(par, p, |m| {
+                let td = td_mut(m);
+                td.del_staged_buf.push(p);
+                (&mut td.del_staged, &mut td.n_del_staged)
+            });
+            let td = self.meta_unbilled(par).td.as_ref().expect("TD present");
             td_total = td.total() + td.del_total();
-            del_staged_full = td.n_del_staged >= self.td_cap_pages() * b;
+            del_staged_full = n_del_staged >= self.td_cap_pages() * b;
             mark_dirty(dirty, par);
         }
 
@@ -330,7 +303,7 @@ impl MetablockTree {
             meta.children.partition_point(|c| c.slab_hi <= p.xkey())
         };
         let child = self.meta_unbilled(from).children[idx].mb;
-        let triggers = self.route_tombstone(&mut ctx, &mut dirty, vec![from], child, p);
+        let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut vec![from], child, p);
         self.run_del_triggers(&mut dirty, triggers);
         self.flush_dirty(&dirty);
     }

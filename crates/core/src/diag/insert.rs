@@ -41,9 +41,19 @@ use std::sync::Arc;
 
 use ccix_extmem::{Point, SortedRun};
 
-use super::{mark_dirty, ChildEntry, MbId, MetablockTree, TdInfo};
+use super::{mark_dirty, td_mut, ChildEntry, MbId, MetablockTree, TdInfo};
 use crate::bbox::BBox;
 use crate::corner::CornerStructure;
+
+/// Reorganisation triggers observed while buffering one insert: phase 6,
+/// lifted out so a batch can refresh its read context when one fires.
+pub(super) struct InsTriggers {
+    target: MbId,
+    parent: Option<MbId>,
+    update_full: bool,
+    staged_full: bool,
+    td_total: usize,
+}
 
 impl MetablockTree {
     /// Insert a point. Amortised `O(log_B n + (log_B n)²/B)` I/Os
@@ -118,71 +128,12 @@ impl MetablockTree {
         // `p`).
         self.raise_path_tops(&path[fix_from..], target, p, &mut dirty);
 
-        // Phase 3 — append to the target's update buffer (pages fill
-        // left-to-right, B at a time, so a non-multiple-of-B count means the
-        // last page has room).
-        let b = self.geo.b;
-        let open_page = {
-            let m = self.meta_unbilled(target);
-            (!m.n_upd.is_multiple_of(b)).then(|| *m.update.last().expect("partial page exists"))
-        };
-        match open_page {
-            // In-place append: the same read-modify-write charge as the
-            // separate read/write pair, without cloning the page buffer.
-            Some(pg) => self.store.append(pg, p),
-            None => {
-                let pg = self.store.alloc(vec![p]);
-                self.meta_mut(target).update.push(pg);
-                // Mirror the new buffer page into the parent's packed entry
-                // (in-memory: the parent is pinned on the descent path).
-                if self.pack_h() > 0 {
-                    if let Some(&par) = path.last() {
-                        let pm = self.meta_mut(par);
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.upd_pages.push(pg);
-                            mark_dirty(&mut dirty, par);
-                        }
-                    }
-                }
-            }
-        }
-        let update_full = {
-            let m = self.meta_mut(target);
-            m.n_upd += 1;
-            m.n_upd >= self.upd_cap_pages() * b
-        };
-        mark_dirty(&mut dirty, target);
-
-        // Phase 4 — track the insert in the parent's TD structure.
-        let parent = path.last().copied();
-        let mut td_total = 0usize;
-        let mut staged_full = false;
-        if let Some(par) = parent {
+        // Phases 3–4 — buffer at the target, track in the parent's TD. A
+        // parent above `start` was not pinned by this descent: pin it now.
+        if let Some(&par) = path.last() {
             self.pin_meta(&mut pinned, par);
-            let open_page = {
-                let td = self.meta_unbilled(par).td.as_ref();
-                let td = td.expect("internal metablock carries a TD");
-                (!td.n_staged.is_multiple_of(b))
-                    .then(|| *td.staged.last().expect("partial page exists"))
-            };
-            match open_page {
-                Some(pg) => self.store.append(pg, p),
-                None => {
-                    let pg = self.store.alloc(vec![p]);
-                    self.meta_mut(par)
-                        .td
-                        .as_mut()
-                        .expect("TD present")
-                        .staged
-                        .push(pg);
-                }
-            }
-            let td = self.meta_mut(par).td.as_mut().expect("TD present");
-            td.n_staged += 1;
-            td_total = td.total() + td.del_total();
-            staged_full = td.n_staged >= self.td_cap_pages() * b;
-            mark_dirty(&mut dirty, par);
         }
+        let triggers = self.buffer_insert(&path, target, p, &mut dirty);
 
         // Phase 5 — write back every dirty control block, then unpin.
         self.flush_dirty(&dirty);
@@ -192,19 +143,90 @@ impl MetablockTree {
         // With a finite reorg budget the charges are shunted into the debt
         // meter and bled a bounded amount per operation; the structure
         // still evolves bit-identically to the all-at-once behaviour.
+        self.run_ins_triggers(&mut Vec::new(), triggers, &path);
+    }
+
+    /// Phases 3–4 of a routed insert, shared with the batched write path:
+    /// append `p` to `target`'s update buffer (a fresh page re-shares the
+    /// grown run with the parent's packed mirror) and track it in the
+    /// parent's TD staging area. `path` is the root-first descent, ending
+    /// at `target`'s parent; the caller has billed both control blocks,
+    /// which are marked dirty here.
+    pub(super) fn buffer_insert(
+        &mut self,
+        path: &[MbId],
+        target: MbId,
+        p: Point,
+        dirty: &mut Vec<MbId>,
+    ) -> InsTriggers {
+        let b = self.geo.b;
+        let parent = path.last().copied();
+        let (fresh, n_upd) = self.append_buffered(target, p, |m| (&mut m.update, &mut m.n_upd));
+        if fresh.is_some() && self.pack_h() > 0 {
+            if let Some(par) = parent {
+                let run = Arc::clone(&self.meta_unbilled(target).update);
+                self.child_entry_mut(par, target).packed.upd_pages = run;
+                mark_dirty(dirty, par);
+            }
+        }
+        let update_full = n_upd >= self.upd_cap_pages() * b;
+        mark_dirty(dirty, target);
+
+        let mut td_total = 0usize;
+        let mut staged_full = false;
         if let Some(par) = parent {
-            if td_total >= self.cap() {
-                self.with_shunt(|t| t.ts_reorg(par));
-            } else if staged_full {
-                self.with_shunt(|t| t.td_rebuild(par));
+            let (_, n_staged) = self.append_buffered(par, p, |m| {
+                let td = td_mut(m);
+                (&mut td.staged, &mut td.n_staged)
+            });
+            let td = self.meta_unbilled(par).td.as_ref().expect("TD present");
+            td_total = td.total() + td.del_total();
+            staged_full = n_staged >= self.td_cap_pages() * b;
+            mark_dirty(dirty, par);
+        }
+        InsTriggers {
+            target,
+            parent,
+            update_full,
+            staged_full,
+            td_total,
+        }
+    }
+
+    /// Run the amortised triggers of one routed insert, flushing `dirty`
+    /// before the first reorganisation; returns whether any fired (so a
+    /// batch context must be re-created). `path` is the insert's root-first
+    /// descent (level-II cascades re-route through it).
+    pub(super) fn run_ins_triggers(
+        &mut self,
+        dirty: &mut Vec<MbId>,
+        t: InsTriggers,
+        path: &[MbId],
+    ) -> bool {
+        let mut fired = false;
+        if let Some(par) = t.parent {
+            if t.td_total >= self.cap() {
+                self.flush_dirty(dirty);
+                dirty.clear();
+                self.with_shunt(|tr| tr.ts_reorg(par));
+                fired = true;
+            } else if t.staged_full {
+                self.flush_dirty(dirty);
+                dirty.clear();
+                self.with_shunt(|tr| tr.td_rebuild(par));
+                fired = true;
             }
         }
-        if update_full && self.is_live(target) {
-            let n_main = self.with_shunt(|t| t.level_i(target, parent));
+        if t.update_full && self.is_live(t.target) {
+            self.flush_dirty(dirty);
+            dirty.clear();
+            let n_main = self.with_shunt(|tr| tr.level_i(t.target, t.parent));
             if n_main >= 2 * self.cap() {
-                self.with_shunt(|t| t.level_ii(target, &path));
+                self.with_shunt(|tr| tr.level_ii(t.target, path));
             }
+            fired = true;
         }
+        fired
     }
 
     /// Raise the cached tops (`upd_ymax` of the landing child, `sub_yhi` of
@@ -268,11 +290,11 @@ impl MetablockTree {
             None => SortedRun::new(),
         };
         let mut delta = Vec::new();
-        for &pg in &td.staged {
+        for &pg in td.staged.iter() {
             delta.extend_from_slice(self.store.read(pg));
         }
         self.store.free_run(&td.staged);
-        td.staged.clear();
+        td.staged = Arc::default();
         td.n_staged = 0;
 
         let del_built = match td.del_corner.take() {
@@ -284,11 +306,11 @@ impl MetablockTree {
             None => SortedRun::new(),
         };
         let mut del_delta = Vec::new();
-        for &pg in &td.del_staged {
+        for &pg in td.del_staged.iter() {
             del_delta.extend_from_slice(self.store.read(pg));
         }
         self.store.free_run(&td.del_staged);
-        td.del_staged.clear();
+        td.del_staged = Arc::default();
         td.n_del_staged = 0;
         td.del_staged_buf.clear();
         let tombs = del_built.merge(SortedRun::from_unsorted(del_delta));
@@ -370,7 +392,7 @@ impl MetablockTree {
         let delta = SortedRun::from_unsorted(self.read_run(&m.update));
         let tombs = SortedRun::from_unsorted(self.read_run(&m.tomb));
         self.store.free_run(&m.tomb);
-        m.tomb.clear();
+        m.tomb = Arc::default();
         m.tomb_buf.clear();
         self.tombs_pending -= m.n_tomb;
         m.n_tomb = 0;
@@ -386,8 +408,6 @@ impl MetablockTree {
             if let Some(e) = pm.children.iter_mut().find(|c| c.mb == mb) {
                 e.main_bbox = new_bbox;
                 e.upd_ymax = None;
-                e.packed.upd_pages.clear();
-                e.packed.tomb_pages.clear();
             }
             self.put_meta(parent, pm);
             self.sync_packed_entry(parent, mb);
@@ -412,7 +432,7 @@ impl MetablockTree {
             c.free_pages(&mut self.store);
         }
         self.store.free_run(&m.update);
-        m.update.clear();
+        m.update = Arc::default();
         m.n_upd = 0;
 
         m.vertical = self.store.alloc_run(by_x);

@@ -211,34 +211,68 @@ impl ChildEntry {
 /// Size accounting: every mirror is a few words per child — the same scale
 /// as the entry's slab keys and the metablock's own `vkeys`, within §3.1's
 /// "constant number of disk blocks" of control information per metablock.
+///
+/// Every run is a [shared run](push_run): copying the parent's control
+/// block bumps seven handles per child instead of cloning seven vectors,
+/// and a mirror usually shares the child's own run outright.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PackedInfo {
     /// Mirror of the first [`Tuning::pack_h_pages`] pages of the child's
     /// horizontal blocking (its top mains, y-descending).
-    pub h_pages: Vec<PageId>,
+    pub h_pages: Arc<[PageId]>,
     /// First (largest) y-key of each mirrored page, so the scan skips a
     /// crossing page with no answers.
-    pub h_tops: Vec<Key>,
+    pub h_tops: Arc<[Key]>,
     /// Live (not yet tombstoned) point count of each mirrored page, so a
     /// post-delete-flood scan skips a fully-dead page without reading it.
-    pub h_live: Vec<u32>,
+    /// A routed delete decrements a slot in place once the parent owns the
+    /// run (`Arc::make_mut`), copying it first if an epoch still shares it.
+    pub h_live: Arc<[u32]>,
     /// The child's horizontal blocking extends beyond the mirror.
     pub h_more: bool,
     /// Mirror of the child's update-buffer page run.
-    pub upd_pages: Vec<PageId>,
+    pub upd_pages: Arc<[PageId]>,
     /// Mirror of the child's tombstone-buffer page run, so an examination
     /// of a straddling child filters its pending deletes without touching
     /// the child's control block. Empty (and free to skip) whenever the
     /// child has no pending deletes.
-    pub tomb_pages: Vec<PageId>,
+    pub tomb_pages: Arc<[PageId]>,
     /// Mirror of the child's TS (diagonal) / TSL (3-sided) snapshot run.
-    pub ts_pages: Vec<PageId>,
+    pub ts_pages: Arc<[PageId]>,
     /// Mirror of the snapshot's truncation bit.
     pub ts_truncated: bool,
     /// 3-sided only: mirror of the child's TSR snapshot run.
-    pub tsr_pages: Vec<PageId>,
+    pub tsr_pages: Arc<[PageId]>,
     /// Mirror of the TSR truncation bit.
     pub tsr_truncated: bool,
+}
+
+/// Append `x` to a shared run. Control-block runs of page ids and keys are
+/// immutable slices behind `Arc` — copying a control block bumps their
+/// handles — so growing one replaces it with a copy one element longer:
+/// one allocation, made by the commit that grows it, while every epoch
+/// still holding the old run keeps it.
+pub(crate) fn push_run<T: Copy>(run: &mut Arc<[T]>, x: T) {
+    *run = run.iter().copied().chain(std::iter::once(x)).collect();
+}
+
+/// `items` as a shared run; the empty run allocates nothing.
+pub(crate) fn run_of<T: Copy>(items: &[T]) -> Arc<[T]> {
+    if items.is_empty() {
+        Arc::default()
+    } else {
+        items.into()
+    }
+}
+
+/// The first `h` elements of `run`, sharing `run` itself when it is no
+/// longer than that.
+fn run_prefix<T: Copy>(run: &Arc<[T]>, h: usize) -> Arc<[T]> {
+    if run.len() <= h {
+        Arc::clone(run)
+    } else {
+        run_of(&run[..h])
+    }
 }
 
 /// The left-sibling snapshot `TS(M)` (Fig. 10): the top points among
@@ -247,7 +281,8 @@ pub(crate) struct PackedInfo {
 /// [`Tuning::ts_snapshot_pages`] can cap the budget lower.
 #[derive(Clone, Debug)]
 pub(crate) struct TsInfo {
-    pub pages: Vec<PageId>,
+    /// The snapshot's page run, shared with the parent's packed mirror.
+    pub pages: Arc<[PageId]>,
     pub n: usize,
     /// True when sibling points were dropped to fit the budget. A scan of a
     /// non-truncated snapshot that never crosses the query bottom has seen
@@ -277,16 +312,17 @@ pub(crate) struct TdInfo {
     pub corner: Option<Arc<CornerStructure>>,
     pub n_built: usize,
     /// Staging pages: points awaiting the next TD rebuild, at most
-    /// [`MetablockTree::td_cap_pages`] pages of `B`.
-    pub staged: Vec<PageId>,
+    /// [`MetablockTree::td_cap_pages`] pages of `B` (a shared run, grown by
+    /// [`push_run`]).
+    pub staged: Arc<[PageId]>,
     pub n_staged: usize,
     /// Corner structure over the settled tombstones (queried alongside
     /// `corner` by the crossing case, reporting ids to subtract).
     pub del_corner: Option<Arc<CornerStructure>>,
     pub n_del_built: usize,
     /// Tombstone staging pages, at most [`MetablockTree::td_cap_pages`]
-    /// pages of `B`.
-    pub del_staged: Vec<PageId>,
+    /// pages of `B` (a shared run, grown by [`push_run`]).
+    pub del_staged: Arc<[PageId]>,
     pub n_del_staged: usize,
     /// Control-block mirror of the `del_staged` pages' contents (same
     /// bounded scale as the staging run itself — at most `td_cap_pages · B`
@@ -294,6 +330,11 @@ pub(crate) struct TdInfo {
     /// reading the staging pages; the pages stay authoritative for the TD
     /// fold.
     pub del_staged_buf: Vec<Point>,
+}
+
+/// The TD of an internal metablock, for mutation.
+pub(crate) fn td_mut(m: &mut MetaBlock) -> &mut TdInfo {
+    m.td.as_mut().expect("internal metablock carries a TD")
 }
 
 impl TdInfo {
@@ -308,18 +349,26 @@ impl TdInfo {
 }
 
 /// One metablock: `O(1)` control blocks plus the blockings of §3.1.
+///
+/// Copy-on-write at member granularity: a member that is only ever
+/// replaced wholesale (the blockings and their key runs, the corner and TS
+/// structures) or grown one page at a time (the buffer and staging page
+/// runs, via [`push_run`]) is shared by handle, so the first write to a
+/// block an epoch still holds copies a handful of words and the buffers a
+/// single operation edits in place (`h_live`, `tomb_buf`, the TD's
+/// `del_staged_buf`, `children`).
 #[derive(Clone, Debug)]
 pub(crate) struct MetaBlock {
     /// Main points, x-sorted, `B` per page ("vertically oriented blocks").
-    pub vertical: Vec<PageId>,
+    pub vertical: Arc<[PageId]>,
     /// First x-key of each vertical page (control info: the slab's
     /// "boundary values"), used to locate a page without a linear scan.
-    pub vkeys: Vec<Key>,
+    pub vkeys: Arc<[Key]>,
     /// Main points, y-descending, `B` per page ("horizontally oriented").
-    pub horizontal: Vec<PageId>,
+    pub horizontal: Arc<[PageId]>,
     /// First (largest) y-key of each horizontal page, so scans skip a
     /// crossing page that cannot contain an answer.
-    pub hkeys: Vec<Key>,
+    pub hkeys: Arc<[Key]>,
     /// Live (not yet tombstoned) point count per horizontal page, parallel
     /// to `horizontal`. A routed tombstone whose victim sits in the mains
     /// decrements the victim page's count, so a query can skip a fully-dead
@@ -339,7 +388,7 @@ pub(crate) struct MetaBlock {
     /// Update buffer: buffered inserts (§3.2), at most
     /// [`MetablockTree::upd_cap_pages`] pages of `B`. The paper's update
     /// *block* is the 1-page special case.
-    pub update: Vec<PageId>,
+    pub update: Arc<[PageId]>,
     pub n_upd: usize,
     /// Tombstone buffer: buffered deletes, at most
     /// [`MetablockTree::tomb_cap_pages`] pages of `B`. The routing
@@ -347,7 +396,7 @@ pub(crate) struct MetaBlock {
     /// live copy (mains or update buffer); the next level-I reorganisation
     /// annihilates the pair. Queries scan pending tombstone pages wherever
     /// they scan the update block and subtract the ids.
-    pub tomb: Vec<PageId>,
+    pub tomb: Arc<[PageId]>,
     pub n_tomb: usize,
     /// Control-block mirror of the `tomb` pages' contents, in arrival
     /// order. Bounded by `tomb_cap_pages · B` points — the same control-
@@ -676,6 +725,47 @@ impl MetablockTree {
         )
     }
 
+    /// `child`'s entry in `parent`, for in-place mutation (see
+    /// [`MetablockTree::meta_mut`]).
+    pub(crate) fn child_entry_mut(&mut self, parent: MbId, child: MbId) -> &mut ChildEntry {
+        self.meta_mut(parent)
+            .children
+            .iter_mut()
+            .find(|c| c.mb == child)
+            .expect("child present in parent")
+    }
+
+    /// Append `p` to one of `mb`'s buffered page runs — in place on the
+    /// run's open last page, or on a fresh page grown onto the run (pages
+    /// fill `B` at a time) — under a single copy-on-write access to the
+    /// block. `run` picks the run and its point count, and may update the
+    /// block's other members for the same append (a tombstone mirror).
+    /// Returns the fresh page, if one was opened, and the new count.
+    pub(crate) fn append_buffered(
+        &mut self,
+        mb: MbId,
+        p: Point,
+        run: impl FnOnce(&mut MetaBlock) -> (&mut Arc<[PageId]>, &mut usize),
+    ) -> (Option<PageId>, usize) {
+        let m = self.metas[mb]
+            .as_mut()
+            .expect("mutation of freed metablock");
+        let (pages, n) = run(Arc::make_mut(m));
+        let fresh = if n.is_multiple_of(self.geo.b) {
+            let pg = self.store.alloc(vec![p]);
+            push_run(pages, pg);
+            Some(pg)
+        } else {
+            // In-place append: the same read-modify-write charge as the
+            // separate read/write pair, without cloning the page buffer.
+            self.store
+                .append(*pages.last().expect("partial page exists"), p);
+            None
+        };
+        *n += 1;
+        (fresh, *n)
+    }
+
     /// Whether `mb` has not been freed (meta slots are never reused).
     pub(crate) fn is_live(&self, mb: MbId) -> bool {
         self.metas[mb].is_some()
@@ -805,29 +895,24 @@ impl MetablockTree {
         if h == 0 {
             return;
         }
-        let (h_pages, h_tops, h_live, h_more, upd, tomb) = {
-            let cm = self.meta_unbilled(child);
-            (
-                cm.horizontal.iter().take(h).copied().collect::<Vec<_>>(),
-                cm.hkeys.iter().take(h).copied().collect::<Vec<_>>(),
-                cm.h_live.iter().take(h).copied().collect::<Vec<_>>(),
-                cm.horizontal.len() > h,
-                cm.update.clone(),
-                cm.tomb.clone(),
-            )
-        };
-        let pm = self.meta_mut(parent);
-        let e = pm
-            .children
-            .iter_mut()
-            .find(|c| c.mb == child)
-            .expect("child present in parent");
-        e.packed.h_pages = h_pages;
-        e.packed.h_tops = h_tops;
-        e.packed.h_live = h_live;
-        e.packed.h_more = h_more;
-        e.packed.upd_pages = upd;
-        e.packed.tomb_pages = tomb;
+        // Runs no longer than the mirrored prefix are shared with the
+        // child, not copied.
+        let cm = self.meta_unbilled(child);
+        let (h_pages, h_tops, h_live, h_more, upd, tomb) = (
+            run_prefix(&cm.horizontal, h),
+            run_prefix(&cm.hkeys, h),
+            run_of(&cm.h_live[..h.min(cm.h_live.len())]),
+            cm.horizontal.len() > h,
+            Arc::clone(&cm.update),
+            Arc::clone(&cm.tomb),
+        );
+        let p = &mut self.child_entry_mut(parent, child).packed;
+        p.h_pages = h_pages;
+        p.h_tops = h_tops;
+        p.h_live = h_live;
+        p.h_more = h_more;
+        p.upd_pages = upd;
+        p.tomb_pages = tomb;
     }
 
     /// Refresh every child mirror of `parent` (used where the child list
@@ -901,13 +986,143 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn writes_after_a_fork_copy_only_the_control_blocks_they_touch() {
-        let geo = Geometry::new(4);
+    /// The tree of the structural-sharing tests: 4 000 points at `B = 4`,
+    /// height ≥ 3, every control-block mirror populated.
+    fn shared_tree() -> MetablockTree {
         let pts: Vec<Point> = (0..4000i64)
             .map(|i| Point::new(i, i + (i * 7) % 50, i as u64))
             .collect();
-        let mut tree = MetablockTree::build(geo, IoCounter::new(), pts);
+        MetablockTree::build(Geometry::new(4), IoCounter::new(), pts)
+    }
+
+    /// The landing metablock of `p` and its root-first ancestors, by the
+    /// insert routing's rule.
+    fn landing(tree: &MetablockTree, p: Point) -> (Vec<MbId>, MbId) {
+        let (mut path, mut cur) = (Vec::new(), tree.root.expect("nonempty"));
+        loop {
+            let m = tree.meta_unbilled(cur);
+            if m.is_leaf() || m.y_lo_main.is_some_and(|ylo| p.ykey() >= ylo) {
+                return (path, cur);
+            }
+            let idx = m.children.partition_point(|c| c.slab_hi <= p.xkey());
+            path.push(cur);
+            cur = m.children[idx].mb;
+        }
+    }
+
+    /// The five page-run mirrors of a child entry, in field order (the key
+    /// and live-count mirrors have types of their own).
+    fn mirrors(e: &ChildEntry) -> [&Arc<[PageId]>; 5] {
+        let p = &e.packed;
+        [
+            &p.h_pages,
+            &p.upd_pages,
+            &p.tomb_pages,
+            &p.ts_pages,
+            &p.tsr_pages,
+        ]
+    }
+
+    #[test]
+    fn a_copied_control_block_shares_every_run_the_write_left_alone() {
+        let mut tree = shared_tree();
+        let fork = tree.fork_snapshot(IoCounter::new());
+        // Lowest y at its x: descends to a leaf, whose empty update buffer
+        // opens a fresh page — the one run that insert grows.
+        let p = Point::new(2_000, 2_000, 10_000);
+        let (path, target) = landing(&tree, p);
+        assert!(path.len() >= 2 && tree.meta_unbilled(target).is_leaf());
+        let parent = *path.last().expect("a leaf has a parent");
+        tree.insert(p);
+
+        let (live, frozen) = (&tree.metas[parent], &fork.metas[parent]);
+        let (live, frozen) = (live.as_ref().unwrap(), frozen.as_ref().unwrap());
+        assert!(!Arc::ptr_eq(live, frozen), "the routed parent was copied");
+        assert!(
+            frozen.children.len() >= 3,
+            "siblings beside the routed child"
+        );
+        // Its own runs: mains and buffers shared, only the TD staging run
+        // (which the insert tracked into) grown.
+        assert!(Arc::ptr_eq(&live.vertical, &frozen.vertical));
+        assert!(Arc::ptr_eq(&live.vkeys, &frozen.vkeys));
+        assert!(Arc::ptr_eq(&live.horizontal, &frozen.horizontal));
+        assert!(Arc::ptr_eq(&live.hkeys, &frozen.hkeys));
+        assert!(Arc::ptr_eq(&live.update, &frozen.update));
+        assert!(Arc::ptr_eq(&live.tomb, &frozen.tomb));
+        let (td, frozen_td) = (live.td.as_ref().unwrap(), frozen.td.as_ref().unwrap());
+        assert_eq!(td.staged.len(), frozen_td.staged.len() + 1);
+        assert_eq!(td.staged[..frozen_td.staged.len()], frozen_td.staged[..]);
+        assert!(Arc::ptr_eq(&td.del_staged, &frozen_td.del_staged));
+
+        // Every child's mirrors are shared, except the routed child's
+        // update-page mirror — which is the child's own new run.
+        let mut populated = 0;
+        for (e, f) in live.children.iter().zip(&frozen.children) {
+            assert_eq!(e.mb, f.mb);
+            populated += mirrors(f).iter().filter(|r| !r.is_empty()).count();
+            assert!(Arc::ptr_eq(&e.packed.h_tops, &f.packed.h_tops));
+            assert!(Arc::ptr_eq(&e.packed.h_live, &f.packed.h_live));
+            for (i, (a, b)) in mirrors(e).into_iter().zip(mirrors(f)).enumerate() {
+                let grown = e.mb == target && i == 1;
+                assert_eq!(Arc::ptr_eq(a, b), !grown, "mirror {i} of child {}", e.mb);
+            }
+        }
+        // A horizontal-prefix mirror per child, a TS mirror per non-first.
+        assert!(
+            populated >= 2 * live.children.len() - 1,
+            "mirrors populated"
+        );
+        let routed = live.children.iter().find(|e| e.mb == target).unwrap();
+        let child = tree.meta_unbilled(target);
+        assert!(Arc::ptr_eq(&routed.packed.upd_pages, &child.update));
+        assert_eq!(child.update.len(), 1);
+        assert!(fork.meta_unbilled(target).update.is_empty());
+        tree.validate_unbilled();
+        fork.validate_unbilled();
+    }
+
+    #[test]
+    fn a_delete_decrements_its_own_copy_of_a_mirrored_live_count() {
+        let mut tree = shared_tree();
+        let fork = tree.fork_snapshot(IoCounter::new());
+        // The top main of a leaf: the delete lands at the leaf and
+        // decrements the live count of its first horizontal page, a slot
+        // its parent mirrors.
+        let probe = Point::new(2_000, 2_000, 10_000);
+        let (path, leaf) = landing(&tree, probe);
+        let parent = *path.last().expect("a leaf has a parent");
+        let victim = {
+            let m = tree.meta_unbilled(leaf);
+            tree.store.read_unbilled(m.horizontal[0])[0]
+        };
+        assert_eq!(landing(&tree, victim).1, leaf);
+        let entry = |t: &MetablockTree| {
+            let m = t.meta_unbilled(parent);
+            m.children.iter().find(|e| e.mb == leaf).unwrap().clone()
+        };
+        let before = entry(&fork).packed.h_live[0];
+        tree.delete(victim);
+
+        let (live, frozen) = (entry(&tree), entry(&fork));
+        assert_eq!(live.packed.h_live[0], before - 1);
+        assert_eq!(
+            frozen.packed.h_live[0], before,
+            "the fork's slot is untouched"
+        );
+        assert_eq!(fork.meta_unbilled(leaf).h_live[0], before);
+        assert!(!Arc::ptr_eq(&live.packed.h_live, &frozen.packed.h_live));
+        assert!(Arc::ptr_eq(&live.packed.h_pages, &frozen.packed.h_pages));
+        assert!(Arc::ptr_eq(&live.packed.h_tops, &frozen.packed.h_tops));
+        tree.validate_unbilled();
+        fork.validate_unbilled();
+        assert!(fork.query(victim.y).iter().any(|q| q.id == victim.id));
+        assert!(!tree.query(victim.y).iter().any(|q| q.id == victim.id));
+    }
+
+    #[test]
+    fn writes_after_a_fork_copy_only_the_control_blocks_they_touch() {
+        let mut tree = shared_tree();
         let stats = tree.stats();
         assert!(stats.metablocks > 100 && stats.height >= 3, "{stats:?}");
         let fork = tree.fork_snapshot(IoCounter::new());

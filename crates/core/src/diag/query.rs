@@ -342,7 +342,7 @@ impl MetablockTree {
                 // or takes them all back.
                 let scanned_from = out.len();
                 let mut crossed = false;
-                'ts: for &pg in ts_pages {
+                'ts: for &pg in ts_pages.iter() {
                     for p in self.ctx_read(ctx, pg) {
                         if p.ykey() < (q, 0) {
                             crossed = true;
@@ -417,7 +417,7 @@ impl MetablockTree {
             corner.query_pinned(&self.store, ctx, host, q, &corner.route(q), out);
             retain_from(out, from, filter);
         }
-        for &pg in &td.staged {
+        for &pg in td.staged.iter() {
             for p in self.ctx_read(ctx, pg) {
                 if p.x <= q && p.y >= q && filter(p) {
                     out.push(*p);
@@ -685,7 +685,7 @@ impl MetablockTree {
     /// Process a metablock on an x-range boundary path.
     fn x_range_rec(&self, ctx: &mut ReadCtx, mb: MbId, a1k: Key, a2k: Key, out: &mut Vec<Point>) {
         let meta = self.ctx_meta(ctx, mb);
-        for &pg in &meta.update {
+        for &pg in meta.update.iter() {
             for p in self.ctx_read(ctx, pg) {
                 let k = p.xkey();
                 if k >= a1k && k <= a2k {
@@ -738,7 +738,7 @@ impl MetablockTree {
             }
             out.extend_from_slice(self.ctx_read(ctx, pg));
         }
-        for &pg in &meta.update {
+        for &pg in meta.update.iter() {
             out.extend_from_slice(self.ctx_read(ctx, pg));
         }
         ctx.del.extend(meta.tomb_buf.iter().map(|t| t.id));

@@ -249,9 +249,9 @@ impl MetablockTree {
         let (vertical, update, tomb, children) = {
             let meta = self.meta(mb);
             (
-                meta.vertical.clone(),
-                meta.update.clone(),
-                meta.tomb.clone(),
+                meta.vertical.to_vec(),
+                meta.update.to_vec(),
+                meta.tomb.to_vec(),
                 meta.children.iter().map(|c| c.mb).collect::<Vec<_>>(),
             )
         };
@@ -442,7 +442,8 @@ impl MetablockTree {
                 let root = self.root.expect("tombstone victims live in the tree");
                 let mut ctx = self.read_ctx();
                 let mut dirty: Vec<MbId> = Vec::new();
-                let triggers = self.route_tombstone(&mut ctx, &mut dirty, Vec::new(), root, *t);
+                let triggers =
+                    self.route_tombstone(&mut ctx, &mut dirty, &mut Vec::new(), root, *t);
                 self.run_del_triggers(&mut dirty, triggers);
                 self.flush_dirty(&dirty);
             }

@@ -153,7 +153,7 @@ impl MetablockTree {
             "vertical blocking out of order"
         );
         assert_eq!(
-            meta.vkeys,
+            &meta.vkeys[..],
             vertical
                 .chunks(self.geo.b)
                 .map(|c| c[0].xkey())
@@ -166,7 +166,7 @@ impl MetablockTree {
             "horizontal blocking out of order"
         );
         assert_eq!(
-            meta.hkeys,
+            &meta.hkeys[..],
             horizontal
                 .chunks(self.geo.b)
                 .map(|c| c[0].ykey())
@@ -325,7 +325,7 @@ impl MetablockTree {
                     td_ids.insert(p.id);
                 }
             }
-            for &pg in &td.staged {
+            for &pg in td.staged.iter() {
                 for p in self.store.read_unbilled(pg) {
                     td_ids.insert(p.id);
                 }
@@ -340,7 +340,7 @@ impl MetablockTree {
             }
             assert_eq!(n_del, td.n_del_built, "TD delete-side built-count stale");
             let mut staged: Vec<Point> = Vec::new();
-            for &pg in &td.del_staged {
+            for &pg in td.del_staged.iter() {
                 staged.extend_from_slice(self.store.read_unbilled(pg));
             }
             td_del_ids.extend(staged.iter().map(|t| t.id));
@@ -419,29 +419,20 @@ impl MetablockTree {
         }
         for c in &meta.children {
             let child_meta = self.meta_unbilled(c.mb);
+            let top = h.min(child_meta.horizontal.len());
             assert_eq!(
-                c.packed.h_pages,
-                child_meta
-                    .horizontal
-                    .iter()
-                    .take(h)
-                    .copied()
-                    .collect::<Vec<_>>(),
+                c.packed.h_pages[..],
+                child_meta.horizontal[..top],
                 "stale packed horizontal-prefix mirror"
             );
             assert_eq!(
-                c.packed.h_tops,
-                child_meta.hkeys.iter().take(h).copied().collect::<Vec<_>>(),
+                c.packed.h_tops[..],
+                child_meta.hkeys[..top],
                 "stale packed horizontal-top mirror"
             );
             assert_eq!(
-                c.packed.h_live,
-                child_meta
-                    .h_live
-                    .iter()
-                    .take(h)
-                    .copied()
-                    .collect::<Vec<_>>(),
+                c.packed.h_live[..],
+                child_meta.h_live[..top],
                 "stale packed live-count mirror"
             );
             assert_eq!(

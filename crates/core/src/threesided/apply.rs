@@ -5,7 +5,7 @@
 use ccix_extmem::{Point, SortedRun};
 
 use super::ThreeSidedTree;
-use crate::diag::{mark_dirty, MbId, ReadCtx};
+use crate::diag::{mark_dirty, push_run, MbId, ReadCtx};
 use crate::Op;
 
 /// Reorganisation triggers observed while routing one buffered insert;
@@ -173,7 +173,7 @@ impl ThreeSidedTree {
                     if let Some(&par) = path.last() {
                         let pm = self.metas[par].as_mut().expect("parent is live");
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.upd_pages.push(pg);
+                            push_run(&mut e.packed.upd_pages, pg);
                             mark_dirty(dirty, par);
                         }
                     }

@@ -346,12 +346,7 @@ impl ThreeSidedTree {
             top = merge_y_desc_capped(std::mem::take(&mut top), sorted[i].clone(), cap);
         }
 
-        let mut mirrors: Vec<(
-            Vec<ccix_extmem::PageId>,
-            bool,
-            Vec<ccix_extmem::PageId>,
-            bool,
-        )> = Vec::with_capacity(len);
+        let mut mirrors = Vec::with_capacity(len);
         for (i, &child) in child_ids.iter().enumerate() {
             let mut meta = self.take_meta(child);
             if let Some(old) = meta.tsl.take() {

@@ -12,10 +12,12 @@
 //! * the TS reorganisation rebuilds every child's TSL/TSR snapshot and the
 //!   parent's children PST from delete-cleaned merges.
 
+use std::sync::Arc;
+
 use ccix_extmem::Point;
 
 use super::ThreeSidedTree;
-use crate::diag::{mark_dirty, MbId, ReadCtx};
+use crate::diag::{mark_dirty, push_run, MbId, ReadCtx};
 
 /// Reorganisation triggers observed while routing one tombstone.
 pub(super) struct DelTriggers {
@@ -132,7 +134,7 @@ impl ThreeSidedTree {
                     if let Some(&par) = path.last() {
                         let pm = self.metas[par].as_mut().expect("parent is live");
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.tomb_pages.push(pg);
+                            push_run(&mut e.packed.tomb_pages, pg);
                             mark_dirty(dirty, par);
                         }
                     }
@@ -174,7 +176,8 @@ impl ThreeSidedTree {
                     if let Some(&par) = path.last() {
                         let pm = self.metas[par].as_mut().expect("parent is live");
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            if let Some(slot) = e.packed.h_live.get_mut(i) {
+                            if i < e.packed.h_live.len() {
+                                let slot = &mut Arc::make_mut(&mut e.packed.h_live)[i];
                                 *slot = slot.saturating_sub(1);
                             }
                             mark_dirty(dirty, par);

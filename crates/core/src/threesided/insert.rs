@@ -14,7 +14,7 @@ use ccix_pst::ExternalPst;
 
 use super::{ThreeSidedTree, TsMeta, TsTd};
 use crate::bbox::BBox;
-use crate::diag::{mark_dirty, ChildEntry, MbId, PackedInfo, FULL_RANGE};
+use crate::diag::{mark_dirty, push_run, ChildEntry, MbId, PackedInfo, FULL_RANGE};
 
 impl ThreeSidedTree {
     /// Insert a point. Amortised
@@ -125,7 +125,7 @@ impl ThreeSidedTree {
                     if let Some(&par) = path.last() {
                         let pm = self.metas[par].as_mut().expect("parent is live");
                         if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            e.packed.upd_pages.push(pg);
+                            push_run(&mut e.packed.upd_pages, pg);
                             mark_dirty(&mut dirty, par);
                         }
                     }
@@ -329,8 +329,6 @@ impl ThreeSidedTree {
             if let Some(e) = pm.children.iter_mut().find(|c| c.mb == mb) {
                 e.main_bbox = new_bbox;
                 e.upd_ymax = None;
-                e.packed.upd_pages.clear();
-                e.packed.tomb_pages.clear();
             }
             self.put_meta(parent, pm);
             self.sync_packed_entry(parent, mb);

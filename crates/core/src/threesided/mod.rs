@@ -39,7 +39,7 @@ use ccix_extmem::{BackendSpec, Geometry, IoCounter, PageId, Point, TypedStore};
 use ccix_pst::ExternalPst;
 
 use crate::bbox::{BBox, Key};
-use crate::diag::{ChildEntry, MbId, ReadCtx, TsInfo, SPACE_AUX, SPACE_META, SPACE_STORE};
+use crate::diag::{run_of, ChildEntry, MbId, ReadCtx, TsInfo, SPACE_AUX, SPACE_META, SPACE_STORE};
 
 /// TD insert-tracking structure of an interior metablock: the points
 /// inserted into its children since the last TS reorganisation, queryable as
@@ -490,13 +490,14 @@ impl ThreeSidedTree {
         }
         let (h_pages, h_tops, h_live, h_more, upd, tomb) = {
             let cm = self.metas[child].as_ref().expect("live child");
+            let top = h.min(cm.horizontal.len());
             (
-                cm.horizontal.iter().take(h).copied().collect::<Vec<_>>(),
-                cm.hkeys.iter().take(h).copied().collect::<Vec<_>>(),
-                cm.h_live.iter().take(h).copied().collect::<Vec<_>>(),
+                run_of(&cm.horizontal[..top]),
+                run_of(&cm.hkeys[..top]),
+                run_of(&cm.h_live[..top]),
                 cm.horizontal.len() > h,
-                cm.update.clone(),
-                cm.tomb.clone(),
+                run_of(&cm.update),
+                run_of(&cm.tomb),
             )
         };
         let pm = self.metas[parent].as_mut().expect("live parent");

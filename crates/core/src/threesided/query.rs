@@ -353,7 +353,7 @@ impl ThreeSidedTree {
         // straddling middles' points or takes them all back.
         let scanned_from = out.len();
         let mut crossed = false;
-        'ts: for &pg in ts_pages {
+        'ts: for &pg in ts_pages.iter() {
             for p in self.ctx_read(ctx, pg) {
                 if p.ykey() < (y0, 0) {
                     crossed = true;

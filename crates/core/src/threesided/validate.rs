@@ -287,29 +287,20 @@ impl ThreeSidedTree {
         }
         for c in &meta.children {
             let child_meta = self.meta_unbilled(c.mb);
+            let top = h.min(child_meta.horizontal.len());
             assert_eq!(
-                c.packed.h_pages,
-                child_meta
-                    .horizontal
-                    .iter()
-                    .take(h)
-                    .copied()
-                    .collect::<Vec<_>>(),
+                c.packed.h_pages[..],
+                child_meta.horizontal[..top],
                 "stale packed horizontal-prefix mirror"
             );
             assert_eq!(
-                c.packed.h_tops,
-                child_meta.hkeys.iter().take(h).copied().collect::<Vec<_>>(),
+                c.packed.h_tops[..],
+                child_meta.hkeys[..top],
                 "stale packed horizontal-top mirror"
             );
             assert_eq!(
-                c.packed.h_live,
-                child_meta
-                    .h_live
-                    .iter()
-                    .take(h)
-                    .copied()
-                    .collect::<Vec<_>>(),
+                c.packed.h_live[..],
+                child_meta.h_live[..top],
                 "stale packed live-count mirror"
             );
             assert_eq!(
@@ -318,11 +309,13 @@ impl ThreeSidedTree {
                 "stale packed h_more bit"
             );
             assert_eq!(
-                c.packed.upd_pages, child_meta.update,
+                c.packed.upd_pages[..],
+                child_meta.update[..],
                 "stale packed update-page mirror"
             );
             assert_eq!(
-                c.packed.tomb_pages, child_meta.tomb,
+                c.packed.tomb_pages[..],
+                child_meta.tomb[..],
                 "stale packed tombstone-page mirror"
             );
             match &child_meta.tsl {

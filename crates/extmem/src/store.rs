@@ -142,8 +142,10 @@ impl<T: Clone> TypedStore<T> {
     }
 
     /// Allocate a run of pages holding `records` in order, `capacity` per
-    /// page. Returns the page ids in run order. Costs one write per page.
-    pub fn alloc_run(&mut self, records: &[T]) -> Vec<PageId> {
+    /// page. Returns the page ids in run order, collected straight into the
+    /// caller's run type (a `Vec`, or a shared `Arc<[PageId]>` built in one
+    /// allocation). Costs one write per page.
+    pub fn alloc_run<R: FromIterator<PageId>>(&mut self, records: &[T]) -> R {
         records
             .chunks(self.capacity)
             .map(|chunk| {
@@ -450,7 +452,7 @@ mod tests {
     #[test]
     fn alloc_run_chunks_by_capacity() {
         let mut s = store(3);
-        let ids = s.alloc_run(&[1, 2, 3, 4, 5, 6, 7]);
+        let ids: Vec<PageId> = s.alloc_run(&[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(ids.len(), 3);
         assert_eq!(s.read(ids[0]), &[1, 2, 3]);
         assert_eq!(s.read(ids[1]), &[4, 5, 6]);

@@ -41,10 +41,10 @@
 //! 6. **Durability.** With [`EngineConfig::durability`] set, every
 //!    submission is appended to a write-ahead log *before* it is applied,
 //!    and its [`CommitTicket`] resolves only after the covering fsync:
-//!    a resolved ticket survives any crash. [`Engine::recover`] rebuilds
-//!    from the newest checkpoint plus a deterministic WAL replay (see
-//!    `ccix_durable`). Durability off (the default) leaves the engine
-//!    byte-identical to earlier versions.
+//!    a resolved ticket survives any crash. [`Engine::recover`] folds the
+//!    WAL suffix into the newest checkpoint's contents and bulk-loads the
+//!    result once (see `ccix_durable`). Durability off (the default)
+//!    leaves the engine byte-identical to earlier versions.
 //!
 //! ```
 //! use ccix_extmem::{Geometry, IoCounter};

@@ -77,6 +77,15 @@ pub const ERR_UNAVAILABLE: u8 = 3;
 /// Largest accepted frame (sanity bound against corrupt length prefixes).
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// Wire size of one `OP_APPLY` op: tag, `lo`, `hi`, `id`.
+const APPLY_OP_BYTES: usize = 1 + 3 * 8;
+
+/// Receive-buffer room a frame read starts from. Past it (and past what
+/// earlier frames left in the buffer) the buffer at most doubles what has
+/// arrived, so a peer that declares a large frame and stalls pins this
+/// much, not the declared length.
+const READ_CHUNK: usize = 8 << 10;
+
 /// A running server: one acceptor thread plus a fixed worker pool sharing
 /// an [`Engine`]. Obtained from [`Server::start`].
 #[derive(Debug)]
@@ -280,7 +289,9 @@ fn handle_request(req: &[u8], engine: &Engine, body: &mut Vec<u8>) -> Result<(),
         }
         OP_APPLY => {
             let n = r.u32().map_err(bad)? as usize;
-            let mut ops = Vec::with_capacity(n.min(1 << 20));
+            // Sized by what the frame can hold, not by what it declares: a
+            // 9-byte frame claiming `u32::MAX` ops allocates nothing much.
+            let mut ops = Vec::with_capacity(n.min(payload.len() / APPLY_OP_BYTES));
             for _ in 0..n {
                 let tag = r.u8().map_err(bad)?;
                 let (lo, hi) = (r.i64().map_err(bad)?, r.i64().map_err(bad)?);
@@ -542,9 +553,27 @@ fn read_frame(conn: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<FrameRead> 
     if len == 0 || len > MAX_FRAME {
         return Ok(FrameRead::Unframeable(len));
     }
+    // Grow the buffer with the bytes that arrive, never ahead of them.
+    let len = len as usize;
     buf.clear();
-    buf.resize(len as usize, 0);
-    conn.read_exact(buf)?;
+    let mut filled = 0;
+    while filled < len {
+        if filled == buf.len() {
+            let room = (2 * filled).max(READ_CHUNK).max(buf.capacity());
+            buf.resize(room.min(len), 0);
+        }
+        match conn.read(&mut buf[filled..]) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "truncated frame",
+                ))
+            }
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     Ok(FrameRead::Frame)
 }
 

@@ -147,27 +147,55 @@ impl Frozen {
 
 #[test]
 fn both_sides_of_a_fork_keep_their_own_contents_and_bills() {
+    fork_trials("fork_divergence::both_sides", 6, 0xF02C, |rng| Tuning {
+        update_batch_pages: rng.gen_range(1..5usize),
+        td_batch_pages: rng.gen_range(1..4usize),
+        tomb_batch_pages: rng.gen_range(1..4usize),
+        shrink_deletes_pct: rng.gen_range(5..30usize),
+        pack_h_pages: rng.gen_range(0..4usize),
+        resident_root: rng.gen_bool(0.5),
+        reorg_pages_per_op: *rng.choose(&[1usize, 2, 4]).expect("nonempty"),
+        ..Tuning::default()
+    });
+}
+
+/// The paper's layout: no packed mirrors in the child entries
+/// (`pack_h_pages = 0`, so every examined child's own control block is
+/// read and copied) and full `B²` TS snapshots (`ts_snapshot_pages:
+/// None`, the long snapshot runs).
+#[test]
+fn forks_of_the_mirror_off_layout_with_full_snapshots_diverge_cleanly() {
+    fork_trials("fork_divergence::paper", 3, 0xF02D, |rng| Tuning {
+        shrink_deletes_pct: rng.gen_range(5..30usize),
+        ts_snapshot_pages: None,
+        reorg_pages_per_op: *rng.choose(&[1usize, 2, 4]).expect("nonempty"),
+        ..Tuning::paper()
+    });
+}
+
+/// Fork an index built with `tuning(rng)` — its shrink trigger low and its
+/// reorganisation budget finite, so forks land mid-job — and drive both
+/// sides apart for [`ROUNDS`] rounds, `trials` times.
+fn fork_trials(
+    label: &'static str,
+    trials: usize,
+    seed: u64,
+    tuning: impl Fn(&mut DetRng) -> Tuning,
+) {
     let mut mid_job_forks = 0usize;
     let mut continued_from_fork = 0usize;
     let mut modes = [EndpointMode::Slab, EndpointMode::BTree]
         .into_iter()
         .cycle();
-    check::trials("fork_divergence::both_sides", 6, 0xF02C, |rng| {
+    check::trials(label, trials, seed, |rng| {
         let b = rng.gen_range(2usize..7);
         let geo = Geometry::new(b);
         let options = IntervalOptions {
             endpoints: modes.next().expect("cycle never ends"),
             tuning: Tuning {
-                update_batch_pages: rng.gen_range(1..5usize),
-                td_batch_pages: rng.gen_range(1..4usize),
-                tomb_batch_pages: rng.gen_range(1..4usize),
-                shrink_deletes_pct: rng.gen_range(5..30usize),
-                pack_h_pages: rng.gen_range(0..4usize),
-                resident_root: rng.gen_bool(0.5),
                 build_threads: 1,
                 shard_threads: 1,
-                reorg_pages_per_op: *rng.choose(&[1usize, 2, 4]).expect("nonempty"),
-                ..Tuning::default()
+                ..tuning(rng)
             },
             btree_leaf_fill: None,
         };
