@@ -19,9 +19,7 @@
 //!    (stage 1, Fig. 13a), then reads vertical blocks to the right of `c*`
 //!    up to the block containing `q` (stage 2, Fig. 13b).
 
-use std::sync::Arc;
-
-use ccix_extmem::{PageId, Point, TypedStore};
+use ccix_extmem::{PageId, Point, Run, TypedStore};
 
 use crate::bbox::Key;
 
@@ -52,7 +50,7 @@ struct CStar {
 #[derive(Clone, Debug, Default)]
 pub struct CornerStructure {
     /// Stage-2 blocking: owned, or the host metablock's own run, shared.
-    vertical: Arc<[PageId]>,
+    vertical: Run<PageId>,
     /// Whether `vertical` is owned (freed with the structure) or borrowed
     /// from the host metablock's vertical blocking.
     owns_vertical: bool,
@@ -125,12 +123,12 @@ impl CornerStructure {
     pub fn build_shared(
         store: &mut TypedStore<Point>,
         by_x: &[Point],
-        vertical: &Arc<[PageId]>,
+        vertical: &Run<PageId>,
         alpha: usize,
     ) -> Self {
         debug_assert!(by_x.windows(2).all(|w| w[0].xkey() <= w[1].xkey()));
         let plan = CornerPlan::plan(by_x, store.capacity(), alpha);
-        plan.materialise(store, Arc::clone(vertical), false)
+        plan.materialise(store, vertical.clone(), false)
     }
 
     /// Number of points indexed.
@@ -456,7 +454,7 @@ impl CornerPlan {
     pub(crate) fn materialise(
         self,
         store: &mut TypedStore<Point>,
-        vertical: Arc<[PageId]>,
+        vertical: Run<PageId>,
         owns_vertical: bool,
     ) -> CornerStructure {
         let b = store.capacity();
@@ -703,7 +701,7 @@ mod tests {
         let mut store = TypedStore::new(8, counter);
         let mut by_x = pts.clone();
         ccix_extmem::sort_by_x(&mut by_x);
-        let vertical: Arc<[PageId]> = store.alloc_run(&by_x);
+        let vertical: Run<PageId> = store.alloc_run(&by_x);
         let cs = CornerStructure::build_shared(&mut store, &by_x, &vertical, 2);
         for q in (-5..305).step_by(11) {
             let mut out = Vec::new();

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, PageId, Point, SortedRun};
+use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, PageId, Point, Run, SortedRun};
 
 use super::{ChildEntry, MbId, MetaBlock, MetablockTree, TdInfo, TsInfo};
 use crate::bbox::{BBox, Key};
@@ -331,13 +331,13 @@ impl MetablockTree {
         debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
         // Every run is collected straight into its final form, one
         // allocation each; the corner structure shares `vertical`.
-        let vertical: Arc<[PageId]> = self.store.alloc_run(by_x);
+        let vertical: Run<PageId> = self.store.alloc_run(by_x);
         let vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
         let hkeys = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
         let h_live = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
         let horizontal = self.store.alloc_run(by_y);
-        let corner = corner
-            .map(|cp| Arc::new(cp.materialise(&mut self.store, Arc::clone(&vertical), false)));
+        let corner =
+            corner.map(|cp| Arc::new(cp.materialise(&mut self.store, vertical.clone(), false)));
         MetaBlock {
             vertical,
             vkeys,
@@ -348,9 +348,9 @@ impl MetablockTree {
             y_lo_main: by_y.last().map(Point::ykey),
             main_bbox: BBox::of_points(by_x),
             corner,
-            update: Arc::default(),
+            update: Run::default(),
             n_upd: 0,
-            tomb: Arc::default(),
+            tomb: Run::default(),
             n_tomb: 0,
             tomb_buf: Vec::new(),
             ts: None,
@@ -365,9 +365,10 @@ impl MetablockTree {
     /// hands over merged horizontal-run + sorted-delta snapshots; nobody
     /// re-sorts a snapshot here.
     pub(crate) fn install_ts_snapshots(&mut self, parent: MbId, snapshots: Vec<Vec<Point>>) {
-        let cap = self.ts_cap_points();
+        let cap = self.tuning.ts_cap_points(self.geo);
         let child_ids: Vec<MbId> = self
-            .meta_unbilled(parent)
+            .metas
+            .get(parent)
             .children
             .iter()
             .map(|c| c.mb)
@@ -378,14 +379,14 @@ impl MetablockTree {
             .all(|s| s.windows(2).all(|w| w[0].ykey() > w[1].ykey())));
         // Maintain the top-`cap` prefix incrementally, merging each
         // (already sorted) snapshot into the running capped top list.
-        let mut mirrors: Vec<(usize, Arc<[PageId]>, bool)> = Vec::new();
+        let mut mirrors: Vec<(usize, Run<PageId>, bool)> = Vec::new();
         let mut top: Vec<Point> = Vec::new();
         let mut total = 0usize;
         for (i, snap) in snapshots.into_iter().enumerate() {
             if i > 0 {
-                let pages: Arc<[PageId]> = self.store.alloc_run(&top);
+                let pages: Run<PageId> = self.store.alloc_run(&top);
                 let truncated = total > top.len();
-                mirrors.push((i, Arc::clone(&pages), truncated));
+                mirrors.push((i, pages.clone(), truncated));
                 let mut meta = self.take_meta(child_ids[i]);
                 if let Some(old) = meta.ts.take() {
                     self.store.free_run(&old.pages);
@@ -403,8 +404,8 @@ impl MetablockTree {
         // Mirror the snapshot runs into the parent's packed entries so the
         // TS route reads the snapshot without loading its owner's control
         // block first (in-memory: the parent is held by this operation).
-        if self.pack_h() > 0 {
-            let pm = self.meta_mut(parent);
+        if self.tuning.pack_h_pages > 0 {
+            let pm = self.metas.make_mut(parent);
             for (i, pages, truncated) in mirrors {
                 pm.children[i].packed.ts_pages = pages;
                 pm.children[i].packed.ts_truncated = truncated;

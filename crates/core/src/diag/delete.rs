@@ -53,11 +53,9 @@
 //! contract violation (debug builds catch both — unmatched tombstones at
 //! the leaf level and duplicate ids in the validator).
 
-use std::sync::Arc;
-
 use ccix_extmem::Point;
 
-use super::{mark_dirty, td_mut, MbId, MetablockTree, ReadCtx};
+use super::{append_buffered, entry_mut, mark_dirty, td_mut, MbId, MetablockTree, ReadCtx};
 
 /// Reorganisation triggers observed while routing one tombstone; they are
 /// run after the routing context's dirty blocks are flushed, exactly like
@@ -175,18 +173,19 @@ impl MetablockTree {
         // (a fresh page re-shares the grown run with the parent's packed
         // mirror; in-memory: the parent is pinned on the descent).
         let b = self.geo.b;
-        let (fresh, n_tomb) = self.append_buffered(target, p, |m| {
+        let (fresh, n_tomb) = append_buffered(&mut self.store, &mut self.metas, target, p, |m| {
             m.tomb_buf.push(p);
             (&mut m.tomb, &mut m.n_tomb)
         });
-        if fresh.is_some() && self.pack_h() > 0 {
+        if fresh.is_some() && self.tuning.pack_h_pages > 0 {
             if let Some(&par) = path.last() {
-                let run = Arc::clone(&self.meta_unbilled(target).tomb);
-                self.child_entry_mut(par, target).packed.tomb_pages = run;
+                let run = self.metas.get(target).tomb.clone();
+                let children = &mut self.metas.make_mut(par).children;
+                entry_mut(children, target).packed.tomb_pages = run;
                 mark_dirty(dirty, par);
             }
         }
-        let tomb_full = n_tomb >= self.tomb_cap_pages() * b;
+        let tomb_full = n_tomb >= self.tuning.tomb_cap_pages(self.geo) * b;
         self.tombs_pending += 1;
         mark_dirty(dirty, target);
 
@@ -201,7 +200,7 @@ impl MetablockTree {
         // leaf has no descendants to hide it in), so the decrement is
         // certain without touching the page.
         let probe = {
-            let m = self.meta_unbilled(target);
+            let m = self.metas.get(target);
             if !m.hkeys.is_empty() && p.ykey() <= m.hkeys[0] {
                 let i = m.hkeys.partition_point(|&hk| hk >= p.ykey()) - 1;
                 let certain = m.is_leaf() && m.n_upd == 0;
@@ -212,15 +211,16 @@ impl MetablockTree {
         };
         if let Some((i, pg)) = probe {
             if pg.is_none_or(|pg| self.ctx_read(ctx, pg).iter().any(|q| q.id == p.id)) {
-                let m = self.meta_mut(target);
+                let m = self.metas.make_mut(target);
                 debug_assert!(m.h_live[i] > 0, "live count underflow");
                 m.h_live[i] -= 1;
-                if i < self.pack_h() {
+                if i < self.tuning.pack_h_pages {
                     if let Some(&par) = path.last() {
-                        let live = &mut self.child_entry_mut(par, target).packed.h_live;
+                        let children = &mut self.metas.make_mut(par).children;
+                        let live = &mut entry_mut(children, target).packed.h_live;
                         if i < live.len() {
                             // Copied first while an epoch still shares it.
-                            let slot = &mut Arc::make_mut(live)[i];
+                            let slot = &mut live.make_mut()[i];
                             *slot = slot.saturating_sub(1);
                         }
                         mark_dirty(dirty, par);
@@ -236,14 +236,15 @@ impl MetablockTree {
         let mut del_staged_full = false;
         if let Some(par) = parent {
             ctx.touch_meta(par);
-            let (_, n_del_staged) = self.append_buffered(par, p, |m| {
-                let td = td_mut(m);
-                td.del_staged_buf.push(p);
-                (&mut td.del_staged, &mut td.n_del_staged)
-            });
-            let td = self.meta_unbilled(par).td.as_ref().expect("TD present");
+            let (_, n_del_staged) =
+                append_buffered(&mut self.store, &mut self.metas, par, p, |m| {
+                    let td = td_mut(m);
+                    td.del_staged_buf.push(p);
+                    (&mut td.del_staged, &mut td.n_del_staged)
+                });
+            let td = self.metas.get(par).td.as_ref().expect("TD present");
             td_total = td.total() + td.del_total();
-            del_staged_full = n_del_staged >= self.td_cap_pages() * b;
+            del_staged_full = n_del_staged >= self.tuning.td_cap_pages(self.geo) * b;
             mark_dirty(dirty, par);
         }
 
@@ -275,7 +276,7 @@ impl MetablockTree {
                 fired = true;
             }
         }
-        if t.tomb_full && self.is_live(t.target) {
+        if t.tomb_full && self.metas.is_live(t.target) {
             self.flush_dirty(dirty);
             dirty.clear();
             self.with_shunt(|tr| tr.level_i(t.target, t.parent));
@@ -291,7 +292,7 @@ impl MetablockTree {
     /// invariant holds again; at a leaf with no match the delete was a
     /// contract violation and the stray tombstone is dropped.
     pub(crate) fn reroute_tombstone(&mut self, from: MbId, p: Point) {
-        let is_leaf = self.metas[from].as_ref().is_none_or(|m| m.is_leaf());
+        let is_leaf = !self.metas.is_live(from) || self.metas.get(from).is_leaf();
         if is_leaf {
             debug_assert!(false, "deleted point {p:?} is not stored in the tree");
             return;
@@ -302,7 +303,7 @@ impl MetablockTree {
             let meta = self.ctx_meta(&mut ctx, from);
             meta.children.partition_point(|c| c.slab_hi <= p.xkey())
         };
-        let child = self.meta_unbilled(from).children[idx].mb;
+        let child = self.metas.get(from).children[idx].mb;
         let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut vec![from], child, p);
         self.run_del_triggers(&mut dirty, triggers);
         self.flush_dirty(&dirty);

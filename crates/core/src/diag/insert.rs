@@ -39,9 +39,11 @@
 
 use std::sync::Arc;
 
-use ccix_extmem::{Point, SortedRun};
+use ccix_extmem::{Point, Run, SortedRun};
 
-use super::{mark_dirty, td_mut, ChildEntry, MbId, MetablockTree, TdInfo};
+use super::{
+    append_buffered, entry_mut, mark_dirty, td_mut, ChildEntry, MbId, MetablockTree, TdInfo,
+};
 use crate::bbox::BBox;
 use crate::corner::CornerStructure;
 
@@ -161,27 +163,30 @@ impl MetablockTree {
     ) -> InsTriggers {
         let b = self.geo.b;
         let parent = path.last().copied();
-        let (fresh, n_upd) = self.append_buffered(target, p, |m| (&mut m.update, &mut m.n_upd));
-        if fresh.is_some() && self.pack_h() > 0 {
+        let (fresh, n_upd) = append_buffered(&mut self.store, &mut self.metas, target, p, |m| {
+            (&mut m.update, &mut m.n_upd)
+        });
+        if fresh.is_some() && self.tuning.pack_h_pages > 0 {
             if let Some(par) = parent {
-                let run = Arc::clone(&self.meta_unbilled(target).update);
-                self.child_entry_mut(par, target).packed.upd_pages = run;
+                let run = self.metas.get(target).update.clone();
+                let children = &mut self.metas.make_mut(par).children;
+                entry_mut(children, target).packed.upd_pages = run;
                 mark_dirty(dirty, par);
             }
         }
-        let update_full = n_upd >= self.upd_cap_pages() * b;
+        let update_full = n_upd >= self.tuning.upd_cap_pages(self.geo) * b;
         mark_dirty(dirty, target);
 
         let mut td_total = 0usize;
         let mut staged_full = false;
         if let Some(par) = parent {
-            let (_, n_staged) = self.append_buffered(par, p, |m| {
+            let (_, n_staged) = append_buffered(&mut self.store, &mut self.metas, par, p, |m| {
                 let td = td_mut(m);
                 (&mut td.staged, &mut td.n_staged)
             });
-            let td = self.meta_unbilled(par).td.as_ref().expect("TD present");
+            let td = self.metas.get(par).td.as_ref().expect("TD present");
             td_total = td.total() + td.del_total();
-            staged_full = n_staged >= self.td_cap_pages() * b;
+            staged_full = n_staged >= self.tuning.td_cap_pages(self.geo) * b;
             mark_dirty(dirty, par);
         }
         InsTriggers {
@@ -217,7 +222,7 @@ impl MetablockTree {
                 fired = true;
             }
         }
-        if t.update_full && self.is_live(t.target) {
+        if t.update_full && self.metas.is_live(t.target) {
             self.flush_dirty(dirty);
             dirty.clear();
             let n_main = self.with_shunt(|tr| tr.level_i(t.target, t.parent));
@@ -246,7 +251,8 @@ impl MetablockTree {
             let on_path_child = path.get(i + 1).copied().unwrap_or(target);
             let lands = on_path_child == target;
             let (idx, e) = self
-                .meta_unbilled(a)
+                .metas
+                .get(a)
                 .children
                 .iter()
                 .enumerate()
@@ -254,7 +260,7 @@ impl MetablockTree {
                 .expect("descent child present in parent");
             let top = if lands { e.upd_ymax } else { e.sub_yhi };
             if top.is_none_or(|y| p.ykey() > y) {
-                let e = &mut self.meta_mut(a).children[idx];
+                let e = &mut self.metas.make_mut(a).children[idx];
                 if lands {
                     e.upd_ymax = Some(p.ykey());
                 } else {
@@ -294,7 +300,7 @@ impl MetablockTree {
             delta.extend_from_slice(self.store.read(pg));
         }
         self.store.free_run(&td.staged);
-        td.staged = Arc::default();
+        td.staged = Run::default();
         td.n_staged = 0;
 
         let del_built = match td.del_corner.take() {
@@ -310,7 +316,7 @@ impl MetablockTree {
             del_delta.extend_from_slice(self.store.read(pg));
         }
         self.store.free_run(&td.del_staged);
-        td.del_staged = Arc::default();
+        td.del_staged = Run::default();
         td.n_del_staged = 0;
         td.del_staged_buf.clear();
         let tombs = del_built.merge(SortedRun::from_unsorted(del_delta));
@@ -350,9 +356,9 @@ impl MetablockTree {
             .iter()
             .map(|&c| {
                 let cm = self.meta(c);
-                let mains_y = self.read_run(&cm.horizontal);
-                let delta = self.read_run(&cm.update);
-                let tombs = self.read_run(&cm.tomb);
+                let mains_y = self.store.read_run(&cm.horizontal);
+                let delta = self.store.read_run(&cm.update);
+                let tombs = self.store.read_run(&cm.tomb);
                 ccix_extmem::merge_delta_y_desc_cancel(mains_y, delta, &tombs)
             })
             .collect();
@@ -388,11 +394,11 @@ impl MetablockTree {
     /// caller's pinned path stays live.
     pub(crate) fn level_i(&mut self, mb: MbId, parent: Option<MbId>) -> usize {
         let mut m = self.take_meta(mb);
-        let mains_x = SortedRun::from_sorted(self.read_run(&m.vertical));
-        let delta = SortedRun::from_unsorted(self.read_run(&m.update));
-        let tombs = SortedRun::from_unsorted(self.read_run(&m.tomb));
+        let mains_x = SortedRun::from_sorted(self.store.read_run(&m.vertical));
+        let delta = SortedRun::from_unsorted(self.store.read_run(&m.update));
+        let tombs = SortedRun::from_unsorted(self.store.read_run(&m.tomb));
         self.store.free_run(&m.tomb);
-        m.tomb = Arc::default();
+        m.tomb = Run::default();
         m.tomb_buf.clear();
         self.tombs_pending -= m.n_tomb;
         m.n_tomb = 0;
@@ -432,7 +438,7 @@ impl MetablockTree {
             c.free_pages(&mut self.store);
         }
         self.store.free_run(&m.update);
-        m.update = Arc::default();
+        m.update = Run::default();
         m.n_upd = 0;
 
         m.vertical = self.store.alloc_run(by_x);
@@ -473,7 +479,7 @@ impl MetablockTree {
         let mut m = self.take_meta(mb);
         debug_assert_eq!(m.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(m.n_tomb, 0, "level-I cancelled all tombstones");
-        let mut pts = self.read_run(&m.horizontal);
+        let mut pts = self.store.read_run(&m.horizontal);
         debug_assert!(pts.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
         let bottom = pts.split_off(self.cap());
         let top_y = pts;
@@ -504,7 +510,7 @@ impl MetablockTree {
         // rebuilt any metablock on the path away, fall back to routing from
         // the root — the destination is identical, the path just re-descends.
         for p in bottom {
-            let path_alive = self.is_live(mb) && path.iter().all(|&a| self.is_live(a));
+            let path_alive = self.metas.is_live(mb) && path.iter().all(|&a| self.metas.is_live(a));
             if path_alive {
                 self.insert_routed(path.to_vec(), mb, p);
             } else {
@@ -522,7 +528,7 @@ impl MetablockTree {
         let meta = self.meta(mb);
         debug_assert_eq!(meta.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(meta.n_tomb, 0, "level-I cancelled all tombstones");
-        let pts = SortedRun::from_sorted(self.read_run(&meta.vertical));
+        let pts = SortedRun::from_sorted(self.store.read_run(&meta.vertical));
 
         let Some(&parent) = path.last() else {
             // The root itself is a full leaf: grow the tree by a static
@@ -684,12 +690,12 @@ impl MetablockTree {
         tomb_runs: &mut Vec<SortedRun>,
     ) {
         let meta = self.meta(mb);
-        runs.push(SortedRun::from_sorted(self.read_run(&meta.vertical)));
-        let delta = self.read_run(&meta.update);
+        runs.push(SortedRun::from_sorted(self.store.read_run(&meta.vertical)));
+        let delta = self.store.read_run(&meta.update);
         if !delta.is_empty() {
             runs.push(SortedRun::from_unsorted(delta));
         }
-        let tombs = self.read_run(&meta.tomb);
+        let tombs = self.store.read_run(&meta.tomb);
         if !tombs.is_empty() {
             tomb_runs.push(SortedRun::from_unsorted(tombs));
         }

@@ -27,6 +27,32 @@ pub(crate) fn mark_dirty(dirty: &mut Vec<MbId>, mb: MbId) {
     }
 }
 
+/// Append `p` to one of block `mb`'s buffered page runs — in place on the
+/// run's open last page, or on a fresh page grown onto the run — under a
+/// single copy-on-write access to the block; shared by both trees. `run`
+/// picks the run and its point count, and may update the block's other
+/// members for the same append (a tombstone mirror). Returns the fresh
+/// page, if one was opened, and the new count.
+pub(crate) fn append_buffered<M: Clone>(
+    store: &mut TypedStore<Point>,
+    metas: &mut Slots<M>,
+    mb: MbId,
+    p: Point,
+    run: impl FnOnce(&mut M) -> (&mut Run<PageId>, &mut usize),
+) -> (Option<PageId>, usize) {
+    let (pages, n) = run(metas.make_mut(mb));
+    let fresh = if n.is_multiple_of(store.capacity()) {
+        let pg = store.alloc(vec![p]);
+        pages.push(pg);
+        Some(pg)
+    } else {
+        store.append(*pages.last().expect("partial page exists"), p);
+        None
+    };
+    *n += 1;
+    (fresh, *n)
+}
+
 /// Size `outs` to `n` empty per-query slots, keeping the buffers it
 /// already holds — the `_into` contract of every batch surface.
 pub(crate) fn reset_slots<T>(outs: &mut Vec<Vec<T>>, n: usize) {
@@ -54,7 +80,7 @@ pub(crate) fn retain_from(out: &mut Vec<Point>, from: usize, keep: impl Fn(&Poin
 use std::sync::Arc;
 
 use ccix_extmem::{
-    BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, SortedIds, TypedStore,
+    BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, Run, Slots, SortedIds, TypedStore,
 };
 
 use crate::bbox::{BBox, Key};
@@ -71,8 +97,8 @@ pub(crate) const SPACE_META: u32 = 0;
 /// Pin key-space of a tree's point store (keys are [`PageId`]s).
 pub(crate) const SPACE_STORE: u32 = 1;
 /// First key-space available for per-metablock side structures (the 3-sided
-/// tree's PSTs); space `SPACE_AUX + 3·mb + j` addresses structure `j` of
-/// metablock `mb`.
+/// tree's four PSTs); space `SPACE_AUX + 4·mb + j` addresses structure `j`
+/// of metablock `mb`.
 pub(crate) const SPACE_AUX: u32 = 2;
 
 /// Read context of one query-side operation: a single query, an x-range, or
@@ -113,11 +139,11 @@ pub(crate) struct ChildLists {
 impl ReadCtx {
     /// A context over `counter` with the model's working memory: `B` frames
     /// of `B` records is the `Θ(B²)`-unit main memory the paper grants an
-    /// operation.
-    pub(crate) fn new(geo: Geometry, counter: IoCounter) -> Self {
+    /// operation, beside the control block `resident` holds, if any.
+    pub(crate) fn new(geo: Geometry, counter: IoCounter, resident: Option<MbId>) -> Self {
         Self {
             pin: PathPin::new(counter, geo.b),
-            resident: None,
+            resident: resident.map(|mb| (SPACE_META, mb as u64)),
             del: Vec::new(),
             dead: SortedIds::default(),
             kids: ChildLists::default(),
@@ -193,6 +219,12 @@ pub(crate) struct ChildEntry {
     pub packed: PackedInfo,
 }
 
+/// `child`'s entry among `children`, for in-place mutation.
+pub(crate) fn entry_mut(children: &mut [ChildEntry], child: MbId) -> &mut ChildEntry {
+    let entry = children.iter_mut().find(|c| c.mb == child);
+    entry.expect("child present in parent")
+}
+
 impl ChildEntry {
     /// Does the child's slab contain the x-key `k`?
     pub fn slab_contains(&self, k: Key) -> bool {
@@ -212,66 +244,61 @@ impl ChildEntry {
 /// as the entry's slab keys and the metablock's own `vkeys`, within §3.1's
 /// "constant number of disk blocks" of control information per metablock.
 ///
-/// Every run is a [shared run](push_run): copying the parent's control
+/// Every run is a shared [`Run`]: copying the parent's control
 /// block bumps seven handles per child instead of cloning seven vectors,
 /// and a mirror usually shares the child's own run outright.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PackedInfo {
     /// Mirror of the first [`Tuning::pack_h_pages`] pages of the child's
     /// horizontal blocking (its top mains, y-descending).
-    pub h_pages: Arc<[PageId]>,
+    pub h_pages: Run<PageId>,
     /// First (largest) y-key of each mirrored page, so the scan skips a
     /// crossing page with no answers.
-    pub h_tops: Arc<[Key]>,
+    pub h_tops: Run<Key>,
     /// Live (not yet tombstoned) point count of each mirrored page, so a
     /// post-delete-flood scan skips a fully-dead page without reading it.
     /// A routed delete decrements a slot in place once the parent owns the
-    /// run (`Arc::make_mut`), copying it first if an epoch still shares it.
-    pub h_live: Arc<[u32]>,
+    /// run ([`Run::make_mut`]), copying it first if an epoch still shares it.
+    pub h_live: Run<u32>,
     /// The child's horizontal blocking extends beyond the mirror.
     pub h_more: bool,
     /// Mirror of the child's update-buffer page run.
-    pub upd_pages: Arc<[PageId]>,
+    pub upd_pages: Run<PageId>,
     /// Mirror of the child's tombstone-buffer page run, so an examination
     /// of a straddling child filters its pending deletes without touching
     /// the child's control block. Empty (and free to skip) whenever the
     /// child has no pending deletes.
-    pub tomb_pages: Arc<[PageId]>,
+    pub tomb_pages: Run<PageId>,
     /// Mirror of the child's TS (diagonal) / TSL (3-sided) snapshot run.
-    pub ts_pages: Arc<[PageId]>,
+    pub ts_pages: Run<PageId>,
     /// Mirror of the snapshot's truncation bit.
     pub ts_truncated: bool,
     /// 3-sided only: mirror of the child's TSR snapshot run.
-    pub tsr_pages: Arc<[PageId]>,
+    pub tsr_pages: Run<PageId>,
     /// Mirror of the TSR truncation bit.
     pub tsr_truncated: bool,
 }
 
-/// Append `x` to a shared run. Control-block runs of page ids and keys are
-/// immutable slices behind `Arc` — copying a control block bumps their
-/// handles — so growing one replaces it with a copy one element longer:
-/// one allocation, made by the commit that grows it, while every epoch
-/// still holding the old run keeps it.
-pub(crate) fn push_run<T: Copy>(run: &mut Arc<[T]>, x: T) {
-    *run = run.iter().copied().chain(std::iter::once(x)).collect();
-}
-
-/// `items` as a shared run; the empty run allocates nothing.
-pub(crate) fn run_of<T: Copy>(items: &[T]) -> Arc<[T]> {
-    if items.is_empty() {
-        Arc::default()
-    } else {
-        items.into()
-    }
-}
-
-/// The first `h` elements of `run`, sharing `run` itself when it is no
-/// longer than that.
-fn run_prefix<T: Copy>(run: &Arc<[T]>, h: usize) -> Arc<[T]> {
-    if run.len() <= h {
-        Arc::clone(run)
-    } else {
-        run_of(&run[..h])
+impl PackedInfo {
+    /// Mirror a child's own runs: the first `h` pages of its horizontal
+    /// blocking with their top keys and live counts, and its whole update
+    /// and tombstone runs — sharing, not copying, every run the mirror
+    /// covers whole. The snapshot mirrors are left as they are.
+    pub(crate) fn mirror(
+        &mut self,
+        h: usize,
+        horizontal: &Run<PageId>,
+        hkeys: &Run<Key>,
+        h_live: &[u32],
+        update: &Run<PageId>,
+        tomb: &Run<PageId>,
+    ) {
+        self.h_pages = horizontal.prefix(h);
+        self.h_tops = hkeys.prefix(h);
+        self.h_live = Run::from_slice(&h_live[..h.min(h_live.len())]);
+        self.h_more = horizontal.len() > h;
+        self.upd_pages = update.clone();
+        self.tomb_pages = tomb.clone();
     }
 }
 
@@ -282,7 +309,7 @@ fn run_prefix<T: Copy>(run: &Arc<[T]>, h: usize) -> Arc<[T]> {
 #[derive(Clone, Debug)]
 pub(crate) struct TsInfo {
     /// The snapshot's page run, shared with the parent's packed mirror.
-    pub pages: Arc<[PageId]>,
+    pub pages: Run<PageId>,
     pub n: usize,
     /// True when sibling points were dropped to fit the budget. A scan of a
     /// non-truncated snapshot that never crosses the query bottom has seen
@@ -312,17 +339,17 @@ pub(crate) struct TdInfo {
     pub corner: Option<Arc<CornerStructure>>,
     pub n_built: usize,
     /// Staging pages: points awaiting the next TD rebuild, at most
-    /// [`MetablockTree::td_cap_pages`] pages of `B` (a shared run, grown by
-    /// [`push_run`]).
-    pub staged: Arc<[PageId]>,
+    /// [`Tuning::td_cap_pages`] pages of `B` (a shared run, grown by
+    /// [`Run::push`]).
+    pub staged: Run<PageId>,
     pub n_staged: usize,
     /// Corner structure over the settled tombstones (queried alongside
     /// `corner` by the crossing case, reporting ids to subtract).
     pub del_corner: Option<Arc<CornerStructure>>,
     pub n_del_built: usize,
-    /// Tombstone staging pages, at most [`MetablockTree::td_cap_pages`]
-    /// pages of `B` (a shared run, grown by [`push_run`]).
-    pub del_staged: Arc<[PageId]>,
+    /// Tombstone staging pages, at most [`Tuning::td_cap_pages`]
+    /// pages of `B` (a shared run, grown by [`Run::push`]).
+    pub del_staged: Run<PageId>,
     pub n_del_staged: usize,
     /// Control-block mirror of the `del_staged` pages' contents (same
     /// bounded scale as the staging run itself — at most `td_cap_pages · B`
@@ -353,22 +380,22 @@ impl TdInfo {
 /// Copy-on-write at member granularity: a member that is only ever
 /// replaced wholesale (the blockings and their key runs, the corner and TS
 /// structures) or grown one page at a time (the buffer and staging page
-/// runs, via [`push_run`]) is shared by handle, so the first write to a
+/// runs, via [`Run::push`]) is shared by handle, so the first write to a
 /// block an epoch still holds copies a handful of words and the buffers a
 /// single operation edits in place (`h_live`, `tomb_buf`, the TD's
 /// `del_staged_buf`, `children`).
 #[derive(Clone, Debug)]
 pub(crate) struct MetaBlock {
     /// Main points, x-sorted, `B` per page ("vertically oriented blocks").
-    pub vertical: Arc<[PageId]>,
+    pub vertical: Run<PageId>,
     /// First x-key of each vertical page (control info: the slab's
     /// "boundary values"), used to locate a page without a linear scan.
-    pub vkeys: Arc<[Key]>,
+    pub vkeys: Run<Key>,
     /// Main points, y-descending, `B` per page ("horizontally oriented").
-    pub horizontal: Arc<[PageId]>,
+    pub horizontal: Run<PageId>,
     /// First (largest) y-key of each horizontal page, so scans skip a
     /// crossing page that cannot contain an answer.
-    pub hkeys: Arc<[Key]>,
+    pub hkeys: Run<Key>,
     /// Live (not yet tombstoned) point count per horizontal page, parallel
     /// to `horizontal`. A routed tombstone whose victim sits in the mains
     /// decrements the victim page's count, so a query can skip a fully-dead
@@ -386,17 +413,17 @@ pub(crate) struct MetaBlock {
     /// stage-2 blocking is shared with `vertical`.
     pub corner: Option<Arc<CornerStructure>>,
     /// Update buffer: buffered inserts (§3.2), at most
-    /// [`MetablockTree::upd_cap_pages`] pages of `B`. The paper's update
+    /// [`Tuning::upd_cap_pages`] pages of `B`. The paper's update
     /// *block* is the 1-page special case.
-    pub update: Arc<[PageId]>,
+    pub update: Run<PageId>,
     pub n_upd: usize,
     /// Tombstone buffer: buffered deletes, at most
-    /// [`MetablockTree::tomb_cap_pages`] pages of `B`. The routing
+    /// [`Tuning::tomb_cap_pages`] pages of `B`. The routing
     /// invariant lands every tombstone in the metablock that holds the
     /// live copy (mains or update buffer); the next level-I reorganisation
     /// annihilates the pair. Queries scan pending tombstone pages wherever
     /// they scan the update block and subtract the ids.
-    pub tomb: Arc<[PageId]>,
+    pub tomb: Run<PageId>,
     pub n_tomb: usize,
     /// Control-block mirror of the `tomb` pages' contents, in arrival
     /// order. Bounded by `tomb_cap_pages · B` points — the same control-
@@ -465,11 +492,8 @@ pub struct MetablockTree {
     pub(crate) store: TypedStore<Point>,
     /// Control blocks, shared with every [`MetablockTree::fork_snapshot`]
     /// taken since a block last changed; all mutation goes through
-    /// [`MetablockTree::meta_mut`] / `take_meta`, which copy a shared block
-    /// first.
-    pub(crate) metas: Vec<Option<Arc<MetaBlock>>>,
-    /// Count of freed meta slots (slots are never reused; see `alloc_meta`).
-    pub(crate) dead_metas: usize,
+    /// [`Slots::make_mut`] / `take_meta`, which copy a shared block first.
+    pub(crate) metas: Slots<MetaBlock>,
     pub(crate) root: Option<MbId>,
     pub(crate) len: usize,
     /// Tombstones currently buffered somewhere in the tree (each matches
@@ -526,8 +550,7 @@ impl MetablockTree {
             geo,
             counter: counter.clone(),
             store: TypedStore::new_on(spec, geo.b, counter),
-            metas: Vec::new(),
-            dead_metas: 0,
+            metas: Slots::default(),
             root: None,
             len: 0,
             tombs_pending: 0,
@@ -560,19 +583,11 @@ impl MetablockTree {
     /// stay alive until the last holder drops — see `ccix-serve`.
     pub fn fork_snapshot(&self, counter: IoCounter) -> Self {
         Self {
-            geo: self.geo,
             counter: counter.clone(),
             store: self.store.fork(counter),
             metas: self.metas.clone(),
-            dead_metas: self.dead_metas,
-            root: self.root,
-            len: self.len,
-            tombs_pending: self.tombs_pending,
-            deletes_since_shrink: self.deletes_since_shrink,
-            shrink_base: self.shrink_base,
-            options: self.options,
-            tuning: self.tuning,
             reorg: self.reorg.clone(),
+            ..*self
         }
     }
 
@@ -617,46 +632,6 @@ impl MetablockTree {
         self.tuning
     }
 
-    // ---- tuning-derived budgets -----------------------------------------
-    //
-    // Buffers are clamped to B/2 pages so a buffer (≤ B²/2 points) never
-    // rivals the B² metablock capacity: the paper's invariants and the
-    // level-II threshold arithmetic survive for every geometry, including
-    // the tiny-B property tests.
-
-    /// Update-buffer budget in pages (≥ 1).
-    pub(crate) fn upd_cap_pages(&self) -> usize {
-        self.tuning
-            .update_batch_pages
-            .clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// TD staging budget in pages (≥ 1), shared by the insert and delete
-    /// staging areas.
-    pub(crate) fn td_cap_pages(&self) -> usize {
-        self.tuning.td_batch_pages.clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// Tombstone-buffer budget in pages (≥ 1).
-    pub(crate) fn tomb_cap_pages(&self) -> usize {
-        self.tuning
-            .tomb_batch_pages
-            .clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// TS snapshot budget in points (≥ B).
-    pub(crate) fn ts_cap_points(&self) -> usize {
-        match self.tuning.ts_snapshot_pages {
-            None => self.geo.b2(),
-            Some(pages) => (pages.max(1) * self.geo.b).min(self.geo.b2()),
-        }
-    }
-
-    /// Mirrored horizontal pages per child entry (0 = packing disabled).
-    pub(crate) fn pack_h(&self) -> usize {
-        self.tuning.pack_h_pages
-    }
-
     /// Number of points stored (inserts minus deletes).
     pub fn len(&self) -> usize {
         self.len
@@ -689,7 +664,7 @@ impl MetablockTree {
     /// metablock (§3.1 stores "a constant number of disk blocks per
     /// metablock" of control information).
     pub fn space_pages(&self) -> usize {
-        self.store.pages_in_use() + (self.metas.len() - self.dead_metas)
+        self.store.pages_in_use() + self.metas.live()
     }
 
     // ---- control-information access (charged) ---------------------------
@@ -697,84 +672,20 @@ impl MetablockTree {
     /// Read a metablock's control information: one I/O.
     pub(crate) fn meta(&self, mb: MbId) -> &MetaBlock {
         self.counter.add_reads(1);
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.get(mb)
     }
 
     /// Take a metablock's control information for mutation: one read I/O.
     /// Pair with [`MetablockTree::put_meta`].
     pub(crate) fn take_meta(&mut self, mb: MbId) -> MetaBlock {
         self.counter.add_reads(1);
-        Arc::unwrap_or_clone(self.metas[mb].take().expect("take of freed metablock"))
+        self.metas.take(mb)
     }
 
     /// Write back control information: one write I/O.
     pub(crate) fn put_meta(&mut self, mb: MbId, meta: MetaBlock) {
         self.counter.add_writes(1);
-        self.metas[mb] = Some(Arc::new(meta));
-    }
-
-    /// Control information for in-place mutation, unbilled (the caller's
-    /// operation holds the block pinned and pays one write per dirty block
-    /// through [`MetablockTree::flush_dirty`]). Copies the block first if an
-    /// epoch snapshot still shares it.
-    pub(crate) fn meta_mut(&mut self, mb: MbId) -> &mut MetaBlock {
-        Arc::make_mut(
-            self.metas[mb]
-                .as_mut()
-                .expect("mutation of freed metablock"),
-        )
-    }
-
-    /// `child`'s entry in `parent`, for in-place mutation (see
-    /// [`MetablockTree::meta_mut`]).
-    pub(crate) fn child_entry_mut(&mut self, parent: MbId, child: MbId) -> &mut ChildEntry {
-        self.meta_mut(parent)
-            .children
-            .iter_mut()
-            .find(|c| c.mb == child)
-            .expect("child present in parent")
-    }
-
-    /// Append `p` to one of `mb`'s buffered page runs — in place on the
-    /// run's open last page, or on a fresh page grown onto the run (pages
-    /// fill `B` at a time) — under a single copy-on-write access to the
-    /// block. `run` picks the run and its point count, and may update the
-    /// block's other members for the same append (a tombstone mirror).
-    /// Returns the fresh page, if one was opened, and the new count.
-    pub(crate) fn append_buffered(
-        &mut self,
-        mb: MbId,
-        p: Point,
-        run: impl FnOnce(&mut MetaBlock) -> (&mut Arc<[PageId]>, &mut usize),
-    ) -> (Option<PageId>, usize) {
-        let m = self.metas[mb]
-            .as_mut()
-            .expect("mutation of freed metablock");
-        let (pages, n) = run(Arc::make_mut(m));
-        let fresh = if n.is_multiple_of(self.geo.b) {
-            let pg = self.store.alloc(vec![p]);
-            push_run(pages, pg);
-            Some(pg)
-        } else {
-            // In-place append: the same read-modify-write charge as the
-            // separate read/write pair, without cloning the page buffer.
-            self.store
-                .append(*pages.last().expect("partial page exists"), p);
-            None
-        };
-        *n += 1;
-        (fresh, *n)
-    }
-
-    /// Whether `mb` has not been freed (meta slots are never reused).
-    pub(crate) fn is_live(&self, mb: MbId) -> bool {
-        self.metas[mb].is_some()
-    }
-
-    /// Access control information without billing: validation, and
-    /// operations re-reading a block they already hold pinned.
-    pub(crate) fn meta_unbilled(&self, mb: MbId) -> &MetaBlock {
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.put(mb, meta);
     }
 
     // ---- pinned query-side access ----------------------------------------
@@ -784,19 +695,14 @@ impl MetablockTree {
     /// resident: the tree dedicates one block of long-lived main memory to
     /// it, so descents do not re-read it every operation.
     pub(crate) fn read_ctx(&self) -> ReadCtx {
-        let mut ctx = ReadCtx::new(self.geo, self.counter.clone());
-        if self.tuning.resident_root {
-            if let Some(root) = self.root {
-                ctx.resident = Some((SPACE_META, root as u64));
-            }
-        }
-        ctx
+        let resident = self.root.filter(|_| self.tuning.resident_root);
+        ReadCtx::new(self.geo, self.counter.clone(), resident)
     }
 
     /// Pinned control-block read: one I/O per residency in `ctx`.
     pub(crate) fn ctx_meta(&self, ctx: &mut ReadCtx, mb: MbId) -> &MetaBlock {
         ctx.touch_meta(mb);
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.get(mb)
     }
 
     /// Pinned data-page read: one I/O per residency in `ctx`.
@@ -810,14 +716,14 @@ impl MetablockTree {
     /// within the model's `Θ(B²)`-point working memory, so pinning it is the
     /// faithful charge — the paper's update analysis (§3.2) likewise counts
     /// each control block once per insert, not once per access. Mutations go
-    /// through [`MetablockTree::meta_mut`] and are paid by one write per *dirty*
+    /// through [`Slots::make_mut`] and are paid by one write per *dirty*
     /// block at the end of the operation (see `flush_dirty`).
     pub(crate) fn pin_meta(&self, pinned: &mut Vec<MbId>, mb: MbId) -> &MetaBlock {
         if !pinned.contains(&mb) {
             self.counter.add_reads(1);
             pinned.push(mb);
         }
-        self.metas[mb].as_ref().expect("pinned metablock is live")
+        self.metas.get(mb)
     }
 
     /// Charge one write per distinct dirty control block of a pinned
@@ -828,19 +734,16 @@ impl MetablockTree {
 
     pub(crate) fn alloc_meta(&mut self, meta: MetaBlock) -> MbId {
         self.counter.add_writes(1);
-        // Meta slots are never reused: a freed MbId stays permanently dead,
-        // which makes `metas[id].is_some()` a reliable liveness test for the
-        // restructuring cascades of §3.2 (reorganisations fall back to
-        // re-routing when a metablock they hold a handle to disappears).
-        self.metas.push(Some(Arc::new(meta)));
-        self.metas.len() - 1
+        // Slots are never reused, so `is_live` stays a reliable liveness
+        // test for the restructuring cascades of §3.2 (reorganisations
+        // fall back to re-routing when a metablock they hold disappears).
+        self.metas.push(meta)
     }
 
     /// Free a metablock's control block and every data page it owns,
     /// returning the (possibly still snapshot-shared) block.
     pub(crate) fn free_metablock(&mut self, mb: MbId) -> Arc<MetaBlock> {
-        let meta = self.metas[mb].take().expect("double free of metablock");
-        self.dead_metas += 1;
+        let meta = self.metas.free(mb);
         self.store.free_run(&meta.vertical);
         self.store.free_run(&meta.horizontal);
         if let Some(c) = &meta.corner {
@@ -869,15 +772,6 @@ impl MetablockTree {
 
     // ---- shared small helpers -------------------------------------------
 
-    /// Read every point of a page run (one I/O per page).
-    pub(crate) fn read_run(&self, pages: &[PageId]) -> Vec<Point> {
-        let mut out = Vec::with_capacity(pages.len() * self.geo.b);
-        for &pg in pages {
-            out.extend_from_slice(self.store.read(pg));
-        }
-        out
-    }
-
     /// Metablock point capacity `B²`.
     pub(crate) fn cap(&self) -> usize {
         self.geo.b2()
@@ -891,38 +785,26 @@ impl MetablockTree {
     /// mirrored value is a page id or key already known to it. TS mirrors
     /// are maintained by `install_ts_snapshots`.
     pub(crate) fn sync_packed_entry(&mut self, parent: MbId, child: MbId) {
-        let h = self.pack_h();
+        let h = self.tuning.pack_h_pages;
         if h == 0 {
             return;
         }
-        // Runs no longer than the mirrored prefix are shared with the
-        // child, not copied.
-        let cm = self.meta_unbilled(child);
-        let (h_pages, h_tops, h_live, h_more, upd, tomb) = (
-            run_prefix(&cm.horizontal, h),
-            run_prefix(&cm.hkeys, h),
-            run_of(&cm.h_live[..h.min(cm.h_live.len())]),
-            cm.horizontal.len() > h,
-            Arc::clone(&cm.update),
-            Arc::clone(&cm.tomb),
-        );
-        let p = &mut self.child_entry_mut(parent, child).packed;
-        p.h_pages = h_pages;
-        p.h_tops = h_tops;
-        p.h_live = h_live;
-        p.h_more = h_more;
-        p.upd_pages = upd;
-        p.tomb_pages = tomb;
+        let children = &mut self.metas.make_mut(parent).children;
+        let mut packed = std::mem::take(&mut entry_mut(children, child).packed);
+        let c = self.metas.get(child);
+        packed.mirror(h, &c.horizontal, &c.hkeys, &c.h_live, &c.update, &c.tomb);
+        entry_mut(&mut self.metas.make_mut(parent).children, child).packed = packed;
     }
 
     /// Refresh every child mirror of `parent` (used where the child list
     /// itself changed, i.e. splits and static builds).
     pub(crate) fn sync_packed_children(&mut self, parent: MbId) {
-        if self.pack_h() == 0 {
+        if self.tuning.pack_h_pages == 0 {
             return;
         }
         let children: Vec<MbId> = self
-            .meta_unbilled(parent)
+            .metas
+            .get(parent)
             .children
             .iter()
             .map(|c| c.mb)
@@ -945,7 +827,7 @@ mod tests {
 
     #[test]
     fn emit_live_drops_exactly_the_ids_the_query_selected() {
-        let mut ctx = ReadCtx::new(Geometry::new(4), IoCounter::new());
+        let mut ctx = ReadCtx::new(Geometry::new(4), IoCounter::new(), None);
         // 50 000 answers hold ~100 ids on each of the mask's 512 bits:
         // every stranger sharing a dead id's bit must survive.
         let answers = answers(50_000);
@@ -975,17 +857,6 @@ mod tests {
         assert_eq!(out.len(), 7, "an empty tail is left alone");
     }
 
-    /// Control blocks of `live` no longer shared with `fork`.
-    fn diverged(live: &MetablockTree, fork: &MetablockTree) -> Vec<MbId> {
-        (0..live.metas.len())
-            .filter(|&mb| match (&live.metas[mb], fork.metas.get(mb)) {
-                (Some(a), Some(Some(b))) => !Arc::ptr_eq(a, b),
-                (None, Some(None)) => false,
-                _ => true,
-            })
-            .collect()
-    }
-
     /// The tree of the structural-sharing tests: 4 000 points at `B = 4`,
     /// height ≥ 3, every control-block mirror populated.
     fn shared_tree() -> MetablockTree {
@@ -1000,7 +871,7 @@ mod tests {
     fn landing(tree: &MetablockTree, p: Point) -> (Vec<MbId>, MbId) {
         let (mut path, mut cur) = (Vec::new(), tree.root.expect("nonempty"));
         loop {
-            let m = tree.meta_unbilled(cur);
+            let m = tree.metas.get(cur);
             if m.is_leaf() || m.y_lo_main.is_some_and(|ylo| p.ykey() >= ylo) {
                 return (path, cur);
             }
@@ -1012,7 +883,7 @@ mod tests {
 
     /// The five page-run mirrors of a child entry, in field order (the key
     /// and live-count mirrors have types of their own).
-    fn mirrors(e: &ChildEntry) -> [&Arc<[PageId]>; 5] {
+    fn mirrors(e: &ChildEntry) -> [&Run<PageId>; 5] {
         let p = &e.packed;
         [
             &p.h_pages,
@@ -1031,29 +902,28 @@ mod tests {
         // opens a fresh page — the one run that insert grows.
         let p = Point::new(2_000, 2_000, 10_000);
         let (path, target) = landing(&tree, p);
-        assert!(path.len() >= 2 && tree.meta_unbilled(target).is_leaf());
+        assert!(path.len() >= 2 && tree.metas.get(target).is_leaf());
         let parent = *path.last().expect("a leaf has a parent");
         tree.insert(p);
 
-        let (live, frozen) = (&tree.metas[parent], &fork.metas[parent]);
-        let (live, frozen) = (live.as_ref().unwrap(), frozen.as_ref().unwrap());
-        assert!(!Arc::ptr_eq(live, frozen), "the routed parent was copied");
+        assert!(tree.metas.diverged(&fork.metas).contains(&parent));
+        let (live, frozen) = (tree.metas.get(parent), fork.metas.get(parent));
         assert!(
             frozen.children.len() >= 3,
             "siblings beside the routed child"
         );
         // Its own runs: mains and buffers shared, only the TD staging run
         // (which the insert tracked into) grown.
-        assert!(Arc::ptr_eq(&live.vertical, &frozen.vertical));
-        assert!(Arc::ptr_eq(&live.vkeys, &frozen.vkeys));
-        assert!(Arc::ptr_eq(&live.horizontal, &frozen.horizontal));
-        assert!(Arc::ptr_eq(&live.hkeys, &frozen.hkeys));
-        assert!(Arc::ptr_eq(&live.update, &frozen.update));
-        assert!(Arc::ptr_eq(&live.tomb, &frozen.tomb));
+        assert!(Run::ptr_eq(&live.vertical, &frozen.vertical));
+        assert!(Run::ptr_eq(&live.vkeys, &frozen.vkeys));
+        assert!(Run::ptr_eq(&live.horizontal, &frozen.horizontal));
+        assert!(Run::ptr_eq(&live.hkeys, &frozen.hkeys));
+        assert!(Run::ptr_eq(&live.update, &frozen.update));
+        assert!(Run::ptr_eq(&live.tomb, &frozen.tomb));
         let (td, frozen_td) = (live.td.as_ref().unwrap(), frozen.td.as_ref().unwrap());
         assert_eq!(td.staged.len(), frozen_td.staged.len() + 1);
         assert_eq!(td.staged[..frozen_td.staged.len()], frozen_td.staged[..]);
-        assert!(Arc::ptr_eq(&td.del_staged, &frozen_td.del_staged));
+        assert!(Run::ptr_eq(&td.del_staged, &frozen_td.del_staged));
 
         // Every child's mirrors are shared, except the routed child's
         // update-page mirror — which is the child's own new run.
@@ -1061,11 +931,11 @@ mod tests {
         for (e, f) in live.children.iter().zip(&frozen.children) {
             assert_eq!(e.mb, f.mb);
             populated += mirrors(f).iter().filter(|r| !r.is_empty()).count();
-            assert!(Arc::ptr_eq(&e.packed.h_tops, &f.packed.h_tops));
-            assert!(Arc::ptr_eq(&e.packed.h_live, &f.packed.h_live));
+            assert!(Run::ptr_eq(&e.packed.h_tops, &f.packed.h_tops));
+            assert!(Run::ptr_eq(&e.packed.h_live, &f.packed.h_live));
             for (i, (a, b)) in mirrors(e).into_iter().zip(mirrors(f)).enumerate() {
                 let grown = e.mb == target && i == 1;
-                assert_eq!(Arc::ptr_eq(a, b), !grown, "mirror {i} of child {}", e.mb);
+                assert_eq!(Run::ptr_eq(a, b), !grown, "mirror {i} of child {}", e.mb);
             }
         }
         // A horizontal-prefix mirror per child, a TS mirror per non-first.
@@ -1074,10 +944,10 @@ mod tests {
             "mirrors populated"
         );
         let routed = live.children.iter().find(|e| e.mb == target).unwrap();
-        let child = tree.meta_unbilled(target);
-        assert!(Arc::ptr_eq(&routed.packed.upd_pages, &child.update));
+        let child = tree.metas.get(target);
+        assert!(Run::ptr_eq(&routed.packed.upd_pages, &child.update));
         assert_eq!(child.update.len(), 1);
-        assert!(fork.meta_unbilled(target).update.is_empty());
+        assert!(fork.metas.get(target).update.is_empty());
         tree.validate_unbilled();
         fork.validate_unbilled();
     }
@@ -1093,12 +963,12 @@ mod tests {
         let (path, leaf) = landing(&tree, probe);
         let parent = *path.last().expect("a leaf has a parent");
         let victim = {
-            let m = tree.meta_unbilled(leaf);
+            let m = tree.metas.get(leaf);
             tree.store.read_unbilled(m.horizontal[0])[0]
         };
         assert_eq!(landing(&tree, victim).1, leaf);
         let entry = |t: &MetablockTree| {
-            let m = t.meta_unbilled(parent);
+            let m = t.metas.get(parent);
             m.children.iter().find(|e| e.mb == leaf).unwrap().clone()
         };
         let before = entry(&fork).packed.h_live[0];
@@ -1110,10 +980,10 @@ mod tests {
             frozen.packed.h_live[0], before,
             "the fork's slot is untouched"
         );
-        assert_eq!(fork.meta_unbilled(leaf).h_live[0], before);
-        assert!(!Arc::ptr_eq(&live.packed.h_live, &frozen.packed.h_live));
-        assert!(Arc::ptr_eq(&live.packed.h_pages, &frozen.packed.h_pages));
-        assert!(Arc::ptr_eq(&live.packed.h_tops, &frozen.packed.h_tops));
+        assert_eq!(fork.metas.get(leaf).h_live[0], before);
+        assert!(!Run::ptr_eq(&live.packed.h_live, &frozen.packed.h_live));
+        assert!(Run::ptr_eq(&live.packed.h_pages, &frozen.packed.h_pages));
+        assert!(Run::ptr_eq(&live.packed.h_tops, &frozen.packed.h_tops));
         tree.validate_unbilled();
         fork.validate_unbilled();
         assert!(fork.query(victim.y).iter().any(|q| q.id == victim.id));
@@ -1126,7 +996,10 @@ mod tests {
         let stats = tree.stats();
         assert!(stats.metablocks > 100 && stats.height >= 3, "{stats:?}");
         let fork = tree.fork_snapshot(IoCounter::new());
-        assert!(diverged(&tree, &fork).is_empty(), "a fork shares all");
+        assert!(
+            tree.metas.diverged(&fork.metas).is_empty(),
+            "a fork shares all"
+        );
 
         // k buffered writes (no reorganisation fires this early): each one
         // touches at most its descent path.
@@ -1134,14 +1007,14 @@ mod tests {
         tree.insert(Point::new(10, 40, 10_000));
         tree.insert(Point::new(2_000, 2_020, 10_001));
         tree.delete(Point::new(3_999, 3_999 + (3_999 * 7) % 50, 3_999));
-        let touched = diverged(&tree, &fork);
+        let touched = tree.metas.diverged(&fork.metas);
         assert!(!touched.is_empty());
         assert!(touched.len() <= k * stats.height, "{touched:?}");
 
         // A copied block still shares the members that are only ever
         // replaced wholesale.
         for &mb in &touched {
-            let (live, frozen) = (tree.meta_unbilled(mb), fork.meta_unbilled(mb));
+            let (live, frozen) = (tree.metas.get(mb), fork.metas.get(mb));
             for (a, b) in [
                 (&live.corner, &frozen.corner),
                 (
@@ -1179,5 +1052,49 @@ mod tests {
         fork.validate_unbilled();
         tree.validate_unbilled();
         second.validate_unbilled();
+    }
+
+    /// The three-sided tree forks by the same rule: k buffered writes copy
+    /// at most k·height blocks, and a copied block still shares its mains'
+    /// runs and every PST with the fork.
+    #[test]
+    fn a_three_sided_fork_copies_only_the_control_blocks_its_writes_touch() {
+        let pts: Vec<Point> = (0..4000i64)
+            .map(|i| Point::new(i, (i * 7_919) % 4_000, i as u64))
+            .collect();
+        let mut tree =
+            crate::ThreeSidedTree::build(Geometry::new(4), IoCounter::new(), pts.clone());
+        let stats = tree.stats();
+        assert!(stats.metablocks > 100 && stats.height >= 3, "{stats:?}");
+        let fork = tree.fork_snapshot(IoCounter::new());
+        assert!(
+            tree.metas.diverged(&fork.metas).is_empty(),
+            "a fork shares all"
+        );
+
+        tree.insert(Point::new(10, 40, 10_000));
+        tree.insert(Point::new(2_000, 5, 10_001));
+        tree.delete(pts[3_999]);
+        let touched = tree.metas.diverged(&fork.metas);
+        assert!(!touched.is_empty() && touched.len() <= 3 * stats.height);
+        let same = |a: &Option<Arc<_>>, b: &Option<Arc<_>>| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        for &mb in &touched {
+            let (live, frozen) = (tree.metas.get(mb), fork.metas.get(mb));
+            assert!(Run::ptr_eq(&live.vertical, &frozen.vertical));
+            assert!(Run::ptr_eq(&live.horizontal, &frozen.horizontal));
+            assert!(
+                Run::ptr_eq(&live.vkeys, &frozen.vkeys) && Run::ptr_eq(&live.hkeys, &frozen.hkeys)
+            );
+            assert!(same(&live.pst, &frozen.pst) && same(&live.children_pst, &frozen.children_pst));
+            if let (Some(a), Some(b)) = (&live.td, &frozen.td) {
+                assert!(same(&a.pst, &b.pst) && same(&a.del_pst, &b.del_pst), "{mb}");
+            }
+        }
+        assert_eq!((fork.len(), tree.len()), (4_000, 4_001));
+        fork.validate_unbilled();
+        tree.validate_unbilled();
     }
 }

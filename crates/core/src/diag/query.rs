@@ -329,7 +329,7 @@ impl MetablockTree {
                 // TS(children[cr]) top-down. With packing on, the snapshot's
                 // page run is mirrored in the parent's entry, so no control
                 // block of cr is touched; otherwise read cr's meta for it.
-                let (ts_pages, ts_truncated) = if self.pack_h() > 0 {
+                let (ts_pages, ts_truncated) = if self.tuning.pack_h_pages > 0 {
                     let packed = &children[cr].packed;
                     (&packed.ts_pages, packed.ts_truncated)
                 } else {
@@ -480,7 +480,7 @@ impl MetablockTree {
         out: &mut Vec<Point>,
     ) {
         let entry = &parent.children[idx];
-        if self.pack_h() == 0 {
+        if self.tuning.pack_h_pages == 0 {
             let meta = self.ctx_meta(ctx, entry.mb);
             self.scan_update_pages(ctx, &meta.update, q, out);
             mirror_tombs(ctx, &meta.tomb_buf, q);

@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 
-use ccix_extmem::{MergeCursor, PageId, Point, SortedIds, SortedRun};
+use ccix_extmem::{MergeCursor, PageId, Point, Run, SortedIds, SortedRun};
 
 use super::{MbId, MetablockTree, ReadCtx};
 
@@ -97,10 +97,10 @@ pub(crate) enum JobPhase {
     Drain,
 }
 
-/// One frozen page run awaiting collection.
+/// One frozen page run awaiting collection (shared with the frozen block).
 #[derive(Clone, Debug)]
 pub(crate) struct RunSpec {
-    pub pages: Vec<PageId>,
+    pub pages: Run<PageId>,
     pub pos: usize,
     /// The run is already x-sorted (a vertical blocking).
     pub sorted: bool,
@@ -249,9 +249,9 @@ impl MetablockTree {
         let (vertical, update, tomb, children) = {
             let meta = self.meta(mb);
             (
-                meta.vertical.to_vec(),
-                meta.update.to_vec(),
-                meta.tomb.to_vec(),
+                meta.vertical.clone(),
+                meta.update.clone(),
+                meta.tomb.clone(),
                 meta.children.iter().map(|c| c.mb).collect::<Vec<_>>(),
             )
         };

@@ -50,7 +50,7 @@ impl MetablockTree {
     }
 
     fn stats_rec(&self, mb: MbId, depth: usize, s: &mut DiagStats) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         s.metablocks += 1;
         s.height = s.height.max(depth);
         s.points += meta.n_main + meta.n_upd;
@@ -130,11 +130,11 @@ impl MetablockTree {
         y_bound: Option<Key>,
         all: &mut Vec<Point>,
     ) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         let mains = self.mains_unbilled(meta);
         assert_eq!(mains.len(), meta.n_main, "main count mismatch");
         assert!(
-            mains.len() <= 2 * self.cap() + self.upd_cap_pages() * self.geo.b,
+            mains.len() <= 2 * self.cap() + self.tuning.upd_cap_pages(self.geo) * self.geo.b,
             "metablock overfull: {}",
             mains.len()
         );
@@ -191,7 +191,7 @@ impl MetablockTree {
         let update = self.pages_unbilled(&meta.update);
         assert_eq!(update.len(), meta.n_upd, "update count mismatch");
         assert!(
-            update.len() <= self.upd_cap_pages() * self.geo.b,
+            update.len() <= self.tuning.upd_cap_pages(self.geo) * self.geo.b,
             "update buffer overfull: {} points",
             update.len()
         );
@@ -215,7 +215,7 @@ impl MetablockTree {
         assert_eq!(tombs.len(), meta.n_tomb, "tombstone count mismatch");
         assert_eq!(tombs, meta.tomb_buf, "stale tombstone control-block mirror");
         assert!(
-            tombs.len() <= self.tomb_cap_pages() * self.geo.b,
+            tombs.len() <= self.tuning.tomb_cap_pages(self.geo) * self.geo.b,
             "tombstone buffer overfull: {} tombstones",
             tombs.len()
         );
@@ -279,7 +279,7 @@ impl MetablockTree {
 
             let y_lo = meta.y_lo_main;
             for c in &meta.children {
-                let child_meta = self.meta_unbilled(c.mb);
+                let child_meta = self.metas.get(c.mb);
                 let child_mains = self.mains_unbilled(child_meta);
                 assert_eq!(
                     c.main_bbox,
@@ -356,7 +356,7 @@ impl MetablockTree {
         }
         let mut left_points: Vec<Point> = Vec::new();
         for (i, c) in parent.children.iter().enumerate() {
-            let child_meta = self.meta_unbilled(c.mb);
+            let child_meta = self.metas.get(c.mb);
             let child_tombs: BTreeSet<u64> = self
                 .pages_unbilled(&child_meta.tomb)
                 .iter()
@@ -370,7 +370,10 @@ impl MetablockTree {
                     ts_points.windows(2).all(|w| w[0].ykey() > w[1].ykey()),
                     "TS snapshot out of order"
                 );
-                assert!(ts.n <= self.ts_cap_points(), "TS snapshot too large");
+                assert!(
+                    ts.n <= self.tuning.ts_cap_points(self.geo),
+                    "TS snapshot too large"
+                );
                 let ts_ids: BTreeSet<u64> = ts_points.iter().map(|p| p.id).collect();
                 let ts_min = ts_points.last().map(Point::ykey);
                 for p in &left_points {
@@ -407,7 +410,7 @@ impl MetablockTree {
     /// Packed control information is an exact mirror of the children's
     /// state: horizontal-prefix, update-page and TS-page mirrors all match.
     fn validate_packed(&self, meta: &MetaBlock) {
-        let h = self.pack_h();
+        let h = self.tuning.pack_h_pages;
         if h == 0 {
             for c in &meta.children {
                 assert!(c.packed.h_pages.is_empty(), "mirror while packing off");
@@ -418,7 +421,7 @@ impl MetablockTree {
             return;
         }
         for c in &meta.children {
-            let child_meta = self.meta_unbilled(c.mb);
+            let child_meta = self.metas.get(c.mb);
             let top = h.min(child_meta.horizontal.len());
             assert_eq!(
                 c.packed.h_pages[..],
@@ -489,7 +492,7 @@ impl MetablockTree {
     }
 
     fn collect_unbilled(&self, mb: MbId, out: &mut Vec<Point>) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         out.extend(self.mains_unbilled(meta));
         out.extend(self.pages_unbilled(&meta.update));
         for c in &meta.children {

@@ -11,7 +11,9 @@
 //! Sibling snapshots (here in both directions — TSL and TSR) are capped
 //! incremental merges over the planned y-orders.
 
-use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, Point, SortedRun};
+use std::sync::Arc;
+
+use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, Point, Run, SortedRun};
 use ccix_pst::{ExternalPst, PstPlan};
 
 use super::{ThreeSidedTree, TsMeta, TsTd};
@@ -122,28 +124,10 @@ impl ThreeSidedTree {
     }
 
     /// As [`ThreeSidedTree::build`], with explicit tuning.
-    pub fn build_tuned(
-        geo: Geometry,
-        counter: IoCounter,
-        points: Vec<Point>,
-        tuning: crate::Tuning,
-    ) -> Self {
-        Self::build_tuned_on(
-            &ccix_extmem::BackendSpec::Model,
-            geo,
-            counter,
-            points,
-            tuning,
-        )
-    }
-
-    /// [`ThreeSidedTree::build_tuned`] on an explicit page backend (see
-    /// [`ThreeSidedTree::new_tuned_on`]).
     ///
     /// # Panics
     /// Panics if ids repeat.
-    pub fn build_tuned_on(
-        spec: &ccix_extmem::BackendSpec,
+    pub fn build_tuned(
         geo: Geometry,
         counter: IoCounter,
         points: Vec<Point>,
@@ -154,7 +138,7 @@ impl ThreeSidedTree {
             ids.sort_unstable();
             assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
         }
-        let mut tree = Self::new_tuned_on(spec, geo, counter, tuning);
+        let mut tree = Self::new_tuned(geo, counter, tuning);
         tree.len = points.len();
         tree.shrink_base = points.len();
         if points.is_empty() {
@@ -262,14 +246,13 @@ impl ThreeSidedTree {
         internal: bool,
     ) -> TsMeta {
         debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-        let vkeys: Vec<Key> = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
+        let vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
         let vertical = self.store.alloc_run(by_x);
-        let hkeys: Vec<Key> = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
-        let h_live: Vec<u32> = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
+        let hkeys = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
+        let h_live = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
         let horizontal = self.store.alloc_run(by_y);
-        let pst = pst.map(|plan| {
-            ExternalPst::from_plan_on(&self.backend, self.geo, self.counter.clone(), plan)
-        });
+        let pst =
+            pst.map(|plan| Arc::new(ExternalPst::from_plan(self.geo, self.counter.clone(), plan)));
         TsMeta {
             vertical,
             vkeys,
@@ -280,9 +263,9 @@ impl ThreeSidedTree {
             y_lo_main: by_y.last().map(Point::ykey),
             main_bbox: BBox::of_points(by_x),
             pst,
-            update: Vec::new(),
+            update: Run::default(),
             n_upd: 0,
-            tomb: Vec::new(),
+            tomb: Run::default(),
             n_tomb: 0,
             tomb_buf: Vec::new(),
             tsl: None,
@@ -307,10 +290,10 @@ impl ThreeSidedTree {
         snapshots: Vec<Vec<Point>>,
         children_pst_plan: Option<PstPlan>,
     ) {
-        let cap = self.ts_cap_points();
-        let child_ids: Vec<MbId> = self.metas[parent]
-            .as_ref()
-            .expect("live parent")
+        let cap = self.tuning.ts_cap_points(self.geo);
+        let child_ids: Vec<MbId> = self
+            .metas
+            .get(parent)
             .children
             .iter()
             .map(|c| c.mb)
@@ -371,29 +354,20 @@ impl ThreeSidedTree {
                     truncated,
                 });
             }
-            mirrors.push((
-                meta.tsl
-                    .as_ref()
-                    .map(|t| t.pages.clone())
-                    .unwrap_or_default(),
-                meta.tsl.as_ref().is_some_and(|t| t.truncated),
-                meta.tsr
-                    .as_ref()
-                    .map(|t| t.pages.clone())
-                    .unwrap_or_default(),
-                meta.tsr.as_ref().is_some_and(|t| t.truncated),
-            ));
+            let mirror = |ts: &Option<TsInfo>| {
+                ts.as_ref()
+                    .map_or((Run::default(), false), |t| (t.pages.clone(), t.truncated))
+            };
+            mirrors.push((mirror(&meta.tsl), mirror(&meta.tsr)));
             self.put_meta(child, meta);
         }
         // Mirror both snapshot runs into the parent's packed entries (the
         // parent is held in memory by this operation).
-        if self.pack_h() > 0 {
-            let pm = self.metas[parent].as_mut().expect("live parent");
-            for (e, (tsl_pages, tsl_tr, tsr_pages, tsr_tr)) in pm.children.iter_mut().zip(mirrors) {
-                e.packed.ts_pages = tsl_pages;
-                e.packed.ts_truncated = tsl_tr;
-                e.packed.tsr_pages = tsr_pages;
-                e.packed.tsr_truncated = tsr_tr;
+        if self.tuning.pack_h_pages > 0 {
+            let pm = self.metas.make_mut(parent);
+            for (e, (tsl, tsr)) in pm.children.iter_mut().zip(mirrors) {
+                (e.packed.ts_pages, e.packed.ts_truncated) = tsl;
+                (e.packed.tsr_pages, e.packed.tsr_truncated) = tsr;
             }
         }
 
@@ -404,12 +378,8 @@ impl ThreeSidedTree {
         match children_pst_plan {
             Some(plan) => {
                 debug_assert!(pm.children_pst.is_none(), "planned PST over a live one");
-                pm.children_pst = Some(ExternalPst::from_plan_on(
-                    &self.backend,
-                    self.geo,
-                    self.counter.clone(),
-                    plan,
-                ));
+                let pst = ExternalPst::from_plan(self.geo, self.counter.clone(), plan);
+                pm.children_pst = Some(Arc::new(pst));
             }
             None => {
                 // Children snapshots live in x-disjoint slabs: sorting each
@@ -419,17 +389,7 @@ impl ThreeSidedTree {
                 let all = SortedRun::merge_many(
                     sorted.into_iter().map(SortedRun::from_unsorted).collect(),
                 );
-                match pm.children_pst.as_mut() {
-                    Some(pst) => pst.rebuild_from_sorted(self.geo, all),
-                    None => {
-                        pm.children_pst = Some(ExternalPst::build_from_sorted_on(
-                            &self.backend,
-                            self.geo,
-                            self.counter.clone(),
-                            all,
-                        ))
-                    }
-                }
+                self.rebuild_pst(&mut pm.children_pst, all);
             }
         }
         self.put_meta(parent, pm);

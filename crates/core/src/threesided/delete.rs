@@ -12,12 +12,10 @@
 //! * the TS reorganisation rebuilds every child's TSL/TSR snapshot and the
 //!   parent's children PST from delete-cleaned merges.
 
-use std::sync::Arc;
-
 use ccix_extmem::Point;
 
 use super::ThreeSidedTree;
-use crate::diag::{mark_dirty, push_run, MbId, ReadCtx};
+use crate::diag::{append_buffered, entry_mut, mark_dirty, MbId, ReadCtx};
 
 /// Reorganisation triggers observed while routing one tombstone.
 pub(super) struct DelTriggers {
@@ -49,6 +47,8 @@ impl ThreeSidedTree {
         order.sort_by_key(|&i| pts[i].xkey());
         let mut ctx = self.read_ctx();
         let mut dirty: Vec<MbId> = Vec::new();
+        // One descent-path buffer for the whole batch.
+        let mut path: Vec<MbId> = Vec::new();
         for &i in &order {
             let p = pts[i];
             assert!(
@@ -66,7 +66,8 @@ impl ThreeSidedTree {
                 continue;
             }
             let root = self.root.expect("tree is nonempty");
-            let triggers = self.route_tombstone(&mut ctx, &mut dirty, Vec::new(), root, p);
+            path.clear();
+            let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut path, root, p);
             let fired = self.run_del_triggers(&mut dirty, triggers);
             let pumped = self.pump_reorg();
             if fired || pumped {
@@ -79,18 +80,17 @@ impl ThreeSidedTree {
         self.maybe_shrink();
     }
 
-    /// Route the tombstone `p` downward from `start`, buffer it next to
+    /// Route the tombstone `p` downward from `start` (whose ancestors
+    /// `path` holds, root first; the descent extends it), buffer it next to
     /// its victim, and mirror it into the landing parent's TD delete side.
     pub(super) fn route_tombstone(
         &mut self,
         ctx: &mut ReadCtx,
         dirty: &mut Vec<MbId>,
-        above: Vec<MbId>,
+        path: &mut Vec<MbId>,
         start: MbId,
         p: Point,
     ) -> DelTriggers {
-        let mut path = above;
-
         // Phase 1 — descend with the insert routing's landing rule; an
         // emptied interior metablock is a pure router (see crate::diag).
         let mut cur = start;
@@ -115,38 +115,22 @@ impl ThreeSidedTree {
         }
         let target = cur;
 
-        // Phase 2 — append the tombstone to the target's tombstone buffer.
+        // Phase 2 — append the tombstone to the target's tombstone buffer
+        // (a fresh page re-shares the grown run with the parent's mirror).
         let b = self.geo.b;
-        let open_page = {
-            let m = self.metas[target].as_ref().expect("target is live");
-            (!m.n_tomb.is_multiple_of(b)).then(|| *m.tomb.last().expect("partial page exists"))
-        };
-        match open_page {
-            Some(pg) => self.store.append(pg, p),
-            None => {
-                let pg = self.store.alloc(vec![p]);
-                self.metas[target]
-                    .as_mut()
-                    .expect("target is live")
-                    .tomb
-                    .push(pg);
-                if self.pack_h() > 0 {
-                    if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            push_run(&mut e.packed.tomb_pages, pg);
-                            mark_dirty(dirty, par);
-                        }
-                    }
-                }
+        let (fresh, n_tomb) = append_buffered(&mut self.store, &mut self.metas, target, p, |m| {
+            m.tomb_buf.push(p);
+            (&mut m.tomb, &mut m.n_tomb)
+        });
+        if fresh.is_some() && self.tuning.pack_h_pages > 0 {
+            if let Some(&par) = path.last() {
+                let run = self.metas.get(target).tomb.clone();
+                let children = &mut self.metas.make_mut(par).children;
+                entry_mut(children, target).packed.tomb_pages = run;
+                mark_dirty(dirty, par);
             }
         }
-        let tomb_full = {
-            let m = self.metas[target].as_mut().expect("target is live");
-            m.n_tomb += 1;
-            m.tomb_buf.push(p);
-            m.n_tomb >= self.tomb_cap_pages() * b
-        };
+        let tomb_full = n_tomb >= self.tuning.tomb_cap_pages(self.geo) * b;
         self.tombs_pending += 1;
         mark_dirty(dirty, target);
 
@@ -158,7 +142,7 @@ impl ThreeSidedTree {
         // a leaf with an empty update buffer the probe read is skipped:
         // the victim has nowhere else to be (see the diagonal tree).
         let probe = {
-            let m = self.metas[target].as_ref().expect("target is live");
+            let m = self.metas.get(target);
             if !m.hkeys.is_empty() && p.ykey() <= m.hkeys[0] {
                 let i = m.hkeys.partition_point(|&hk| hk >= p.ykey()) - 1;
                 let certain = m.is_leaf() && m.n_upd == 0;
@@ -169,19 +153,18 @@ impl ThreeSidedTree {
         };
         if let Some((i, pg)) = probe {
             if pg.is_none_or(|pg| self.ctx_read(ctx, pg).iter().any(|q| q.id == p.id)) {
-                let m = self.metas[target].as_mut().expect("target is live");
+                let m = self.metas.make_mut(target);
                 debug_assert!(m.h_live[i] > 0, "live count underflow");
                 m.h_live[i] -= 1;
-                if i < self.pack_h() {
+                if i < self.tuning.pack_h_pages {
                     if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            if i < e.packed.h_live.len() {
-                                let slot = &mut Arc::make_mut(&mut e.packed.h_live)[i];
-                                *slot = slot.saturating_sub(1);
-                            }
-                            mark_dirty(dirty, par);
+                        let children = &mut self.metas.make_mut(par).children;
+                        let live = &mut entry_mut(children, target).packed.h_live;
+                        if i < live.len() {
+                            let slot = &mut live.make_mut()[i];
+                            *slot = slot.saturating_sub(1);
                         }
+                        mark_dirty(dirty, par);
                     }
                 }
             }
@@ -193,40 +176,15 @@ impl ThreeSidedTree {
         let mut del_staged_full = false;
         if let Some(par) = parent {
             ctx.touch_meta(par);
-            let open_page = {
-                let td = self.metas[par]
-                    .as_ref()
-                    .expect("parent is live")
-                    .td
-                    .as_ref();
-                let td = td.expect("interior metablock carries a TD");
-                (!td.n_del_staged.is_multiple_of(b))
-                    .then(|| *td.del_staged.last().expect("partial page exists"))
-            };
-            match open_page {
-                Some(pg) => self.store.append(pg, p),
-                None => {
-                    let pg = self.store.alloc(vec![p]);
-                    self.metas[par]
-                        .as_mut()
-                        .expect("parent is live")
-                        .td
-                        .as_mut()
-                        .expect("TD present")
-                        .del_staged
-                        .push(pg);
-                }
-            }
-            let td = self.metas[par]
-                .as_mut()
-                .expect("parent is live")
-                .td
-                .as_mut()
-                .expect("TD present");
-            td.n_del_staged += 1;
-            td.del_staged_buf.push(p);
+            let (_, n_del_staged) =
+                append_buffered(&mut self.store, &mut self.metas, par, p, |m| {
+                    let td = m.td.as_mut().expect("TD present");
+                    td.del_staged_buf.push(p);
+                    (&mut td.del_staged, &mut td.n_del_staged)
+                });
+            let td = self.metas.get(par).td.as_ref().expect("TD present");
             td_total = td.total() + td.del_total();
-            del_staged_full = td.n_del_staged >= self.td_cap_pages() * b;
+            del_staged_full = n_del_staged >= self.tuning.td_cap_pages(self.geo) * b;
             mark_dirty(dirty, par);
         }
 
@@ -256,7 +214,7 @@ impl ThreeSidedTree {
                 fired = true;
             }
         }
-        if t.tomb_full && self.metas[t.target].is_some() {
+        if t.tomb_full && self.metas.is_live(t.target) {
             self.flush_dirty(dirty);
             dirty.clear();
             self.with_shunt(|tr| tr.level_i(t.target, t.parent));
@@ -268,7 +226,7 @@ impl ThreeSidedTree {
     /// Re-route a tombstone a level-I could not match (see the diagonal
     /// tree's `reroute_tombstone`).
     pub(crate) fn reroute_tombstone(&mut self, from: MbId, p: Point) {
-        let is_leaf = self.metas[from].as_ref().is_none_or(|m| m.is_leaf());
+        let is_leaf = !self.metas.is_live(from) || self.metas.get(from).is_leaf();
         if is_leaf {
             debug_assert!(false, "deleted point {p:?} is not stored in the tree");
             return;
@@ -279,8 +237,8 @@ impl ThreeSidedTree {
             let meta = self.ctx_meta(&mut ctx, from);
             meta.children.partition_point(|c| c.slab_hi <= p.xkey())
         };
-        let child = self.metas[from].as_ref().expect("live metablock").children[idx].mb;
-        let triggers = self.route_tombstone(&mut ctx, &mut dirty, vec![from], child, p);
+        let child = self.metas.get(from).children[idx].mb;
+        let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut vec![from], child, p);
         self.run_del_triggers(&mut dirty, triggers);
         self.flush_dirty(&dirty);
     }

@@ -9,12 +9,26 @@
 //! Batching and the pinned-path accounting mirror the diagonal tree (see
 //! `crate::diag::insert`).
 
-use ccix_extmem::{Point, SortedRun};
+use std::sync::Arc;
+
+use ccix_extmem::{Point, Run, SortedRun};
 use ccix_pst::ExternalPst;
 
 use super::{ThreeSidedTree, TsMeta, TsTd};
 use crate::bbox::BBox;
-use crate::diag::{mark_dirty, push_run, ChildEntry, MbId, PackedInfo, FULL_RANGE};
+use crate::diag::{
+    append_buffered, entry_mut, mark_dirty, ChildEntry, MbId, PackedInfo, FULL_RANGE,
+};
+
+/// Reorganisation triggers observed while buffering one insert (see the
+/// diagonal tree's).
+pub(super) struct InsTriggers {
+    target: MbId,
+    parent: Option<MbId>,
+    update_full: bool,
+    staged_full: bool,
+    td_total: usize,
+}
 
 impl ThreeSidedTree {
     /// Insert a point. Amortised
@@ -75,111 +89,14 @@ impl ThreeSidedTree {
         let target = cur;
 
         // Phase 2 — refresh ancestor caches in memory, marking real changes.
-        for i in fix_from..path.len() {
-            let a = path[i];
-            let on_path_child = path.get(i + 1).copied().unwrap_or(target);
-            let m = self.metas[a].as_mut().expect("pinned ancestor is live");
-            let e = m
-                .children
-                .iter_mut()
-                .find(|c| c.mb == on_path_child)
-                .expect("descent child present in parent");
-            let changed = if on_path_child == target {
-                if e.upd_ymax.is_none_or(|y| p.ykey() > y) {
-                    e.upd_ymax = Some(p.ykey());
-                    true
-                } else {
-                    false
-                }
-            } else if e.sub_yhi.is_none_or(|y| p.ykey() > y) {
-                e.sub_yhi = Some(p.ykey());
-                true
-            } else {
-                false
-            };
-            if changed {
-                mark_dirty(&mut dirty, a);
-            }
-        }
+        self.raise_path_tops(&path[fix_from..], target, p, &mut dirty);
 
-        // Phase 3 — append to the target's update buffer.
-        let b = self.geo.b;
-        let open_page = {
-            let m = self.metas[target].as_ref().expect("target is live");
-            (!m.n_upd.is_multiple_of(b)).then(|| *m.update.last().expect("partial page exists"))
-        };
-        match open_page {
-            // In-place append: the same read-modify-write charge as the
-            // separate read/write pair, without cloning the page buffer.
-            Some(pg) => self.store.append(pg, p),
-            None => {
-                let pg = self.store.alloc(vec![p]);
-                self.metas[target]
-                    .as_mut()
-                    .expect("target is live")
-                    .update
-                    .push(pg);
-                // Mirror the new buffer page into the parent's packed entry
-                // (in-memory: the parent is pinned on the descent path).
-                if self.pack_h() > 0 {
-                    if let Some(&par) = path.last() {
-                        let pm = self.metas[par].as_mut().expect("parent is live");
-                        if let Some(e) = pm.children.iter_mut().find(|c| c.mb == target) {
-                            push_run(&mut e.packed.upd_pages, pg);
-                            mark_dirty(&mut dirty, par);
-                        }
-                    }
-                }
-            }
-        }
-        let update_full = {
-            let m = self.metas[target].as_mut().expect("target is live");
-            m.n_upd += 1;
-            m.n_upd >= self.upd_cap_pages() * b
-        };
-        mark_dirty(&mut dirty, target);
-
-        // Phase 4 — track the insert in the parent's TD structure.
-        let parent = path.last().copied();
-        let mut td_total = 0usize;
-        let mut staged_full = false;
-        if let Some(par) = parent {
+        // Phases 3–4 — buffer at the target, track in the parent's TD (a
+        // parent above `start` was not pinned by this descent).
+        if let Some(&par) = path.last() {
             self.pin_meta(&mut pinned, par);
-            let open_page = {
-                let td = self.metas[par]
-                    .as_ref()
-                    .expect("parent is live")
-                    .td
-                    .as_ref();
-                let td = td.expect("interior metablock carries a TD");
-                (!td.n_staged.is_multiple_of(b))
-                    .then(|| *td.staged.last().expect("partial page exists"))
-            };
-            match open_page {
-                Some(pg) => self.store.append(pg, p),
-                None => {
-                    let pg = self.store.alloc(vec![p]);
-                    self.metas[par]
-                        .as_mut()
-                        .expect("parent is live")
-                        .td
-                        .as_mut()
-                        .expect("TD present")
-                        .staged
-                        .push(pg);
-                }
-            }
-            let td = self.metas[par]
-                .as_mut()
-                .expect("parent is live")
-                .td
-                .as_mut()
-                .expect("TD present");
-            td.n_staged += 1;
-            td_total = td.total() + td.del_total();
-            staged_full = td.n_staged >= self.td_cap_pages() * b;
-            mark_dirty(&mut dirty, par);
         }
+        let triggers = self.buffer_insert(&path, target, p, &mut dirty);
 
         // Phase 5 — write back every dirty control block.
         self.flush_dirty(&dirty);
@@ -188,17 +105,122 @@ impl ThreeSidedTree {
         // their charges are shunted into the debt meter and bled a few
         // transfers per operation — the structure still evolves
         // bit-identically to the all-at-once behaviour.
-        if let Some(par) = parent {
-            if td_total >= self.cap() {
-                self.with_shunt(|t| t.ts_reorg(par));
-            } else if staged_full {
-                self.with_shunt(|t| t.td_rebuild(par));
+        self.run_ins_triggers(&mut Vec::new(), triggers, &path);
+    }
+
+    /// Phases 3–4 of a routed insert, shared with the batched write path
+    /// (see the diagonal tree's `buffer_insert`): append `p` to `target`'s
+    /// update buffer, re-sharing a grown run with the parent's packed
+    /// mirror, and track it in the parent's TD staging area.
+    pub(super) fn buffer_insert(
+        &mut self,
+        path: &[MbId],
+        target: MbId,
+        p: Point,
+        dirty: &mut Vec<MbId>,
+    ) -> InsTriggers {
+        let b = self.geo.b;
+        let parent = path.last().copied();
+        let (fresh, n_upd) = append_buffered(&mut self.store, &mut self.metas, target, p, |m| {
+            (&mut m.update, &mut m.n_upd)
+        });
+        if fresh.is_some() && self.tuning.pack_h_pages > 0 {
+            if let Some(par) = parent {
+                let run = self.metas.get(target).update.clone();
+                let children = &mut self.metas.make_mut(par).children;
+                entry_mut(children, target).packed.upd_pages = run;
+                mark_dirty(dirty, par);
             }
         }
-        if update_full && self.metas[target].is_some() {
-            let n_main = self.with_shunt(|t| t.level_i(target, parent));
+        let update_full = n_upd >= self.tuning.upd_cap_pages(self.geo) * b;
+        mark_dirty(dirty, target);
+
+        let mut td_total = 0usize;
+        let mut staged_full = false;
+        if let Some(par) = parent {
+            let (_, n_staged) = append_buffered(&mut self.store, &mut self.metas, par, p, |m| {
+                let td = m.td.as_mut().expect("TD present");
+                (&mut td.staged, &mut td.n_staged)
+            });
+            let td = self.metas.get(par).td.as_ref().expect("TD present");
+            td_total = td.total() + td.del_total();
+            staged_full = n_staged >= self.tuning.td_cap_pages(self.geo) * b;
+            mark_dirty(dirty, par);
+        }
+        InsTriggers {
+            target,
+            parent,
+            update_full,
+            staged_full,
+            td_total,
+        }
+    }
+
+    /// Run the amortised triggers of one routed insert, flushing `dirty`
+    /// before the first reorganisation; returns whether any fired. `path`
+    /// is the insert's root-first descent.
+    pub(super) fn run_ins_triggers(
+        &mut self,
+        dirty: &mut Vec<MbId>,
+        t: InsTriggers,
+        path: &[MbId],
+    ) -> bool {
+        let mut fired = false;
+        if let Some(par) = t.parent {
+            if t.td_total >= self.cap() {
+                self.flush_dirty(dirty);
+                dirty.clear();
+                self.with_shunt(|tr| tr.ts_reorg(par));
+                fired = true;
+            } else if t.staged_full {
+                self.flush_dirty(dirty);
+                dirty.clear();
+                self.with_shunt(|tr| tr.td_rebuild(par));
+                fired = true;
+            }
+        }
+        if t.update_full && self.metas.is_live(t.target) {
+            self.flush_dirty(dirty);
+            dirty.clear();
+            let n_main = self.with_shunt(|tr| tr.level_i(t.target, t.parent));
             if n_main >= 2 * self.cap() {
-                self.with_shunt(|t| t.level_ii(target, &path));
+                self.with_shunt(|tr| tr.level_ii(t.target, path));
+            }
+            fired = true;
+        }
+        fired
+    }
+
+    /// Raise the cached tops along `path` once `p` is buffered at `target`,
+    /// touching a block only when a top actually rises (see the diagonal
+    /// tree's `raise_path_tops`).
+    pub(super) fn raise_path_tops(
+        &mut self,
+        path: &[MbId],
+        target: MbId,
+        p: Point,
+        dirty: &mut Vec<MbId>,
+    ) {
+        for (i, &a) in path.iter().enumerate() {
+            let on_path_child = path.get(i + 1).copied().unwrap_or(target);
+            let lands = on_path_child == target;
+            let (idx, e) = self
+                .metas
+                .get(a)
+                .children
+                .iter()
+                .enumerate()
+                .find(|(_, c)| c.mb == on_path_child)
+                .expect("descent child present in parent");
+            let top = if lands { e.upd_ymax } else { e.sub_yhi };
+            if top.is_none_or(|y| p.ykey() > y) {
+                let e = &mut self.metas.make_mut(a).children[idx];
+                if lands {
+                    e.upd_ymax = Some(p.ykey());
+                } else {
+                    e.sub_yhi = Some(p.ykey());
+                }
+                mark_dirty(dirty, a);
             }
         }
     }
@@ -211,67 +233,46 @@ impl ThreeSidedTree {
     pub(crate) fn td_rebuild(&mut self, parent: MbId) {
         let mut m = self.take_meta(parent);
         let td = m.td.as_mut().expect("TD present");
-        let mut pts = match &td.pst {
-            Some(pst) => pst.collect_points(),
-            None => Vec::new(),
-        };
-        for &pg in &td.staged {
-            pts.extend_from_slice(self.store.read(pg));
-        }
+        let mut pts = self.pst_points(&td.pst);
+        pts.extend(self.store.read_run(&td.staged));
         self.store.free_run(&td.staged);
-        td.staged.clear();
+        td.staged = Run::default();
         td.n_staged = 0;
 
-        let mut del_pts = match &td.del_pst {
-            Some(pst) => pst.collect_points(),
-            None => Vec::new(),
-        };
-        for &pg in &td.del_staged {
-            del_pts.extend_from_slice(self.store.read(pg));
-        }
+        let mut del_pts = self.pst_points(&td.del_pst);
+        del_pts.extend(self.store.read_run(&td.del_staged));
         self.store.free_run(&td.del_staged);
-        td.del_staged.clear();
+        td.del_staged = Run::default();
         td.n_del_staged = 0;
         td.del_staged_buf.clear();
         let tombs = SortedRun::from_unsorted(del_pts);
 
+        // Each PST is rebuilt in place, reusing page slots and the layout
+        // of any node whose population the staged delta did not move;
+        // an emptied one is dropped (its pages go with its last handle).
         let (run, unmatched) = SortedRun::from_unsorted(pts).cancel(&tombs);
         td.n_built = run.len();
         if run.is_empty() {
-            td.pst = None; // pages freed on drop
+            td.pst = None;
         } else {
-            match td.pst.as_mut() {
-                // Rebuild in place, reusing page slots and the layout of
-                // any node whose population the staged delta did not move.
-                Some(pst) => pst.rebuild_from_sorted(self.geo, run),
-                None => {
-                    td.pst = Some(ExternalPst::build_from_sorted_on(
-                        &self.backend,
-                        self.geo,
-                        self.counter.clone(),
-                        run,
-                    ))
-                }
-            }
+            self.rebuild_pst(&mut td.pst, run);
         }
         let survivors = SortedRun::from_sorted(unmatched);
         td.n_del_built = survivors.len();
         if survivors.is_empty() {
             td.del_pst = None;
         } else {
-            match td.del_pst.as_mut() {
-                Some(pst) => pst.rebuild_from_sorted(self.geo, survivors),
-                None => {
-                    td.del_pst = Some(ExternalPst::build_from_sorted_on(
-                        &self.backend,
-                        self.geo,
-                        self.counter.clone(),
-                        survivors,
-                    ))
-                }
-            }
+            self.rebuild_pst(&mut td.del_pst, survivors);
         }
         self.put_meta(parent, m);
+    }
+
+    /// Every point of a TD PST, billed as a read of each of its pages.
+    fn pst_points(&self, pst: &Option<Arc<ExternalPst>>) -> Vec<Point> {
+        pst.as_ref().map_or_else(Vec::new, |pst| {
+            self.counter.add_reads(pst.space_pages() as u64);
+            pst.collect_points_unbilled()
+        })
     }
 
     /// Rebuild every child's TSL/TSR snapshot and the parent's children PST
@@ -284,9 +285,9 @@ impl ThreeSidedTree {
             .iter()
             .map(|&c| {
                 let cm = self.meta(c);
-                let mains_y = self.read_run(&cm.horizontal);
-                let delta = self.read_run(&cm.update);
-                let tombs = self.read_run(&cm.tomb);
+                let mains_y = self.store.read_run(&cm.horizontal);
+                let delta = self.store.read_run(&cm.update);
+                let tombs = self.store.read_run(&cm.tomb);
                 ccix_extmem::merge_delta_y_desc_cancel(mains_y, delta, &tombs)
             })
             .collect();
@@ -294,7 +295,7 @@ impl ThreeSidedTree {
         if let Some(td) = m.td.as_mut() {
             self.store.free_run(&td.staged);
             self.store.free_run(&td.del_staged);
-            *td = TsTd::default(); // old TD PST pages (both sides) freed on drop
+            *td = TsTd::default(); // old TD PST pages go with their last handle
         }
         self.put_meta(parent, m);
         self.install_sibling_snapshots(parent, snapshots, None);
@@ -305,15 +306,15 @@ impl ThreeSidedTree {
     /// pending tombstones annihilate their victims in one more galloping
     /// pass, and only the y-order is re-sorted. The per-metablock PST is
     /// rebuilt over the cancelled set via
-    /// [`ExternalPst::rebuild_from_sorted`], which reuses the layout of
-    /// nodes the deletes did not touch.
+    /// [`ExternalPst::rebuild_from_sorted`], which reuses the
+    /// layout of nodes the deletes did not touch.
     pub(crate) fn level_i(&mut self, mb: MbId, parent: Option<MbId>) -> usize {
         let mut m = self.take_meta(mb);
-        let mains_x = SortedRun::from_sorted(self.read_run(&m.vertical));
-        let delta = SortedRun::from_unsorted(self.read_run(&m.update));
-        let tombs = SortedRun::from_unsorted(self.read_run(&m.tomb));
+        let mains_x = SortedRun::from_sorted(self.store.read_run(&m.vertical));
+        let delta = SortedRun::from_unsorted(self.store.read_run(&m.update));
+        let tombs = SortedRun::from_unsorted(self.store.read_run(&m.tomb));
         self.store.free_run(&m.tomb);
-        m.tomb.clear();
+        m.tomb = Run::default();
         m.tomb_buf.clear();
         self.tombs_pending -= m.n_tomb;
         m.n_tomb = 0;
@@ -348,7 +349,7 @@ impl ThreeSidedTree {
         self.store.free_run(&m.vertical);
         self.store.free_run(&m.horizontal);
         self.store.free_run(&m.update);
-        m.update.clear();
+        m.update = Run::default();
         m.n_upd = 0;
 
         m.vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
@@ -360,20 +361,9 @@ impl ThreeSidedTree {
         m.main_bbox = BBox::of_points(by_x);
         m.y_lo_main = by_y.last().map(Point::ykey);
         if by_x.len() > self.geo.b {
-            let run = SortedRun::from_sorted(by_x.to_vec());
-            match m.pst.as_mut() {
-                Some(pst) => pst.rebuild_from_sorted(self.geo, run),
-                None => {
-                    m.pst = Some(ExternalPst::build_from_sorted_on(
-                        &self.backend,
-                        self.geo,
-                        self.counter.clone(),
-                        run,
-                    ))
-                }
-            }
+            self.rebuild_pst(&mut m.pst, SortedRun::from_sorted(by_x.to_vec()));
         } else {
-            m.pst = None; // pages freed on drop
+            m.pst = None;
         }
     }
 
@@ -390,7 +380,7 @@ impl ThreeSidedTree {
         let mut m = self.take_meta(mb);
         debug_assert_eq!(m.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(m.n_tomb, 0, "level-I cancelled all tombstones");
-        let mut pts = self.read_run(&m.horizontal);
+        let mut pts = self.store.read_run(&m.horizontal);
         debug_assert!(pts.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
         let bottom = pts.split_off(self.cap());
         let top_y = pts;
@@ -416,8 +406,7 @@ impl ThreeSidedTree {
         }
 
         for p in bottom {
-            let path_alive =
-                self.metas[mb].is_some() && path.iter().all(|&a| self.metas[a].is_some());
+            let path_alive = self.metas.is_live(mb) && path.iter().all(|&a| self.metas.is_live(a));
             if path_alive {
                 self.insert_routed(path.to_vec(), mb, p);
             } else {
@@ -433,7 +422,7 @@ impl ThreeSidedTree {
         let meta = self.meta(mb);
         debug_assert_eq!(meta.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(meta.n_tomb, 0, "level-I cancelled all tombstones");
-        let pts = SortedRun::from_sorted(self.read_run(&meta.vertical));
+        let pts = SortedRun::from_sorted(self.store.read_run(&meta.vertical));
 
         let Some(&parent) = path.last() else {
             self.free_metablock(mb);
@@ -583,12 +572,12 @@ impl ThreeSidedTree {
         tomb_runs: &mut Vec<SortedRun>,
     ) {
         let meta = self.meta(mb);
-        runs.push(SortedRun::from_sorted(self.read_run(&meta.vertical)));
-        let delta = self.read_run(&meta.update);
+        runs.push(SortedRun::from_sorted(self.store.read_run(&meta.vertical)));
+        let delta = self.store.read_run(&meta.update);
         if !delta.is_empty() {
             runs.push(SortedRun::from_unsorted(delta));
         }
-        let tombs = self.read_run(&meta.tomb);
+        let tombs = self.store.read_run(&meta.tomb);
         if !tombs.is_empty() {
             tomb_runs.push(SortedRun::from_unsorted(tombs));
         }
@@ -600,7 +589,7 @@ impl ThreeSidedTree {
 
     pub(crate) fn free_subtree(&mut self, mb: MbId) {
         let meta = self.free_metablock(mb);
-        for c in meta.children {
+        for c in &meta.children {
             self.free_subtree(c.mb);
         }
     }

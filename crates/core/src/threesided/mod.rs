@@ -35,33 +35,35 @@ mod validate;
 
 pub use validate::ThreeSidedStats;
 
-use ccix_extmem::{BackendSpec, Geometry, IoCounter, PageId, Point, TypedStore};
+use std::sync::Arc;
+
+use ccix_extmem::{Geometry, IoCounter, PageId, Point, Run, Slots, SortedRun, TypedStore};
 use ccix_pst::ExternalPst;
 
 use crate::bbox::{BBox, Key};
-use crate::diag::{run_of, ChildEntry, MbId, ReadCtx, TsInfo, SPACE_AUX, SPACE_META, SPACE_STORE};
+use crate::diag::{entry_mut, ChildEntry, MbId, ReadCtx, TsInfo, SPACE_AUX, SPACE_STORE};
 
 /// TD insert-tracking structure of an interior metablock: the points
 /// inserted into its children since the last TS reorganisation, queryable as
 /// a PST plus a staging area of at most
-/// [`ThreeSidedTree::td_cap_pages`] pages.
+/// [`crate::Tuning::td_cap_pages`] pages.
 ///
 /// Deletions add the mirror-image **delete side** (see the diagonal tree's
 /// [`crate::diag`] TD): tombstones routed into the children since the last
 /// TS reorganisation, queryable as a PST so snapshot-answered routes (TSL/
 /// TSR crossing case, children-PST fork) can subtract deletes younger than
 /// the copies they report from.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct TsTd {
-    pub pst: Option<ExternalPst>,
+    pub pst: Option<Arc<ExternalPst>>,
     pub n_built: usize,
-    pub staged: Vec<PageId>,
+    pub staged: Run<PageId>,
     pub n_staged: usize,
     /// PST over the settled tombstones.
-    pub del_pst: Option<ExternalPst>,
+    pub del_pst: Option<Arc<ExternalPst>>,
     pub n_del_built: usize,
     /// Tombstone staging pages.
-    pub del_staged: Vec<PageId>,
+    pub del_staged: Run<PageId>,
     pub n_del_staged: usize,
     /// Control-block mirror of the `del_staged` pages' contents (see the
     /// diagonal tree's `TdInfo::del_staged_buf`): snapshot-answered routes
@@ -71,22 +73,6 @@ pub(crate) struct TsTd {
 }
 
 impl TsTd {
-    /// Deep-copy the control state, forking the PSTs onto `counter` (see
-    /// [`ThreeSidedTree::fork_snapshot`]).
-    pub fn fork(&self, counter: &IoCounter) -> Self {
-        Self {
-            pst: self.pst.as_ref().map(|p| p.fork(counter.clone())),
-            n_built: self.n_built,
-            staged: self.staged.clone(),
-            n_staged: self.n_staged,
-            del_pst: self.del_pst.as_ref().map(|p| p.fork(counter.clone())),
-            n_del_built: self.n_del_built,
-            del_staged: self.del_staged.clone(),
-            n_del_staged: self.n_del_staged,
-            del_staged_buf: self.del_staged_buf.clone(),
-        }
-    }
-
     pub fn total(&self) -> usize {
         self.n_built + self.n_staged
     }
@@ -97,17 +83,21 @@ impl TsTd {
     }
 }
 
-/// One metablock of the 3-sided tree.
-#[derive(Debug)]
+/// One metablock of the 3-sided tree, copy-on-write at member granularity
+/// exactly like the diagonal tree's [`crate::diag::MetaBlock`]: runs are
+/// shared [`Run`]s and the PSTs shared handles, every one replaced
+/// wholesale, so copying a block an epoch still holds copies a handful of
+/// words and the buffers one operation edits in place.
+#[derive(Clone, Debug)]
 pub(crate) struct TsMeta {
     /// Mains, x-sorted, `B` per page.
-    pub vertical: Vec<PageId>,
+    pub vertical: Run<PageId>,
     /// First x-key of each vertical page (control info: "boundary values").
-    pub vkeys: Vec<Key>,
+    pub vkeys: Run<Key>,
     /// Mains, y-descending, `B` per page.
-    pub horizontal: Vec<PageId>,
+    pub horizontal: Run<PageId>,
     /// First (largest) y-key of each horizontal page.
-    pub hkeys: Vec<Key>,
+    pub hkeys: Run<Key>,
     /// Live (un-tombstoned) count of each horizontal page, decremented as
     /// routed tombstones shadow main points; queries skip a fully-dead
     /// page (the post-delete-flood stabbing fix — see the diagonal tree).
@@ -117,16 +107,16 @@ pub(crate) struct TsMeta {
     pub main_bbox: Option<BBox>,
     /// Lemma 4.1 structure over the mains (absent for ≤ B mains, where the
     /// single vertical block is scanned instead).
-    pub pst: Option<ExternalPst>,
+    pub pst: Option<Arc<ExternalPst>>,
     /// Update buffer: buffered inserts, at most
-    /// [`ThreeSidedTree::upd_cap_pages`] pages of `B`.
-    pub update: Vec<PageId>,
+    /// [`crate::Tuning::upd_cap_pages`] pages of `B`.
+    pub update: Run<PageId>,
     pub n_upd: usize,
     /// Tombstone buffer: buffered deletes, at most
-    /// [`ThreeSidedTree::tomb_cap_pages`] pages of `B`; the landing
+    /// [`crate::Tuning::tomb_cap_pages`] pages of `B`; the landing
     /// invariant keeps each tombstone next to its victim (see the diagonal
     /// tree's tombstone buffer).
-    pub tomb: Vec<PageId>,
+    pub tomb: Run<PageId>,
     pub n_tomb: usize,
     /// Control-block mirror of the `tomb` pages' contents (see the diagonal
     /// tree's `MetaBlock::tomb_buf`): bounded by `tomb_cap_pages · B`
@@ -139,7 +129,7 @@ pub(crate) struct TsMeta {
     /// Snapshot of the top `B²` points of the right siblings.
     pub tsr: Option<TsInfo>,
     /// Interior only: PST over all children's snapshot points (≤ `B³`).
-    pub children_pst: Option<ExternalPst>,
+    pub children_pst: Option<Arc<ExternalPst>>,
     /// Interior only: TD insert tracking.
     pub td: Option<TsTd>,
     pub children: Vec<ChildEntry>,
@@ -148,32 +138,6 @@ pub(crate) struct TsMeta {
 impl TsMeta {
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
-    }
-
-    /// Deep-copy the control state, forking the per-metablock PSTs onto
-    /// `counter` (see [`ThreeSidedTree::fork_snapshot`]).
-    pub fn fork(&self, counter: &IoCounter) -> Self {
-        Self {
-            vertical: self.vertical.clone(),
-            vkeys: self.vkeys.clone(),
-            horizontal: self.horizontal.clone(),
-            hkeys: self.hkeys.clone(),
-            h_live: self.h_live.clone(),
-            n_main: self.n_main,
-            y_lo_main: self.y_lo_main,
-            main_bbox: self.main_bbox,
-            pst: self.pst.as_ref().map(|p| p.fork(counter.clone())),
-            update: self.update.clone(),
-            n_upd: self.n_upd,
-            tomb: self.tomb.clone(),
-            n_tomb: self.n_tomb,
-            tomb_buf: self.tomb_buf.clone(),
-            tsl: self.tsl.clone(),
-            tsr: self.tsr.clone(),
-            children_pst: self.children_pst.as_ref().map(|p| p.fork(counter.clone())),
-            td: self.td.as_ref().map(|t| t.fork(counter)),
-            children: self.children.clone(),
-        }
     }
 }
 
@@ -195,8 +159,9 @@ pub struct ThreeSidedTree {
     pub(crate) geo: Geometry,
     pub(crate) counter: IoCounter,
     pub(crate) store: TypedStore<Point>,
-    pub(crate) metas: Vec<Option<TsMeta>>,
-    pub(crate) dead_metas: usize,
+    /// Control blocks, shared with every [`ThreeSidedTree::fork_snapshot`]
+    /// taken since a block last changed (see the diagonal tree's).
+    pub(crate) metas: Slots<TsMeta>,
     pub(crate) root: Option<MbId>,
     pub(crate) len: usize,
     /// Tombstones currently buffered somewhere in the tree.
@@ -209,11 +174,6 @@ pub struct ThreeSidedTree {
     /// Incremental-reorganisation state: deferred-work debt plus the
     /// in-progress background shrink job, if any (see [`crate::diag::reorg`]).
     pub(crate) reorg: crate::diag::reorg::ReorgState,
-    /// Page backend every store in this tree lives on. Retained (unlike the
-    /// diagonal tree, which owns a single store) because the per-metablock
-    /// PSTs are created dynamically as the tree grows, and each one must
-    /// land on the same backend as the main point store.
-    pub(crate) backend: BackendSpec,
 }
 
 impl ThreeSidedTree {
@@ -225,25 +185,11 @@ impl ThreeSidedTree {
     /// Create an empty tree with explicit tuning (the corner-structure knob
     /// is unused here; §4 replaces corner structures with PSTs).
     pub fn new_tuned(geo: Geometry, counter: IoCounter, tuning: crate::Tuning) -> Self {
-        Self::new_tuned_on(&BackendSpec::Model, geo, counter, tuning)
-    }
-
-    /// [`ThreeSidedTree::new_tuned`] on an explicit page backend. The spec
-    /// is kept for the tree's lifetime: every per-metablock PST store the
-    /// dynamic side creates is opened on the same backend as the main
-    /// point store.
-    pub fn new_tuned_on(
-        spec: &BackendSpec,
-        geo: Geometry,
-        counter: IoCounter,
-        tuning: crate::Tuning,
-    ) -> Self {
         Self {
             geo,
             counter: counter.clone(),
-            store: TypedStore::new_on(spec, geo.b, counter),
-            metas: Vec::new(),
-            dead_metas: 0,
+            store: TypedStore::new(geo.b, counter),
+            metas: Slots::default(),
             root: None,
             len: 0,
             tombs_pending: 0,
@@ -251,76 +197,28 @@ impl ThreeSidedTree {
             shrink_base: 0,
             tuning,
             reorg: crate::diag::reorg::ReorgState::default(),
-            backend: spec.clone(),
         }
     }
 
     /// Fork a frozen read **snapshot** of this tree, charging its I/O to
-    /// `counter` — the §4 counterpart of
-    /// [`crate::MetablockTree::fork_snapshot`], with the per-metablock
-    /// PSTs forked copy-on-write alongside the point store.
+    /// `counter` — [`crate::MetablockTree::fork_snapshot`]'s `O(dirty)` fork:
+    /// every data page, control block and PST is shared by handle, and a
+    /// write on either side copies only what it touches. Queries bill a
+    /// shared PST's pages through the reading tree's pin, and a rebuild
+    /// forks it onto the rebuilding tree's counter.
     pub fn fork_snapshot(&self, counter: IoCounter) -> Self {
         Self {
-            geo: self.geo,
             counter: counter.clone(),
-            store: self.store.fork(counter.clone()),
-            metas: self
-                .metas
-                .iter()
-                .map(|m| m.as_ref().map(|m| m.fork(&counter)))
-                .collect(),
-            dead_metas: self.dead_metas,
-            root: self.root,
-            len: self.len,
-            tombs_pending: self.tombs_pending,
-            deletes_since_shrink: self.deletes_since_shrink,
-            shrink_base: self.shrink_base,
-            tuning: self.tuning,
+            store: self.store.fork(counter),
+            metas: self.metas.clone(),
             reorg: self.reorg.clone(),
-            // Snapshots are in-memory publications: forked stores are
-            // model-backed, and so are any PSTs the snapshot would create
-            // (it never creates any — snapshots are read-only).
-            backend: BackendSpec::Model,
+            ..*self
         }
     }
 
     /// The tree's write-path tuning.
     pub fn tuning(&self) -> crate::Tuning {
         self.tuning
-    }
-
-    /// Update-buffer budget in pages (≥ 1); see the diagonal tree's clamp
-    /// rationale.
-    pub(crate) fn upd_cap_pages(&self) -> usize {
-        self.tuning
-            .update_batch_pages
-            .clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// TD staging budget in pages (≥ 1), shared by both TD sides.
-    pub(crate) fn td_cap_pages(&self) -> usize {
-        self.tuning.td_batch_pages.clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// Tombstone-buffer budget in pages (≥ 1).
-    pub(crate) fn tomb_cap_pages(&self) -> usize {
-        self.tuning
-            .tomb_batch_pages
-            .clamp(1, (self.geo.b / 2).max(1))
-    }
-
-    /// TSL/TSR snapshot budget in points (≥ B).
-    pub(crate) fn ts_cap_points(&self) -> usize {
-        match self.tuning.ts_snapshot_pages {
-            None => self.geo.b2(),
-            Some(pages) => (pages.max(1) * self.geo.b).min(self.geo.b2()),
-        }
-    }
-
-    /// Mirrored horizontal pages per child entry (0 = packing disabled);
-    /// see the diagonal tree's [`crate::MetablockTree::pack_h`].
-    pub(crate) fn pack_h(&self) -> usize {
-        self.tuning.pack_h_pages
     }
 
     /// Number of points stored (inserts minus deletes).
@@ -352,40 +250,32 @@ impl ThreeSidedTree {
     /// Disk blocks occupied: data pages, PST pages, plus one control block
     /// per metablock.
     pub fn space_pages(&self) -> usize {
-        let mut pages = self.store.pages_in_use() + (self.metas.len() - self.dead_metas);
-        for meta in self.metas.iter().flatten() {
-            pages += meta.pst.as_ref().map_or(0, ExternalPst::space_pages);
-            pages += meta
-                .children_pst
-                .as_ref()
-                .map_or(0, ExternalPst::space_pages);
-            if let Some(td) = &meta.td {
-                pages += td.pst.as_ref().map_or(0, ExternalPst::space_pages);
-                pages += td.del_pst.as_ref().map_or(0, ExternalPst::space_pages);
-            }
-        }
-        pages
+        let psts = self.metas.iter().flat_map(|m| {
+            let td = m.td.as_ref();
+            [&m.pst, &m.children_pst]
+                .into_iter()
+                .chain(td.map(|td| &td.pst))
+                .chain(td.map(|td| &td.del_pst))
+        });
+        let pst_pages: usize = psts.flatten().map(|p| p.space_pages()).sum();
+        self.store.pages_in_use() + self.metas.live() + pst_pages
     }
 
     // ---- control information (charged) -----------------------------------
 
     pub(crate) fn meta(&self, mb: MbId) -> &TsMeta {
         self.counter.add_reads(1);
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.get(mb)
     }
 
     pub(crate) fn take_meta(&mut self, mb: MbId) -> TsMeta {
         self.counter.add_reads(1);
-        self.metas[mb].take().expect("take of freed metablock")
+        self.metas.take(mb)
     }
 
     pub(crate) fn put_meta(&mut self, mb: MbId, meta: TsMeta) {
         self.counter.add_writes(1);
-        self.metas[mb] = Some(meta);
-    }
-
-    pub(crate) fn meta_unbilled(&self, mb: MbId) -> &TsMeta {
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.put(mb, meta);
     }
 
     // ---- pinned query-side access ----------------------------------------
@@ -394,19 +284,14 @@ impl ThreeSidedTree {
     /// with [`crate::Tuning::resident_root`], the root control block starts
     /// resident (see the diagonal tree).
     pub(crate) fn read_ctx(&self) -> ReadCtx {
-        let mut ctx = ReadCtx::new(self.geo, self.counter.clone());
-        if self.tuning.resident_root {
-            if let Some(root) = self.root {
-                ctx.resident = Some((SPACE_META, root as u64));
-            }
-        }
-        ctx
+        let resident = self.root.filter(|_| self.tuning.resident_root);
+        ReadCtx::new(self.geo, self.counter.clone(), resident)
     }
 
     /// Pinned control-block read: one I/O per residency in `ctx`.
     pub(crate) fn ctx_meta(&self, ctx: &mut ReadCtx, mb: MbId) -> &TsMeta {
         ctx.touch_meta(mb);
-        self.metas[mb].as_ref().expect("read of freed metablock")
+        self.metas.get(mb)
     }
 
     /// Pinned data-page read: one I/O per residency in `ctx`.
@@ -427,7 +312,7 @@ impl ThreeSidedTree {
             self.counter.add_reads(1);
             pinned.push(mb);
         }
-        self.metas[mb].as_ref().expect("pinned metablock is live")
+        self.metas.get(mb)
     }
 
     /// Charge one write per distinct dirty control block of a pinned
@@ -438,14 +323,13 @@ impl ThreeSidedTree {
 
     pub(crate) fn alloc_meta(&mut self, meta: TsMeta) -> MbId {
         self.counter.add_writes(1);
-        // Never reuse slots (reliable liveness; see the diagonal tree).
-        self.metas.push(Some(meta));
-        self.metas.len() - 1
+        self.metas.push(meta)
     }
 
-    pub(crate) fn free_metablock(&mut self, mb: MbId) -> TsMeta {
-        let meta = self.metas[mb].take().expect("double free of metablock");
-        self.dead_metas += 1;
+    /// Free a metablock's control block and every data page it owns; its
+    /// PSTs own their pages, released with their last handle.
+    pub(crate) fn free_metablock(&mut self, mb: MbId) -> Arc<TsMeta> {
+        let meta = self.metas.free(mb);
         self.store.free_run(&meta.vertical);
         self.store.free_run(&meta.horizontal);
         self.store.free_run(&meta.update);
@@ -461,18 +345,7 @@ impl ThreeSidedTree {
             self.store.free_run(&td.staged);
             self.store.free_run(&td.del_staged);
         }
-        // PSTs own their pages; dropping the meta releases them.
         meta
-    }
-
-    // ---- helpers ----------------------------------------------------------
-
-    pub(crate) fn read_run(&self, pages: &[PageId]) -> Vec<Point> {
-        let mut out = Vec::with_capacity(pages.len() * self.geo.b);
-        for &pg in pages {
-            out.extend_from_slice(self.store.read(pg));
-        }
-        out
     }
 
     pub(crate) fn cap(&self) -> usize {
@@ -484,50 +357,44 @@ impl ThreeSidedTree {
     /// Mirror `child`'s query-side control info into its entry in `parent`
     /// (in-memory; see [`crate::MetablockTree::sync_packed_entry`]).
     pub(crate) fn sync_packed_entry(&mut self, parent: MbId, child: MbId) {
-        let h = self.pack_h();
+        let h = self.tuning.pack_h_pages;
         if h == 0 {
             return;
         }
-        let (h_pages, h_tops, h_live, h_more, upd, tomb) = {
-            let cm = self.metas[child].as_ref().expect("live child");
-            let top = h.min(cm.horizontal.len());
-            (
-                run_of(&cm.horizontal[..top]),
-                run_of(&cm.hkeys[..top]),
-                run_of(&cm.h_live[..top]),
-                cm.horizontal.len() > h,
-                run_of(&cm.update),
-                run_of(&cm.tomb),
-            )
-        };
-        let pm = self.metas[parent].as_mut().expect("live parent");
-        let e = pm
-            .children
-            .iter_mut()
-            .find(|c| c.mb == child)
-            .expect("child present in parent");
-        e.packed.h_pages = h_pages;
-        e.packed.h_tops = h_tops;
-        e.packed.h_live = h_live;
-        e.packed.h_more = h_more;
-        e.packed.upd_pages = upd;
-        e.packed.tomb_pages = tomb;
+        let children = &mut self.metas.make_mut(parent).children;
+        let mut packed = std::mem::take(&mut entry_mut(children, child).packed);
+        let c = self.metas.get(child);
+        packed.mirror(h, &c.horizontal, &c.hkeys, &c.h_live, &c.update, &c.tomb);
+        entry_mut(&mut self.metas.make_mut(parent).children, child).packed = packed;
     }
 
     /// Refresh every child mirror of `parent` (child list changed).
     pub(crate) fn sync_packed_children(&mut self, parent: MbId) {
-        if self.pack_h() == 0 {
+        if self.tuning.pack_h_pages == 0 {
             return;
         }
-        let children: Vec<MbId> = self.metas[parent]
-            .as_ref()
-            .expect("live parent")
+        let children: Vec<MbId> = self
+            .metas
+            .get(parent)
             .children
             .iter()
             .map(|c| c.mb)
             .collect();
         for c in children {
             self.sync_packed_entry(parent, c);
+        }
+    }
+
+    /// Rebuild the PST in `slot` over `run`, or build one where there is
+    /// none, charging this tree — bill for bill as in place, even while
+    /// another tree shares it (see [`ExternalPst::rebuild_shared`]).
+    pub(crate) fn rebuild_pst(&self, slot: &mut Option<Arc<ExternalPst>>, run: SortedRun) {
+        match slot {
+            Some(pst) => ExternalPst::rebuild_shared(pst, &self.counter, self.geo, run),
+            None => {
+                let pst = ExternalPst::build_from_sorted(self.geo, self.counter.clone(), run);
+                *slot = Some(Arc::new(pst));
+            }
         }
     }
 }

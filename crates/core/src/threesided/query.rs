@@ -204,7 +204,7 @@ impl ThreeSidedTree {
                 pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 0), x1, x2, y0, out);
             } else {
                 debug_assert!(meta.n_main <= self.geo.b, "missing metablock PST");
-                for &pg in &meta.vertical {
+                for &pg in meta.vertical.iter() {
                     for p in self.ctx_read(ctx, pg) {
                         if p.x >= x1 && p.x <= x2 && p.y >= y0 {
                             out.push(*p);
@@ -334,7 +334,7 @@ impl ThreeSidedTree {
     ) {
         let children = &parent.children;
         let anchor = &children[anchor_idx];
-        let (ts_pages, ts_truncated) = if self.pack_h() > 0 {
+        let (ts_pages, ts_truncated) = if self.tuning.pack_h_pages > 0 {
             let packed = &anchor.packed;
             match side {
                 SnapshotSide::Right => (&packed.tsr_pages, packed.tsr_truncated),
@@ -434,7 +434,7 @@ impl ThreeSidedTree {
             pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 2), x1, x2, y0, out);
             retain_from(out, from, filter);
         }
-        for &pg in &td.staged {
+        for &pg in td.staged.iter() {
             for p in self.ctx_read(ctx, pg) {
                 if p.x >= x1 && p.x <= x2 && p.y >= y0 && filter(p) {
                     out.push(*p);
@@ -504,7 +504,7 @@ impl ThreeSidedTree {
         out: &mut Vec<Point>,
     ) {
         let entry = &parent.children[idx];
-        if self.pack_h() == 0 {
+        if self.tuning.pack_h_pages == 0 {
             let meta = self.ctx_meta(ctx, entry.mb);
             self.scan_update_pages(ctx, &meta.update, x1, x2, y0, out);
             mirror_tombs(ctx, &meta.tomb_buf, x1, x2, y0);

@@ -305,7 +305,8 @@ impl ThreeSidedTree {
                 let root = self.root.expect("tombstone victims live in the tree");
                 let mut ctx = self.read_ctx();
                 let mut dirty: Vec<MbId> = Vec::new();
-                let triggers = self.route_tombstone(&mut ctx, &mut dirty, Vec::new(), root, *t);
+                let triggers =
+                    self.route_tombstone(&mut ctx, &mut dirty, &mut Vec::new(), root, *t);
                 self.run_del_triggers(&mut dirty, triggers);
                 self.flush_dirty(&dirty);
             }

@@ -42,7 +42,7 @@ impl ThreeSidedTree {
     }
 
     fn stats_rec(&self, mb: MbId, depth: usize, s: &mut ThreeSidedStats) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         s.metablocks += 1;
         s.height = s.height.max(depth);
         s.points += meta.n_main + meta.n_upd;
@@ -102,7 +102,7 @@ impl ThreeSidedTree {
         y_bound: Option<Key>,
         all: &mut Vec<Point>,
     ) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         // Dense blocking: every run page full except the last (the merge
         // pipeline must emit exactly the runs a sort-based rebuild would).
         self.assert_dense_run(&meta.vertical, "vertical");
@@ -122,11 +122,11 @@ impl ThreeSidedTree {
             "vertical blocking out of order"
         );
         assert_eq!(
-            meta.vkeys,
+            meta.vkeys[..],
             vertical
                 .chunks(self.geo.b)
                 .map(|c| c[0].xkey())
-                .collect::<Vec<_>>(),
+                .collect::<Vec<_>>()[..],
             "stale vertical page-boundary keys"
         );
         let horizontal = &mains;
@@ -135,11 +135,11 @@ impl ThreeSidedTree {
             "horizontal blocking out of order"
         );
         assert_eq!(
-            meta.hkeys,
+            meta.hkeys[..],
             horizontal
                 .chunks(self.geo.b)
                 .map(|c| c[0].ykey())
-                .collect::<Vec<_>>(),
+                .collect::<Vec<_>>()[..],
             "stale horizontal page-top keys"
         );
         assert_eq!(meta.main_bbox, BBox::of_points(&mains), "stale main bbox");
@@ -161,7 +161,7 @@ impl ThreeSidedTree {
         let update = self.pages_unbilled(&meta.update);
         assert_eq!(update.len(), meta.n_upd, "update count mismatch");
         assert!(
-            update.len() <= self.upd_cap_pages() * self.geo.b,
+            update.len() <= self.tuning.upd_cap_pages(self.geo) * self.geo.b,
             "update buffer overfull: {} points",
             update.len()
         );
@@ -182,7 +182,7 @@ impl ThreeSidedTree {
         assert_eq!(tombs.len(), meta.n_tomb, "tombstone count mismatch");
         assert_eq!(tombs, meta.tomb_buf, "stale tombstone control-block mirror");
         assert!(
-            tombs.len() <= self.tomb_cap_pages() * self.geo.b,
+            tombs.len() <= self.tuning.tomb_cap_pages(self.geo) * self.geo.b,
             "tombstone buffer overfull: {} tombstones",
             tombs.len()
         );
@@ -238,7 +238,7 @@ impl ThreeSidedTree {
 
             let y_lo = meta.y_lo_main;
             for c in &meta.children {
-                let child_meta = self.meta_unbilled(c.mb);
+                let child_meta = self.metas.get(c.mb);
                 let child_mains = self.pages_unbilled(&child_meta.horizontal);
                 assert_eq!(
                     c.main_bbox,
@@ -274,7 +274,7 @@ impl ThreeSidedTree {
     /// state: horizontal-prefix, update-page and TSL/TSR-page mirrors all
     /// match (see the diagonal tree's validator).
     fn validate_packed(&self, meta: &TsMeta) {
-        let h = self.pack_h();
+        let h = self.tuning.pack_h_pages;
         if h == 0 {
             for c in &meta.children {
                 assert!(c.packed.h_pages.is_empty(), "mirror while packing off");
@@ -286,7 +286,7 @@ impl ThreeSidedTree {
             return;
         }
         for c in &meta.children {
-            let child_meta = self.meta_unbilled(c.mb);
+            let child_meta = self.metas.get(c.mb);
             let top = h.min(child_meta.horizontal.len());
             assert_eq!(
                 c.packed.h_pages[..],
@@ -354,7 +354,7 @@ impl ThreeSidedTree {
                     td_ids.insert(p.id);
                 }
             }
-            for &pg in &td.staged {
+            for &pg in td.staged.iter() {
                 for p in self.store.read_unbilled(pg) {
                     td_ids.insert(p.id);
                 }
@@ -368,7 +368,7 @@ impl ThreeSidedTree {
             }
             assert_eq!(n_del, td.n_del_built, "TD delete-side built-count stale");
             let mut staged: Vec<Point> = Vec::new();
-            for &pg in &td.del_staged {
+            for &pg in td.del_staged.iter() {
                 staged.extend_from_slice(self.store.read_unbilled(pg));
             }
             td_del_ids.extend(staged.iter().map(|t| t.id));
@@ -389,7 +389,7 @@ impl ThreeSidedTree {
             .children
             .iter()
             .map(|c| {
-                let cm = self.meta_unbilled(c.mb);
+                let cm = self.metas.get(c.mb);
                 let child_tombs: BTreeSet<u64> =
                     self.pages_unbilled(&cm.tomb).iter().map(|t| t.id).collect();
                 let mut pts = self.pages_unbilled(&cm.horizontal);
@@ -415,7 +415,10 @@ impl ThreeSidedTree {
                 ts_points.windows(2).all(|w| w[0].ykey() > w[1].ykey()),
                 "{what} out of order"
             );
-            assert!(ts.n <= self.ts_cap_points(), "{what} too large");
+            assert!(
+                ts.n <= self.tuning.ts_cap_points(self.geo),
+                "{what} too large"
+            );
             let ts_ids: BTreeSet<u64> = ts_points.iter().map(|p| p.id).collect();
             let ts_min = ts_points.last().map(Point::ykey);
             for p in covered.iter().flatten() {
@@ -427,7 +430,7 @@ impl ThreeSidedTree {
         };
 
         for (i, c) in parent.children.iter().enumerate() {
-            let cm = self.meta_unbilled(c.mb);
+            let cm = self.metas.get(c.mb);
             if i > 0 {
                 let ts = cm.tsl.as_ref().expect("non-first child has TSL");
                 check(ts, &stored[..i], "TSL");
@@ -482,7 +485,7 @@ impl ThreeSidedTree {
     }
 
     fn collect_unbilled(&self, mb: MbId, out: &mut Vec<Point>) {
-        let meta = self.meta_unbilled(mb);
+        let meta = self.metas.get(mb);
         out.extend(self.pages_unbilled(&meta.horizontal));
         out.extend(self.pages_unbilled(&meta.update));
         for c in &meta.children {

@@ -10,12 +10,14 @@
 //! sweet spot for the E9 workload (see `docs/tuning.md`);
 //! [`Tuning::paper`] reproduces the paper's constants exactly.
 
+use ccix_extmem::Geometry;
+
 /// Tunable constants of the semi-dynamic metablock machinery, shared by the
 /// diagonal-corner tree (§3) and the 3-sided tree (§4).
 ///
 /// All budgets are expressed in *pages* so they scale with the geometry.
-/// Effective values are clamped per tree (see the `*_cap` helpers on the
-/// trees): buffers never exceed `B/2` pages, so a buffer is always small
+/// Effective values are clamped per tree geometry (see the `*_cap`
+/// helpers below): buffers never exceed `B/2` pages, so a buffer is always small
 /// against the `B²` metablock capacity and the paper's invariants and
 /// amortisation arguments survive unchanged — a batch of `k` pages simply
 /// amortises each level-I reorganisation over `k·B` inserts instead of `B`.
@@ -163,6 +165,37 @@ impl Tuning {
             reorg_pages_per_op: 0,
             build_threads: 1,
             shard_threads: 1,
+        }
+    }
+
+    // ---- budgets of a tree with geometry `geo` ------------------------------
+    //
+    // Buffers are clamped to B/2 pages so a buffer (≤ B²/2 points) never
+    // rivals the B² metablock capacity: the paper's invariants and the
+    // level-II threshold arithmetic survive for every geometry, including
+    // the tiny-B property tests.
+
+    /// Update-buffer budget in pages (≥ 1).
+    pub(crate) fn upd_cap_pages(&self, geo: Geometry) -> usize {
+        self.update_batch_pages.clamp(1, (geo.b / 2).max(1))
+    }
+
+    /// TD staging budget in pages (≥ 1), shared by the insert and delete
+    /// staging areas.
+    pub(crate) fn td_cap_pages(&self, geo: Geometry) -> usize {
+        self.td_batch_pages.clamp(1, (geo.b / 2).max(1))
+    }
+
+    /// Tombstone-buffer budget in pages (≥ 1).
+    pub(crate) fn tomb_cap_pages(&self, geo: Geometry) -> usize {
+        self.tomb_batch_pages.clamp(1, (geo.b / 2).max(1))
+    }
+
+    /// TS (TSL/TSR) snapshot budget in points (≥ B).
+    pub(crate) fn ts_cap_points(&self, geo: Geometry) -> usize {
+        match self.ts_snapshot_pages {
+            None => geo.b2(),
+            Some(pages) => (pages.max(1) * geo.b).min(geo.b2()),
         }
     }
 

@@ -1,5 +1,8 @@
-//! The chunked copy-on-write page table under [`crate::TypedStore`] and
-//! [`crate::Disk`].
+//! Copy-on-write sharing between epochs, one vocabulary for the page store
+//! and both metablock trees: a fork clones handles, never contents, and
+//! whichever side writes first copies only what it writes — [`Run`]s of
+//! page ids and keys, [`Slots`] of control blocks, and the [`PageTable`]
+//! of page handles under [`crate::TypedStore`] and [`crate::Disk`].
 //!
 //! A page table maps [`PageId`]s to page handles and recycles freed ids.
 //! Publishing an epoch forks it, and a flat `Vec` of handles makes that
@@ -11,9 +14,152 @@
 //! replaced that way lives until the last fork that can see it drops —
 //! reference counts are the reclamation, as for pages.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::store::PageId;
+
+/// A shared run: an immutable slice behind [`Arc`]. Cloning a run — or a
+/// control block holding runs — bumps a handle; growing one replaces it
+/// with a copy one element longer: one allocation, made by the writer that
+/// grows it, while every epoch still holding the old run keeps it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Run<T>(Arc<[T]>);
+
+impl<T> Default for Run<T> {
+    fn default() -> Self {
+        Self(Arc::default())
+    }
+}
+
+impl<T> Deref for Run<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        &self.0
+    }
+}
+
+impl<T> FromIterator<T> for Run<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        Self(items.into_iter().collect())
+    }
+}
+
+impl<T: Copy> Run<T> {
+    /// `items` as a run; the empty run is [`Run::default`].
+    pub fn from_slice(items: &[T]) -> Self {
+        if items.is_empty() {
+            Self::default()
+        } else {
+            Self(items.into())
+        }
+    }
+
+    /// Append `x`, replacing the run with a copy one element longer.
+    pub fn push(&mut self, x: T) {
+        self.0 = self.0.iter().copied().chain([x]).collect();
+    }
+
+    /// The first `n` elements, sharing `self` when it is no longer.
+    pub fn prefix(&self, n: usize) -> Self {
+        if self.len() <= n {
+            self.clone()
+        } else {
+            Self::from_slice(&self[..n])
+        }
+    }
+
+    /// The elements for in-place mutation, copied first while shared.
+    pub fn make_mut(&mut self) -> &mut [T] {
+        Arc::make_mut(&mut self.0)
+    }
+
+    /// Whether `a` and `b` are handles on one allocation.
+    pub fn ptr_eq(a: &Self, b: &Self) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+/// Control blocks by slot index, each behind [`Arc`]: a clone shares every
+/// block, and [`Slots::make_mut`] / [`Slots::take`] copy a block a clone
+/// still shares. Slots are never reused, so [`Slots::is_live`] stays a
+/// reliable liveness test for an index held across a restructuring.
+///
+/// # Panics
+/// Every accessor but [`Slots::is_live`] panics on a freed slot.
+#[derive(Clone, Debug)]
+pub struct Slots<M> {
+    slots: Vec<Option<Arc<M>>>,
+    dead: usize,
+}
+
+impl<M> Default for Slots<M> {
+    fn default() -> Self {
+        Self {
+            slots: Vec::new(),
+            dead: 0,
+        }
+    }
+}
+
+impl<M: Clone> Slots<M> {
+    /// The block in slot `i`.
+    pub fn get(&self, i: usize) -> &M {
+        self.slots[i].as_deref().expect("read of a freed slot")
+    }
+
+    /// The block in slot `i`, for in-place mutation.
+    pub fn make_mut(&mut self, i: usize) -> &mut M {
+        Arc::make_mut(self.slots[i].as_mut().expect("write to a freed slot"))
+    }
+
+    /// Move the block out of slot `i` until [`Slots::put`] returns it.
+    pub fn take(&mut self, i: usize) -> M {
+        Arc::unwrap_or_clone(self.slots[i].take().expect("take of a freed slot"))
+    }
+
+    /// Store `m` in slot `i`.
+    pub fn put(&mut self, i: usize, m: M) {
+        self.slots[i] = Some(Arc::new(m));
+    }
+
+    /// Store `m` in a fresh slot and return its index.
+    pub fn push(&mut self, m: M) -> usize {
+        self.slots.push(Some(Arc::new(m)));
+        self.slots.len() - 1
+    }
+
+    /// Free slot `i` for good, returning its (possibly still shared) block.
+    pub fn free(&mut self, i: usize) -> Arc<M> {
+        self.dead += 1;
+        self.slots[i].take().expect("double free of a slot")
+    }
+
+    /// Whether slot `i` holds a block.
+    pub fn is_live(&self, i: usize) -> bool {
+        self.slots[i].is_some()
+    }
+
+    /// Number of live blocks.
+    pub fn live(&self) -> usize {
+        self.slots.len() - self.dead
+    }
+
+    /// Every live block, by ascending slot.
+    pub fn iter(&self) -> impl Iterator<Item = &M> {
+        self.slots.iter().flatten().map(|m| &**m)
+    }
+
+    /// Slots of `self` that do not hold the very handle `other` holds (a
+    /// slot freed on both sides counts as shared).
+    pub fn diverged(&self, other: &Self) -> Vec<usize> {
+        let shared = |i: usize| match (&self.slots[i], other.slots.get(i)) {
+            (Some(a), Some(Some(b))) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_some_and(Option::is_none),
+        };
+        (0..self.slots.len()).filter(|&i| !shared(i)).collect()
+    }
+}
 
 /// Slots per chunk. Measured at 4–64 on the 2-core reference box (n =
 /// 200 000, B = 32, two shards, 64-op commits; `docs/tuning.md` § Epoch
@@ -271,5 +417,46 @@ mod tests {
         assert_eq!(b.insert(Arc::new(5)), PageId(1));
         let full = 4 * CHUNK;
         assert_eq!((a.in_use(), b.in_use(), c.in_use()), (full, full, full));
+    }
+
+    #[test]
+    fn a_grown_run_is_a_new_allocation_and_a_short_prefix_is_the_run() {
+        let mut run: Run<u32> = (0..4).collect();
+        let frozen = run.clone();
+        assert!(
+            Run::ptr_eq(&run.prefix(4), &run),
+            "no longer: the run itself"
+        );
+        assert_eq!(&run.prefix(2)[..], &[0, 1]);
+        assert_eq!(Run::<u32>::from_slice(&[]), Run::default());
+        run.push(4);
+        run.make_mut()[0] = 9;
+        assert_eq!(&run[..], &[9, 1, 2, 3, 4]);
+        assert_eq!(&frozen[..], &[0, 1, 2, 3], "the old handle keeps its run");
+        let grown = run.clone();
+        run.make_mut()[1] = 7;
+        assert_eq!((grown[1], run[1]), (1, 7), "a shared run is copied first");
+    }
+
+    #[test]
+    fn a_slot_fork_copies_exactly_the_blocks_each_side_writes() {
+        let mut a: Slots<Vec<u32>> = Slots::default();
+        (0..6).for_each(|i| assert_eq!(a.push(vec![i]), i as usize));
+        let mut b = a.clone();
+        assert!(a.diverged(&b).is_empty(), "a clone shares every block");
+        a.make_mut(1).push(10);
+        let taken = a.take(2);
+        a.put(2, taken);
+        assert_eq!(*a.free(3), [3], "a freed block is handed back");
+        b.make_mut(4).push(40);
+        assert_eq!(a.push(vec![6]), 6, "freed slots are never reused");
+        assert_eq!(a.diverged(&b), [1, 2, 3, 4, 6]);
+        assert_eq!((a.get(1), b.get(1)), (&vec![1, 10], &vec![1]));
+        assert_eq!((a.get(4), b.get(4)), (&vec![4], &vec![4, 40]));
+        assert!(!a.is_live(3) && b.is_live(3) && (a.live(), b.live()) == (6, 6));
+        let firsts: Vec<u32> = a.iter().map(|m| m[0]).collect();
+        assert_eq!(firsts, [0, 1, 2, 4, 5, 6]);
+        b.free(3);
+        assert!(!a.diverged(&b).contains(&3), "freed on both sides");
     }
 }

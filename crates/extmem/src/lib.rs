@@ -20,6 +20,8 @@
 //!   concrete type; every page access is charged;
 //! * [`Disk`] — a raw byte-addressed page store (used by the B+-tree, which
 //!   serialises its nodes to bytes like a real storage engine);
+//! * [`Run`] / [`Slots`] — the copy-on-write runs and control-block slots
+//!   that let a structure fork an epoch in `O(dirty)`;
 //! * [`BufferPool`] — an LRU cache in front of a [`Disk`] for experiments
 //!   that need to show the effect of caching (the paper's bounds assume no
 //!   cross-operation caching, so measured paths default to the raw stores).
@@ -45,6 +47,7 @@ mod stats;
 mod store;
 
 pub use backend::{BackendSpec, FileConfig, DEFAULT_CACHE_PAGES, SLOT_ALIGN};
+pub use cow::{Run, Slots};
 pub use disk::{Disk, PageBuf};
 pub use geometry::{near_equal_ranges, Geometry};
 pub use merge::{

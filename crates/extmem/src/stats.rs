@@ -170,6 +170,11 @@ impl IoCounter {
         self.0.total()
     }
 
+    /// Whether `self` and `other` are handles on one set of totals.
+    pub fn same_as(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
     /// Capture the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
         IoSnapshot {

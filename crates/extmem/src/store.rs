@@ -143,7 +143,7 @@ impl<T: Clone> TypedStore<T> {
 
     /// Allocate a run of pages holding `records` in order, `capacity` per
     /// page. Returns the page ids in run order, collected straight into the
-    /// caller's run type (a `Vec`, or a shared `Arc<[PageId]>` built in one
+    /// caller's run type (a `Vec`, or a shared [`crate::Run`] built in one
     /// allocation). Costs one write per page.
     pub fn alloc_run<R: FromIterator<PageId>>(&mut self, records: &[T]) -> R {
         records
@@ -170,6 +170,16 @@ impl<T: Clone> TypedStore<T> {
             m.read_page(id, page);
         }
         page
+    }
+
+    /// Read every record of a page run, in run order. Costs one read I/O
+    /// per page.
+    pub fn read_run(&self, ids: &[PageId]) -> Vec<T> {
+        let mut out = Vec::with_capacity(ids.len() * self.capacity);
+        for &id in ids {
+            out.extend_from_slice(self.read(id));
+        }
+        out
     }
 
     /// Fork a copy-on-write snapshot of this store, charging future I/O on
@@ -203,20 +213,33 @@ impl<T: Clone> TypedStore<T> {
     /// Append one record to a live page in place: the read-modify-write of
     /// a buffer append — one read plus one write I/O, exactly what the
     /// separate `read`/`write` pair charges — without cloning the page
-    /// buffer through the caller.
+    /// buffer through the caller. A page a fork still shares is copied
+    /// once, into a buffer of the full page capacity (a parked one when
+    /// there is), so the appends that follow never regrow it.
     ///
     /// # Panics
     /// Panics if the page is freed or already at capacity.
     pub fn append(&mut self, id: PageId, record: T) {
         self.counter.add_reads(1);
         self.counter.add_writes(1);
-        let capacity = self.capacity;
-        let page = self.live_mut(id, "append to");
+        let (capacity, slots) = (self.capacity, self.pages.slots());
+        let Some(page) = self.pages.get_mut(id) else {
+            Self::dead(slots, id, "append to")
+        };
         assert!(
             page.len() < capacity,
             "page overflow: append to a full page of capacity {capacity}"
         );
-        Arc::make_mut(page).push(record);
+        match Arc::get_mut(page) {
+            Some(owned) => owned.push(record),
+            None => {
+                let mut copy = self.spare.pop().unwrap_or_default();
+                copy.reserve_exact(capacity);
+                copy.extend_from_slice(page);
+                copy.push(record);
+                *page = Arc::new(copy);
+            }
+        }
         if let Some(m) = &self.file {
             m.write_page(id, self.live(id, "append to"));
         }

@@ -21,9 +21,9 @@
 //! unchanged keeps its page untouched, so rebuild-heavy insert floods stop
 //! re-materialising identical nodes.
 
-use ccix_extmem::{
-    BackendSpec, FixedBytes, Geometry, IoCounter, PageId, PathPin, Point, SortedRun, TypedStore,
-};
+use std::sync::Arc;
+
+use ccix_extmem::{FixedBytes, Geometry, IoCounter, PageId, PathPin, Point, SortedRun, TypedStore};
 
 /// One record on a PST page: the leading control record or a data point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -235,56 +235,17 @@ impl ExternalPst {
         Self::build_from_sorted(geo, counter, SortedRun::from_unsorted(points))
     }
 
-    /// Fork a copy-on-write read snapshot of this PST, charging its I/O to
-    /// `counter`.
-    ///
-    /// The fork shares every node page with the original (see
-    /// [`ccix_extmem::TypedStore::fork`]) and drops the in-memory layout
-    /// mirror, which only rebuilds consult: a fork answers queries exactly
-    /// but is a read handle for the epoch-snapshot machinery, not a rebuild
-    /// target.
-    pub fn fork(&self, counter: IoCounter) -> Self {
-        Self {
-            store: self.store.fork(counter),
-            root: self.root,
-            len: self.len,
-            height: self.height,
-            layout: None,
-        }
-    }
-
     /// Build from an already x-sorted run, skipping the sort (and the
     /// duplicate-id scan — the run's strict order is the caller's proof).
     pub fn build_from_sorted(geo: Geometry, counter: IoCounter, sorted: SortedRun) -> Self {
         Self::from_plan(geo, counter, PstPlan::plan(geo, sorted))
     }
 
-    /// [`ExternalPst::build_from_sorted`] on an explicit backend.
-    pub fn build_from_sorted_on(
-        spec: &BackendSpec,
-        geo: Geometry,
-        counter: IoCounter,
-        sorted: SortedRun,
-    ) -> Self {
-        Self::from_plan_on(spec, geo, counter, PstPlan::plan(geo, sorted))
-    }
-
     /// Materialise a plan: one page allocated (one write I/O) per node, on
     /// the calling thread.
     pub fn from_plan(geo: Geometry, counter: IoCounter, plan: PstPlan) -> Self {
-        Self::from_plan_on(&BackendSpec::Model, geo, counter, plan)
-    }
-
-    /// [`ExternalPst::from_plan`] on an explicit backend: the node store is
-    /// opened model- or file-backed per `spec`.
-    pub fn from_plan_on(
-        spec: &BackendSpec,
-        geo: Geometry,
-        counter: IoCounter,
-        plan: PstPlan,
-    ) -> Self {
         assert!(geo.b >= 2, "external PST needs B ≥ 2");
-        let mut store = TypedStore::new_on(spec, geo.b, counter);
+        let mut store = TypedStore::new(geo.b, counter);
         let layout = plan.root.map(|n| Self::alloc_rec(&mut store, *n));
         Self {
             root: layout.as_ref().map(|l| l.page),
@@ -338,66 +299,93 @@ impl ExternalPst {
     /// nodes their deltas never touched, and page slots are recycled
     /// through the store's free list instead of a fresh store.
     pub fn rebuild_from_sorted(&mut self, geo: Geometry, sorted: SortedRun) {
+        let old = self.layout.take();
+        self.rebuild_over(old.as_deref(), geo, sorted);
+    }
+
+    /// [`ExternalPst::rebuild_from_sorted`] on a PST other handles may
+    /// share (an epoch, or the tree a fork was taken from), charging
+    /// `counter`: in place while `pst` is the only handle and already
+    /// charges `counter`, otherwise into a fresh handle over a fork of the
+    /// node store onto `counter`. The fork recycles the same page ids and
+    /// the rebuild bills the same transfers as in place, walking the shared
+    /// layout mirror without copying it; the shared PST stays intact for
+    /// its other holders.
+    pub fn rebuild_shared(
+        pst: &mut Arc<Self>,
+        counter: &IoCounter,
+        geo: Geometry,
+        sorted: SortedRun,
+    ) {
+        match Arc::get_mut(pst).filter(|p| p.counter().same_as(counter)) {
+            Some(owned) => owned.rebuild_from_sorted(geo, sorted),
+            None => {
+                let mut fresh = Self {
+                    store: pst.store.fork(counter.clone()),
+                    root: None,
+                    len: 0,
+                    height: 0,
+                    layout: None,
+                };
+                fresh.rebuild_over(pst.layout.as_deref(), geo, sorted);
+                *pst = Arc::new(fresh);
+            }
+        }
+    }
+
+    /// Rebuild over `sorted` on top of the `old` layout (see
+    /// [`ExternalPst::rebuild_from_sorted`]).
+    fn rebuild_over(&mut self, old: Option<&LayoutNode>, geo: Geometry, sorted: SortedRun) {
         let plan = PstPlan::plan(geo, sorted);
         self.len = plan.len;
         self.height = plan.height;
-        let old = self.layout.take();
-        self.layout = match (old, plan.root) {
-            (old, None) => {
-                if let Some(o) = old {
-                    Self::free_rec(&mut self.store, *o);
-                }
-                None
-            }
-            (None, Some(n)) => Some(Self::alloc_rec(&mut self.store, *n)),
-            (Some(o), Some(n)) => Some(self.reuse_rec(*o, *n)),
-        };
+        self.layout = self.reuse_opt(old, plan.root);
         self.root = self.layout.as_ref().map(|l| l.page);
     }
 
     /// Free a layout subtree's pages.
-    fn free_rec(store: &mut TypedStore<PstRec>, node: LayoutNode) {
+    fn free_rec(store: &mut TypedStore<PstRec>, node: &LayoutNode) {
         store.free(node.page);
-        if let Some(l) = node.left {
-            Self::free_rec(store, *l);
+        for child in [&node.left, &node.right].into_iter().flatten() {
+            Self::free_rec(store, child);
         }
-        if let Some(r) = node.right {
-            Self::free_rec(store, *r);
+    }
+
+    /// Materialise a planned subtree over an old layout subtree: both
+    /// present reuse page for page, a side present in only one allocates
+    /// or frees.
+    fn reuse_opt(
+        &mut self,
+        old: Option<&LayoutNode>,
+        new: Option<Box<PlanNode>>,
+    ) -> Option<Box<LayoutNode>> {
+        match (old, new) {
+            (Some(o), Some(n)) => Some(self.reuse_rec(o, *n)),
+            (Some(o), None) => {
+                Self::free_rec(&mut self.store, o);
+                None
+            }
+            (None, Some(n)) => Some(Self::alloc_rec(&mut self.store, *n)),
+            (None, None) => None,
         }
     }
 
     /// Materialise a planned subtree on top of an old layout subtree,
     /// page-for-page: unchanged nodes are kept without a transfer, changed
     /// nodes are overwritten in place (their page id — and therefore their
-    /// parent's meta record — survives), shape differences alloc/free.
-    fn reuse_rec(&mut self, old: LayoutNode, new: PlanNode) -> Box<LayoutNode> {
-        let old_left_page = old.left.as_ref().map(|l| l.page);
-        let old_right_page = old.right.as_ref().map(|r| r.page);
-        let left = match (old.left, new.left) {
-            (Some(o), Some(n)) => Some(self.reuse_rec(*o, *n)),
-            (Some(o), None) => {
-                Self::free_rec(&mut self.store, *o);
-                None
-            }
-            (None, Some(n)) => Some(Self::alloc_rec(&mut self.store, *n)),
-            (None, None) => None,
-        };
-        let right = match (old.right, new.right) {
-            (Some(o), Some(n)) => Some(self.reuse_rec(*o, *n)),
-            (Some(o), None) => {
-                Self::free_rec(&mut self.store, *o);
-                None
-            }
-            (None, Some(n)) => Some(Self::alloc_rec(&mut self.store, *n)),
-            (None, None) => None,
-        };
+    /// parent's meta record — survives), shape differences alloc/free. The
+    /// old layout is only read, so it may be one another handle shares.
+    fn reuse_rec(&mut self, old: &LayoutNode, new: PlanNode) -> Box<LayoutNode> {
+        let left = self.reuse_opt(old.left.as_deref(), new.left);
+        let right = self.reuse_opt(old.right.as_deref(), new.right);
         // The node's page content is a pure function of (split, top, child
         // pages); children reused in place keep their ids, so equality of
         // the in-memory mirrors means the on-disk page is already exact.
+        let page_of = |n: &Option<Box<LayoutNode>>| n.as_ref().map(|n| n.page);
         let unchanged = old.split == new.split
             && old.top == new.top
-            && left.as_ref().map(|l| l.page) == old_left_page
-            && right.as_ref().map(|r| r.page) == old_right_page;
+            && page_of(&left) == page_of(&old.left)
+            && page_of(&right) == page_of(&old.right);
         if !unchanged {
             self.store.write(
                 old.page,
@@ -525,30 +513,8 @@ impl ExternalPst {
         }
     }
 
-    /// Read back every stored point (one I/O per page); used when a dynamic
-    /// wrapper rebuilds a PST with newly staged points.
-    pub fn collect_points(&self) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut stack: Vec<PageId> = self.root.into_iter().collect();
-        while let Some(page) = stack.pop() {
-            let recs = self.store.read(page);
-            let PstRec::Meta { left, right, .. } = recs[0] else {
-                unreachable!("first record of a PST page is always the meta");
-            };
-            for rec in &recs[1..] {
-                let PstRec::Pt(p) = rec else {
-                    unreachable!("data records follow the meta record")
-                };
-                out.push(*p);
-            }
-            stack.extend(left);
-            stack.extend(right);
-        }
-        out
-    }
-
-    /// As [`ExternalPst::collect_points`] without charging I/Os (validation
-    /// only).
+    /// Every stored point, without charging I/Os; a host rebuilding the
+    /// tree bills the read of its [`ExternalPst::space_pages`] pages itself.
     pub fn collect_points_unbilled(&self) -> Vec<Point> {
         let mut out = Vec::with_capacity(self.len);
         let mut stack: Vec<PageId> = self.root.into_iter().collect();
@@ -776,6 +742,51 @@ mod tests {
             base[..50].to_vec(),
             "shrunk rebuild",
         );
+    }
+
+    /// A rebuild of a PST an epoch still holds lands on the very page ids
+    /// and bills the very transfers of an unshared one, and leaves the
+    /// epoch's tree answering as before.
+    #[test]
+    fn a_shared_rebuild_bills_and_lays_out_like_an_owned_one() {
+        let geo = Geometry::new(8);
+        let base = random_points(800, 0x5EED, 2_000);
+        let mut grown = base[100..].to_vec();
+        grown.extend((0..40).map(|i| Point::new(1_000 + i, 3_000 + i, 10_000 + i as u64)));
+        let (c_owned, c_shared) = (IoCounter::new(), IoCounter::new());
+        let mut owned = Arc::new(ExternalPst::build(geo, c_owned.clone(), base.clone()));
+        let mut shared = Arc::new(ExternalPst::build(geo, c_shared.clone(), base.clone()));
+        let epoch = Arc::clone(&shared);
+        let (before_owned, before_shared) = (c_owned.snapshot(), c_shared.snapshot());
+        let owned_ptr = Arc::as_ptr(&owned);
+        let rebuild = |pst: &mut Arc<ExternalPst>, counter: &IoCounter| {
+            ExternalPst::rebuild_shared(pst, counter, geo, SortedRun::from_unsorted(grown.clone()))
+        };
+        rebuild(&mut owned, &c_owned);
+        rebuild(&mut shared, &c_shared);
+        assert_eq!(
+            Arc::as_ptr(&owned),
+            owned_ptr,
+            "an only handle rebuilds in place"
+        );
+        assert!(
+            !Arc::ptr_eq(&shared, &epoch),
+            "a shared one gets a new handle"
+        );
+        assert_eq!(c_owned.since(before_owned), c_shared.since(before_shared));
+        assert_eq!(owned.store.live_page_ids(), shared.store.live_page_ids());
+        assert_eq!((owned.root, owned.height()), (shared.root, shared.height()));
+        for &(x1, x2, y0) in &[
+            (0i64, 2_000i64, 0i64),
+            (100, 900, 1_500),
+            (1_000, 1_040, 2_990),
+        ] {
+            let q = format!("q=({x1},{x2},{y0})");
+            let want = oracle::three_sided(&grown, x1, x2, y0);
+            oracle::assert_same_points(shared.query(x1, x2, y0), want, &q);
+            let frozen = oracle::three_sided(&base, x1, x2, y0);
+            oracle::assert_same_points(epoch.query(x1, x2, y0), frozen, &q);
+        }
     }
 
     #[test]

@@ -1,54 +1,70 @@
-//! Allocation gate for the writer's commit cycle.
+//! Allocation gate for the writer's commit cycle, on both trees.
 //!
 //! A group commit on the serving engine is `apply_submissions` on the live
 //! index, a `fork_snapshot` published as the new epoch, and the drop of the
 //! epoch it retires. The first write to a control block shared with an
 //! epoch copies the block; the members a commit does not change (page
-//! runs, key runs, child mirrors) are shared by handle, so the copy — and
-//! the retired epoch's teardown of the old copy — costs a few allocations
-//! per block, not one per member.
+//! runs, key runs, child mirrors, the three-sided tree's PSTs) are shared
+//! by handle, so the copy — and the retired epoch's teardown of the old
+//! copy — costs a few allocations per block, not one per member, and the
+//! fork itself copies no block.
 //!
 //! The counts come from a counting global allocator that lives in this
-//! file only. The cycle runs inline (a 64-op group is below the sharded
-//! index's fan-out threshold), so every allocation it makes is on this
-//! thread and the counts are deterministic for a given build profile.
-//! Debug and release differ (debug assertions allocate), so each profile
-//! is held to half of what the same cycle cost before member-granular
-//! sharing, measured with this file at the same shape.
+//! file only and counts per thread. Each cycle runs inline on its test's
+//! thread (a 64-op group is below the sharded index's fan-out threshold),
+//! so the counts are deterministic for a given build profile. Debug and
+//! release differ (debug assertions allocate), so each profile is held to
+//! half of what the same cycle cost before the tree's control blocks were
+//! shared member by member (the diagonal tree) or at all (the three-sided
+//! tree), measured with this file at the same shape.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
+use std::thread::LocalKey;
 
-use ccix_core::{DiagOptions, MetablockTree, Tuning};
-use ccix_extmem::{Geometry, IoCounter};
+use ccix_core::{DiagOptions, MetablockTree, Op, ThreeSidedTree, Tuning};
+use ccix_extmem::{Geometry, IoCounter, Point};
 use ccix_interval::{IndexBuilder, Interval, IntervalOp};
-use ccix_testkit::workloads::{interval_points, uniform_intervals};
+use ccix_testkit::workloads::{interval_points, uniform_intervals, uniform_points};
 use ccix_testkit::DetRng;
 
-/// Counts heap allocations (`alloc`, `alloc_zeroed`, `realloc`) and frees.
+/// Counts the calling thread's heap allocations (`alloc`, `alloc_zeroed`,
+/// `realloc`) and frees.
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FREES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(count: &'static LocalKey<Cell<u64>>) {
+    // A const-initialised `Cell` has no destructor, so this never fails;
+    // `try_with` keeps the allocator panic-free regardless.
+    let _ = count.try_with(|n| n.set(n.get() + 1));
+}
+
+fn read(count: &'static LocalKey<Cell<u64>>) -> u64 {
+    count.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        bump(&ALLOCS);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        bump(&ALLOCS);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        bump(&ALLOCS);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Relaxed);
+        bump(&FREES);
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -65,37 +81,101 @@ const SHARDS: usize = 2;
 const HALF: usize = 32;
 const PUMP: usize = 64;
 const WARMUP: usize = 20;
-/// Measured commits. With the warm-up, each shard absorbs ≈ 1 900 deletes —
-/// below the occupancy-shrink trigger (half the shard's size), so no full
-/// rebuild lands inside the measurement.
+/// Measured commits. With the warm-up, each diagonal shard absorbs
+/// ≈ 1 900 deletes and the three-sided tree ≈ 3 800 — below the
+/// occupancy-shrink trigger (half the size), so no full rebuild lands
+/// inside the measurement.
 const COMMITS: usize = 100;
 
-/// The same cycle before member-granular sharing, per commit, at this
+/// Per-commit averages of one leg's cycle.
+#[derive(Debug)]
+struct Counts {
+    /// Allocations while the commit is applied.
+    apply: f64,
+    /// Allocations while the new epoch is forked.
+    fork: f64,
+    /// Frees while the retired epoch drops.
+    drop: f64,
+}
+
+/// Run `WARMUP + COMMITS` commits of `next_commit()` through `apply`, fork
+/// an epoch after each and drop the one it retires; average the measured
+/// commits. Returns the counts and the last epoch.
+fn cycle<I, C>(
+    index: &mut I,
+    mut next_commit: impl FnMut() -> C,
+    mut apply: impl FnMut(&mut I, &C),
+    fork: impl Fn(&I) -> I,
+) -> (Counts, I) {
+    let mut epoch = fork(index);
+    let (mut applied, mut forked, mut dropped) = (0u64, 0u64, 0u64);
+    for commit in 0..WARMUP + COMMITS {
+        let ops = next_commit();
+        let a = read(&ALLOCS);
+        apply(index, &ops);
+        let f = read(&ALLOCS);
+        let next = fork(index);
+        let done = read(&ALLOCS);
+        let retired = std::mem::replace(&mut epoch, next);
+        let before = read(&FREES);
+        drop(retired);
+        if commit >= WARMUP {
+            applied += f - a;
+            forked += done - f;
+            dropped += read(&FREES) - before;
+        }
+    }
+    let per = |n: u64| n as f64 / COMMITS as f64;
+    let counts = Counts {
+        apply: per(applied),
+        fork: per(forked),
+        drop: per(dropped),
+    };
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    println!("[commit_allocs] {profile}: {counts:?} per commit");
+    (counts, epoch)
+}
+
+/// Assert `got ≤ ½ · parent`, naming the count.
+fn at_most_half(what: &str, got: f64, parent: f64) {
+    assert!(
+        got <= parent / 2.0,
+        "{got:.1} {what} per commit, more than half of {parent:.1}"
+    );
+}
+
+/// Delete `HALF` random live items and insert `HALF` fresh ones made by
+/// `fresh(rng, id)`; returns `(deleted, inserted)`.
+fn churn<T: Copy>(
+    rng: &mut DetRng,
+    live: &mut Vec<T>,
+    next_id: &mut u64,
+    fresh: impl Fn(&mut DetRng, u64) -> T,
+) -> (Vec<T>, Vec<T>) {
+    let deleted = (0..HALF)
+        .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+        .collect();
+    let inserted: Vec<T> = (0..HALF)
+        .map(|_| {
+            *next_id += 1;
+            fresh(rng, *next_id - 1)
+        })
+        .collect();
+    live.extend_from_slice(&inserted);
+    (deleted, inserted)
+}
+
+/// The diagonal leg before member-granular sharing, per commit, at this
 /// shape: `(allocations in apply, frees in the retired epoch's drop)`.
-const PARENT: (f64, f64) = if cfg!(debug_assertions) {
+const DIAG_PARENT: (f64, f64) = if cfg!(debug_assertions) {
     (2483.4, 2026.6)
 } else {
     (2449.1, 2026.6)
 };
-
-fn next_commit(rng: &mut DetRng, live: &mut Vec<Interval>, next_id: &mut u64) -> Vec<IntervalOp> {
-    let mut ops = Vec::with_capacity(2 * HALF);
-    for _ in 0..HALF {
-        let iv = live.swap_remove(rng.gen_range(0..live.len()));
-        ops.push(IntervalOp::Delete(iv));
-    }
-    for _ in 0..HALF {
-        let lo = rng.gen_range(0..RANGE);
-        let iv = Interval::new(lo, lo + rng.gen_range(0..MAX_LEN), *next_id);
-        *next_id += 1;
-        ops.push(IntervalOp::Insert(iv));
-    }
-    live.extend(ops[HALF..].iter().map(|op| match op {
-        IntervalOp::Insert(iv) => *iv,
-        IntervalOp::Delete(_) => unreachable!("inserts follow the deletes"),
-    }));
-    ops
-}
 
 #[test]
 fn a_commit_allocates_and_retires_in_proportion_to_what_it_touches() {
@@ -128,46 +208,27 @@ fn a_commit_allocates_and_retires_in_proportion_to_what_it_touches() {
 
     let mut rng = DetRng::new(0xC0_4417);
     let mut next_id = N as u64;
-    let mut epoch = idx.fork_snapshot(IoCounter::new());
-    let (mut allocs, mut frees) = (0u64, 0u64);
-    for commit in 0..WARMUP + COMMITS {
-        let subs = vec![next_commit(&mut rng, &mut live, &mut next_id)];
-        let before = ALLOCS.load(Relaxed);
-        idx.apply_submissions(&subs, PUMP);
-        let applied = ALLOCS.load(Relaxed) - before;
-        let next = idx.fork_snapshot(IoCounter::new());
-        let retired = std::mem::replace(&mut epoch, next);
-        let before = FREES.load(Relaxed);
-        drop(retired);
-        let dropped = FREES.load(Relaxed) - before;
-        if commit >= WARMUP {
-            allocs += applied;
-            frees += dropped;
-        }
-    }
+    let (counts, epoch) = cycle(
+        &mut idx,
+        || {
+            let (deleted, inserted) = churn(&mut rng, &mut live, &mut next_id, |rng, id| {
+                let lo = rng.gen_range(0..RANGE);
+                Interval::new(lo, lo + rng.gen_range(0..MAX_LEN), id)
+            });
+            let ops = deleted.into_iter().map(IntervalOp::Delete);
+            vec![ops
+                .chain(inserted.into_iter().map(IntervalOp::Insert))
+                .collect()]
+        },
+        |idx, subs: &Vec<Vec<IntervalOp>>| idx.apply_submissions(subs, PUMP),
+        |idx| idx.fork_snapshot(IoCounter::new()),
+    );
     assert_eq!(idx.len(), N);
-
-    let per_commit = allocs as f64 / COMMITS as f64;
-    let per_drop = frees as f64 / COMMITS as f64;
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    println!(
-        "[commit_allocs] {profile}: {per_commit:.1} allocations per commit in apply \
-         (before: {:.1}), {per_drop:.1} frees per retired-epoch drop (before: {:.1})",
-        PARENT.0, PARENT.1
-    );
-    assert!(
-        per_commit <= PARENT.0 / 2.0,
-        "{per_commit:.1} allocations per commit, more than half of {:.1}",
-        PARENT.0
-    );
-    assert!(
-        per_drop <= PARENT.1 / 2.0,
-        "{per_drop:.1} frees per retired-epoch drop, more than half of {:.1}",
-        PARENT.1
+    at_most_half("allocations in apply", counts.apply, DIAG_PARENT.0);
+    at_most_half(
+        "frees in the retired epoch's drop",
+        counts.drop,
+        DIAG_PARENT.1,
     );
 
     // The epoch still answers for its own moment.
@@ -179,6 +240,64 @@ fn a_commit_allocates_and_retires_in_proportion_to_what_it_touches() {
         .collect();
     want.sort_unstable();
     let mut got = epoch.stabbing(q);
+    got.sort_unstable();
+    assert_eq!(got, want);
+}
+
+/// The three-sided leg when a fork deep-copied every control block and
+/// forked every PST, per commit, at this shape: `(allocations in apply,
+/// allocations in the fork, frees in the retired epoch's drop)`.
+const TS_PARENT: (f64, f64, f64) = if cfg!(debug_assertions) {
+    (1313.9, 2232.06, 2819.78)
+} else {
+    (1296.42, 2232.06, 2819.78)
+};
+
+#[test]
+fn a_three_sided_commit_allocates_and_retires_in_proportion_to_what_it_touches() {
+    let mut live = uniform_points(N, 0x3_51DE, RANGE);
+    let mut tree = ThreeSidedTree::build(Geometry::new(B), IoCounter::new(), live.clone());
+    let s = tree.stats();
+    assert!(s.height >= 3, "{s:?}");
+
+    let mut rng = DetRng::new(0xC0_4418);
+    let mut next_id = N as u64;
+    let (counts, epoch) = cycle(
+        &mut tree,
+        || {
+            let (deleted, inserted) = churn(&mut rng, &mut live, &mut next_id, |rng, id| {
+                Point::new(rng.gen_range(0..RANGE), rng.gen_range(0..RANGE), id)
+            });
+            let ops = deleted.into_iter().map(Op::Delete);
+            ops.chain(inserted.into_iter().map(Op::Insert)).collect()
+        },
+        |tree, ops: &Vec<Op>| tree.apply_batch(ops),
+        |tree| tree.fork_snapshot(IoCounter::new()),
+    );
+    assert_eq!(tree.len(), N);
+    // `TS_PARENT`'s fork copied every block, where this one copies a
+    // shared block at its first write, in apply: the writer's side of a
+    // commit is apply and fork together.
+    at_most_half(
+        "allocations in apply and fork",
+        counts.apply + counts.fork,
+        TS_PARENT.0 + TS_PARENT.1,
+    );
+    at_most_half(
+        "frees in the retired epoch's drop",
+        counts.drop,
+        TS_PARENT.2,
+    );
+
+    // The epoch still answers for its own moment.
+    let (x1, x2, y0) = (RANGE / 4, RANGE / 2, RANGE / 2);
+    let mut want: Vec<u64> = live
+        .iter()
+        .filter(|p| x1 <= p.x && p.x <= x2 && p.y >= y0)
+        .map(|p| p.id)
+        .collect();
+    want.sort_unstable();
+    let mut got: Vec<u64> = epoch.query(x1, x2, y0).iter().map(|p| p.id).collect();
     got.sort_unstable();
     assert_eq!(got, want);
 }

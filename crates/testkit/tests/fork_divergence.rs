@@ -2,44 +2,202 @@
 //! never leak a write from one side of a fork to the other.
 //!
 //! `fork_snapshot` shares the page table's chunks, the pages and every
-//! control block with the index it was taken from; whichever side mutates
-//! first copies what it touches. The serving layer only ever *reads* its
-//! forks, but a fork is a full index (the benchmark's write ladder starts
-//! engines on forks), so both sides may keep writing. Each trial forks an
-//! [`IntervalIndex`] and drives the two sides with **different** mixed
-//! floods, re-forking every round:
+//! control block (and, on the three-sided tree, every PST) with the index
+//! it was taken from; whichever side mutates first copies what it touches.
+//! The serving layer only ever *reads* its forks, but a fork is a full
+//! index (the benchmark's write ladder starts engines on forks), so both
+//! sides may keep writing. Each trial forks a [`Subject`] — an
+//! [`IntervalIndex`], or a [`ThreeSidedTree`] over the intervals as points
+//! — and drives the two sides with **different** mixed floods, re-forking
+//! every round:
 //!
 //! * each side agrees with its own linear-scan oracle and passes the
 //!   structural validators — with the incremental-reorganisation budget
 //!   finite and the shrink trigger low, so forks are regularly taken (and
 //!   continued from) while a background shrink job is mid-flight;
 //! * each round's frozen fork still answers for the moment it was taken
-//!   after its origin moved on, and some rounds continue *from* the fork
-//!   (forks of forks of mutated stores);
+//!   after its origin moved on, bills its own counter only (a batch of its
+//!   queries leaves the origin's counter where it was), and some rounds
+//!   continue *from* the fork (forks of forks of mutated stores);
 //! * each side bills exactly what an **unforked twin** fed the same
 //!   operations bills — sharing is invisible to the cost model.
 
-use ccix_core::Tuning;
-use ccix_extmem::{Geometry, IoCounter};
+use ccix_core::{Op, ThreeSidedTree, Tuning};
+use ccix_extmem::{Geometry, IoCounter, IoSnapshot, Point};
 use ccix_interval::{
     EndpointMode, IndexBuilder, Interval, IntervalIndex, IntervalOp, IntervalOptions,
 };
 use ccix_testkit::iocheck::IoProbe;
-use ccix_testkit::workloads::{IntervalFlood, IntervalOp as FloodOp};
+use ccix_testkit::workloads::{interval_points, IntervalFlood, IntervalOp as FloodOp};
 use ccix_testkit::{check, oracle, DetRng};
 
 const ROUNDS: usize = 200;
 
+/// A forkable index the suite drives with interval operations.
+trait Subject: Sized {
+    fn open(geo: Geometry, tuning: Tuning, endpoints: EndpointMode) -> Self;
+    fn fork(&self) -> Self;
+    fn counter(&self) -> &IoCounter;
+    fn len(&self) -> usize;
+    /// Apply `ops` as one batch, or one at a time.
+    fn apply(&mut self, ops: &[IntervalOp], batched: bool);
+    /// Ids answering the probe `q`: a stab, or a three-sided query.
+    fn probe(&self, q: i64) -> Vec<u64>;
+    /// [`Subject::probe`] for each of `qs`, as one query batch.
+    fn probe_batch(&self, qs: &[i64]) -> Vec<Vec<u64>>;
+    /// What the probe `q` must answer over `live`.
+    fn want(live: &[Interval], q: i64) -> Vec<u64>;
+    /// Validators, plus any checks beyond the probes.
+    fn check_all(&self, live: &[Interval], range: i64);
+    fn space_pages(&self) -> usize;
+    fn flush_reorgs(&mut self);
+    fn reorg_in_progress(&self) -> bool;
+}
+
+impl Subject for IntervalIndex {
+    fn open(geo: Geometry, tuning: Tuning, endpoints: EndpointMode) -> Self {
+        let options = IntervalOptions {
+            endpoints,
+            tuning,
+            btree_leaf_fill: None,
+        };
+        IndexBuilder::new(geo)
+            .options(options)
+            .open(IoCounter::new())
+    }
+    fn fork(&self) -> Self {
+        self.fork_snapshot(IoCounter::new())
+    }
+    fn counter(&self) -> &IoCounter {
+        IntervalIndex::counter(self)
+    }
+    fn len(&self) -> usize {
+        IntervalIndex::len(self)
+    }
+    fn apply(&mut self, ops: &[IntervalOp], batched: bool) {
+        if batched {
+            self.apply_batch(ops);
+        } else {
+            for op in ops {
+                match *op {
+                    IntervalOp::Insert(iv) => self.insert(iv.lo, iv.hi, iv.id),
+                    IntervalOp::Delete(iv) => self.delete(iv.lo, iv.hi, iv.id),
+                }
+            }
+        }
+    }
+    fn probe(&self, q: i64) -> Vec<u64> {
+        self.stabbing(q)
+    }
+    fn probe_batch(&self, qs: &[i64]) -> Vec<Vec<u64>> {
+        self.stab_batch(qs)
+    }
+    fn want(live: &[Interval], q: i64) -> Vec<u64> {
+        oracle::stabbing_ids(live, q)
+    }
+    fn check_all(&self, live: &[Interval], range: i64) {
+        self.validate_unbilled();
+        oracle::assert_same_ids(
+            self.intersecting(range / 3, range / 2),
+            oracle::intersecting_ids(live, range / 3, range / 2),
+            "intersecting",
+        );
+    }
+    fn space_pages(&self) -> usize {
+        IntervalIndex::space_pages(self)
+    }
+    fn flush_reorgs(&mut self) {
+        IntervalIndex::flush_reorgs(self);
+    }
+    fn reorg_in_progress(&self) -> bool {
+        IntervalIndex::reorg_in_progress(self)
+    }
+}
+
+/// An interval as the point the three-sided tree stores for it.
+fn point(iv: Interval) -> Point {
+    Point::new(iv.lo, iv.hi, iv.id)
+}
+
+/// Probe `q` on the three-sided tree: `x ∈ [q − 40, q]`, `y ≥ q` — the
+/// intervals starting at most 40 before `q` that still contain it.
+fn three_sided(q: i64) -> (i64, i64, i64) {
+    (q - 40, q, q)
+}
+
+impl Subject for ThreeSidedTree {
+    fn open(geo: Geometry, tuning: Tuning, _: EndpointMode) -> Self {
+        ThreeSidedTree::new_tuned(geo, IoCounter::new(), tuning)
+    }
+    fn fork(&self) -> Self {
+        self.fork_snapshot(IoCounter::new())
+    }
+    fn counter(&self) -> &IoCounter {
+        ThreeSidedTree::counter(self)
+    }
+    fn len(&self) -> usize {
+        ThreeSidedTree::len(self)
+    }
+    fn apply(&mut self, ops: &[IntervalOp], batched: bool) {
+        let ops: Vec<Op> = ops
+            .iter()
+            .map(|op| match *op {
+                IntervalOp::Insert(iv) => Op::Insert(point(iv)),
+                IntervalOp::Delete(iv) => Op::Delete(point(iv)),
+            })
+            .collect();
+        if batched {
+            self.apply_batch(&ops);
+        } else {
+            for op in ops {
+                match op {
+                    Op::Insert(p) => self.insert(p),
+                    Op::Delete(p) => self.delete(p),
+                }
+            }
+        }
+    }
+    fn probe(&self, q: i64) -> Vec<u64> {
+        let (x1, x2, y0) = three_sided(q);
+        self.query(x1, x2, y0).iter().map(|p| p.id).collect()
+    }
+    fn probe_batch(&self, qs: &[i64]) -> Vec<Vec<u64>> {
+        let queries: Vec<_> = qs.iter().map(|&q| three_sided(q)).collect();
+        let answers = self.query_batch(&queries);
+        answers
+            .into_iter()
+            .map(|pts| pts.iter().map(|p| p.id).collect())
+            .collect()
+    }
+    fn want(live: &[Interval], q: i64) -> Vec<u64> {
+        let (x1, x2, y0) = three_sided(q);
+        let hits = oracle::three_sided(&interval_points(live), x1, x2, y0);
+        hits.iter().map(|p| p.id).collect()
+    }
+    fn check_all(&self, _: &[Interval], _: i64) {
+        self.validate_unbilled();
+    }
+    fn space_pages(&self) -> usize {
+        ThreeSidedTree::space_pages(self)
+    }
+    fn flush_reorgs(&mut self) {
+        ThreeSidedTree::flush_reorgs(self);
+    }
+    fn reorg_in_progress(&self) -> bool {
+        ThreeSidedTree::reorg_in_progress(self)
+    }
+}
+
 /// One side of the fork: the index under test, its unforked twin, the
 /// flood that drives both and (inside the flood) the oracle's live set.
-struct Side {
+struct Side<S> {
     name: &'static str,
-    index: IntervalIndex,
-    twin: IntervalIndex,
+    index: S,
+    twin: S,
     flood: IntervalFlood,
 }
 
-impl Side {
+impl<S: Subject> Side<S> {
     /// Apply the next `k` operations of this side's flood to the index and
     /// to its twin, one probe around each; the two must bill identically.
     fn step(&mut self, k: usize, batched: bool) {
@@ -61,19 +219,10 @@ impl Side {
             IntervalOp::Insert(_) => true,
         });
         let name = self.name;
-        let run = |idx: &mut IntervalIndex| {
+        let run = |idx: &mut S| {
             let counter = idx.counter().clone();
             let probe = IoProbe::start(&counter, name);
-            if batched && independent {
-                idx.apply_batch(&ops);
-            } else {
-                for op in &ops {
-                    match *op {
-                        IntervalOp::Insert(iv) => idx.insert(iv.lo, iv.hi, iv.id),
-                        IntervalOp::Delete(iv) => idx.delete(iv.lo, iv.hi, iv.id),
-                    }
-                }
-            }
+            idx.apply(&ops, batched && independent);
             probe.finish()
         };
         assert_eq!(
@@ -84,22 +233,23 @@ impl Side {
         assert_eq!(self.index.len(), self.flood.live.len(), "{name}: len");
     }
 
-    /// One stab on the index and on its twin: same answer as the oracle,
+    /// One probe on the index and on its twin: same answer as the oracle,
     /// same bill.
-    fn check_stab(&self, q: i64) {
-        let want = oracle::stabbing_ids(&self.flood.live, q);
+    fn check_probe(&self, q: i64) {
+        let want = S::want(&self.flood.live, q);
         let probe = IoProbe::start(self.index.counter(), self.name);
-        oracle::assert_same_ids(self.index.stabbing(q), want.clone(), self.name);
+        oracle::assert_same_ids(self.index.probe(q), want.clone(), self.name);
         let billed = probe.finish();
         let probe = IoProbe::start(self.twin.counter(), "twin");
-        oracle::assert_same_ids(self.twin.stabbing(q), want, "twin");
-        assert_eq!(billed, probe.finish(), "{}: stab({q}) I/O", self.name);
+        oracle::assert_same_ids(self.twin.probe(q), want, "twin");
+        assert_eq!(billed, probe.finish(), "{}: probe({q}) I/O", self.name);
     }
 
-    /// Full agreement: validators, a sweep of stabs and an intersection.
+    /// Full agreement: validators, a sweep of probes and the subject's own
+    /// extra checks.
     fn check_all(&self, range: i64) {
-        self.index.validate_unbilled();
-        self.twin.validate_unbilled();
+        self.index.check_all(&self.flood.live, range);
+        self.twin.check_all(&self.flood.live, range);
         assert_eq!(
             self.index.space_pages(),
             self.twin.space_pages(),
@@ -107,47 +257,61 @@ impl Side {
             self.name
         );
         for q in (-1..range + 2).step_by((range as usize / 12).max(1)) {
-            self.check_stab(q);
+            self.check_probe(q);
         }
-        oracle::assert_same_ids(
-            self.index.intersecting(range / 3, range / 2),
-            oracle::intersecting_ids(&self.flood.live, range / 3, range / 2),
-            self.name,
-        );
     }
 }
 
 /// A frozen fork with what it must keep answering.
-struct Frozen {
-    fork: IntervalIndex,
+struct Frozen<S> {
+    fork: S,
     live: Vec<Interval>,
     probes: Vec<i64>,
 }
 
-impl Frozen {
-    fn take(side: &Side, rng: &mut DetRng, range: i64) -> Self {
+impl<S: Subject> Frozen<S> {
+    fn take(side: &Side<S>, rng: &mut DetRng, range: i64) -> Self {
         Self {
-            fork: side.index.fork_snapshot(IoCounter::new()),
+            fork: side.index.fork(),
             live: side.flood.live.clone(),
             probes: (0..3).map(|_| rng.gen_range(-1..range + 1)).collect(),
         }
     }
 
-    fn check(&self, context: &str) {
+    /// Answer the probes as one batch, as of the fork, and bill none of it
+    /// to `origin` — the index the fork was taken from, since written to.
+    /// The fork is dropped here, so the origin holds alone what it shared.
+    fn check(self, origin: &S, context: &str) {
         assert_eq!(self.fork.len(), self.live.len(), "{context}: frozen len");
-        for &q in &self.probes {
-            oracle::assert_same_ids(
-                self.fork.stabbing(q),
-                oracle::stabbing_ids(&self.live, q),
-                context,
-            );
+        let before = origin.counter().snapshot();
+        let answers = self.fork.probe_batch(&self.probes);
+        let origin_billed = origin.counter().since(before);
+        assert_eq!(
+            origin_billed,
+            IoSnapshot::default(),
+            "{context}: origin billed"
+        );
+        for (got, &q) in answers.into_iter().zip(&self.probes) {
+            oracle::assert_same_ids(got, S::want(&self.live, q), context);
         }
     }
 }
 
 #[test]
 fn both_sides_of_a_fork_keep_their_own_contents_and_bills() {
-    fork_trials("fork_divergence::both_sides", 6, 0xF02C, |rng| Tuning {
+    fork_trials::<IntervalIndex>("fork_divergence::both_sides", 6, 0xF02C, varied);
+}
+
+/// The three-sided tree under the same trials: its control blocks and PSTs
+/// are shared by handle, so both sides rebuild PSTs the other still holds.
+#[test]
+fn both_sides_of_a_three_sided_fork_keep_their_own_contents_and_bills() {
+    fork_trials::<ThreeSidedTree>("fork_divergence::three_sided", 6, 0xF02E, varied);
+}
+
+/// Buffers, mirrors, snapshots and residency drawn per trial.
+fn varied(rng: &mut DetRng) -> Tuning {
+    Tuning {
         update_batch_pages: rng.gen_range(1..5usize),
         td_batch_pages: rng.gen_range(1..4usize),
         tomb_batch_pages: rng.gen_range(1..4usize),
@@ -156,7 +320,7 @@ fn both_sides_of_a_fork_keep_their_own_contents_and_bills() {
         resident_root: rng.gen_bool(0.5),
         reorg_pages_per_op: *rng.choose(&[1usize, 2, 4]).expect("nonempty"),
         ..Tuning::default()
-    });
+    }
 }
 
 /// The paper's layout: no packed mirrors in the child entries
@@ -165,7 +329,7 @@ fn both_sides_of_a_fork_keep_their_own_contents_and_bills() {
 /// None`, the long snapshot runs).
 #[test]
 fn forks_of_the_mirror_off_layout_with_full_snapshots_diverge_cleanly() {
-    fork_trials("fork_divergence::paper", 3, 0xF02D, |rng| Tuning {
+    fork_trials::<IntervalIndex>("fork_divergence::paper", 3, 0xF02D, |rng| Tuning {
         shrink_deletes_pct: rng.gen_range(5..30usize),
         ts_snapshot_pages: None,
         reorg_pages_per_op: *rng.choose(&[1usize, 2, 4]).expect("nonempty"),
@@ -173,10 +337,10 @@ fn forks_of_the_mirror_off_layout_with_full_snapshots_diverge_cleanly() {
     });
 }
 
-/// Fork an index built with `tuning(rng)` — its shrink trigger low and its
+/// Fork a subject built with `tuning(rng)` — its shrink trigger low and its
 /// reorganisation budget finite, so forks land mid-job — and drive both
 /// sides apart for [`ROUNDS`] rounds, `trials` times.
-fn fork_trials(
+fn fork_trials<S: Subject>(
     label: &'static str,
     trials: usize,
     seed: u64,
@@ -190,16 +354,12 @@ fn fork_trials(
     check::trials(label, trials, seed, |rng| {
         let b = rng.gen_range(2usize..7);
         let geo = Geometry::new(b);
-        let options = IntervalOptions {
-            endpoints: modes.next().expect("cycle never ends"),
-            tuning: Tuning {
-                build_threads: 1,
-                shard_threads: 1,
-                ..tuning(rng)
-            },
-            btree_leaf_fill: None,
+        let endpoints = modes.next().expect("cycle never ends");
+        let tuning = Tuning {
+            build_threads: 1,
+            shard_threads: 1,
+            ..tuning(rng)
         };
-        let builder = IndexBuilder::new(geo).options(options);
         let range = rng.gen_range(60i64..300);
         let max_len = range / 3 + 1;
 
@@ -208,11 +368,11 @@ fn fork_trials(
         let mut history = IntervalFlood::new(rng.next_u64(), range, max_len, 30, 0);
         let prefix = history.next_ops(rng.gen_range(150..500usize));
         let replay = || {
-            let mut idx = builder.open(IoCounter::new());
+            let mut idx = S::open(geo, tuning, endpoints);
             for op in &prefix {
                 match *op {
-                    FloodOp::Insert(iv) => idx.insert(iv.lo, iv.hi, iv.id),
-                    FloodOp::Delete(iv) => idx.delete(iv.lo, iv.hi, iv.id),
+                    FloodOp::Insert(iv) => idx.apply(&[IntervalOp::Insert(iv)], false),
+                    FloodOp::Delete(iv) => idx.apply(&[IntervalOp::Delete(iv)], false),
                     FloodOp::Stab(_) => {}
                 }
             }
@@ -222,7 +382,7 @@ fn fork_trials(
         if a_index.reorg_in_progress() {
             mid_job_forks += 1;
         }
-        let b_index = a_index.fork_snapshot(IoCounter::new());
+        let b_index = a_index.fork();
         let next_id = prefix.len() as u64;
         let mut side = |name, index, del_pct| Side {
             name,
@@ -243,22 +403,25 @@ fn fork_trials(
                 usize::from(a.index.reorg_in_progress()) + usize::from(b.index.reorg_in_progress());
             a.step(rng.gen_range(1..10usize), rng.gen_bool(0.4));
             b.step(rng.gen_range(1..10usize), rng.gen_bool(0.4));
-            frozen_a.check("frozen fork of the origin");
-            frozen_b.check("frozen fork of the fork");
-            a.check_stab(rng.gen_range(-1..range + 1));
-            b.check_stab(rng.gen_range(-1..range + 1));
+            frozen_a.check(&a.index, "frozen fork of the origin");
+            frozen_b.check(&b.index, "frozen fork of the fork");
+            a.check_probe(rng.gen_range(-1..range + 1));
+            b.check_probe(rng.gen_range(-1..range + 1));
             // Some rounds carry on *from* the round's fork instead: bring
             // it up to date with the same chunk, then swap it in. The twin
             // is never forked, so the bills keep being compared against a
             // structure that has only ever been mutated in place.
             if rng.gen_bool(0.15) {
                 for s in [&mut a, &mut b] {
-                    let mut next = s.index.fork_snapshot(IoCounter::new());
+                    let mut next = s.index.fork();
                     std::mem::swap(&mut s.index, &mut next);
                     // `next` (the old live index) stays alive for one more
-                    // chunk, so the new one starts fully shared.
+                    // chunk, so the new one starts fully shared. Once it
+                    // drops, the new one holds alone what it has not yet
+                    // rewritten, PSTs built on the old one's counter too.
                     s.step(rng.gen_range(1..6usize), false);
                     drop(next);
+                    s.step(rng.gen_range(1..6usize), false);
                     continued_from_fork += 1;
                 }
             }
