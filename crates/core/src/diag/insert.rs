@@ -285,6 +285,7 @@ impl MetablockTree {
     /// corner structure. Insert-only trees take the identical code path —
     /// both delete sides are empty and cost nothing.
     pub(crate) fn td_rebuild(&mut self, parent: MbId) {
+        self.reorg.fired.td_folds += 1;
         let mut m = self.take_meta(parent);
         let td = m.td.as_mut().expect("TD present");
         let built = match td.corner.take() {
@@ -351,6 +352,7 @@ impl MetablockTree {
     /// pending tombstones, so a fresh snapshot never resurrects a deleted
     /// point (which is what lets the TDdel side be discarded here).
     pub(crate) fn ts_reorg(&mut self, parent: MbId) {
+        self.reorg.fired.ts_reorgs += 1;
         let child_ids: Vec<MbId> = self.meta(parent).children.iter().map(|c| c.mb).collect();
         let snapshots: Vec<Vec<Point>> = child_ids
             .iter()
@@ -393,6 +395,7 @@ impl MetablockTree {
     /// restructure the tree (a delete can only shrink a metablock), so the
     /// caller's pinned path stays live.
     pub(crate) fn level_i(&mut self, mb: MbId, parent: Option<MbId>) -> usize {
+        self.reorg.fired.level_i += 1;
         let mut m = self.take_meta(mb);
         let mains_x = SortedRun::from_sorted(self.store.read_run(&m.vertical));
         let delta = SortedRun::from_unsorted(self.store.read_run(&m.update));
@@ -476,6 +479,7 @@ impl MetablockTree {
     /// is a prefix of the already-y-sorted horizontal run, so only the
     /// kept top needs an x-sort.
     fn push_down(&mut self, mb: MbId, path: &[MbId]) {
+        self.reorg.fired.push_downs += 1;
         let mut m = self.take_meta(mb);
         debug_assert_eq!(m.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(m.n_tomb, 0, "level-I cancelled all tombstones");
@@ -525,6 +529,7 @@ impl MetablockTree {
     /// reads the **vertical** run (same page count as the horizontal one)
     /// and partitions the existing x-sorted order in place — no re-sort.
     fn split_leaf(&mut self, mb: MbId, path: &[MbId]) {
+        self.reorg.fired.leaf_splits += 1;
         let meta = self.meta(mb);
         debug_assert_eq!(meta.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(meta.n_tomb, 0, "level-I cancelled all tombstones");
@@ -597,6 +602,7 @@ impl MetablockTree {
     /// vertical runs (plus sorted deltas) — `O(n log k)` with gallop fast
     /// paths over the x-disjoint slabs, instead of an `O(n log n)` re-sort.
     fn branching_split(&mut self, x: MbId, ancestors: &[MbId]) {
+        self.reorg.fired.branching_splits += 1;
         let pts = self.collect_subtree_sorted(x);
         self.free_subtree(x);
 

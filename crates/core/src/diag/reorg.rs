@@ -48,6 +48,28 @@ pub(crate) struct ReorgState {
     pub debt_writes: u64,
     /// The background shrink job (`None` almost always).
     pub job: Option<ShrinkJob>,
+    /// Reorganisations run so far, by kind.
+    pub fired: ReorgCounts,
+}
+
+/// Reorganisations a tree has run since it was created (or, for a fork,
+/// since its origin was created), by kind — charged or shunted alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReorgCounts {
+    /// Level-I merges of an update or tombstone buffer into the mains.
+    pub level_i: u64,
+    /// TD folds of the staging areas into the TD structures.
+    pub td_folds: u64,
+    /// TS reorganisations: a parent's sibling snapshots rebuilt, TD reset.
+    pub ts_reorgs: u64,
+    /// Level-II push-downs of an interior metablock's bottom points.
+    pub push_downs: u64,
+    /// Level-II splits of a full leaf.
+    pub leaf_splits: u64,
+    /// Branching-factor splits (at the root: whole-tree rebuilds).
+    pub branching_splits: u64,
+    /// Occupancy shrinks: one-shot rebuilds and background jobs started.
+    pub shrinks: u64,
 }
 
 impl ReorgState {
@@ -165,6 +187,11 @@ impl MetablockTree {
         self.reorg.job.is_some()
     }
 
+    /// Reorganisations this tree has run, by kind.
+    pub fn reorgs_fired(&self) -> ReorgCounts {
+        self.reorg.fired
+    }
+
     /// Run any in-progress shrink job to completion and bill all deferred
     /// debt. Call before comparing totals against an amortised budget:
     /// totals are conserved only once the debt has been bled.
@@ -230,6 +257,7 @@ impl MetablockTree {
     /// every other job charge.
     pub(crate) fn start_shrink_job(&mut self) {
         debug_assert!(self.reorg.job.is_none(), "one job at a time");
+        self.reorg.fired.shrinks += 1;
         let root = self.root.expect("shrink job needs a non-empty tree");
         let mut specs = Vec::new();
         self.with_shunt(|t| t.collect_job_specs(root, &mut specs));

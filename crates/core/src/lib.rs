@@ -50,6 +50,7 @@ mod threesided;
 mod tuning;
 
 pub use corner::CornerStructure;
+pub use diag::reorg::ReorgCounts;
 pub use diag::{DiagOptions, DiagStats, MetablockTree};
 pub use op::Op;
 pub use threesided::{ThreeSidedStats, ThreeSidedTree};

@@ -270,6 +270,7 @@ impl ThreeSidedTree {
             self.start_shrink_job();
             return;
         }
+        self.reorg.fired.shrinks += 1;
         let pts = self.collect_subtree_sorted(root);
         self.free_subtree(root);
         debug_assert_eq!(self.tombs_pending, 0, "shrink cancelled every tombstone");

@@ -231,6 +231,7 @@ impl ThreeSidedTree {
     /// delete-side PST. Insert-only trees take the identical path — both
     /// delete sides are empty and cost nothing.
     pub(crate) fn td_rebuild(&mut self, parent: MbId) {
+        self.reorg.fired.td_folds += 1;
         let mut m = self.take_meta(parent);
         let td = m.td.as_mut().expect("TD present");
         let mut pts = self.pst_points(&td.pst);
@@ -280,6 +281,7 @@ impl ThreeSidedTree {
     /// snapshot is its already-y-sorted horizontal run merged with its
     /// sorted delta — the same page reads, no full re-sort.
     pub(crate) fn ts_reorg(&mut self, parent: MbId) {
+        self.reorg.fired.ts_reorgs += 1;
         let child_ids: Vec<MbId> = self.meta(parent).children.iter().map(|c| c.mb).collect();
         let snapshots: Vec<Vec<Point>> = child_ids
             .iter()
@@ -309,6 +311,7 @@ impl ThreeSidedTree {
     /// [`ExternalPst::rebuild_from_sorted`], which reuses the
     /// layout of nodes the deletes did not touch.
     pub(crate) fn level_i(&mut self, mb: MbId, parent: Option<MbId>) -> usize {
+        self.reorg.fired.level_i += 1;
         let mut m = self.take_meta(mb);
         let mains_x = SortedRun::from_sorted(self.store.read_run(&m.vertical));
         let delta = SortedRun::from_unsorted(self.store.read_run(&m.update));
@@ -377,6 +380,7 @@ impl ThreeSidedTree {
     }
 
     fn push_down(&mut self, mb: MbId, path: &[MbId]) {
+        self.reorg.fired.push_downs += 1;
         let mut m = self.take_meta(mb);
         debug_assert_eq!(m.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(m.n_tomb, 0, "level-I cancelled all tombstones");
@@ -419,6 +423,7 @@ impl ThreeSidedTree {
     /// Leaf split over the already-x-sorted vertical run (same page count
     /// as the horizontal run) — partitioned in place, no re-sort.
     fn split_leaf(&mut self, mb: MbId, path: &[MbId]) {
+        self.reorg.fired.leaf_splits += 1;
         let meta = self.meta(mb);
         debug_assert_eq!(meta.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(meta.n_tomb, 0, "level-I cancelled all tombstones");
@@ -484,6 +489,7 @@ impl ThreeSidedTree {
     /// Branching split over the k-way merge of the subtree's x-sorted
     /// vertical runs (see the diagonal tree's `branching_split`).
     fn branching_split(&mut self, x: MbId, ancestors: &[MbId]) {
+        self.reorg.fired.branching_splits += 1;
         let pts = self.collect_subtree_sorted(x);
         self.free_subtree(x);
 

@@ -39,6 +39,11 @@ impl ThreeSidedTree {
         self.reorg.job.is_some()
     }
 
+    /// Reorganisations this tree has run, by kind.
+    pub fn reorgs_fired(&self) -> crate::ReorgCounts {
+        self.reorg.fired
+    }
+
     /// Run any in-progress shrink job to completion and bill all deferred
     /// debt (totals are conserved only once the debt has been bled).
     pub fn flush_reorgs(&mut self) {
@@ -96,6 +101,7 @@ impl ThreeSidedTree {
     /// Freeze the tree and start a background shrink job (budget > 0 only).
     pub(crate) fn start_shrink_job(&mut self) {
         debug_assert!(self.reorg.job.is_none(), "one job at a time");
+        self.reorg.fired.shrinks += 1;
         let root = self.root.expect("shrink job needs a non-empty tree");
         let mut specs = Vec::new();
         self.with_shunt(|t| t.collect_job_specs(root, &mut specs));

@@ -1,7 +1,8 @@
 //! Differential suite for the delete path (the paper's §5 open problem,
 //! closed with tombstones).
 //!
-//! Four properties are pinned, across random geometries and tunings:
+//! Five properties are pinned, the first four across random geometries and
+//! tunings:
 //!
 //! * **oracle agreement under interleaving** — random insert/delete/query
 //!   interleavings (`workloads::mixed_*_flood`) must agree with the
@@ -16,12 +17,15 @@
 //!   suite enforces (deletes ride the insert machinery, so their budget is
 //!   the insert budget);
 //! * **space stays bounded** — draining a tree to a fraction of its size
-//!   triggers the occupancy shrink and space returns to `O(live/B)`.
+//!   triggers the occupancy shrink and space returns to `O(live/B)`;
+//! * **the write path's exact bill** — one seeded flood through every write
+//!   entry point, on both trees, with and without a reorg budget, ends at
+//!   pinned page counts and answers.
 
 use ccix_class::{
     ClassIndex, FullExtentBaseline, RakeClassIndex, RangeTreeClassIndex, SingleIndexBaseline,
 };
-use ccix_core::{MetablockTree, ThreeSidedTree, Tuning};
+use ccix_core::{MetablockTree, Op, ReorgCounts, ThreeSidedTree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point};
 use ccix_interval::{EndpointMode, IndexBuilder, IntervalOptions};
 use ccix_testkit::iocheck::IoProbe;
@@ -434,4 +438,230 @@ fn shrink_bounds_space_under_delete_floods() {
         drained * 4 < full,
         "3-sided shrink failed: {full} -> {drained} pages at 10% occupancy"
     );
+}
+
+/// The write surface both trees share, for the pinned flood below.
+trait WriteSurface {
+    fn ins(&mut self, p: Point);
+    fn del(&mut self, p: Point);
+    fn del_batch(&mut self, pts: &[Point]);
+    fn apply(&mut self, ops: &[Op]);
+    fn flush(&mut self);
+    fn mid_job(&self) -> bool;
+    fn fired(&self) -> ReorgCounts;
+    fn height(&self) -> usize;
+    fn pages(&self) -> usize;
+    fn pending(&self) -> usize;
+    /// A fixed query batch's answers, in slot order.
+    fn answers(&self) -> Vec<Vec<Point>>;
+    fn check(&self);
+}
+
+macro_rules! write_surface {
+    ($t:ty, |$tree:ident| $answers:expr) => {
+        impl WriteSurface for $t {
+            fn ins(&mut self, p: Point) {
+                self.insert(p)
+            }
+            fn del(&mut self, p: Point) {
+                self.delete(p)
+            }
+            fn del_batch(&mut self, pts: &[Point]) {
+                self.delete_batch(pts)
+            }
+            fn apply(&mut self, ops: &[Op]) {
+                self.apply_batch(ops)
+            }
+            fn flush(&mut self) {
+                self.flush_reorgs()
+            }
+            fn mid_job(&self) -> bool {
+                self.reorg_in_progress()
+            }
+            fn fired(&self) -> ReorgCounts {
+                self.reorgs_fired()
+            }
+            fn height(&self) -> usize {
+                self.stats().height
+            }
+            fn pages(&self) -> usize {
+                self.space_pages()
+            }
+            fn pending(&self) -> usize {
+                self.pending_deletes()
+            }
+            fn answers(&self) -> Vec<Vec<Point>> {
+                let $tree = self;
+                $answers
+            }
+            fn check(&self) {
+                self.validate_unbilled();
+            }
+        }
+    };
+}
+
+write_surface!(MetablockTree, |t| t
+    .query_batch(&(0..40).map(|i| 60 * i).collect::<Vec<_>>()));
+write_surface!(ThreeSidedTree, |t| t.query_batch(
+    &(0..40)
+        .map(|i| (60 * i, 60 * i + 300, 7 * i))
+        .collect::<Vec<_>>()
+));
+
+/// Seeded flood through every write entry point — single inserts and
+/// deletes, `delete_batch`, `apply_batch` — then a drain that trips the
+/// occupancy shrink, with writes still arriving while it runs. Deletes
+/// only ever name points of earlier rounds, so every batch is independent.
+/// Returns the tallest height seen and whether a shrink job was seen.
+fn pinned_flood(tree: &mut impl WriteSurface, seed: u64) -> (usize, bool) {
+    let mut rng = DetRng::new(seed);
+    let mut next = 0u64;
+    let mut fresh = |rng: &mut DetRng| {
+        let x = rng.gen_range(0..2_000i64);
+        next += 1;
+        Point::new(x, x + rng.gen_range(0..400i64), next)
+    };
+    let (mut live, mut height, mut saw_job) = (Vec::new(), 0, false);
+    for round in 0..80 {
+        let ins: Vec<Point> = (0..40).map(|_| fresh(&mut rng)).collect();
+        let dels: Vec<Point> = (0..4.min(live.len()))
+            .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+            .collect();
+        match round % 3 {
+            0 => {
+                ins.iter().for_each(|&p| tree.ins(p));
+                dels.iter().for_each(|&p| tree.del(p));
+            }
+            1 => {
+                ins.iter().for_each(|&p| tree.ins(p));
+                tree.del_batch(&dels);
+            }
+            _ => {
+                let mut ops: Vec<Op> = ins.iter().map(|&p| Op::Insert(p)).collect();
+                ops.extend(dels.iter().map(|&p| Op::Delete(p)));
+                tree.apply(&ops);
+            }
+        }
+        live.extend(ins);
+        height = height.max(tree.height());
+        saw_job |= tree.mid_job();
+    }
+    // Drain ≈ 70 %, in batches and singles, with inserts in between.
+    for round in 0..44 {
+        let dels: Vec<Point> = (0..50)
+            .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
+            .collect();
+        if round % 2 == 0 {
+            tree.del_batch(&dels);
+        } else {
+            dels.iter().for_each(|&p| tree.del(p));
+        }
+        let ins: Vec<Point> = (0..5).map(|_| fresh(&mut rng)).collect();
+        ins.iter().for_each(|&p| tree.ins(p));
+        live.extend(ins);
+        saw_job |= tree.mid_job();
+    }
+    tree.flush();
+    tree.check();
+    (height, saw_job)
+}
+
+/// The write path's exact bill on both trees, pinned before their write
+/// paths became one generic skeleton: reads, writes, space, pending
+/// tombstones and the answers of a fixed query batch after
+/// [`pinned_flood`], at `B = 4` with one-page buffers so that every kind
+/// of reorganisation fires — which the test asserts, along with a shrink
+/// running as a background job when the reorg budget is 4.
+#[test]
+fn write_path_bills_are_pinned_on_both_trees() {
+    // (3-sided?, reorg budget) → reads, writes, space pages, pending
+    // deletes, answer digest; measured at commit 2c8dfe3.
+    const PINNED: [(bool, usize, u64, u64, usize, usize, u64); 4] = [
+        (false, 0, 59_006, 65_197, 974, 117, 0xC3AC_EEF7_AF5E_EE38),
+        (false, 4, 59_834, 63_767, 1_708, 317, 0xB28E_EDEE_7A83_A339),
+        (true, 0, 61_068, 95_676, 1_948, 117, 0xBF6F_5679_9DC3_48B0),
+        (true, 4, 61_708, 90_358, 2_967, 317, 0xEEB6_B1D2_FFDF_7A57),
+    ];
+    for (three_sided, k, reads, writes, pages, pending, want_digest) in PINNED {
+        let tuning = Tuning {
+            update_batch_pages: 1,
+            td_batch_pages: 1,
+            tomb_batch_pages: 1,
+            shrink_deletes_pct: 40,
+            ts_snapshot_pages: Some(2),
+            corner_alpha: 2,
+            pack_h_pages: 2,
+            resident_root: true,
+            build_threads: 1,
+            shard_threads: 1,
+            reorg_pages_per_op: k,
+        };
+        let (geo, counter) = (Geometry::new(4), IoCounter::new());
+        let ctx = format!("3-sided={three_sided} k={k}");
+        let got = if three_sided {
+            let mut tree = ThreeSidedTree::new_tuned(geo, counter.clone(), tuning);
+            let (height, saw_job) = pinned_flood(&mut tree, 0x9177_0000 + k as u64);
+            let bill = (
+                counter.reads(),
+                counter.writes(),
+                tree.pages(),
+                tree.pending(),
+            );
+            (height, saw_job, tree.fired(), bill, tree.answers())
+        } else {
+            let mut tree =
+                MetablockTree::new_tuned(geo, counter.clone(), Default::default(), tuning);
+            let (height, saw_job) = pinned_flood(&mut tree, 0x9177_0000 + k as u64);
+            let bill = (
+                counter.reads(),
+                counter.writes(),
+                tree.pages(),
+                tree.pending(),
+            );
+            (height, saw_job, tree.fired(), bill, tree.answers())
+        };
+        let (height, saw_job, fired, bill, answers) = got;
+        assert!(height >= 3, "{ctx}: no branching split grew the tree");
+        assert_eq!(saw_job, k > 0, "{ctx}: shrink ran as a background job");
+        let ReorgCounts {
+            level_i,
+            td_folds,
+            ts_reorgs,
+            push_downs,
+            leaf_splits,
+            branching_splits,
+            shrinks,
+        } = fired;
+        for (kind, n) in [
+            ("level-I", level_i),
+            ("TD fold", td_folds),
+            ("TS reorganisation", ts_reorgs),
+            ("push-down", push_downs),
+            ("leaf split", leaf_splits),
+            ("branching split", branching_splits),
+            ("shrink", shrinks),
+        ] {
+            assert!(n > 0, "{ctx}: no {kind} fired ({fired:?})");
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for out in &answers {
+            eat(out.len() as u64);
+            for p in out {
+                eat(p.x as u64);
+                eat(p.y as u64);
+                eat(p.id);
+            }
+        }
+        assert_eq!(
+            (bill, h),
+            ((reads, writes, pages, pending), want_digest),
+            "{ctx}"
+        );
+    }
 }
