@@ -218,11 +218,11 @@ impl CornerStructure {
     /// metablock's control block `host` — costs nothing when that block is
     /// already resident.
     ///
-    /// [`ReadCtx`]: crate::diag::ReadCtx
+    /// [`ReadCtx`]: crate::tree::ReadCtx
     pub(crate) fn query_pinned(
         &self,
         store: &TypedStore<Point>,
-        ctx: &mut crate::diag::ReadCtx,
+        ctx: &mut crate::tree::ReadCtx,
         host: (u32, u64),
         q: i64,
         route: &CornerRoute,
@@ -498,12 +498,12 @@ impl PageReads for PlainReads {
 }
 
 struct PinnedReads<'c> {
-    ctx: &'c mut crate::diag::ReadCtx,
+    ctx: &'c mut crate::tree::ReadCtx,
 }
 
 impl PageReads for PinnedReads<'_> {
     fn read<'s>(&mut self, store: &'s TypedStore<Point>, pg: PageId) -> &'s [Point] {
-        store.read_pinned(&mut self.ctx.pin, crate::diag::SPACE_STORE, pg)
+        store.read_pinned(&mut self.ctx.pin, crate::tree::SPACE_STORE, pg)
     }
 }
 

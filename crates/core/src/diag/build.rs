@@ -25,10 +25,11 @@ use std::sync::Arc;
 
 use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, PageId, Point, Run, SortedRun};
 
-use super::{ChildEntry, MbId, MetaBlock, MetablockTree, TdInfo, TsInfo};
+use super::{Diag, MetablockTree};
 use crate::bbox::{BBox, Key};
 use crate::corner::CornerPlan;
 use crate::par::{run_parallel, PAR_THRESHOLD};
+use crate::tree::{ChildEntry, MbId, MetaBlock, TsInfo};
 
 /// The whole key space: the root's slab.
 pub(crate) const FULL_RANGE: (Key, Key) = ((i64::MIN, 0), (i64::MAX, u64::MAX));
@@ -234,7 +235,7 @@ impl MetablockTree {
         let ctx = PlanCtx {
             b: self.geo.b,
             cap: self.cap(),
-            corner_structures: self.options.corner_structures,
+            corner_structures: self.shape.options.corner_structures,
             alpha: self.tuning.corner_alpha,
         };
         let budget = self.tuning.effective_build_threads();
@@ -262,15 +263,8 @@ impl MetablockTree {
         for child in children {
             let (slab_lo, slab_hi) = (child.slab_lo, child.slab_hi);
             let (mb, child_y, child_sub) = self.materialise_slab(child);
-            entries.push(ChildEntry {
-                mb,
-                slab_lo,
-                slab_hi,
-                main_bbox: BBox::of_points(&child_y),
-                upd_ymax: None,
-                sub_yhi: child_sub,
-                packed: super::PackedInfo::default(),
-            });
+            let bbox = BBox::of_points(&child_y);
+            entries.push(ChildEntry::new(mb, (slab_lo, slab_hi), bbox, child_sub));
             snapshots.push(child_y);
         }
         let meta = self.build_organizations_planned(&mains_x, &mains_y, corner, entries, internal);
@@ -280,19 +274,6 @@ impl MetablockTree {
             self.install_ts_snapshots(id, snapshots);
         }
         (id, mains_y, sub_yhi)
-    }
-
-    /// Allocate a metablock with its blockings and (if warranted) corner
-    /// structure. `internal` decides whether a TD slot is created.
-    pub(crate) fn make_metablock(
-        &mut self,
-        mains: &SortedRun,
-        children: Vec<ChildEntry>,
-        internal: bool,
-    ) -> MbId {
-        debug_assert!(internal != children.is_empty() || mains.is_empty());
-        let meta = self.build_organizations(mains, children, internal);
-        self.alloc_meta(meta)
     }
 
     /// Construct the per-metablock organisations for a main point set. The
@@ -305,14 +286,14 @@ impl MetablockTree {
         mains: &SortedRun,
         children: Vec<ChildEntry>,
         internal: bool,
-    ) -> MetaBlock {
+    ) -> MetaBlock<Diag> {
         let mut by_y = mains.to_vec();
         ccix_extmem::sort_by_y_desc(&mut by_y);
         let corner = plan_corner(
             mains,
             &by_y,
             self.geo.b,
-            self.options.corner_structures,
+            self.shape.options.corner_structures,
             self.tuning.corner_alpha,
         );
         self.build_organizations_planned(mains, &by_y, corner, children, internal)
@@ -327,36 +308,12 @@ impl MetablockTree {
         corner: Option<CornerPlan>,
         children: Vec<ChildEntry>,
         internal: bool,
-    ) -> MetaBlock {
-        debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-        // Every run is collected straight into its final form, one
-        // allocation each; the corner structure shares `vertical`.
-        let vertical: Run<PageId> = self.store.alloc_run(by_x);
-        let vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
-        let hkeys = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
-        let h_live = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
-        let horizontal = self.store.alloc_run(by_y);
-        let corner =
-            corner.map(|cp| Arc::new(cp.materialise(&mut self.store, vertical.clone(), false)));
-        MetaBlock {
-            vertical,
-            vkeys,
-            horizontal,
-            hkeys,
-            h_live,
-            n_main: by_x.len(),
-            y_lo_main: by_y.last().map(Point::ykey),
-            main_bbox: BBox::of_points(by_x),
-            corner,
-            update: Run::default(),
-            n_upd: 0,
-            tomb: Run::default(),
-            n_tomb: 0,
-            tomb_buf: Vec::new(),
-            ts: None,
-            td: internal.then(TdInfo::default),
-            children,
-        }
+    ) -> MetaBlock<Diag> {
+        let mut meta = MetaBlock::new(&mut self.store, by_x, by_y, children, internal);
+        // The corner structure shares `vertical`.
+        meta.org = corner
+            .map(|cp| Arc::new(cp.materialise(&mut self.store, meta.vertical.clone(), false)));
+        meta
     }
 
     /// Build and attach `TS` snapshots for every non-first child, from the
@@ -388,10 +345,10 @@ impl MetablockTree {
                 let truncated = total > top.len();
                 mirrors.push((i, pages.clone(), truncated));
                 let mut meta = self.take_meta(child_ids[i]);
-                if let Some(old) = meta.ts.take() {
+                if let Some(old) = meta.sib.take() {
                     self.store.free_run(&old.pages);
                 }
-                meta.ts = Some(Arc::new(TsInfo {
+                meta.sib = Some(Arc::new(TsInfo {
                     pages,
                     n: top.len(),
                     truncated,

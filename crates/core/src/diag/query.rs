@@ -45,10 +45,11 @@
 
 use ccix_extmem::Point;
 
-use super::{
-    reset_slots, retain_from, ChildEntry, MbId, MetaBlock, MetablockTree, ReadCtx, SPACE_META,
-};
+use super::{Diag, MetablockTree};
 use crate::bbox::Key;
+use crate::tree::{reset_slots, retain_from, ChildEntry, MbId, ReadCtx, SPACE_META};
+
+type MetaBlock = crate::tree::MetaBlock<Diag>;
 
 /// How a child relates to the query bottom `y = q` (Fig. 16), judged purely
 /// from the parent's cached control information.
@@ -173,7 +174,7 @@ impl MetablockTree {
         // While a background shrink job is in progress, the query consults
         // both sides: the (frozen or rebuilt) tree above, and the job's
         // delta of diverted updates and tombstones here.
-        self.scan_delta_query(ctx, q, out);
+        self.scan_delta_with(ctx, |p| p.x <= q && p.y >= q, out);
     }
 
     /// Process a metablock on the search path (the slab containing `q`).
@@ -208,7 +209,7 @@ impl MetablockTree {
             // `ylo < (q,0)` by the routing invariant: recursion ends here.
             if bbox.all_x_at_most(q) {
                 self.horizontal_scan_down(ctx, meta, q, out);
-            } else if let Some(corner) = &meta.corner {
+            } else if let Some(corner) = &meta.org {
                 // Cost-planned Type II: both routes' page counts are exact
                 // functions of directory information — the corner query
                 // from its per-page tops, the filtered horizontal scan from
@@ -246,7 +247,7 @@ impl MetablockTree {
                 // ablated (E13): filtered scan of the vertical blocking up
                 // to the query's vertical side.
                 debug_assert!(
-                    !self.options.corner_structures || meta.n_main <= self.geo.b,
+                    !self.shape.options.corner_structures || meta.n_main <= self.geo.b,
                     "missing corner structure"
                 );
                 let qx: Key = (q, u64::MAX);
@@ -317,7 +318,7 @@ impl MetablockTree {
                 // charged to the path — one such node per level).
                 self.examine_child(ctx, meta, partial[0], q, out);
             }
-            _ if !self.options.ts_shortcut => {
+            _ if !self.shape.options.ts_shortcut => {
                 // Ablated (E13): examine every straddling sibling directly.
                 for &i in partial {
                     self.examine_child(ctx, meta, i, q, out);
@@ -333,7 +334,7 @@ impl MetablockTree {
                     let packed = &children[cr].packed;
                     (&packed.ts_pages, packed.ts_truncated)
                 } else {
-                    let ts = self.ctx_meta(ctx, children[cr].mb).ts.as_ref();
+                    let ts = self.ctx_meta(ctx, children[cr].mb).sib.as_ref();
                     let ts = ts.expect("non-first child carries a TS snapshot");
                     (&ts.pages, ts.truncated)
                 };
@@ -412,7 +413,7 @@ impl MetablockTree {
     ) {
         let Some(td) = &meta.td else { return };
         let host = (SPACE_META, mb as u64);
-        if let Some(corner) = &td.corner {
+        if let Some(corner) = &td.org {
             let from = out.len();
             corner.query_pinned(&self.store, ctx, host, q, &corner.route(q), out);
             retain_from(out, from, filter);
@@ -424,7 +425,7 @@ impl MetablockTree {
                 }
             }
         }
-        if let Some(del) = &td.del_corner {
+        if let Some(del) = &td.del_org {
             // Tombstones pass through the tail of `out` only to leave
             // their ids behind.
             let from = out.len();
@@ -679,7 +680,7 @@ impl MetablockTree {
         if let Some(root) = self.root {
             self.x_range_rec(ctx, root, (x1, u64::MIN), (x2, u64::MAX), out);
         }
-        self.scan_delta_x_range(ctx, x1, x2, out);
+        self.scan_delta_with(ctx, |p| x1 <= p.x && p.x <= x2, out);
     }
 
     /// Process a metablock on an x-range boundary path.

@@ -9,8 +9,11 @@ use std::collections::BTreeSet;
 
 use ccix_extmem::Point;
 
-use super::{MbId, MetaBlock, MetablockTree};
+use super::{Diag, MetablockTree};
 use crate::bbox::{BBox, Key};
+use crate::tree::MbId;
+
+type MetaBlock = crate::tree::MetaBlock<Diag>;
 
 /// Shape statistics of a metablock tree (experiment E11 / Figs. 8–10).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -56,17 +59,17 @@ impl MetablockTree {
         s.points += meta.n_main + meta.n_upd;
         s.pending_updates += meta.n_upd;
         s.pending_tombs += meta.n_tomb;
-        if let Some(ts) = &meta.ts {
+        if let Some(ts) = &meta.sib {
             s.ts_pages += ts.pages.len();
         }
-        if let Some(c) = &meta.corner {
+        if let Some(c) = &meta.org {
             s.corner_pages += c.pages();
         }
         if let Some(td) = &meta.td {
-            if let Some(c) = &td.corner {
+            if let Some(c) = &td.org {
                 s.corner_pages += c.pages();
             }
-            if let Some(c) = &td.del_corner {
+            if let Some(c) = &td.del_org {
                 s.corner_pages += c.pages();
             }
         }
@@ -144,7 +147,7 @@ impl MetablockTree {
         // emit the same runs a sort-based rebuild would).
         self.assert_dense_run(&meta.vertical, "vertical");
         self.assert_dense_run(&meta.horizontal, "horizontal");
-        if let Some(ts) = &meta.ts {
+        if let Some(ts) = &meta.sib {
             self.assert_dense_run(&ts.pages, "TS snapshot");
         }
         let vertical = self.pages_unbilled(&meta.vertical);
@@ -320,7 +323,7 @@ impl MetablockTree {
         let mut td_ids: BTreeSet<u64> = BTreeSet::new();
         let mut td_del_ids: BTreeSet<u64> = BTreeSet::new();
         if let Some(td) = &parent.td {
-            if let Some(c) = &td.corner {
+            if let Some(c) = &td.org {
                 for p in c.collect_points_unbilled(&self.store) {
                     td_ids.insert(p.id);
                 }
@@ -331,7 +334,7 @@ impl MetablockTree {
                 }
             }
             let mut n_del = 0usize;
-            if let Some(c) = &td.del_corner {
+            if let Some(c) = &td.del_org {
                 let pts = c.collect_points_unbilled(&self.store);
                 n_del += pts.len();
                 for t in pts {
@@ -363,7 +366,7 @@ impl MetablockTree {
                 .map(|t| t.id)
                 .collect();
             if i > 0 {
-                let ts = child_meta.ts.as_ref().expect("non-first child has TS");
+                let ts = child_meta.sib.as_ref().expect("non-first child has TS");
                 let ts_points = self.pages_unbilled(&ts.pages);
                 assert_eq!(ts_points.len(), ts.n, "TS count mismatch");
                 assert!(
@@ -386,7 +389,7 @@ impl MetablockTree {
                     );
                 }
             } else {
-                assert!(child_meta.ts.is_none(), "first child must not have TS");
+                assert!(child_meta.sib.is_none(), "first child must not have TS");
             }
             for p in self
                 .mains_unbilled(child_meta)
@@ -451,7 +454,7 @@ impl MetablockTree {
                 c.packed.tomb_pages, child_meta.tomb,
                 "stale packed tombstone-page mirror"
             );
-            match &child_meta.ts {
+            match &child_meta.sib {
                 Some(ts) => {
                     assert_eq!(c.packed.ts_pages, ts.pages, "stale packed TS mirror");
                     assert_eq!(
@@ -466,37 +469,5 @@ impl MetablockTree {
 
     fn mains_unbilled(&self, meta: &MetaBlock) -> Vec<Point> {
         self.pages_unbilled(&meta.horizontal)
-    }
-
-    /// Every page of a blocked run must be full except the last: a merge
-    /// (or sort) rebuild that leaked partial pages mid-run would break the
-    /// `t/B` output accounting of every scan over it.
-    fn assert_dense_run(&self, pages: &[ccix_extmem::PageId], what: &str) {
-        for (i, &pg) in pages.iter().enumerate() {
-            if i + 1 < pages.len() {
-                assert_eq!(
-                    self.store.len_unbilled(pg),
-                    self.geo.b,
-                    "{what} run has a sparse page mid-run"
-                );
-            }
-        }
-    }
-
-    fn pages_unbilled(&self, pages: &[ccix_extmem::PageId]) -> Vec<Point> {
-        let mut out = Vec::new();
-        for &pg in pages {
-            out.extend_from_slice(self.store.read_unbilled(pg));
-        }
-        out
-    }
-
-    fn collect_unbilled(&self, mb: MbId, out: &mut Vec<Point>) {
-        let meta = self.metas.get(mb);
-        out.extend(self.mains_unbilled(meta));
-        out.extend(self.pages_unbilled(&meta.update));
-        for c in &meta.children {
-            self.collect_unbilled(c.mb, out);
-        }
     }
 }

@@ -37,6 +37,15 @@
 //! (Fig. 17). Insertions buffer in per-metablock update blocks and per-parent
 //! `TD` corner structures, amortised by level-I/level-II reorganisations and
 //! branching-factor splits (§3.2, Fig. 19).
+//!
+//! The 3-sided tree is the same anatomy with PSTs in place of corner
+//! structures, two sibling snapshots per child and a children PST per
+//! interior metablock (§4, Fig. 20). So both trees are one generic
+//! `Tree<S>`: the control blocks, the write path, every reorganisation
+//! and the background shrink job are written once, and a sealed `Shape`
+//! (`Diag` or `ThreeSided`) supplies the per-metablock structure, the
+//! sibling snapshots and the static build. Queries and validators stay
+//! per shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,11 +56,12 @@ mod diag;
 mod op;
 pub mod par;
 mod threesided;
+mod tree;
 mod tuning;
 
 pub use corner::CornerStructure;
-pub use diag::reorg::ReorgCounts;
 pub use diag::{DiagOptions, DiagStats, MetablockTree};
 pub use op::Op;
 pub use threesided::{ThreeSidedStats, ThreeSidedTree};
+pub use tree::ReorgCounts;
 pub use tuning::Tuning;

@@ -16,12 +16,11 @@ use std::sync::Arc;
 use ccix_extmem::{merge_y_desc_capped, Geometry, IoCounter, Point, Run, SortedRun};
 use ccix_pst::{ExternalPst, PstPlan};
 
-use super::{ThreeSidedTree, TsMeta, TsTd};
+use super::{ThreeSided, ThreeSidedTree};
 use crate::bbox::{BBox, Key};
-use crate::diag::{
-    extract_top_y, near_equal_ranges, ChildEntry, MbId, PackedInfo, TsInfo, FULL_RANGE,
-};
+use crate::diag::{extract_top_y, near_equal_ranges, FULL_RANGE};
 use crate::par::{run_parallel, PAR_THRESHOLD};
+use crate::tree::{ChildEntry, MbId, MetaBlock, TsInfo};
 
 /// Pure planning context for the 3-sided slab recursion.
 struct PlanCtx {
@@ -188,15 +187,8 @@ impl ThreeSidedTree {
         for child in children {
             let (slab_lo, slab_hi) = (child.slab_lo, child.slab_hi);
             let (mb, child_y, child_sub) = self.materialise_slab(child);
-            entries.push(ChildEntry {
-                mb,
-                slab_lo,
-                slab_hi,
-                main_bbox: BBox::of_points(&child_y),
-                upd_ymax: None,
-                sub_yhi: child_sub,
-                packed: PackedInfo::default(),
-            });
+            let bbox = BBox::of_points(&child_y);
+            entries.push(ChildEntry::new(mb, (slab_lo, slab_hi), bbox, child_sub));
             snapshots.push(child_y);
         }
         let meta = self.build_organizations_planned(&mains_x, &mains_y, pst, entries, internal);
@@ -208,17 +200,6 @@ impl ThreeSidedTree {
         (id, mains_y, sub_yhi)
     }
 
-    /// Allocate a metablock with all §4 per-node structures.
-    pub(crate) fn make_metablock(
-        &mut self,
-        mains: &SortedRun,
-        children: Vec<ChildEntry>,
-        internal: bool,
-    ) -> MbId {
-        let meta = self.build_organizations(mains, children, internal);
-        self.alloc_meta(meta)
-    }
-
     /// Construct the per-metablock organisations; the [`SortedRun`] makes
     /// the x-sortedness of the mains a typed invariant (callers sort only
     /// what needs it).
@@ -227,7 +208,7 @@ impl ThreeSidedTree {
         mains: &SortedRun,
         children: Vec<ChildEntry>,
         internal: bool,
-    ) -> TsMeta {
+    ) -> MetaBlock<ThreeSided> {
         let mut by_y = mains.to_vec();
         ccix_extmem::sort_by_y_desc(&mut by_y);
         let pst = (mains.len() > self.geo.b)
@@ -244,36 +225,11 @@ impl ThreeSidedTree {
         pst: Option<PstPlan>,
         children: Vec<ChildEntry>,
         internal: bool,
-    ) -> TsMeta {
-        debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-        let vkeys = by_x.chunks(self.geo.b).map(|c| c[0].xkey()).collect();
-        let vertical = self.store.alloc_run(by_x);
-        let hkeys = by_y.chunks(self.geo.b).map(|c| c[0].ykey()).collect();
-        let h_live = by_y.chunks(self.geo.b).map(|c| c.len() as u32).collect();
-        let horizontal = self.store.alloc_run(by_y);
-        let pst =
+    ) -> MetaBlock<ThreeSided> {
+        let mut meta = MetaBlock::new(&mut self.store, by_x, by_y, children, internal);
+        meta.org =
             pst.map(|plan| Arc::new(ExternalPst::from_plan(self.geo, self.counter.clone(), plan)));
-        TsMeta {
-            vertical,
-            vkeys,
-            horizontal,
-            hkeys,
-            h_live,
-            n_main: by_x.len(),
-            y_lo_main: by_y.last().map(Point::ykey),
-            main_bbox: BBox::of_points(by_x),
-            pst,
-            update: Run::default(),
-            n_upd: 0,
-            tomb: Run::default(),
-            n_tomb: 0,
-            tomb_buf: Vec::new(),
-            tsl: None,
-            tsr: None,
-            children_pst: None,
-            td: internal.then(TsTd::default),
-            children,
-        }
+        meta
     }
 
     /// Install, for every child, the TSL and TSR snapshots and, on the
@@ -332,15 +288,16 @@ impl ThreeSidedTree {
         let mut mirrors = Vec::with_capacity(len);
         for (i, &child) in child_ids.iter().enumerate() {
             let mut meta = self.take_meta(child);
-            if let Some(old) = meta.tsl.take() {
+            let sib = &mut meta.sib;
+            if let Some(old) = sib.tsl.take() {
                 self.store.free_run(&old.pages);
             }
-            if let Some(old) = meta.tsr.take() {
+            if let Some(old) = sib.tsr.take() {
                 self.store.free_run(&old.pages);
             }
             if let Some((pts, truncated)) = tsl[i].take() {
                 let pages = self.store.alloc_run(&pts);
-                meta.tsl = Some(TsInfo {
+                sib.tsl = Some(TsInfo {
                     pages,
                     n: pts.len(),
                     truncated,
@@ -348,7 +305,7 @@ impl ThreeSidedTree {
             }
             if let Some((pts, truncated)) = tsr[i].take() {
                 let pages = self.store.alloc_run(&pts);
-                meta.tsr = Some(TsInfo {
+                sib.tsr = Some(TsInfo {
                     pages,
                     n: pts.len(),
                     truncated,
@@ -358,7 +315,7 @@ impl ThreeSidedTree {
                 ts.as_ref()
                     .map_or((Run::default(), false), |t| (t.pages.clone(), t.truncated))
             };
-            mirrors.push((mirror(&meta.tsl), mirror(&meta.tsr)));
+            mirrors.push((mirror(&sib.tsl), mirror(&sib.tsr)));
             self.put_meta(child, meta);
         }
         // Mirror both snapshot runs into the parent's packed entries (the
@@ -377,9 +334,9 @@ impl ThreeSidedTree {
         let mut pm = self.take_meta(parent);
         match children_pst_plan {
             Some(plan) => {
-                debug_assert!(pm.children_pst.is_none(), "planned PST over a live one");
+                debug_assert!(pm.sib.children_pst.is_none(), "planned PST over a live one");
                 let pst = ExternalPst::from_plan(self.geo, self.counter.clone(), plan);
-                pm.children_pst = Some(Arc::new(pst));
+                pm.sib.children_pst = Some(Arc::new(pst));
             }
             None => {
                 // Children snapshots live in x-disjoint slabs: sorting each
@@ -389,7 +346,7 @@ impl ThreeSidedTree {
                 let all = SortedRun::merge_many(
                     sorted.into_iter().map(SortedRun::from_unsorted).collect(),
                 );
-                self.rebuild_pst(&mut pm.children_pst, all);
+                self.rebuild_pst(&mut pm.sib.children_pst, all);
             }
         }
         self.put_meta(parent, pm);

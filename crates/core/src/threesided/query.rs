@@ -28,9 +28,11 @@
 
 use ccix_extmem::Point;
 
-use super::{ThreeSidedTree, TsMeta};
+use super::{ThreeSided, ThreeSidedTree};
 use crate::bbox::Key;
-use crate::diag::{reset_slots, retain_from, ChildEntry, MbId, ReadCtx};
+use crate::tree::{reset_slots, retain_from, ChildEntry, MbId, ReadCtx};
+
+type MetaBlock = crate::tree::MetaBlock<ThreeSided>;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ChildClass {
@@ -170,7 +172,7 @@ impl ThreeSidedTree {
         // While a background shrink job is in progress, the query consults
         // both sides: the (frozen or rebuilt) tree above, and the job's
         // delta of diverted updates and tombstones here.
-        self.scan_delta_query(ctx, x1, x2, y0, out);
+        self.scan_delta_with(ctx, |p| p.x >= x1 && p.x <= x2 && p.y >= y0, out);
     }
 
     /// Process a metablock on a boundary path.
@@ -200,7 +202,7 @@ impl ThreeSidedTree {
         }
         if qk > ylo {
             // Straddling node: its own PST answers; subtree is below y0.
-            if let Some(pst) = &meta.pst {
+            if let Some(pst) = &meta.org {
                 pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 0), x1, x2, y0, out);
             } else {
                 debug_assert!(meta.n_main <= self.geo.b, "missing metablock PST");
@@ -229,7 +231,7 @@ impl ThreeSidedTree {
         &self,
         ctx: &mut ReadCtx,
         mb: MbId,
-        meta: &TsMeta,
+        meta: &MetaBlock,
         x1: i64,
         x2: i64,
         y0: i64,
@@ -324,7 +326,7 @@ impl ThreeSidedTree {
         &self,
         ctx: &mut ReadCtx,
         mb: MbId,
-        parent: &TsMeta,
+        parent: &MetaBlock,
         (anchor_idx, side): (usize, SnapshotSide),
         partial: &[usize],
         x1: i64,
@@ -343,8 +345,8 @@ impl ThreeSidedTree {
         } else {
             let anchor_meta = self.ctx_meta(ctx, anchor.mb);
             let info = match side {
-                SnapshotSide::Right => anchor_meta.tsr.as_ref(),
-                SnapshotSide::Left => anchor_meta.tsl.as_ref(),
+                SnapshotSide::Right => anchor_meta.sib.tsr.as_ref(),
+                SnapshotSide::Left => anchor_meta.sib.tsl.as_ref(),
             };
             let info = info.expect("anchor child carries the sibling snapshot");
             (&info.pages, info.truncated)
@@ -389,7 +391,7 @@ impl ThreeSidedTree {
         &self,
         ctx: &mut ReadCtx,
         mb: MbId,
-        parent: &TsMeta,
+        parent: &MetaBlock,
         partial: &[usize],
         x1: i64,
         x2: i64,
@@ -401,7 +403,7 @@ impl ThreeSidedTree {
             let k = p.xkey();
             partial.iter().any(|&i| children[i].slab_contains(k))
         };
-        if let Some(cpst) = &parent.children_pst {
+        if let Some(cpst) = &parent.sib.children_pst {
             let from = out.len();
             cpst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 1), x1, x2, y0, out);
             retain_from(out, from, in_partial);
@@ -421,7 +423,7 @@ impl ThreeSidedTree {
         &self,
         ctx: &mut ReadCtx,
         mb: MbId,
-        meta: &TsMeta,
+        meta: &MetaBlock,
         x1: i64,
         x2: i64,
         y0: i64,
@@ -429,7 +431,7 @@ impl ThreeSidedTree {
         out: &mut Vec<Point>,
     ) {
         let Some(td) = &meta.td else { return };
-        if let Some(pst) = &td.pst {
+        if let Some(pst) = &td.org {
             let from = out.len();
             pst.query_pinned(&mut ctx.pin, Self::pst_space(mb, 2), x1, x2, y0, out);
             retain_from(out, from, filter);
@@ -446,7 +448,7 @@ impl ThreeSidedTree {
         // snapshot-answered route may have reported their stale copies).
         // The tombstones pass through the tail of `out` only to leave
         // their ids behind.
-        if let Some(del) = &td.del_pst {
+        if let Some(del) = &td.del_org {
             let from = out.len();
             del.query_pinned(&mut ctx.pin, Self::pst_space(mb, 3), x1, x2, y0, out);
             ctx.del.extend(out.drain(from..).map(|t| t.id));
@@ -496,7 +498,7 @@ impl ThreeSidedTree {
     fn examine_child(
         &self,
         ctx: &mut ReadCtx,
-        parent: &TsMeta,
+        parent: &MetaBlock,
         idx: usize,
         x1: i64,
         x2: i64,
@@ -580,7 +582,7 @@ impl ThreeSidedTree {
     fn horizontal_scan_down(
         &self,
         ctx: &mut ReadCtx,
-        meta: &TsMeta,
+        meta: &MetaBlock,
         x1: i64,
         x2: i64,
         y0: i64,
@@ -633,7 +635,7 @@ impl ThreeSidedTree {
     fn vertical_scan_range(
         &self,
         ctx: &mut ReadCtx,
-        meta: &TsMeta,
+        meta: &MetaBlock,
         x1: i64,
         x2: i64,
         out: &mut Vec<Point>,
@@ -666,7 +668,7 @@ impl ThreeSidedTree {
 
 /// Record the ids of pending tombstones the 3-sided predicate selects,
 /// straight from a control-block mirror — zero I/Os (see the diagonal
-/// tree's `mirror_tombs` and `TsMeta::tomb_buf`).
+/// tree's `mirror_tombs` and `MetaBlock::tomb_buf`).
 fn mirror_tombs(ctx: &mut ReadCtx, tombs: &[Point], x1: i64, x2: i64, y0: i64) {
     ctx.del.extend(
         tombs
@@ -678,7 +680,7 @@ fn mirror_tombs(ctx: &mut ReadCtx, tombs: &[Point], x1: i64, x2: i64, y0: i64) {
 
 /// Debug check: a partial metablock's children are all dead (routing
 /// invariant).
-fn debug_assert_no_live_children(meta: &TsMeta, y0: i64) {
+fn debug_assert_no_live_children(meta: &MetaBlock, y0: i64) {
     debug_assert!(
         meta.children
             .iter()

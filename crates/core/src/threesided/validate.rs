@@ -4,9 +4,11 @@ use std::collections::BTreeSet;
 
 use ccix_extmem::Point;
 
-use super::{ThreeSidedTree, TsMeta};
+use super::{ThreeSided, ThreeSidedTree};
 use crate::bbox::{BBox, Key};
-use crate::diag::{MbId, TsInfo};
+use crate::tree::{MbId, TsInfo};
+
+type MetaBlock = crate::tree::MetaBlock<ThreeSided>;
 
 /// Shape statistics of a 3-sided metablock tree.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,8 +49,12 @@ impl ThreeSidedTree {
         s.height = s.height.max(depth);
         s.points += meta.n_main + meta.n_upd;
         s.pending_tombs += meta.n_tomb;
-        s.pst_pages += meta.pst.as_ref().map_or(0, |p| p.space_pages());
-        s.pst_pages += meta.children_pst.as_ref().map_or(0, |p| p.space_pages());
+        s.pst_pages += meta.org.as_ref().map_or(0, |p| p.space_pages());
+        s.pst_pages += meta
+            .sib
+            .children_pst
+            .as_ref()
+            .map_or(0, |p| p.space_pages());
         if meta.is_leaf() {
             s.leaves += 1;
         }
@@ -107,10 +113,10 @@ impl ThreeSidedTree {
         // pipeline must emit exactly the runs a sort-based rebuild would).
         self.assert_dense_run(&meta.vertical, "vertical");
         self.assert_dense_run(&meta.horizontal, "horizontal");
-        if let Some(ts) = &meta.tsl {
+        if let Some(ts) = &meta.sib.tsl {
             self.assert_dense_run(&ts.pages, "TSL snapshot");
         }
-        if let Some(ts) = &meta.tsr {
+        if let Some(ts) = &meta.sib.tsr {
             self.assert_dense_run(&ts.pages, "TSR snapshot");
         }
         let mains = self.pages_unbilled(&meta.horizontal);
@@ -148,7 +154,7 @@ impl ThreeSidedTree {
             mains.iter().map(Point::ykey).min(),
             "stale y_lo_main"
         );
-        if let Some(pst) = &meta.pst {
+        if let Some(pst) = &meta.org {
             let mut a: Vec<u64> = pst.collect_points_unbilled().iter().map(|p| p.id).collect();
             let mut b: Vec<u64> = mains.iter().map(|p| p.id).collect();
             a.sort_unstable();
@@ -266,14 +272,14 @@ impl ThreeSidedTree {
             }
         } else {
             assert!(meta.td.is_none(), "leaf metablock with TD");
-            assert!(meta.children_pst.is_none(), "leaf with children PST");
+            assert!(meta.sib.children_pst.is_none(), "leaf with children PST");
         }
     }
 
     /// Packed control information is an exact mirror of the children's
     /// state: horizontal-prefix, update-page and TSL/TSR-page mirrors all
     /// match (see the diagonal tree's validator).
-    fn validate_packed(&self, meta: &TsMeta) {
+    fn validate_packed(&self, meta: &MetaBlock) {
         let h = self.tuning.pack_h_pages;
         if h == 0 {
             for c in &meta.children {
@@ -318,7 +324,7 @@ impl ThreeSidedTree {
                 child_meta.tomb[..],
                 "stale packed tombstone-page mirror"
             );
-            match &child_meta.tsl {
+            match &child_meta.sib.tsl {
                 Some(ts) => {
                     assert_eq!(c.packed.ts_pages, ts.pages, "stale packed TSL mirror");
                     assert_eq!(
@@ -328,7 +334,7 @@ impl ThreeSidedTree {
                 }
                 None => assert!(c.packed.ts_pages.is_empty(), "packed TSL for first child"),
             }
-            match &child_meta.tsr {
+            match &child_meta.sib.tsr {
                 Some(ts) => {
                     assert_eq!(c.packed.tsr_pages, ts.pages, "stale packed TSR mirror");
                     assert_eq!(
@@ -345,11 +351,11 @@ impl ThreeSidedTree {
     /// PST: every point currently stored in a metablock's siblings (on the
     /// relevant side) is in the snapshot, outranked by its B² points, or in
     /// the parent's TD structure.
-    fn validate_sibling_coverage(&self, parent: &TsMeta) {
+    fn validate_sibling_coverage(&self, parent: &MetaBlock) {
         let mut td_ids: BTreeSet<u64> = BTreeSet::new();
         let mut td_del_ids: BTreeSet<u64> = BTreeSet::new();
         if let Some(td) = &parent.td {
-            if let Some(pst) = &td.pst {
+            if let Some(pst) = &td.org {
                 for p in pst.collect_points_unbilled() {
                     td_ids.insert(p.id);
                 }
@@ -360,7 +366,7 @@ impl ThreeSidedTree {
                 }
             }
             let mut n_del = 0usize;
-            if let Some(pst) = &td.del_pst {
+            if let Some(pst) = &td.del_org {
                 for t in pst.collect_points_unbilled() {
                     n_del += 1;
                     td_del_ids.insert(t.id);
@@ -432,22 +438,22 @@ impl ThreeSidedTree {
         for (i, c) in parent.children.iter().enumerate() {
             let cm = self.metas.get(c.mb);
             if i > 0 {
-                let ts = cm.tsl.as_ref().expect("non-first child has TSL");
+                let ts = cm.sib.tsl.as_ref().expect("non-first child has TSL");
                 check(ts, &stored[..i], "TSL");
             } else {
-                assert!(cm.tsl.is_none(), "first child must not have TSL");
+                assert!(cm.sib.tsl.is_none(), "first child must not have TSL");
             }
             if i + 1 < parent.children.len() {
-                let ts = cm.tsr.as_ref().expect("non-last child has TSR");
+                let ts = cm.sib.tsr.as_ref().expect("non-last child has TSR");
                 check(ts, &stored[i + 1..], "TSR");
             } else {
-                assert!(cm.tsr.is_none(), "last child must not have TSR");
+                assert!(cm.sib.tsr.is_none(), "last child must not have TSR");
             }
         }
 
         // Children PST coverage: every currently stored child point is in
         // the snapshot or the TD.
-        if let Some(cpst) = &parent.children_pst {
+        if let Some(cpst) = &parent.sib.children_pst {
             let snap_ids: BTreeSet<u64> = cpst
                 .collect_points_unbilled()
                 .iter()
@@ -459,37 +465,6 @@ impl ThreeSidedTree {
                     "children PST coverage hole: {p:?}"
                 );
             }
-        }
-    }
-
-    fn pages_unbilled(&self, pages: &[ccix_extmem::PageId]) -> Vec<Point> {
-        let mut out = Vec::new();
-        for &pg in pages {
-            out.extend_from_slice(self.store.read_unbilled(pg));
-        }
-        out
-    }
-
-    /// Every page of a blocked run must be full except the last (see the
-    /// diagonal validator's `assert_dense_run`).
-    fn assert_dense_run(&self, pages: &[ccix_extmem::PageId], what: &str) {
-        for (i, &pg) in pages.iter().enumerate() {
-            if i + 1 < pages.len() {
-                assert_eq!(
-                    self.store.len_unbilled(pg),
-                    self.geo.b,
-                    "{what} run has a sparse page mid-run"
-                );
-            }
-        }
-    }
-
-    fn collect_unbilled(&self, mb: MbId, out: &mut Vec<Point>) {
-        let meta = self.metas.get(mb);
-        out.extend(self.pages_unbilled(&meta.horizontal));
-        out.extend(self.pages_unbilled(&meta.update));
-        for c in &meta.children {
-            self.collect_unbilled(c.mb, out);
         }
     }
 }

@@ -1,22 +1,170 @@
-//! Incremental reorganisation for the 3-sided tree — the same two
-//! mechanisms as the diagonal tree's [`crate::diag::reorg`] (charge
-//! dribbling via the I/O shunt, plus the two-sided background shrink job
-//! with its operation delta), sharing that module's state types. Only the
-//! tree-specific hooks differ: the collect walk reads `TsMeta` runs (the
-//! PSTs and TSL/TSR snapshots are copies and are skipped), the cutover
-//! rebuilds via this tree's `build_slab`, and the delta's query-side scan
-//! uses the 3-sided predicate.
+//! Incremental reorganisation (LSM-style dribbling) for both metablock
+//! trees.
+//!
+//! With [`crate::Tuning::reorg_pages_per_op`] `= 0` (the default and the
+//! paper's behaviour) nothing in this module runs and every reorganisation
+//! executes to completion inside the operation that triggered it — the
+//! amortised bounds are exactly the paper's, but a TD fold or occupancy
+//! shrink is a stop-the-world pause. A budget `k > 0` converts those pauses
+//! into a bounded per-operation tax, in two mechanisms:
+//!
+//! 1. **Charge dribbling** for the in-place reorganisations (level-I merge,
+//!    TD fold, TS reorganisation, level-II push-down/split, branching
+//!    split). These run at their usual trigger points — the *structure*
+//!    evolves bit-identically to `k = 0` — but their page transfers are
+//!    **shunted** ([`ccix_extmem::IoCounter::begin_shunt`]) into a debt
+//!    meter instead of the live counters, and every subsequent write
+//!    operation bleeds at most `k` transfers of debt. Totals are conserved
+//!    exactly: the debt is real work, billed later.
+//!
+//! 2. A **two-sided background job** for the occupancy shrink, whose
+//!    one-shot form rewrites the whole tree. The job freezes the tree and
+//!    rebuilds it over many operations: *collect* the frozen runs a few
+//!    pages per pump, *merge* them with a resumable [`MergeCursor`] a few
+//!    pages of points per pump, then *cut over* (swap in the rebuilt tree)
+//!    and *drain*. While the tree is frozen, inserts and deletes divert to
+//!    a side **delta** (page-backed update/tombstone runs) that queries
+//!    consult alongside the frozen tree; after cutover the delta drains
+//!    back into the live tree a few points per pump. A delete whose victim
+//!    still sits in the delta *annihilates* in place (no tombstone is ever
+//!    stored for a delta-buffered point), so every delta tombstone targets
+//!    a frozen-tree point and the drain order is irrelevant.
+//!
+//! Job pumps also run under the shunt, so a write operation's billed cost
+//! is its own routing plus at most `k` bled transfers — the worst-case
+//! bound the EL latency table gates.
 
-use ccix_extmem::{MergeCursor, Point, SortedRun};
+use std::collections::VecDeque;
 
-use super::ThreeSidedTree;
-use crate::diag::reorg::{DeltaBuf, JobPhase, RunSpec, ShrinkJob};
-use crate::diag::{MbId, ReadCtx, FULL_RANGE};
+use ccix_extmem::{MergeCursor, PageId, Point, Run, SortedIds, SortedRun};
 
-impl ThreeSidedTree {
+use super::{MbId, ReadCtx, Shape, Tree};
+
+/// Debt meter plus the in-progress shrink job, if any.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ReorgState {
+    /// Shunted reads not yet bled into the live counter.
+    pub debt_reads: u64,
+    /// Shunted writes not yet bled into the live counter.
+    pub debt_writes: u64,
+    /// The background shrink job (`None` almost always).
+    pub job: Option<ShrinkJob>,
+    /// Reorganisations run so far, by kind.
+    pub fired: ReorgCounts,
+}
+
+/// Reorganisations a tree has run since it was created (or, for a fork,
+/// since its origin was created), by kind — charged or shunted alike.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReorgCounts {
+    /// Level-I merges of an update or tombstone buffer into the mains.
+    pub level_i: u64,
+    /// TD folds of the staging areas into the TD structures.
+    pub td_folds: u64,
+    /// TS reorganisations: a parent's sibling snapshots rebuilt, TD reset.
+    pub ts_reorgs: u64,
+    /// Level-II push-downs of an interior metablock's bottom points.
+    pub push_downs: u64,
+    /// Level-II splits of a full leaf.
+    pub leaf_splits: u64,
+    /// Branching-factor splits (at the root: whole-tree rebuilds).
+    pub branching_splits: u64,
+    /// Occupancy shrinks: one-shot rebuilds and background jobs started.
+    pub shrinks: u64,
+}
+
+impl ReorgState {
+    /// Total page transfers of deferred work.
+    pub fn debt(&self) -> u64 {
+        self.debt_reads + self.debt_writes
+    }
+}
+
+/// A two-sided occupancy shrink in progress.
+#[derive(Clone, Debug)]
+pub(crate) struct ShrinkJob {
+    pub phase: JobPhase,
+    /// Logical size when the tree was frozen; the cutover's rebuilt tree
+    /// holds exactly this many points (every frozen tombstone cancels).
+    pub len_at_freeze: usize,
+    pub delta: DeltaBuf,
+}
+
+impl ShrinkJob {
+    /// True until the cutover: operations divert to the delta, queries see
+    /// the frozen tree plus the delta.
+    pub fn frozen(&self) -> bool {
+        !matches!(self.phase, JobPhase::Drain)
+    }
+}
+
+#[derive(Clone, Debug)]
+pub(crate) enum JobPhase {
+    /// Reading the frozen subtree's page runs, `k` pages per pump.
+    Collect {
+        /// Remaining runs to read (consumed from the back).
+        specs: Vec<RunSpec>,
+        /// Points of the run currently being read.
+        buf: Vec<Point>,
+        runs: Vec<SortedRun>,
+        tomb_runs: Vec<SortedRun>,
+    },
+    /// Tournament-merging the collected runs, `k·B` points per pump.
+    Merge {
+        queue: VecDeque<SortedRun>,
+        cursor: Option<MergeCursor>,
+        tombs: SortedRun,
+    },
+    /// Cutover done (the rebuilt tree is live); re-routing the delta back,
+    /// `k` points per pump.
+    Drain,
+}
+
+/// One frozen page run awaiting collection (shared with the frozen block).
+#[derive(Clone, Debug)]
+pub(crate) struct RunSpec {
+    pub pages: Run<PageId>,
+    pub pos: usize,
+    /// The run is already x-sorted (a vertical blocking).
+    pub sorted: bool,
+    /// The run holds tombstones.
+    pub tomb: bool,
+}
+
+/// The side delta absorbing operations while the tree is frozen.
+///
+/// Both runs are page-backed (appends are charged like buffer appends);
+/// the id sets are in-memory job state, bounded by the operations that
+/// arrive during the job — the same scale as the pinned working memory the
+/// model grants an operation.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DeltaBuf {
+    pub upd_pages: Vec<PageId>,
+    pub n_upd: usize,
+    /// Update points drained back so far (prefix of the run).
+    pub upd_pos: usize,
+    pub tomb_pages: Vec<PageId>,
+    pub n_tomb: usize,
+    pub tomb_pos: usize,
+    /// Ids of undrained, unannihilated delta update points.
+    pub upd_ids: SortedIds,
+    /// Ids of delta update points whose delete arrived before their drain:
+    /// the pair annihilated in place, the drain skips the stored copy.
+    pub annihilated: SortedIds,
+}
+
+impl DeltaBuf {
+    /// Tombstones still awaiting drain.
+    pub fn undrained_tombs(&self) -> usize {
+        self.n_tomb - self.tomb_pos
+    }
+}
+
+impl<S: Shape> Tree<S> {
     /// Run `f` with its I/O charges shunted into the debt meter — identity
-    /// when the budget is 0 or a shunt is already active (see the diagonal
-    /// tree's `with_shunt`).
+    /// when the budget is 0 (exact-I/O gates stay byte-identical) or when a
+    /// shunt is already active (a dribbled reorganisation triggering
+    /// further reorganisations).
     pub(crate) fn with_shunt<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         if self.tuning.reorg_pages_per_op == 0 || self.counter.shunt_active() {
             return f(self);
@@ -30,6 +178,7 @@ impl ThreeSidedTree {
     }
 
     /// Deferred reorganisation work in page transfers (debt not yet bled).
+    /// Always 0 when [`crate::Tuning::reorg_pages_per_op`] is 0.
     pub fn reorg_debt(&self) -> u64 {
         self.reorg.debt()
     }
@@ -40,12 +189,13 @@ impl ThreeSidedTree {
     }
 
     /// Reorganisations this tree has run, by kind.
-    pub fn reorgs_fired(&self) -> crate::ReorgCounts {
+    pub fn reorgs_fired(&self) -> ReorgCounts {
         self.reorg.fired
     }
 
     /// Run any in-progress shrink job to completion and bill all deferred
-    /// debt (totals are conserved only once the debt has been bled).
+    /// debt. Call before comparing totals against an amortised budget:
+    /// totals are conserved only once the debt has been bled.
     pub fn flush_reorgs(&mut self) {
         if self.tuning.reorg_pages_per_op == 0 {
             debug_assert!(self.reorg.job.is_none() && self.reorg.debt() == 0);
@@ -60,9 +210,11 @@ impl ThreeSidedTree {
         self.reorg.debt_writes = 0;
     }
 
-    /// One pump per write operation: advance the job (charges shunted),
-    /// then bleed at most `k` transfers of debt. Returns true when a job
-    /// was active (batched callers must refresh their pinned context).
+    /// One pump, called at the end of every insert/delete when the budget
+    /// is finite: advance the job (charges shunted), then bleed at most `k`
+    /// transfers of debt into the live counters. Returns true when a job
+    /// was active (the tree may have been restructured, so a batched
+    /// caller must refresh its pinned context).
     pub(crate) fn pump_reorg(&mut self) -> bool {
         let k = self.tuning.reorg_pages_per_op;
         if k == 0 {
@@ -87,10 +239,13 @@ impl ThreeSidedTree {
         had_job
     }
 
-    /// Advance the deferred reorganisation by one per-op budget slice and
-    /// bleed up to [`crate::Tuning::reorg_pages_per_op`] transfers of debt;
-    /// see [`crate::MetablockTree::pump_reorg_step`]. Returns `true` while
-    /// work remains.
+    /// Advance the deferred reorganisation by one per-op budget slice:
+    /// push any in-progress shrink job forward and bleed up to
+    /// [`crate::Tuning::reorg_pages_per_op`] transfers of debt into the
+    /// live counters. A no-op when the budget is 0. Returns `true` while
+    /// work remains (a job in progress or unbled debt) — the serving
+    /// layer's writer pumps this between group commits so publish latency
+    /// stays bounded without ever stopping the world.
     pub fn pump_reorg_step(&mut self) -> bool {
         self.pump_reorg();
         self.reorg.job.is_some() || self.reorg.debt() > 0
@@ -99,6 +254,8 @@ impl ThreeSidedTree {
     // ---- the shrink job --------------------------------------------------
 
     /// Freeze the tree and start a background shrink job (budget > 0 only).
+    /// The control-block walk that snapshots the page runs is shunted like
+    /// every other job charge.
     pub(crate) fn start_shrink_job(&mut self) {
         debug_assert!(self.reorg.job.is_none(), "one job at a time");
         self.reorg.fired.shrinks += 1;
@@ -117,9 +274,6 @@ impl ThreeSidedTree {
         });
     }
 
-    /// Snapshot the frozen subtree's page runs. PSTs, TSL/TSR snapshots and
-    /// TD staging areas hold copies of points collected here — skipped, and
-    /// freed wholesale by the cutover's `free_subtree`.
     fn collect_job_specs(&mut self, mb: MbId, specs: &mut Vec<RunSpec>) {
         let (vertical, update, tomb, children) = {
             let meta = self.meta(mb);
@@ -221,6 +375,7 @@ impl ThreeSidedTree {
                 tombs,
             } => {
                 if cursor.is_none() && queue.len() < 2 {
+                    // Tournament complete: cancel tombstones and cut over.
                     let merged = queue.pop_front().unwrap_or_default();
                     let tombs = std::mem::take(tombs);
                     self.job_cutover(merged, tombs, job.len_at_freeze);
@@ -248,8 +403,9 @@ impl ThreeSidedTree {
         }
     }
 
-    /// Swap the rebuilt tree in for the frozen one (see the diagonal
-    /// tree's `job_cutover`).
+    /// Swap the rebuilt tree in for the frozen one. After this, every
+    /// frozen tombstone has been cancelled and every delta tombstone's
+    /// victim is a point of the rebuilt tree.
     fn job_cutover(&mut self, merged: SortedRun, tombs: SortedRun, len_at_freeze: usize) {
         let (pts, unmatched) = merged.cancel(&tombs);
         debug_assert!(
@@ -264,17 +420,14 @@ impl ThreeSidedTree {
             len_at_freeze,
             "rebuilt tree holds exactly the frozen live points"
         );
-        self.root = if pts.is_empty() {
-            None
-        } else {
-            let (r, _, _) = self.build_slab(pts, FULL_RANGE.0, FULL_RANGE.1);
-            Some(r)
-        };
-        self.note_full_rebuild();
+        self.rebuild_root(pts);
     }
 
-    /// Re-route up to `k` delta points into the live tree (see the
-    /// diagonal tree's `job_drain` for the ordering argument).
+    /// Re-route up to `k` delta points into the live tree. Update points
+    /// insert (skipping annihilated pairs); tombstones route with the
+    /// normal delete machinery — their victims are all in the tree, so the
+    /// landing invariant holds and triggers fire as usual (nested inside
+    /// this already-shunted pump, so their charges join the debt).
     fn job_drain(&mut self, d: &mut DeltaBuf, k: usize) -> bool {
         let b = self.geo.b;
         let mut budget = k.max(1);
@@ -289,14 +442,7 @@ impl ThreeSidedTree {
                 }
                 d.upd_ids.remove(p.id);
                 match self.root {
-                    None => {
-                        let id = self.make_metablock(
-                            &SortedRun::from_sorted(vec![*p]),
-                            Vec::new(),
-                            false,
-                        );
-                        self.root = Some(id);
-                    }
+                    None => self.plant_root(*p),
                     Some(root) => self.insert_routed(Vec::new(), root, *p),
                 }
             }
@@ -311,9 +457,9 @@ impl ThreeSidedTree {
                 let root = self.root.expect("tombstone victims live in the tree");
                 let mut ctx = self.read_ctx();
                 let mut dirty: Vec<MbId> = Vec::new();
-                let triggers =
-                    self.route_tombstone(&mut ctx, &mut dirty, &mut Vec::new(), root, *t);
-                self.run_del_triggers(&mut dirty, triggers);
+                let mut path = Vec::new();
+                let triggers = self.route_tombstone(&mut ctx, &mut dirty, &mut path, root, *t);
+                self.run_triggers(&mut dirty, triggers, &path);
                 self.flush_dirty(&dirty);
             }
             budget -= take;
@@ -323,8 +469,8 @@ impl ThreeSidedTree {
 
     // ---- operation diversion ---------------------------------------------
 
-    /// Divert an insert to the delta while the tree is frozen; false means
-    /// the caller routes normally.
+    /// Divert an insert to the delta while the tree is frozen. Returns
+    /// false (caller routes normally) when no frozen job is active.
     pub(crate) fn delta_insert(&mut self, p: Point) -> bool {
         let Self {
             store, reorg, geo, ..
@@ -347,9 +493,12 @@ impl ThreeSidedTree {
         true
     }
 
-    /// Handle the delta side of a delete; true means the delete was fully
-    /// absorbed here (annihilated in the delta, or buffered as a delta
-    /// tombstone while frozen — see the diagonal tree's `delta_delete`).
+    /// Handle the delta side of a delete. Returns true when the delete was
+    /// fully absorbed here: either the victim was an undrained delta point
+    /// (the pair annihilates in place — no tombstone is stored anywhere) or
+    /// the tree is frozen (the tombstone is buffered in the delta; its
+    /// victim is a frozen-tree point, re-routed after cutover). Returns
+    /// false when the caller must route the tombstone normally.
     pub(crate) fn delta_delete(&mut self, p: Point) -> bool {
         let Self {
             store, reorg, geo, ..
@@ -378,21 +527,20 @@ impl ThreeSidedTree {
 
     // ---- query-side delta consultation -----------------------------------
 
-    /// Report the delta's undrained update points inside the 3-sided range
-    /// and record its undrained tombstone ids (the "both sides" half of a
-    /// query during a job). Billed through the operation's pin.
-    pub(crate) fn scan_delta_query(
+    /// Report the delta's undrained update points that satisfy the query
+    /// predicate `keep` and record its undrained tombstone ids the same
+    /// predicate selects — the "both sides" half of a query against a tree
+    /// with a job in progress. Billed through the operation's pin like any
+    /// other buffer scan.
+    pub(crate) fn scan_delta_with(
         &self,
         ctx: &mut ReadCtx,
-        x1: i64,
-        x2: i64,
-        y0: i64,
+        keep: impl Fn(&Point) -> bool,
         out: &mut Vec<Point>,
     ) {
         let Some(job) = &self.reorg.job else {
             return;
         };
-        let keep = |p: &Point| p.x >= x1 && p.x <= x2 && p.y >= y0;
         let d = &job.delta;
         let b = self.geo.b;
         for (i, &pg) in d.upd_pages.iter().enumerate() {
@@ -417,8 +565,8 @@ impl ThreeSidedTree {
         }
     }
 
-    /// The delta's undrained live update points plus the undrained
-    /// tombstone count (unbilled; validator use).
+    /// The delta's undrained live update points (unbilled; validator use).
+    /// Also returns the undrained tombstone count.
     pub(crate) fn delta_contents_unbilled(&self) -> (Vec<Point>, usize) {
         let Some(job) = &self.reorg.job else {
             return (Vec::new(), 0);
