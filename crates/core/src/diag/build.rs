@@ -31,9 +31,6 @@ use crate::corner::CornerPlan;
 use crate::par::{run_parallel, PAR_THRESHOLD};
 use crate::tree::{ChildEntry, MbId, MetaBlock, TsInfo};
 
-/// The whole key space: the root's slab.
-pub(crate) const FULL_RANGE: (Key, Key) = ((i64::MIN, 0), (i64::MAX, u64::MAX));
-
 /// Pure planning context: everything the slab recursion needs besides the
 /// arena itself. Shared immutably across planning threads.
 struct PlanCtx {
@@ -209,13 +206,7 @@ impl MetablockTree {
         }
         let mut tree = Self::new_tuned_on(spec, geo, counter, options, tuning);
         tree.len = points.len();
-        tree.shrink_base = points.len();
-        if points.is_empty() {
-            return tree;
-        }
-        let (root, _, _) =
-            tree.build_slab(SortedRun::from_unsorted(points), FULL_RANGE.0, FULL_RANGE.1);
-        tree.root = Some(root);
+        tree.rebuild_root(SortedRun::from_unsorted(points));
         tree
     }
 

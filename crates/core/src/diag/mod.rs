@@ -16,7 +16,7 @@ mod validate;
 
 pub use validate::DiagStats;
 
-pub(crate) use build::{extract_top_y, near_equal_ranges, FULL_RANGE};
+pub(crate) use build::{extract_top_y, near_equal_ranges};
 
 use std::sync::Arc;
 

@@ -63,5 +63,5 @@ pub use corner::CornerStructure;
 pub use diag::{DiagOptions, DiagStats, MetablockTree};
 pub use op::Op;
 pub use threesided::{ThreeSidedStats, ThreeSidedTree};
-pub use tree::ReorgCounts;
+pub use tree::{ReorgCounts, Shape, Tree};
 pub use tuning::Tuning;

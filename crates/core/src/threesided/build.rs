@@ -18,7 +18,7 @@ use ccix_pst::{ExternalPst, PstPlan};
 
 use super::{ThreeSided, ThreeSidedTree};
 use crate::bbox::{BBox, Key};
-use crate::diag::{extract_top_y, near_equal_ranges, FULL_RANGE};
+use crate::diag::{extract_top_y, near_equal_ranges};
 use crate::par::{run_parallel, PAR_THRESHOLD};
 use crate::tree::{ChildEntry, MbId, MetaBlock, TsInfo};
 
@@ -139,13 +139,7 @@ impl ThreeSidedTree {
         }
         let mut tree = Self::new_tuned(geo, counter, tuning);
         tree.len = points.len();
-        tree.shrink_base = points.len();
-        if points.is_empty() {
-            return tree;
-        }
-        let (root, _, _) =
-            tree.build_slab(SortedRun::from_unsorted(points), FULL_RANGE.0, FULL_RANGE.1);
-        tree.root = Some(root);
+        tree.rebuild_root(SortedRun::from_unsorted(points));
         tree
     }
 

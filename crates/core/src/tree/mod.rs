@@ -560,10 +560,11 @@ mod sealed {
     impl Sealed for crate::threesided::ThreeSided {}
 }
 
-/// What one metablock tree does differently from the other. Implemented
-/// only by the diagonal tree's [`crate::diag::Diag`] and the 3-sided
-/// tree's [`crate::threesided::ThreeSided`]; everything else about a tree
-/// is [`Tree`]'s, written once.
+/// What one metablock tree does differently from the other. Sealed:
+/// implemented only by the diagonal tree's `Diag` (behind
+/// [`crate::MetablockTree`]) and the 3-sided tree's `ThreeSided` (behind
+/// [`crate::ThreeSidedTree`]); everything else about a tree is
+/// [`Tree`]'s, written once.
 pub trait Shape: sealed::Sealed + Copy + Debug + Default {
     /// The query organisation over a metablock's mains and over a TD.
     type Org: Debug;

@@ -21,7 +21,9 @@ use ccix_extmem::{Point, Run, SortedRun};
 
 use super::{ChildEntry, MbId, MetaBlock, Shape, Td, Tree};
 use crate::bbox::{BBox, Key};
-use crate::diag::FULL_RANGE;
+
+/// The whole key space: the root's slab.
+const FULL_RANGE: (Key, Key) = ((i64::MIN, 0), (i64::MAX, u64::MAX));
 
 impl<S: Shape> Tree<S> {
     /// Fold the staged points into the TD organisation (`O(B)` I/Os, since
@@ -320,9 +322,9 @@ impl<S: Shape> Tree<S> {
         }
     }
 
-    /// Replace the whole tree by a static build over `pts` (a root split,
-    /// an occupancy shrink) and restart the shrink accounting.
-    pub(super) fn rebuild_root(&mut self, pts: SortedRun) {
+    /// Replace the whole tree by a static build over `pts` (a bulk load, a
+    /// root split, an occupancy shrink) and restart the shrink accounting.
+    pub(crate) fn rebuild_root(&mut self, pts: SortedRun) {
         self.root = if pts.is_empty() {
             None
         } else {

@@ -257,11 +257,8 @@ impl<S: Shape> Tree<S> {
     pub(super) fn insert_routed(&mut self, mut path: Vec<MbId>, start: MbId, p: Point) {
         // The root control block lives in dedicated main memory (see
         // [`crate::Tuning::resident_root`]): pinned for free.
-        let mut pinned: Vec<MbId> = self
-            .root
-            .filter(|_| self.tuning.resident_root)
-            .into_iter()
-            .collect();
+        let mut pinned: Vec<MbId> = Vec::new();
+        pinned.extend(self.root.filter(|_| self.tuning.resident_root));
         let mut dirty: Vec<MbId> = Vec::new();
         let t = self.route_insert(&mut pinned, &mut dirty, &mut path, start, p);
         // Write back every dirty control block, then run the amortised
