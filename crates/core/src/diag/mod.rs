@@ -259,7 +259,7 @@ mod tests {
         }
     }
 
-    impl Shared for crate::MetablockTree {
+    impl Shared for MetablockTree {
         fn shared() -> Self {
             Self::build(Geometry::new(4), IoCounter::new(), shared_points())
         }
@@ -274,7 +274,7 @@ mod tests {
         }
     }
 
-    impl Shared for crate::ThreeSidedTree {
+    impl Shared for ThreeSidedTree {
         fn shared() -> Self {
             Self::build(Geometry::new(4), IoCounter::new(), shared_points())
         }
