@@ -267,31 +267,8 @@ impl MetablockTree {
         (id, mains_y, sub_yhi)
     }
 
-    /// Construct the per-metablock organisations for a main point set. The
-    /// [`SortedRun`] parameter is the typed sortedness invariant: callers
-    /// prove x-order at compile time (sorting only what actually needs it,
-    /// e.g. an update-buffer delta) instead of this function re-checking —
-    /// or worse, re-sorting — the full block.
-    pub(crate) fn build_organizations(
-        &mut self,
-        mains: &SortedRun,
-        children: Vec<ChildEntry>,
-        internal: bool,
-    ) -> MetaBlock<Diag> {
-        let mut by_y = mains.to_vec();
-        ccix_extmem::sort_by_y_desc(&mut by_y);
-        let corner = plan_corner(
-            mains,
-            &by_y,
-            self.geo.b,
-            self.shape.options.corner_structures,
-            self.tuning.corner_alpha,
-        );
-        self.build_organizations_planned(mains, &by_y, corner, children, internal)
-    }
-
-    /// As [`MetablockTree::build_organizations`], with the y-order and the
-    /// corner plan already computed (the planning phase supplies both).
+    /// Construct the per-metablock organisations for a main point set, with
+    /// the y-order and the corner plan the planning phase computed.
     pub(crate) fn build_organizations_planned(
         &mut self,
         by_x: &SortedRun,

@@ -24,7 +24,7 @@ use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore
 
 use crate::bbox::Key;
 use crate::corner::CornerStructure;
-use crate::tree::{MbId, MetaBlock, Shape, Tree, TsInfo};
+use crate::tree::{sealed::Hooks, MbId, MetaBlock, Shape, Tree, TsInfo};
 use crate::tuning::Tuning;
 
 /// Ablation switches for the metablock tree's two signature design choices
@@ -60,7 +60,9 @@ pub struct Diag {
     pub(crate) options: DiagOptions,
 }
 
-impl Shape for Diag {
+impl Shape for Diag {}
+
+impl Hooks for Diag {
     type Org = CornerStructure;
     type Sib = Option<Arc<TsInfo>>;
 
@@ -129,10 +131,6 @@ impl Shape for Diag {
         hi: Key,
     ) -> (MbId, Vec<Point>, Option<Key>) {
         t.build_slab(pts, lo, hi)
-    }
-
-    fn leaf(t: &mut MetablockTree, mains: &SortedRun) -> MetaBlock<Diag> {
-        t.build_organizations(mains, Vec::new(), false)
     }
 }
 

@@ -194,24 +194,8 @@ impl ThreeSidedTree {
         (id, mains_y, sub_yhi)
     }
 
-    /// Construct the per-metablock organisations; the [`SortedRun`] makes
-    /// the x-sortedness of the mains a typed invariant (callers sort only
-    /// what needs it).
-    pub(crate) fn build_organizations(
-        &mut self,
-        mains: &SortedRun,
-        children: Vec<ChildEntry>,
-        internal: bool,
-    ) -> MetaBlock<ThreeSided> {
-        let mut by_y = mains.to_vec();
-        ccix_extmem::sort_by_y_desc(&mut by_y);
-        let pst = (mains.len() > self.geo.b)
-            .then(|| PstPlan::plan(self.geo, SortedRun::from_sorted(mains.to_vec())));
-        self.build_organizations_planned(mains, &by_y, pst, children, internal)
-    }
-
-    /// As [`ThreeSidedTree::build_organizations`], with the y-order and the
-    /// PST plan already computed.
+    /// Construct the per-metablock organisations for a main point set, with
+    /// the y-order and the PST plan the planning phase computed.
     pub(crate) fn build_organizations_planned(
         &mut self,
         by_x: &SortedRun,

@@ -39,7 +39,7 @@ use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore
 use ccix_pst::ExternalPst;
 
 use crate::bbox::Key;
-use crate::tree::{MbId, MetaBlock, Shape, Tree, TsInfo, SPACE_AUX};
+use crate::tree::{sealed::Hooks, MbId, MetaBlock, Shape, Tree, TsInfo, SPACE_AUX};
 
 /// The 3-sided tree's [`Shape`]: Lemma 4.1 PSTs over the mains and the TD,
 /// two sibling snapshots per child and a children PST per interior
@@ -58,7 +58,9 @@ pub struct Sibs {
     pub(crate) children_pst: Option<Arc<ExternalPst>>,
 }
 
-impl Shape for ThreeSided {
+impl Shape for ThreeSided {}
+
+impl Hooks for ThreeSided {
     type Org = ExternalPst;
     type Sib = Sibs;
 
@@ -107,10 +109,6 @@ impl Shape for ThreeSided {
         hi: Key,
     ) -> (MbId, Vec<Point>, Option<Key>) {
         t.build_slab(pts, lo, hi)
-    }
-
-    fn leaf(t: &mut ThreeSidedTree, mains: &SortedRun) -> MetaBlock<ThreeSided> {
-        t.build_organizations(mains, Vec::new(), false)
     }
 
     /// Every PST's pages: the mains', the children's and both TD sides'.

@@ -9,7 +9,7 @@
 //!   4.1) — with the hooks that build, collect and free it;
 //! * the sibling snapshots a child carries (`TS`, or `TSL`/`TSR` plus the
 //!   parent's children PST) and how a TS reorganisation installs them;
-//! * the static build of a slab and of a leaf;
+//! * the static build of a slab;
 //! * the diagonal tree's `y ≥ x` admission and its ablation options.
 //!
 //! Submodules: [`write`] (insert, delete and `apply_batch`: the descent,
@@ -367,7 +367,7 @@ pub struct TsInfo {
 
 /// A shared handle to a shape's organisation, if one is built. (An alias,
 /// so that the derives below bound `S` alone, not `S::Org`.)
-pub(crate) type OrgSlot<S> = Option<Arc<<S as Shape>::Org>>;
+pub(crate) type OrgSlot<S> = Option<Arc<<S as sealed::Hooks>::Org>>;
 
 /// The `TD` of an internal metablock (§3.2; Lemma 4.4): the points inserted
 /// into this metablock's children since the last TS reorganisation, kept
@@ -382,7 +382,7 @@ pub(crate) type OrgSlot<S> = Option<Arc<<S as Shape>::Org>>;
 /// insert/delete pairs, so only tombstones whose insert predates the TD
 /// survive into `del_org`.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct Td<S: Shape> {
+pub(crate) struct Td<S: sealed::Hooks> {
     /// Organisation over the settled TD points. Behind `Arc`, like every
     /// control-block member that is only ever replaced wholesale, so
     /// copying a control block shared with an epoch bumps a handle.
@@ -435,7 +435,7 @@ impl<S: Shape> Td<S> {
 /// single operation edits in place (`h_live`, `tomb_buf`, the TD's
 /// `del_staged_buf`, `children`).
 #[derive(Clone, Debug)]
-pub struct MetaBlock<S: Shape> {
+pub struct MetaBlock<S: sealed::Hooks> {
     /// Main points, x-sorted, `B` per page ("vertically oriented blocks").
     pub(crate) vertical: Run<PageId>,
     /// First x-key of each vertical page (control info: the slab's
@@ -554,65 +554,64 @@ impl<S: Shape> MetaBlock<S> {
     }
 }
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for crate::diag::Diag {}
-    impl Sealed for crate::threesided::ThreeSided {}
-}
+/// What one metablock tree does differently from the other. Sealed: its
+/// hooks live on a supertrait this crate does not export, so only the
+/// diagonal tree's `Diag` (behind [`crate::MetablockTree`]) and the 3-sided
+/// tree's `ThreeSided` (behind [`crate::ThreeSidedTree`]) implement it and
+/// only [`Tree`] calls them; everything else about a tree is [`Tree`]'s,
+/// written once.
+pub trait Shape: sealed::Hooks {}
 
-/// What one metablock tree does differently from the other. Sealed:
-/// implemented only by the diagonal tree's `Diag` (behind
-/// [`crate::MetablockTree`]) and the 3-sided tree's `ThreeSided` (behind
-/// [`crate::ThreeSidedTree`]); everything else about a tree is
-/// [`Tree`]'s, written once.
-pub trait Shape: sealed::Sealed + Copy + Debug + Default {
-    /// The query organisation over a metablock's mains and over a TD.
-    type Org: Debug;
-    /// A metablock's sibling-snapshot members.
-    type Sib: Clone + Debug + Default;
+pub(crate) mod sealed {
+    use super::*;
 
-    /// Check that `p` may be stored (the diagonal tree's `y ≥ x`).
-    fn admit(&self, _p: &Point) {}
+    /// The hooks behind [`Shape`], each keeping its tree's billing.
+    pub trait Hooks: Copy + Debug + Default {
+        /// The query organisation over a metablock's mains and over a TD.
+        type Org: Debug;
+        /// A metablock's sibling-snapshot members.
+        type Sib: Clone + Debug + Default;
 
-    /// Every point of `org`, x-sorted, billed as the shape bills a read of
-    /// the whole structure.
-    fn collect_org(t: &Tree<Self>, org: &Self::Org) -> SortedRun;
+        /// Check that `p` may be stored (the diagonal tree's `y ≥ x`).
+        fn admit(&self, _p: &Point) {}
 
-    /// Release the point-store pages `org` owns (a PST owns its own, which
-    /// go with its last handle).
-    fn free_org(_store: &mut TypedStore<Point>, _org: &Self::Org) {}
+        /// Every point of `org`, x-sorted, billed as the shape bills a read
+        /// of the whole structure.
+        fn collect_org(t: &Tree<Self>, org: &Self::Org) -> SortedRun;
 
-    /// Point `slot` at a TD organisation over `pts` (`None` when empty).
-    fn build_td_org(t: &mut Tree<Self>, slot: &mut Option<Arc<Self::Org>>, pts: SortedRun);
+        /// Release the point-store pages `org` owns (a PST owns its own,
+        /// which go with its last handle).
+        fn free_org(_store: &mut TypedStore<Point>, _org: &Self::Org) {}
 
-    /// Point `m.org` at an organisation over `by_x`, the mains `m`'s
-    /// blockings were just rebuilt over.
-    fn build_main_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, by_x: &SortedRun);
+        /// Point `slot` at a TD organisation over `pts` (`None` when empty).
+        fn build_td_org(t: &mut Tree<Self>, slot: &mut Option<Arc<Self::Org>>, pts: SortedRun);
 
-    /// Release the point-store pages of a metablock's sibling snapshots.
-    fn free_sib(store: &mut TypedStore<Point>, sib: &Self::Sib);
+        /// Point `m.org` at an organisation over `by_x`, the mains `m`'s
+        /// blockings were just rebuilt over.
+        fn build_main_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, by_x: &SortedRun);
 
-    /// Rebuild the sibling snapshots of `parent`'s children from their
-    /// y-descending `snapshots`, one per child in slab order.
-    fn install_snapshots(t: &mut Tree<Self>, parent: MbId, snapshots: Vec<Vec<Point>>);
+        /// Release the point-store pages of a metablock's sibling snapshots.
+        fn free_sib(store: &mut TypedStore<Point>, sib: &Self::Sib);
 
-    /// Statically build the subtree over `pts` responsible for `[lo, hi)`;
-    /// returns its root, the root's mains (y-descending) and the largest
-    /// `(y, id)` below the root.
-    fn build_slab(
-        t: &mut Tree<Self>,
-        pts: SortedRun,
-        lo: Key,
-        hi: Key,
-    ) -> (MbId, Vec<Point>, Option<Key>);
+        /// Rebuild the sibling snapshots of `parent`'s children from their
+        /// y-descending `snapshots`, one per child in slab order.
+        fn install_snapshots(t: &mut Tree<Self>, parent: MbId, snapshots: Vec<Vec<Point>>);
 
-    /// A leaf metablock over `mains`, not yet allocated.
-    fn leaf(t: &mut Tree<Self>, mains: &SortedRun) -> MetaBlock<Self>;
+        /// Statically build the subtree over `pts` responsible for
+        /// `[lo, hi)`; returns its root, the root's mains (y-descending) and
+        /// the largest `(y, id)` below the root.
+        fn build_slab(
+            t: &mut Tree<Self>,
+            pts: SortedRun,
+            lo: Key,
+            hi: Key,
+        ) -> (MbId, Vec<Point>, Option<Key>);
 
-    /// Pages held outside the point store, beside one control block per
-    /// metablock.
-    fn aux_pages(_t: &Tree<Self>) -> usize {
-        0
+        /// Pages held outside the point store, beside one control block per
+        /// metablock.
+        fn aux_pages(_t: &Tree<Self>) -> usize {
+            0
+        }
     }
 }
 
@@ -620,7 +619,7 @@ pub trait Shape: sealed::Sealed + Copy + Debug + Default {
 /// ([`crate::MetablockTree`]) or the 3-sided tree of §4
 /// ([`crate::ThreeSidedTree`]).
 #[derive(Debug)]
-pub struct Tree<S: Shape> {
+pub struct Tree<S: sealed::Hooks> {
     pub(crate) geo: Geometry,
     pub(crate) counter: IoCounter,
     pub(crate) store: TypedStore<Point>,

@@ -76,7 +76,9 @@
 
 use ccix_extmem::{Point, SortedRun};
 
-use super::{append_buffered, entry_mut, mark_dirty, td_mut, Bill, MbId, ReadCtx, Shape, Tree};
+use super::{
+    append_buffered, entry_mut, mark_dirty, td_mut, Bill, MbId, MetaBlock, ReadCtx, Shape, Tree,
+};
 use crate::Op;
 
 /// Reorganisation triggers observed while buffering one insert or one
@@ -247,7 +249,10 @@ impl<S: Shape> Tree<S> {
 
     /// Allocate a leaf metablock over `mains`.
     pub(super) fn make_leaf(&mut self, mains: &SortedRun) -> MbId {
-        let meta = S::leaf(self, mains);
+        let mut by_y = mains.to_vec();
+        ccix_extmem::sort_by_y_desc(&mut by_y);
+        let mut meta = MetaBlock::new(&mut self.store, mains, &by_y, Vec::new(), false);
+        S::build_main_org(self, &mut meta, mains);
         self.alloc_meta(meta)
     }
 

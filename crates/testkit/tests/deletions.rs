@@ -25,7 +25,7 @@
 use ccix_class::{
     ClassIndex, FullExtentBaseline, RakeClassIndex, RangeTreeClassIndex, SingleIndexBaseline,
 };
-use ccix_core::{MetablockTree, Op, ReorgCounts, ThreeSidedTree, Tuning};
+use ccix_core::{MetablockTree, Op, ReorgCounts, Shape, ThreeSidedTree, Tree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point};
 use ccix_interval::{EndpointMode, IndexBuilder, IntervalOptions};
 use ccix_testkit::iocheck::IoProbe;
@@ -440,81 +440,13 @@ fn shrink_bounds_space_under_delete_floods() {
     );
 }
 
-/// The write surface both trees share, for the pinned flood below.
-trait WriteSurface {
-    fn ins(&mut self, p: Point);
-    fn del(&mut self, p: Point);
-    fn del_batch(&mut self, pts: &[Point]);
-    fn apply(&mut self, ops: &[Op]);
-    fn flush(&mut self);
-    fn mid_job(&self) -> bool;
-    fn fired(&self) -> ReorgCounts;
-    fn height(&self) -> usize;
-    fn pages(&self) -> usize;
-    fn pending(&self) -> usize;
-    /// A fixed query batch's answers, in slot order.
-    fn answers(&self) -> Vec<Vec<Point>>;
-    fn check(&self);
-}
-
-macro_rules! write_surface {
-    ($t:ty, |$tree:ident| $answers:expr) => {
-        impl WriteSurface for $t {
-            fn ins(&mut self, p: Point) {
-                self.insert(p)
-            }
-            fn del(&mut self, p: Point) {
-                self.delete(p)
-            }
-            fn del_batch(&mut self, pts: &[Point]) {
-                self.delete_batch(pts)
-            }
-            fn apply(&mut self, ops: &[Op]) {
-                self.apply_batch(ops)
-            }
-            fn flush(&mut self) {
-                self.flush_reorgs()
-            }
-            fn mid_job(&self) -> bool {
-                self.reorg_in_progress()
-            }
-            fn fired(&self) -> ReorgCounts {
-                self.reorgs_fired()
-            }
-            fn height(&self) -> usize {
-                self.stats().height
-            }
-            fn pages(&self) -> usize {
-                self.space_pages()
-            }
-            fn pending(&self) -> usize {
-                self.pending_deletes()
-            }
-            fn answers(&self) -> Vec<Vec<Point>> {
-                let $tree = self;
-                $answers
-            }
-            fn check(&self) {
-                self.validate_unbilled();
-            }
-        }
-    };
-}
-
-write_surface!(MetablockTree, |t| t
-    .query_batch(&(0..40).map(|i| 60 * i).collect::<Vec<_>>()));
-write_surface!(ThreeSidedTree, |t| t.query_batch(
-    &(0..40)
-        .map(|i| (60 * i, 60 * i + 300, 7 * i))
-        .collect::<Vec<_>>()
-));
-
 /// Seeded flood through every write entry point — single inserts and
 /// deletes, `delete_batch`, `apply_batch` — then a drain that trips the
-/// occupancy shrink, with writes still arriving while it runs. Deletes
-/// only ever name points of earlier rounds, so every batch is independent.
-/// Returns the tallest height seen and whether a shrink job was seen.
-fn pinned_flood(tree: &mut impl WriteSurface, seed: u64) -> (usize, bool) {
+/// occupancy shrink, with writes still arriving while it runs, and a
+/// flush of the deferred work. Deletes only ever name points of earlier
+/// rounds, so every batch is independent. Returns whether a shrink job was
+/// seen in flight.
+fn pinned_flood<S: Shape>(tree: &mut Tree<S>, seed: u64) -> bool {
     let mut rng = DetRng::new(seed);
     let mut next = 0u64;
     let mut fresh = |rng: &mut DetRng| {
@@ -522,7 +454,7 @@ fn pinned_flood(tree: &mut impl WriteSurface, seed: u64) -> (usize, bool) {
         next += 1;
         Point::new(x, x + rng.gen_range(0..400i64), next)
     };
-    let (mut live, mut height, mut saw_job) = (Vec::new(), 0, false);
+    let (mut live, mut saw_job) = (Vec::new(), false);
     for round in 0..80 {
         let ins: Vec<Point> = (0..40).map(|_| fresh(&mut rng)).collect();
         let dels: Vec<Point> = (0..4.min(live.len()))
@@ -530,22 +462,21 @@ fn pinned_flood(tree: &mut impl WriteSurface, seed: u64) -> (usize, bool) {
             .collect();
         match round % 3 {
             0 => {
-                ins.iter().for_each(|&p| tree.ins(p));
-                dels.iter().for_each(|&p| tree.del(p));
+                ins.iter().for_each(|&p| tree.insert(p));
+                dels.iter().for_each(|&p| tree.delete(p));
             }
             1 => {
-                ins.iter().for_each(|&p| tree.ins(p));
-                tree.del_batch(&dels);
+                ins.iter().for_each(|&p| tree.insert(p));
+                tree.delete_batch(&dels);
             }
             _ => {
                 let mut ops: Vec<Op> = ins.iter().map(|&p| Op::Insert(p)).collect();
                 ops.extend(dels.iter().map(|&p| Op::Delete(p)));
-                tree.apply(&ops);
+                tree.apply_batch(&ops);
             }
         }
         live.extend(ins);
-        height = height.max(tree.height());
-        saw_job |= tree.mid_job();
+        saw_job |= tree.reorg_in_progress();
     }
     // Drain ≈ 70 %, in batches and singles, with inserts in between.
     for round in 0..44 {
@@ -553,18 +484,17 @@ fn pinned_flood(tree: &mut impl WriteSurface, seed: u64) -> (usize, bool) {
             .map(|_| live.swap_remove(rng.gen_range(0..live.len())))
             .collect();
         if round % 2 == 0 {
-            tree.del_batch(&dels);
+            tree.delete_batch(&dels);
         } else {
-            dels.iter().for_each(|&p| tree.del(p));
+            dels.iter().for_each(|&p| tree.delete(p));
         }
         let ins: Vec<Point> = (0..5).map(|_| fresh(&mut rng)).collect();
-        ins.iter().for_each(|&p| tree.ins(p));
+        ins.iter().for_each(|&p| tree.insert(p));
         live.extend(ins);
-        saw_job |= tree.mid_job();
+        saw_job |= tree.reorg_in_progress();
     }
-    tree.flush();
-    tree.check();
-    (height, saw_job)
+    tree.flush_reorgs();
+    saw_job
 }
 
 /// The write path's exact bill on both trees, pinned before their write
@@ -597,32 +527,34 @@ fn write_path_bills_are_pinned_on_both_trees() {
             shard_threads: 1,
             reorg_pages_per_op: k,
         };
-        let (geo, counter) = (Geometry::new(4), IoCounter::new());
+        let (geo, counter, seed) = (Geometry::new(4), IoCounter::new(), 0x9177_0000 + k as u64);
         let ctx = format!("3-sided={three_sided} k={k}");
-        let got = if three_sided {
+        let (saw_job, fired, bill, answers) = if three_sided {
             let mut tree = ThreeSidedTree::new_tuned(geo, counter.clone(), tuning);
-            let (height, saw_job) = pinned_flood(&mut tree, 0x9177_0000 + k as u64);
+            let saw_job = pinned_flood(&mut tree, seed);
+            tree.validate_unbilled();
             let bill = (
                 counter.reads(),
                 counter.writes(),
-                tree.pages(),
-                tree.pending(),
+                tree.space_pages(),
+                tree.pending_deletes(),
             );
-            (height, saw_job, tree.fired(), bill, tree.answers())
+            let qs: Vec<_> = (0..40).map(|i| (60 * i, 60 * i + 300, 7 * i)).collect();
+            (saw_job, tree.reorgs_fired(), bill, tree.query_batch(&qs))
         } else {
             let mut tree =
                 MetablockTree::new_tuned(geo, counter.clone(), Default::default(), tuning);
-            let (height, saw_job) = pinned_flood(&mut tree, 0x9177_0000 + k as u64);
+            let saw_job = pinned_flood(&mut tree, seed);
+            tree.validate_unbilled();
             let bill = (
                 counter.reads(),
                 counter.writes(),
-                tree.pages(),
-                tree.pending(),
+                tree.space_pages(),
+                tree.pending_deletes(),
             );
-            (height, saw_job, tree.fired(), bill, tree.answers())
+            let qs: Vec<_> = (0..40).map(|i| 60 * i).collect();
+            (saw_job, tree.reorgs_fired(), bill, tree.query_batch(&qs))
         };
-        let (height, saw_job, fired, bill, answers) = got;
-        assert!(height >= 3, "{ctx}: no branching split grew the tree");
         assert_eq!(saw_job, k > 0, "{ctx}: shrink ran as a background job");
         let ReorgCounts {
             level_i,
