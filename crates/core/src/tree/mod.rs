@@ -249,8 +249,8 @@ pub(crate) struct ChildEntry {
     /// Largest `(y, id)` among points strictly below the child metablock.
     /// The routing invariant keeps this below the child's `y_lo_main`.
     pub sub_yhi: Option<Key>,
-    /// Packed control information about the child (PR 3); empty defaults
-    /// when packing is disabled ([`Tuning::pack_top_points`] = 0).
+    /// Packed control information about the child; empty defaults when
+    /// packing is disabled ([`Tuning::pack_h_pages`] = 0).
     pub packed: PackedInfo,
 }
 
