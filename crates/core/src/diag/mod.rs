@@ -490,6 +490,10 @@ mod tests {
     #[test]
     fn writes_after_a_fork_copy_only_the_control_blocks_they_touch() {
         writes_copy_only_the_control_blocks_they_touch(MetablockTree::shared());
+    }
+
+    #[test]
+    fn a_three_sided_fork_copies_only_the_control_blocks_its_writes_touch() {
         writes_copy_only_the_control_blocks_they_touch(ThreeSidedTree::shared());
     }
 }
