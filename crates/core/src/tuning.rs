@@ -116,13 +116,16 @@ pub struct Tuning {
     pub build_threads: usize,
     /// Threads for **shard-level fan-out** in the sharded interval index
     /// (`ccix-interval`'s `ShardedIntervalIndex`): batched queries, flood
-    /// applies and bulk builds split into per-shard tasks that fan out over
-    /// [`crate::par::run_parallel`]. `0` means "use the machine's available
-    /// parallelism"; `1` runs the shards strictly sequentially, in shard
-    /// order, on the calling thread — the bit-identical-to-unsharded
-    /// fallback. Each shard charges its own striped counter from whichever
-    /// thread runs it, so the knob never changes an I/O count, only wall
-    /// clock.
+    /// applies and bulk builds split into per-shard tasks, at most this many
+    /// groups of them at once. Stab batches, one per request, go to the
+    /// long-lived helpers of [`crate::par::run_pooled`]; bulk builds and
+    /// writes from `FAN_OUT_MIN_OPS` operations up, rare and long, borrow
+    /// their shards on scoped threads ([`crate::par::run_parallel`]). `0`
+    /// means "use the machine's available parallelism"; `1` runs the shards
+    /// strictly sequentially, in shard order, on the calling thread — the
+    /// bit-identical-to-unsharded fallback. Each shard charges its own
+    /// striped counter from whichever thread runs it, so the knob never
+    /// changes an I/O count, only wall clock.
     pub shard_threads: usize,
 }
 
@@ -200,19 +203,19 @@ impl Tuning {
     }
 
     /// Effective thread count for build planning: `build_threads`, with `0`
-    /// resolved to the machine's available parallelism.
+    /// resolved to the machine's available parallelism ([`crate::par::cores`]).
     pub fn effective_build_threads(&self) -> usize {
         match self.build_threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            0 => crate::par::cores(),
             t => t,
         }
     }
 
     /// Effective thread count for shard fan-out: `shard_threads`, with `0`
-    /// resolved to the machine's available parallelism.
+    /// resolved to the machine's available parallelism ([`crate::par::cores`]).
     pub fn effective_shard_threads(&self) -> usize {
         match self.shard_threads {
-            0 => std::thread::available_parallelism().map_or(1, usize::from),
+            0 => crate::par::cores(),
             t => t,
         }
     }

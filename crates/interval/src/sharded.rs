@@ -24,25 +24,34 @@
 //! **Fan-out.** Batched operations (`stab_batch*`, `apply_batch`,
 //! [`ShardedIntervalIndex::apply_submissions`], bulk build) partition their
 //! work into per-shard sub-batches — each preserving input order — and fan
-//! out over [`ccix_core::par::run_parallel`] with the
-//! [`Tuning::shard_threads`] budget. Results are gathered in shard order,
-//! so output is identical for every thread count; every shard charges its
-//! own counter no matter which thread runs it, so I/O totals are
-//! thread-invariant too. With one shard (and `shard_threads = 1`) every
-//! code path degenerates to the unsharded index: same structure, same
-//! bytes, same I/O counts.
+//! out with the [`Tuning::shard_threads`] budget. Results are gathered in
+//! shard order, so output is identical for every thread count; every shard
+//! charges its own counter no matter which thread runs it, so I/O totals
+//! are thread-invariant too. With one shard (and `shard_threads = 1`)
+//! every code path degenerates to the unsharded index: same structure,
+//! same bytes, same I/O counts.
 //!
-//! **The write path fans out only when the work pays for the threads.** A
-//! scoped worker costs a spawn and a join, tens of microseconds each; a
-//! routed write costs one to three. Writes that route fewer than
-//! [`FAN_OUT_MIN_OPS`] operations therefore run shard by shard on the
-//! calling thread, whatever the thread budget — same shards, same order,
-//! same bills, only no threads. Stab batches always fan out: their
-//! per-shard work is an order of magnitude above the hand-off.
+//! **Per-request fan-out reuses threads; one-off work borrows new ones.**
+//! A spawn and a join cost tens of microseconds each, as much as a shard's
+//! share of a 64-point stab batch. Stab batches therefore go to the
+//! long-lived helpers of [`ccix_core::par::run_pooled`]: the directory
+//! holds its shards as `Arc`s, each consulted shard's sub-batch travels as
+//! a `'static` task with a handle to its shard, and the calling thread
+//! answers the first group itself. A helper drops its handles before it
+//! replies, so a write — which needs `&mut self` and so cannot overlap a
+//! stab batch on the same directory — always finds every shard unshared.
+//! Bulk builds, `flush_reorgs` and writes of at least [`FAN_OUT_MIN_OPS`]
+//! routed operations borrow their shards on scoped threads
+//! ([`ccix_core::par::run_parallel`]); they are rare and long. Smaller
+//! writes (a routed write costs one to three microseconds) run shard by
+//! shard on the calling thread, whatever the thread budget — same shards,
+//! same order, same bills, only no threads.
 //!
 //! [`Tuning::shard_threads`]: ccix_core::Tuning::shard_threads
 
-use ccix_core::par::run_parallel;
+use std::sync::Arc;
+
+use ccix_core::par::{run_parallel, run_pooled};
 use ccix_extmem::{Geometry, IoCounter, IoSnapshot};
 
 use crate::builder::IndexBuilder;
@@ -156,8 +165,8 @@ impl ShardedBuilder {
     /// Open an empty sharded index. Each shard gets its own fresh
     /// [`IoCounter`].
     pub fn open(&self) -> ShardedIntervalIndex {
-        let shards: Vec<IntervalIndex> = (0..=self.splits.len())
-            .map(|_| self.inner.open(IoCounter::new()))
+        let shards: Vec<Arc<IntervalIndex>> = (0..=self.splits.len())
+            .map(|_| Arc::new(self.inner.open(IoCounter::new())))
             .collect();
         let max_hi = initial_max_hi(shards.len());
         ShardedIntervalIndex {
@@ -198,7 +207,10 @@ impl ShardedBuilder {
                 move |_inner: usize| builder.bulk(IoCounter::new(), &part)
             })
             .collect();
-        let shards = run_parallel(tasks, budget);
+        let shards = run_parallel(tasks, budget)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         ShardedIntervalIndex {
             splits: self.splits.clone(),
             shards,
@@ -236,6 +248,17 @@ fn gather<T>(n: usize, parts: Vec<(Vec<usize>, Vec<Vec<T>>)>, outs: &mut Vec<Vec
     }
 }
 
+/// The shard behind `handle`, for writing. A stab fan-out lends each
+/// consulted shard to the helpers as an `Arc` clone, and every helper drops
+/// its clones before it replies, so once the fan-out returns the directory
+/// is again the only owner of every shard.
+fn unshared(handle: &mut Arc<IntervalIndex>) -> &mut IntervalIndex {
+    Arc::get_mut(handle).expect(RETURNED)
+}
+
+/// The invariant a writer's `expect` on an unshared shard relies on.
+const RETURNED: &str = "a stab fan-out's helpers drop their shard handles before replying";
+
 /// Per-shard routing bounds at construction. A single-shard directory is a
 /// pure pass-through — its bound is pinned at `i64::MAX` so it never
 /// prunes, keeping every operation (and every I/O count) identical to the
@@ -261,7 +284,9 @@ pub struct ShardedIntervalIndex {
     /// `K − 1` ascending split keys; shard `i` owns `lo ∈ [splits[i−1],
     /// splits[i])`.
     splits: Vec<i64>,
-    shards: Vec<IntervalIndex>,
+    /// Shared only with a stab fan-out's helpers, and only until it returns
+    /// (see [`unshared`]).
+    shards: Vec<Arc<IntervalIndex>>,
     /// Per-shard monotone upper bound on stored `hi` (never lowered on
     /// delete; `i64::MIN` while a shard has never held an interval).
     max_hi: Vec<i64>,
@@ -278,7 +303,7 @@ impl ShardedIntervalIndex {
             splits: Vec::new(),
             max_hi: vec![i64::MAX],
             len: index.len(),
-            shards: vec![index],
+            shards: vec![Arc::new(index)],
         }
     }
 
@@ -322,8 +347,8 @@ impl ShardedIntervalIndex {
     }
 
     /// The shards, in x-range order.
-    pub fn shards(&self) -> &[IntervalIndex] {
-        &self.shards
+    pub fn shards(&self) -> impl ExactSizeIterator<Item = &IntervalIndex> + '_ {
+        self.shards.iter().map(|s| &**s)
     }
 
     /// Give up the directory and return the shards, in x-range order. The
@@ -331,6 +356,9 @@ impl ShardedIntervalIndex {
     /// [`IntervalIndex`] on shutdown.
     pub fn into_shards(self) -> Vec<IntervalIndex> {
         self.shards
+            .into_iter()
+            .map(|s| Arc::into_inner(s).expect(RETURNED))
+            .collect()
     }
 
     /// Total number of intervals stored across all shards.
@@ -372,7 +400,7 @@ impl ShardedIntervalIndex {
 
     /// Whether the shards mirror their pages onto real files.
     pub fn is_file_backed(&self) -> bool {
-        self.shards.iter().any(IntervalIndex::is_file_backed)
+        self.shards().any(IntervalIndex::is_file_backed)
     }
 
     /// `(cold, warm)` charged-read counts summed over every shard's file
@@ -417,7 +445,10 @@ impl ShardedIntervalIndex {
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
-            .map(|shard| move |_inner: usize| shard.flush_reorgs())
+            .map(|shard| {
+                let shard = unshared(shard);
+                move |_inner: usize| shard.flush_reorgs()
+            })
             .collect();
         run_parallel(tasks, budget);
     }
@@ -435,6 +466,7 @@ impl ShardedIntervalIndex {
             .zip(with_debt)
             .filter(|(_, debt)| *debt)
             .map(|(shard, _)| {
+                let shard = unshared(shard);
                 move |_inner: usize| {
                     for _ in 0..slices {
                         if !shard.pump_reorg_step() {
@@ -457,7 +489,7 @@ impl ShardedIntervalIndex {
             shards: self
                 .shards
                 .iter()
-                .map(|s| s.fork_snapshot(counter.clone()))
+                .map(|s| Arc::new(s.fork_snapshot(counter.clone())))
                 .collect(),
             max_hi: self.max_hi.clone(),
             len: self.len,
@@ -468,7 +500,7 @@ impl ShardedIntervalIndex {
     pub fn insert(&mut self, lo: i64, hi: i64, id: u64) {
         let s = self.shard_of(lo);
         self.max_hi[s] = self.max_hi[s].max(hi);
-        self.shards[s].insert(lo, hi, id);
+        unshared(&mut self.shards[s]).insert(lo, hi, id);
         self.len += 1;
     }
 
@@ -477,7 +509,7 @@ impl ShardedIntervalIndex {
     /// deliberately not lowered — see the module source docs.
     pub fn delete(&mut self, lo: i64, hi: i64, id: u64) {
         let s = self.shard_of(lo);
-        self.shards[s].delete(lo, hi, id);
+        unshared(&mut self.shards[s]).delete(lo, hi, id);
         self.len -= 1;
     }
 
@@ -497,7 +529,10 @@ impl ShardedIntervalIndex {
             .iter_mut()
             .zip(per)
             .filter(|(_, part)| !part.is_empty())
-            .map(|(shard, part)| move |_inner: usize| shard.delete_batch(&part))
+            .map(|(shard, part)| {
+                let shard = unshared(shard);
+                move |_inner: usize| shard.delete_batch(&part)
+            })
             .collect();
         run_parallel(tasks, budget);
     }
@@ -515,7 +550,10 @@ impl ShardedIntervalIndex {
             .iter_mut()
             .zip(per)
             .filter(|(_, part)| !part.is_empty())
-            .map(|(shard, part)| move |_inner: usize| shard.apply_batch(&part))
+            .map(|(shard, part)| {
+                let shard = unshared(shard);
+                move |_inner: usize| shard.apply_batch(&part)
+            })
             .collect();
         run_parallel(tasks, budget);
     }
@@ -577,6 +615,7 @@ impl ShardedIntervalIndex {
             .zip(with_debt)
             .filter(|((_, floods), debt)| !floods.is_empty() || *debt)
             .map(|((shard, floods), _)| {
+                let shard = unshared(shard);
                 move |_inner: usize| {
                     for flood in &floods {
                         shard.apply_batch(flood);
@@ -648,12 +687,12 @@ impl ShardedIntervalIndex {
     }
 
     /// Split a stab flood into per-shard sub-batches, answer each with
-    /// `stab` in parallel, and return `(input slots, per-slot answers)` per
-    /// consulted shard, in shard order.
-    fn fan_out_stabs<T: Send>(
+    /// `stab` on the fan-out helpers, and return `(input slots, per-slot
+    /// answers)` per consulted shard, in shard order.
+    fn fan_out_stabs<T: Send + 'static>(
         &self,
         qs: &[i64],
-        stab: impl Fn(&IntervalIndex, &[i64]) -> Vec<Vec<T>> + Sync,
+        stab: impl Fn(&IntervalIndex, &[i64]) -> Vec<Vec<T>> + Copy + Send + 'static,
     ) -> Vec<(Vec<usize>, Vec<Vec<T>>)> {
         let k = self.shards.len();
         let mut slots: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -665,18 +704,17 @@ impl ShardedIntervalIndex {
             }
         }
         let budget = self.budget();
-        let stab = &stab;
         let tasks: Vec<_> = subs
             .into_iter()
             .enumerate()
             .filter(|(_, sub)| !sub.is_empty())
             .map(|(s, sub)| {
-                let shard = &self.shards[s];
-                (s, move |_inner: usize| stab(shard, &sub))
+                let shard = Arc::clone(&self.shards[s]);
+                (s, move || stab(&shard, &sub))
             })
             .collect();
         let (order, tasks): (Vec<usize>, Vec<_>) = tasks.into_iter().unzip();
-        let results = run_parallel(tasks, budget);
+        let results = run_pooled(tasks, budget);
         order
             .into_iter()
             .zip(results)

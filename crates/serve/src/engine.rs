@@ -116,7 +116,12 @@ impl Snapshot {
     /// The epoch's own I/O counter, shared by every shard of the snapshot
     /// (reader traffic never pollutes the writer's accounting).
     pub fn counter(&self) -> &IoCounter {
-        self.0.index.shards()[0].counter()
+        self.0
+            .index
+            .shards()
+            .next()
+            .expect("a directory has a shard")
+            .counter()
     }
 
     /// Number of shards behind this snapshot (1 for an unsharded engine).

@@ -260,7 +260,7 @@ fn writes_below_at_and_above_the_fan_out_constant_match_sequential() {
                     "ids ({context})"
                 );
                 assert_eq!(sequential.len(), fanned.len(), "len ({context})");
-                for (s, (a, b)) in sequential.shards().iter().zip(fanned.shards()).enumerate() {
+                for (s, (a, b)) in sequential.shards().zip(fanned.shards()).enumerate() {
                     assert_eq!(
                         a.counter().snapshot(),
                         b.counter().snapshot(),
@@ -363,7 +363,6 @@ fn cold_shards_stay_untouched_under_hot_traffic() {
         idx.apply_batch(&ops);
         let cold_before: Vec<u64> = idx
             .shards()
-            .iter()
             .map(|s| s.counter().snapshot().total())
             .collect();
         // Hot-only stabbing flood, batched and single.
@@ -373,7 +372,7 @@ fn cold_shards_stay_untouched_under_hot_traffic() {
         }
         let qs: Vec<i64> = (0..64).map(|_| rng.gen_range(hot_lo..hot_hi)).collect();
         std::hint::black_box(idx.stab_batch(&qs));
-        for (s, (shard, before)) in idx.shards().iter().zip(&cold_before).enumerate() {
+        for (s, (shard, before)) in idx.shards().zip(&cold_before).enumerate() {
             if s != hot {
                 assert_eq!(
                     shard.counter().snapshot().total(),
@@ -383,6 +382,181 @@ fn cold_shards_stay_untouched_under_hot_traffic() {
             }
         }
         // And the whole flood really lives in the hot shard.
-        assert_eq!(idx.shards()[hot].len(), n, "all ops routed to hot shard");
+        assert_eq!(
+            idx.shards().nth(hot).expect("hot shard").len(),
+            n,
+            "all ops routed to hot shard"
+        );
     });
+}
+
+/// Readers of a fork and the owner of the live index share the fan-out
+/// helpers: four threads answer stab batches on one fork while the owner
+/// keeps applying to, and stabbing, the live index. Every answer on either
+/// side equals the oracle's over that side's live set.
+#[test]
+fn fork_readers_and_live_writes_share_the_helpers() {
+    check::trials("sharded::fork_readers", 4, 0x5AAD6, |rng| {
+        let geo = Geometry::new(rng.gen_range(4usize..9));
+        let range = 2_000i64;
+        let base = workloads::uniform_intervals(600, rng.next_u64(), range, 200);
+        let fresh: Vec<Interval> = workloads::uniform_intervals(400, rng.next_u64(), range, 200)
+            .into_iter()
+            .map(|iv| Interval::new(iv.lo, iv.hi, 1_000_000 + iv.id))
+            .collect();
+        let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+        let mut idx = IndexBuilder::new(geo)
+            .tuning(Tuning {
+                shard_threads: 2,
+                ..Tuning::default()
+            })
+            .sharded()
+            .splits_from_sample(&sample, 3)
+            .bulk(&base);
+        let fork = idx.fork_snapshot(ccix_extmem::IoCounter::new());
+        let reader_seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        let mut live = base.clone();
+        std::thread::scope(|scope| {
+            for seed in reader_seeds {
+                let (fork, frozen) = (&fork, &base);
+                scope.spawn(move || {
+                    for round in 0..50 {
+                        let qs = workloads::uniform_flood(32, seed + round, range);
+                        for (q, ids) in qs.iter().zip(fork.stab_batch(&qs)) {
+                            let want = oracle::stabbing_ids(frozen, *q);
+                            oracle::assert_same_ids(ids, want, "fork reader vs oracle");
+                        }
+                    }
+                });
+            }
+            for (arrivals, victims) in fresh.chunks(4).zip(base.chunks(4)) {
+                let mut ops: Vec<IntervalOp> = Vec::new();
+                for &iv in arrivals {
+                    ops.push(IntervalOp::Insert(iv));
+                    live.push(iv);
+                }
+                for &iv in victims {
+                    ops.push(IntervalOp::Delete(iv));
+                    oracle::remove_interval(&mut live, iv.id);
+                }
+                idx.apply_batch(&ops);
+                let qs = workloads::uniform_flood(16, rng.next_u64(), range);
+                for (q, ids) in qs.iter().zip(idx.stab_batch(&qs)) {
+                    let want = oracle::stabbing_ids(&live, *q);
+                    oracle::assert_same_ids(ids, want, "live owner vs oracle");
+                }
+            }
+        });
+    });
+}
+
+/// A helper drops its shard handles before it replies: stab batches and
+/// writes alternate 10 000 times on one live 2-shard index, and every write
+/// finds both shards unshared (it panics on a shard a helper still holds).
+#[test]
+fn stab_batches_and_writes_alternate_on_a_live_index() {
+    let mut rng = DetRng::new(0x5AAD7);
+    let range = 1_000i64;
+    let base = workloads::uniform_intervals(200, rng.next_u64(), range, 100);
+    let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+    let mut idx = IndexBuilder::new(Geometry::new(4))
+        .tuning(Tuning {
+            shard_threads: 2,
+            ..Tuning::default()
+        })
+        .sharded()
+        .splits_from_sample(&sample, 2)
+        .bulk(&base);
+    assert_eq!(idx.num_shards(), 2);
+    let mut live = base;
+    for round in 0..10_000u64 {
+        let qs: Vec<i64> = (0..8).map(|_| rng.gen_range(0..range)).collect();
+        let answers = idx.stab_batch(&qs);
+        if round % 500 == 0 {
+            for (q, ids) in qs.iter().zip(answers) {
+                let want = oracle::stabbing_ids(&live, *q);
+                oracle::assert_same_ids(ids, want, "alternating stab vs oracle");
+            }
+        }
+        let lo = rng.gen_range(0..range);
+        let arrival = Interval::new(lo, lo + rng.gen_range(0..100i64), 1_000_000 + round);
+        let victim = live[rng.gen_range(0..live.len())];
+        idx.apply_batch(&[IntervalOp::Insert(arrival), IntervalOp::Delete(victim)]);
+        live.push(arrival);
+        oracle::remove_interval(&mut live, victim.id);
+    }
+    assert_eq!(idx.len(), live.len());
+}
+
+/// After warm-up a stab batch starts no thread. Two witnesses, both read
+/// in a child process of this binary that runs this test alone, since
+/// both are the whole process's:
+/// - `Threads:` in `/proc/self/status` reads the same before and after
+///   1 000 batches, so no thread is added and kept;
+/// - a probe thread spawned after the batches gets a thread id less than
+///   1 000 above one spawned before them, so fewer than 1 000 threads were
+///   created and joined in between (ids are handed out in order).
+#[cfg(target_os = "linux")]
+#[test]
+fn stab_batches_start_no_thread_after_warm_up() {
+    const NAME: &str = "stab_batches_start_no_thread_after_warm_up";
+    const CHILD: &str = "CCIX_SHARDED_THREAD_COUNT_CHILD";
+    const BATCHES: u64 = 1_000;
+    if std::env::var_os(CHILD).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", NAME, "--test-threads=1", "--nocapture"])
+            .env(CHILD, "1")
+            .output()
+            .expect("run this test binary again");
+        assert!(
+            out.status.success(),
+            "child run failed:\n{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let threads = || -> usize {
+        let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+        status
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .and_then(|n| n.trim().parse().ok())
+            .expect("a Threads: line")
+    };
+    let probe_tid = || -> u64 {
+        std::thread::spawn(|| {
+            let link = std::fs::read_link("/proc/thread-self").expect("/proc/thread-self");
+            let tid = link.file_name().expect("pid/task/tid").to_string_lossy();
+            tid.parse().expect("a numeric thread id")
+        })
+        .join()
+        .expect("probe thread")
+    };
+    let range = 4_000i64;
+    let base = workloads::uniform_intervals(2_000, 0x5AAD8, range, 300);
+    let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+    let idx = IndexBuilder::new(Geometry::new(8))
+        .tuning(Tuning {
+            shard_threads: 2,
+            ..Tuning::default()
+        })
+        .sharded()
+        .splits_from_sample(&sample, 2)
+        .bulk(&base);
+    let qs = workloads::uniform_flood(64, 0x5AAD8, range);
+    for _ in 0..10 {
+        std::hint::black_box(idx.stab_batch(&qs));
+    }
+    let (before, first_tid) = (threads(), probe_tid());
+    for _ in 0..BATCHES {
+        std::hint::black_box(idx.stab_batch(&qs));
+    }
+    let (after, last_tid) = (threads(), probe_tid());
+    assert_eq!(after, before, "stab batches added threads");
+    assert!(
+        last_tid - first_tid < BATCHES,
+        "{} threads were created during {BATCHES} stab batches",
+        last_tid - first_tid - 1
+    );
 }
