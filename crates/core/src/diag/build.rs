@@ -402,38 +402,4 @@ mod tests {
         want.sort_unstable();
         assert_eq!(all, want);
     }
-
-    /// The planned build is bit-identical for every thread budget: same
-    /// metablocks, same page counts, same stats.
-    #[test]
-    fn build_is_identical_across_thread_counts() {
-        let geo = Geometry::new(4);
-        let pts: Vec<Point> = (0..3_000)
-            .map(|i| {
-                let x = (i * 37) % 1_000;
-                Point::new(x, x + (i * 13) % 500, i as u64)
-            })
-            .collect();
-        let mut reference: Option<(crate::DiagStats, u64, u64)> = None;
-        for threads in [1usize, 2, 7] {
-            let tuning = crate::Tuning {
-                build_threads: threads,
-                ..crate::Tuning::default()
-            };
-            let counter = IoCounter::new();
-            let tree = MetablockTree::build_tuned(
-                geo,
-                counter.clone(),
-                pts.clone(),
-                super::super::DiagOptions::default(),
-                tuning,
-            );
-            tree.validate_unbilled();
-            let sig = (tree.stats(), counter.reads(), counter.writes());
-            match &reference {
-                None => reference = Some(sig),
-                Some(want) => assert_eq!(&sig, want, "threads={threads}"),
-            }
-        }
-    }
 }

@@ -932,6 +932,137 @@ mod tests {
         assert_eq!(out, answers[..200], "no tombstone: every answer, untouched");
     }
 
+    /// What the static-build pin needs of a tree beyond the skeleton.
+    trait Pinned: Sized {
+        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self;
+        /// `stats()`: metablocks, leaves, height, pages, points, pending
+        /// updates, pending tombstones, snapshot pages, organisation pages.
+        fn stat_row(&self) -> [usize; 9];
+        fn validate(&self) -> Vec<Point>;
+        /// The answers to query `i` of a fixed set over the pinned points.
+        fn answers(&self, i: i64) -> Vec<Point>;
+    }
+
+    impl Pinned for crate::MetablockTree {
+        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
+            let options = crate::DiagOptions::default();
+            Self::build_tuned(Geometry::new(4), counter, pts, options, tuning)
+        }
+        fn stat_row(&self) -> [usize; 9] {
+            let s = self.stats();
+            [
+                s.metablocks,
+                s.leaves,
+                s.height,
+                s.pages,
+                s.points,
+                s.pending_updates,
+                s.pending_tombs,
+                s.ts_pages,
+                s.corner_pages,
+            ]
+        }
+        fn validate(&self) -> Vec<Point> {
+            self.validate_unbilled()
+        }
+        fn answers(&self, i: i64) -> Vec<Point> {
+            self.query(i * 2_500)
+        }
+    }
+
+    impl Pinned for crate::ThreeSidedTree {
+        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
+            Self::build_tuned(Geometry::new(4), counter, pts, tuning)
+        }
+        fn stat_row(&self) -> [usize; 9] {
+            let s = self.stats();
+            let upd = self.metas.iter().map(|m| m.n_upd).sum();
+            let snapshots = self.metas.iter().map(|m| {
+                let sides = [&m.sib.tsl, &m.sib.tsr];
+                sides
+                    .into_iter()
+                    .flatten()
+                    .map(|t| t.pages.len())
+                    .sum::<usize>()
+            });
+            [
+                s.metablocks,
+                s.leaves,
+                s.height,
+                s.pages,
+                s.points,
+                upd,
+                s.pending_tombs,
+                snapshots.sum(),
+                s.pst_pages,
+            ]
+        }
+        fn validate(&self) -> Vec<Point> {
+            self.validate_unbilled()
+        }
+        fn answers(&self, i: i64) -> Vec<Point> {
+            let x1 = i * 2_500;
+            self.query(x1, x1 + 1_000 + i * 500, i * 3_000)
+        }
+    }
+
+    /// FNV-1a over the points' coordinates and ids, in order.
+    fn digest<'a>(pts: impl IntoIterator<Item = &'a Point>) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for p in pts {
+            let words = [p.x as u64, p.y as u64, p.id];
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Build over the pinned points with each thread budget, and check the
+    /// build's bills, its space, its shape, what the validator walks and
+    /// what a fixed query set reports against `want`.
+    fn pin_static_build<S: Shape>(want: ([u64; 3], [usize; 9], [u64; 2]))
+    where
+        Tree<S>: Pinned,
+    {
+        // 40 000 points at B = 4: the root's remainder crosses
+        // `PAR_THRESHOLD`, so the planner fans out under every budget > 1.
+        let pts: Vec<Point> = (0..40_000i64)
+            .map(|i| {
+                let x = (i * 7_919) % 100_000;
+                Point::new(x, x + (i * 104_729) % 50_000, i as u64)
+            })
+            .collect();
+        assert!(pts.len() - Geometry::new(4).b2() >= crate::par::PAR_THRESHOLD);
+        for threads in [1usize, 2, 7] {
+            let tuning = Tuning {
+                build_threads: threads,
+                ..Tuning::default()
+            };
+            let counter = IoCounter::new();
+            let tree = Tree::<S>::build_with(counter.clone(), pts.clone(), tuning);
+            let bills = [counter.reads(), counter.writes(), tree.space_pages() as u64];
+            let contents = digest(&tree.validate());
+            let answers: Vec<Point> = (0..40).flat_map(|i| tree.answers(i)).collect();
+            let got = (bills, tree.stat_row(), [contents, digest(&answers)]);
+            assert_eq!(got, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn static_build_is_pinned_on_both_trees_across_thread_counts() {
+        pin_static_build::<crate::diag::Diag>((
+            [2_047, 35_322, 33_275],
+            [3_413, 2_048, 7, 33_275, 40_000, 0, 0, 7_164, 34],
+            [3_698_331_365_848_775_458, 329_772_800_976_574_055],
+        ));
+        pin_static_build::<crate::threesided::ThreeSided>((
+            [4_777, 78_348, 73_571],
+            [3_413, 2_048, 7, 73_571, 40_000, 0, 0, 14_056, 33_438],
+            [3_698_331_365_848_775_458, 15_431_235_761_966_854_011],
+        ));
+    }
+
     #[test]
     fn retain_from_narrows_only_the_tail() {
         let mut out = answers(10);
