@@ -655,8 +655,8 @@ pub fn e11_structure_shape() -> Vec<Table> {
                 s.leaves.to_string(),
                 s.height.to_string(),
                 s.pages.to_string(),
-                s.ts_pages.to_string(),
-                s.corner_pages.to_string(),
+                s.snapshot_pages.to_string(),
+                s.org_pages.to_string(),
                 format!("{:.2}", s.pages as f64 / geo.out_blocks(n) as f64),
             ]);
         }

@@ -5,26 +5,19 @@
 //! skeleton's ([`crate::tree`]); [`Diag`] plugs in what §3 does
 //! differently from §4 — Lemma 3.1 corner structures over the mains and
 //! the TD, one left-sibling `TS` snapshot per non-first child, and points
-//! on or above the diagonal. Submodules: [`build`] (static construction,
-//! §3.1), [`query`] (the diagonal-corner search of Theorem 3.2 / Fig. 15)
-//! and [`validate`] (unbilled invariant checking and shape statistics for
-//! tests and experiments).
+//! on or above the diagonal. The static build and the validator are the
+//! skeleton's too; the one submodule, [`query`], is the diagonal-corner
+//! search of Theorem 3.2 / Fig. 15.
 
-mod build;
 mod query;
-mod validate;
-
-pub use validate::DiagStats;
-
-pub(crate) use build::{extract_top_y, near_equal_ranges};
 
 use std::sync::Arc;
 
 use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore};
 
-use crate::bbox::Key;
-use crate::corner::CornerStructure;
-use crate::tree::{sealed::Hooks, MbId, MetaBlock, Shape, Tree, TsInfo};
+use crate::bbox::BBox;
+use crate::corner::{CornerPlan, CornerStructure};
+use crate::tree::{sealed::Hooks, MetaBlock, PlanCtx, Shape, SlabPlan, Tree, TsInfo};
 use crate::tuning::Tuning;
 
 /// Ablation switches for the metablock tree's two signature design choices
@@ -60,11 +53,17 @@ pub struct Diag {
     pub(crate) options: DiagOptions,
 }
 
+/// What the static build plans for one diagonal node: its corner
+/// structure, where the region can contain a query corner.
+pub struct NodePlan(Option<CornerPlan>);
+
 impl Shape for Diag {}
 
 impl Hooks for Diag {
     type Org = CornerStructure;
     type Sib = Option<Arc<TsInfo>>;
+    type Plan = NodePlan;
+    const TWO_SIDED: bool = false;
 
     fn admit(&self, p: &Point) {
         assert!(p.y >= p.x, "points must lie on or above the diagonal");
@@ -72,6 +71,14 @@ impl Hooks for Diag {
 
     fn collect_org(t: &MetablockTree, corner: &CornerStructure) -> SortedRun {
         SortedRun::from_sorted(corner.collect_points(&t.store))
+    }
+
+    fn org_points_unbilled(t: &MetablockTree, corner: &CornerStructure) -> Vec<Point> {
+        corner.collect_points_unbilled(&t.store)
+    }
+
+    fn org_pages(corner: &CornerStructure) -> usize {
+        corner.pages()
     }
 
     /// The corner's stage-2 blocking of a metablock is the metablock's own
@@ -114,23 +121,48 @@ impl Hooks for Diag {
         };
     }
 
-    fn free_sib(store: &mut TypedStore<Point>, ts: &Option<Arc<TsInfo>>) {
-        if let Some(ts) = ts {
-            store.free_run(&ts.pages);
+    /// The same rule as [`Hooks::build_main_org`], planned off the store.
+    fn plan_node(
+        ctx: &PlanCtx<Diag>,
+        by_x: &SortedRun,
+        by_y: &[Point],
+        _children: &[SlabPlan<Diag>],
+    ) -> NodePlan {
+        if !ctx.shape.options.corner_structures || by_x.len() <= ctx.geo.b {
+            return NodePlan(None);
         }
+        NodePlan(
+            match (BBox::of_points(by_x), by_y.last().map(Point::ykey)) {
+                (Some(bb), Some(ylo)) if ylo.0 <= bb.xhi.0 => {
+                    Some(CornerPlan::plan(by_x, ctx.geo.b, ctx.tuning.corner_alpha))
+                }
+                _ => None,
+            },
+        )
     }
 
-    fn install_snapshots(t: &mut MetablockTree, parent: MbId, snapshots: Vec<Vec<Point>>) {
-        t.install_ts_snapshots(parent, snapshots);
+    /// The corner structure shares `vertical`.
+    fn materialise_org(t: &mut MetablockTree, m: &mut MetaBlock<Diag>, plan: &mut NodePlan) {
+        m.org = plan
+            .0
+            .take()
+            .map(|cp| Arc::new(cp.materialise(&mut t.store, m.vertical.clone(), false)));
     }
 
-    fn build_slab(
-        t: &mut MetablockTree,
-        pts: SortedRun,
-        lo: Key,
-        hi: Key,
-    ) -> (MbId, Vec<Point>, Option<Key>) {
-        t.build_slab(pts, lo, hi)
+    fn snapshots(ts: &Option<Arc<TsInfo>>) -> [Option<&TsInfo>; 2] {
+        [ts.as_deref(), None]
+    }
+
+    /// The new `TS` run is laid out before the old one is released.
+    fn replace_snapshots(
+        store: &mut TypedStore<Point>,
+        ts: &mut Option<Arc<TsInfo>>,
+        [left, _]: [Option<(&[Point], bool)>; 2],
+    ) {
+        let new = left.map(|(pts, truncated)| Arc::new(TsInfo::alloc(store, pts, truncated)));
+        if let Some(old) = std::mem::replace(ts, new) {
+            store.free_run(&old.pages);
+        }
     }
 }
 
@@ -221,6 +253,57 @@ impl MetablockTree {
     pub fn options(&self) -> DiagOptions {
         self.shape.options
     }
+
+    /// Build a tree over `points` with the paper's design (default options).
+    ///
+    /// # Panics
+    /// Panics if any point has `y < x` or ids repeat.
+    pub fn build(geo: Geometry, counter: IoCounter, points: Vec<Point>) -> Self {
+        Self::build_with(geo, counter, points, DiagOptions::default())
+    }
+
+    /// Build a tree over `points` with explicit ablation options.
+    ///
+    /// # Panics
+    /// Panics if any point has `y < x` or ids repeat.
+    pub fn build_with(
+        geo: Geometry,
+        counter: IoCounter,
+        points: Vec<Point>,
+        options: DiagOptions,
+    ) -> Self {
+        Self::build_tuned(geo, counter, points, options, Tuning::default())
+    }
+
+    /// Build a tree over `points` with explicit ablation options and tuning.
+    ///
+    /// # Panics
+    /// Panics if any point has `y < x` or ids repeat.
+    pub fn build_tuned(
+        geo: Geometry,
+        counter: IoCounter,
+        points: Vec<Point>,
+        options: DiagOptions,
+        tuning: Tuning,
+    ) -> Self {
+        Self::build_tuned_on(&BackendSpec::Model, geo, counter, points, options, tuning)
+    }
+
+    /// [`MetablockTree::build_tuned`] on an explicit page backend (see
+    /// [`MetablockTree::new_tuned_on`]).
+    ///
+    /// # Panics
+    /// Panics if any point has `y < x` or ids repeat.
+    pub fn build_tuned_on(
+        spec: &BackendSpec,
+        geo: Geometry,
+        counter: IoCounter,
+        points: Vec<Point>,
+        options: DiagOptions,
+        tuning: Tuning,
+    ) -> Self {
+        Self::new_tuned_on(spec, geo, counter, options, tuning).bulk_load(points)
+    }
 }
 
 #[cfg(test)]
@@ -230,7 +313,7 @@ mod tests {
     use ccix_extmem::{PageId, Run};
 
     use super::*;
-    use crate::tree::ChildEntry;
+    use crate::tree::{ChildEntry, MbId};
     use crate::ThreeSidedTree;
 
     /// What the structural-sharing checks need of a tree beyond the

@@ -41,11 +41,11 @@
 //! The 3-sided tree is the same anatomy with PSTs in place of corner
 //! structures, two sibling snapshots per child and a children PST per
 //! interior metablock (§4, Fig. 20). So both trees are one generic
-//! `Tree<S>`: the control blocks, the write path, every reorganisation
-//! and the background shrink job are written once, and a sealed `Shape`
-//! (`Diag` or `ThreeSided`) supplies the per-metablock structure, the
-//! sibling snapshots and the static build. Queries and validators stay
-//! per shape.
+//! `Tree<S>`: the control blocks, the write path, every reorganisation,
+//! the background shrink job, the static build, the validator and
+//! [`TreeStats`] are written once, and a sealed `Shape` (`Diag` or
+//! `ThreeSided`) supplies the per-metablock structure, its plan and the
+//! sibling snapshots. Only the queries stay per shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,8 +60,8 @@ mod tree;
 mod tuning;
 
 pub use corner::CornerStructure;
-pub use diag::{DiagOptions, DiagStats, MetablockTree};
+pub use diag::{DiagOptions, MetablockTree};
 pub use op::Op;
-pub use threesided::{ThreeSidedStats, ThreeSidedTree};
-pub use tree::{ReorgCounts, Shape, Tree};
+pub use threesided::ThreeSidedTree;
+pub use tree::{ReorgCounts, Shape, Tree, TreeStats};
 pub use tuning::Tuning;

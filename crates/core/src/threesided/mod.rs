@@ -23,23 +23,20 @@
 //!
 //! Insertions, deletions and every reorganisation are the skeleton's
 //! ([`crate::tree`]) — Lemma 4.4's proof "parallels that of Lemma 3.6" —
-//! with [`ThreeSided`] supplying the PSTs and the two-sided snapshots.
-//! Submodules: [`build`] (static construction), [`query`] (the search of
-//! Lemma 4.3 / Fig. 21) and [`validate`].
+//! with [`ThreeSided`] supplying the PSTs and the two-sided snapshots; so
+//! are the static build and the validator. The one submodule, [`query`],
+//! is the search of Lemma 4.3 / Fig. 21.
 
-mod build;
 mod query;
-mod validate;
-
-pub use validate::ThreeSidedStats;
 
 use std::sync::Arc;
 
 use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore};
-use ccix_pst::ExternalPst;
+use ccix_pst::{ExternalPst, PstPlan};
 
-use crate::bbox::Key;
-use crate::tree::{sealed::Hooks, MbId, MetaBlock, Shape, Tree, TsInfo, SPACE_AUX};
+use crate::tree::{
+    sealed::Hooks, MbId, MetaBlock, PlanCtx, Shape, SlabPlan, Tree, TsInfo, SPACE_AUX,
+};
 
 /// The 3-sided tree's [`Shape`]: Lemma 4.1 PSTs over the mains and the TD,
 /// two sibling snapshots per child and a children PST per interior
@@ -58,16 +55,34 @@ pub struct Sibs {
     pub(crate) children_pst: Option<Arc<ExternalPst>>,
 }
 
+/// What the static build plans for one 3-sided node.
+pub struct NodePlan {
+    /// The Lemma 4.1 PST over the mains (absent for ≤ B mains).
+    pst: Option<PstPlan>,
+    /// Interior only: the children PST over every child's mains.
+    children_pst: Option<PstPlan>,
+}
+
 impl Shape for ThreeSided {}
 
 impl Hooks for ThreeSided {
     type Org = ExternalPst;
     type Sib = Sibs;
+    type Plan = NodePlan;
+    const TWO_SIDED: bool = true;
 
     /// A PST's pages live in its own store: a collect bills a read of each.
     fn collect_org(t: &ThreeSidedTree, pst: &ExternalPst) -> SortedRun {
         t.counter.add_reads(pst.space_pages() as u64);
         SortedRun::from_unsorted(pst.collect_points_unbilled())
+    }
+
+    fn org_points_unbilled(_t: &ThreeSidedTree, pst: &ExternalPst) -> Vec<Point> {
+        pst.collect_points_unbilled()
+    }
+
+    fn org_pages(pst: &ExternalPst) -> usize {
+        pst.space_pages()
     }
 
     /// Rebuilt in place, reusing page slots and the layout of any node
@@ -92,23 +107,98 @@ impl Hooks for ThreeSided {
         }
     }
 
-    fn free_sib(store: &mut TypedStore<Point>, sibs: &Sibs) {
-        for ts in [&sibs.tsl, &sibs.tsr].into_iter().flatten() {
+    /// The mains' PST by the rule of [`Hooks::build_main_org`], and the
+    /// children PST over every child's mains (≤ B³). Children slabs are
+    /// x-disjoint and in slab order, so concatenating their sorted mains is
+    /// already sorted — no re-sort before planning.
+    fn plan_node(
+        ctx: &PlanCtx<ThreeSided>,
+        by_x: &SortedRun,
+        _by_y: &[Point],
+        children: &[SlabPlan<ThreeSided>],
+    ) -> NodePlan {
+        let geo = ctx.geo;
+        let pst =
+            (by_x.len() > geo.b).then(|| PstPlan::plan(geo, SortedRun::from_sorted(by_x.to_vec())));
+        let children_pst = (!children.is_empty()).then(|| {
+            let all = children.iter().flat_map(|c| c.mains_x.iter().copied());
+            PstPlan::plan(geo, SortedRun::from_sorted(all.collect()))
+        });
+        NodePlan { pst, children_pst }
+    }
+
+    fn materialise_org(t: &mut ThreeSidedTree, m: &mut MetaBlock<ThreeSided>, plan: &mut NodePlan) {
+        m.org = plan
+            .pst
+            .take()
+            .map(|plan| Arc::new(ExternalPst::from_plan(t.geo, t.counter.clone(), plan)));
+    }
+
+    fn snapshots(sibs: &Sibs) -> [Option<&TsInfo>; 2] {
+        [sibs.tsl.as_ref(), sibs.tsr.as_ref()]
+    }
+
+    /// Both old runs are released before the new ones are laid out.
+    fn replace_snapshots(
+        store: &mut TypedStore<Point>,
+        sibs: &mut Sibs,
+        new: [Option<(&[Point], bool)>; 2],
+    ) {
+        for ts in [sibs.tsl.take(), sibs.tsr.take()].into_iter().flatten() {
             store.free_run(&ts.pages);
         }
+        let [tsl, tsr] =
+            new.map(|side| side.map(|(pts, truncated)| TsInfo::alloc(store, pts, truncated)));
+        (sibs.tsl, sibs.tsr) = (tsl, tsr);
     }
 
-    fn install_snapshots(t: &mut ThreeSidedTree, parent: MbId, snapshots: Vec<Vec<Point>>) {
-        t.install_sibling_snapshots(parent, snapshots, None);
+    fn children_org(sibs: &Sibs) -> Option<&ExternalPst> {
+        sibs.children_pst.as_deref()
     }
 
-    fn build_slab(
+    /// The children PST over every child's snapshot points (≤ B³). This
+    /// one is deliberately uncapped: the fork-node route answers from it
+    /// alone, so it must cover every sibling point. A static build
+    /// materialises its plan; otherwise the PST is rebuilt in place over
+    /// the snapshots — each x-sorted on its own and k-way merged (a gallop
+    /// fast path over the x-disjoint slabs), which beats one big re-sort of
+    /// up to B³ points.
+    fn install_children_org(
         t: &mut ThreeSidedTree,
-        pts: SortedRun,
-        lo: Key,
-        hi: Key,
-    ) -> (MbId, Vec<Point>, Option<Key>) {
-        t.build_slab(pts, lo, hi)
+        parent: MbId,
+        snapshots: Vec<Vec<Point>>,
+        planned: Option<NodePlan>,
+    ) {
+        let mut pm = t.take_meta(parent);
+        match planned.and_then(|p| p.children_pst) {
+            Some(plan) => {
+                debug_assert!(pm.sib.children_pst.is_none(), "planned PST over a live one");
+                let pst = ExternalPst::from_plan(t.geo, t.counter.clone(), plan);
+                pm.sib.children_pst = Some(Arc::new(pst));
+            }
+            None => {
+                let runs = snapshots.into_iter().map(SortedRun::from_unsorted);
+                t.rebuild_pst(
+                    &mut pm.sib.children_pst,
+                    SortedRun::merge_many(runs.collect()),
+                );
+            }
+        }
+        t.put_meta(parent, pm);
+    }
+
+    /// The mains' PST holds exactly the mains; only single-block mains go
+    /// without one.
+    fn check_main_org(t: &ThreeSidedTree, m: &MetaBlock<ThreeSided>, mains: &[Point]) {
+        if let Some(pst) = &m.org {
+            let mut a: Vec<u64> = pst.collect_points_unbilled().iter().map(|p| p.id).collect();
+            let mut b: Vec<u64> = mains.iter().map(|p| p.id).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "metablock PST out of sync with mains");
+        } else {
+            assert!(m.n_main <= t.geo.b, "multi-block mains without a PST");
+        }
     }
 
     /// Every PST's pages: the mains', the children's and both TD sides'.
@@ -149,6 +239,25 @@ impl ThreeSidedTree {
     /// is unused here; §4 replaces corner structures with PSTs).
     pub fn new_tuned(geo: Geometry, counter: IoCounter, tuning: crate::Tuning) -> Self {
         Tree::empty(&BackendSpec::Model, geo, counter, ThreeSided, tuning)
+    }
+
+    /// Build a tree over `points` (anywhere in the plane; unique ids) with
+    /// the measured default [`crate::Tuning`].
+    pub fn build(geo: Geometry, counter: IoCounter, points: Vec<Point>) -> Self {
+        Self::build_tuned(geo, counter, points, crate::Tuning::default())
+    }
+
+    /// As [`ThreeSidedTree::build`], with explicit tuning.
+    ///
+    /// # Panics
+    /// Panics if ids repeat.
+    pub fn build_tuned(
+        geo: Geometry,
+        counter: IoCounter,
+        points: Vec<Point>,
+        tuning: crate::Tuning,
+    ) -> Self {
+        Self::new_tuned(geo, counter, tuning).bulk_load(points)
     }
 
     /// Pin key-space of metablock `mb`'s own PST (`j = 0`), children PST

@@ -6,24 +6,29 @@
 //!
 //! * the query organisation over a metablock's mains and over a TD — a
 //!   [`crate::CornerStructure`] (Lemma 3.1) or an `ExternalPst` (Lemma
-//!   4.1) — with the hooks that build, collect and free it;
-//! * the sibling snapshots a child carries (`TS`, or `TSL`/`TSR` plus the
-//!   parent's children PST) and how a TS reorganisation installs them;
-//! * the static build of a slab;
-//! * the diagonal tree's `y ≥ x` admission and its ablation options.
+//!   4.1) — with the hooks that plan, build, collect and free it;
+//! * the sibling snapshots a child carries (`TS`, or `TSL`/`TSR`) and, on
+//!   the 3-sided tree, the parent's children PST;
+//! * the checks of what only one shape keeps, and the diagonal tree's
+//!   `y ≥ x` admission and ablation options.
 //!
 //! Submodules: [`write`] (insert, delete and `apply_batch`: the descent,
 //! buffering, tombstones and their triggers), [`reorg`] (level-I, the TD
 //! fold, the TS reorganisation, level-II, the splits and the occupancy
-//! shrink) and [`job`] (charge dribbling and the background shrink job).
-//! Queries, validators and static builds stay per shape, in `diag` and
-//! `threesided`.
+//! shrink), [`job`] (charge dribbling and the background shrink job),
+//! [`build`] (the two-phase static build and the snapshot install) and
+//! [`validate`] (the unbilled validator and [`TreeStats`]). Only the
+//! queries stay per shape, in `diag` and `threesided`.
 
+mod build;
 mod job;
 mod reorg;
+mod validate;
 mod write;
 
+pub(crate) use build::{PlanCtx, SlabPlan};
 pub use job::ReorgCounts;
+pub use validate::TreeStats;
 
 use std::fmt::Debug;
 use std::sync::Arc;
@@ -365,6 +370,17 @@ pub struct TsInfo {
     pub(crate) truncated: bool,
 }
 
+impl TsInfo {
+    /// A snapshot over the y-descending `pts`, laid out on fresh pages.
+    pub(crate) fn alloc(store: &mut TypedStore<Point>, pts: &[Point], truncated: bool) -> Self {
+        Self {
+            pages: store.alloc_run(pts),
+            n: pts.len(),
+            truncated,
+        }
+    }
+}
+
 /// A shared handle to a shape's organisation, if one is built. (An alias,
 /// so that the derives below bound `S` alone, not `S::Org`.)
 pub(crate) type OrgSlot<S> = Option<Arc<<S as sealed::Hooks>::Org>>;
@@ -566,11 +582,16 @@ pub(crate) mod sealed {
     use super::*;
 
     /// The hooks behind [`Shape`], each keeping its tree's billing.
-    pub trait Hooks: Copy + Debug + Default {
+    pub trait Hooks: Copy + Debug + Default + Send + Sync {
         /// The query organisation over a metablock's mains and over a TD.
         type Org: Debug;
         /// A metablock's sibling-snapshot members.
         type Sib: Clone + Debug + Default;
+        /// What the static build plans for one node's organisations, off
+        /// the store and on any thread.
+        type Plan: Send;
+        /// Whether a child carries a right snapshot beside its left one.
+        const TWO_SIDED: bool;
 
         /// Check that `p` may be stored (the diagonal tree's `y ≥ x`).
         fn admit(&self, _p: &Point) {}
@@ -578,6 +599,12 @@ pub(crate) mod sealed {
         /// Every point of `org`, x-sorted, billed as the shape bills a read
         /// of the whole structure.
         fn collect_org(t: &Tree<Self>, org: &Self::Org) -> SortedRun;
+
+        /// Every point of `org`, unbilled (validator use).
+        fn org_points_unbilled(t: &Tree<Self>, org: &Self::Org) -> Vec<Point>;
+
+        /// Pages `org` occupies.
+        fn org_pages(org: &Self::Org) -> usize;
 
         /// Release the point-store pages `org` owns (a PST owns its own,
         /// which go with its last handle).
@@ -590,22 +617,51 @@ pub(crate) mod sealed {
         /// blockings were just rebuilt over.
         fn build_main_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, by_x: &SortedRun);
 
-        /// Release the point-store pages of a metablock's sibling snapshots.
-        fn free_sib(store: &mut TypedStore<Point>, sib: &Self::Sib);
+        /// Plan a node's organisations over its mains (both orders) and,
+        /// where the shape keeps one, over its planned `children`' mains.
+        fn plan_node(
+            ctx: &PlanCtx<Self>,
+            mains_x: &SortedRun,
+            mains_y: &[Point],
+            children: &[SlabPlan<Self>],
+        ) -> Self::Plan;
 
-        /// Rebuild the sibling snapshots of `parent`'s children from their
-        /// y-descending `snapshots`, one per child in slab order.
-        fn install_snapshots(t: &mut Tree<Self>, parent: MbId, snapshots: Vec<Vec<Point>>);
+        /// Point `m.org` at the organisation `plan` laid out for the mains
+        /// `m`'s blockings were just built over, taking it from `plan`.
+        fn materialise_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, plan: &mut Self::Plan);
 
-        /// Statically build the subtree over `pts` responsible for
-        /// `[lo, hi)`; returns its root, the root's mains (y-descending) and
-        /// the largest `(y, id)` below the root.
-        fn build_slab(
-            t: &mut Tree<Self>,
-            pts: SortedRun,
-            lo: Key,
-            hi: Key,
-        ) -> (MbId, Vec<Point>, Option<Key>);
+        /// A metablock's `[left, right]` sibling snapshots.
+        fn snapshots(sib: &Self::Sib) -> [Option<&TsInfo>; 2];
+
+        /// Replace the snapshots in `sib` by runs over the `[left, right]`
+        /// top lists (with their truncation bits), releasing the old runs,
+        /// in the shape's own page order.
+        fn replace_snapshots(
+            store: &mut TypedStore<Point>,
+            sib: &mut Self::Sib,
+            new: [Option<(&[Point], bool)>; 2],
+        );
+
+        /// The organisation an interior metablock keeps over all its
+        /// children's points, if the shape keeps one.
+        fn children_org(_sib: &Self::Sib) -> Option<&Self::Org> {
+            None
+        }
+
+        /// Rebuild the children organisation of `parent` over the children's
+        /// y-descending `snapshots` — or from `planned`, the static build's
+        /// plan for `parent`.
+        fn install_children_org(
+            _t: &mut Tree<Self>,
+            _parent: MbId,
+            _snapshots: Vec<Vec<Point>>,
+            _planned: Option<Self::Plan>,
+        ) {
+        }
+
+        /// Check the organisation over a metablock's `mains` (validator
+        /// use).
+        fn check_main_org(_t: &Tree<Self>, _m: &MetaBlock<Self>, _mains: &[Point]) {}
 
         /// Pages held outside the point store, beside one control block per
         /// metablock.
@@ -811,7 +867,9 @@ impl<S: Shape> Tree<S> {
         self.store.free_run(&meta.update);
         self.store.free_run(&meta.tomb);
         self.tombs_pending -= meta.n_tomb;
-        S::free_sib(&mut self.store, &meta.sib);
+        for ts in S::snapshots(&meta.sib).into_iter().flatten() {
+            self.store.free_run(&ts.pages);
+        }
         if let Some(td) = &meta.td {
             for (org, staged) in [(&td.org, &td.staged), (&td.del_org, &td.del_staged)] {
                 if let Some(org) = org {
@@ -834,7 +892,7 @@ impl<S: Shape> Tree<S> {
     /// update-buffer run) into its entry in `parent`. Purely in-memory: the
     /// caller's operation already holds both control blocks, and every
     /// mirrored value is a page id or key already known to it. Snapshot
-    /// mirrors are maintained by [`Shape::install_snapshots`].
+    /// mirrors are maintained by [`Tree::install_snapshots`].
     pub(crate) fn sync_packed_entry(&mut self, parent: MbId, child: MbId) {
         let h = self.tuning.pack_h_pages;
         if h == 0 {
@@ -861,41 +919,6 @@ impl<S: Shape> Tree<S> {
             .collect();
         for c in children {
             self.sync_packed_entry(parent, c);
-        }
-    }
-
-    // ---- unbilled reads (validators) ---------------------------------------
-
-    pub(crate) fn pages_unbilled(&self, pages: &[PageId]) -> Vec<Point> {
-        let mut out = Vec::new();
-        for &pg in pages {
-            out.extend_from_slice(self.store.read_unbilled(pg));
-        }
-        out
-    }
-
-    /// Every page of a blocked run must be full except the last: a merge
-    /// (or sort) rebuild that leaked partial pages mid-run would break the
-    /// `t/B` output accounting of every scan over it.
-    pub(crate) fn assert_dense_run(&self, pages: &[PageId], what: &str) {
-        for (i, &pg) in pages.iter().enumerate() {
-            if i + 1 < pages.len() {
-                assert_eq!(
-                    self.store.len_unbilled(pg),
-                    self.geo.b,
-                    "{what} run has a sparse page mid-run"
-                );
-            }
-        }
-    }
-
-    /// Every main and buffered point of the subtree at `mb`, unbilled.
-    pub(crate) fn collect_unbilled(&self, mb: MbId, out: &mut Vec<Point>) {
-        let meta = self.metas.get(mb);
-        out.extend(self.pages_unbilled(&meta.horizontal));
-        out.extend(self.pages_unbilled(&meta.update));
-        for c in &meta.children {
-            self.collect_unbilled(c.mb, out);
         }
     }
 }
@@ -935,10 +958,6 @@ mod tests {
     /// What the static-build pin needs of a tree beyond the skeleton.
     trait Pinned: Sized {
         fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self;
-        /// `stats()`: metablocks, leaves, height, pages, points, pending
-        /// updates, pending tombstones, snapshot pages, organisation pages.
-        fn stat_row(&self) -> [usize; 9];
-        fn validate(&self) -> Vec<Point>;
         /// The answers to query `i` of a fixed set over the pinned points.
         fn answers(&self, i: i64) -> Vec<Point>;
     }
@@ -947,23 +966,6 @@ mod tests {
         fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
             let options = crate::DiagOptions::default();
             Self::build_tuned(Geometry::new(4), counter, pts, options, tuning)
-        }
-        fn stat_row(&self) -> [usize; 9] {
-            let s = self.stats();
-            [
-                s.metablocks,
-                s.leaves,
-                s.height,
-                s.pages,
-                s.points,
-                s.pending_updates,
-                s.pending_tombs,
-                s.ts_pages,
-                s.corner_pages,
-            ]
-        }
-        fn validate(&self) -> Vec<Point> {
-            self.validate_unbilled()
         }
         fn answers(&self, i: i64) -> Vec<Point> {
             self.query(i * 2_500)
@@ -974,36 +976,24 @@ mod tests {
         fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
             Self::build_tuned(Geometry::new(4), counter, pts, tuning)
         }
-        fn stat_row(&self) -> [usize; 9] {
-            let s = self.stats();
-            let upd = self.metas.iter().map(|m| m.n_upd).sum();
-            let snapshots = self.metas.iter().map(|m| {
-                let sides = [&m.sib.tsl, &m.sib.tsr];
-                sides
-                    .into_iter()
-                    .flatten()
-                    .map(|t| t.pages.len())
-                    .sum::<usize>()
-            });
-            [
-                s.metablocks,
-                s.leaves,
-                s.height,
-                s.pages,
-                s.points,
-                upd,
-                s.pending_tombs,
-                snapshots.sum(),
-                s.pst_pages,
-            ]
-        }
-        fn validate(&self) -> Vec<Point> {
-            self.validate_unbilled()
-        }
         fn answers(&self, i: i64) -> Vec<Point> {
             let x1 = i * 2_500;
             self.query(x1, x1 + 1_000 + i * 500, i * 3_000)
         }
+    }
+
+    fn stat_row(s: TreeStats) -> [usize; 9] {
+        [
+            s.metablocks,
+            s.leaves,
+            s.height,
+            s.pages,
+            s.points,
+            s.pending_updates,
+            s.pending_tombs,
+            s.snapshot_pages,
+            s.org_pages,
+        ]
     }
 
     /// FNV-1a over the points' coordinates and ids, in order.
@@ -1042,9 +1032,9 @@ mod tests {
             let counter = IoCounter::new();
             let tree = Tree::<S>::build_with(counter.clone(), pts.clone(), tuning);
             let bills = [counter.reads(), counter.writes(), tree.space_pages() as u64];
-            let contents = digest(&tree.validate());
+            let contents = digest(&tree.validate_unbilled());
             let answers: Vec<Point> = (0..40).flat_map(|i| tree.answers(i)).collect();
-            let got = (bills, tree.stat_row(), [contents, digest(&answers)]);
+            let got = (bills, stat_row(tree.stats()), [contents, digest(&answers)]);
             assert_eq!(got, want, "threads={threads}");
         }
     }

@@ -22,9 +22,6 @@ use ccix_extmem::{Point, Run, SortedRun};
 use super::{ChildEntry, MbId, MetaBlock, Shape, Td, Tree};
 use crate::bbox::{BBox, Key};
 
-/// The whole key space: the root's slab.
-const FULL_RANGE: (Key, Key) = ((i64::MIN, 0), (i64::MAX, u64::MAX));
-
 impl<S: Shape> Tree<S> {
     /// Fold the staged points into the TD organisation (`O(B)` I/Os, since
     /// the TD holds at most `B²` points). The old organisation's points
@@ -109,7 +106,7 @@ impl<S: Shape> Tree<S> {
             *td = Td::default();
         }
         self.put_meta(parent, m);
-        S::install_snapshots(self, parent, snapshots);
+        self.install_snapshots(parent, snapshots, None);
     }
 
     /// Level-I reorganisation: merge the update buffer into the mains,
@@ -283,8 +280,8 @@ impl<S: Shape> Tree<S> {
             let old = old.expect("split node present in parent");
             (old.slab_lo, old.slab_hi)
         };
-        let (lid, lmains, lsub) = S::build_slab(self, left, slab_lo, median);
-        let (rid, rmains, rsub) = S::build_slab(self, right, median, slab_hi);
+        let (lid, lmains, lsub) = self.build_slab(left, slab_lo, median);
+        let (rid, rmains, rsub) = self.build_slab(right, median, slab_hi);
         let halves = [
             (lid, BBox::of_points(&lmains), lsub),
             (rid, BBox::of_points(&rmains), rsub),
@@ -320,17 +317,6 @@ impl<S: Shape> Tree<S> {
         if overflow {
             self.branching_split(parent, above);
         }
-    }
-
-    /// Replace the whole tree by a static build over `pts` (a bulk load, a
-    /// root split, an occupancy shrink) and restart the shrink accounting.
-    pub(crate) fn rebuild_root(&mut self, pts: SortedRun) {
-        self.root = if pts.is_empty() {
-            None
-        } else {
-            Some(S::build_slab(self, pts, FULL_RANGE.0, FULL_RANGE.1).0)
-        };
-        self.note_full_rebuild();
     }
 
     /// Every live point in the subtree (mains + update buffers, minus

@@ -310,6 +310,11 @@ fn stats_reflect_shape() {
     assert!(s.height >= 2, "5000 points at B=8 need at least two levels");
     assert!(s.metablocks >= s.leaves);
     assert!(s.pages >= 2 * 5_000 / 8);
+    assert!(
+        s.snapshot_pages > 0,
+        "non-first children carry TS snapshots"
+    );
+    assert_eq!((s.pending_updates, s.pending_tombs), (0, 0));
 }
 
 #[test]

@@ -270,7 +270,9 @@ fn stats_reflect_shape() {
     let s = t.stats();
     assert_eq!(s.points, 4_000);
     assert!(s.height >= 2);
-    assert!(s.pst_pages > 0, "interior nodes carry PSTs");
+    assert!(s.org_pages > 0, "interior nodes carry PSTs");
+    assert!(s.snapshot_pages > 0, "children carry TSL/TSR snapshots");
+    assert_eq!((s.pending_updates, s.pending_tombs), (0, 0));
 }
 
 /// A striped workload in which every x-slab's metablock straddles the query
