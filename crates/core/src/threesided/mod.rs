@@ -166,7 +166,7 @@ impl Hooks for ThreeSided {
     fn install_children_org(
         t: &mut ThreeSidedTree,
         parent: MbId,
-        snapshots: Vec<Vec<Point>>,
+        snapshots: &[Vec<Point>],
         planned: Option<NodePlan>,
     ) {
         let mut pm = t.take_meta(parent);
@@ -177,7 +177,9 @@ impl Hooks for ThreeSided {
                 pm.sib.children_pst = Some(Arc::new(pst));
             }
             None => {
-                let runs = snapshots.into_iter().map(SortedRun::from_unsorted);
+                let runs = snapshots
+                    .iter()
+                    .map(|s| SortedRun::from_unsorted(s.clone()));
                 t.rebuild_pst(
                     &mut pm.sib.children_pst,
                     SortedRun::merge_many(runs.collect()),

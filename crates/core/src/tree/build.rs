@@ -23,8 +23,6 @@
 //! and a capped incremental merge instead of re-sorting a growing prefix
 //! per child.
 
-use std::borrow::Cow;
-
 use ccix_extmem::{merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun};
 
 use super::{sealed::Hooks, ChildEntry, MbId, MetaBlock, Shape, Tree, TsInfo};
@@ -157,19 +155,6 @@ fn extract_top_y(pts: &mut [Point], cap: usize) -> (Vec<Point>, usize, Option<Ke
     (mains, w, rest_yhi)
 }
 
-/// Fold the y-descending `run` into a running capped top list: the top
-/// list borrows the run while it is the only one and holds a merged copy
-/// once two meet, so no run is cloned.
-fn fold_top<'a>(top: Cow<'a, [Point]>, run: &'a [Point], cap: usize) -> Cow<'a, [Point]> {
-    if run.is_empty() && top.len() <= cap {
-        top
-    } else if top.is_empty() && run.len() <= cap {
-        Cow::Borrowed(run)
-    } else {
-        Cow::Owned(merge_y_desc_capped(&top, run, cap))
-    }
-}
-
 impl<S: Shape> Tree<S> {
     /// Load `points` into this empty tree by one static build.
     ///
@@ -259,12 +244,12 @@ impl<S: Shape> Tree<S> {
     /// `snapshots`, one per child in slab order and **y-descending
     /// already**: the static build hands over the planned y-orders, the TS
     /// reorganisation hands over merged horizontal-run + sorted-delta
-    /// snapshots; nobody re-sorts a snapshot here. Child `i`'s left
-    /// snapshot is the capped top of the snapshots before it, its right one
-    /// (3-sided) that of the snapshots after it; both are mirrored into the
-    /// parent's packed entries. Then the shape rebuilds what it keeps over
-    /// all the children — from `planned`, the parent's plan, on a static
-    /// build.
+    /// snapshots; nobody re-sorts a snapshot here. First the shape rebuilds
+    /// what it keeps over all the children — from `planned`, the parent's
+    /// plan, on a static build. Then child `i`'s left snapshot is the
+    /// capped top of the snapshots before it and its right one (3-sided)
+    /// that of the snapshots after it, both mirrored into the parent's
+    /// packed entries.
     pub(crate) fn install_snapshots(
         &mut self,
         parent: MbId,
@@ -283,34 +268,33 @@ impl<S: Shape> Tree<S> {
         debug_assert!(snapshots
             .iter()
             .all(|s| s.windows(2).all(|w| w[0].ykey() > w[1].ykey())));
+        S::install_children_org(self, parent, &snapshots, planned);
         let len = child_ids.len();
-        let total = |runs: &[Vec<Point>]| runs.iter().map(Vec::len).sum::<usize>();
 
-        // Suffix (right-sibling) tops, for a two-sided shape: `right[i]`
-        // covers the children after `i`.
-        let mut right: Vec<Option<Cow<[Point]>>> = Vec::new();
+        // Suffix (right-sibling) tops with their truncation bits, for a
+        // two-sided shape: `right[i]` covers the children after `i`.
+        let mut right: Vec<Option<(Vec<Point>, bool)>> = Vec::new();
         if S::TWO_SIDED {
             right.resize(len, None);
-            let mut top = Cow::Borrowed(&[][..]);
-            for i in (0..len.saturating_sub(1)).rev() {
-                top = fold_top(top, &snapshots[i + 1], cap);
-                right[i] = Some(top.clone());
+            let (mut top, mut total) = (Vec::new(), 0);
+            for i in (1..len).rev() {
+                total += snapshots[i].len();
+                top = merge_y_desc_capped(top, snapshots[i].clone(), cap);
+                right[i - 1] = Some((top.clone(), total > top.len()));
             }
         }
 
         // Maintain the prefix (left-sibling) top incrementally, merging each
-        // snapshot into the running capped top list. A one-sided shape's
-        // first child carries no snapshot, and is not touched.
+        // snapshot into the running capped top list as it is used up. A
+        // one-sided shape's first child carries no snapshot, and is not
+        // touched.
         let mut mirrors = Vec::with_capacity(len);
-        let mut top = Cow::Borrowed(&[][..]);
-        for (i, &child) in child_ids.iter().enumerate() {
+        let (mut top, mut total) = (Vec::new(), 0);
+        for (i, (&child, snap)) in child_ids.iter().zip(snapshots).enumerate() {
             let r = right.get_mut(i).and_then(Option::take);
             if i > 0 || S::TWO_SIDED {
-                let new = [
-                    (i > 0).then(|| (&top[..], total(&snapshots[..i]) > top.len())),
-                    r.as_ref()
-                        .map(|r| (&r[..], total(&snapshots[i + 1..]) > r.len())),
-                ];
+                let left = (i > 0).then(|| (&top[..], total > top.len()));
+                let new = [left, r.as_ref().map(|(pts, t)| (&pts[..], *t))];
                 let mut meta = self.take_meta(child);
                 S::replace_snapshots(&mut self.store, &mut meta.sib, new);
                 let mirror = |ts: Option<&TsInfo>| {
@@ -320,9 +304,9 @@ impl<S: Shape> Tree<S> {
                 mirrors.push((i, mirror(l), S::TWO_SIDED.then(|| mirror(r))));
                 self.put_meta(child, meta);
             }
-            top = fold_top(top, &snapshots[i], cap);
+            total += snap.len();
+            top = merge_y_desc_capped(std::mem::take(&mut top), snap, cap);
         }
-        drop(top);
         // Mirror the snapshot runs into the parent's packed entries so the
         // snapshot routes read a snapshot without loading its owner's
         // control block first (in-memory: the parent is held by this
@@ -337,7 +321,6 @@ impl<S: Shape> Tree<S> {
                 }
             }
         }
-        S::install_children_org(self, parent, snapshots, planned);
     }
 }
 

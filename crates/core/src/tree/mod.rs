@@ -654,7 +654,7 @@ pub(crate) mod sealed {
         fn install_children_org(
             _t: &mut Tree<Self>,
             _parent: MbId,
-            _snapshots: Vec<Vec<Point>>,
+            _snapshots: &[Vec<Point>],
             _planned: Option<Self::Plan>,
         ) {
         }

@@ -349,12 +349,16 @@ fn gallop_y_desc(slice: &[Point], key: (i64, u64)) -> usize {
     base + slice[base..hi].partition_point(|p| p.ykey() > key)
 }
 
-/// Merge two y-descending runs into a fresh vector, keeping at most `cap`
-/// points — the bounded merge behind the capped `TS`/`TSL`/`TSR` sibling
-/// snapshots (whose `truncated` bit the caller derives from
-/// `total > kept`). The runs are only read, so a caller that must keep a
-/// run merges it without a copy.
-pub fn merge_y_desc_capped(a: &[Point], b: &[Point], cap: usize) -> Vec<Point> {
+/// Merge two y-descending vectors, keeping at most `cap` points — the
+/// bounded merge behind the capped `TS`/`TSL`/`TSR` sibling snapshots
+/// (whose `truncated` bit the caller derives from `total > kept`).
+pub fn merge_y_desc_capped(a: Vec<Point>, b: Vec<Point>, cap: usize) -> Vec<Point> {
+    if b.is_empty() && a.len() <= cap {
+        return a;
+    }
+    if a.is_empty() && b.len() <= cap {
+        return b;
+    }
     debug_assert!(a.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
     debug_assert!(b.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
     let mut out = Vec::with_capacity((a.len() + b.len()).min(cap));
@@ -604,7 +608,7 @@ mod tests {
             .enumerate()
             .map(|(i, &y)| Point::new(0, y, 10 + i as u64))
             .collect();
-        let m = merge_y_desc_capped(&a, &b, 4);
+        let m = merge_y_desc_capped(a, b, 4);
         let ys: Vec<i64> = m.iter().map(|p| p.y).collect();
         assert_eq!(ys, vec![9, 8, 7, 3]);
     }
