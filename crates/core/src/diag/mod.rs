@@ -128,17 +128,13 @@ impl Hooks for Diag {
         by_y: &[Point],
         _children: &[SlabPlan<Diag>],
     ) -> NodePlan {
-        if !ctx.shape.options.corner_structures || by_x.len() <= ctx.geo.b {
-            return NodePlan(None);
-        }
-        NodePlan(
-            match (BBox::of_points(by_x), by_y.last().map(Point::ykey)) {
-                (Some(bb), Some(ylo)) if ylo.0 <= bb.xhi.0 => {
-                    Some(CornerPlan::plan(by_x, ctx.geo.b, ctx.tuning.corner_alpha))
-                }
-                _ => None,
-            },
-        )
+        let corner = ctx.shape.options.corner_structures
+            && by_x.len() > ctx.geo.b
+            && matches!(
+                (BBox::of_points(by_x), by_y.last().map(Point::ykey)),
+                (Some(bb), Some(ylo)) if ylo.0 <= bb.xhi.0
+            );
+        NodePlan(corner.then(|| CornerPlan::plan(by_x, ctx.geo.b, ctx.tuning.corner_alpha)))
     }
 
     /// The corner structure shares `vertical`.

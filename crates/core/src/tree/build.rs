@@ -164,9 +164,12 @@ impl<S: Shape> Tree<S> {
         for p in &points {
             self.shape.admit(p);
         }
-        let mut ids: Vec<u64> = points.iter().map(|p| p.id).collect();
-        ids.sort_unstable();
-        assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
+        {
+            // Scoped: the id copy is gone before the build allocates.
+            let mut ids: Vec<u64> = points.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
+        }
         self.len = points.len();
         self.rebuild_root(SortedRun::from_unsorted(points));
         self
