@@ -572,6 +572,9 @@ impl ExternalPst {
 }
 
 #[cfg(test)]
+mod pins;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle;
