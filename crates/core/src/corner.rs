@@ -19,7 +19,7 @@
 //!    (stage 1, Fig. 13a), then reads vertical blocks to the right of `c*`
 //!    up to the block containing `q` (stage 2, Fig. 13b).
 
-use ccix_extmem::{PageId, Point, Run, TypedStore};
+use ccix_extmem::{PageId, Point, Run, SortedRun, TypedStore, YRanks};
 
 use crate::bbox::Key;
 
@@ -90,11 +90,7 @@ impl CornerStructure {
     /// As [`CornerStructure::build`], with an explicit adoption factor
     /// (see [`CornerStructure::build_shared`] for its meaning).
     pub fn build_tuned(store: &mut TypedStore<Point>, points: &[Point], alpha: usize) -> Self {
-        Self::build_from_sorted(
-            store,
-            &ccix_extmem::SortedRun::from_unsorted(points.to_vec()),
-            alpha,
-        )
+        Self::build_from_sorted(store, &SortedRun::from_unsorted(points.to_vec()), alpha)
     }
 
     /// As [`CornerStructure::build_tuned`] over an already x-sorted run —
@@ -102,10 +98,11 @@ impl CornerStructure {
     /// x-sorted, so folding a staged delta in is a merge, not a re-sort.
     pub fn build_from_sorted(
         store: &mut TypedStore<Point>,
-        sorted: &ccix_extmem::SortedRun,
+        sorted: &SortedRun,
         alpha: usize,
     ) -> Self {
-        let plan = CornerPlan::plan(sorted, store.capacity(), alpha);
+        let by_y = YRanks::argsort(sorted);
+        let plan = CornerPlan::plan(sorted, &by_y, store.capacity(), alpha);
         let vertical = store.alloc_run(sorted);
         plan.materialise(store, vertical, true)
     }
@@ -114,20 +111,20 @@ impl CornerStructure {
     /// exists (a metablock's own vertical blocking): only the explicit
     /// answer sets are allocated; stage 2 reads the shared pages.
     ///
-    /// `by_x` must be x-sorted and `vertical` must be its `B`-per-page run,
-    /// which the structure shares rather than copies.
+    /// `vertical` must be `by_x`'s `B`-per-page run, which the structure
+    /// shares rather than copies, and `by_y` its y-order.
     /// `alpha` is the greedy adoption factor: candidate `cᵢ` is adopted when
     /// `|S*_j| > α·Ωᵢ` (the paper's rule is `α = 2`, which bounds the
     /// explicit storage by `2|S|`; larger `α` adopts fewer corners — less
     /// space, a little more stage-2 scanning per query).
     pub fn build_shared(
         store: &mut TypedStore<Point>,
-        by_x: &[Point],
+        by_x: &SortedRun,
+        by_y: &YRanks,
         vertical: &Run<PageId>,
         alpha: usize,
     ) -> Self {
-        debug_assert!(by_x.windows(2).all(|w| w[0].xkey() <= w[1].xkey()));
-        let plan = CornerPlan::plan(by_x, store.capacity(), alpha);
+        let plan = CornerPlan::plan(by_x, by_y, store.capacity(), alpha);
         plan.materialise(store, vertical.clone(), false)
     }
 
@@ -344,9 +341,9 @@ pub(crate) struct CornerPlan {
 }
 
 impl CornerPlan {
-    /// Plan over x-sorted `sorted` with vertical block size `b` and greedy
-    /// adoption factor `alpha`.
-    pub(crate) fn plan(sorted: &[Point], b: usize, alpha: usize) -> Self {
+    /// Plan over x-sorted `sorted` and its y-order `by_y`, with vertical
+    /// block size `b` and greedy adoption factor `alpha`.
+    pub(crate) fn plan(sorted: &SortedRun, by_y: &YRanks, b: usize, alpha: usize) -> Self {
         assert!(alpha >= 1, "adoption factor must be at least 1");
         let boundaries: Vec<Key> = sorted
             .chunks(b)
@@ -367,10 +364,10 @@ impl CornerPlan {
             return plan; // single block: stage 2 alone answers queries
         }
 
-        // One y-argsort (descending ykey) shared by the Fenwick ranks and
-        // the answer bucketing below — the plan's only `O(n log n)` sort.
-        let mut by_y_idx: Vec<u32> = (0..sorted.len() as u32).collect();
-        by_y_idx.sort_unstable_by_key(|&i| std::cmp::Reverse(sorted[i as usize].ykey()));
+        // The caller's y-order (the argsort its metablock's horizontal
+        // blocking came from) serves the block counts and the answer
+        // bucketing below: the plan sorts nothing itself.
+        let by_y_idx = by_y.as_slice();
 
         // Candidate i is the right boundary of block i, for i = 0..m-1
         // (the last block's boundary is not a candidate). Process right to
@@ -394,7 +391,7 @@ impl CornerPlan {
         // sweep it replaces, with bit-identical adoption decisions. This
         // matters because the TD fold rebuilds its corner every `k·B`
         // inserts (see docs/tuning.md).
-        let counts = BlockCounts::new(sorted, b, &by_y_idx);
+        let counts = BlockCounts::new(sorted, b, by_y_idx);
 
         let mut adopted: Vec<(usize, Key)> = Vec::new();
         let last_cand = m - 2;
@@ -426,12 +423,12 @@ impl CornerPlan {
         let corner_xs: Vec<i64> = adopted.iter().map(|&(_, k)| k.0).collect();
         let corner_blocks: Vec<usize> = adopted.iter().map(|&(bl, _)| bl).collect();
         let mut answers: Vec<Vec<Point>> = vec![Vec::new(); adopted.len()];
-        // Sweep in descending-y order (the shared argsort) so every bucket
+        // Sweep in descending-y order (the shared y-order) so every bucket
         // comes out y-sorted for free — no per-answer re-sort. The strict
         // `(y, id)` order makes the result identical to sorting each
         // bucket, and the TD fold (which rebuilds its corner every `k·B`
         // inserts) stops paying `O(|answers| log)` per fold.
-        for &i in &by_y_idx {
+        for &i in by_y_idx {
             let idx = i as usize;
             let p = sorted[idx];
             let start = corner_blocks.partition_point(|&bl| bl < idx / b);
@@ -699,10 +696,10 @@ mod tests {
         let pts = above_diagonal_points(700, 0x5AA, 300);
         let counter = IoCounter::new();
         let mut store = TypedStore::new(8, counter);
-        let mut by_x = pts.clone();
-        ccix_extmem::sort_by_x(&mut by_x);
+        let by_x = SortedRun::from_unsorted(pts.clone());
         let vertical: Run<PageId> = store.alloc_run(&by_x);
-        let cs = CornerStructure::build_shared(&mut store, &by_x, &vertical, 2);
+        let by_y = YRanks::argsort(&by_x);
+        let cs = CornerStructure::build_shared(&mut store, &by_x, &by_y, &vertical, 2);
         for q in (-5..305).step_by(11) {
             let mut out = Vec::new();
             cs.query_into(&store, q, &mut out);

@@ -13,7 +13,7 @@ mod query;
 
 use std::sync::Arc;
 
-use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore};
+use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore, YRanks};
 
 use crate::bbox::BBox;
 use crate::corner::{CornerPlan, CornerStructure};
@@ -106,7 +106,12 @@ impl Hooks for Diag {
     /// A corner structure where the metablock's region can contain a query
     /// corner: some diagonal value lies between the lowest y and the highest
     /// x of the mains, and the mains span more than one block.
-    fn build_main_org(t: &mut MetablockTree, m: &mut MetaBlock<Diag>, by_x: &SortedRun) {
+    fn build_main_org(
+        t: &mut MetablockTree,
+        m: &mut MetaBlock<Diag>,
+        by_x: &SortedRun,
+        by_y: &YRanks,
+    ) {
         m.org = match (m.main_bbox, m.y_lo_main) {
             (Some(bb), Some(ylo))
                 if t.shape.options.corner_structures
@@ -114,7 +119,8 @@ impl Hooks for Diag {
                     && by_x.len() > t.geo.b =>
             {
                 let alpha = t.tuning.corner_alpha;
-                let corner = CornerStructure::build_shared(&mut t.store, by_x, &m.vertical, alpha);
+                let corner =
+                    CornerStructure::build_shared(&mut t.store, by_x, by_y, &m.vertical, alpha);
                 Some(Arc::new(corner))
             }
             _ => None,
@@ -125,16 +131,18 @@ impl Hooks for Diag {
     fn plan_node(
         ctx: &PlanCtx<Diag>,
         by_x: &SortedRun,
-        by_y: &[Point],
+        by_y: &YRanks,
         _children: &[SlabPlan<Diag>],
     ) -> NodePlan {
+        let ylo = by_y.as_slice().last().map(|&r| by_x[r as usize].ykey());
         let corner = ctx.shape.options.corner_structures
             && by_x.len() > ctx.geo.b
             && matches!(
-                (BBox::of_points(by_x), by_y.last().map(Point::ykey)),
+                (BBox::of_points(by_x), ylo),
                 (Some(bb), Some(ylo)) if ylo.0 <= bb.xhi.0
             );
-        NodePlan(corner.then(|| CornerPlan::plan(by_x, ctx.geo.b, ctx.tuning.corner_alpha)))
+        let (b, alpha) = (ctx.geo.b, ctx.tuning.corner_alpha);
+        NodePlan(corner.then(|| CornerPlan::plan(by_x, by_y, b, alpha)))
     }
 
     /// The corner structure shares `vertical`.

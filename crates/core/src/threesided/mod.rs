@@ -31,7 +31,7 @@ mod query;
 
 use std::sync::Arc;
 
-use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore};
+use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore, YRanks};
 use ccix_pst::{ExternalPst, PstPlan};
 
 use crate::tree::{
@@ -87,21 +87,28 @@ impl Hooks for ThreeSided {
 
     /// Rebuilt in place, reusing page slots and the layout of any node
     /// whose population the fold did not move; an emptied one is dropped
-    /// (its pages go with its last handle).
+    /// (its pages go with its last handle). The fold's merge leaves the
+    /// points x-sorted only, so this is the one rebuild of the tree that
+    /// argsorts its y-order from scratch.
     fn build_td_org(t: &mut ThreeSidedTree, slot: &mut Option<Arc<ExternalPst>>, pts: SortedRun) {
         if pts.is_empty() {
             *slot = None;
         } else {
-            t.rebuild_pst(slot, pts);
+            t.rebuild_pst(slot, &pts, &YRanks::argsort(&pts));
         }
     }
 
     /// A PST once the mains span more than one block (a single block is
     /// answered by scanning it), reusing the previous node layout where
     /// populations are unchanged.
-    fn build_main_org(t: &mut ThreeSidedTree, m: &mut MetaBlock<ThreeSided>, by_x: &SortedRun) {
+    fn build_main_org(
+        t: &mut ThreeSidedTree,
+        m: &mut MetaBlock<ThreeSided>,
+        by_x: &SortedRun,
+        by_y: &YRanks,
+    ) {
         if by_x.len() > t.geo.b {
-            t.rebuild_pst(&mut m.org, SortedRun::from_sorted(by_x.to_vec()));
+            t.rebuild_pst(&mut m.org, by_x, by_y);
         } else {
             m.org = None;
         }
@@ -110,19 +117,21 @@ impl Hooks for ThreeSided {
     /// The mains' PST by the rule of [`Hooks::build_main_org`], and the
     /// children PST over every child's mains (≤ B³). Children slabs are
     /// x-disjoint and in slab order, so concatenating their sorted mains is
-    /// already sorted — no re-sort before planning.
+    /// already sorted, and merging their y-orders orders it by y — no sort
+    /// before planning.
     fn plan_node(
         ctx: &PlanCtx<ThreeSided>,
         by_x: &SortedRun,
-        _by_y: &[Point],
+        by_y: &YRanks,
         children: &[SlabPlan<ThreeSided>],
     ) -> NodePlan {
         let geo = ctx.geo;
-        let pst =
-            (by_x.len() > geo.b).then(|| PstPlan::plan(geo, SortedRun::from_sorted(by_x.to_vec())));
+        let pst = (by_x.len() > geo.b).then(|| PstPlan::plan(geo, by_x, by_y));
         let children_pst = (!children.is_empty()).then(|| {
             let all = children.iter().flat_map(|c| c.mains_x.iter().copied());
-            PstPlan::plan(geo, SortedRun::from_sorted(all.collect()))
+            let run = SortedRun::from_sorted(all.collect());
+            let by_y = YRanks::concat(&run, children.iter().map(|c| &c.mains_order));
+            PstPlan::plan(geo, &run, &by_y)
         });
         NodePlan { pst, children_pst }
     }
@@ -160,8 +169,9 @@ impl Hooks for ThreeSided {
     /// one is deliberately uncapped: the fork-node route answers from it
     /// alone, so it must cover every sibling point. A static build
     /// materialises its plan; otherwise the PST is rebuilt in place over
-    /// the snapshots — each x-sorted on its own and k-way merged (a gallop
-    /// fast path over the x-disjoint slabs), which beats one big re-sort of
+    /// the snapshots. They are x-disjoint and in slab order, so each is
+    /// x-argsorted on its own and laid after the one before, and their
+    /// y-orders — the inverses of those argsorts — are merged: no sort of
     /// up to B³ points.
     fn install_children_org(
         t: &mut ThreeSidedTree,
@@ -177,13 +187,8 @@ impl Hooks for ThreeSided {
                 pm.sib.children_pst = Some(Arc::new(pst));
             }
             None => {
-                let runs = snapshots
-                    .iter()
-                    .map(|s| SortedRun::from_unsorted(s.clone()));
-                t.rebuild_pst(
-                    &mut pm.sib.children_pst,
-                    SortedRun::merge_many(runs.collect()),
-                );
+                let (run, by_y) = YRanks::of_y_desc_parts(snapshots);
+                t.rebuild_pst(&mut pm.sib.children_pst, &run, &by_y);
             }
         }
         t.put_meta(parent, pm);
@@ -268,14 +273,20 @@ impl ThreeSidedTree {
         SPACE_AUX + 4 * (mb as u32) + j
     }
 
-    /// Rebuild the PST in `slot` over `run`, or build one where there is
-    /// none, charging this tree — bill for bill as in place, even while
-    /// another tree shares it (see [`ExternalPst::rebuild_shared`]).
-    pub(crate) fn rebuild_pst(&self, slot: &mut Option<Arc<ExternalPst>>, run: SortedRun) {
+    /// Rebuild the PST in `slot` over `run` and its y-order, or build one
+    /// where there is none, charging this tree — bill for bill as in
+    /// place, even while another tree shares it (see
+    /// [`ExternalPst::rebuild_shared`]).
+    pub(crate) fn rebuild_pst(
+        &self,
+        slot: &mut Option<Arc<ExternalPst>>,
+        run: &SortedRun,
+        by_y: &YRanks,
+    ) {
         match slot {
-            Some(pst) => ExternalPst::rebuild_shared(pst, &self.counter, self.geo, run),
+            Some(pst) => ExternalPst::rebuild_shared(pst, &self.counter, self.geo, run, by_y),
             None => {
-                let pst = ExternalPst::build_from_sorted(self.geo, self.counter.clone(), run);
+                let pst = ExternalPst::build_from_sorted(self.geo, self.counter.clone(), run, by_y);
                 *slot = Some(Arc::new(pst));
             }
         }

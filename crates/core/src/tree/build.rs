@@ -23,7 +23,7 @@
 //! and a capped incremental merge instead of re-sorting a growing prefix
 //! per child.
 
-use ccix_extmem::{merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun};
+use ccix_extmem::{merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun, YRanks};
 
 use super::{sealed::Hooks, ChildEntry, MbId, MetaBlock, Shape, Tree, TsInfo};
 use crate::bbox::{BBox, Key};
@@ -46,6 +46,8 @@ pub struct PlanCtx<S> {
 pub struct SlabPlan<S: Hooks> {
     /// Mains, x-sorted (the typed invariant the organisations build on).
     pub(crate) mains_x: SortedRun,
+    /// The y-order of `mains_x`.
+    pub(crate) mains_order: YRanks,
     /// Mains, y-descending.
     mains_y: Vec<Point>,
     /// The shape's plan for this node's organisations.
@@ -103,8 +105,8 @@ fn plan_slab<S: Shape>(
     finish_plan(mains, children, lo, hi, rest_yhi, ctx)
 }
 
-/// The per-node CPU work: y-order the mains and let the shape plan the
-/// node's organisations.
+/// The per-node CPU work: y-order the mains by one argsort, which the
+/// shape's plans share, and let the shape plan the node's organisations.
 fn finish_plan<S: Shape>(
     mains_x: Vec<Point>,
     children: Vec<SlabPlan<S>>,
@@ -113,12 +115,13 @@ fn finish_plan<S: Shape>(
     sub_yhi: Option<Key>,
     ctx: &PlanCtx<S>,
 ) -> SlabPlan<S> {
-    let mut mains_y = mains_x.clone();
-    ccix_extmem::sort_by_y_desc(&mut mains_y);
     let mains_x = SortedRun::from_sorted(mains_x);
-    let node = S::plan_node(ctx, &mains_x, &mains_y, &children);
+    let mains_order = YRanks::argsort(&mains_x);
+    let mains_y = mains_order.gather(&mains_x);
+    let node = S::plan_node(ctx, &mains_x, &mains_order, &children);
     SlabPlan {
         mains_x,
+        mains_order,
         mains_y,
         node,
         children,

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use ccix_extmem::{
     BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, Run, Slots, SortedIds, SortedRun,
-    TypedStore,
+    TypedStore, YRanks,
 };
 
 use crate::bbox::{BBox, Key};
@@ -613,16 +613,22 @@ pub(crate) mod sealed {
         /// Point `slot` at a TD organisation over `pts` (`None` when empty).
         fn build_td_org(t: &mut Tree<Self>, slot: &mut Option<Arc<Self::Org>>, pts: SortedRun);
 
-        /// Point `m.org` at an organisation over `by_x`, the mains `m`'s
-        /// blockings were just rebuilt over.
-        fn build_main_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, by_x: &SortedRun);
+        /// Point `m.org` at an organisation over `by_x` and its y-order,
+        /// the mains `m`'s blockings were just rebuilt over.
+        fn build_main_org(
+            t: &mut Tree<Self>,
+            m: &mut MetaBlock<Self>,
+            by_x: &SortedRun,
+            by_y: &YRanks,
+        );
 
-        /// Plan a node's organisations over its mains (both orders) and,
-        /// where the shape keeps one, over its planned `children`' mains.
+        /// Plan a node's organisations over its mains (the run and its
+        /// y-order) and, where the shape keeps one, over its planned
+        /// `children`' mains.
         fn plan_node(
             ctx: &PlanCtx<Self>,
             mains_x: &SortedRun,
-            mains_y: &[Point],
+            mains_y: &YRanks,
             children: &[SlabPlan<Self>],
         ) -> Self::Plan;
 

@@ -7,7 +7,10 @@
 //! re-sorting the whole block; a TS reorganisation merges each child's
 //! y-sorted horizontal run with its sorted delta; a leaf split reads the
 //! vertical run and partitions it in place; a branching split k-way merges
-//! the subtree's vertical runs. Every read touches exactly the pages a
+//! the subtree's vertical runs. A rebuilt point set's y-order travels
+//! beside its run as a [`YRanks`], so the organisation built over it
+//! (a PST, a corner structure) plans from the order the rebuild holds
+//! instead of sorting again. Every read touches exactly the pages a
 //! sort-based pipeline would read (the two blockings hold the same point
 //! count), so I/O counts are those of the paper's rebuilds — only the
 //! `O(n log n)` CPU re-sorts disappear.
@@ -17,7 +20,7 @@
 //! [`Shape`] hooks build, collect and free the structures; the control
 //! flow and every page the flow itself moves are the same for both.
 
-use ccix_extmem::{Point, Run, SortedRun};
+use ccix_extmem::{Point, Run, SortedRun, YRanks};
 
 use super::{ChildEntry, MbId, MetaBlock, Shape, Td, Tree};
 use crate::bbox::{BBox, Key};
@@ -115,8 +118,9 @@ impl<S: Shape> Tree<S> {
     ///
     /// Sortedness-preserving: the x-sorted vertical run is read (the same
     /// page count as the horizontal run the sort-based pipeline read) and
-    /// only the delta is sorted, then galloped in — one `O(n log n)` sort
-    /// (the y-order) remains instead of two. Tombstone cancellation is one
+    /// only the delta is sorted, then galloped in — one `O(n log n)`
+    /// argsort (the y-order, which the horizontal blocking and the
+    /// organisation's plan share) remains instead of two. Tombstone cancellation is one
     /// more galloping pass over the merged run ([`SortedRun::cancel`]); a
     /// tombstone that finds no match (its victim sat in a descendant of a
     /// metablock whose mains a delete flood emptied) is re-routed one level
@@ -135,9 +139,8 @@ impl<S: Shape> Tree<S> {
         self.tombs_pending -= m.n_tomb;
         m.n_tomb = 0;
         let (by_x, unmatched) = mains_x.merge(delta).cancel(&tombs);
-        let mut by_y = by_x.to_vec();
-        ccix_extmem::sort_by_y_desc(&mut by_y);
-        self.rebuild_orgs(&mut m, &by_x, &by_y);
+        let order = YRanks::argsort(&by_x);
+        self.rebuild_orgs(&mut m, &by_x, &order, &order.gather(&by_x));
         let n_main = m.n_main;
         let new_bbox = m.main_bbox;
         self.put_meta(mb, m);
@@ -157,10 +160,17 @@ impl<S: Shape> Tree<S> {
     }
 
     /// Replace a metablock's blockings (and organisation) with ones built
-    /// over the given pre-sorted orders, clearing the update buffer.
-    /// Children, snapshots and TD survive. No sorting happens here:
-    /// callers merge, filter or sort whichever side actually needs it.
-    fn rebuild_orgs(&mut self, m: &mut MetaBlock<S>, by_x: &SortedRun, by_y: &[Point]) {
+    /// over the given run, its y-order and the points in that order,
+    /// clearing the update buffer. Children, snapshots and TD survive. No
+    /// sorting happens here: callers merge, filter or sort whichever side
+    /// actually needs it.
+    fn rebuild_orgs(
+        &mut self,
+        m: &mut MetaBlock<S>,
+        by_x: &SortedRun,
+        order: &YRanks,
+        by_y: &[Point],
+    ) {
         self.store.free_run(&m.vertical);
         self.store.free_run(&m.horizontal);
         if let Some(org) = &m.org {
@@ -170,7 +180,7 @@ impl<S: Shape> Tree<S> {
         m.update = Run::default();
         m.n_upd = 0;
         m.set_mains(&mut self.store, by_x, by_y);
-        S::build_main_org(self, m, by_x);
+        S::build_main_org(self, m, by_x, order);
     }
 
     /// Level-II reorganisation of a metablock holding `≥ 2B²` points.
@@ -186,7 +196,7 @@ impl<S: Shape> Tree<S> {
     /// Internal level-II: keep the top `B²` points, trickle the bottom
     /// points into the children, and TS-reorganise this level. The y-split
     /// is a prefix of the already-y-sorted horizontal run, so only the
-    /// kept top needs an x-sort.
+    /// kept top needs an x-argsort, whose inverse is its y-order.
     fn push_down(&mut self, mb: MbId, path: &[MbId]) {
         self.reorg.fired.push_downs += 1;
         let mut m = self.take_meta(mb);
@@ -196,8 +206,8 @@ impl<S: Shape> Tree<S> {
         debug_assert!(pts.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
         let bottom = pts.split_off(self.cap());
         let top_y = pts;
-        let top_x = SortedRun::from_unsorted(top_y.clone());
-        self.rebuild_orgs(&mut m, &top_x, &top_y);
+        let (top_x, order) = YRanks::of_y_desc(&top_y);
+        self.rebuild_orgs(&mut m, &top_x, &order, &top_y);
         let new_bbox = m.main_bbox;
         self.put_meta(mb, m);
 

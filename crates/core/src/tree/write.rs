@@ -74,7 +74,7 @@
 //! contract violation (debug builds catch both — unmatched tombstones at
 //! the leaf level and duplicate ids in the validator).
 
-use ccix_extmem::{Point, SortedRun};
+use ccix_extmem::{Point, SortedRun, YRanks};
 
 use super::{
     append_buffered, entry_mut, mark_dirty, td_mut, Bill, MbId, MetaBlock, ReadCtx, Shape, Tree,
@@ -249,10 +249,10 @@ impl<S: Shape> Tree<S> {
 
     /// Allocate a leaf metablock over `mains`.
     pub(super) fn make_leaf(&mut self, mains: &SortedRun) -> MbId {
-        let mut by_y = mains.to_vec();
-        ccix_extmem::sort_by_y_desc(&mut by_y);
+        let order = YRanks::argsort(mains);
+        let by_y = order.gather(mains);
         let mut meta = MetaBlock::new(&mut self.store, mains, &by_y, Vec::new(), false);
-        S::build_main_org(self, &mut meta, mains);
+        S::build_main_org(self, &mut meta, mains, &order);
         self.alloc_meta(meta)
     }
 

@@ -193,6 +193,191 @@ impl std::ops::Deref for SortedRun {
     }
 }
 
+/// The y-order of a [`SortedRun`]: the x-ranks of its points (their
+/// indices in the run) in strictly descending `(y, id)` order — the order
+/// of the horizontal blockings, of every `TS` snapshot and of every PST
+/// node's top.
+///
+/// A reorganisation that rebuilds a point set's organisations holds this
+/// order already, or gets it from one argsort, and hands it on beside the
+/// run: the PST planner and the corner plan read their selections off it
+/// instead of re-deriving the y-order themselves. Every constructor
+/// debug-checks the order against its run and that the run's ids are
+/// unique — the precondition every consumer relies on, which a strict
+/// `(x, id)` order alone does not imply.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct YRanks(Vec<u32>);
+
+/// A point's `(y, id)` key beside its rank, so that sorting and merging a
+/// y-order compares keys held in place instead of looking each one up
+/// through its rank.
+#[derive(Clone, Copy, Default)]
+struct Keyed {
+    key: (i64, u64),
+    rank: u32,
+}
+
+impl YRanks {
+    /// The y-order of `run`, by one argsort.
+    pub fn argsort(run: &SortedRun) -> Self {
+        assert!(run.len() <= u32::MAX as usize, "run too long for u32 ranks");
+        let mut keyed: Vec<Keyed> = (run.iter().enumerate())
+            .map(|(rank, p)| Keyed {
+                key: p.ykey(),
+                rank: rank as u32,
+            })
+            .collect();
+        keyed.sort_unstable_by_key(|k| std::cmp::Reverse(k.key));
+        Self::checked(run, keyed.iter().map(|k| k.rank).collect())
+    }
+
+    /// The x-sorted run and y-order of `by_y`, a strictly y-descending
+    /// vector (a horizontal blocking): one x-argsort gathers the run, and
+    /// its inverse is the order.
+    pub fn of_y_desc(by_y: &[Point]) -> (SortedRun, Self) {
+        Self::of_y_desc_parts(&[by_y])
+    }
+
+    /// The x-sorted run and y-order of `parts` laid end to end: strictly
+    /// y-descending vectors (a level's `TS` snapshots) whose points are
+    /// x-disjoint and in x order, part after part. Each part is x-argsorted
+    /// and gathered onto the run, the inverse of its argsort is its
+    /// y-order, and the parts' orders merge as in [`YRanks::concat`].
+    pub fn of_y_desc_parts<P: AsRef<[Point]>>(parts: &[P]) -> (SortedRun, Self) {
+        let n: usize = parts.iter().map(|p| p.as_ref().len()).sum();
+        assert!(n <= u32::MAX as usize, "run too long for u32 ranks");
+        let mut run = Vec::with_capacity(n);
+        let mut by_y = vec![Keyed::default(); n];
+        let mut bounds = Vec::with_capacity(parts.len() + 1);
+        bounds.push(0);
+        let mut by_x: Vec<Keyed> = Vec::new();
+        for part in parts {
+            let (part, base) = (part.as_ref(), run.len());
+            by_x.clear();
+            by_x.extend(part.iter().enumerate().map(|(i, p)| Keyed {
+                key: p.xkey(),
+                rank: i as u32,
+            }));
+            by_x.sort_unstable_by_key(|k| k.key);
+            for (rank, k) in by_x.iter().enumerate() {
+                let p = part[k.rank as usize];
+                run.push(p);
+                by_y[base + k.rank as usize] = Keyed {
+                    key: p.ykey(),
+                    rank: (base + rank) as u32,
+                };
+            }
+            bounds.push(run.len());
+        }
+        let run = SortedRun::from_sorted(run);
+        let order = Self::merged(&run, by_y, bounds);
+        (run, order)
+    }
+
+    /// The y-order of `run`, the concatenation of x-disjoint runs laid end
+    /// to end in x order, from `parts`, the y-orders of those runs in the
+    /// same order: each part's ranks are offset by the lengths before it
+    /// and the parts are merged in pairwise rounds, `O(n log k)` for `k`
+    /// parts.
+    pub fn concat<'a>(run: &SortedRun, parts: impl IntoIterator<Item = &'a YRanks>) -> Self {
+        let mut by_y: Vec<Keyed> = Vec::with_capacity(run.len());
+        let mut bounds = vec![0usize];
+        for part in parts {
+            let base = by_y.len() as u32;
+            by_y.extend(part.0.iter().map(|&r| Keyed {
+                key: run[(base + r) as usize].ykey(),
+                rank: base + r,
+            }));
+            bounds.push(by_y.len());
+        }
+        assert_eq!(by_y.len(), run.len(), "parts do not cover the run");
+        Self::merged(run, by_y, bounds)
+    }
+
+    /// Merge the y-ordered segments `by_y[bounds[i]..bounds[i + 1]]` of
+    /// `run`'s keyed ranks into one y-order, in pairwise rounds.
+    fn merged(run: &SortedRun, mut by_y: Vec<Keyed>, mut bounds: Vec<usize>) -> Self {
+        let mut next = Vec::new();
+        while bounds.len() > 2 {
+            next.resize(by_y.len(), Keyed::default());
+            let mut merged = vec![0usize];
+            for pair in bounds.windows(3).step_by(2) {
+                let out = &mut next[pair[0]..pair[2]];
+                merge_keyed_desc(&by_y[pair[0]..pair[1]], &by_y[pair[1]..pair[2]], out);
+                merged.push(pair[2]);
+            }
+            if bounds.len().is_multiple_of(2) {
+                // An odd part count: the last part passes through whole.
+                let last = bounds[bounds.len() - 2];
+                next[last..].copy_from_slice(&by_y[last..]);
+                merged.push(by_y.len());
+            }
+            std::mem::swap(&mut by_y, &mut next);
+            bounds = merged;
+        }
+        Self::checked(run, by_y.iter().map(|k| k.rank).collect())
+    }
+
+    /// Wrap `ranks`, debug-checking them against `run` (see the type).
+    fn checked(run: &SortedRun, ranks: Vec<u32>) -> Self {
+        debug_assert_eq!(ranks.len(), run.len());
+        // Strictly descending keys repeat no rank, so `n` in-range ranks
+        // are a permutation.
+        debug_assert!(
+            ranks
+                .windows(2)
+                .all(|w| run[w[0] as usize].ykey() > run[w[1] as usize].ykey()),
+            "y-order is not strictly (y, id)-descending over its run"
+        );
+        #[cfg(debug_assertions)]
+        {
+            let mut ids: Vec<u64> = run.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
+        }
+        Self(ranks)
+    }
+
+    /// The run's points in this order (y-descending).
+    pub fn gather(&self, run: &[Point]) -> Vec<Point> {
+        self.0.iter().map(|&r| run[r as usize]).collect()
+    }
+
+    /// The ranks, in order.
+    pub fn as_slice(&self) -> &[u32] {
+        &self.0
+    }
+
+    /// Number of ranks (the run's length).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the order is over an empty run.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Merge two key-descending runs into `out` (exactly their total length).
+/// Which input the next key comes from is a coin flip on a level's
+/// snapshots, so the loop selects a head and advances both cursors by the
+/// comparison instead of branching on it.
+fn merge_keyed_desc(a: &[Keyed], b: &[Keyed], out: &mut [Keyed]) {
+    debug_assert_eq!(a.len() + b.len(), out.len());
+    let (mut i, mut j, mut o) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        let take_a = x.key > y.key;
+        out[o] = if take_a { x } else { y };
+        o += 1;
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+    }
+    out[o..o + a.len() - i].copy_from_slice(&a[i..]);
+    out[o + a.len() - i..].copy_from_slice(&b[j..]);
+}
+
 /// A **resumable** two-way merge of `(x, id)`-sorted runs: the incremental
 /// counterpart of [`SortedRun::merge`], producing bit-identical output in
 /// bounded instalments.
@@ -542,6 +727,52 @@ mod tests {
             let mut want: Vec<Point> = a.into_iter().chain(b).collect();
             sort_by_x(&mut want);
             assert_eq!(merged, want, "na={na} nb={nb}");
+        }
+    }
+
+    #[test]
+    fn y_ranks_agree_with_a_y_sort() {
+        for n in [0usize, 1, 2, 17, 300] {
+            let pts = pseudo_points(n, 0x7A + n as u64);
+            let run = SortedRun::from_unsorted(pts.clone());
+            let mut want = pts;
+            sort_by_y_desc(&mut want);
+            let order = YRanks::argsort(&run);
+            assert_eq!(order.gather(&run), want, "argsort n={n}");
+            let (by_x, inverted) = YRanks::of_y_desc(&want);
+            assert_eq!(by_x, run, "of_y_desc run n={n}");
+            assert_eq!(inverted, order, "of_y_desc order n={n}");
+        }
+    }
+
+    #[test]
+    fn y_ranks_concat_merges_the_parts() {
+        for parts in [0usize, 1, 2, 3, 5, 8] {
+            // x-disjoint slabs of uneven sizes, y drawn from few values.
+            let slabs: Vec<SortedRun> = (0..parts)
+                .map(|s| {
+                    let pts = pseudo_points(s * 7 % 23 + 1, s as u64 + 3);
+                    let pts = pts.into_iter().map(|p| {
+                        Point::new(p.x + 1_000 * s as i64, p.y % 9, p.id + 1_000 * s as u64)
+                    });
+                    SortedRun::from_unsorted(pts.collect())
+                })
+                .collect();
+            let orders: Vec<YRanks> = slabs.iter().map(YRanks::argsort).collect();
+            let run =
+                SortedRun::from_sorted(slabs.iter().flat_map(|s| s.iter().copied()).collect());
+            let want = YRanks::argsort(&run);
+            assert_eq!(YRanks::concat(&run, &orders), want, "{parts} parts");
+            let snapshots: Vec<Vec<Point>> = slabs
+                .iter()
+                .zip(&orders)
+                .map(|(s, o)| o.gather(s))
+                .collect();
+            assert_eq!(
+                YRanks::of_y_desc_parts(&snapshots),
+                (run, want),
+                "{parts} parts"
+            );
         }
     }
 

@@ -11,11 +11,12 @@
 //! * bulk build `O((n/B) log_B n)` I/Os (one write per page emitted).
 //!
 //! Construction is split into a **pure planning phase** ([`PstPlan`]) that
-//! computes every node's contents from the x-sorted input without touching
-//! a store — so hosts can run it on worker threads during their parallel
-//! build phases — and a sequential **materialisation** that allocates one
-//! page per planned node on the calling thread. The tree retains its plan
-//! as an in-memory layout mirror, which is what lets
+//! computes every node's contents from the x-sorted input and its y-order
+//! ([`YRanks`], which the hosts' reorganisations already hold) without
+//! touching a store — so hosts can run it on worker threads during their
+//! parallel build phases — and a sequential **materialisation** that
+//! allocates one page per planned node on the calling thread. The tree
+//! retains its plan as an in-memory layout mirror, which is what lets
 //! [`ExternalPst::rebuild_from_sorted`] reuse the node layout across the
 //! amortised reorganisations of §3.2/§4: a node whose planned population is
 //! unchanged keeps its page untouched, so rebuild-heavy insert floods stop
@@ -23,7 +24,9 @@
 
 use std::sync::Arc;
 
-use ccix_extmem::{FixedBytes, Geometry, IoCounter, PageId, PathPin, Point, SortedRun, TypedStore};
+use ccix_extmem::{
+    FixedBytes, Geometry, IoCounter, PageId, PathPin, Point, SortedRun, TypedStore, YRanks,
+};
 
 /// One record on a PST page: the leading control record or a data point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,50 +110,185 @@ impl FixedBytes for PstRec {
 }
 
 /// One planned PST node: the page contents decided, no page allocated yet.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlanNode {
     /// x-split between the children.
     split: (i64, u64),
-    /// The node's points, y-descending (the `B − 1` largest of its subtree).
-    top: Vec<Point>,
-    left: Option<Box<PlanNode>>,
-    right: Option<Box<PlanNode>>,
+    /// The node's points, `pts[start..end]` of its plan: the `B − 1`
+    /// largest of its subtree, y-descending.
+    top: (u32, u32),
+    /// Child node indices into the plan.
+    left: Option<u32>,
+    right: Option<u32>,
 }
 
 /// A CPU-only construction plan for an [`ExternalPst`]: every node's
-/// population, split key and shape, computed from x-sorted input with no
-/// store access and no I/O. Planning is a pure function, so hosts
-/// parallelise it freely (the metablock trees plan the PSTs of independent
-/// slabs on scoped worker threads); materialisation
+/// population, split key and shape, computed from x-sorted input and its
+/// y-order with no store access and no I/O. Planning is a pure function,
+/// so hosts parallelise it freely (the metablock trees plan the PSTs of
+/// independent slabs on scoped worker threads); materialisation
 /// ([`ExternalPst::from_plan`]) then allocates pages sequentially on the
 /// calling thread, keeping the I/O accounting single-threaded.
-#[derive(Debug)]
+///
+/// The plan is two flat arenas: the nodes in pre-order (the root first)
+/// and every node's top points, node after node.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct PstPlan {
-    root: Option<Box<PlanNode>>,
+    nodes: Vec<PlanNode>,
+    pts: Vec<Point>,
     height: usize,
-    len: usize,
 }
 
 impl PstPlan {
-    /// Plan a tree over an x-sorted run.
-    pub fn plan(geo: Geometry, sorted: SortedRun) -> Self {
+    /// Plan a tree over an x-sorted run and its y-order.
+    ///
+    /// Every subtree is planned over two slices of the run's x-ranks: its
+    /// y-slice (y-descending) and its x-slice (ascending). A node's top is
+    /// the head of its y-slice; the rest of its x-slice splits at the
+    /// median, and one stable partition of the rest of its y-slice by that
+    /// median gives each child its y-slice. Each level is a few linear
+    /// passes over `u32` ranks, with no selection and no sort.
+    pub fn plan(geo: Geometry, run: &SortedRun, by_y: &YRanks) -> Self {
         assert!(geo.b >= 2, "external PST needs B ≥ 2");
-        let mut points = sorted.into_inner();
-        let len = points.len();
-        let (root, height) = Self::plan_rec(geo, &mut points);
-        Self { root, height, len }
+        assert_eq!(run.len(), by_y.len(), "y-order of another run");
+        let n = run.len();
+        let cap = ExternalPst::node_cap(geo);
+        let mut planner = RankPlanner {
+            run,
+            cap,
+            ys: by_y.as_slice().to_vec(),
+            xs: (0..n as u32).collect(),
+            taken: vec![false; n],
+            spill: vec![0; n / 2 + 1],
+            plan: PstPlan {
+                nodes: Vec::with_capacity(n.div_ceil(cap)),
+                pts: Vec::with_capacity(n),
+                height: 0,
+            },
+        };
+        let (_, height) = planner.node(0, n);
+        planner.plan.height = height;
+        planner.plan
+    }
+
+    /// Node `i`'s top.
+    fn top(&self, i: usize) -> &[Point] {
+        let (start, end) = self.nodes[i].top;
+        &self.pts[start as usize..end as usize]
+    }
+
+    /// The root node, if any.
+    fn root(&self) -> Option<usize> {
+        (!self.nodes.is_empty()).then_some(0)
+    }
+
+    /// Push a node over the top `top`, its split and children to be set.
+    fn push_node(&mut self, top: impl IntoIterator<Item = Point>) -> usize {
+        let start = self.pts.len() as u32;
+        self.pts.extend(top);
+        self.nodes.push(PlanNode {
+            split: (i64::MIN, 0),
+            top: (start, self.pts.len() as u32),
+            left: None,
+            right: None,
+        });
+        self.nodes.len() - 1
+    }
+}
+
+/// The working state of [`PstPlan::plan`].
+struct RankPlanner<'a> {
+    run: &'a [Point],
+    cap: usize,
+    /// y-slices: `ys[a..b]` holds the x-ranks of the subtree being
+    /// planned, y-descending.
+    ys: Vec<u32>,
+    /// x-slices: `xs[a..b]` holds the same ranks, ascending.
+    xs: Vec<u32>,
+    /// Ranks already placed in a node's top.
+    taken: Vec<bool>,
+    /// The right side of a partition while the left side compacts (at
+    /// most half a slice, plus the slot a store past the end lands in).
+    spill: Vec<u32>,
+    plan: PstPlan,
+}
+
+impl RankPlanner<'_> {
+    /// Plan the subtree over the slices `[a, b)`; returns its root node and
+    /// height.
+    fn node(&mut self, a: usize, b: usize) -> (Option<u32>, usize) {
+        if a == b {
+            return (None, 0);
+        }
+        let rest = a + self.cap.min(b - a);
+        for &r in &self.ys[a..rest] {
+            self.taken[r as usize] = true;
+        }
+        let run = self.run;
+        let id = self
+            .plan
+            .push_node(self.ys[a..rest].iter().map(|&r| run[r as usize]));
+        if rest == b {
+            return (Some(id as u32), 1);
+        }
+        // Drop the top from the x-slice, compacting toward its end so that
+        // the rest lines up with the y-slice's rest, `[rest, b)`. Both
+        // passes here store unconditionally and advance by the test: its
+        // outcome is a coin flip a branch would mispredict.
+        let (xs, taken) = (&mut self.xs[a..b], &self.taken);
+        let mut w = xs.len();
+        for i in (0..xs.len()).rev() {
+            let r = xs[i];
+            xs[w - 1] = r; // w > i: never a rank still to be read
+            w -= usize::from(!taken[r as usize]);
+        }
+        debug_assert_eq!(a + w, rest);
+        let mid = rest + (b - rest - 1) / 2;
+        let median = self.xs[mid];
+        // Ranks up to the median go left, the others right, each side in
+        // its y-order.
+        let (ys, spill) = (&mut self.ys[rest..b], &mut self.spill);
+        let (mut l, mut r) = (0, 0);
+        for i in 0..ys.len() {
+            let rank = ys[i];
+            let left = rank <= median;
+            ys[l] = rank; // l ≤ i
+            spill[r] = rank;
+            l += usize::from(left);
+            r += usize::from(!left);
+        }
+        ys[l..].copy_from_slice(&spill[..r]);
+        let w = rest + l;
+        debug_assert_eq!(w, mid + 1);
+        let (left, lh) = self.node(rest, w);
+        let (right, rh) = self.node(w, b);
+        let node = &mut self.plan.nodes[id];
+        node.split = run[median as usize].xkey();
+        (node.left, node.right) = (left, right);
+        (Some(id as u32), 1 + lh.max(rh))
+    }
+}
+
+#[cfg(test)]
+impl PstPlan {
+    /// The recursive planner the rank planner replaced, kept as its
+    /// reference: every node re-derives its top from the x-sorted points
+    /// below it by a selection, a filter and a sort, and hands its children
+    /// the split halves.
+    fn plan_reference(geo: Geometry, run: SortedRun) -> Self {
+        assert!(geo.b >= 2, "external PST needs B ≥ 2");
+        let mut plan = Self::default();
+        let (_, height) = plan.plan_rec(geo, &mut run.into_inner());
+        plan.height = height;
+        plan
     }
 
     /// Plan over an x-sorted vector; returns (root node, height).
-    fn plan_rec(geo: Geometry, points: &mut Vec<Point>) -> (Option<Box<PlanNode>>, usize) {
+    fn plan_rec(&mut self, geo: Geometry, points: &mut Vec<Point>) -> (Option<u32>, usize) {
         if points.is_empty() {
             return (None, 0);
         }
         let k = ExternalPst::node_cap(geo).min(points.len());
-        // Select the k largest ykeys, removing them while preserving x
-        // order. `select_nth` finds the threshold in `O(n)` — a full sort
-        // here made every plan level pay `O(n log n)`, the dominant CPU
-        // cost of the B³-point children-PST rebuilds.
         let mut ys: Vec<(i64, u64)> = points.iter().map(Point::ykey).collect();
         let threshold = if k == ys.len() {
             *ys.iter().min().expect("nonempty")
@@ -169,38 +307,29 @@ impl PstPlan {
         });
         debug_assert_eq!(top.len(), k);
         ccix_extmem::sort_by_y_desc(&mut top);
-
-        let (split, left, right, depth) = if points.is_empty() {
-            ((i64::MIN, 0), None, None, 1)
-        } else {
-            let mid = (points.len() - 1) / 2;
-            let split = points[mid].xkey();
-            let mut right_part = points.split_off(mid + 1);
-            let (left, lh) = Self::plan_rec(geo, points);
-            let (right, rh) = Self::plan_rec(geo, &mut right_part);
-            (split, left, right, 1 + lh.max(rh))
-        };
-        (
-            Some(Box::new(PlanNode {
-                split,
-                top,
-                left,
-                right,
-            })),
-            depth,
-        )
+        let id = self.push_node(top);
+        if points.is_empty() {
+            return (Some(id as u32), 1);
+        }
+        let mid = (points.len() - 1) / 2;
+        let split = points[mid].xkey();
+        let mut right_part = points.split_off(mid + 1);
+        let (left, lh) = self.plan_rec(geo, points);
+        let (right, rh) = self.plan_rec(geo, &mut right_part);
+        let node = &mut self.nodes[id];
+        node.split = split;
+        (node.left, node.right) = (left, right);
+        (Some(id as u32), 1 + lh.max(rh))
     }
 }
 
-/// A materialised plan node: the layout mirror the tree retains so the next
+/// A materialised plan: the layout mirror the tree retains so the next
 /// rebuild can tell which node populations changed without re-reading them.
-#[derive(Debug)]
-struct LayoutNode {
-    page: PageId,
-    split: (i64, u64),
-    top: Vec<Point>,
-    left: Option<Box<LayoutNode>>,
-    right: Option<Box<LayoutNode>>,
+#[derive(Debug, Default)]
+struct Layout {
+    plan: PstPlan,
+    /// Each node's page, parallel to the plan's nodes.
+    pages: Vec<PageId>,
 }
 
 /// External static priority search tree (Lemma 4.1).
@@ -214,9 +343,7 @@ struct LayoutNode {
 pub struct ExternalPst {
     store: TypedStore<PstRec>,
     root: Option<PageId>,
-    len: usize,
-    height: usize,
-    layout: Option<Box<LayoutNode>>,
+    layout: Layout,
 }
 
 impl ExternalPst {
@@ -232,75 +359,62 @@ impl ExternalPst {
             ids.sort_unstable();
             assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
         }
-        Self::build_from_sorted(geo, counter, SortedRun::from_unsorted(points))
+        let run = SortedRun::from_unsorted(points);
+        Self::build_from_sorted(geo, counter, &run, &YRanks::argsort(&run))
     }
 
-    /// Build from an already x-sorted run, skipping the sort (and the
-    /// duplicate-id scan — the run's strict order is the caller's proof).
-    pub fn build_from_sorted(geo: Geometry, counter: IoCounter, sorted: SortedRun) -> Self {
-        Self::from_plan(geo, counter, PstPlan::plan(geo, sorted))
+    /// Build from an already x-sorted run and its y-order, skipping the
+    /// sorts and the duplicate-id scan. The run's ids must be unique: its
+    /// strict `(x, id)` order does not imply that (one id may sit at two
+    /// `x`), so it is the caller's precondition, debug-checked where the
+    /// y-order is built.
+    pub fn build_from_sorted(
+        geo: Geometry,
+        counter: IoCounter,
+        run: &SortedRun,
+        by_y: &YRanks,
+    ) -> Self {
+        Self::from_plan(geo, counter, PstPlan::plan(geo, run, by_y))
     }
 
     /// Materialise a plan: one page allocated (one write I/O) per node, on
     /// the calling thread.
     pub fn from_plan(geo: Geometry, counter: IoCounter, plan: PstPlan) -> Self {
         assert!(geo.b >= 2, "external PST needs B ≥ 2");
-        let mut store = TypedStore::new(geo.b, counter);
-        let layout = plan.root.map(|n| Self::alloc_rec(&mut store, *n));
-        Self {
-            root: layout.as_ref().map(|l| l.page),
-            store,
-            len: plan.len,
-            height: plan.height,
-            layout,
-        }
-    }
-
-    /// Allocate pages for a planned subtree, post-order (children first, so
-    /// the node's meta record can carry their page ids).
-    fn alloc_rec(store: &mut TypedStore<PstRec>, node: PlanNode) -> Box<LayoutNode> {
-        let left = node.left.map(|n| Self::alloc_rec(store, *n));
-        let right = node.right.map(|n| Self::alloc_rec(store, *n));
-        let page = store.alloc(Self::node_recs(&node.split, &node.top, &left, &right));
-        Box::new(LayoutNode {
-            page,
-            split: node.split,
-            top: node.top,
-            left,
-            right,
-        })
+        let mut pst = Self {
+            store: TypedStore::new(geo.b, counter),
+            root: None,
+            layout: Layout::default(),
+        };
+        pst.lay_out(&Layout::default(), plan);
+        pst
     }
 
     /// The page records of a node: meta first, then the points y-descending.
     fn node_recs(
-        split: &(i64, u64),
+        split: (i64, u64),
         top: &[Point],
-        left: &Option<Box<LayoutNode>>,
-        right: &Option<Box<LayoutNode>>,
-    ) -> Vec<PstRec> {
-        let mut recs = Vec::with_capacity(top.len() + 1);
-        recs.push(PstRec::Meta {
-            split: *split,
-            left: left.as_ref().map(|l| l.page),
-            right: right.as_ref().map(|r| r.page),
-        });
-        recs.extend(top.iter().copied().map(PstRec::Pt));
-        recs
+        left: Option<PageId>,
+        right: Option<PageId>,
+    ) -> impl Iterator<Item = PstRec> + '_ {
+        let meta = PstRec::Meta { split, left, right };
+        std::iter::once(meta).chain(top.iter().copied().map(PstRec::Pt))
     }
 
-    /// Rebuild over a new x-sorted point set, **reusing the node layout**
-    /// wherever a node's population is unchanged: a node whose split key,
-    /// point set and child shape all match the previous layout keeps its
-    /// page untouched (its on-disk content is already exact, so no transfer
-    /// is charged — the retained layout mirror plays the role of the
-    /// page-version metadata any real storage engine keeps); a changed node
-    /// is overwritten in place (one write); growth allocates and shrinkage
-    /// frees. Rebuild-heavy insert floods thus stop re-materialising the
-    /// nodes their deltas never touched, and page slots are recycled
-    /// through the store's free list instead of a fresh store.
-    pub fn rebuild_from_sorted(&mut self, geo: Geometry, sorted: SortedRun) {
-        let old = self.layout.take();
-        self.rebuild_over(old.as_deref(), geo, sorted);
+    /// Rebuild over a new x-sorted point set and its y-order, **reusing the
+    /// node layout** wherever a node's population is unchanged: a node
+    /// whose split key, point set and child shape all match the previous
+    /// layout keeps its page untouched (its on-disk content is already
+    /// exact, so no transfer is charged — the retained layout mirror plays
+    /// the role of the page-version metadata any real storage engine
+    /// keeps); a changed node is overwritten in place (one write); growth
+    /// allocates and shrinkage frees. Rebuild-heavy insert floods thus stop
+    /// re-materialising the nodes their deltas never touched, and page
+    /// slots are recycled through the store's free list instead of a fresh
+    /// store.
+    pub fn rebuild_from_sorted(&mut self, geo: Geometry, run: &SortedRun, by_y: &YRanks) {
+        let old = std::mem::take(&mut self.layout);
+        self.lay_out(&old, PstPlan::plan(geo, run, by_y));
     }
 
     /// [`ExternalPst::rebuild_from_sorted`] on a PST other handles may
@@ -315,105 +429,130 @@ impl ExternalPst {
         pst: &mut Arc<Self>,
         counter: &IoCounter,
         geo: Geometry,
-        sorted: SortedRun,
+        run: &SortedRun,
+        by_y: &YRanks,
     ) {
         match Arc::get_mut(pst).filter(|p| p.counter().same_as(counter)) {
-            Some(owned) => owned.rebuild_from_sorted(geo, sorted),
+            Some(owned) => owned.rebuild_from_sorted(geo, run, by_y),
             None => {
                 let mut fresh = Self {
                     store: pst.store.fork(counter.clone()),
                     root: None,
-                    len: 0,
-                    height: 0,
-                    layout: None,
+                    layout: Layout::default(),
                 };
-                fresh.rebuild_over(pst.layout.as_deref(), geo, sorted);
+                fresh.lay_out(&pst.layout, PstPlan::plan(geo, run, by_y));
                 *pst = Arc::new(fresh);
             }
         }
     }
 
-    /// Rebuild over `sorted` on top of the `old` layout (see
-    /// [`ExternalPst::rebuild_from_sorted`]).
-    fn rebuild_over(&mut self, old: Option<&LayoutNode>, geo: Geometry, sorted: SortedRun) {
-        let plan = PstPlan::plan(geo, sorted);
-        self.len = plan.len;
-        self.height = plan.height;
-        self.layout = self.reuse_opt(old, plan.root);
-        self.root = self.layout.as_ref().map(|l| l.page);
+    /// Materialise `plan` on top of the `old` layout, page for page (see
+    /// [`ExternalPst::rebuild_from_sorted`]), and keep it as the layout.
+    fn lay_out(&mut self, old: &Layout, plan: PstPlan) {
+        let mut pages = vec![PageId(0); plan.nodes.len()];
+        let (o, n) = (old.plan.root(), plan.root());
+        self.root = Self::place(&mut self.store, old, o, &plan, n, &mut pages);
+        self.layout = Layout { plan, pages };
     }
 
-    /// Free a layout subtree's pages.
-    fn free_rec(store: &mut TypedStore<PstRec>, node: &LayoutNode) {
-        store.free(node.page);
-        for child in [&node.left, &node.right].into_iter().flatten() {
-            Self::free_rec(store, child);
-        }
-    }
-
-    /// Materialise a planned subtree over an old layout subtree: both
+    /// Materialise planned subtree `n` over old layout subtree `o`: both
     /// present reuse page for page, a side present in only one allocates
-    /// or frees.
-    fn reuse_opt(
-        &mut self,
-        old: Option<&LayoutNode>,
-        new: Option<Box<PlanNode>>,
-    ) -> Option<Box<LayoutNode>> {
-        match (old, new) {
-            (Some(o), Some(n)) => Some(self.reuse_rec(o, *n)),
+    /// or frees. Records each planned node's page in `pages`; returns the
+    /// subtree root's.
+    fn place(
+        store: &mut TypedStore<PstRec>,
+        old: &Layout,
+        o: Option<usize>,
+        new: &PstPlan,
+        n: Option<usize>,
+        pages: &mut [PageId],
+    ) -> Option<PageId> {
+        match (o, n) {
+            (Some(o), Some(n)) => Some(Self::reuse_rec(store, old, o, new, n, pages)),
             (Some(o), None) => {
-                Self::free_rec(&mut self.store, o);
+                Self::free_rec(store, old, o);
                 None
             }
-            (None, Some(n)) => Some(Self::alloc_rec(&mut self.store, *n)),
+            (None, Some(n)) => Some(Self::alloc_rec(store, new, n, pages)),
             (None, None) => None,
         }
     }
 
-    /// Materialise a planned subtree on top of an old layout subtree,
+    /// Allocate pages for planned subtree `i`, post-order (children first,
+    /// so the node's meta record can carry their page ids).
+    fn alloc_rec(
+        store: &mut TypedStore<PstRec>,
+        plan: &PstPlan,
+        i: usize,
+        pages: &mut [PageId],
+    ) -> PageId {
+        let node = plan.nodes[i];
+        let left = node
+            .left
+            .map(|c| Self::alloc_rec(store, plan, c as usize, pages));
+        let right = node
+            .right
+            .map(|c| Self::alloc_rec(store, plan, c as usize, pages));
+        let recs = Self::node_recs(node.split, plan.top(i), left, right);
+        pages[i] = store.alloc(recs.collect());
+        pages[i]
+    }
+
+    /// Free the pages of old layout subtree `i`.
+    fn free_rec(store: &mut TypedStore<PstRec>, old: &Layout, i: usize) {
+        store.free(old.pages[i]);
+        let node = old.plan.nodes[i];
+        for child in [node.left, node.right].into_iter().flatten() {
+            Self::free_rec(store, old, child as usize);
+        }
+    }
+
+    /// Materialise planned subtree `n` on top of old layout subtree `o`,
     /// page-for-page: unchanged nodes are kept without a transfer, changed
     /// nodes are overwritten in place (their page id — and therefore their
-    /// parent's meta record — survives), shape differences alloc/free. The
+    /// parent's meta record — survives, and an unshared page keeps its
+    /// buffer), shape differences alloc/free. The
     /// old layout is only read, so it may be one another handle shares.
-    fn reuse_rec(&mut self, old: &LayoutNode, new: PlanNode) -> Box<LayoutNode> {
-        let left = self.reuse_opt(old.left.as_deref(), new.left);
-        let right = self.reuse_opt(old.right.as_deref(), new.right);
+    fn reuse_rec(
+        store: &mut TypedStore<PstRec>,
+        old: &Layout,
+        o: usize,
+        new: &PstPlan,
+        n: usize,
+        pages: &mut [PageId],
+    ) -> PageId {
+        let (was, is) = (old.plan.nodes[o], new.nodes[n]);
+        let index = |c: Option<u32>| c.map(|c| c as usize);
+        let left = Self::place(store, old, index(was.left), new, index(is.left), pages);
+        let right = Self::place(store, old, index(was.right), new, index(is.right), pages);
         // The node's page content is a pure function of (split, top, child
         // pages); children reused in place keep their ids, so equality of
         // the in-memory mirrors means the on-disk page is already exact.
-        let page_of = |n: &Option<Box<LayoutNode>>| n.as_ref().map(|n| n.page);
-        let unchanged = old.split == new.split
-            && old.top == new.top
-            && page_of(&left) == page_of(&old.left)
-            && page_of(&right) == page_of(&old.right);
+        let page_of = |c: Option<u32>| c.map(|c| old.pages[c as usize]);
+        let unchanged = was.split == is.split
+            && old.plan.top(o) == new.top(n)
+            && left == page_of(was.left)
+            && right == page_of(was.right);
+        pages[n] = old.pages[o];
         if !unchanged {
-            self.store.write(
-                old.page,
-                Self::node_recs(&new.split, &new.top, &left, &right),
-            );
+            store.rewrite(pages[n], Self::node_recs(is.split, new.top(n), left, right));
         }
-        Box::new(LayoutNode {
-            page: old.page,
-            split: new.split,
-            top: new.top,
-            left,
-            right,
-        })
+        pages[n]
     }
 
     /// Number of points stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.layout.plan.pts.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Tree height in nodes (0 when empty).
     pub fn height(&self) -> usize {
-        self.height
+        self.layout.plan.height
     }
 
     /// Disk blocks occupied.
@@ -516,7 +655,7 @@ impl ExternalPst {
     /// Every stored point, without charging I/Os; a host rebuilding the
     /// tree bills the read of its [`ExternalPst::space_pages`] pages itself.
     pub fn collect_points_unbilled(&self) -> Vec<Point> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         let mut stack: Vec<PageId> = self.root.into_iter().collect();
         while let Some(page) = stack.pop() {
             let recs = self.store.read_unbilled(page);
@@ -581,6 +720,18 @@ mod tests {
 
     fn build(b: usize, pts: &[Point]) -> ExternalPst {
         ExternalPst::build(Geometry::new(b), IoCounter::new(), pts.to_vec())
+    }
+
+    /// `pts` as a run and its y-order.
+    fn ordered(pts: Vec<Point>) -> (SortedRun, YRanks) {
+        let run = SortedRun::from_unsorted(pts);
+        let by_y = YRanks::argsort(&run);
+        (run, by_y)
+    }
+
+    fn rebuild(pst: &mut ExternalPst, geo: Geometry, pts: Vec<Point>) {
+        let (run, by_y) = ordered(pts);
+        pst.rebuild_from_sorted(geo, &run, &by_y);
     }
 
     fn random_points(n: usize, seed: u64, range: i64) -> Vec<Point> {
@@ -694,7 +845,7 @@ mod tests {
 
         // Identical population: the whole layout is reused, zero transfers.
         let before = counter.snapshot();
-        pst.rebuild_from_sorted(geo, SortedRun::from_unsorted(base.clone()));
+        rebuild(&mut pst, geo, base.clone());
         assert_eq!(
             counter.since(before).total(),
             0,
@@ -707,7 +858,7 @@ mod tests {
         let mut grown = base.clone();
         grown.extend((0..40).map(|i| Point::new(1_000 + i, 3_000 + i, 10_000 + i as u64)));
         let before = counter.snapshot();
-        pst.rebuild_from_sorted(geo, SortedRun::from_unsorted(grown.clone()));
+        rebuild(&mut pst, geo, grown.clone());
         let delta = counter.since(before);
         assert!(
             delta.writes < pst.space_pages() as u64,
@@ -738,7 +889,7 @@ mod tests {
         }
 
         // Shrinking far enough frees pages back to the store.
-        pst.rebuild_from_sorted(geo, SortedRun::from_unsorted(base[..50].to_vec()));
+        rebuild(&mut pst, geo, base[..50].to_vec());
         assert!(pst.space_pages() < pages_before);
         oracle::assert_same_points(
             pst.query(i64::MIN, i64::MAX, i64::MIN),
@@ -763,7 +914,8 @@ mod tests {
         let (before_owned, before_shared) = (c_owned.snapshot(), c_shared.snapshot());
         let owned_ptr = Arc::as_ptr(&owned);
         let rebuild = |pst: &mut Arc<ExternalPst>, counter: &IoCounter| {
-            ExternalPst::rebuild_shared(pst, counter, geo, SortedRun::from_unsorted(grown.clone()))
+            let (run, by_y) = ordered(grown.clone());
+            ExternalPst::rebuild_shared(pst, counter, geo, &run, &by_y)
         };
         rebuild(&mut owned, &c_owned);
         rebuild(&mut shared, &c_shared);
@@ -797,11 +949,8 @@ mod tests {
         let geo = Geometry::new(4);
         let pts = random_points(300, 0xABCD, 700);
         let a = ExternalPst::build(geo, IoCounter::new(), pts.clone());
-        let b = ExternalPst::build_from_sorted(
-            geo,
-            IoCounter::new(),
-            SortedRun::from_unsorted(pts.clone()),
-        );
+        let (run, by_y) = ordered(pts.clone());
+        let b = ExternalPst::build_from_sorted(geo, IoCounter::new(), &run, &by_y);
         assert_eq!(a.space_pages(), b.space_pages());
         assert_eq!(a.height(), b.height());
         for q in [(0i64, 700i64, 0i64), (10, 20, 300), (350, 350, 0)] {
@@ -811,6 +960,25 @@ mod tests {
                 &format!("{q:?}"),
             );
         }
+    }
+
+    /// The rank planner equals the recursive reference node for node —
+    /// split, top and shape — over random sizes, node sizes and inputs
+    /// from uniform to all-equal.
+    #[test]
+    fn rank_planner_equals_the_reference_node_for_node() {
+        ccix_testkit::check::trials("pst rank planner", 200, 0x9157_91A4, |rng| {
+            let b = rng.gen_range(2..40usize);
+            let n = rng.gen_range(0..3_000usize);
+            let (xs, ys) = (rng.gen_range(1..2_000i64), rng.gen_range(1..2_000i64));
+            let pts: Vec<Point> = (0..n as u64)
+                .map(|id| Point::new(rng.gen_range(0..xs), rng.gen_range(0..ys), id))
+                .collect();
+            let geo = Geometry::new(b);
+            let (run, by_y) = ordered(pts);
+            let plan = PstPlan::plan(geo, &run, &by_y);
+            assert_eq!(plan, PstPlan::plan_reference(geo, run), "b={b} n={n}");
+        });
     }
 
     #[test]

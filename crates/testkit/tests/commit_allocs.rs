@@ -17,14 +17,22 @@
 //! half of what the same cycle cost before the tree's control blocks were
 //! shared member by member (the diagonal tree) or at all (the three-sided
 //! tree), measured with this file at the same shape.
+//!
+//! A third leg counts one children-sized PST rebuild on its own: the
+//! rebuild a three-sided TS reorganisation runs over its children's
+//! snapshots, held to half of what it cost while the planner re-selected
+//! every node's top and kept a box and a vector per node.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::thread::LocalKey;
 
+use std::sync::Arc;
+
 use ccix_core::{DiagOptions, MetablockTree, Op, ThreeSidedTree, Tuning};
-use ccix_extmem::{Geometry, IoCounter, Point};
+use ccix_extmem::{Geometry, IoCounter, Point, SortedRun, YRanks};
 use ccix_interval::{IndexBuilder, Interval, IntervalOp};
+use ccix_pst::ExternalPst;
 use ccix_testkit::workloads::{interval_points, uniform_intervals, uniform_points};
 use ccix_testkit::DetRng;
 
@@ -144,7 +152,7 @@ fn cycle<I, C>(
 fn at_most_half(what: &str, got: f64, parent: f64) {
     assert!(
         got <= parent / 2.0,
-        "{got:.1} {what} per commit, more than half of {parent:.1}"
+        "{got:.1} {what}, more than half of {parent:.1}"
     );
 }
 
@@ -224,9 +232,13 @@ fn a_commit_allocates_and_retires_in_proportion_to_what_it_touches() {
         |idx| idx.fork_snapshot(IoCounter::new()),
     );
     assert_eq!(idx.len(), N);
-    at_most_half("allocations in apply", counts.apply, DIAG_PARENT.0);
     at_most_half(
-        "frees in the retired epoch's drop",
+        "allocations in apply per commit",
+        counts.apply,
+        DIAG_PARENT.0,
+    );
+    at_most_half(
+        "frees in the retired epoch's drop per commit",
         counts.drop,
         DIAG_PARENT.1,
     );
@@ -279,12 +291,12 @@ fn a_three_sided_commit_allocates_and_retires_in_proportion_to_what_it_touches()
     // shared block at its first write, in apply: the writer's side of a
     // commit is apply and fork together.
     at_most_half(
-        "allocations in apply and fork",
+        "allocations in apply and fork per commit",
         counts.apply + counts.fork,
         TS_PARENT.0 + TS_PARENT.1,
     );
     at_most_half(
-        "frees in the retired epoch's drop",
+        "frees in the retired epoch's drop per commit",
         counts.drop,
         TS_PARENT.2,
     );
@@ -300,4 +312,39 @@ fn a_three_sided_commit_allocates_and_retires_in_proportion_to_what_it_touches()
     let mut got: Vec<u64> = epoch.query(x1, x2, y0).iter().map(|p| p.id).collect();
     got.sort_unstable();
     assert_eq!(got, want);
+}
+
+/// The children-sized rebuild while the planner re-derived every node's
+/// top (a selection, a filter and a sort per node) and the plan and its
+/// layout mirror kept a box and a vector per node: allocations in the
+/// rebuild, the same in both profiles.
+const PST_PARENT: f64 = 13_303.0;
+
+#[test]
+fn a_children_sized_pst_rebuild_allocates_in_proportion_to_its_nodes() {
+    let geo = Geometry::new(32);
+    let base = uniform_points(32_768, 0x9_5700, RANGE);
+    let delta = uniform_points(1_024, 0x9_5701, RANGE);
+    let mut grown = base.clone();
+    grown.extend(delta.iter().map(|p| Point::new(p.x, p.y, p.id + 1_000_000)));
+    let counter = IoCounter::new();
+    let mut pst = Arc::new(ExternalPst::build(geo, counter.clone(), base));
+    // The caller holds the run and its y-order, as a reorganisation does.
+    let run = SortedRun::from_unsorted(grown);
+    let by_y = YRanks::argsort(&run);
+    let before = read(&ALLOCS);
+    ExternalPst::rebuild_shared(&mut pst, &counter, geo, &run, &by_y);
+    let rebuild = (read(&ALLOCS) - before) as f64;
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    println!("[commit_allocs] {profile}: PST rebuild {rebuild} allocations, parent {PST_PARENT}");
+    at_most_half(
+        "allocations in a children-sized PST rebuild",
+        rebuild,
+        PST_PARENT,
+    );
+    assert_eq!(pst.len(), run.len());
 }
