@@ -46,7 +46,7 @@ pub struct PlanCtx<S> {
 pub struct SlabPlan<S: Hooks> {
     /// Mains, x-sorted (the typed invariant the organisations build on).
     pub(crate) mains_x: SortedRun,
-    /// The y-order of `mains_x`.
+    /// The y-order of `mains_x`, until the parent's plan has used it.
     pub(crate) mains_order: YRanks,
     /// Mains, y-descending.
     mains_y: Vec<Point>,
@@ -109,7 +109,7 @@ fn plan_slab<S: Shape>(
 /// shape's plans share, and let the shape plan the node's organisations.
 fn finish_plan<S: Shape>(
     mains_x: Vec<Point>,
-    children: Vec<SlabPlan<S>>,
+    mut children: Vec<SlabPlan<S>>,
     slab_lo: Key,
     slab_hi: Key,
     sub_yhi: Option<Key>,
@@ -119,6 +119,11 @@ fn finish_plan<S: Shape>(
     let mains_order = YRanks::argsort(&mains_x);
     let mains_y = mains_order.gather(&mains_x);
     let node = S::plan_node(ctx, &mains_x, &mains_order, &children);
+    // The children's y-orders served this node's plan and nothing after
+    // it: free them now rather than hold one for every node of the plan.
+    for child in &mut children {
+        child.mains_order = YRanks::default();
+    }
     SlabPlan {
         mains_x,
         mains_order,

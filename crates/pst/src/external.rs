@@ -161,7 +161,9 @@ impl PstPlan {
             taken: vec![false; n],
             spill: vec![0; n / 2 + 1],
             plan: PstPlan {
-                nodes: Vec::with_capacity(n.div_ceil(cap)),
+                // A node over m > B − 1 points leaves two children about
+                // (m − B + 1) / 2 each, so nodes hold B / 2 points on average.
+                nodes: Vec::with_capacity(2 * n.div_ceil(cap)),
                 pts: Vec::with_capacity(n),
                 height: 0,
             },
