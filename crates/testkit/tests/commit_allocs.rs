@@ -25,9 +25,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::thread::LocalKey;
-
 use std::sync::Arc;
+use std::thread::LocalKey;
 
 use ccix_core::{DiagOptions, MetablockTree, Op, ThreeSidedTree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point, SortedRun, YRanks};
