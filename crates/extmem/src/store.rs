@@ -245,39 +245,38 @@ impl<T: Clone> TypedStore<T> {
         }
     }
 
-    /// Overwrite a page. Costs one write I/O.
-    pub fn write(&mut self, id: PageId, records: Vec<T>) {
-        assert!(
-            records.len() <= self.capacity,
-            "page overflow: {} records into capacity {}",
-            records.len(),
-            self.capacity
-        );
-        *self.live_mut(id, "write to") = Arc::new(records);
-        self.counter.add_writes(1);
-        if let Some(m) = &self.file {
-            m.write_page(id, self.live(id, "write to"));
-        }
-    }
-
-    /// Overwrite a page with `records`, filling its buffer in place while
-    /// no snapshot shares it (a rebuild that rewrites most of a structure's
-    /// pages then allocates nothing per page). Costs one write I/O, like
-    /// [`TypedStore::write`].
-    pub fn rewrite(&mut self, id: PageId, records: impl IntoIterator<Item = T>) {
+    /// Overwrite a page with `records`. Costs one write I/O.
+    ///
+    /// While no snapshot shares the page its buffer is refilled in place,
+    /// so a rebuild that rewrites most of a structure's pages allocates
+    /// nothing per page; a shared page gets a new buffer and the snapshot
+    /// keeps its own.
+    ///
+    /// # Panics
+    /// Panics if `records` holds more than the page capacity: before the
+    /// page changes when the iterator's size hint shows it (a `Vec`, a
+    /// slice iterator and their chains all do), otherwise once the page
+    /// holds exactly its capacity — never more.
+    pub fn write(&mut self, id: PageId, records: impl IntoIterator<Item = T>) {
         let capacity = self.capacity;
+        let mut records = records.into_iter();
+        let (len, _) = records.size_hint();
+        assert!(
+            len <= capacity,
+            "page overflow: {len} records into capacity {capacity}"
+        );
         let page = self.live_mut(id, "write to");
+        let fill = records.by_ref().take(capacity);
         match Arc::get_mut(page) {
             Some(buf) => {
                 buf.clear();
-                buf.extend(records);
+                buf.extend(fill);
             }
-            None => *page = Arc::new(records.into_iter().collect()),
+            None => *page = Arc::new(fill.collect()),
         }
         assert!(
-            page.len() <= capacity,
-            "page overflow: {} records into capacity {capacity}",
-            page.len()
+            records.next().is_none(),
+            "page overflow: more than {capacity} records into capacity {capacity}"
         );
         self.counter.add_writes(1);
         if let Some(m) = &self.file {
@@ -612,19 +611,40 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_fills_an_unshared_page_in_place_and_copies_a_shared_one() {
+    fn write_fills_an_unshared_page_in_place_and_copies_a_shared_one() {
         let mut s = store(4);
         let a = s.alloc(vec![1, 2, 3]);
         let buf = s.read_unbilled(a).as_ptr();
-        s.rewrite(a, [4, 5]);
+        s.write(a, [4, 5]);
         assert_eq!(s.read_unbilled(a), &[4, 5]);
         assert!(std::ptr::eq(s.read_unbilled(a).as_ptr(), buf), "in place");
         assert_eq!(s.counter().writes(), 2, "one write each");
 
         let f = s.fork(IoCounter::new());
-        s.rewrite(a, [6]);
+        s.write(a, [6]);
         assert_eq!(s.read_unbilled(a), &[6]);
         assert_eq!(f.read_unbilled(a), &[4, 5], "the fork keeps its page");
+    }
+
+    #[test]
+    fn a_write_past_capacity_panics_and_never_overfills_the_page() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut s = store(2);
+        let a = s.alloc(vec![1]);
+        // An exact size hint: the page is left as it was.
+        let r = catch_unwind(AssertUnwindSafe(|| s.write(a, vec![7, 8, 9])));
+        assert!(r.is_err(), "three records into capacity 2");
+        assert_eq!(s.read_unbilled(a), &[1]);
+        // No size hint: the page fills to capacity, not past it.
+        let mut next = 10;
+        let unhinted = std::iter::from_fn(|| {
+            next += 1;
+            Some(next)
+        });
+        let r = catch_unwind(AssertUnwindSafe(|| s.write(a, unhinted)));
+        assert!(r.is_err(), "an endless iterator into capacity 2");
+        assert_eq!(s.len_unbilled(a), 2);
+        assert_eq!(s.counter().writes(), 1, "only the alloc was billed");
     }
 
     #[test]

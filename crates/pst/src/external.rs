@@ -537,7 +537,7 @@ impl ExternalPst {
             && right == page_of(was.right);
         pages[n] = old.pages[o];
         if !unchanged {
-            store.rewrite(pages[n], Self::node_recs(is.split, new.top(n), left, right));
+            store.write(pages[n], Self::node_recs(is.split, new.top(n), left, right));
         }
         pages[n]
     }
