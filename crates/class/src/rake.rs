@@ -381,6 +381,9 @@ impl ClassIndex for RakeClassIndex {
 }
 
 #[cfg(test)]
+mod pins;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -240,19 +240,6 @@ impl MetablockTree {
         self.store.clear_file_cache();
     }
 
-    /// `(page id, encoded bytes)` images of the point store's live model
-    /// pages (see [`ccix_extmem::TypedStore::page_images`]). Uncharged;
-    /// for the differential backend suite.
-    pub fn store_page_images(&self) -> Vec<(u32, Vec<u8>)> {
-        self.store.page_images()
-    }
-
-    /// As [`MetablockTree::store_page_images`], read back from the file
-    /// backend; `None` on the model backend.
-    pub fn store_file_page_images(&self) -> Option<Vec<(u32, Vec<u8>)>> {
-        self.store.file_page_images()
-    }
-
     /// The tree's ablation options.
     pub fn options(&self) -> DiagOptions {
         self.shape.options

@@ -27,6 +27,8 @@
 //! are the static build and the validator. The one submodule, [`query`],
 //! is the search of Lemma 4.3 / Fig. 21.
 
+#[cfg(test)]
+mod pins;
 mod query;
 
 use std::sync::Arc;
@@ -210,14 +212,7 @@ impl Hooks for ThreeSided {
 
     /// Every PST's pages: the mains', the children's and both TD sides'.
     fn aux_pages(t: &ThreeSidedTree) -> usize {
-        let psts = t.metas.iter().flat_map(|m| {
-            let td = m.td.as_ref();
-            [&m.org, &m.sib.children_pst]
-                .into_iter()
-                .chain(td.map(|td| &td.org))
-                .chain(td.map(|td| &td.del_org))
-        });
-        psts.flatten().map(|p| p.space_pages()).sum()
+        t.psts().map(ExternalPst::space_pages).sum()
     }
 }
 
@@ -265,6 +260,20 @@ impl ThreeSidedTree {
         tuning: crate::Tuning,
     ) -> Self {
         Self::new_tuned(geo, counter, tuning).bulk_load(points)
+    }
+
+    /// Every PST of the tree, metablock by metablock in slot order: the
+    /// mains', the children's and the TD's insert and delete sides.
+    /// Uncharged; for space walks and the page pins.
+    pub fn psts(&self) -> impl Iterator<Item = &ExternalPst> {
+        let slots = self.metas.iter().flat_map(|m| {
+            let td = m.td.as_ref();
+            [&m.org, &m.sib.children_pst]
+                .into_iter()
+                .chain(td.map(|td| &td.org))
+                .chain(td.map(|td| &td.del_org))
+        });
+        slots.flatten().map(|pst| &**pst)
     }
 
     /// Pin key-space of metablock `mb`'s own PST (`j = 0`), children PST

@@ -804,6 +804,19 @@ impl<S: Shape> Tree<S> {
         self.store.pages_in_use() + self.metas.live() + S::aux_pages(self)
     }
 
+    /// `(page id, encoded bytes)` images of the point store's live model
+    /// pages (see [`ccix_extmem::TypedStore::page_images`]). Uncharged;
+    /// for the differential backend suite and the page pins.
+    pub fn store_page_images(&self) -> Vec<(u32, Vec<u8>)> {
+        self.store.page_images()
+    }
+
+    /// As [`Tree::store_page_images`], read back from the file backend;
+    /// `None` on the model backend.
+    pub fn store_file_page_images(&self) -> Option<Vec<(u32, Vec<u8>)>> {
+        self.store.file_page_images()
+    }
+
     // ---- control-information access (charged) ---------------------------
 
     /// Read a metablock's control information: one I/O.

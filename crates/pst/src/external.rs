@@ -567,6 +567,13 @@ impl ExternalPst {
         self.store.counter()
     }
 
+    /// `(page id, encoded bytes)` images of every node page, in ascending
+    /// id order (see [`TypedStore::page_images`]). Uncharged; for the page
+    /// pins of the trees that host PSTs.
+    pub fn page_images(&self) -> Vec<(u32, Vec<u8>)> {
+        self.store.page_images()
+    }
+
     /// Report every point with `x1 ≤ x ≤ x2` and `y ≥ y0`.
     pub fn query(&self, x1: i64, x2: i64, y0: i64) -> Vec<Point> {
         let mut out = Vec::new();
