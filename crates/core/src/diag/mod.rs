@@ -106,12 +106,7 @@ impl Hooks for Diag {
     /// A corner structure where the metablock's region can contain a query
     /// corner: some diagonal value lies between the lowest y and the highest
     /// x of the mains, and the mains span more than one block.
-    fn build_main_org(
-        t: &mut MetablockTree,
-        m: &mut MetaBlock<Diag>,
-        by_x: &SortedRun,
-        by_y: &YRanks,
-    ) {
+    fn build_main_org(t: &mut MetablockTree, m: &mut MetaBlock<Diag>, by_x: &SortedRun) {
         m.org = match (m.main_bbox, m.y_lo_main) {
             (Some(bb), Some(ylo))
                 if t.shape.options.corner_structures
@@ -120,7 +115,7 @@ impl Hooks for Diag {
             {
                 let alpha = t.tuning.corner_alpha;
                 let corner =
-                    CornerStructure::build_shared(&mut t.store, by_x, by_y, &m.vertical, alpha);
+                    CornerStructure::build_shared(&mut t.store, by_x, &m.order, &m.vertical, alpha);
                 Some(Arc::new(corner))
             }
             _ => None,

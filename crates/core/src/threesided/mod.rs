@@ -37,7 +37,7 @@ use ccix_extmem::{BackendSpec, Geometry, IoCounter, Point, SortedRun, TypedStore
 use ccix_pst::{ExternalPst, PstPlan};
 
 use crate::tree::{
-    sealed::Hooks, MbId, MetaBlock, PlanCtx, Shape, SlabPlan, Tree, TsInfo, SPACE_AUX,
+    sealed::Hooks, Children, MbId, MetaBlock, PlanCtx, Shape, SlabPlan, Tree, TsInfo, SPACE_AUX,
 };
 
 /// The 3-sided tree's [`Shape`]: Lemma 4.1 PSTs over the mains and the TD,
@@ -89,28 +89,23 @@ impl Hooks for ThreeSided {
 
     /// Rebuilt in place, reusing page slots and the layout of any node
     /// whose population the fold did not move; an emptied one is dropped
-    /// (its pages go with its last handle). The fold's merge leaves the
-    /// points x-sorted only, so this is the one rebuild of the tree that
+    /// (its pages go with its last handle). A TD is no metablock's mains
+    /// and keeps no order, so this is the one rebuild of the tree that
     /// argsorts its y-order from scratch.
     fn build_td_org(t: &mut ThreeSidedTree, slot: &mut Option<Arc<ExternalPst>>, pts: SortedRun) {
         if pts.is_empty() {
             *slot = None;
         } else {
-            t.rebuild_pst(slot, &pts, &YRanks::argsort(&pts));
+            t.rebuild_pst(slot, &pts, [&YRanks::argsort(&pts)]);
         }
     }
 
     /// A PST once the mains span more than one block (a single block is
     /// answered by scanning it), reusing the previous node layout where
     /// populations are unchanged.
-    fn build_main_org(
-        t: &mut ThreeSidedTree,
-        m: &mut MetaBlock<ThreeSided>,
-        by_x: &SortedRun,
-        by_y: &YRanks,
-    ) {
+    fn build_main_org(t: &mut ThreeSidedTree, m: &mut MetaBlock<ThreeSided>, by_x: &SortedRun) {
         if by_x.len() > t.geo.b {
-            t.rebuild_pst(&mut m.org, by_x, by_y);
+            t.rebuild_pst(&mut m.org, by_x, [&m.order]);
         } else {
             m.org = None;
         }
@@ -119,8 +114,8 @@ impl Hooks for ThreeSided {
     /// The mains' PST by the rule of [`Hooks::build_main_org`], and the
     /// children PST over every child's mains (≤ B³). Children slabs are
     /// x-disjoint and in slab order, so concatenating their sorted mains is
-    /// already sorted, and merging their y-orders orders it by y — no sort
-    /// before planning.
+    /// already sorted, and the planner takes their y-orders as its parts —
+    /// no sort and no merge before planning.
     fn plan_node(
         ctx: &PlanCtx<ThreeSided>,
         by_x: &SortedRun,
@@ -128,12 +123,11 @@ impl Hooks for ThreeSided {
         children: &[SlabPlan<ThreeSided>],
     ) -> NodePlan {
         let geo = ctx.geo;
-        let pst = (by_x.len() > geo.b).then(|| PstPlan::plan(geo, by_x, by_y));
+        let pst = (by_x.len() > geo.b).then(|| PstPlan::plan(geo, by_x, [by_y]));
         let children_pst = (!children.is_empty()).then(|| {
             let all = children.iter().flat_map(|c| c.mains_x.iter().copied());
             let run = SortedRun::from_sorted(all.collect());
-            let by_y = YRanks::concat(&run, children.iter().map(|c| &c.mains_order));
-            PstPlan::plan(geo, &run, &by_y)
+            PstPlan::plan(geo, &run, children.iter().map(|c| &c.mains_order))
         });
         NodePlan { pst, children_pst }
     }
@@ -170,27 +164,26 @@ impl Hooks for ThreeSided {
     /// The children PST over every child's snapshot points (≤ B³). This
     /// one is deliberately uncapped: the fork-node route answers from it
     /// alone, so it must cover every sibling point. A static build
-    /// materialises its plan; otherwise the PST is rebuilt in place over
-    /// the snapshots. They are x-disjoint and in slab order, so each is
-    /// x-argsorted on its own and laid after the one before, and their
-    /// y-orders — the inverses of those argsorts — are merged: no sort of
-    /// up to B³ points.
+    /// materialises its plan; a TS reorganisation rebuilds it in place over
+    /// the merged children, planning over their y-orders as x-disjoint
+    /// parts: no sort and no merge of up to B³ points.
     fn install_children_org(
         t: &mut ThreeSidedTree,
         parent: MbId,
-        snapshots: &[Vec<Point>],
-        planned: Option<NodePlan>,
+        children: Children<'_, NodePlan>,
     ) {
         let mut pm = t.take_meta(parent);
-        match planned.and_then(|p| p.children_pst) {
-            Some(plan) => {
+        match children {
+            Children::Planned(plan) => {
                 debug_assert!(pm.sib.children_pst.is_none(), "planned PST over a live one");
+                let plan = plan
+                    .children_pst
+                    .expect("an interior node plans its children PST");
                 let pst = ExternalPst::from_plan(t.geo, t.counter.clone(), plan);
                 pm.sib.children_pst = Some(Arc::new(pst));
             }
-            None => {
-                let (run, by_y) = YRanks::of_y_desc_parts(snapshots);
-                t.rebuild_pst(&mut pm.sib.children_pst, &run, &by_y);
+            Children::Merged { run, orders } => {
+                t.rebuild_pst(&mut pm.sib.children_pst, run, orders);
             }
         }
         t.put_meta(parent, pm);
@@ -282,20 +275,22 @@ impl ThreeSidedTree {
         SPACE_AUX + 4 * (mb as u32) + j
     }
 
-    /// Rebuild the PST in `slot` over `run` and its y-order, or build one
-    /// where there is none, charging this tree — bill for bill as in
-    /// place, even while another tree shares it (see
+    /// Rebuild the PST in `slot` over `run` and its y-order, given as the
+    /// orders of x-disjoint `parts` laid end to end (see [`PstPlan::plan`]),
+    /// or build one where there is none, charging this tree — bill for
+    /// bill as in place, even while another tree shares it (see
     /// [`ExternalPst::rebuild_shared`]).
-    pub(crate) fn rebuild_pst(
+    pub(crate) fn rebuild_pst<'a>(
         &self,
         slot: &mut Option<Arc<ExternalPst>>,
         run: &SortedRun,
-        by_y: &YRanks,
+        parts: impl IntoIterator<Item = &'a YRanks>,
     ) {
+        let plan = PstPlan::plan(self.geo, run, parts);
         match slot {
-            Some(pst) => ExternalPst::rebuild_shared(pst, &self.counter, self.geo, run, by_y),
+            Some(pst) => ExternalPst::rebuild_planned(pst, &self.counter, plan),
             None => {
-                let pst = ExternalPst::build_from_sorted(self.geo, self.counter.clone(), run, by_y);
+                let pst = ExternalPst::from_plan(self.geo, self.counter.clone(), plan);
                 *slot = Some(Arc::new(pst));
             }
         }

@@ -25,7 +25,7 @@
 
 use ccix_extmem::{merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun, YRanks};
 
-use super::{sealed::Hooks, ChildEntry, MbId, MetaBlock, Shape, Tree, TsInfo};
+use super::{sealed::Hooks, ChildEntry, Children, MbId, MetaBlock, Shape, Tree, TsInfo};
 use crate::bbox::{BBox, Key};
 use crate::par::{run_parallel, PAR_THRESHOLD};
 use crate::tuning::Tuning;
@@ -46,7 +46,8 @@ pub struct PlanCtx<S> {
 pub struct SlabPlan<S: Hooks> {
     /// Mains, x-sorted (the typed invariant the organisations build on).
     pub(crate) mains_x: SortedRun,
-    /// The y-order of `mains_x`, until the parent's plan has used it.
+    /// The y-order of `mains_x`: the parent's plan reads it, and the
+    /// metablock keeps it.
     pub(crate) mains_order: YRanks,
     /// Mains, y-descending.
     mains_y: Vec<Point>,
@@ -106,10 +107,11 @@ fn plan_slab<S: Shape>(
 }
 
 /// The per-node CPU work: y-order the mains by one argsort, which the
-/// shape's plans share, and let the shape plan the node's organisations.
+/// shape's plans share and the metablock keeps, and let the shape plan the
+/// node's organisations.
 fn finish_plan<S: Shape>(
     mains_x: Vec<Point>,
-    mut children: Vec<SlabPlan<S>>,
+    children: Vec<SlabPlan<S>>,
     slab_lo: Key,
     slab_hi: Key,
     sub_yhi: Option<Key>,
@@ -119,11 +121,6 @@ fn finish_plan<S: Shape>(
     let mains_order = YRanks::argsort(&mains_x);
     let mains_y = mains_order.gather(&mains_x);
     let node = S::plan_node(ctx, &mains_x, &mains_order, &children);
-    // The children's y-orders served this node's plan and nothing after
-    // it: free them now rather than hold one for every node of the plan.
-    for child in &mut children {
-        child.mains_order = YRanks::default();
-    }
     SlabPlan {
         mains_x,
         mains_order,
@@ -225,6 +222,7 @@ impl<S: Shape> Tree<S> {
     fn materialise_slab(&mut self, plan: SlabPlan<S>) -> (MbId, Vec<Point>, Option<Key>) {
         let SlabPlan {
             mains_x,
+            mains_order,
             mains_y,
             mut node,
             children,
@@ -241,31 +239,32 @@ impl<S: Shape> Tree<S> {
             entries.push(ChildEntry::new(mb, (slab_lo, slab_hi), bbox, child_sub));
             snapshots.push(child_y);
         }
-        let mut meta = MetaBlock::new(&mut self.store, &mains_x, &mains_y, entries, internal);
+        let mut meta = MetaBlock::new(&mut self.store, &mains_x, mains_order, entries, internal);
         S::materialise_org(self, &mut meta, &mut node);
         let id = self.alloc_meta(meta);
         if internal {
             self.sync_packed_children(id);
-            self.install_snapshots(id, snapshots, Some(node));
+            self.install_snapshots(id, snapshots, Children::Planned(node));
         }
         (id, mains_y, sub_yhi)
     }
 
     /// Rebuild the sibling snapshots of `parent`'s children from their
     /// `snapshots`, one per child in slab order and **y-descending
-    /// already**: the static build hands over the planned y-orders, the TS
-    /// reorganisation hands over merged horizontal-run + sorted-delta
-    /// snapshots; nobody re-sorts a snapshot here. First the shape rebuilds
-    /// what it keeps over all the children — from `planned`, the parent's
-    /// plan, on a static build. Then child `i`'s left snapshot is the
-    /// capped top of the snapshots before it and its right one (3-sided)
-    /// that of the snapshots after it, both mirrored into the parent's
-    /// packed entries.
+    /// already**: the static build hands over its children's mains through
+    /// their planned orders, the TS reorganisation its merged children
+    /// through the orders the merges carried; nobody re-sorts a snapshot
+    /// here. First the shape rebuilds what it keeps over all the children
+    /// from `children` — the parent's plan on a static build, the merged
+    /// runs and their orders on a TS reorganisation. Then child `i`'s left
+    /// snapshot is the capped top of the snapshots before it and its right
+    /// one (3-sided) that of the snapshots after it, both mirrored into the
+    /// parent's packed entries.
     pub(crate) fn install_snapshots(
         &mut self,
         parent: MbId,
         snapshots: Vec<Vec<Point>>,
-        planned: Option<S::Plan>,
+        children: Children<'_, S::Plan>,
     ) {
         let cap = self.tuning.ts_cap_points(self.geo);
         let child_ids: Vec<MbId> = self
@@ -279,7 +278,7 @@ impl<S: Shape> Tree<S> {
         debug_assert!(snapshots
             .iter()
             .all(|s| s.windows(2).all(|w| w[0].ykey() > w[1].ykey())));
-        S::install_children_org(self, parent, &snapshots, planned);
+        S::install_children_org(self, parent, children);
         let len = child_ids.len();
 
         // Suffix (right-sibling) tops with their truncation bits, for a

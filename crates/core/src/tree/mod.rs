@@ -34,8 +34,8 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use ccix_extmem::{
-    BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, Run, Slots, SortedIds, SortedRun,
-    TypedStore, YRanks,
+    BackendSpec, Geometry, IoCounter, PageId, PathPin, Point, RankScratch, Run, Slots, SortedIds,
+    SortedRun, TypedStore, YRanks,
 };
 
 use crate::bbox::{BBox, Key};
@@ -374,7 +374,7 @@ impl TsInfo {
     /// A snapshot over the y-descending `pts`, laid out on fresh pages.
     pub(crate) fn alloc(store: &mut TypedStore<Point>, pts: &[Point], truncated: bool) -> Self {
         Self {
-            pages: store.alloc_run(pts),
+            pages: store.alloc_run(pts.iter().copied()),
             n: pts.len(),
             truncated,
         }
@@ -459,6 +459,10 @@ pub struct MetaBlock<S: sealed::Hooks> {
     pub(crate) vkeys: Run<Key>,
     /// Main points, y-descending, `B` per page ("horizontally oriented").
     pub(crate) horizontal: Run<PageId>,
+    /// The mains' y-order: the x-rank in `vertical` of each point of
+    /// `horizontal`, in its order. Kept for the block's whole life, so a
+    /// reorganisation carries the order on instead of deriving it again.
+    pub(crate) order: YRanks,
     /// First (largest) y-key of each horizontal page, so scans skip a
     /// crossing page that cannot contain an answer.
     pub(crate) hkeys: Run<Key>,
@@ -513,7 +517,7 @@ impl<S: Shape> MetaBlock<S> {
     pub(crate) fn new(
         store: &mut TypedStore<Point>,
         by_x: &SortedRun,
-        by_y: &[Point],
+        order: YRanks,
         children: Vec<ChildEntry>,
         internal: bool,
     ) -> Self {
@@ -521,6 +525,7 @@ impl<S: Shape> MetaBlock<S> {
             vertical: Run::default(),
             vkeys: Run::default(),
             horizontal: Run::default(),
+            order: YRanks::default(),
             hkeys: Run::default(),
             h_live: Vec::new(),
             n_main: 0,
@@ -536,38 +541,56 @@ impl<S: Shape> MetaBlock<S> {
             td: internal.then(Td::default),
             children,
         };
-        m.set_mains(store, by_x, by_y);
+        m.set_mains(store, by_x, order);
         m
     }
 
-    /// Lay the mains out afresh: the vertical and horizontal blockings over
-    /// the given pre-sorted orders, with their keys, live counts and
-    /// summaries. No sorting happens here: `by_x` is a typed invariant and
-    /// `by_y` is debug-checked.
+    /// Lay the mains out afresh: the vertical blocking over `by_x` and the
+    /// horizontal one through `order`, its y-order, which the block keeps,
+    /// with their keys, live counts and summaries. No sorting happens
+    /// here: both orders are typed invariants.
     pub(crate) fn set_mains(
         &mut self,
         store: &mut TypedStore<Point>,
         by_x: &SortedRun,
-        by_y: &[Point],
+        order: YRanks,
     ) {
-        debug_assert!(by_y.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-        debug_assert_eq!(by_x.len(), by_y.len());
+        assert_eq!(by_x.len(), order.len(), "y-order of another run");
         let b = store.capacity();
+        let ranks = order.as_slice();
         // Every run is collected straight into its final form, one
         // allocation each.
-        self.vertical = store.alloc_run(by_x);
+        self.vertical = store.alloc_run(by_x.iter().copied());
         self.vkeys = by_x.chunks(b).map(|c| c[0].xkey()).collect();
-        self.hkeys = by_y.chunks(b).map(|c| c[0].ykey()).collect();
-        self.h_live = by_y.chunks(b).map(|c| c.len() as u32).collect();
-        self.horizontal = store.alloc_run(by_y);
+        self.hkeys = ranks
+            .chunks(b)
+            .map(|c| by_x[c[0] as usize].ykey())
+            .collect();
+        self.h_live = ranks.chunks(b).map(|c| c.len() as u32).collect();
+        self.horizontal = store.alloc_run(ranks.iter().map(|&r| by_x[r as usize]));
         self.n_main = by_x.len();
         self.main_bbox = BBox::of_points(by_x);
-        self.y_lo_main = by_y.last().map(Point::ykey);
+        self.y_lo_main = ranks.last().map(|&r| by_x[r as usize].ykey());
+        self.order = order;
     }
 
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
     }
+}
+
+/// What [`Tree::install_snapshots`] hands a shape to rebuild a parent's
+/// children organisation from.
+pub enum Children<'a, P> {
+    /// The static build's plan for the parent.
+    Planned(P),
+    /// A TS reorganisation's merged children: their x-sorted runs laid
+    /// end to end in slab order (x-disjoint, so the whole is x-sorted)
+    /// and each one's y-order.
+    Merged {
+        run: &'a SortedRun,
+        orders: &'a [YRanks],
+    },
 }
 
 /// What one metablock tree does differently from the other. Sealed: its
@@ -613,14 +636,9 @@ pub(crate) mod sealed {
         /// Point `slot` at a TD organisation over `pts` (`None` when empty).
         fn build_td_org(t: &mut Tree<Self>, slot: &mut Option<Arc<Self::Org>>, pts: SortedRun);
 
-        /// Point `m.org` at an organisation over `by_x` and its y-order,
-        /// the mains `m`'s blockings were just rebuilt over.
-        fn build_main_org(
-            t: &mut Tree<Self>,
-            m: &mut MetaBlock<Self>,
-            by_x: &SortedRun,
-            by_y: &YRanks,
-        );
+        /// Point `m.org` at an organisation over `by_x` and its y-order
+        /// `m.order`, the mains `m`'s blockings were just rebuilt over.
+        fn build_main_org(t: &mut Tree<Self>, m: &mut MetaBlock<Self>, by_x: &SortedRun);
 
         /// Plan a node's organisations over its mains (the run and its
         /// y-order) and, where the shape keeps one, over its planned
@@ -654,14 +672,11 @@ pub(crate) mod sealed {
             None
         }
 
-        /// Rebuild the children organisation of `parent` over the children's
-        /// y-descending `snapshots` — or from `planned`, the static build's
-        /// plan for `parent`.
+        /// Rebuild the children organisation of `parent` from `children`.
         fn install_children_org(
             _t: &mut Tree<Self>,
             _parent: MbId,
-            _snapshots: &[Vec<Point>],
-            _planned: Option<Self::Plan>,
+            _children: Children<'_, Self::Plan>,
         ) {
         }
 
@@ -705,6 +720,9 @@ pub struct Tree<S: sealed::Hooks> {
     /// the deferred-work debt meter plus the in-progress background shrink
     /// job, if any. Always default/empty when the budget is 0.
     pub(crate) reorg: job::ReorgState,
+    /// The rank maps the reorganisations carry y-orders through, kept so
+    /// they stop allocating once grown (never shared with a fork).
+    pub(crate) ranks: RankScratch,
 }
 
 impl<S: Shape> Tree<S> {
@@ -729,6 +747,7 @@ impl<S: Shape> Tree<S> {
             shape,
             tuning,
             reorg: job::ReorgState::default(),
+            ranks: RankScratch::default(),
         }
     }
 
@@ -759,6 +778,7 @@ impl<S: Shape> Tree<S> {
             store: self.store.fork(counter),
             metas: self.metas.clone(),
             reorg: self.reorg.clone(),
+            ranks: RankScratch::default(),
             ..*self
         }
     }

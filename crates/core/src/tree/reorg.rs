@@ -4,12 +4,15 @@
 //! Every reorganisation is **sortedness-preserving** (see
 //! [`ccix_extmem::merge`]): level-I reads the x-sorted vertical run and
 //! merges the sorted (≤ `k·B`-point) update delta into it instead of
-//! re-sorting the whole block; a TS reorganisation merges each child's
-//! y-sorted horizontal run with its sorted delta; a leaf split reads the
-//! vertical run and partitions it in place; a branching split k-way merges
-//! the subtree's vertical runs. A rebuilt point set's y-order travels
-//! beside its run as a [`YRanks`], so the organisation built over it
-//! (a PST, a corner structure) plans from the order the rebuild holds
+//! re-sorting the whole block; a TS reorganisation scatters each child's
+//! horizontal run through the child's order and merges its sorted delta in
+//! the same way; a leaf split reads the vertical run and partitions it in
+//! place; a branching split k-way merges the subtree's vertical runs.
+//! Every metablock keeps its mains' y-order
+//! ([`YRanks`]) for its whole life, and each of these reorganisations
+//! carries it on in linear passes — through the merge, the push-down's
+//! kept top, the leaf split's halves — so the organisation built over the
+//! mains (a PST, a corner structure) plans from the order the block holds
 //! instead of sorting again. Every read touches exactly the pages a
 //! sort-based pipeline would read (the two blockings hold the same point
 //! count), so I/O counts are those of the paper's rebuilds — only the
@@ -22,7 +25,7 @@
 
 use ccix_extmem::{Point, Run, SortedRun, YRanks};
 
-use super::{ChildEntry, MbId, MetaBlock, Shape, Td, Tree};
+use super::{ChildEntry, Children, MbId, MetaBlock, Shape, Td, Tree};
 use crate::bbox::{BBox, Key};
 
 impl<S: Shape> Tree<S> {
@@ -80,24 +83,36 @@ impl<S: Shape> Tree<S> {
     /// TS reorganisation at `parent`: rebuild every child's sibling
     /// snapshots from its current mains + updates and discard the TD (both
     /// sides). `O(B²)` I/Os, once per `B²` inserts below `parent`. Each
-    /// child's snapshot is its already-y-sorted horizontal run merged with
-    /// its sorted delta — the same page reads, no full re-sort — minus the
-    /// child's pending tombstones, so a fresh snapshot never resurrects a
-    /// deleted point (which is what lets the TD's delete side be discarded
-    /// here).
+    /// child's horizontal run is read and scattered through the child's
+    /// order into its x-sorted mains, and [`YRanks::merge`] carries that
+    /// order through the child's sorted delta minus its pending
+    /// tombstones — the same page reads, only the delta sorted — so a
+    /// fresh snapshot never resurrects a deleted point (which is what lets
+    /// the TD's delete side be discarded here). The merged runs, laid end
+    /// to end in slab order, and their orders are what the shape rebuilds
+    /// its children organisation from.
     pub(crate) fn ts_reorg(&mut self, parent: MbId) {
         self.reorg.fired.ts_reorgs += 1;
         let child_ids: Vec<MbId> = self.meta(parent).children.iter().map(|c| c.mb).collect();
-        let snapshots: Vec<Vec<Point>> = child_ids
-            .iter()
-            .map(|&c| {
-                let cm = self.meta(c);
-                let mains_y = self.store.read_run(&cm.horizontal);
-                let delta = self.store.read_run(&cm.update);
-                let tombs = self.store.read_run(&cm.tomb);
-                ccix_extmem::merge_delta_y_desc_cancel(mains_y, delta, &tombs)
-            })
-            .collect();
+        let total = (child_ids.iter())
+            .map(|&c| self.metas.get(c).n_main + self.metas.get(c).n_upd)
+            .sum();
+        let mut run = Vec::with_capacity(total);
+        let mut orders = Vec::with_capacity(child_ids.len());
+        let mut snapshots = Vec::with_capacity(child_ids.len());
+        let mut mains = Vec::new();
+        for &c in &child_ids {
+            let cm = self.meta(c);
+            let order = cm.order.clone();
+            self.read_mains_through_order(cm, &mut mains);
+            let delta = self.store.read_run(&cm.update);
+            let tombs = self.store.read_run(&cm.tomb);
+            let base = run.len();
+            let (merged, _) = order.merge(&mains, delta, tombs, &mut run, &mut self.ranks);
+            snapshots.push(merged.gather(&run[base..]));
+            orders.push(merged);
+        }
+        let run = SortedRun::from_sorted(run);
         let mut m = self.take_meta(parent);
         if let Some(td) = m.td.as_mut() {
             for (org, staged) in [(&td.org, &td.staged), (&td.del_org, &td.del_staged)] {
@@ -109,7 +124,30 @@ impl<S: Shape> Tree<S> {
             *td = Td::default();
         }
         self.put_meta(parent, m);
-        self.install_snapshots(parent, snapshots, None);
+        let children = Children::Merged {
+            run: &run,
+            orders: &orders,
+        };
+        self.install_snapshots(parent, snapshots, children);
+    }
+
+    /// Fill `mains` with a metablock's mains, x-sorted: its horizontal run
+    /// read (and billed) page by page and scattered through its order.
+    fn read_mains_through_order(&self, m: &MetaBlock<S>, mains: &mut Vec<Point>) {
+        let ranks = m.order.as_slice();
+        mains.clear();
+        mains.resize(ranks.len(), Point::new(0, 0, 0));
+        for (&page, ranks) in m.horizontal.iter().zip(ranks.chunks(self.geo.b)) {
+            let page = self.store.read(page);
+            debug_assert_eq!(
+                page.len(),
+                ranks.len(),
+                "a horizontal page out of its order"
+            );
+            for (p, &r) in page.iter().zip(ranks) {
+                mains[r as usize] = *p;
+            }
+        }
     }
 
     /// Level-I reorganisation: merge the update buffer into the mains,
@@ -117,30 +155,30 @@ impl<S: Shape> Tree<S> {
     /// all organisations. Returns the new main count.
     ///
     /// Sortedness-preserving: the x-sorted vertical run is read (the same
-    /// page count as the horizontal run the sort-based pipeline read) and
-    /// only the delta is sorted, then galloped in — one `O(n log n)`
-    /// argsort (the y-order, which the horizontal blocking and the
-    /// organisation's plan share) remains instead of two. Tombstone cancellation is one
-    /// more galloping pass over the merged run ([`SortedRun::cancel`]); a
-    /// tombstone that finds no match (its victim sat in a descendant of a
-    /// metablock whose mains a delete flood emptied) is re-routed one level
-    /// down, where the landing invariant holds again. Re-routes never
-    /// restructure the tree (a delete can only shrink a metablock), so the
-    /// caller's pinned path stays live.
+    /// page count as the horizontal run the sort-based pipeline read), and
+    /// [`YRanks::merge`] sorts only the delta and the tombstones, merges
+    /// them in and carries the block's y-order through — linear passes,
+    /// no argsort. A tombstone that finds no match (its victim sat in a
+    /// descendant of a metablock whose mains a delete flood emptied) is
+    /// re-routed one level down, where the landing invariant holds again.
+    /// Re-routes never restructure the tree (a delete can only shrink a
+    /// metablock), so the caller's pinned path stays live.
     pub(crate) fn level_i(&mut self, mb: MbId, parent: Option<MbId>) -> usize {
         self.reorg.fired.level_i += 1;
         let mut m = self.take_meta(mb);
-        let mains_x = SortedRun::from_sorted(self.store.read_run(&m.vertical));
-        let delta = SortedRun::from_unsorted(self.store.read_run(&m.update));
-        let tombs = SortedRun::from_unsorted(self.store.read_run(&m.tomb));
+        let mains = SortedRun::from_sorted(self.store.read_run(&m.vertical));
+        let delta = self.store.read_run(&m.update);
+        let tombs = self.store.read_run(&m.tomb);
         self.store.free_run(&m.tomb);
         m.tomb = Run::default();
         m.tomb_buf.clear();
         self.tombs_pending -= m.n_tomb;
         m.n_tomb = 0;
-        let (by_x, unmatched) = mains_x.merge(delta).cancel(&tombs);
-        let order = YRanks::argsort(&by_x);
-        self.rebuild_orgs(&mut m, &by_x, &order, &order.gather(&by_x));
+        let mut by_x = Vec::new();
+        let (order, unmatched) = m
+            .order
+            .merge(&mains, delta, tombs, &mut by_x, &mut self.ranks);
+        self.rebuild_orgs(&mut m, &SortedRun::from_sorted(by_x), order);
         let n_main = m.n_main;
         let new_bbox = m.main_bbox;
         self.put_meta(mb, m);
@@ -160,17 +198,11 @@ impl<S: Shape> Tree<S> {
     }
 
     /// Replace a metablock's blockings (and organisation) with ones built
-    /// over the given run, its y-order and the points in that order,
-    /// clearing the update buffer. Children, snapshots and TD survive. No
-    /// sorting happens here: callers merge, filter or sort whichever side
-    /// actually needs it.
-    fn rebuild_orgs(
-        &mut self,
-        m: &mut MetaBlock<S>,
-        by_x: &SortedRun,
-        order: &YRanks,
-        by_y: &[Point],
-    ) {
+    /// over the given run and its y-order, which the block keeps, clearing
+    /// the update buffer. Children, snapshots and TD survive. No sorting
+    /// happens here: callers merge, filter or split whichever side
+    /// actually needs it, carrying the order with them.
+    fn rebuild_orgs(&mut self, m: &mut MetaBlock<S>, by_x: &SortedRun, order: YRanks) {
         self.store.free_run(&m.vertical);
         self.store.free_run(&m.horizontal);
         if let Some(org) = &m.org {
@@ -179,8 +211,8 @@ impl<S: Shape> Tree<S> {
         self.store.free_run(&m.update);
         m.update = Run::default();
         m.n_upd = 0;
-        m.set_mains(&mut self.store, by_x, by_y);
-        S::build_main_org(self, m, by_x, order);
+        m.set_mains(&mut self.store, by_x, order);
+        S::build_main_org(self, m, by_x);
     }
 
     /// Level-II reorganisation of a metablock holding `≥ 2B²` points.
@@ -195,8 +227,9 @@ impl<S: Shape> Tree<S> {
 
     /// Internal level-II: keep the top `B²` points, trickle the bottom
     /// points into the children, and TS-reorganise this level. The y-split
-    /// is a prefix of the already-y-sorted horizontal run, so only the
-    /// kept top needs an x-argsort, whose inverse is its y-order.
+    /// is a prefix of the already-y-sorted horizontal run, and the kept
+    /// top's run and order come from the prefix of the block's order
+    /// ([`YRanks::top`]): no sort.
     fn push_down(&mut self, mb: MbId, path: &[MbId]) {
         self.reorg.fired.push_downs += 1;
         let mut m = self.take_meta(mb);
@@ -204,10 +237,9 @@ impl<S: Shape> Tree<S> {
         debug_assert_eq!(m.n_tomb, 0, "level-I cancelled all tombstones");
         let mut pts = self.store.read_run(&m.horizontal);
         debug_assert!(pts.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
+        let (top_x, order) = m.order.top(&pts, self.cap(), &mut self.ranks);
         let bottom = pts.split_off(self.cap());
-        let top_y = pts;
-        let (top_x, order) = YRanks::of_y_desc(&top_y);
-        self.rebuild_orgs(&mut m, &top_x, &order, &top_y);
+        self.rebuild_orgs(&mut m, &top_x, order);
         let new_bbox = m.main_bbox;
         self.put_meta(mb, m);
 
@@ -242,13 +274,16 @@ impl<S: Shape> Tree<S> {
     /// Leaf level-II: split into two leaves around the median x, grow the
     /// parent's branching factor, and TS-reorganise the level. The split
     /// reads the **vertical** run (same page count as the horizontal one)
-    /// and partitions the existing x-sorted order in place — no re-sort.
+    /// and partitions the existing x-sorted order in place, and each half
+    /// keeps its part of the leaf's y-order ([`YRanks::split_at`]) — no
+    /// re-sort.
     fn split_leaf(&mut self, mb: MbId, path: &[MbId]) {
         self.reorg.fired.leaf_splits += 1;
         let meta = self.meta(mb);
         debug_assert_eq!(meta.n_upd, 0, "level-II runs after level-I");
         debug_assert_eq!(meta.n_tomb, 0, "level-I cancelled all tombstones");
         let pts = SortedRun::from_sorted(self.store.read_run(&meta.vertical));
+        let order = meta.order.clone();
         self.free_metablock(mb);
 
         let Some((&parent, ancestors)) = path.split_last() else {
@@ -258,11 +293,20 @@ impl<S: Shape> Tree<S> {
             return;
         };
         let half = pts.len() / 2;
+        let (left_order, right_order) = order.split_at(&pts, half);
         let (left, right) = pts.split_at(half);
         let median = right[0].xkey();
         let halves = [
-            (self.make_leaf(&left), BBox::of_points(&left), None),
-            (self.make_leaf(&right), BBox::of_points(&right), None),
+            (
+                self.make_leaf(&left, left_order),
+                BBox::of_points(&left),
+                None,
+            ),
+            (
+                self.make_leaf(&right, right_order),
+                BBox::of_points(&right),
+                None,
+            ),
         ];
         self.replace_child(parent, mb, halves, median, ancestors);
     }

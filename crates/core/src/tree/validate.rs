@@ -198,6 +198,22 @@ impl<S: Shape> Tree<S> {
             vertical.chunks(b).map(|c| c[0].xkey()).collect::<Vec<_>>(),
             "stale vertical page-boundary keys"
         );
+        // The kept y-order is the horizontal blocking's: every rank in
+        // range, and the vertical run gathered through it is the
+        // horizontal run.
+        assert_eq!(meta.order.len(), vertical.len(), "stale y-order length");
+        assert!(
+            meta.order
+                .as_slice()
+                .iter()
+                .all(|&r| (r as usize) < vertical.len()),
+            "y-order rank out of range"
+        );
+        assert_eq!(
+            meta.order.gather(&vertical),
+            mains,
+            "stale y-order: the vertical run through it is not the horizontal run"
+        );
         let horizontal = &mains;
         assert!(
             horizontal.windows(2).all(|w| w[0].ykey() > w[1].ykey()),

@@ -243,16 +243,16 @@ impl<S: Shape> Tree<S> {
 
     /// Make a one-point leaf over `p` the root of an empty tree.
     pub(super) fn plant_root(&mut self, p: Point) {
-        let id = self.make_leaf(&SortedRun::from_sorted(vec![p]));
+        let mains = SortedRun::from_sorted(vec![p]);
+        let order = YRanks::argsort(&mains);
+        let id = self.make_leaf(&mains, order);
         self.root = Some(id);
     }
 
-    /// Allocate a leaf metablock over `mains`.
-    pub(super) fn make_leaf(&mut self, mains: &SortedRun) -> MbId {
-        let order = YRanks::argsort(mains);
-        let by_y = order.gather(mains);
-        let mut meta = MetaBlock::new(&mut self.store, mains, &by_y, Vec::new(), false);
-        S::build_main_org(self, &mut meta, mains, &order);
+    /// Allocate a leaf metablock over `mains` and their y-order.
+    pub(super) fn make_leaf(&mut self, mains: &SortedRun, order: YRanks) -> MbId {
+        let mut meta = MetaBlock::new(&mut self.store, mains, order, Vec::new(), false);
+        S::build_main_org(self, &mut meta, mains);
         self.alloc_meta(meta)
     }
 

@@ -50,10 +50,7 @@ pub use backend::{BackendSpec, FileConfig, DEFAULT_CACHE_PAGES, SLOT_ALIGN};
 pub use cow::{Run, Slots};
 pub use disk::{Disk, PageBuf};
 pub use geometry::{near_equal_ranges, Geometry};
-pub use merge::{
-    merge_delta_y_desc, merge_delta_y_desc_cancel, merge_y_desc, merge_y_desc_capped, MergeCursor,
-    SortedIds, SortedRun, YRanks,
-};
+pub use merge::{merge_y_desc_capped, MergeCursor, RankScratch, SortedIds, SortedRun, YRanks};
 pub use pin::PathPin;
 pub use point::{sort_by_x, sort_by_y_desc, Point};
 pub use pool::BufferPool;

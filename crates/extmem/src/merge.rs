@@ -22,7 +22,9 @@
 //! pairs at the first reorganisation that sees both, in the same galloping
 //! pass that would have merged them.
 
-use crate::point::{sort_by_x, sort_by_y_desc, Point};
+use std::sync::Arc;
+
+use crate::point::{sort_by_x, Point};
 
 /// A run of points in strictly ascending `(x, id)` order — the order of the
 /// vertical blockings and of every build arena.
@@ -198,23 +200,44 @@ impl std::ops::Deref for SortedRun {
 /// of the horizontal blockings, of every `TS` snapshot and of every PST
 /// node's top.
 ///
-/// A reorganisation that rebuilds a point set's organisations holds this
-/// order already, or gets it from one argsort, and hands it on beside the
-/// run: the PST planner and the corner plan read their selections off it
-/// instead of re-deriving the y-order themselves. Every constructor
-/// debug-checks the order against its run and that the run's ids are
-/// unique — the precondition every consumer relies on, which a strict
-/// `(x, id)` order alone does not imply.
+/// A metablock keeps the order of its mains for its whole life, as one
+/// shared allocation cloned by handle: a reorganisation carries it through
+/// the merge that rebuilds the mains ([`YRanks::merge`]), through a
+/// push-down's kept top ([`YRanks::top`]) and through a leaf split
+/// ([`YRanks::split_at`]), and the PST planner and the corner plan read
+/// their selections off it, so no reorganisation derives a y-order again.
+/// Every constructor debug-checks the order against its run and that the
+/// run's ids are unique — the precondition every consumer relies on,
+/// which a strict `(x, id)` order alone does not imply.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct YRanks(Vec<u32>);
+pub struct YRanks(Arc<[u32]>);
 
 /// A point's `(y, id)` key beside its rank, so that sorting and merging a
 /// y-order compares keys held in place instead of looking each one up
 /// through its rank.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug)]
 struct Keyed {
     key: (i64, u64),
     rank: u32,
+}
+
+/// The rank map's mark for a point a merge cancelled (or a push-down did
+/// not keep).
+const GONE: u32 = u32::MAX;
+
+/// The buffers behind [`YRanks::merge`] and [`YRanks::top`]. A host that
+/// reorganises often keeps one and lends it to every call, so the rank
+/// maps stop allocating once they have grown to its largest block.
+#[derive(Debug, Default)]
+pub struct RankScratch {
+    /// Old x-rank → new x-rank, or [`GONE`].
+    map: Vec<u32>,
+    /// The delta's surviving points: keys and new ranks, y-descending.
+    delta: Vec<Keyed>,
+    /// The order being built.
+    ranks: Vec<u32>,
+    /// The ids the debug build checks for repeats.
+    ids: Vec<u64>,
 }
 
 impl YRanks {
@@ -228,98 +251,173 @@ impl YRanks {
             })
             .collect();
         keyed.sort_unstable_by_key(|k| std::cmp::Reverse(k.key));
-        Self::checked(run, keyed.iter().map(|k| k.rank).collect())
+        Self::checked(run, keyed.iter().map(|k| k.rank).collect(), &mut Vec::new())
     }
 
-    /// The x-sorted run and y-order of `by_y`, a strictly y-descending
-    /// vector (a horizontal blocking): one x-argsort gathers the run, and
-    /// its inverse is the order.
-    pub fn of_y_desc(by_y: &[Point]) -> (SortedRun, Self) {
-        Self::of_y_desc_parts(&[by_y])
-    }
-
-    /// The x-sorted run and y-order of `parts` laid end to end: strictly
-    /// y-descending vectors (a level's `TS` snapshots) whose points are
-    /// x-disjoint and in x order, part after part. Each part is x-argsorted
-    /// and gathered onto the run, the inverse of its argsort is its
-    /// y-order, and the parts' orders merge as in [`YRanks::concat`].
-    pub fn of_y_desc_parts<P: AsRef<[Point]>>(parts: &[P]) -> (SortedRun, Self) {
-        let n: usize = parts.iter().map(|p| p.as_ref().len()).sum();
-        assert!(n <= u32::MAX as usize, "run too long for u32 ranks");
-        let mut run = Vec::with_capacity(n);
-        let mut by_y = vec![Keyed::default(); n];
-        let mut bounds = Vec::with_capacity(parts.len() + 1);
-        bounds.push(0);
-        let mut by_x: Vec<Keyed> = Vec::new();
-        for part in parts {
-            let (part, base) = (part.as_ref(), run.len());
-            by_x.clear();
-            by_x.extend(part.iter().enumerate().map(|(i, p)| Keyed {
-                key: p.xkey(),
-                rank: i as u32,
-            }));
-            by_x.sort_unstable_by_key(|k| k.key);
-            for (rank, k) in by_x.iter().enumerate() {
-                let p = part[k.rank as usize];
-                run.push(p);
-                by_y[base + k.rank as usize] = Keyed {
-                    key: p.ykey(),
-                    rank: (base + rank) as u32,
-                };
+    /// Merge the unsorted `delta` into `mains` (strictly `(x, id)`-sorted,
+    /// `self` its y-order) and cancel the unsorted `tombs` against both, carrying the
+    /// order through: the new run is appended to `out`, and its y-order
+    /// (ranks counted from where the run starts in `out`) is returned
+    /// beside the tombstones that found no victim, in `(x, id)` order.
+    ///
+    /// Only the delta and the tombstones are sorted. The x-merge copies
+    /// the stretches of `mains` between them whole and records where each
+    /// main point went; one pass over `self` through that map, merged with
+    /// the delta's y-order, is the new order. The result equals merging,
+    /// cancelling and argsorting from scratch (a tombstone is an exact
+    /// copy of its victim, so it matches on the `(x, id)` key, as in
+    /// [`SortedRun::cancel`]).
+    pub fn merge(
+        &self,
+        mains: &[Point],
+        mut delta: Vec<Point>,
+        mut tombs: Vec<Point>,
+        out: &mut Vec<Point>,
+        scratch: &mut RankScratch,
+    ) -> (YRanks, Vec<Point>) {
+        assert_eq!(self.len(), mains.len(), "y-order of another run");
+        debug_assert!(mains.windows(2).all(|w| w[0].xkey() < w[1].xkey()));
+        let (n, base) = (mains.len(), out.len());
+        assert!(
+            n + delta.len() <= GONE as usize,
+            "run too long for u32 ranks"
+        );
+        sort_by_x(&mut delta);
+        sort_by_x(&mut tombs);
+        out.reserve(n + delta.len());
+        let RankScratch {
+            map,
+            delta: fresh,
+            ranks,
+            ids,
+        } = scratch;
+        map.clear();
+        map.resize(n, GONE);
+        fresh.clear();
+        let mut unmatched = Vec::new();
+        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+        loop {
+            // The mains below the next delta point and the next tombstone
+            // move whole.
+            let (dkey, tkey) = (delta.get(j).map(Point::xkey), tombs.get(k).map(Point::xkey));
+            let bound = match (dkey, tkey) {
+                (Some(d), Some(t)) => Some(d.min(t)),
+                (d, t) => d.or(t),
+            };
+            let end = bound.map_or(n, |key| i + gallop_x(&mains[i..], key));
+            let at = (out.len() - base) as u32;
+            out.extend_from_slice(&mains[i..end]);
+            for (slot, rank) in map[i..end].iter_mut().zip(at..) {
+                *slot = rank;
             }
-            bounds.push(run.len());
+            i = end;
+            // The next point in x order, from the mains or the delta.
+            let from_delta = match (mains.get(i), dkey) {
+                (None, None) => {
+                    unmatched.extend_from_slice(&tombs[k..]);
+                    break;
+                }
+                (Some(m), Some(d)) => d < m.xkey(),
+                (m, _) => m.is_none(),
+            };
+            let p = if from_delta { delta[j] } else { mains[i] };
+            while tombs.get(k).is_some_and(|t| t.xkey() < p.xkey()) {
+                unmatched.push(tombs[k]);
+                k += 1;
+            }
+            let rank = if tombs.get(k).is_some_and(|t| t.xkey() == p.xkey()) {
+                debug_assert_eq!(
+                    tombs[k], p,
+                    "tombstone coordinates disagree with the live copy"
+                );
+                k += 1; // annihilate the pair
+                GONE
+            } else {
+                out.push(p);
+                (out.len() - base - 1) as u32
+            };
+            if from_delta {
+                if rank != GONE {
+                    fresh.push(Keyed {
+                        key: p.ykey(),
+                        rank,
+                    });
+                }
+                j += 1;
+            } else {
+                map[i] = rank;
+                i += 1;
+            }
+        }
+
+        // The old order through the map, with the delta's y-order merged
+        // in.
+        fresh.sort_unstable_by_key(|k| std::cmp::Reverse(k.key));
+        ranks.clear();
+        let mut fresh = fresh.iter().peekable();
+        for &r in self.0.iter() {
+            let rank = map[r as usize];
+            if rank == GONE {
+                continue;
+            }
+            let key = mains[r as usize].ykey();
+            while let Some(d) = fresh.next_if(|d| d.key > key) {
+                ranks.push(d.rank);
+            }
+            ranks.push(rank);
+        }
+        ranks.extend(fresh.map(|d| d.rank));
+        let order = Self::checked(&out[base..], ranks.as_slice().into(), ids);
+        (order, unmatched)
+    }
+
+    /// The x-sorted run and y-order of the first `k` points of this order,
+    /// given `by_y`, the run's points in this order (a horizontal
+    /// blocking): a push-down's kept top. Two linear passes over the
+    /// ranks, no sort.
+    pub fn top(&self, by_y: &[Point], k: usize, scratch: &mut RankScratch) -> (SortedRun, YRanks) {
+        assert_eq!(self.len(), by_y.len(), "y-order of another run");
+        let RankScratch {
+            map, ranks, ids, ..
+        } = scratch;
+        // x-rank → place in the top, for the kept ranks.
+        map.clear();
+        map.resize(by_y.len(), GONE);
+        for (place, &r) in self.0[..k].iter().enumerate() {
+            map[r as usize] = place as u32;
+        }
+        ranks.clear();
+        ranks.resize(k, 0);
+        let mut run = Vec::with_capacity(k);
+        for &place in map.iter().filter(|&&place| place != GONE) {
+            ranks[place as usize] = run.len() as u32;
+            run.push(by_y[place as usize]);
         }
         let run = SortedRun::from_sorted(run);
-        let order = Self::merged(&run, by_y, bounds);
+        let order = Self::checked(&run, ranks.as_slice().into(), ids);
         (run, order)
     }
 
-    /// The y-order of `run`, the concatenation of x-disjoint runs laid end
-    /// to end in x order, from `parts`, the y-orders of those runs in the
-    /// same order: each part's ranks are offset by the lengths before it
-    /// and the parts are merged in pairwise rounds, `O(n log k)` for `k`
-    /// parts.
-    pub fn concat<'a>(run: &SortedRun, parts: impl IntoIterator<Item = &'a YRanks>) -> Self {
-        let mut by_y: Vec<Keyed> = Vec::with_capacity(run.len());
-        let mut bounds = vec![0usize];
-        for part in parts {
-            let base = by_y.len() as u32;
-            by_y.extend(part.0.iter().map(|&r| Keyed {
-                key: run[(base + r) as usize].ykey(),
-                rank: base + r,
-            }));
-            bounds.push(by_y.len());
-        }
-        assert_eq!(by_y.len(), run.len(), "parts do not cover the run");
-        Self::merged(run, by_y, bounds)
+    /// The y-orders of `run[..at]` and `run[at..]`, for the run this order
+    /// is over: a leaf split's halves. One pass each, no sort.
+    pub fn split_at(&self, run: &SortedRun, at: usize) -> (YRanks, YRanks) {
+        assert_eq!(self.len(), run.len(), "y-order of another run");
+        let cut = at as u32;
+        let left: Vec<u32> = self.0.iter().copied().filter(|&r| r < cut).collect();
+        let right: Vec<u32> = (self.0.iter())
+            .filter(|&&r| r >= cut)
+            .map(|&r| r - cut)
+            .collect();
+        let ids = &mut Vec::new();
+        (
+            Self::checked(&run[..at], left.into(), ids),
+            Self::checked(&run[at..], right.into(), ids),
+        )
     }
 
-    /// Merge the y-ordered segments `by_y[bounds[i]..bounds[i + 1]]` of
-    /// `run`'s keyed ranks into one y-order, in pairwise rounds.
-    fn merged(run: &SortedRun, mut by_y: Vec<Keyed>, mut bounds: Vec<usize>) -> Self {
-        let mut next = Vec::new();
-        while bounds.len() > 2 {
-            next.resize(by_y.len(), Keyed::default());
-            let mut merged = vec![0usize];
-            for pair in bounds.windows(3).step_by(2) {
-                let out = &mut next[pair[0]..pair[2]];
-                merge_keyed_desc(&by_y[pair[0]..pair[1]], &by_y[pair[1]..pair[2]], out);
-                merged.push(pair[2]);
-            }
-            if bounds.len().is_multiple_of(2) {
-                // An odd part count: the last part passes through whole.
-                let last = bounds[bounds.len() - 2];
-                next[last..].copy_from_slice(&by_y[last..]);
-                merged.push(by_y.len());
-            }
-            std::mem::swap(&mut by_y, &mut next);
-            bounds = merged;
-        }
-        Self::checked(run, by_y.iter().map(|k| k.rank).collect())
-    }
-
-    /// Wrap `ranks`, debug-checking them against `run` (see the type).
-    fn checked(run: &SortedRun, ranks: Vec<u32>) -> Self {
+    /// Wrap `ranks`, debug-checking them against `run` (see the type);
+    /// the id check sorts in `ids`.
+    fn checked(run: &[Point], ranks: Arc<[u32]>, ids: &mut Vec<u64>) -> Self {
         debug_assert_eq!(ranks.len(), run.len());
         // Strictly descending keys repeat no rank, so `n` in-range ranks
         // are a permutation.
@@ -329,9 +427,9 @@ impl YRanks {
                 .all(|w| run[w[0] as usize].ykey() > run[w[1] as usize].ykey()),
             "y-order is not strictly (y, id)-descending over its run"
         );
-        #[cfg(debug_assertions)]
-        {
-            let mut ids: Vec<u64> = run.iter().map(|p| p.id).collect();
+        if cfg!(debug_assertions) {
+            ids.clear();
+            ids.extend(run.iter().map(|p| p.id));
             ids.sort_unstable();
             assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
         }
@@ -357,25 +455,6 @@ impl YRanks {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-}
-
-/// Merge two key-descending runs into `out` (exactly their total length).
-/// Which input the next key comes from is a coin flip on a level's
-/// snapshots, so the loop selects a head and advances both cursors by the
-/// comparison instead of branching on it.
-fn merge_keyed_desc(a: &[Keyed], b: &[Keyed], out: &mut [Keyed]) {
-    debug_assert_eq!(a.len() + b.len(), out.len());
-    let (mut i, mut j, mut o) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        let (x, y) = (a[i], b[j]);
-        let take_a = x.key > y.key;
-        out[o] = if take_a { x } else { y };
-        o += 1;
-        i += usize::from(take_a);
-        j += usize::from(!take_a);
-    }
-    out[o..o + a.len() - i].copy_from_slice(&a[i..]);
-    out[o + a.len() - i..].copy_from_slice(&b[j..]);
 }
 
 /// A **resumable** two-way merge of `(x, id)`-sorted runs: the incremental
@@ -487,53 +566,6 @@ fn gallop_x(slice: &[Point], key: (i64, u64)) -> usize {
     base + slice[base..hi].partition_point(|p| p.xkey() < key)
 }
 
-/// Merge two y-descending vectors (the order of horizontal blockings and
-/// `TS` snapshots) into one, galloping like [`SortedRun::merge`]. Strict
-/// total order on `(y, id)` makes the result identical to re-sorting the
-/// concatenation.
-pub fn merge_y_desc(a: Vec<Point>, b: Vec<Point>) -> Vec<Point> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    debug_assert!(a.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-    debug_assert!(b.windows(2).all(|w| w[0].ykey() > w[1].ykey()));
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i].ykey() > b[j].ykey() {
-            let k = i + gallop_y_desc(&a[i..], b[j].ykey());
-            out.extend_from_slice(&a[i..k]);
-            i = k;
-        } else {
-            let k = j + gallop_y_desc(&b[j..], a[i].ykey());
-            out.extend_from_slice(&b[j..k]);
-            j = k;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// First index of y-descending `slice` whose `ykey` is `≤ key`.
-fn gallop_y_desc(slice: &[Point], key: (i64, u64)) -> usize {
-    if slice.first().is_none_or(|p| p.ykey() <= key) {
-        return 0;
-    }
-    let mut lo = 1usize;
-    let mut step = 1usize;
-    while lo < slice.len() && slice[lo].ykey() > key {
-        lo += step;
-        step *= 2;
-    }
-    let hi = lo.min(slice.len());
-    let base = lo - step / 2;
-    base + slice[base..hi].partition_point(|p| p.ykey() > key)
-}
-
 /// Merge two y-descending vectors, keeping at most `cap` points — the
 /// bounded merge behind the capped `TS`/`TSL`/`TSR` sibling snapshots
 /// (whose `truncated` bit the caller derives from `total > kept`).
@@ -570,34 +602,6 @@ pub fn merge_y_desc_capped(a: Vec<Point>, b: Vec<Point>, cap: usize) -> Vec<Poin
             (None, None) => break,
         }
     }
-    out
-}
-
-/// Sort a small delta by y descending and merge it into an already
-/// y-descending run — the `TS`-reorganisation step (y-sorted snapshot +
-/// sorted delta, no full re-sort).
-pub fn merge_delta_y_desc(run: Vec<Point>, mut delta: Vec<Point>) -> Vec<Point> {
-    sort_by_y_desc(&mut delta);
-    merge_y_desc(run, delta)
-}
-
-/// [`merge_delta_y_desc`] with tombstone cancellation: points whose id
-/// appears among `tombs` are dropped from the merged result — the
-/// TS-reorganisation step when the merged child carries pending deletes,
-/// so a freshly rebuilt sibling snapshot never resurrects a deleted point.
-/// With no tombstones this is exactly `merge_delta_y_desc` (same code
-/// path, same result), so insert-only reorganisations are unaffected.
-pub fn merge_delta_y_desc_cancel(
-    run: Vec<Point>,
-    delta: Vec<Point>,
-    tombs: &[Point],
-) -> Vec<Point> {
-    if tombs.is_empty() {
-        return merge_delta_y_desc(run, delta);
-    }
-    let dead = SortedIds::new(tombs.iter().map(|t| t.id));
-    let mut out = merge_delta_y_desc(run, delta);
-    out.retain(|p| !dead.contains(p.id));
     out
 }
 
@@ -691,7 +695,7 @@ impl SortedIds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::sort_by_x;
+    use crate::point::{sort_by_x, sort_by_y_desc};
 
     fn pts(pairs: &[(i64, i64)]) -> Vec<Point> {
         pairs
@@ -739,41 +743,126 @@ mod tests {
             sort_by_y_desc(&mut want);
             let order = YRanks::argsort(&run);
             assert_eq!(order.gather(&run), want, "argsort n={n}");
-            let (by_x, inverted) = YRanks::of_y_desc(&want);
-            assert_eq!(by_x, run, "of_y_desc run n={n}");
-            assert_eq!(inverted, order, "of_y_desc order n={n}");
+            // A kept top and a split carry the order to their parts.
+            let mut scratch = RankScratch::default();
+            for k in [0, n / 3, n] {
+                let (top, top_order) = order.top(&want, k, &mut scratch);
+                assert_eq!(
+                    top,
+                    SortedRun::from_unsorted(want[..k].to_vec()),
+                    "top n={n}"
+                );
+                assert_eq!(top_order, YRanks::argsort(&top), "top order n={n} k={k}");
+                let (left, right) = order.split_at(&run, k);
+                let (l, r) = run.clone().split_at(k);
+                assert_eq!(left, YRanks::argsort(&l), "left n={n} at={k}");
+                assert_eq!(right, YRanks::argsort(&r), "right n={n} at={k}");
+            }
+        }
+    }
+
+    /// The pipeline [`YRanks::merge`] replaces: merge, cancel, argsort.
+    fn merge_cancel_argsort(
+        mains: &SortedRun,
+        delta: &[Point],
+        tombs: &[Point],
+    ) -> (SortedRun, YRanks, Vec<Point>) {
+        let merged = mains
+            .clone()
+            .merge(SortedRun::from_unsorted(delta.to_vec()));
+        let (run, unmatched) = merged.cancel(&SortedRun::from_unsorted(tombs.to_vec()));
+        let order = YRanks::argsort(&run);
+        (run, order, unmatched)
+    }
+
+    /// [`YRanks::merge`] appending after `prefix` points already in `out`.
+    fn merge_after(
+        mains: &SortedRun,
+        delta: &[Point],
+        tombs: &[Point],
+        prefix: usize,
+    ) -> (SortedRun, YRanks, Vec<Point>) {
+        let mut scratch = RankScratch::default();
+        let mut out = vec![Point::new(i64::MIN, 0, u64::MAX); prefix];
+        let order = YRanks::argsort(mains);
+        let (merged, unmatched) = order.merge(
+            mains,
+            delta.to_vec(),
+            tombs.to_vec(),
+            &mut out,
+            &mut scratch,
+        );
+        let run = SortedRun::from_sorted(out.split_off(prefix));
+        (run, merged, unmatched)
+    }
+
+    #[test]
+    fn delta_merge_sorts_only_the_delta() {
+        let mains = SortedRun::from_unsorted(pseudo_points(200, 3));
+        let delta: Vec<Point> = pseudo_points(17, 5)
+            .into_iter()
+            .map(|p| Point::new(p.x, p.y, p.id + 1_000))
+            .collect();
+        for prefix in [0, 3] {
+            assert_eq!(
+                merge_after(&mains, &delta, &[], prefix),
+                merge_cancel_argsort(&mains, &delta, &[]),
+                "prefix {prefix}"
+            );
         }
     }
 
     #[test]
-    fn y_ranks_concat_merges_the_parts() {
-        for parts in [0usize, 1, 2, 3, 5, 8] {
-            // x-disjoint slabs of uneven sizes, y drawn from few values.
-            let slabs: Vec<SortedRun> = (0..parts)
-                .map(|s| {
-                    let pts = pseudo_points(s * 7 % 23 + 1, s as u64 + 3);
-                    let pts = pts.into_iter().map(|p| {
-                        Point::new(p.x + 1_000 * s as i64, p.y % 9, p.id + 1_000 * s as u64)
-                    });
-                    SortedRun::from_unsorted(pts.collect())
-                })
+    fn delta_merge_cancel_filters_by_id() {
+        let mains = SortedRun::from_unsorted(pseudo_points(60, 0xD));
+        let delta: Vec<Point> = pseudo_points(11, 0xE)
+            .into_iter()
+            .map(|p| Point::new(p.x, p.y, p.id + 2_000))
+            .collect();
+        // Every fifth main point, every third delta point and two strays.
+        let mut tombs: Vec<Point> = mains.iter().step_by(5).copied().collect();
+        tombs.extend(delta.iter().step_by(3));
+        tombs.extend([Point::new(-5, -5, 900_001), Point::new(5_000, 0, 900_002)]);
+        let got = merge_after(&mains, &delta, &tombs, 2);
+        assert_eq!(got, merge_cancel_argsort(&mains, &delta, &tombs));
+        let strays: Vec<u64> = got.2.iter().map(|p| p.id).collect();
+        assert_eq!(strays, [900_001, 900_002], "strays, in (x, id) order");
+        assert_eq!(got.0.len(), 60 + 11 - 12 - 4);
+    }
+
+    #[test]
+    fn y_ranks_merge_equals_merge_cancel_argsort() {
+        ccix_testkit::check::trials("y-order merge", 300, 0x7A4B_3E26, |rng| {
+            // Few distinct coordinates, so keys tie and ids decide.
+            let range = [3, 50, 1_000][rng.gen_range(0..3usize)];
+            let mut id = 0u64;
+            let mut point = |rng: &mut ccix_testkit::DetRng| {
+                id += 1;
+                Point::new(rng.gen_range(0..range), rng.gen_range(0..range), id)
+            };
+            let n = [0, 1, 2, 40, 500][rng.gen_range(0..5usize)];
+            let d = [0, 1, 7, 60][rng.gen_range(0..4usize)];
+            let mains = SortedRun::from_unsorted((0..n).map(|_| point(rng)).collect());
+            let delta: Vec<Point> = (0..d).map(|_| point(rng)).collect();
+            // Victims drawn from both sides (at times every point), plus
+            // tombstones with no victim.
+            let everything = rng.gen_bool(0.1);
+            let mut tombs: Vec<Point> = (mains.iter().chain(&delta))
+                .filter(|_| everything || rng.gen_bool(0.2))
+                .copied()
                 .collect();
-            let orders: Vec<YRanks> = slabs.iter().map(YRanks::argsort).collect();
-            let run =
-                SortedRun::from_sorted(slabs.iter().flat_map(|s| s.iter().copied()).collect());
-            let want = YRanks::argsort(&run);
-            assert_eq!(YRanks::concat(&run, &orders), want, "{parts} parts");
-            let snapshots: Vec<Vec<Point>> = slabs
-                .iter()
-                .zip(&orders)
-                .map(|(s, o)| o.gather(s))
-                .collect();
-            assert_eq!(
-                YRanks::of_y_desc_parts(&snapshots),
-                (run, want),
-                "{parts} parts"
-            );
-        }
+            for _ in 0..rng.gen_range(0..4usize) {
+                tombs.push(point(rng));
+            }
+            rng.shuffle(&mut tombs);
+            let prefix = rng.gen_range(0..3usize);
+            let got = merge_after(&mains, &delta, &tombs, prefix);
+            let want = merge_cancel_argsort(&mains, &delta, &tombs);
+            assert_eq!(got, want, "n={n} d={d} tombs={}", tombs.len());
+            if everything {
+                assert!(got.0.is_empty() && got.1.is_empty());
+            }
+        });
     }
 
     #[test]
@@ -821,7 +910,8 @@ mod tests {
             sort_by_y_desc(&mut v);
             v
         };
-        let merged = merge_y_desc(a.clone(), b.clone());
+        // A cap that does not bind: the capped merge is a plain merge.
+        let merged = merge_y_desc_capped(a.clone(), b.clone(), usize::MAX);
         let mut want: Vec<Point> = a.into_iter().chain(b).collect();
         sort_by_y_desc(&mut want);
         assert_eq!(merged, want);
@@ -842,20 +932,6 @@ mod tests {
         let m = merge_y_desc_capped(a, b, 4);
         let ys: Vec<i64> = m.iter().map(|p| p.y).collect();
         assert_eq!(ys, vec![9, 8, 7, 3]);
-    }
-
-    #[test]
-    fn delta_merge_sorts_only_the_delta() {
-        let mut run = pseudo_points(200, 3);
-        sort_by_y_desc(&mut run);
-        let delta: Vec<Point> = pseudo_points(17, 5)
-            .into_iter()
-            .map(|p| Point::new(p.x, p.y, p.id + 1_000))
-            .collect();
-        let merged = merge_delta_y_desc(run.clone(), delta.clone());
-        let mut want: Vec<Point> = run.into_iter().chain(delta).collect();
-        sort_by_y_desc(&mut want);
-        assert_eq!(merged, want);
     }
 
     #[test]
@@ -885,26 +961,6 @@ mod tests {
         let (same, none) = run2.cancel(&SortedRun::new());
         assert_eq!(same.to_vec(), before);
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn delta_merge_cancel_filters_by_id() {
-        let mut run = pseudo_points(60, 0xD);
-        sort_by_y_desc(&mut run);
-        let delta: Vec<Point> = pseudo_points(11, 0xE)
-            .into_iter()
-            .map(|p| Point::new(p.x, p.y, p.id + 2_000))
-            .collect();
-        let tombs: Vec<Point> = run.iter().step_by(5).copied().collect();
-        let merged = merge_delta_y_desc_cancel(run.clone(), delta.clone(), &tombs);
-        let dead: Vec<u64> = tombs.iter().map(|p| p.id).collect();
-        let mut want: Vec<Point> = run
-            .into_iter()
-            .chain(delta)
-            .filter(|p| !dead.contains(&p.id))
-            .collect();
-        sort_by_y_desc(&mut want);
-        assert_eq!(merged, want);
     }
 
     #[test]

@@ -140,26 +140,54 @@ pub struct PstPlan {
 }
 
 impl PstPlan {
-    /// Plan a tree over an x-sorted run and its y-order.
+    /// Plan a tree over an x-sorted run and its y-order, given as `parts`:
+    /// the y-orders of x-disjoint runs laid end to end in x order (each
+    /// over its own run, ranks from 0), whose concatenation is `run`. A
+    /// single part is the y-order of the whole run.
     ///
     /// Every subtree is planned over two slices of the run's x-ranks: its
     /// y-slice (y-descending) and its x-slice (ascending). A node's top is
     /// the head of its y-slice; the rest of its x-slice splits at the
     /// median, and one stable partition of the rest of its y-slice by that
     /// median gives each child its y-slice. Each level is a few linear
-    /// passes over `u32` ranks, with no selection and no sort.
-    pub fn plan(geo: Geometry, run: &SortedRun, by_y: &YRanks) -> Self {
+    /// passes over `u32` ranks, with no selection and no sort. While a
+    /// subtree still spans several parts it holds one y-slice per part:
+    /// its top is selected over the parts' heads, and only the part the
+    /// median falls in is partitioned — the parts are never merged.
+    pub fn plan<'a>(
+        geo: Geometry,
+        run: &SortedRun,
+        parts: impl IntoIterator<Item = &'a YRanks>,
+    ) -> Self {
         assert!(geo.b >= 2, "external PST needs B ≥ 2");
-        assert_eq!(run.len(), by_y.len(), "y-order of another run");
         let n = run.len();
         let cap = ExternalPst::node_cap(geo);
+        // Every part's ranks, offset to the whole run. A second nonempty
+        // part makes the plan start over segments, one per nonempty part
+        // (a single one allocates none).
+        let mut ys = Vec::with_capacity(n);
+        let (mut first, mut segs) = (None, Vec::new());
+        for part in parts {
+            let base = ys.len();
+            ys.extend(part.as_slice().iter().map(|&r| base as u32 + r));
+            if ys.len() > base {
+                let seg = Seg::new(base, ys.len());
+                match first {
+                    None => first = Some(seg),
+                    Some(first) if segs.is_empty() => segs.extend([first, seg]),
+                    Some(_) => segs.push(seg),
+                }
+            }
+        }
+        assert_eq!(ys.len(), n, "y-order of another run");
         let mut planner = RankPlanner {
             run,
             cap,
-            ys: by_y.as_slice().to_vec(),
+            ys,
             xs: (0..n as u32).collect(),
             taken: vec![false; n],
             spill: vec![0; n / 2 + 1],
+            segs,
             plan: PstPlan {
                 // A node over m > B − 1 points leaves two children about
                 // (m − B + 1) / 2 each, so nodes hold B / 2 points on average.
@@ -168,7 +196,12 @@ impl PstPlan {
                 height: 0,
             },
         };
-        let (_, height) = planner.node(0, n);
+        let parts = planner.segs.len();
+        let (_, height) = if parts > 1 {
+            planner.region(0, parts)
+        } else {
+            planner.node(0, n)
+        };
         planner.plan.height = height;
         planner.plan
     }
@@ -186,15 +219,42 @@ impl PstPlan {
 
     /// Push a node over the top `top`, its split and children to be set.
     fn push_node(&mut self, top: impl IntoIterator<Item = Point>) -> usize {
-        let start = self.pts.len() as u32;
+        let start = self.pts.len();
         self.pts.extend(top);
+        self.push_top(start)
+    }
+
+    /// Push a node over the points from `start` on, its split and
+    /// children to be set.
+    fn push_top(&mut self, start: usize) -> usize {
         self.nodes.push(PlanNode {
             split: (i64::MIN, 0),
-            top: (start, self.pts.len() as u32),
+            top: (start as u32, self.pts.len() as u32),
             left: None,
             right: None,
         });
         self.nodes.len() - 1
+    }
+}
+
+/// A subtree's share of one part while the subtree spans several: its
+/// y-slice `ys[a..b]`, and an x-slice `xs[x..b]` holding the same ranks
+/// ascending among ranks already taken (compacted away on demand).
+#[derive(Clone, Copy, Debug)]
+struct Seg {
+    x: usize,
+    a: usize,
+    b: usize,
+}
+
+impl Seg {
+    /// A whole part, or an exact piece of one: `ys[a..b]` and `xs[a..b]`.
+    fn new(a: usize, b: usize) -> Self {
+        Self { x: a, a, b }
+    }
+
+    fn len(&self) -> usize {
+        self.b - self.a
     }
 }
 
@@ -212,6 +272,9 @@ struct RankPlanner<'a> {
     /// The right side of a partition while the left side compacts (at
     /// most half a slice, plus the slot a store past the end lands in).
     spill: Vec<u32>,
+    /// A stack of segments: a subtree spanning several parts is planned
+    /// over a range of it, and pushes its children's ranges above it.
+    segs: Vec<Seg>,
     plan: PstPlan,
 }
 
@@ -233,23 +296,136 @@ impl RankPlanner<'_> {
         if rest == b {
             return (Some(id as u32), 1);
         }
-        // Drop the top from the x-slice, compacting toward its end so that
-        // the rest lines up with the y-slice's rest, `[rest, b)`. Both
-        // passes here store unconditionally and advance by the test: its
-        // outcome is a coin flip a branch would mispredict.
-        let (xs, taken) = (&mut self.xs[a..b], &self.taken);
+        self.compact(a, rest, b);
+        let mid = rest + (b - rest - 1) / 2;
+        let median = self.xs[mid];
+        let w = self.partition(rest, b, median);
+        debug_assert_eq!(w, mid + 1);
+        let (left, lh) = self.node(rest, w);
+        let (right, rh) = self.node(w, b);
+        Self::link(
+            &mut self.plan,
+            id,
+            run[median as usize].xkey(),
+            left,
+            right,
+            lh,
+            rh,
+        )
+    }
+
+    /// Plan the subtree over the segments `segs[lo..hi]`: a single one is
+    /// a slice pair for [`RankPlanner::node`], several a subtree that
+    /// spans parts. Returns its root node and height.
+    fn region(&mut self, lo: usize, hi: usize) -> (Option<u32>, usize) {
+        match hi - lo {
+            0 => (None, 0),
+            1 => {
+                let Seg { x, a, b } = self.segs[lo];
+                self.compact(x, a, b);
+                self.node(a, b)
+            }
+            _ => self.node_over_parts(lo, hi),
+        }
+    }
+
+    /// [`RankPlanner::node`] for a subtree whose segments `segs[lo..hi]`
+    /// lie in two or more parts: the top is the `B − 1` largest heads, and
+    /// only the segment holding the median is partitioned.
+    fn node_over_parts(&mut self, lo: usize, hi: usize) -> (Option<u32>, usize) {
+        let run = self.run;
+        let start = self.plan.pts.len();
+        for _ in 0..self.cap {
+            // The segment whose head is the largest left.
+            let mut best: Option<(usize, (i64, u64))> = None;
+            for (i, seg) in self.segs[lo..hi].iter().enumerate() {
+                if seg.a < seg.b {
+                    let key = run[self.ys[seg.a] as usize].ykey();
+                    if best.is_none_or(|(_, k)| key > k) {
+                        best = Some((lo + i, key));
+                    }
+                }
+            }
+            let Some((i, _)) = best else { break };
+            let r = self.ys[self.segs[i].a];
+            self.segs[i].a += 1;
+            self.taken[r as usize] = true;
+            self.plan.pts.push(run[r as usize]);
+        }
+        let id = self.plan.push_top(start);
+        let left_over: usize = self.segs[lo..hi].iter().map(Seg::len).sum();
+        if left_over == 0 {
+            return (Some(id as u32), 1);
+        }
+        // The median is the `(left_over − 1) / 2`-th rank left, in the one
+        // segment it falls in.
+        let mut before = (left_over - 1) / 2;
+        let mut s = lo;
+        while before >= self.segs[s].len() {
+            before -= self.segs[s].len();
+            s += 1;
+        }
+        let Seg { x, a, b } = self.segs[s];
+        self.compact(x, a, b);
+        let median = self.xs[a + before];
+        let w = self.partition(a, b, median);
+        debug_assert_eq!(w, a + before + 1);
+
+        // Each child spans the segments on its side of the median's,
+        // pushed above this subtree's on the stack.
+        let top = self.segs.len();
+        for i in lo..s {
+            let seg = self.segs[i];
+            if seg.a < seg.b {
+                self.segs.push(seg);
+            }
+        }
+        self.segs.push(Seg::new(a, w));
+        let (left, lh) = self.region(top, self.segs.len());
+        self.segs.truncate(top);
+        if w < b {
+            self.segs.push(Seg::new(w, b));
+        }
+        for i in s + 1..hi {
+            let seg = self.segs[i];
+            if seg.a < seg.b {
+                self.segs.push(seg);
+            }
+        }
+        let (right, rh) = self.region(top, self.segs.len());
+        self.segs.truncate(top);
+        Self::link(
+            &mut self.plan,
+            id,
+            run[median as usize].xkey(),
+            left,
+            right,
+            lh,
+            rh,
+        )
+    }
+
+    /// Drop the taken ranks from the x-slice `xs[x..b]`, compacting toward
+    /// its end so that the rest lines up with the y-slice `ys[a..b]`. The
+    /// pass stores unconditionally and advances by the test: its outcome
+    /// is a coin flip a branch would mispredict.
+    fn compact(&mut self, x: usize, a: usize, b: usize) {
+        let (xs, taken) = (&mut self.xs[x..b], &self.taken);
         let mut w = xs.len();
         for i in (0..xs.len()).rev() {
             let r = xs[i];
             xs[w - 1] = r; // w > i: never a rank still to be read
             w -= usize::from(!taken[r as usize]);
         }
-        debug_assert_eq!(a + w, rest);
-        let mid = rest + (b - rest - 1) / 2;
-        let median = self.xs[mid];
-        // Ranks up to the median go left, the others right, each side in
-        // its y-order.
-        let (ys, spill) = (&mut self.ys[rest..b], &mut self.spill);
+        debug_assert_eq!(x + w, a);
+    }
+
+    /// Partition the y-slice `ys[a..b]` stably around `median`: ranks up
+    /// to it go left, the others right, each side in its y-order. Returns
+    /// where the right side starts. Stores unconditionally, like
+    /// [`RankPlanner::compact`].
+    fn partition(&mut self, a: usize, b: usize, median: u32) -> usize {
+        let (ys, spill) = (&mut self.ys[a..b], &mut self.spill);
         let (mut l, mut r) = (0, 0);
         for i in 0..ys.len() {
             let rank = ys[i];
@@ -260,12 +436,21 @@ impl RankPlanner<'_> {
             r += usize::from(!left);
         }
         ys[l..].copy_from_slice(&spill[..r]);
-        let w = rest + l;
-        debug_assert_eq!(w, mid + 1);
-        let (left, lh) = self.node(rest, w);
-        let (right, rh) = self.node(w, b);
-        let node = &mut self.plan.nodes[id];
-        node.split = run[median as usize].xkey();
+        a + l
+    }
+
+    /// Give node `id` its split and children; returns it with its height.
+    fn link(
+        plan: &mut PstPlan,
+        id: usize,
+        split: (i64, u64),
+        left: Option<u32>,
+        right: Option<u32>,
+        lh: usize,
+        rh: usize,
+    ) -> (Option<u32>, usize) {
+        let node = &mut plan.nodes[id];
+        node.split = split;
         (node.left, node.right) = (left, right);
         (Some(id as u32), 1 + lh.max(rh))
     }
@@ -376,7 +561,7 @@ impl ExternalPst {
         run: &SortedRun,
         by_y: &YRanks,
     ) -> Self {
-        Self::from_plan(geo, counter, PstPlan::plan(geo, run, by_y))
+        Self::from_plan(geo, counter, PstPlan::plan(geo, run, [by_y]))
     }
 
     /// Materialise a plan: one page allocated (one write I/O) per node, on
@@ -416,17 +601,12 @@ impl ExternalPst {
     /// store.
     pub fn rebuild_from_sorted(&mut self, geo: Geometry, run: &SortedRun, by_y: &YRanks) {
         let old = std::mem::take(&mut self.layout);
-        self.lay_out(&old, PstPlan::plan(geo, run, by_y));
+        self.lay_out(&old, PstPlan::plan(geo, run, [by_y]));
     }
 
     /// [`ExternalPst::rebuild_from_sorted`] on a PST other handles may
     /// share (an epoch, or the tree a fork was taken from), charging
-    /// `counter`: in place while `pst` is the only handle and already
-    /// charges `counter`, otherwise into a fresh handle over a fork of the
-    /// node store onto `counter`. The fork recycles the same page ids and
-    /// the rebuild bills the same transfers as in place, walking the shared
-    /// layout mirror without copying it; the shared PST stays intact for
-    /// its other holders.
+    /// `counter`: see [`ExternalPst::rebuild_planned`].
     pub fn rebuild_shared(
         pst: &mut Arc<Self>,
         counter: &IoCounter,
@@ -434,15 +614,30 @@ impl ExternalPst {
         run: &SortedRun,
         by_y: &YRanks,
     ) {
+        Self::rebuild_planned(pst, counter, PstPlan::plan(geo, run, [by_y]));
+    }
+
+    /// Lay `plan` out over a PST other handles may share, charging
+    /// `counter`, reusing the node layout as
+    /// [`ExternalPst::rebuild_from_sorted`] does: in place while `pst` is
+    /// the only handle and already charges `counter`, otherwise into a
+    /// fresh handle over a fork of the node store onto `counter`. The fork
+    /// recycles the same page ids and the rebuild bills the same transfers
+    /// as in place, walking the shared layout mirror without copying it;
+    /// the shared PST stays intact for its other holders.
+    pub fn rebuild_planned(pst: &mut Arc<Self>, counter: &IoCounter, plan: PstPlan) {
         match Arc::get_mut(pst).filter(|p| p.counter().same_as(counter)) {
-            Some(owned) => owned.rebuild_from_sorted(geo, run, by_y),
+            Some(owned) => {
+                let old = std::mem::take(&mut owned.layout);
+                owned.lay_out(&old, plan);
+            }
             None => {
                 let mut fresh = Self {
                     store: pst.store.fork(counter.clone()),
                     root: None,
                     layout: Layout::default(),
                 };
-                fresh.lay_out(&pst.layout, PstPlan::plan(geo, run, by_y));
+                fresh.lay_out(&pst.layout, plan);
                 *pst = Arc::new(fresh);
             }
         }
@@ -985,8 +1180,36 @@ mod tests {
                 .collect();
             let geo = Geometry::new(b);
             let (run, by_y) = ordered(pts);
-            let plan = PstPlan::plan(geo, &run, &by_y);
+            let plan = PstPlan::plan(geo, &run, [&by_y]);
             assert_eq!(plan, PstPlan::plan_reference(geo, run), "b={b} n={n}");
+        });
+    }
+
+    /// Planning over x-disjoint parts equals the reference node for node,
+    /// over 1 to 2B parts — empty ones and single points among them — at
+    /// the node sizes and input families of the PST pin.
+    #[test]
+    fn planning_over_parts_equals_the_reference_node_for_node() {
+        ccix_testkit::check::trials("pst planner over parts", 300, 0x9157_0A27, |rng| {
+            let b = [2usize, 3, 8, 32][rng.gen_range(0..4usize)];
+            let family = pins::FAMILIES[rng.gen_range(0..pins::FAMILIES.len())];
+            let k = rng.gen_range(1..2 * b + 1);
+            let n = [rng.gen_range(0..2 * k), rng.gen_range(0..4_000)][rng.gen_range(0..2usize)];
+            let pts: Vec<Point> = (0..n as u64)
+                .map(|id| pins::point(family, rng, id))
+                .collect();
+            let run = SortedRun::from_unsorted(pts);
+            // k − 1 cuts anywhere, repeats allowed: parts may be empty.
+            let mut cuts: Vec<usize> = (1..k).map(|_| rng.gen_range(0..n + 1)).collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            let parts: Vec<YRanks> = (cuts.windows(2))
+                .map(|w| YRanks::argsort(&SortedRun::from_sorted(run[w[0]..w[1]].to_vec())))
+                .collect();
+            let geo = Geometry::new(b);
+            let plan = PstPlan::plan(geo, &run, &parts);
+            let what = format!("b={b} {family} n={n} parts={k}");
+            assert_eq!(plan, PstPlan::plan_reference(geo, run), "{what}");
         });
     }
 
