@@ -351,23 +351,21 @@ impl YRanks {
         }
 
         // The old order through the map, with the delta's y-order merged
-        // in.
+        // in: each delta point gallops to its place in the old order, and
+        // the stretches between move through the map without a key read.
         fresh.sort_unstable_by_key(|k| std::cmp::Reverse(k.key));
         ranks.clear();
-        let mut fresh = fresh.iter().peekable();
-        for &r in self.0.iter() {
-            let rank = map[r as usize];
-            if rank == GONE {
-                continue;
-            }
-            let key = mains[r as usize].ykey();
-            while let Some(d) = fresh.next_if(|d| d.key > key) {
-                ranks.push(d.rank);
-            }
-            ranks.push(rank);
+        ranks.resize(n + fresh.len(), 0);
+        let (mut w, mut from) = (0, 0);
+        let old = &self.0[..];
+        for d in fresh.iter() {
+            let to = from + gallop(&old[from..], |r| mains[r as usize].ykey() > d.key);
+            w = map_stretch(&old[from..to], map, ranks, w);
+            ranks[w] = d.rank;
+            (w, from) = (w + 1, to);
         }
-        ranks.extend(fresh.map(|d| d.rank));
-        let order = Self::checked(&out[base..], ranks.as_slice().into(), ids);
+        w = map_stretch(&old[from..], map, ranks, w);
+        let order = Self::checked(&out[base..], ranks[..w].into(), ids);
         (order, unmatched)
     }
 
@@ -546,6 +544,36 @@ impl MergeCursor {
         self.step(usize::MAX);
         SortedRun(self.out)
     }
+}
+
+/// Write `old`'s ranks through `map` to `ranks[w..]`, skipping the
+/// [`GONE`] ones; returns the next free index. Stores unconditionally and
+/// advances by the test, which a cancellation flood makes a coin flip.
+fn map_stretch(old: &[u32], map: &[u32], ranks: &mut [u32], mut w: usize) -> usize {
+    for &r in old {
+        let rank = map[r as usize];
+        ranks[w] = rank;
+        w += usize::from(rank != GONE);
+    }
+    w
+}
+
+/// Length of the prefix of `slice` whose items satisfy `above` (which
+/// holds on a prefix and fails after), by exponential probing then binary
+/// search over the final octave. `O(log length)` probes.
+fn gallop(slice: &[u32], above: impl Fn(u32) -> bool) -> usize {
+    if slice.first().is_none_or(|&r| !above(r)) {
+        return 0;
+    }
+    // Invariant: above(slice[lo - 1]).
+    let (mut lo, mut step) = (1usize, 1usize);
+    while lo < slice.len() && above(slice[lo]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = lo.min(slice.len());
+    let base = lo - step / 2;
+    base + slice[base..hi].partition_point(|&r| above(r))
 }
 
 /// First index of `slice` whose `xkey` is `≥ key`, by exponential probing
