@@ -364,9 +364,9 @@ impl CornerPlan {
             return plan; // single block: stage 2 alone answers queries
         }
 
-        // The caller's y-order (the argsort its metablock's horizontal
-        // blocking came from) serves the block counts and the answer
-        // bucketing below: the plan sorts nothing itself.
+        // The caller's y-order (the one its metablock keeps, which its
+        // horizontal blocking was laid out through) serves the block counts
+        // and the answer bucketing below: the plan sorts nothing itself.
         let by_y_idx = by_y.as_slice();
 
         // Candidate i is the right boundary of block i, for i = 0..m-1
@@ -506,7 +506,7 @@ impl PageReads for PinnedReads<'_> {
 
 /// Per-block y-descending key lists for the greedy selection's prefix
 /// counts: one flat buffer, block `j`'s keys at `j·B..` in descending
-/// order, filled in a single pass off the shared y-argsort. A corner
+/// order, filled in a single pass off the shared y-order. A corner
 /// structure never spans more than `2B + 1` vertical blocks (its host
 /// holds at most `2B²` points), so the `O(prefix · log B)` per-candidate
 /// count keeps the whole sweep cheaper than maintaining a Fenwick tree —

@@ -17,10 +17,10 @@
 //! differential suites compare them directly.
 //!
 //! Deletions ride the same machinery as **negative merges**: a tombstone is
-//! an exact copy of the point it deletes, so [`SortedRun::cancel`] (and the
-//! y-descending [`merge_delta_y_desc_cancel`]) annihilate insert/delete
-//! pairs at the first reorganisation that sees both, in the same galloping
-//! pass that would have merged them.
+//! an exact copy of the point it deletes, so [`SortedRun::cancel`] (and
+//! [`YRanks::merge`], which carries a y-order through) annihilate
+//! insert/delete pairs at the first reorganisation that sees both, in the
+//! same galloping pass that would have merged them.
 
 use std::sync::Arc;
 
@@ -255,18 +255,19 @@ impl YRanks {
     }
 
     /// Merge the unsorted `delta` into `mains` (strictly `(x, id)`-sorted,
-    /// `self` its y-order) and cancel the unsorted `tombs` against both, carrying the
-    /// order through: the new run is appended to `out`, and its y-order
-    /// (ranks counted from where the run starts in `out`) is returned
-    /// beside the tombstones that found no victim, in `(x, id)` order.
+    /// `self` its y-order) and cancel the unsorted `tombs` against both,
+    /// carrying the order through: the new run is appended to `out`, and
+    /// its y-order (ranks counted from where the run starts in `out`) is
+    /// returned beside the tombstones that found no victim, in `(x, id)`
+    /// order.
     ///
     /// Only the delta and the tombstones are sorted. The x-merge copies
     /// the stretches of `mains` between them whole and records where each
-    /// main point went; one pass over `self` through that map, merged with
-    /// the delta's y-order, is the new order. The result equals merging,
-    /// cancelling and argsorting from scratch (a tombstone is an exact
-    /// copy of its victim, so it matches on the `(x, id)` key, as in
-    /// [`SortedRun::cancel`]).
+    /// main point went; one pass over `self` through that map, with each
+    /// surviving delta point galloped into its place, is the new order.
+    /// The result equals merging, cancelling and argsorting from scratch
+    /// (a tombstone is an exact copy of its victim, so it matches on the
+    /// `(x, id)` key, as in [`SortedRun::cancel`]).
     pub fn merge(
         &self,
         mains: &[Point],
@@ -359,7 +360,7 @@ impl YRanks {
         let (mut w, mut from) = (0, 0);
         let old = &self.0[..];
         for d in fresh.iter() {
-            let to = from + gallop(&old[from..], |r| mains[r as usize].ykey() > d.key);
+            let to = from + gallop(&old[from..], |&r| mains[r as usize].ykey() > d.key);
             w = map_stretch(&old[from..to], map, ranks, w);
             ranks[w] = d.rank;
             (w, from) = (w + 1, to);
@@ -558,40 +559,27 @@ fn map_stretch(old: &[u32], map: &[u32], ranks: &mut [u32], mut w: usize) -> usi
     w
 }
 
-/// Length of the prefix of `slice` whose items satisfy `above` (which
+/// Length of the prefix of `slice` whose items satisfy `before` (which
 /// holds on a prefix and fails after), by exponential probing then binary
 /// search over the final octave. `O(log length)` probes.
-fn gallop(slice: &[u32], above: impl Fn(u32) -> bool) -> usize {
-    if slice.first().is_none_or(|&r| !above(r)) {
+fn gallop<T>(slice: &[T], before: impl Fn(&T) -> bool) -> usize {
+    if slice.first().is_none_or(|t| !before(t)) {
         return 0;
     }
-    // Invariant: above(slice[lo - 1]).
+    // Invariant: before(&slice[lo - 1]).
     let (mut lo, mut step) = (1usize, 1usize);
-    while lo < slice.len() && above(slice[lo]) {
+    while lo < slice.len() && before(&slice[lo]) {
         lo += step;
         step *= 2;
     }
     let hi = lo.min(slice.len());
     let base = lo - step / 2;
-    base + slice[base..hi].partition_point(|&r| above(r))
+    base + slice[base..hi].partition_point(before)
 }
 
-/// First index of `slice` whose `xkey` is `≥ key`, by exponential probing
-/// then binary search over the final octave. `O(log distance)`.
+/// First index of `slice` whose `xkey` is `≥ key`. `O(log distance)`.
 fn gallop_x(slice: &[Point], key: (i64, u64)) -> usize {
-    if slice.first().is_none_or(|p| p.xkey() >= key) {
-        return 0;
-    }
-    // Invariant: slice[lo - 1].xkey() < key.
-    let mut lo = 1usize;
-    let mut step = 1usize;
-    while lo < slice.len() && slice[lo].xkey() < key {
-        lo += step;
-        step *= 2;
-    }
-    let hi = lo.min(slice.len());
-    let base = lo - step / 2;
-    base + slice[base..hi].partition_point(|p| p.xkey() < key)
+    gallop(slice, |p| p.xkey() < key)
 }
 
 /// Merge two y-descending vectors, keeping at most `cap` points — the

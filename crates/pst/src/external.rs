@@ -12,9 +12,10 @@
 //!
 //! Construction is split into a **pure planning phase** ([`PstPlan`]) that
 //! computes every node's contents from the x-sorted input and its y-order
-//! ([`YRanks`], which the hosts' reorganisations already hold) without
-//! touching a store — so hosts can run it on worker threads during their
-//! parallel build phases — and a sequential **materialisation** that
+//! ([`YRanks`], which the hosts' metablocks keep — given whole, or as the
+//! orders of x-disjoint parts) without touching a store — so hosts can run
+//! it on worker threads during their parallel build phases — and a
+//! sequential **materialisation** that
 //! allocates one page per planned node on the calling thread. The tree
 //! retains its plan as an in-memory layout mirror, which is what lets
 //! [`ExternalPst::rebuild_from_sorted`] reuse the node layout across the
