@@ -225,6 +225,21 @@ impl PstPlan {
         self.push_top(start)
     }
 
+    /// Give node `id` its split and its children, each with its height;
+    /// returns the node with its own.
+    fn link(
+        &mut self,
+        id: usize,
+        split: (i64, u64),
+        (left, lh): (Option<u32>, usize),
+        (right, rh): (Option<u32>, usize),
+    ) -> (Option<u32>, usize) {
+        let node = &mut self.nodes[id];
+        node.split = split;
+        (node.left, node.right) = (left, right);
+        (Some(id as u32), 1 + lh.max(rh))
+    }
+
     /// Push a node over the points from `start` on, its split and
     /// children to be set.
     fn push_top(&mut self, start: usize) -> usize {
@@ -302,17 +317,9 @@ impl RankPlanner<'_> {
         let median = self.xs[mid];
         let w = self.partition(rest, b, median);
         debug_assert_eq!(w, mid + 1);
-        let (left, lh) = self.node(rest, w);
-        let (right, rh) = self.node(w, b);
-        Self::link(
-            &mut self.plan,
-            id,
-            run[median as usize].xkey(),
-            left,
-            right,
-            lh,
-            rh,
-        )
+        let left = self.node(rest, w);
+        let right = self.node(w, b);
+        self.plan.link(id, run[median as usize].xkey(), left, right)
     }
 
     /// Plan the subtree over the segments `segs[lo..hi]`: a single one is
@@ -375,35 +382,27 @@ impl RankPlanner<'_> {
         // Each child spans the segments on its side of the median's,
         // pushed above this subtree's on the stack.
         let top = self.segs.len();
-        for i in lo..s {
-            let seg = self.segs[i];
-            if seg.a < seg.b {
-                self.segs.push(seg);
-            }
-        }
+        self.push_live(lo..s);
         self.segs.push(Seg::new(a, w));
-        let (left, lh) = self.region(top, self.segs.len());
+        let left = self.region(top, self.segs.len());
         self.segs.truncate(top);
         if w < b {
             self.segs.push(Seg::new(w, b));
         }
-        for i in s + 1..hi {
+        self.push_live(s + 1..hi);
+        let right = self.region(top, self.segs.len());
+        self.segs.truncate(top);
+        self.plan.link(id, run[median as usize].xkey(), left, right)
+    }
+
+    /// Push a copy of each segment of `segs[range]` that has ranks left.
+    fn push_live(&mut self, range: std::ops::Range<usize>) {
+        for i in range {
             let seg = self.segs[i];
-            if seg.a < seg.b {
+            if seg.len() > 0 {
                 self.segs.push(seg);
             }
         }
-        let (right, rh) = self.region(top, self.segs.len());
-        self.segs.truncate(top);
-        Self::link(
-            &mut self.plan,
-            id,
-            run[median as usize].xkey(),
-            left,
-            right,
-            lh,
-            rh,
-        )
     }
 
     /// Drop the taken ranks from the x-slice `xs[x..b]`, compacting toward
@@ -438,22 +437,6 @@ impl RankPlanner<'_> {
         }
         ys[l..].copy_from_slice(&spill[..r]);
         a + l
-    }
-
-    /// Give node `id` its split and children; returns it with its height.
-    fn link(
-        plan: &mut PstPlan,
-        id: usize,
-        split: (i64, u64),
-        left: Option<u32>,
-        right: Option<u32>,
-        lh: usize,
-        rh: usize,
-    ) -> (Option<u32>, usize) {
-        let node = &mut plan.nodes[id];
-        node.split = split;
-        (node.left, node.right) = (left, right);
-        (Some(id as u32), 1 + lh.max(rh))
     }
 }
 
