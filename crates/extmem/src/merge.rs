@@ -435,6 +435,12 @@ impl YRanks {
         Self(ranks)
     }
 
+    /// The same ranks in a fresh allocation of the calling thread, shared
+    /// with no other handle.
+    pub fn unshared(&self) -> Self {
+        Self(Arc::from(&self.0[..]))
+    }
+
     /// The run's points in this order (y-descending).
     pub fn gather(&self, run: &[Point]) -> Vec<Point> {
         self.0.iter().map(|&r| run[r as usize]).collect()
