@@ -103,7 +103,7 @@ impl CornerStructure {
     ) -> Self {
         let by_y = YRanks::argsort(sorted);
         let plan = CornerPlan::plan(sorted, &by_y, store.capacity(), alpha);
-        let vertical = store.alloc_run(sorted.iter().copied());
+        let vertical = store.alloc_run(sorted);
         plan.materialise(store, vertical, true)
     }
 
@@ -460,7 +460,7 @@ impl CornerPlan {
             .into_iter()
             .map(|(block, key, answer)| {
                 let page_tops: Vec<Key> = answer.chunks(b).map(|c| c[0].ykey()).collect();
-                let pages = store.alloc_run(answer.iter().copied());
+                let pages = store.alloc_run(&answer);
                 CStar {
                     key,
                     block,
@@ -697,7 +697,7 @@ mod tests {
         let counter = IoCounter::new();
         let mut store = TypedStore::new(8, counter);
         let by_x = SortedRun::from_unsorted(pts.clone());
-        let vertical: Run<PageId> = store.alloc_run(by_x.iter().copied());
+        let vertical: Run<PageId> = store.alloc_run(&by_x);
         let by_y = YRanks::argsort(&by_x);
         let cs = CornerStructure::build_shared(&mut store, &by_x, &by_y, &vertical, 2);
         for q in (-5..305).step_by(11) {

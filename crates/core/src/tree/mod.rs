@@ -374,7 +374,7 @@ impl TsInfo {
     /// A snapshot over the y-descending `pts`, laid out on fresh pages.
     pub(crate) fn alloc(store: &mut TypedStore<Point>, pts: &[Point], truncated: bool) -> Self {
         Self {
-            pages: store.alloc_run(pts.iter().copied()),
+            pages: store.alloc_run(pts),
             n: pts.len(),
             truncated,
         }
@@ -560,14 +560,14 @@ impl<S: Shape> MetaBlock<S> {
         let ranks = order.as_slice();
         // Every run is collected straight into its final form, one
         // allocation each.
-        self.vertical = store.alloc_run(by_x.iter().copied());
+        self.vertical = store.alloc_run(by_x);
         self.vkeys = by_x.chunks(b).map(|c| c[0].xkey()).collect();
         self.hkeys = ranks
             .chunks(b)
             .map(|c| by_x[c[0] as usize].ykey())
             .collect();
         self.h_live = ranks.chunks(b).map(|c| c.len() as u32).collect();
-        self.horizontal = store.alloc_run(ranks.iter().map(|&r| by_x[r as usize]));
+        self.horizontal = store.alloc_run_gathered(by_x, ranks);
         self.n_main = by_x.len();
         self.main_bbox = BBox::of_points(by_x);
         self.y_lo_main = ranks.last().map(|&r| by_x[r as usize].ykey());

@@ -145,22 +145,40 @@ impl<T: Clone> TypedStore<T> {
     /// page. Returns the page ids in run order, collected straight into the
     /// caller's run type (a `Vec`, or a shared [`crate::Run`] built in one
     /// allocation). Costs one write per page.
-    pub fn alloc_run<R, I>(&mut self, records: I) -> R
-    where
-        R: FromIterator<PageId>,
-        I: IntoIterator<Item = T, IntoIter: ExactSizeIterator>,
-    {
-        let mut records = records.into_iter();
-        (0..records.len().div_ceil(self.capacity))
-            .map(|_| {
-                let mut page = self
-                    .spare
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(self.capacity));
-                page.extend(records.by_ref().take(self.capacity));
+    pub fn alloc_run<R: FromIterator<PageId>>(&mut self, records: &[T]) -> R {
+        records
+            .chunks(self.capacity)
+            .map(|chunk| {
+                let mut page = self.spare_page();
+                page.extend_from_slice(chunk);
                 self.alloc(page)
             })
             .collect()
+    }
+
+    /// [`TypedStore::alloc_run`] over `records` taken in the order of
+    /// `ranks` (indices into `records`), filling each page straight from
+    /// them instead of gathering the whole run first.
+    pub fn alloc_run_gathered<R: FromIterator<PageId>>(
+        &mut self,
+        records: &[T],
+        ranks: &[u32],
+    ) -> R {
+        ranks
+            .chunks(self.capacity)
+            .map(|chunk| {
+                let mut page = self.spare_page();
+                page.extend(chunk.iter().map(|&r| records[r as usize].clone()));
+                self.alloc(page)
+            })
+            .collect()
+    }
+
+    /// An empty page buffer: a recycled one, or a fresh one of capacity.
+    fn spare_page(&mut self) -> Vec<T> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.capacity))
     }
 
     /// Read a page. Costs one read I/O.
@@ -503,7 +521,7 @@ mod tests {
     #[test]
     fn alloc_run_chunks_by_capacity() {
         let mut s = store(3);
-        let ids: Vec<PageId> = s.alloc_run([1, 2, 3, 4, 5, 6, 7]);
+        let ids: Vec<PageId> = s.alloc_run(&[1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(ids.len(), 3);
         assert_eq!(s.read(ids[0]), &[1, 2, 3]);
         assert_eq!(s.read(ids[1]), &[4, 5, 6]);
