@@ -8,12 +8,11 @@
 //! horizontal run through the child's order and merges its sorted delta in
 //! the same way; a leaf split reads the vertical run and partitions it in
 //! place; a branching split k-way merges the subtree's vertical runs.
-//! Every metablock keeps its mains' y-order
-//! ([`YRanks`]) for its whole life, and each of these reorganisations
-//! carries it on in linear passes — through the merge, the push-down's
-//! kept top, the leaf split's halves — so the organisation built over the
-//! mains (a PST, a corner structure) plans from the order the block holds
-//! instead of sorting again. Every read touches exactly the pages a
+//! Every metablock keeps its mains' y-order ([`YRanks`]) for its whole
+//! life, and each of these reorganisations carries it on in linear passes
+//! — through the merge, the push-down's kept top, the leaf split's halves
+//! — so the organisation built over the mains (a PST, a corner structure)
+//! plans from the order the block holds instead of sorting again. Every read touches exactly the pages a
 //! sort-based pipeline would read (the two blockings hold the same point
 //! count), so I/O counts are those of the paper's rebuilds — only the
 //! `O(n log n)` CPU re-sorts disappear.
