@@ -22,6 +22,8 @@
 
 mod build;
 mod job;
+#[cfg(test)]
+mod query_pins;
 mod reorg;
 mod validate;
 mod write;
