@@ -5,9 +5,9 @@
 //! skeleton's ([`crate::tree`]); [`Diag`] plugs in what §3 does
 //! differently from §4 — Lemma 3.1 corner structures over the mains and
 //! the TD, one left-sibling `TS` snapshot per non-first child, and points
-//! on or above the diagonal. The static build and the validator are the
-//! skeleton's too; the one submodule, [`query`], is the diagonal-corner
-//! search of Theorem 3.2 / Fig. 15.
+//! on or above the diagonal. The static build, the validator and the
+//! search are the skeleton's too; the one submodule, [`query`], holds the
+//! diagonal-corner search's hooks (Theorem 3.2 / Fig. 15) and the x-range.
 
 mod query;
 

@@ -42,10 +42,13 @@
 //! structures, two sibling snapshots per child and a children PST per
 //! interior metablock (§4, Fig. 20). So both trees are one generic
 //! `Tree<S>`: the control blocks, the write path, every reorganisation,
-//! the background shrink job, the static build, the validator and
-//! [`TreeStats`] are written once, and a sealed `Shape` (`Diag` or
-//! `ThreeSided`) supplies the per-metablock structure, its plan and the
-//! sibling snapshots. Only the queries stay per shape.
+//! the background shrink job, the static build, the validator,
+//! [`TreeStats`] and the search are written once, and a sealed `Shape`
+//! (`Diag` or `ThreeSided`) supplies the per-metablock structure, its plan
+//! and the sibling snapshots. A diagonal-corner query at `q` is the 3-sided
+//! query `(−∞, q, q)`, so one search skeleton answers both; only how an
+//! organisation is queried, the straddling node's answer and the routing
+//! among a node's children stay per shape.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -24,8 +24,8 @@
 //! Insertions, deletions and every reorganisation are the skeleton's
 //! ([`crate::tree`]) — Lemma 4.4's proof "parallels that of Lemma 3.6" —
 //! with [`ThreeSided`] supplying the PSTs and the two-sided snapshots; so
-//! are the static build and the validator. The one submodule, [`query`],
-//! is the search of Lemma 4.3 / Fig. 21.
+//! are the static build, the validator and the search. The one submodule,
+//! [`query`], holds the search's hooks (Lemma 4.3 / Fig. 21).
 
 #[cfg(test)]
 mod pins;

@@ -10,18 +10,23 @@
 //! * the sibling snapshots a child carries (`TS`, or `TSL`/`TSR`) and, on
 //!   the 3-sided tree, the parent's children PST;
 //! * the checks of what only one shape keeps, and the diagonal tree's
-//!   `y ≥ x` admission and ablation options.
+//!   `y ≥ x` admission and ablation options;
+//! * three hooks of the search ([`Search`]): how an organisation is
+//!   queried, the straddling node's answer and the routing among a node's
+//!   children.
 //!
 //! Submodules: [`write`] (insert, delete and `apply_batch`: the descent,
 //! buffering, tombstones and their triggers), [`reorg`] (level-I, the TD
 //! fold, the TS reorganisation, level-II, the splits and the occupancy
 //! shrink), [`job`] (charge dribbling and the background shrink job),
-//! [`build`] (the two-phase static build and the snapshot install) and
-//! [`validate`] (the unbilled validator and [`TreeStats`]). Only the
-//! queries stay per shape, in `diag` and `threesided`.
+//! [`build`] (the two-phase static build and the snapshot install),
+//! [`validate`] (the unbilled validator and [`TreeStats`]) and [`query`]
+//! (the search over a rectangle `x1 ≤ x ≤ x2 ∧ y ≥ y0`, of which a
+//! diagonal-corner query at `q` is `(−∞, q, q)`, and the batch surface).
 
 mod build;
 mod job;
+mod query;
 #[cfg(test)]
 mod query_pins;
 mod reorg;
@@ -30,6 +35,7 @@ mod write;
 
 pub(crate) use build::{PlanCtx, SlabPlan};
 pub use job::ReorgCounts;
+pub(crate) use query::{child_live, in_slabs, mirror_tombs, Rect, Search};
 pub use validate::TreeStats;
 
 use std::fmt::Debug;
@@ -124,7 +130,7 @@ pub(crate) const SPACE_AUX: u32 = 2;
 /// With [`Tuning::resident_root`], the tree's root control block lives in
 /// its own dedicated slot of long-lived main memory (outside the pin's LRU
 /// frames, so it can never be evicted mid-batch) and is read for free.
-pub(crate) struct ReadCtx {
+pub struct ReadCtx {
     pub pin: PathPin,
     /// Control block held in dedicated memory (`(space, key)`).
     pub(crate) resident: Option<(u32, u64)>,
@@ -601,7 +607,7 @@ pub enum Children<'a, P> {
 /// tree's `ThreeSided` (behind [`crate::ThreeSidedTree`]) implement it and
 /// only [`Tree`] calls them; everything else about a tree is [`Tree`]'s,
 /// written once.
-pub trait Shape: sealed::Hooks {}
+pub trait Shape: sealed::Hooks + Search {}
 
 pub(crate) mod sealed {
     use super::*;

@@ -527,8 +527,10 @@ impl IntervalIndex {
     }
 
     /// Answer a whole flood of stabbing queries as **one batched
-    /// operation**: the metablock tree processes the points in sorted order
-    /// over a single pinned read context, so every block of the shared
+    /// operation**: the metablock tree
+    /// ([`ccix_core::MetablockTree::query_batch_with`]) processes the
+    /// points in sorted order over a single pinned read context, so every
+    /// block of the shared
     /// descent prefix is billed once per residency instead of once per
     /// query. Results are in input order.
     ///
