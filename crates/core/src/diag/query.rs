@@ -62,14 +62,14 @@ impl Search for Diag {
     ) {
         let q = r.y0;
         if meta.main_bbox.is_some_and(|b| b.all_x_at_most(q)) {
-            return t.horizontal_scan_down(ctx, meta, 0, r, out);
+            return t.horizontal_scan_down(ctx, meta, 0, r, |_| true, out);
         }
         let Some(corner) = &meta.org else {
             debug_assert!(
                 !t.shape.options.corner_structures || meta.n_main <= t.geo.b,
                 "missing corner structure"
             );
-            return t.vertical_scan(ctx, meta, r, out);
+            return t.vertical_scan(ctx, meta, r, |p| p.y >= q, out);
         };
         // Both routes' page counts are exact functions of directory
         // information — the corner query from its per-page tops, the
@@ -79,7 +79,7 @@ impl Search for Diag {
         let h_cost = meta.hkeys.iter().take_while(|&&k| k >= r.bottom()).count();
         let route = corner.route(q);
         if h_cost <= corner.planned_cost(q, &route) {
-            t.horizontal_scan_down(ctx, meta, 0, r, out);
+            t.horizontal_scan_down(ctx, meta, 0, r, |p| p.x <= q, out);
         } else {
             let host = (SPACE_META, mb as u64);
             corner.query_pinned(&t.store, ctx, host, q, &route, out);
@@ -203,7 +203,7 @@ impl MetablockTree {
         let meta = self.ctx_meta(ctx, mb);
         self.scan_update_pages(ctx, &meta.update, r, out);
         mirror_tombs(ctx, &meta.tomb_buf, r);
-        self.vertical_scan(ctx, meta, r, out);
+        self.vertical_scan(ctx, meta, r, |_| true, out);
         let children = &meta.children;
         let (a1k, a2k) = (r.left(), r.right());
         let i1 = children.partition_point(|c| c.slab_hi <= a1k);

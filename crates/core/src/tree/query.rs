@@ -55,8 +55,14 @@ pub struct Rect {
 }
 
 impl Rect {
+    /// Is `p` inside? Every search checks `x1 ≤ x2` first, so one unsigned
+    /// compare of offsets from `x1` tests both vertical sides: a corner
+    /// query (`x1 = −∞`) pays what `x ≤ q ∧ y ≥ q` costs, not a third
+    /// compare per point scanned.
     pub(crate) fn contains(&self, p: &Point) -> bool {
-        self.x1 <= p.x && p.x <= self.x2 && p.y >= self.y0
+        debug_assert!(self.x1 <= self.x2, "an empty rectangle is never searched");
+        (p.x.wrapping_sub(self.x1) as u64) <= (self.x2.wrapping_sub(self.x1) as u64)
+            && p.y >= self.y0
     }
 
     /// The bottom side as a y-key: `p` is above it iff `p.ykey() >= bottom`.
@@ -302,7 +308,7 @@ impl<S: Shape> Tree<S> {
             return;
         }
         // Type I: all mains are inside in y; take those inside in x.
-        self.vertical_scan(ctx, meta, r, out);
+        self.vertical_scan(ctx, meta, r, |_| true, out);
         if !meta.is_leaf() {
             S::process_children(self, ctx, mb, meta, r, out);
         }
@@ -493,7 +499,7 @@ impl<S: Shape> Tree<S> {
             self.scan_update_pages(ctx, &meta.update, r, out);
             mirror_tombs(ctx, &meta.tomb_buf, r);
             if meta.main_bbox.is_some_and(|b| b.yhi >= qk) {
-                self.horizontal_scan_down(ctx, meta, 0, r, out);
+                self.horizontal_scan_down(ctx, meta, 0, r, |_| true, out);
             }
             debug_assert_no_live_children(meta, r);
             return;
@@ -511,24 +517,26 @@ impl<S: Shape> Tree<S> {
         }
         if entry.main_bbox.is_some_and(|b| b.yhi >= qk) {
             let run = (&packed.h_pages[..], &packed.h_tops[..], &packed.h_live[..]);
-            if !self.scan_down(ctx, run, r, out) && packed.h_more {
+            if !self.scan_down(ctx, run, r, |_| true, out) && packed.h_more {
                 // The whole mirrored prefix qualified: continue from the
                 // child's control block (amply output-backed).
                 let meta = self.ctx_meta(ctx, entry.mb);
-                self.horizontal_scan_down(ctx, meta, packed.h_pages.len(), r, out);
+                let from = packed.h_pages.len();
+                self.horizontal_scan_down(ctx, meta, from, r, |_| true, out);
                 debug_assert_no_live_children(meta, r);
             }
         }
     }
 
-    /// Top-down scan of `meta`'s horizontal blocking from page `from`,
-    /// reporting its points inside `r` (see [`Tree::scan_down`]).
+    /// Top-down scan of `meta`'s horizontal blocking from page `from` (see
+    /// [`Tree::scan_down`]).
     pub(crate) fn horizontal_scan_down(
         &self,
         ctx: &mut ReadCtx,
         meta: &MetaBlock<S>,
         from: usize,
         r: Rect,
+        keep: impl Fn(&Point) -> bool,
         out: &mut Vec<Point>,
     ) {
         let run = (
@@ -536,34 +544,38 @@ impl<S: Shape> Tree<S> {
             &meta.hkeys[from..],
             &meta.h_live[from..],
         );
-        self.scan_down(ctx, run, r, out);
+        self.scan_down(ctx, run, r, keep, out);
     }
 
-    /// Scan a y-descending page run top-down, reporting its points inside
-    /// `r` until one falls below the bottom; returns whether one did. The
-    /// run comes with its page-top keys, which skip a crossing page with
-    /// no answers, and its pages' live counts: a fully-dead page (a delete
-    /// flood shadowed every point on it) is skipped unread, and later
-    /// pages can still hold live answers.
+    /// Scan a y-descending page run top-down, reporting the points `keep`
+    /// accepts, until one falls below `r`'s bottom; returns whether one
+    /// did. The run comes with its page-top keys, which skip a crossing
+    /// page with no answers, and its pages' live counts: a fully-dead page
+    /// (a delete flood shadowed every point on it) is skipped unread, and
+    /// later pages can still hold live answers. `keep` is the caller's x
+    /// filter, if its run can hold points outside `[x1, x2]`: a per-point
+    /// test the other callers do not pay.
     fn scan_down(
         &self,
         ctx: &mut ReadCtx,
         (pages, tops, live): (&[PageId], &[Key], &[u32]),
         r: Rect,
+        keep: impl Fn(&Point) -> bool,
         out: &mut Vec<Point>,
     ) -> bool {
+        let qk = r.bottom();
         for (i, &pg) in pages.iter().enumerate() {
-            if tops[i] < r.bottom() {
+            if tops[i] < qk {
                 return true;
             }
             if live.get(i) == Some(&0) {
                 continue;
             }
             for p in self.ctx_read(ctx, pg) {
-                if p.ykey() < r.bottom() {
+                if p.ykey() < qk {
                     return true;
                 }
-                if r.x1 <= p.x && p.x <= r.x2 {
+                if keep(p) {
                     out.push(*p);
                 }
             }
@@ -589,30 +601,39 @@ impl<S: Shape> Tree<S> {
         }
     }
 
-    /// Report the mains inside `r` from the vertical blocking, starting at
-    /// the page located via the cached page-boundary keys (the first page
-    /// for a query open to the left) and stopping before a page that
-    /// starts right of `r`: at most two slack blocks.
+    /// Report the mains with `x1 ≤ x ≤ x2` that `keep` accepts (the
+    /// caller's y filter, if some mains can lie below `r`) from the
+    /// vertical blocking, starting at the page located via the cached
+    /// page-boundary keys (the first page for a query open to the left)
+    /// and stopping before a page that starts right of `r`: at most two
+    /// slack blocks.
     pub(crate) fn vertical_scan(
         &self,
         ctx: &mut ReadCtx,
         meta: &MetaBlock<S>,
         r: Rect,
+        keep: impl Fn(&Point) -> bool,
         out: &mut Vec<Point>,
     ) {
         let (a1k, a2k) = (r.left(), r.right());
-        // The last page whose first key is ≤ a1k can still hold x ≥ x1.
+        // The last page whose first key is ≤ a1k can still hold x ≥ x1,
+        // and it is the only page that can begin left of x1.
         let start = meta.vkeys.partition_point(|&k| k <= a1k).saturating_sub(1);
-        'vertical: for (i, &pg) in meta.vertical.iter().enumerate().skip(start) {
+        for (i, &pg) in meta.vertical.iter().enumerate().skip(start) {
             if meta.vkeys[i] > a2k {
                 break;
             }
-            for p in self.ctx_read(ctx, pg) {
-                let k = p.xkey();
-                if k > a2k {
-                    break 'vertical;
+            let page = self.ctx_read(ctx, pg);
+            let from = if i == start {
+                page.partition_point(|p| p.xkey() < a1k)
+            } else {
+                0
+            };
+            for p in &page[from..] {
+                if p.xkey() > a2k {
+                    return;
                 }
-                if k >= a1k && p.y >= r.y0 {
+                if keep(p) {
                     out.push(*p);
                 }
             }
@@ -630,4 +651,28 @@ fn debug_assert_no_live_children<S: Hooks>(meta: &MetaBlock<S>, r: Rect) {
         "partial metablock with a live child"
     );
     let _ = (meta, r);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_rectangle_contains_exactly_its_x_range_at_the_extremes() {
+        let xs = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        for x1 in xs {
+            for x2 in xs.into_iter().filter(|&x2| x2 >= x1) {
+                let r = Rect { x1, x2, y0: 0 };
+                for x in xs {
+                    let inside = x1 <= x && x <= x2;
+                    assert_eq!(
+                        r.contains(&Point::new(x, 0, 0)),
+                        inside,
+                        "{x} in [{x1}, {x2}]"
+                    );
+                    assert!(!r.contains(&Point::new(x, -1, 0)), "below y0");
+                }
+            }
+        }
+    }
 }
