@@ -130,8 +130,11 @@ pub(crate) const SPACE_AUX: u32 = 2;
 /// With [`Tuning::resident_root`], the tree's root control block lives in
 /// its own dedicated slot of long-lived main memory (outside the pin's LRU
 /// frames, so it can never be evicted mid-batch) and is read for free.
+///
+/// `pub` only because the sealed [`Search`] hooks name it; the crate does
+/// not export it.
 pub struct ReadCtx {
-    pub pin: PathPin,
+    pub(crate) pin: PathPin,
     /// Control block held in dedicated memory (`(space, key)`).
     pub(crate) resident: Option<(u32, u64)>,
     /// Ids of the pending tombstones the query in progress has selected.
