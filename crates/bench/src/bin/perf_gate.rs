@@ -1,11 +1,11 @@
-//! CI perf gate: diff two experiment `--json` outputs and fail on any I/O,
-//! space or wall-clock-budget regression.
+//! CI perf gate: diff experiment tables against their committed baselines
+//! and fail on any I/O, space or wall-clock-budget regression.
 //!
 //! The workspace's I/O counts are bit-reproducible (seeded workloads, exact
 //! counters), so the I/O comparison is *exact*, not a flaky timing gate: a
 //! rise of more than 5% in any gated column on any keyed row is a real
-//! algorithmic regression. Two experiment tables are understood, each with
-//! its own absolute budgets; a run gates whichever of them its baseline
+//! algorithmic regression. Nine experiments are gated, each table with its
+//! own absolute budgets; a comparison gates whichever tables its baseline
 //! file contains:
 //!
 //! * **E9** (`exp_interval --json`, baseline `BENCH_baseline.json`) — the
@@ -20,8 +20,9 @@
 //!   timings are not diffed).
 //! * **EB** (`exp_build --json`, baseline `BENCH_build_baseline.json`) —
 //!   the merge-based rebuild pipeline's wall-clock table (static build +
-//!   rebuild-heavy insert flood, 1 thread and max threads). Build I/O is
-//!   gated exactly like any count (parallel planning must not change it);
+//!   rebuild-heavy insert flood, planning over the machine's cores). Build
+//!   I/O is gated exactly like any count (parallel planning must not
+//!   change it);
 //!   the wall-clock cells get variance-tolerant absolute ceilings only,
 //!   sized ~10× the measured dev-box numbers (see docs/tuning.md for how
 //!   they were chosen).
@@ -55,12 +56,9 @@
 //! * **ES** (`exp_shard --json`, baseline `BENCH_shard_baseline.json`) —
 //!   the x-range sharded fan-out. Aggregate flood/query I/O is exact and
 //!   thread-invariant (each shard charges its own striped counter; the
-//!   thread budget only moves work between threads), so both columns are
-//!   diffed like any count. The `scaling loss` column is reported, not
-//!   gated: it divides by the unsharded row's wall clock, so every PR that
-//!   speeds the unsharded stab batch up raises it (docs/tuning.md
-//!   § Sharding). Absolute bounds: wall-clock smoke ceilings on the
-//!   1-shard baseline rows.
+//!   fan-out only moves work between threads), so both columns are diffed
+//!   like any count. Absolute bounds: wall-clock smoke ceilings on the
+//!   1-shard uniform row.
 //! * **EF** (`exp_file --json`, baseline `BENCH_file_baseline.json`) —
 //!   the file backend vs the in-memory model. Wall-clock only: the
 //!   exact-I/O equivalence of the two backends is a hard assertion of the
@@ -68,23 +66,14 @@
 //!   build/flood/stab overhead under absolute smoke ceilings (~10× the
 //!   measured dev-box numbers) on the file rows.
 //!
+//! With no arguments the gate runs all nine experiments in this process
+//! and diffs each against its committed `BENCH_*.json` (the CI step);
+//! with two it diffs two `--json` files, e.g. a regenerated baseline:
+//!
 //! ```text
-//! cargo run --release -p ccix-bench --bin exp_interval -- --json > new.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_baseline.json new.json
-//! cargo run --release -p ccix-bench --bin exp_query_batch -- --json > newq.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_query_baseline.json newq.json
+//! cargo run --release -p ccix-bench --bin perf_gate
 //! cargo run --release -p ccix-bench --bin exp_build -- --json > newb.json
 //! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_build_baseline.json newb.json
-//! cargo run --release -p ccix-bench --bin exp_delete -- --json > newd.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_delete_baseline.json newd.json
-//! cargo run --release -p ccix-bench --bin exp_latency -- --json > newl.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_latency_baseline.json newl.json
-//! cargo run --release -p ccix-bench --bin exp_throughput -- --json > newt.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_throughput_baseline.json newt.json
-//! cargo run --release -p ccix-bench --bin exp_recovery -- --json > newr.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_recovery_baseline.json newr.json
-//! cargo run --release -p ccix-bench --bin exp_shard -- --json > news.json
-//! cargo run --release -p ccix-bench --bin perf_gate -- BENCH_shard_baseline.json news.json
 //! ```
 //!
 //! Std-only (the workspace has no registry access): the JSON reader below
@@ -92,6 +81,9 @@
 //! objects, strings and numbers — and the tables carry all cells as strings.
 
 use std::process::ExitCode;
+
+use ccix_bench::experiments;
+use ccix_bench::report::{tables_to_json, Table};
 
 /// Relative headroom before a rise counts as a regression.
 const TOLERANCE_PCT: f64 = 5.0;
@@ -215,34 +207,17 @@ const SPECS: &[Spec] = &[
     },
     Spec {
         // The rebuild pipeline. Build I/O is exact and bit-reproducible —
-        // any rise is a real regression (and the thread count must not
-        // change it, which the shared key row pair checks implicitly).
-        // Wall-clock cells are absolute smoke ceilings only, ~10× the
-        // measured dev numbers (docs/tuning.md records them).
+        // any rise is a real regression. Wall-clock cells are absolute
+        // smoke ceilings only, ~10× the measured dev numbers
+        // (docs/tuning.md records them).
         title_prefix: "EB —",
-        key_cols: &["tree", "n", "threads"],
+        key_cols: &["tree", "n"],
         gated: &["build I/O"],
         absolute: &[
-            (
-                &[("tree", "diag"), ("n", "500000"), ("threads", "1")],
-                "build ms",
-                2_000.0,
-            ),
-            (
-                &[("tree", "diag"), ("n", "500000"), ("threads", "1")],
-                "flood ms",
-                1_000.0,
-            ),
-            (
-                &[("tree", "diag"), ("n", "2100000"), ("threads", "max")],
-                "build ms",
-                12_000.0,
-            ),
-            (
-                &[("tree", "3sided"), ("n", "500000"), ("threads", "1")],
-                "flood ms",
-                2_500.0,
-            ),
+            (&[("tree", "diag"), ("n", "500000")], "build ms", 2_000.0),
+            (&[("tree", "diag"), ("n", "500000")], "flood ms", 1_000.0),
+            (&[("tree", "diag"), ("n", "2100000")], "build ms", 12_000.0),
+            (&[("tree", "3sided"), ("n", "500000")], "flood ms", 2_500.0),
         ],
         space_rule: false,
     },
@@ -305,28 +280,25 @@ const SPECS: &[Spec] = &[
     },
     Spec {
         // The x-range sharded fan-out. Aggregate flood/query I/O is exact
-        // and thread-invariant, so any rise (or any threads=1 vs
-        // threads=max divergence, which the shared baseline rows encode)
-        // is a real routing regression. The scaling-loss column carries
-        // no bound: its reference is the unsharded row's wall clock, so a
-        // faster unsharded read path reads as a loss. Wall-clock cells get
-        // the usual ~10× smoke ceilings on the 1-shard baseline rows only.
+        // and thread-invariant, so any rise is a real routing regression.
+        // Wall-clock cells get the usual ~10× smoke ceilings on the 1-shard
+        // uniform row only.
         title_prefix: "ES —",
-        key_cols: &["workload", "shards", "threads"],
+        key_cols: &["workload", "shards"],
         gated: &["flood I/O", "query I/O"],
         absolute: &[
             (
-                &[("workload", "uniform"), ("shards", "1"), ("threads", "1")],
+                &[("workload", "uniform"), ("shards", "1")],
                 "flood ms",
                 2_000.0,
             ),
             (
-                &[("workload", "uniform"), ("shards", "1"), ("threads", "1")],
+                &[("workload", "uniform"), ("shards", "1")],
                 "query ms",
                 10_000.0,
             ),
             (
-                &[("workload", "uniform"), ("shards", "1"), ("threads", "1")],
+                &[("workload", "uniform"), ("shards", "1")],
                 "build ms",
                 5_000.0,
             ),
@@ -584,7 +556,12 @@ impl GateTable {
 /// Load every table from a `tables_to_json` file, with titles.
 fn load_tables(path: &str) -> Result<Vec<(String, GateTable)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut parser = Parser::new(&text);
+    parse_tables(&text)
+}
+
+/// Every table of a `tables_to_json` text, with titles.
+fn parse_tables(text: &str) -> Result<Vec<(String, GateTable)>, String> {
+    let mut parser = Parser::new(text);
     let root = parser.value()?;
     let mut out = Vec::new();
     for table in root.as_array() {
@@ -709,13 +686,24 @@ fn gate_spec(
 fn run(baseline_path: &str, candidate_path: &str) -> Result<Vec<String>, String> {
     let baseline = load_tables(baseline_path)?;
     let candidate = load_tables(candidate_path)?;
+    gate(&baseline, baseline_path, &candidate, candidate_path)
+}
+
+/// Gate every spec'd table of `baseline` against `candidate`; the names
+/// label errors.
+fn gate(
+    baseline: &[(String, GateTable)],
+    baseline_path: &str,
+    candidate: &[(String, GateTable)],
+    candidate_path: &str,
+) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     let mut gated = 0usize;
     for spec in SPECS {
-        let Some(base) = find(&baseline, spec.title_prefix) else {
+        let Some(base) = find(baseline, spec.title_prefix) else {
             continue; // this baseline file doesn't carry the table
         };
-        let Some(cand) = find(&candidate, spec.title_prefix) else {
+        let Some(cand) = find(candidate, spec.title_prefix) else {
             return Err(format!(
                 "{candidate_path}: table {:?} present in baseline but missing",
                 spec.title_prefix
@@ -736,28 +724,76 @@ fn run(baseline_path: &str, candidate_path: &str) -> Result<Vec<String>, String>
     Ok(failures)
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let [baseline, candidate] = args.as_slice() else {
-        eprintln!("usage: perf_gate <baseline.json> <candidate.json>");
-        return ExitCode::from(2);
-    };
-    match run(baseline, candidate) {
+/// An experiment: runs its workloads and returns its tables.
+type Experiment = fn() -> Vec<Table>;
+
+/// The gated experiments, each with its committed baseline at the
+/// workspace root.
+const GATED: &[(&str, Experiment)] = &[
+    ("BENCH_baseline.json", experiments::e9_interval),
+    ("BENCH_query_baseline.json", experiments::eqb_query_batch),
+    ("BENCH_build_baseline.json", experiments::eb_build),
+    ("BENCH_delete_baseline.json", experiments::ed_delete),
+    ("BENCH_latency_baseline.json", experiments::el_latency),
+    ("BENCH_throughput_baseline.json", experiments::ec_throughput),
+    ("BENCH_recovery_baseline.json", experiments::er_recovery),
+    ("BENCH_shard_baseline.json", experiments::es_shard),
+    ("BENCH_file_baseline.json", experiments::ef_file),
+];
+
+/// Print one comparison's verdict; true when it passed.
+fn report(verdict: Result<Vec<String>, String>, baseline: &str) -> bool {
+    match verdict {
         Err(e) => {
             eprintln!("perf_gate: {e}");
-            ExitCode::from(2)
+            false
         }
         Ok(failures) if failures.is_empty() => {
             println!("perf_gate: OK — no I/O or space regression vs {baseline}");
-            ExitCode::SUCCESS
+            true
         }
         Ok(failures) => {
             eprintln!("perf_gate: {} regression(s) vs {baseline}:", failures.len());
             for f in &failures {
                 eprintln!("  - {f}");
             }
-            ExitCode::FAILURE
+            false
         }
+    }
+}
+
+/// Run every gated experiment and diff it against its baseline; true when
+/// all pass.
+fn run_all() -> bool {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut passed = 0;
+    for &(file, experiment) in GATED {
+        let path = format!("{root}/{file}");
+        let json = tables_to_json(&experiment());
+        let verdict = load_tables(&path).and_then(|baseline| {
+            let candidate = parse_tables(&json)?;
+            gate(&baseline, &path, &candidate, "the fresh run")
+        });
+        passed += usize::from(report(verdict, file));
+    }
+    println!("perf_gate: {passed} of {} baselines pass", GATED.len());
+    passed == GATED.len()
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let passed = match args.as_slice() {
+        [] => run_all(),
+        [baseline, candidate] => report(run(baseline, candidate), baseline),
+        _ => {
+            eprintln!("usage: perf_gate [<baseline.json> <candidate.json>]");
+            return ExitCode::from(2);
+        }
+    };
+    if passed {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -815,10 +851,10 @@ mod tests {
             let path = dir.join(name);
             let body = format!(
                 concat!(
-                    r#"[{{"title": "EB — rebuild", "claim": "c", "headers": ["tree", "B", "n", "threads", "build ms", "build I/O", "flood", "flood ms"], "#,
-                    r#""rows": [["diag", "32", "500000", "1", {bu:?}, {io:?}, "50000", {fl:?}], "#,
-                    r#"["diag", "32", "2100000", "max", "900", "256150", "60000", "70"], "#,
-                    r#"["3sided", "32", "500000", "1", "200", "81425", "50000", "180"]]}}]"#
+                    r#"[{{"title": "EB — rebuild", "claim": "c", "headers": ["tree", "B", "n", "build ms", "build I/O", "flood", "flood ms"], "#,
+                    r#""rows": [["diag", "32", "500000", {bu:?}, {io:?}, "50000", {fl:?}], "#,
+                    r#"["diag", "32", "2100000", "900", "256150", "60000", "70"], "#,
+                    r#"["3sided", "32", "500000", "200", "81425", "50000", "180"]]}}]"#
                 ),
                 bu = build,
                 io = io,

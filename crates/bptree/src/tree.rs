@@ -51,25 +51,6 @@ impl BPlusTree {
     /// # Panics
     /// Panics if `entries` is not sorted by `(key, value)`.
     pub fn bulk_load(disk: &mut Disk, entries: &[Entry]) -> Self {
-        Self::bulk_load_with_fill(disk, entries, 100)
-    }
-
-    /// As [`BPlusTree::bulk_load`], loading leaves to `fill_percent` of
-    /// capacity (50–100) instead of full.
-    ///
-    /// Full leaves minimise space and range-scan I/O but make every
-    /// post-load insert split a leaf; a lower fill factor trades pages for
-    /// insert headroom. Leaves never drop below half occupancy, so all
-    /// rebalancing invariants are preserved.
-    ///
-    /// # Panics
-    /// Panics if `entries` is not sorted by `(key, value)` or
-    /// `fill_percent` is outside `50..=100`.
-    pub fn bulk_load_with_fill(disk: &mut Disk, entries: &[Entry], fill_percent: usize) -> Self {
-        assert!(
-            (50..=100).contains(&fill_percent),
-            "fill factor must be within 50..=100 percent"
-        );
         let layout = Layout::for_page_size(disk.page_size());
         assert!(
             entries.windows(2).all(|w| w[0] <= w[1]),
@@ -80,25 +61,9 @@ impl BPlusTree {
         }
 
         // Leaf level: pre-allocate ids so each leaf can point to its
-        // successor, then write each page once. At fill 100 chunks are
-        // packed full and balanced at the tail; at lower fills entries are
-        // spread near-equally over the target leaf count, never dropping a
-        // leaf below half occupancy.
-        let chunks: Vec<&[Entry]> = if fill_percent == 100 {
-            balanced_chunks(entries, layout.leaf_cap, layout.leaf_cap / 2)
-        } else {
-            let min = (layout.leaf_cap / 2).max(1);
-            let target = (layout.leaf_cap * fill_percent / 100).clamp(min, layout.leaf_cap);
-            let n = entries.len();
-            let mut k = n.div_ceil(target);
-            while k > 1 && n / k < min {
-                k -= 1;
-            }
-            ccix_extmem::near_equal_ranges(n, k)
-                .into_iter()
-                .map(|(s, e)| &entries[s..e])
-                .collect()
-        };
+        // successor, then write each page once. Chunks are packed full and
+        // balanced at the tail.
+        let chunks = balanced_chunks(entries, layout.leaf_cap, layout.leaf_cap / 2);
         let ids: Vec<PageId> = chunks.iter().map(|_| disk.alloc()).collect();
         for (i, chunk) in chunks.iter().enumerate() {
             let next = ids.get(i + 1).copied();

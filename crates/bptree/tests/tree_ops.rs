@@ -168,43 +168,6 @@ fn bulk_load_empty() {
     tree.validate_unbilled(&disk);
 }
 
-/// Leaf fill factors trade pages for insert headroom without breaking any
-/// invariant: every fill in 50..=100 yields a valid tree with the same
-/// answers, monotonically more pages as the fill drops, and fewer
-/// splits on subsequent inserts than a fully packed load.
-#[test]
-fn bulk_load_fill_factor() {
-    let entries: Vec<Entry> = (0..4000i64).map(|k| Entry::new(k, k as u64)).collect();
-    let mut measured: Vec<(usize, usize, u64)> = Vec::new(); // (fill, pages, insert writes)
-    for fill in [50usize, 70, 85, 100] {
-        let (mut disk, counter) = fresh(512);
-        let mut tree = BPlusTree::bulk_load_with_fill(&mut disk, &entries, fill);
-        let pages = tree.validate_unbilled(&disk);
-        assert_eq!(tree.range(&disk, 500, 777).len(), 278, "fill={fill}");
-        // Post-load inserts: under-filled leaves absorb them with fewer
-        // page writes (splits) than packed ones.
-        let before = counter.snapshot();
-        for k in 0..2000i64 {
-            tree.insert(&mut disk, k * 2 + 1, 1_000_000 + k as u64);
-        }
-        let writes = counter.since(before).writes;
-        tree.validate_unbilled(&disk);
-        measured.push((fill, pages, writes));
-    }
-    for w in measured.windows(2) {
-        assert!(
-            w[0].1 >= w[1].1,
-            "lower fill must not use fewer pages: {measured:?}"
-        );
-    }
-    let half = measured.first().expect("fill 50 measured");
-    let full = measured.last().expect("fill 100 measured");
-    assert!(
-        half.2 < full.2,
-        "half-filled leaves must split less on inserts: {measured:?}"
-    );
-}
-
 /// §1.1: a range query costs `O(log_B n + t/B)` I/Os. We assert the measured
 /// cost against the bound with a small explicit constant.
 #[test]

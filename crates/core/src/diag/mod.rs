@@ -288,7 +288,8 @@ impl MetablockTree {
         options: DiagOptions,
         tuning: Tuning,
     ) -> Self {
-        Self::new_tuned_on(spec, geo, counter, options, tuning).bulk_load(points)
+        Self::new_tuned_on(spec, geo, counter, options, tuning)
+            .bulk_load(points, crate::par::cores())
     }
 }
 

@@ -8,16 +8,18 @@
 //! Planning tasks for sibling slabs are independent, so they fan out over
 //! [`std::thread::scope`] in [`run_parallel`]; because every task is a pure
 //! function of its slice, the result is identical for every thread count —
-//! the [`crate::Tuning::build_threads`] knob changes wall-clock only, never
-//! an I/O count or a byte of the built structure. The same order-preserving
-//! fan-out drives `ccix-interval`'s sharded bulk builds and large sharded
-//! writes (one task per shard, each charging its own striped counter).
+//! the count changes wall-clock only, never an I/O count or a byte of the
+//! built structure. The same order-preserving fan-out drives
+//! `ccix-interval`'s sharded bulk builds and large sharded writes (one task
+//! per shard, each charging its own striped counter).
 //!
-//! A scoped thread costs a spawn and a join — tens of microseconds — so
-//! every [`run_parallel`] caller gates it on the work it hands over and
-//! passes `budget = 1` (inline) below its own measured crossover:
-//! `PAR_THRESHOLD` points for a build-planning slab, `FAN_OUT_MIN_OPS`
-//! routed operations for a sharded write.
+//! Nobody configures a thread count. Every caller passes [`cores`] where
+//! the work is worth threads and `budget = 1` (inline) below its own
+//! measured crossover — a scoped thread costs a spawn and a join, tens of
+//! microseconds: `PAR_THRESHOLD` points for a build-planning slab,
+//! `FAN_OUT_MIN_OPS` routed operations for a sharded write. The tests that
+//! pin thread-invariance pass other budgets through the same crate-private
+//! arguments.
 //!
 //! Per-request fan-out (a sharded stab batch, a few hundred microseconds a
 //! shard) cannot pay that on every call. [`run_pooled`] hands `'static`

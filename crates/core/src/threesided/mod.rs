@@ -252,7 +252,7 @@ impl ThreeSidedTree {
         points: Vec<Point>,
         tuning: crate::Tuning,
     ) -> Self {
-        Self::new_tuned(geo, counter, tuning).bulk_load(points)
+        Self::new_tuned(geo, counter, tuning).bulk_load(points, crate::par::cores())
     }
 
     /// Every PST of the tree, metablock by metablock in slot order: the

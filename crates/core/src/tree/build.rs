@@ -16,7 +16,8 @@
 //! around a `select_nth` threshold, and each node's y-order and the shape's
 //! plan for it (a corner plan, or the PST plans) are computed with no store
 //! access — so sibling slabs plan in parallel over
-//! [`crate::par::run_parallel`] ([`crate::Tuning::build_threads`]).
+//! [`crate::par::run_parallel`], on [`crate::par::cores`] threads wherever
+//! a slab's remainder reaches `PAR_THRESHOLD` points.
 //! **Phase 2 (materialisation)** walks the plan on the calling thread,
 //! allocating pages and charging I/O exactly as a sequential build would;
 //! the sibling snapshots of a level reuse the children's planned y-orders
@@ -161,11 +162,12 @@ fn extract_top_y(pts: &mut [Point], cap: usize) -> (Vec<Point>, usize, Option<Ke
 }
 
 impl<S: Shape> Tree<S> {
-    /// Load `points` into this empty tree by one static build.
+    /// Load `points` into this empty tree by one static build whose
+    /// planning fans out over at most `budget` threads.
     ///
     /// # Panics
     /// Panics if the shape refuses a point or ids repeat.
-    pub(crate) fn bulk_load(mut self, points: Vec<Point>) -> Self {
+    pub(crate) fn bulk_load(mut self, points: Vec<Point>, budget: usize) -> Self {
         for p in &points {
             self.shape.admit(p);
         }
@@ -176,17 +178,17 @@ impl<S: Shape> Tree<S> {
             assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
         }
         self.len = points.len();
-        self.rebuild_root(SortedRun::from_unsorted(points));
+        self.rebuild_root(SortedRun::from_unsorted(points), budget);
         self
     }
 
     /// Replace the whole tree by a static build over `pts` (a bulk load, a
     /// root split, an occupancy shrink) and restart the shrink accounting.
-    pub(crate) fn rebuild_root(&mut self, pts: SortedRun) {
+    pub(crate) fn rebuild_root(&mut self, pts: SortedRun, budget: usize) {
         self.root = if pts.is_empty() {
             None
         } else {
-            Some(self.build_slab(pts, FULL_RANGE.0, FULL_RANGE.1).0)
+            Some(self.build_slab(pts, FULL_RANGE.0, FULL_RANGE.1, budget).0)
         };
         self.note_full_rebuild();
     }
@@ -197,19 +199,20 @@ impl<S: Shape> Tree<S> {
     /// root metablock (for the parent's `sub_yhi` cache).
     ///
     /// Also used by the dynamic side for branching-factor splits; the
-    /// planning phase fans out over [`crate::Tuning::build_threads`].
+    /// planning phase fans out over at most `budget` threads. The budget
+    /// never changes an I/O count or a byte of the subtree.
     pub(crate) fn build_slab(
         &mut self,
         pts: SortedRun,
         lo: Key,
         hi: Key,
+        budget: usize,
     ) -> (MbId, Vec<Point>, Option<Key>) {
         let ctx = PlanCtx {
             geo: self.geo,
             shape: self.shape,
             tuning: self.tuning,
         };
-        let budget = self.tuning.effective_build_threads();
         let mut arena = pts.into_inner();
         let plan = plan_slab(&mut arena, lo, hi, &ctx, budget);
         drop(arena);

@@ -39,6 +39,7 @@ use std::collections::VecDeque;
 use ccix_extmem::{MergeCursor, PageId, Point, Run, SortedIds, SortedRun};
 
 use super::{MbId, ReadCtx, Shape, Tree};
+use crate::par::cores;
 
 /// Debt meter plus the in-progress shrink job, if any.
 #[derive(Clone, Debug, Default)]
@@ -420,7 +421,7 @@ impl<S: Shape> Tree<S> {
             len_at_freeze,
             "rebuilt tree holds exactly the frozen live points"
         );
-        self.rebuild_root(pts);
+        self.rebuild_root(pts, cores());
     }
 
     /// Re-route up to `k` delta points into the live tree. Update points

@@ -1007,15 +1007,16 @@ mod tests {
 
     /// What the static-build pin needs of a tree beyond the skeleton.
     trait Pinned: Sized {
-        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self;
+        /// An empty tree at `B = 4` with the default tuning.
+        fn empty_pinned(counter: IoCounter) -> Self;
         /// The answers to query `i` of a fixed set over the pinned points.
         fn answers(&self, i: i64) -> Vec<Point>;
     }
 
     impl Pinned for crate::MetablockTree {
-        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
+        fn empty_pinned(counter: IoCounter) -> Self {
             let options = crate::DiagOptions::default();
-            Self::build_tuned(Geometry::new(4), counter, pts, options, tuning)
+            Self::new_tuned(Geometry::new(4), counter, options, Tuning::default())
         }
         fn answers(&self, i: i64) -> Vec<Point> {
             self.query(i * 2_500)
@@ -1023,8 +1024,8 @@ mod tests {
     }
 
     impl Pinned for crate::ThreeSidedTree {
-        fn build_with(counter: IoCounter, pts: Vec<Point>, tuning: Tuning) -> Self {
-            Self::build_tuned(Geometry::new(4), counter, pts, tuning)
+        fn empty_pinned(counter: IoCounter) -> Self {
+            Self::new_tuned(Geometry::new(4), counter, Tuning::default())
         }
         fn answers(&self, i: i64) -> Vec<Point> {
             let x1 = i * 2_500;
@@ -1075,12 +1076,8 @@ mod tests {
             .collect();
         assert!(pts.len() - Geometry::new(4).b2() >= crate::par::PAR_THRESHOLD);
         for threads in [1usize, 2, 7] {
-            let tuning = Tuning {
-                build_threads: threads,
-                ..Tuning::default()
-            };
             let counter = IoCounter::new();
-            let tree = Tree::<S>::build_with(counter.clone(), pts.clone(), tuning);
+            let tree = Tree::<S>::empty_pinned(counter.clone()).bulk_load(pts.clone(), threads);
             let bills = [counter.reads(), counter.writes(), tree.space_pages() as u64];
             let contents = digest(&tree.validate_unbilled());
             let answers: Vec<Point> = (0..40).flat_map(|i| tree.answers(i)).collect();

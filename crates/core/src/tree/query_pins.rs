@@ -221,7 +221,6 @@ fn tuning(k: usize, pack: usize) -> Tuning {
         shrink_deletes_pct: 5,
         reorg_pages_per_op: k,
         pack_h_pages: pack,
-        build_threads: 1,
         ..Tuning::default()
     }
 }

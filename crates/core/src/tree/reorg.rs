@@ -26,6 +26,7 @@ use ccix_extmem::{Point, Run, SortedRun, YRanks};
 
 use super::{ChildEntry, Children, MbId, MetaBlock, Shape, Td, Tree};
 use crate::bbox::{BBox, Key};
+use crate::par::cores;
 
 impl<S: Shape> Tree<S> {
     /// Fold the staged points into the TD organisation (`O(B)` I/Os, since
@@ -288,7 +289,7 @@ impl<S: Shape> Tree<S> {
         let Some((&parent, ancestors)) = path.split_last() else {
             // The root itself is a full leaf: grow the tree by a static
             // rebuild (it creates the new root + B children).
-            self.rebuild_root(pts);
+            self.rebuild_root(pts, cores());
             return;
         };
         let half = pts.len() / 2;
@@ -322,7 +323,7 @@ impl<S: Shape> Tree<S> {
         self.free_subtree(x);
 
         let Some((&parent, above)) = ancestors.split_last() else {
-            self.rebuild_root(pts);
+            self.rebuild_root(pts, cores());
             return;
         };
         let half = pts.len() / 2;
@@ -333,8 +334,8 @@ impl<S: Shape> Tree<S> {
             let old = old.expect("split node present in parent");
             (old.slab_lo, old.slab_hi)
         };
-        let (lid, lmains, lsub) = self.build_slab(left, slab_lo, median);
-        let (rid, rmains, rsub) = self.build_slab(right, median, slab_hi);
+        let (lid, lmains, lsub) = self.build_slab(left, slab_lo, median, cores());
+        let (rid, rmains, rsub) = self.build_slab(right, median, slab_hi, cores());
         let halves = [
             (lid, BBox::of_points(&lmains), lsub),
             (rid, BBox::of_points(&rmains), rsub),
@@ -458,7 +459,7 @@ impl<S: Shape> Tree<S> {
         self.free_subtree(root);
         debug_assert_eq!(self.tombs_pending, 0, "shrink cancelled every tombstone");
         debug_assert_eq!(pts.len(), self.len, "live points disagree with len");
-        self.rebuild_root(pts);
+        self.rebuild_root(pts, cores());
     }
 
     /// Reset the shrink accounting after any full-tree rebuild (shrink,

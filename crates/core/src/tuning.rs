@@ -9,6 +9,11 @@
 //! they are exposed here as knobs. [`Tuning::default`] is the measured
 //! sweet spot for the E9 workload (see `docs/tuning.md`);
 //! [`Tuning::paper`] reproduces the paper's constants exactly.
+//!
+//! Thread counts are not tuning: they never change an I/O count, so the
+//! build planner and the sharded fan-out take theirs from the machine
+//! ([`crate::par::cores`]) and from the size of the work, and nothing
+//! here records one.
 
 use ccix_extmem::Geometry;
 
@@ -105,28 +110,6 @@ pub struct Tuning {
     /// limit; what the knob buys is a *worst-case per-operation* bound of
     /// `O(height) + k` transfers, gated by the EL latency table.
     pub reorg_pages_per_op: usize,
-    /// Threads for the **CPU-bound planning phases** of static (re)builds:
-    /// the per-child sort/partition/corner/PST planning of
-    /// `MetablockTree::build`, `ThreeSidedTree::build` and the subtree
-    /// rebuilds of branching splits fan out over `std::thread::scope` on
-    /// disjoint arena slices. `0` means "use the machine's available
-    /// parallelism"; `1` is strictly sequential. Page allocation and every
-    /// I/O charge stay on the calling thread, so the knob never changes an
-    /// I/O count — the built structure is bit-identical for every setting.
-    pub build_threads: usize,
-    /// Threads for **shard-level fan-out** in the sharded interval index
-    /// (`ccix-interval`'s `ShardedIntervalIndex`): batched queries, flood
-    /// applies and bulk builds split into per-shard tasks, at most this many
-    /// groups of them at once. Stab batches, one per request, go to the
-    /// long-lived helpers of [`crate::par::run_pooled`]; bulk builds and
-    /// writes from `FAN_OUT_MIN_OPS` operations up, rare and long, borrow
-    /// their shards on scoped threads ([`crate::par::run_parallel`]). `0`
-    /// means "use the machine's available parallelism"; `1` runs the shards
-    /// strictly sequentially, in shard order, on the calling thread — the
-    /// bit-identical-to-unsharded fallback. Each shard charges its own
-    /// striped counter from whichever thread runs it, so the knob never
-    /// changes an I/O count, only wall clock.
-    pub shard_threads: usize,
 }
 
 impl Default for Tuning {
@@ -145,16 +128,13 @@ impl Default for Tuning {
             pack_h_pages: 4,
             resident_root: true,
             reorg_pages_per_op: 0,
-            build_threads: 0,
-            shard_threads: 0,
         }
     }
 }
 
 impl Tuning {
     /// The paper's constants: one-block buffers, full `B²` TS snapshots,
-    /// adoption factor 2 (and, outside the paper's vocabulary, a strictly
-    /// sequential build).
+    /// adoption factor 2.
     pub fn paper() -> Self {
         Self {
             update_batch_pages: 1,
@@ -166,8 +146,6 @@ impl Tuning {
             pack_h_pages: 0,
             resident_root: false,
             reorg_pages_per_op: 0,
-            build_threads: 1,
-            shard_threads: 1,
         }
     }
 
@@ -199,24 +177,6 @@ impl Tuning {
         match self.ts_snapshot_pages {
             None => geo.b2(),
             Some(pages) => (pages.max(1) * geo.b).min(geo.b2()),
-        }
-    }
-
-    /// Effective thread count for build planning: `build_threads`, with `0`
-    /// resolved to the machine's available parallelism ([`crate::par::cores`]).
-    pub fn effective_build_threads(&self) -> usize {
-        match self.build_threads {
-            0 => crate::par::cores(),
-            t => t,
-        }
-    }
-
-    /// Effective thread count for shard fan-out: `shard_threads`, with `0`
-    /// resolved to the machine's available parallelism ([`crate::par::cores`]).
-    pub fn effective_shard_threads(&self) -> usize {
-        match self.shard_threads {
-            0 => crate::par::cores(),
-            t => t,
         }
     }
 }

@@ -8,9 +8,10 @@
 //! a checkpoint serialises:
 //!
 //! * [`Meta`] — the block geometry and the full [`IntervalOptions`]
-//!   (endpoint mode, every `Tuning` knob, B+-tree leaf fill), so the
-//!   recovered index is built with the same layout and write-path
-//!   behaviour as the one that crashed;
+//!   (endpoint mode, every `Tuning` knob), so the recovered index is built
+//!   with the same layout and write-path behaviour as the one that
+//!   crashed. Nothing of the machine that wrote it is recorded: thread
+//!   counts come from the machine that recovers;
 //! * the **shard split points** of the x-range routing directory (empty
 //!   for an unsharded engine), so recovery re-partitions the content into
 //!   the same shards;
@@ -22,7 +23,7 @@
 //! ## On-disk format
 //!
 //! ```text
-//! [magic 8B = "CCIXCKP\x02"][len u64][crc u32][body len bytes]
+//! [magic 8B = "CCIXCKP\x03"][len u64][crc u32][body len bytes]
 //! body = meta || k u64 || k × split i64 || ops_applied u64
 //!             || n u64 || n × Point-encoded interval
 //! ```
@@ -47,8 +48,9 @@ use crate::crc32;
 use ccix_extmem::fs::{read_exact_at, retry_interrupted, write_all_at, Fs};
 
 /// File magic: identifies a checkpoint and pins its format version
-/// (`\x02` added the shard split points).
-pub const CKPT_MAGIC: [u8; 8] = *b"CCIXCKP\x02";
+/// (`\x02` added the shard split points; `\x03` dropped the two thread
+/// counts and the B+-tree leaf fill from the meta).
+pub const CKPT_MAGIC: [u8; 8] = *b"CCIXCKP\x03";
 
 /// Sentinel for `None` in `Option<usize>` fields (no real knob is ever
 /// `u64::MAX` pages).
@@ -111,7 +113,6 @@ impl Meta {
             EndpointMode::Slab => 0,
             EndpointMode::BTree => 1,
         });
-        push_opt(out, self.options.btree_leaf_fill);
         push_u64(out, t.update_batch_pages as u64);
         push_u64(out, t.td_batch_pages as u64);
         push_u64(out, t.tomb_batch_pages as u64);
@@ -121,18 +122,16 @@ impl Meta {
         push_u64(out, t.pack_h_pages as u64);
         out.push(t.resident_root as u8);
         push_u64(out, t.reorg_pages_per_op as u64);
-        push_u64(out, t.build_threads as u64);
-        push_u64(out, t.shard_threads as u64);
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let b = r.usize()?;
+        // The model needs `B ≥ 2` (`Geometry::new` asserts it).
+        let b = r.usize().filter(|&b| b >= 2)?;
         let endpoints = match r.u8()? {
             0 => EndpointMode::Slab,
             1 => EndpointMode::BTree,
             _ => return None,
         };
-        let btree_leaf_fill = r.opt()?;
         // Struct-literal fields evaluate in source order, matching the
         // encoder's write order exactly.
         let tuning = ccix_core::Tuning {
@@ -145,16 +144,10 @@ impl Meta {
             pack_h_pages: r.usize()?,
             resident_root: r.u8()? != 0,
             reorg_pages_per_op: r.usize()?,
-            build_threads: r.usize()?,
-            shard_threads: r.usize()?,
         };
         Some(Meta {
             geometry: Geometry::new(b),
-            options: IntervalOptions {
-                endpoints,
-                tuning,
-                btree_leaf_fill,
-            },
+            options: IntervalOptions { endpoints, tuning },
         })
     }
 }
@@ -309,10 +302,7 @@ mod tests {
                 pack_h_pages: 2,
                 resident_root: true,
                 reorg_pages_per_op: 4,
-                build_threads: 1,
-                shard_threads: 2,
             },
-            btree_leaf_fill: Some(70),
         };
         Checkpoint {
             meta: Meta::new(Geometry::new(16), options),
@@ -378,6 +368,47 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body_len:#x}");
             assert!(err.to_string().contains("length mismatch"), "{err}");
         }
+    }
+
+    /// Write `sample()` at `path` with its body patched by `patch` and the
+    /// checksum recomputed, so only the decoder can refuse it.
+    fn write_patched(path: &Path, patch: impl FnOnce(&mut [u8])) {
+        let mut bytes = encode_checkpoint(&sample());
+        patch(&mut bytes[20..]);
+        let crc = crc32(&bytes[20..]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).expect("write patched");
+    }
+
+    #[test]
+    fn a_block_size_below_two_is_invalid_data_not_a_panic() {
+        let tmp = TempDir::new("ckpt-small-b");
+        let path = tmp.path().join("checkpoint");
+        let fs = RealFs::shared();
+        for b in [0u64, 1] {
+            write_patched(&path, |body| body[..8].copy_from_slice(&b.to_le_bytes()));
+            let err = read_checkpoint(&fs, &path).expect_err("B < 2");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "B = {b}");
+            assert!(err.to_string().contains("undecodable body"), "{err}");
+        }
+        write_patched(&path, |body| body[..8].copy_from_slice(&2u64.to_le_bytes()));
+        let back = read_checkpoint(&fs, &path)
+            .expect("B = 2")
+            .expect("present");
+        assert_eq!(back.meta.geometry, Geometry::new(2));
+    }
+
+    #[test]
+    fn a_version_two_checkpoint_is_refused() {
+        let tmp = TempDir::new("ckpt-v2");
+        let path = tmp.path().join("checkpoint");
+        let fs = RealFs::shared();
+        let mut bytes = encode_checkpoint(&sample());
+        bytes[..8].copy_from_slice(b"CCIXCKP\x02");
+        std::fs::write(&path, &bytes).expect("write v2");
+        let err = read_checkpoint(&fs, &path).expect_err("v2");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bad magic"), "{err}");
     }
 
     #[test]

@@ -251,7 +251,7 @@ impl Recovered {
     /// checkpoint recorded: the folded content is partitioned at the
     /// checkpointed split points (or `fallback_splits` for a
     /// pre-checkpoint directory) and the shards bulk-load in parallel
-    /// under the recovered [`ccix_core::Tuning::shard_threads`] budget.
+    /// over the recovering machine's cores.
     /// With no splits this is the unsharded rebuild behind a single-shard
     /// directory.
     pub fn rebuild_sharded(&self, fallback: Meta, fallback_splits: &[i64]) -> ShardedIntervalIndex {

@@ -22,9 +22,6 @@
 //!   serialises its nodes to bytes like a real storage engine);
 //! * [`Run`] / [`Slots`] — the copy-on-write runs and control-block slots
 //!   that let a structure fork an epoch in `O(dirty)`;
-//! * [`BufferPool`] — an LRU cache in front of a [`Disk`] for experiments
-//!   that need to show the effect of caching (the paper's bounds assume no
-//!   cross-operation caching, so measured paths default to the raw stores).
 //!
 //! The simulator is intentionally strict: page capacities are enforced, page
 //! frees are tracked, and double-frees or out-of-bounds accesses panic, so
@@ -41,7 +38,6 @@ mod geometry;
 pub mod merge;
 mod pin;
 mod point;
-mod pool;
 pub mod ser;
 mod stats;
 mod store;
@@ -53,7 +49,6 @@ pub use geometry::{near_equal_ranges, Geometry};
 pub use merge::{merge_y_desc_capped, MergeCursor, RankScratch, SortedIds, SortedRun, YRanks};
 pub use pin::PathPin;
 pub use point::{sort_by_x, sort_by_y_desc, Point};
-pub use pool::BufferPool;
 pub use ser::FixedBytes;
 pub use stats::{IoCounter, IoSnapshot, IoStats};
 pub use store::{PageId, TypedStore};

@@ -1,134 +1,8 @@
 //! Integration tests for the external-memory substrate's internals:
-//! buffer-pool eviction against a reference LRU model, snapshot/since
-//! arithmetic, and Geometry edge cases (the smallest legal `B` and
-//! overflow-prone large `B`).
+//! snapshot/since arithmetic, and Geometry edge cases (the smallest legal
+//! `B` and overflow-prone large `B`).
 
-use ccix_extmem::{BufferPool, Disk, Geometry, IoCounter, IoSnapshot, PageId, TypedStore};
-use ccix_testkit::check;
-
-// ------------------------------------------------------------------- pool
-
-/// A reference LRU: the same policy as `BufferPool`, in the most obvious
-/// encoding (a recency-ordered vector of page ids).
-struct ModelLru {
-    frames: usize,
-    order: Vec<PageId>, // most recent last
-}
-
-impl ModelLru {
-    fn new(frames: usize) -> Self {
-        Self {
-            frames,
-            order: Vec::new(),
-        }
-    }
-
-    /// Touch a page; returns true when it was already cached (a hit).
-    fn touch(&mut self, id: PageId) -> bool {
-        let hit = if let Some(pos) = self.order.iter().position(|&p| p == id) {
-            self.order.remove(pos);
-            true
-        } else {
-            if self.order.len() == self.frames {
-                self.order.remove(0);
-            }
-            false
-        };
-        self.order.push(id);
-        hit
-    }
-
-    fn invalidate(&mut self, id: PageId) {
-        self.order.retain(|&p| p != id);
-    }
-}
-
-#[test]
-fn pool_eviction_matches_reference_lru() {
-    check::trials(
-        "extmem::pool_eviction_matches_reference_lru",
-        40,
-        0xE41,
-        |rng| {
-            let frames = rng.gen_range(1usize..6);
-            let n_pages = rng.gen_range(1usize..12);
-            let counter = IoCounter::new();
-            let mut disk = Disk::new(8, counter.clone());
-            let ids: Vec<PageId> = (0..n_pages)
-                .map(|i| {
-                    let id = disk.alloc();
-                    disk.write(id, &[i as u8; 8]);
-                    id
-                })
-                .collect();
-            let mut pool = BufferPool::new(frames);
-            let mut model = ModelLru::new(frames);
-            for _ in 0..200 {
-                let id = *rng.choose(&ids).expect("nonempty");
-                if rng.gen_bool(0.1) {
-                    pool.invalidate(id);
-                    model.invalidate(id);
-                    continue;
-                }
-                let want_hit = model.touch(id);
-                let reads_before = counter.reads();
-                let buf = pool.read(&disk, id);
-                assert_eq!(buf, disk.read_unbilled(id), "cache returned stale bytes");
-                let was_hit = counter.reads() == reads_before;
-                assert_eq!(
-                    was_hit, want_hit,
-                    "pool and reference LRU disagree (frames={frames}, page={id:?})"
-                );
-            }
-        },
-    );
-}
-
-#[test]
-fn pool_write_through_always_costs_io_and_keeps_cache_fresh() {
-    let counter = IoCounter::new();
-    let mut disk = Disk::new(4, counter.clone());
-    let id = disk.alloc();
-    disk.write(id, &[0u8; 4]);
-    let mut pool = BufferPool::new(1);
-    let writes_before = counter.writes();
-    for round in 1..=5u8 {
-        pool.write(&mut disk, id, &[round; 4]);
-        assert_eq!(counter.writes(), writes_before + u64::from(round));
-        let reads_before = counter.reads();
-        assert_eq!(pool.read(&disk, id), vec![round; 4]);
-        assert_eq!(counter.reads(), reads_before, "read after write must hit");
-    }
-}
-
-#[test]
-fn single_frame_pool_thrashes_between_two_pages() {
-    let counter = IoCounter::new();
-    let mut disk = Disk::new(4, counter.clone());
-    let a = disk.alloc();
-    let b = disk.alloc();
-    disk.write(a, &[1u8; 4]);
-    disk.write(b, &[2u8; 4]);
-    let mut pool = BufferPool::new(1);
-    let before = counter.reads();
-    for _ in 0..5 {
-        let _ = pool.read(&disk, a);
-        let _ = pool.read(&disk, b);
-    }
-    assert_eq!(
-        counter.reads() - before,
-        10,
-        "every alternating read misses"
-    );
-    assert_eq!(pool.hits(), 0);
-    assert_eq!(pool.misses(), 10);
-}
-
-#[test]
-#[should_panic(expected = "at least one frame")]
-fn zero_frame_pool_rejected() {
-    let _ = BufferPool::new(0);
-}
+use ccix_extmem::{Geometry, IoCounter, IoSnapshot, TypedStore};
 
 // ------------------------------------------------- snapshot / since maths
 

@@ -76,13 +76,6 @@ impl IndexBuilder {
         self
     }
 
-    /// Leaf fill factor (percent, 50–100) for the endpoint B+-tree's bulk
-    /// load; ignored in slab mode. `None` packs leaves full.
-    pub fn btree_leaf_fill(mut self, fill: Option<usize>) -> Self {
-        self.options.btree_leaf_fill = fill;
-        self
-    }
-
     /// Page backend every store of the index lives on (see
     /// [`BackendSpec`]): the pure in-memory model (default), or a real
     /// page file per store under a [`BackendSpec::File`] directory.
@@ -103,11 +96,6 @@ impl IndexBuilder {
     /// The configured options.
     pub fn configured_options(&self) -> IntervalOptions {
         self.options
-    }
-
-    /// The configured page backend.
-    pub fn configured_backend(&self) -> &BackendSpec {
-        &self.backend
     }
 
     /// The configured geometry.

@@ -11,8 +11,8 @@
 //!   both the index's space (the B+-tree was a full extra `n/B`-page copy)
 //!   and its insert cost (one structure to maintain instead of two).
 //! * [`EndpointMode::BTree`] keeps the paper's §2.1 layout: a B+-tree on
-//!   left endpoints with covering `(lo, id, hi)` records, bulk-loaded at a
-//!   tunable leaf fill factor.
+//!   left endpoints with covering `(lo, id, hi)` records, bulk-loaded
+//!   with full leaves.
 
 use ccix_bptree::{BPlusTree, Entry};
 use ccix_core::{MetablockTree, Op, Tuning};
@@ -107,9 +107,6 @@ pub struct IntervalOptions {
     pub endpoints: EndpointMode,
     /// Write-path/space tuning for the metablock tree.
     pub tuning: Tuning,
-    /// Leaf fill factor (percent, 50–100) for the endpoint B+-tree's bulk
-    /// load; ignored in slab mode. `None` packs leaves full.
-    pub btree_leaf_fill: Option<usize>,
 }
 
 impl IntervalOptions {
@@ -119,7 +116,6 @@ impl IntervalOptions {
         Self {
             endpoints: EndpointMode::BTree,
             tuning: Tuning::paper(),
-            btree_leaf_fill: None,
         }
     }
 }
@@ -203,8 +199,7 @@ impl IntervalIndex {
                     .map(|iv| Entry::with_aux(iv.lo, iv.id, iv.hi as u64))
                     .collect();
                 entries.sort_unstable();
-                let fill = options.btree_leaf_fill.unwrap_or(100);
-                let tree = BPlusTree::bulk_load_with_fill(&mut disk, &entries, fill);
+                let tree = BPlusTree::bulk_load(&mut disk, &entries);
                 Some((disk, tree))
             }
         };
@@ -249,7 +244,7 @@ impl IntervalIndex {
     }
 
     /// The construction options this index was built with (endpoint mode,
-    /// tuning, leaf fill). A durable checkpoint records these so recovery
+    /// tuning). A durable checkpoint records these so recovery
     /// rebuilds the same layout with the same write-path behaviour.
     pub fn options(&self) -> IntervalOptions {
         self.options

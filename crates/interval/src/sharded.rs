@@ -24,12 +24,13 @@
 //! **Fan-out.** Batched operations (`stab_batch*`, `apply_batch`,
 //! [`ShardedIntervalIndex::apply_submissions`], bulk build) partition their
 //! work into per-shard sub-batches — each preserving input order — and fan
-//! out with the [`Tuning::shard_threads`] budget. Results are gathered in
-//! shard order, so output is identical for every thread count; every shard
-//! charges its own counter no matter which thread runs it, so I/O totals
-//! are thread-invariant too. With one shard (and `shard_threads = 1`)
-//! every code path degenerates to the unsharded index: same structure,
-//! same bytes, same I/O counts.
+//! out over the machine's cores ([`ccix_core::par::cores`]); no option sets
+//! the count. Results are gathered in shard order, so output is identical
+//! for every thread count; every shard charges its own counter no matter
+//! which thread runs it, so I/O totals are thread-invariant too (the unit
+//! tests pin both at budgets 1 to 4). With one shard every code path
+//! degenerates to the unsharded index: same structure, same bytes, same
+//! I/O counts.
 //!
 //! **Per-request fan-out reuses threads; one-off work borrows new ones.**
 //! A spawn and a join cost tens of microseconds each, as much as a shard's
@@ -44,14 +45,12 @@
 //! routed operations borrow their shards on scoped threads
 //! ([`ccix_core::par::run_parallel`]); they are rare and long. Smaller
 //! writes (a routed write costs one to three microseconds) run shard by
-//! shard on the calling thread, whatever the thread budget — same shards,
+//! shard on the calling thread, whatever the core count — same shards,
 //! same order, same bills, only no threads.
-//!
-//! [`Tuning::shard_threads`]: ccix_core::Tuning::shard_threads
 
 use std::sync::Arc;
 
-use ccix_core::par::{run_parallel, run_pooled};
+use ccix_core::par::{cores, run_parallel, run_pooled};
 use ccix_extmem::{Geometry, IoCounter, IoSnapshot};
 
 use crate::builder::IndexBuilder;
@@ -152,16 +151,6 @@ impl ShardedBuilder {
         self.splits(splits)
     }
 
-    /// The configured split points.
-    pub fn configured_splits(&self) -> &[i64] {
-        &self.splits
-    }
-
-    /// The wrapped per-shard builder.
-    pub fn index_builder(&self) -> IndexBuilder {
-        self.inner.clone()
-    }
-
     /// Open an empty sharded index. Each shard gets its own fresh
     /// [`IoCounter`].
     pub fn open(&self) -> ShardedIntervalIndex {
@@ -174,16 +163,24 @@ impl ShardedBuilder {
             shards,
             max_hi,
             len: 0,
+            budget: cores(),
         }
     }
 
     /// Bulk-build over `intervals` (ids must be unique): the set is
     /// partitioned by the routing directory and the per-shard builds fan
-    /// out over the [`Tuning::shard_threads`] budget, each charging its own
-    /// fresh counter.
-    ///
-    /// [`Tuning::shard_threads`]: ccix_core::Tuning::shard_threads
+    /// out over the machine's cores, each charging its own fresh counter.
     pub fn bulk(&self, intervals: &[Interval]) -> ShardedIntervalIndex {
+        self.bulk_within(intervals, cores())
+    }
+
+    /// [`ShardedBuilder::bulk`] over at most `budget` threads; the index
+    /// keeps `budget` for its own fan-outs.
+    pub(crate) fn bulk_within(
+        &self,
+        intervals: &[Interval],
+        budget: usize,
+    ) -> ShardedIntervalIndex {
         let k = self.splits.len() + 1;
         let mut parts: Vec<Vec<Interval>> = vec![Vec::new(); k];
         let mut max_hi = initial_max_hi(k);
@@ -192,11 +189,6 @@ impl ShardedBuilder {
             max_hi[s] = max_hi[s].max(iv.hi);
             parts[s].push(iv);
         }
-        let budget = self
-            .inner
-            .configured_options()
-            .tuning
-            .effective_shard_threads();
         let tasks: Vec<_> = parts
             .into_iter()
             .map(|part| {
@@ -216,6 +208,7 @@ impl ShardedBuilder {
             shards,
             max_hi,
             len: intervals.len(),
+            budget,
         }
     }
 }
@@ -291,6 +284,8 @@ pub struct ShardedIntervalIndex {
     /// delete; `i64::MIN` while a shard has never held an interval).
     max_hi: Vec<i64>,
     len: usize,
+    /// Fan-out thread budget: the machine's cores, or a test's budget.
+    budget: usize,
 }
 
 impl ShardedIntervalIndex {
@@ -304,6 +299,7 @@ impl ShardedIntervalIndex {
             max_hi: vec![i64::MAX],
             len: index.len(),
             shards: vec![Arc::new(index)],
+            budget: cores(),
         }
     }
 
@@ -312,19 +308,13 @@ impl ShardedIntervalIndex {
         self.splits.partition_point(|&p| p <= lo)
     }
 
-    /// Shard fan-out thread budget (resolved
-    /// [`ccix_core::Tuning::shard_threads`]).
-    fn budget(&self) -> usize {
-        self.shards[0].options().tuning.effective_shard_threads()
-    }
-
-    /// Thread budget for a write that routed `work` operations: the shard
+    /// Thread budget for a write that routed `work` operations: the fan-out
     /// budget from [`FAN_OUT_MIN_OPS`] up, one thread (inline) below it.
     fn write_budget(&self, work: usize) -> usize {
         if work < FAN_OUT_MIN_OPS {
             1
         } else {
-            self.budget()
+            self.budget
         }
     }
 
@@ -441,7 +431,7 @@ impl ShardedIntervalIndex {
     /// Run every shard's in-progress reorganisation to completion (shards
     /// fan out over the thread budget).
     pub fn flush_reorgs(&mut self) {
-        let budget = self.budget();
+        let budget = self.budget;
         let tasks: Vec<_> = self
             .shards
             .iter_mut()
@@ -493,6 +483,7 @@ impl ShardedIntervalIndex {
                 .collect(),
             max_hi: self.max_hi.clone(),
             len: self.len,
+            budget: self.budget,
         }
     }
 
@@ -703,7 +694,7 @@ impl ShardedIntervalIndex {
                 subs[s].push(q);
             }
         }
-        let budget = self.budget();
+        let budget = self.budget;
         let tasks: Vec<_> = subs
             .into_iter()
             .enumerate()
@@ -768,6 +759,7 @@ impl ShardedIntervalIndex {
 mod tests {
     use super::*;
     use crate::NaiveIntervalStore;
+    use ccix_testkit::{check, workloads};
 
     fn workload(n: usize) -> Vec<Interval> {
         (0..n)
@@ -778,16 +770,12 @@ mod tests {
             .collect()
     }
 
-    fn sharded(ivs: &[Interval], splits: Vec<i64>, threads: usize) -> ShardedIntervalIndex {
-        let tuning = ccix_core::Tuning {
-            shard_threads: threads,
-            ..ccix_core::Tuning::default()
-        };
+    /// A bulk-built index over `budget` threads, which its batches keep.
+    fn sharded(ivs: &[Interval], splits: Vec<i64>, budget: usize) -> ShardedIntervalIndex {
         IndexBuilder::new(Geometry::new(8))
-            .tuning(tuning)
             .sharded()
             .splits(splits)
-            .bulk(ivs)
+            .bulk_within(ivs, budget)
     }
 
     #[test]
@@ -829,14 +817,159 @@ mod tests {
     fn batched_results_are_thread_invariant() {
         let ivs = workload(400);
         let qs: Vec<i64> = (0..64).map(|i| (i * 37) % 1100).collect();
-        let seq = sharded(&ivs, vec![300, 600], 1);
-        let par = sharded(&ivs, vec![300, 600], 4);
-        assert_eq!(seq.stab_batch(&qs), par.stab_batch(&qs));
-        assert_eq!(
-            seq.io_totals(),
-            par.io_totals(),
-            "per-shard I/O must not depend on the thread budget"
-        );
+        let run = |budget: usize| {
+            let idx = sharded(&ivs, vec![300, 600], budget);
+            (idx.stab_batch(&qs), idx.io_totals())
+        };
+        let seq = run(1);
+        for budget in 2..=4 {
+            assert_eq!(
+                seq,
+                run(budget),
+                "answers and per-shard I/O must not depend on the thread budget ({budget})"
+            );
+        }
+    }
+
+    /// The thread budget must be invisible: identical results *and*
+    /// identical aggregate I/O at every budget from 1 to 4, over a
+    /// shard-skewed build, flood and stab batch.
+    #[test]
+    fn thread_budget_never_changes_results_or_io() {
+        check::trials("sharded::thread_invariance", 24, 0x5AAD2, |rng| {
+            let geo = Geometry::new(rng.gen_range(2usize..9));
+            let range = rng.gen_range(60i64..600);
+            let shards = rng.gen_range(2usize..6);
+            let n = rng.gen_range(50..400usize);
+            // The testkit builds on this crate's library, whose `Interval`
+            // is another type than this test build's.
+            let base: Vec<Interval> =
+                workloads::uniform_intervals(n, rng.next_u64(), range, range / 3 + 1)
+                    .iter()
+                    .map(|iv| Interval::new(iv.lo, iv.hi, iv.id))
+                    .collect();
+            let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+            let splits = split_points_from_sample(&sample, shards);
+            let flood = workloads::zipf_shard_intervals(
+                rng.gen_range(1..200usize),
+                rng.next_u64(),
+                &splits,
+                range,
+                range / 3 + 1,
+                1.2,
+            );
+            let ops: Vec<IntervalOp> = flood
+                .iter()
+                .map(|iv| IntervalOp::Insert(Interval::new(iv.lo, iv.hi, n as u64 + iv.id)))
+                .collect();
+            let qs = workloads::zipf_shard_flood(96, rng.next_u64(), &splits, range, 1.2);
+
+            let run = |budget: usize| {
+                let mut idx = IndexBuilder::new(geo)
+                    .sharded()
+                    .splits(splits.clone())
+                    .bulk_within(&base, budget);
+                idx.apply_batch(&ops);
+                let answers = idx.stab_batch(&qs);
+                (answers, idx.io_totals())
+            };
+            let (a1, io1) = run(1);
+            for budget in 2..=4 {
+                let (at, iot) = run(budget);
+                assert_eq!(a1, at, "results differ at budget {budget}");
+                assert_eq!(io1, iot, "aggregate I/O differs at budget {budget}");
+            }
+        });
+    }
+
+    /// The write path fans out only from [`FAN_OUT_MIN_OPS`] routed
+    /// operations up and runs inline below. Which side of the constant a
+    /// write falls on must be invisible: just below, at and above it, on 1,
+    /// 2 and 4 shards, through every write entry point, an index fanning
+    /// over 4 threads ends up with the ids, the per-shard I/O bills and the
+    /// page images, byte for byte, of the sequential budget 1.
+    #[test]
+    fn writes_below_at_and_above_the_fan_out_constant_match_sequential() {
+        check::trials("sharded::fan_out_constant", 3, 0x5AAD5, |rng| {
+            let geo = Geometry::new(rng.gen_range(4usize..9));
+            let reorg_pages_per_op = [0usize, 4][rng.gen_range(0usize..2)];
+            let range = 4_000i64;
+            let n = 3 * FAN_OUT_MIN_OPS + 200;
+            let base: Vec<Interval> = workloads::uniform_intervals(n, rng.next_u64(), range, 300)
+                .iter()
+                .map(|iv| Interval::new(iv.lo, iv.hi, iv.id))
+                .collect();
+            let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
+            let fresh: Vec<Interval> =
+                workloads::uniform_intervals(2 * FAN_OUT_MIN_OPS + 2, rng.next_u64(), range, 300)
+                    .iter()
+                    .map(|iv| Interval::new(iv.lo, iv.hi, n as u64 + iv.id))
+                    .collect();
+            for shards in [1usize, 2, 4] {
+                for size in [FAN_OUT_MIN_OPS - 1, FAN_OUT_MIN_OPS, FAN_OUT_MIN_OPS + 1] {
+                    // Three independent write floods of `size` ops each: a
+                    // mixed one, a group commit of three submissions, and a
+                    // delete batch. Deletes take distinct base intervals,
+                    // inserts distinct fresh ones.
+                    let mut victims = base.iter().copied();
+                    let mut arrivals = fresh.iter().copied();
+                    let mut mixed = |len: usize| -> Vec<IntervalOp> {
+                        (0..len)
+                            .map(|i| match i % 3 {
+                                0 => IntervalOp::Delete(victims.next().expect("base interval")),
+                                _ => IntervalOp::Insert(arrivals.next().expect("fresh interval")),
+                            })
+                            .collect()
+                    };
+                    let flood = mixed(size);
+                    let group: Vec<Vec<IntervalOp>> = [size / 3, size / 3, size - 2 * (size / 3)]
+                        .into_iter()
+                        .map(&mut mixed)
+                        .collect();
+                    let doomed: Vec<(i64, i64, u64)> =
+                        victims.take(size).map(|iv| (iv.lo, iv.hi, iv.id)).collect();
+                    let qs = workloads::uniform_flood(64, rng.next_u64(), range);
+
+                    let run = |budget: usize| -> ShardedIntervalIndex {
+                        let tuning = ccix_core::Tuning {
+                            reorg_pages_per_op,
+                            ..ccix_core::Tuning::default()
+                        };
+                        let mut idx = IndexBuilder::new(geo)
+                            .tuning(tuning)
+                            .sharded()
+                            .splits_from_sample(&sample, shards)
+                            .bulk_within(&base, budget);
+                        idx.apply_batch(&flood);
+                        idx.apply_submissions(&group, 4);
+                        idx.delete_batch(&doomed);
+                        idx.pump_reorg(8);
+                        idx.pump_reorg(FAN_OUT_MIN_OPS);
+                        idx
+                    };
+                    let (sequential, fanned) = (run(1), run(4));
+                    let context = format!("{shards} shards, {size} ops");
+                    assert_eq!(
+                        sequential.stab_batch(&qs),
+                        fanned.stab_batch(&qs),
+                        "ids ({context})"
+                    );
+                    assert_eq!(sequential.len(), fanned.len(), "len ({context})");
+                    for (s, (a, b)) in sequential.shards().zip(fanned.shards()).enumerate() {
+                        assert_eq!(
+                            a.counter().snapshot(),
+                            b.counter().snapshot(),
+                            "I/O bill of shard {s} ({context})"
+                        );
+                        assert!(
+                            a.model_page_images() == b.model_page_images(),
+                            "page images of shard {s} ({context})"
+                        );
+                        b.validate_unbilled();
+                    }
+                }
+            }
+        });
     }
 
     #[test]

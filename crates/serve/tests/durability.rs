@@ -164,6 +164,33 @@ fn recovery_from_checkpoint_only_state_resumes_at_the_watermark() {
     engine.shutdown();
 }
 
+/// A checkpoint whose body decodes to `B < 2` — checksum intact — stops
+/// recovery with `InvalidData`, as every other undecodable body does,
+/// instead of reaching the geometry's assert.
+#[test]
+fn recovery_refuses_a_checkpoint_with_a_block_size_below_two() {
+    let tmp = TempDir::new("durable-ckpt-small-b");
+    let idx = IndexBuilder::new(geometry()).bulk(IoCounter::new(), &ivs(30));
+    Engine::start(idx, config(tmp.path(), FsyncPolicy::EveryCommits(1))).shutdown();
+    let path = tmp.path().join("checkpoint");
+    let good = std::fs::read(&path).expect("read checkpoint");
+    for b in [0u64, 1] {
+        // [magic 8B][len u64][crc u32][body], and the body opens with `B`.
+        let mut bytes = good.clone();
+        bytes[20..28].copy_from_slice(&b.to_le_bytes());
+        let crc = ccix_durable::crc32(&bytes[20..]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("patch checkpoint");
+        let recovered = std::panic::catch_unwind(|| {
+            Engine::recover(meta(), config(tmp.path(), FsyncPolicy::default())).map(|_| ())
+        });
+        let err = recovered
+            .expect("recovery must not panic")
+            .expect_err("B < 2 must not recover");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "B = {b}");
+    }
+}
+
 #[test]
 fn durable_acks_survive_a_drop_without_shutdown() {
     let tmp = TempDir::new("durable-drop");

@@ -186,12 +186,7 @@ fn sharded_snapshots_agree_with_oracle_under_flood() {
     let trial = AtomicU64::new(0);
     check::trials("serve_stress_sharded", 3, 0x5aa2_d0de, |rng| {
         let trial = trial.fetch_add(1, Relaxed) as usize;
-        let tuning = ccix_core::Tuning {
-            // 0 = available parallelism; the writer fans every group out
-            // over the shard pool either way.
-            shard_threads: [0, 2, 4][trial % 3],
-            ..rand_tuning(rng, trial)
-        };
+        let tuning = rand_tuning(rng, trial);
         let plan: CommitPlan = commit_plan(rng, PLAN);
         let shards = rng.gen_range(2usize..5);
         let sample: Vec<i64> = plan.initial.iter().map(|iv| iv.lo).collect();

@@ -35,9 +35,7 @@ use std::sync::Arc;
 
 use ccix_core::Tuning;
 use ccix_durable::{FailFs, FaultPlan, RealFs, TempDir};
-use ccix_extmem::{
-    BackendSpec, BufferPool, Disk, FileConfig, Geometry, IoCounter, PageId, PathPin, TypedStore,
-};
+use ccix_extmem::{BackendSpec, FileConfig, Geometry, IoCounter, PageId, PathPin, TypedStore};
 use ccix_interval::{IndexBuilder, IntervalIndex, IntervalOptions};
 use ccix_testkit::check;
 use ccix_testkit::oracle;
@@ -321,38 +319,6 @@ fn typed_store_persist_reopen_roundtrips_content_and_free_list() {
             );
         }
     });
-}
-
-#[test]
-fn buffer_pool_misses_are_the_only_file_reads() {
-    // cache_pages(0) disables the mirror's own cache, so every charged
-    // read that reaches the disk is a cold pread — which makes "the pool
-    // absorbed it" exactly observable.
-    let tmp = TempDir::new("backends-pool");
-    let spec = BackendSpec::File(FileConfig::new(tmp.path()).cache_pages(0));
-    let mut disk = Disk::new_on(&spec, 64, IoCounter::new());
-    let pages: Vec<PageId> = (0..3).map(|_| disk.alloc()).collect();
-    let mut pool = BufferPool::new(2);
-    for (i, &id) in pages.iter().enumerate() {
-        pool.write(&mut disk, id, &[i as u8 + 1; 64]);
-    }
-    let (cold_after_writes, _) = disk.file_stats().unwrap();
-
-    // A, B: two misses. A again: hit (no file read). C: miss, evicts the
-    // LRU frame (B). B: miss again.
-    for &id in &[pages[0], pages[1], pages[0], pages[2], pages[1]] {
-        let _ = pool.read(&disk, id);
-    }
-    assert_eq!((pool.hits(), pool.misses()), (1, 4));
-    let (cold, warm) = disk.file_stats().unwrap();
-    assert_eq!(warm, 0, "cache_pages(0) must keep every read cold");
-    assert_eq!(
-        cold - cold_after_writes,
-        4,
-        "file reads must equal pool misses"
-    );
-    // Content still round-trips through eviction.
-    assert_eq!(pool.read(&disk, pages[1]), vec![2u8; 64]);
 }
 
 #[test]

@@ -28,7 +28,6 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
             corner_alpha: rng.gen_range(2..5usize),
             pack_h_pages: rng.gen_range(0..9usize),
             resident_root: rng.gen_bool(0.5),
-            build_threads: rng.gen_range(1..5usize),
             ..Tuning::default()
         },
         _ => Tuning {
@@ -39,7 +38,6 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
             corner_alpha: 2,
             pack_h_pages: rng.gen_range(0..5usize),
             resident_root: rng.gen_bool(0.5),
-            build_threads: 1,
             ..Tuning::default()
         },
     }
@@ -107,7 +105,6 @@ fn mid_batch_intersections_agree_with_oracle() {
                     EndpointMode::BTree
                 },
                 tuning: random_tuning(rng),
-                btree_leaf_fill: Some(rng.gen_range(50..101usize)),
             };
             let n = rng.gen_range(1..400usize);
             let range = rng.gen_range(20i64..500);

@@ -47,8 +47,6 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
             corner_alpha: rng.gen_range(2..5usize),
             pack_h_pages: rng.gen_range(0..9usize),
             resident_root: rng.gen_bool(0.5),
-            build_threads: 1,
-            shard_threads: 1,
             reorg_pages_per_op: *rng.choose(&[0usize, 0, 1, 4]).expect("nonempty"),
         },
         _ => Tuning {
@@ -60,8 +58,6 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
             corner_alpha: 2,
             pack_h_pages: rng.gen_range(0..5usize),
             resident_root: rng.gen_bool(0.5),
-            build_threads: 1,
-            shard_threads: 1,
             reorg_pages_per_op: *rng.choose(&[0usize, 0, 2]).expect("nonempty"),
         },
     }
@@ -81,7 +77,6 @@ fn interval_index_mixed_flood_agrees_with_oracle() {
                 EndpointMode::BTree
             },
             tuning: random_tuning(rng),
-            btree_leaf_fill: None,
         };
         let range = rng.gen_range(30i64..500);
         let n_ops = rng.gen_range(10..700usize);
@@ -523,8 +518,6 @@ fn write_path_bills_are_pinned_on_both_trees() {
             corner_alpha: 2,
             pack_h_pages: 2,
             resident_root: true,
-            build_threads: 1,
-            shard_threads: 1,
             reorg_pages_per_op: k,
         };
         let (geo, counter, seed) = (Geometry::new(4), IoCounter::new(), 0x9177_0000 + k as u64);

@@ -56,11 +56,7 @@ trait Subject: Sized {
 
 impl Subject for IntervalIndex {
     fn open(geo: Geometry, tuning: Tuning, endpoints: EndpointMode) -> Self {
-        let options = IntervalOptions {
-            endpoints,
-            tuning,
-            btree_leaf_fill: None,
-        };
+        let options = IntervalOptions { endpoints, tuning };
         IndexBuilder::new(geo)
             .options(options)
             .open(IoCounter::new())
@@ -355,11 +351,7 @@ fn fork_trials<S: Subject>(
         let b = rng.gen_range(2usize..7);
         let geo = Geometry::new(b);
         let endpoints = modes.next().expect("cycle never ends");
-        let tuning = Tuning {
-            build_threads: 1,
-            shard_threads: 1,
-            ..tuning(rng)
-        };
+        let tuning = tuning(rng);
         let range = rng.gen_range(60i64..300);
         let max_len = range / 3 + 1;
 

@@ -43,8 +43,6 @@ fn dribble_tuning(rng: &mut DetRng) -> Tuning {
         corner_alpha: 2,
         pack_h_pages: rng.gen_range(0..5usize),
         resident_root: rng.gen_bool(0.5),
-        build_threads: 1,
-        shard_threads: 1,
         reorg_pages_per_op: *rng.choose(&[1usize, 2, 4, 8]).expect("nonempty"),
     }
 }
@@ -166,7 +164,6 @@ fn per_op_transfers_bounded_by_budget() {
         let tuning = Tuning {
             reorg_pages_per_op: k,
             shrink_deletes_pct: 30,
-            build_threads: 1,
             ..Tuning::default()
         };
         let pts: Vec<Point> = (0..n)
@@ -223,7 +220,6 @@ fn per_op_transfers_bounded_by_budget_threesided() {
     let tuning = Tuning {
         reorg_pages_per_op: k,
         shrink_deletes_pct: 30,
-        build_threads: 1,
         ..Tuning::default()
     };
     let pts: Vec<Point> = (0..n)
@@ -385,7 +381,6 @@ fn interval_apply_batch_agrees_with_oracle() {
                 ccix_interval::EndpointMode::BTree
             },
             tuning,
-            btree_leaf_fill: None,
         };
         let range = rng.gen_range(30i64..300);
         let flood = workloads::mixed_interval_flood(

@@ -21,11 +21,9 @@ use ccix_extmem::{Geometry, IoCounter, Point};
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::{check, oracle, workloads, DetRng};
 
-/// A tuning from the corners of the knob space, including thread budgets
-/// (planning threads must never change results — materialisation is
-/// sequential).
+/// A tuning from the corners of the knob space.
 fn random_tuning(rng: &mut DetRng) -> Tuning {
-    let mut t = match rng.gen_range(0..3u32) {
+    match rng.gen_range(0..3u32) {
         0 => Tuning::paper(),
         1 => Tuning::default(),
         _ => Tuning {
@@ -40,12 +38,9 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
             corner_alpha: rng.gen_range(2..5usize),
             pack_h_pages: rng.gen_range(0..5usize),
             resident_root: rng.gen_bool(0.5),
-            build_threads: 1,
             ..Tuning::default()
         },
-    };
-    t.build_threads = rng.gen_range(1..5usize);
-    t
+    }
 }
 
 /// An insert that stayed on the quiet path (buffer append, path pins, TD
@@ -151,8 +146,7 @@ fn threesided_reorganisations_keep_runs_sorted_and_answers_exact() {
 
 /// The merge pipeline and a from-scratch rebuild must produce identical
 /// structures: floods driven through inserts agree — page-for-page counts
-/// and stats — with a fresh `build` over the same final point set, for
-/// every thread budget.
+/// and stats — with a fresh `build` over the same final point set.
 #[test]
 fn flooded_tree_matches_fresh_build_answers() {
     check::trials("merge_pipeline::flood_vs_fresh", 16, 0xF10D, |rng| {

@@ -45,8 +45,6 @@ fn scope_tuning(rng: &mut DetRng) -> Tuning {
         corner_alpha: 2,
         pack_h_pages: rng.gen_range(0..5usize),
         resident_root: rng.gen_bool(0.5),
-        build_threads: 1,
-        shard_threads: 1,
         reorg_pages_per_op: *rng.choose(&[0usize, 1, 4]).expect("nonempty"),
     }
 }

@@ -1,22 +1,19 @@
 //! Differential suite for the x-range sharded interval index.
 //!
-//! The routing directory must be **transparent**: for every shard count,
-//! split choice (quantile, random, hot-shard adversarial) and thread
-//! budget, a sharded index must answer exactly like the unsharded index
-//! and the linear-scan oracle over the same live set. On top of
-//! agreement, the suite pins the properties the fan-out design claims:
-//! thread-count invariance of both results *and* aggregate I/O (the
-//! budget only moves shard work between threads), bounded aggregate I/O
-//! relative to the unsharded baseline (the documented routing overhead),
-//! and silence of cold shards under hot-shard traffic (the directory
-//! never consults a shard whose x-range cannot contribute).
+//! The routing directory must be **transparent**: for every shard count
+//! and split choice (quantile, random, hot-shard adversarial), a sharded
+//! index must answer exactly like the unsharded index and the linear-scan
+//! oracle over the same live set. On top of agreement, the suite pins the
+//! properties the fan-out design claims: bounded aggregate I/O relative to
+//! the unsharded baseline (the documented routing overhead), silence of
+//! cold shards under hot-shard traffic (the directory never consults a
+//! shard whose x-range cannot contribute), and stab batches that share the
+//! fan-out helpers with writes and fork readers. Thread-count invariance of
+//! results and I/O is pinned where the budget can be varied, in
+//! `ccix-interval`'s own sharded unit tests.
 
-use ccix_core::Tuning;
 use ccix_extmem::Geometry;
-use ccix_interval::{
-    split_points_from_sample, IndexBuilder, Interval, IntervalOp, ShardedIntervalIndex,
-    FAN_OUT_MIN_OPS,
-};
+use ccix_interval::{split_points_from_sample, IndexBuilder, Interval, IntervalOp};
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::{check, oracle, workloads, DetRng};
 
@@ -50,7 +47,7 @@ fn op_of(op: &workloads::IntervalOp) -> Option<IntervalOp> {
 
 /// Sharded vs unsharded vs oracle over mixed insert/delete floods with
 /// interleaved stabbing/intersection/x-range queries, across random shard
-/// counts, split regimes and thread budgets.
+/// counts and split regimes.
 #[test]
 fn sharded_agrees_with_unsharded_and_oracle() {
     check::trials("sharded::agreement", 40, 0x5AAD, |rng| {
@@ -67,12 +64,8 @@ fn sharded_agrees_with_unsharded_and_oracle() {
                 .collect();
         let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
         let splits = random_splits(rng, &sample, range, shards);
-        let tuning = Tuning {
-            shard_threads: rng.gen_range(1usize..5),
-            ..Tuning::default()
-        };
 
-        let builder = IndexBuilder::new(geo).tuning(tuning);
+        let builder = IndexBuilder::new(geo);
         let mut sharded = builder.clone().sharded().splits(splits).bulk(&base);
         let mut plain = builder.bulk(ccix_extmem::IoCounter::new(), &base);
         let mut live: Vec<Interval> = base.clone();
@@ -136,147 +129,6 @@ fn sharded_agrees_with_unsharded_and_oracle() {
     });
 }
 
-/// The thread budget must be invisible: identical results *and* identical
-/// aggregate I/O for every shard-thread count, including the sequential
-/// fallback.
-#[test]
-fn thread_budget_never_changes_results_or_io() {
-    check::trials("sharded::thread_invariance", 24, 0x5AAD2, |rng| {
-        let geo = Geometry::new(rng.gen_range(2usize..9));
-        let range = rng.gen_range(60i64..600);
-        let shards = rng.gen_range(2usize..6);
-        let n = rng.gen_range(50..400usize);
-        let base = workloads::uniform_intervals(n, rng.next_u64(), range, range / 3 + 1);
-        let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
-        let splits = split_points_from_sample(&sample, shards);
-        let flood = workloads::zipf_shard_intervals(
-            rng.gen_range(1..200usize),
-            rng.next_u64(),
-            &splits,
-            range,
-            range / 3 + 1,
-            1.2,
-        );
-        let ops: Vec<IntervalOp> = flood
-            .iter()
-            .map(|iv| IntervalOp::Insert(Interval::new(iv.lo, iv.hi, n as u64 + iv.id)))
-            .collect();
-        let qs = workloads::zipf_shard_flood(96, rng.next_u64(), &splits, range, 1.2);
-
-        let run = |threads: usize| {
-            let tuning = Tuning {
-                shard_threads: threads,
-                ..Tuning::default()
-            };
-            let mut idx = IndexBuilder::new(geo)
-                .tuning(tuning)
-                .sharded()
-                .splits(splits.clone())
-                .bulk(&base);
-            idx.apply_batch(&ops);
-            let answers = idx.stab_batch(&qs);
-            (answers, idx.io_totals())
-        };
-        let (a1, io1) = run(1);
-        for threads in [2usize, 4, 7] {
-            let (at, iot) = run(threads);
-            assert_eq!(a1, at, "results differ at {threads} shard threads");
-            assert_eq!(
-                (io1.reads, io1.writes),
-                (iot.reads, iot.writes),
-                "aggregate I/O differs at {threads} shard threads"
-            );
-        }
-    });
-}
-
-/// The write path fans out only from [`FAN_OUT_MIN_OPS`] routed operations
-/// up and runs inline below. Which side of the constant a write falls on
-/// must be invisible: just below, at and above it, on 1, 2 and 4 shards,
-/// through every write entry point, a fanning index ends up with the ids,
-/// the per-shard I/O bills and the page images, byte for byte, of the
-/// always-sequential `shard_threads = 1`.
-#[test]
-fn writes_below_at_and_above_the_fan_out_constant_match_sequential() {
-    check::trials("sharded::fan_out_constant", 3, 0x5AAD5, |rng| {
-        let geo = Geometry::new(rng.gen_range(4usize..9));
-        let reorg_pages_per_op = [0usize, 4][rng.gen_range(0usize..2)];
-        let range = 4_000i64;
-        let n = 3 * FAN_OUT_MIN_OPS + 200;
-        let base = workloads::uniform_intervals(n, rng.next_u64(), range, 300);
-        let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
-        let fresh =
-            workloads::uniform_intervals(2 * FAN_OUT_MIN_OPS + 2, rng.next_u64(), range, 300);
-        for shards in [1usize, 2, 4] {
-            for size in [FAN_OUT_MIN_OPS - 1, FAN_OUT_MIN_OPS, FAN_OUT_MIN_OPS + 1] {
-                // Three independent write floods of `size` ops each: a mixed
-                // one, a group commit of three submissions, and a delete
-                // batch. Deletes take distinct base intervals, inserts
-                // distinct fresh ones.
-                let mut victims = base.iter().copied();
-                let mut arrivals = fresh
-                    .iter()
-                    .map(|iv| Interval::new(iv.lo, iv.hi, n as u64 + iv.id));
-                let mut mixed = |len: usize| -> Vec<IntervalOp> {
-                    (0..len)
-                        .map(|i| match i % 3 {
-                            0 => IntervalOp::Delete(victims.next().expect("base interval")),
-                            _ => IntervalOp::Insert(arrivals.next().expect("fresh interval")),
-                        })
-                        .collect()
-                };
-                let flood = mixed(size);
-                let group: Vec<Vec<IntervalOp>> = [size / 3, size / 3, size - 2 * (size / 3)]
-                    .into_iter()
-                    .map(&mut mixed)
-                    .collect();
-                let doomed: Vec<(i64, i64, u64)> =
-                    victims.take(size).map(|iv| (iv.lo, iv.hi, iv.id)).collect();
-                let qs = workloads::uniform_flood(64, rng.next_u64(), range);
-
-                let run = |threads: usize| -> ShardedIntervalIndex {
-                    let tuning = Tuning {
-                        shard_threads: threads,
-                        reorg_pages_per_op,
-                        ..Tuning::default()
-                    };
-                    let mut idx = IndexBuilder::new(geo)
-                        .tuning(tuning)
-                        .sharded()
-                        .splits_from_sample(&sample, shards)
-                        .bulk(&base);
-                    idx.apply_batch(&flood);
-                    idx.apply_submissions(&group, 4);
-                    idx.delete_batch(&doomed);
-                    idx.pump_reorg(8);
-                    idx.pump_reorg(FAN_OUT_MIN_OPS);
-                    idx
-                };
-                let (sequential, fanned) = (run(1), run(4));
-                let context = format!("{shards} shards, {size} ops");
-                assert_eq!(
-                    sequential.stab_batch(&qs),
-                    fanned.stab_batch(&qs),
-                    "ids ({context})"
-                );
-                assert_eq!(sequential.len(), fanned.len(), "len ({context})");
-                for (s, (a, b)) in sequential.shards().zip(fanned.shards()).enumerate() {
-                    assert_eq!(
-                        a.counter().snapshot(),
-                        b.counter().snapshot(),
-                        "I/O bill of shard {s} ({context})"
-                    );
-                    assert!(
-                        a.model_page_images() == b.model_page_images(),
-                        "page images of shard {s} ({context})"
-                    );
-                    b.validate_unbilled();
-                }
-            }
-        }
-    });
-}
-
 /// Aggregate sharded I/O stays within a constant envelope of the
 /// unsharded index on the same flood — the routing overhead (shorter
 /// descents per shard, but one partial descent per overlapping shard)
@@ -292,11 +144,7 @@ fn aggregate_io_bounded_vs_unsharded() {
         let base = workloads::uniform_intervals(n, rng.next_u64(), range, 300);
         let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
         let splits = split_points_from_sample(&sample, shards);
-        let tuning = Tuning {
-            shard_threads: 1,
-            ..Tuning::default()
-        };
-        let builder = IndexBuilder::new(geo).tuning(tuning);
+        let builder = IndexBuilder::new(geo);
         let sharded = builder.clone().sharded().splits(splits).bulk(&base);
         let plain_counter = ccix_extmem::IoCounter::new();
         let plain = builder.bulk(plain_counter.clone(), &base);
@@ -344,14 +192,7 @@ fn cold_shards_stay_untouched_under_hot_traffic() {
         } else {
             range - (shards - 1 - hot) as i64
         };
-        let mut idx = IndexBuilder::new(geo)
-            .tuning(Tuning {
-                shard_threads: rng.gen_range(1usize..4),
-                ..Tuning::default()
-            })
-            .sharded()
-            .splits(splits)
-            .open();
+        let mut idx = IndexBuilder::new(geo).sharded().splits(splits).open();
         let n = rng.gen_range(1..300usize);
         let ops: Vec<IntervalOp> = (0..n)
             .map(|i| {
@@ -406,10 +247,6 @@ fn fork_readers_and_live_writes_share_the_helpers() {
             .collect();
         let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
         let mut idx = IndexBuilder::new(geo)
-            .tuning(Tuning {
-                shard_threads: 2,
-                ..Tuning::default()
-            })
             .sharded()
             .splits_from_sample(&sample, 3)
             .bulk(&base);
@@ -460,10 +297,6 @@ fn stab_batches_and_writes_alternate_on_a_live_index() {
     let base = workloads::uniform_intervals(200, rng.next_u64(), range, 100);
     let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
     let mut idx = IndexBuilder::new(Geometry::new(4))
-        .tuning(Tuning {
-            shard_threads: 2,
-            ..Tuning::default()
-        })
         .sharded()
         .splits_from_sample(&sample, 2)
         .bulk(&base);
@@ -537,10 +370,6 @@ fn stab_batches_start_no_thread_after_warm_up() {
     let base = workloads::uniform_intervals(2_000, 0x5AAD8, range, 300);
     let sample: Vec<i64> = base.iter().map(|iv| iv.lo).collect();
     let idx = IndexBuilder::new(Geometry::new(8))
-        .tuning(Tuning {
-            shard_threads: 2,
-            ..Tuning::default()
-        })
         .sharded()
         .splits_from_sample(&sample, 2)
         .bulk(&base);
