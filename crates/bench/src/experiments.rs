@@ -937,14 +937,8 @@ pub fn e14_write_tuning() -> Vec<Table> {
         },
     ];
     for &tuning in configs {
-        let options = ccix_interval::IntervalOptions {
-            tuning,
-            ..Default::default()
-        };
         let ic = IoCounter::new();
-        let idx = IndexBuilder::new(geo)
-            .options(options)
-            .bulk(ic.clone(), &ivs);
+        let idx = IndexBuilder::new(geo).tuning(tuning).bulk(ic.clone(), &ivs);
         let mut r = workloads::rng(9);
         let queries = 32;
         let mut iq = 0u64;
@@ -955,7 +949,7 @@ pub fn e14_write_tuning() -> Vec<Table> {
             iq += ic.since(before).reads;
         }
         let ic2 = IoCounter::new();
-        let mut idx2 = IndexBuilder::new(geo).options(options).open(ic2.clone());
+        let mut idx2 = IndexBuilder::new(geo).tuning(tuning).open(ic2.clone());
         let before = ic2.snapshot();
         for iv in ivs.iter().take(20_000) {
             idx2.insert(iv.lo, iv.hi, iv.id);

@@ -8,7 +8,7 @@
 //! a checkpoint serialises:
 //!
 //! * [`Meta`] — the block geometry and the full [`IntervalOptions`]
-//!   (endpoint mode, every `Tuning` knob), so the recovered index is built
+//!   (every `Tuning` knob), so the recovered index is built
 //!   with the same layout and write-path behaviour as the one that
 //!   crashed. Nothing of the machine that wrote it is recorded: thread
 //!   counts come from the machine that recovers;
@@ -23,9 +23,10 @@
 //! ## On-disk format
 //!
 //! ```text
-//! [magic 8B = "CCIXCKP\x03"][len u64][crc u32][body len bytes]
+//! [magic 8B = "CCIXCKP\x04"][len u64][crc u32][body len bytes]
 //! body = meta || k u64 || k × split i64 || ops_applied u64
 //!             || n u64 || n × Point-encoded interval
+//! meta = B u64 || the nine `Tuning` knobs in field order
 //! ```
 //!
 //! ## Atomic publication
@@ -42,15 +43,16 @@ use std::sync::Arc;
 
 use ccix_extmem::ser::{decode_records, encode_records};
 use ccix_extmem::{Geometry, Point};
-use ccix_interval::{EndpointMode, Interval, IntervalOptions};
+use ccix_interval::{Interval, IntervalOptions};
 
 use crate::crc32;
 use ccix_extmem::fs::{read_exact_at, retry_interrupted, write_all_at, Fs};
 
 /// File magic: identifies a checkpoint and pins its format version
 /// (`\x02` added the shard split points; `\x03` dropped the two thread
-/// counts and the B+-tree leaf fill from the meta).
-pub const CKPT_MAGIC: [u8; 8] = *b"CCIXCKP\x03";
+/// counts and the B+-tree leaf fill from the meta; `\x04` dropped the
+/// endpoint-mode byte).
+pub const CKPT_MAGIC: [u8; 8] = *b"CCIXCKP\x04";
 
 /// Sentinel for `None` in `Option<usize>` fields (no real knob is ever
 /// `u64::MAX` pages).
@@ -109,10 +111,6 @@ impl Meta {
     fn encode_into(&self, out: &mut Vec<u8>) {
         let t = self.options.tuning;
         push_u64(out, self.geometry.b as u64);
-        out.push(match self.options.endpoints {
-            EndpointMode::Slab => 0,
-            EndpointMode::BTree => 1,
-        });
         push_u64(out, t.update_batch_pages as u64);
         push_u64(out, t.td_batch_pages as u64);
         push_u64(out, t.tomb_batch_pages as u64);
@@ -127,11 +125,6 @@ impl Meta {
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         // The model needs `B ≥ 2` (`Geometry::new` asserts it).
         let b = r.usize().filter(|&b| b >= 2)?;
-        let endpoints = match r.u8()? {
-            0 => EndpointMode::Slab,
-            1 => EndpointMode::BTree,
-            _ => return None,
-        };
         // Struct-literal fields evaluate in source order, matching the
         // encoder's write order exactly.
         let tuning = ccix_core::Tuning {
@@ -147,7 +140,7 @@ impl Meta {
         };
         Some(Meta {
             geometry: Geometry::new(b),
-            options: IntervalOptions { endpoints, tuning },
+            options: IntervalOptions { tuning },
         })
     }
 }
@@ -291,7 +284,6 @@ mod tests {
 
     fn sample() -> Checkpoint {
         let options = IntervalOptions {
-            endpoints: EndpointMode::BTree,
             tuning: Tuning {
                 update_batch_pages: 3,
                 td_batch_pages: 5,
@@ -403,12 +395,15 @@ mod tests {
         let tmp = TempDir::new("ckpt-v2");
         let path = tmp.path().join("checkpoint");
         let fs = RealFs::shared();
-        let mut bytes = encode_checkpoint(&sample());
-        bytes[..8].copy_from_slice(b"CCIXCKP\x02");
-        std::fs::write(&path, &bytes).expect("write v2");
-        let err = read_checkpoint(&fs, &path).expect_err("v2");
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("bad magic"), "{err}");
+        // Both older formats, v2 and v3, are refused by their magic.
+        for magic in [b"CCIXCKP\x02", b"CCIXCKP\x03"] {
+            let mut bytes = encode_checkpoint(&sample());
+            bytes[..8].copy_from_slice(magic);
+            std::fs::write(&path, &bytes).expect("write old format");
+            let err = read_checkpoint(&fs, &path).expect_err("old format");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{magic:?}");
+            assert!(err.to_string().contains("bad magic"), "{err}");
+        }
     }
 
     #[test]

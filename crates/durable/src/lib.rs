@@ -643,6 +643,49 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_publishes_before_the_wal_reset() {
+        // The crash order recovery relies on: the new checkpoint is durable
+        // (its file synced, renamed in, the directory synced) before the
+        // WAL it makes redundant is truncated.
+        let tmp = TempDir::new("store-ckpt-order");
+        let fail = FailFs::new(
+            RealFs::shared(),
+            7,
+            FaultPlan {
+                crash_after_ops: None,
+                short_write: 0.0,
+                eintr: 0.0,
+            },
+        );
+        let cfg = DurabilityConfig {
+            fs: Arc::new(fail.clone()),
+            ..config(tmp.path())
+        };
+        let mut store = DurableStore::create(&cfg, meta(), &[], &[]).expect("create");
+        store
+            .append_commit(&[IntervalOp::Insert(iv(0, 4, 1))])
+            .expect("append");
+        let before = fail.trace().len();
+        store
+            .checkpoint(meta(), &[], &[iv(0, 4, 1)])
+            .expect("checkpoint");
+        let trace = fail.trace().split_off(before);
+        let at = |kind, file: &str| {
+            trace
+                .iter()
+                .position(|op| op.kind == kind && op.file == file)
+                .unwrap_or_else(|| panic!("no {kind:?} of {file} in {trace:?}"))
+        };
+        let order = [
+            at(FsOpKind::Sync, "checkpoint.tmp"),
+            at(FsOpKind::Rename, "checkpoint"),
+            at(FsOpKind::SyncDir, "."),
+            at(FsOpKind::SetLen, "wal"),
+        ];
+        assert!(order.is_sorted(), "publish order {order:?} in {trace:?}");
+    }
+
+    #[test]
     fn create_refuses_existing_directory() {
         let tmp = TempDir::new("store-exists");
         let cfg = config(tmp.path());

@@ -217,7 +217,7 @@ struct MirrorInner {
 
 /// The file half of a file-backed store: a write-through mirror of the
 /// model page table plus the physical read path. Held inside
-/// [`crate::TypedStore`] / [`crate::Disk`]; all entry points take `&self`
+/// [`crate::TypedStore`]; all entry points take `&self`
 /// (the inner state is a mutex) so charged reads stay `&self`.
 pub(crate) struct FileMirror<T> {
     path: PathBuf,

@@ -2,7 +2,8 @@
 //! and both metablock trees: a fork clones handles, never contents, and
 //! whichever side writes first copies only what it writes — [`Run`]s of
 //! page ids and keys, [`Slots`] of control blocks, and the [`PageTable`]
-//! of page handles under [`crate::TypedStore`] and [`crate::Disk`].
+//! of page handles under [`crate::TypedStore`] (and, never forked,
+//! [`crate::Disk`]).
 //!
 //! A page table maps [`PageId`]s to page handles and recycles freed ids.
 //! Publishing an epoch forks it, and a flat `Vec` of handles makes that

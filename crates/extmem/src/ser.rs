@@ -78,23 +78,6 @@ impl FixedBytes for u32 {
     }
 }
 
-/// Bytes are their own encoding — this is what lets [`crate::Disk`]'s raw
-/// byte pages ride the same file mirror as the typed stores.
-impl FixedBytes for u8 {
-    const SIZE: usize = 1;
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(*self);
-    }
-
-    fn decode(bytes: &[u8]) -> Option<Self> {
-        match bytes {
-            [b] => Some(*b),
-            _ => None,
-        }
-    }
-}
-
 /// Append the encodings of `records` to `out` (a frame of
 /// `records.len() * T::SIZE` bytes).
 pub fn encode_records<T: FixedBytes>(records: &[T], out: &mut Vec<u8>) {

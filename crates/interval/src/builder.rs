@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use ccix_core::Tuning;
 use ccix_extmem::{BackendSpec, Geometry, IoCounter};
 
-use crate::index::{EndpointMode, Interval, IntervalIndex, IntervalOptions};
+use crate::index::{Interval, IntervalIndex, IntervalOptions};
 
 /// Configures and constructs [`IntervalIndex`] instances.
 ///
@@ -41,8 +41,8 @@ pub struct IndexBuilder {
 }
 
 impl IndexBuilder {
-    /// Start from `geo` with the default layout ([`IntervalOptions`]:
-    /// slab endpoints, measured default tuning).
+    /// Start from `geo` with the default options ([`IntervalOptions`]:
+    /// the measured default tuning).
     pub fn new(geo: Geometry) -> Self {
         Self {
             geo,
@@ -54,19 +54,6 @@ impl IndexBuilder {
     /// Replace the whole option set at once.
     pub fn options(mut self, options: IntervalOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Use the paper's §2.1 layout ([`IntervalOptions::paper`]): endpoint
-    /// B+-tree plus the paper's buffer constants.
-    pub fn paper(mut self) -> Self {
-        self.options = IntervalOptions::paper();
-        self
-    }
-
-    /// Endpoint-range strategy (see [`EndpointMode`]).
-    pub fn endpoints(mut self, mode: EndpointMode) -> Self {
-        self.options.endpoints = mode;
         self
     }
 
@@ -91,11 +78,6 @@ impl IndexBuilder {
     /// the spec carries a shared sequence).
     pub fn file_backed(self, dir: impl Into<PathBuf>) -> Self {
         self.backend(BackendSpec::file(dir))
-    }
-
-    /// The configured options.
-    pub fn configured_options(&self) -> IntervalOptions {
-        self.options
     }
 
     /// The configured geometry.

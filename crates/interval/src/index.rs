@@ -1,22 +1,17 @@
 //! The generalized one-dimensional index of §2.1.
 //!
 //! Stabbing queries are answered by a metablock tree over the points
-//! `(lo, hi)` (Proposition 2.2's reduction). For the left-endpoint range of
-//! an intersection query there are two endpoint modes:
-//!
-//! * [`EndpointMode::Slab`] (default) answers it from the metablock tree
-//!   itself — the slab decomposition is x-ordered, so
-//!   [`ccix_core::MetablockTree::x_range_into`] reports left endpoints in
-//!   `O(log_B n + t/B)` I/Os with **no second copy of the data**. This cuts
-//!   both the index's space (the B+-tree was a full extra `n/B`-page copy)
-//!   and its insert cost (one structure to maintain instead of two).
-//! * [`EndpointMode::BTree`] keeps the paper's §2.1 layout: a B+-tree on
-//!   left endpoints with covering `(lo, id, hi)` records, bulk-loaded
-//!   with full leaves.
+//! `(lo, hi)` (Proposition 2.2's reduction). The left-endpoint range of an
+//! intersection query, which the paper answers from a second structure (a
+//! B+-tree on left endpoints), comes from the same metablock tree: its
+//! slab decomposition is x-ordered, so
+//! [`ccix_core::MetablockTree::x_range_with`] reports left endpoints in
+//! `O(log_B n + t/B)` I/Os with **no second copy of the data** (on E9's
+//! workload the copy cost 16.0k pages and ~4 I/Os per insert; the measured
+//! comparison is in `docs/tuning.md` § Slab endpoints).
 
-use ccix_bptree::{BPlusTree, Entry};
 use ccix_core::{MetablockTree, Op, Tuning};
-use ccix_extmem::{BackendSpec, Disk, FixedBytes, Geometry, IoCounter, Point};
+use ccix_extmem::{BackendSpec, FixedBytes, Geometry, IoCounter, Point};
 
 /// A closed interval with an application id (a *generalized key*: the
 /// projection of a generalized tuple on the indexed attribute).
@@ -89,35 +84,11 @@ pub enum IntervalOp {
     Delete(Interval),
 }
 
-/// How the index answers left-endpoint range queries (the Type 1/2 part of
-/// an intersection query).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EndpointMode {
-    /// Answer from the metablock tree's slab order; no endpoint B+-tree.
-    #[default]
-    Slab,
-    /// Keep a B+-tree of covering `(lo, id, hi)` records (§2.1's layout).
-    BTree,
-}
-
 /// Construction options for [`IntervalIndex`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntervalOptions {
-    /// Endpoint-range strategy.
-    pub endpoints: EndpointMode,
     /// Write-path/space tuning for the metablock tree.
     pub tuning: Tuning,
-}
-
-impl IntervalOptions {
-    /// The paper's §2.1 layout: endpoint B+-tree plus the paper's buffer
-    /// constants.
-    pub fn paper() -> Self {
-        Self {
-            endpoints: EndpointMode::BTree,
-            tuning: Tuning::paper(),
-        }
-    }
 }
 
 /// External dynamic interval management (Proposition 2.2 + Theorem 3.7).
@@ -132,8 +103,6 @@ impl IntervalOptions {
 pub struct IntervalIndex {
     geo: Geometry,
     counter: IoCounter,
-    /// Endpoint B+-tree with its backing disk ([`EndpointMode::BTree`] only).
-    endpoints: Option<(Disk, BPlusTree)>,
     stab: MetablockTree,
     len: usize,
     /// The options this index was constructed with, retained so a durable
@@ -145,26 +114,12 @@ pub struct IntervalIndex {
 }
 
 impl IntervalIndex {
-    /// Page size (bytes) giving the endpoint B+-tree the same record-per-
-    /// block budget as the typed stores: `B` 24-byte entries plus header.
-    fn page_size(geo: Geometry) -> usize {
-        (24 * geo.b + 7).max(103)
-    }
-
     pub(crate) fn open_impl(
         spec: &BackendSpec,
         geo: Geometry,
         counter: IoCounter,
         options: IntervalOptions,
     ) -> Self {
-        let endpoints = match options.endpoints {
-            EndpointMode::Slab => None,
-            EndpointMode::BTree => {
-                let mut disk = Disk::new_on(spec, Self::page_size(geo), counter.clone());
-                let tree = BPlusTree::new(&mut disk);
-                Some((disk, tree))
-            }
-        };
         let stab = MetablockTree::new_tuned_on(
             spec,
             geo,
@@ -175,7 +130,6 @@ impl IntervalIndex {
         Self {
             geo,
             counter,
-            endpoints,
             stab,
             len: 0,
             options,
@@ -190,19 +144,6 @@ impl IntervalIndex {
         intervals: &[Interval],
         options: IntervalOptions,
     ) -> Self {
-        let endpoints = match options.endpoints {
-            EndpointMode::Slab => None,
-            EndpointMode::BTree => {
-                let mut disk = Disk::new_on(spec, Self::page_size(geo), counter.clone());
-                let mut entries: Vec<Entry> = intervals
-                    .iter()
-                    .map(|iv| Entry::with_aux(iv.lo, iv.id, iv.hi as u64))
-                    .collect();
-                entries.sort_unstable();
-                let tree = BPlusTree::bulk_load(&mut disk, &entries);
-                Some((disk, tree))
-            }
-        };
         let points: Vec<Point> = intervals.iter().map(Interval::point).collect();
         let stab = MetablockTree::build_tuned_on(
             spec,
@@ -215,7 +156,6 @@ impl IntervalIndex {
         Self {
             geo,
             counter,
-            endpoints,
             stab,
             len: intervals.len(),
             options,
@@ -238,14 +178,14 @@ impl IntervalIndex {
         self.geo
     }
 
-    /// The shared I/O counter (covers every component structure).
+    /// The shared I/O counter.
     pub fn counter(&self) -> &IoCounter {
         &self.counter
     }
 
-    /// The construction options this index was built with (endpoint mode,
-    /// tuning). A durable checkpoint records these so recovery
-    /// rebuilds the same layout with the same write-path behaviour.
+    /// The construction options this index was built with. A durable
+    /// checkpoint records these so recovery rebuilds the same layout with
+    /// the same write-path behaviour.
     pub fn options(&self) -> IntervalOptions {
         self.options
     }
@@ -253,7 +193,7 @@ impl IntervalIndex {
     /// Fork a frozen read **snapshot** of the whole index, charging its
     /// I/O to `counter`.
     ///
-    /// Every component forks copy-on-write (see
+    /// The stabbing structure forks copy-on-write (see
     /// [`ccix_core::MetablockTree::fork_snapshot`]); the snapshot answers
     /// every read — stabbing, batches, intersections — exactly as the live
     /// index would at the moment of the fork, including buffered updates
@@ -264,10 +204,6 @@ impl IntervalIndex {
         Self {
             geo: self.geo,
             counter: counter.clone(),
-            endpoints: self
-                .endpoints
-                .as_ref()
-                .map(|(disk, tree)| (disk.fork(counter.clone()), tree.clone())),
             stab: self.stab.fork_snapshot(counter),
             len: self.len,
             options: self.options,
@@ -286,74 +222,33 @@ impl IntervalIndex {
         self.backend.is_file()
     }
 
-    /// `(cold, warm)` charged-read counts summed over the file backend's
-    /// stores — `pread`s that missed the page cache vs. cache hits. `None`
+    /// `(cold, warm)` charged-read counts of the file backend's point
+    /// store — `pread`s that missed the page cache vs. cache hits. `None`
     /// on the model backend.
     pub fn file_stats(&self) -> Option<(u64, u64)> {
-        if !self.is_file_backed() {
-            return None;
-        }
-        let (mut cold, mut warm) = self.stab.store_file_stats().unwrap_or((0, 0));
-        if let Some((disk, _)) = &self.endpoints {
-            if let Some((c, w)) = disk.file_stats() {
-                cold += c;
-                warm += w;
-            }
-        }
-        Some((cold, warm))
+        self.stab.store_file_stats()
     }
 
-    /// Drop every store's file-backend page cache, so the next charged
-    /// read of each page is a cold `pread` (cold-cache measurement). A
-    /// no-op on the model backend.
+    /// Drop the file backend's page cache, so the next charged read of
+    /// each page is a cold `pread` (cold-cache measurement). A no-op on
+    /// the model backend.
     pub fn clear_file_caches(&self) {
         self.stab.clear_store_file_cache();
-        if let Some((disk, _)) = &self.endpoints {
-            disk.clear_file_cache();
-        }
     }
 
-    /// `(component, page id, bytes)` images of every live **model** page,
-    /// in a deterministic order — component 0 is the stabbing structure's
-    /// point store (pages encoded via [`FixedBytes`]), component 1 the
-    /// endpoint B+-tree's byte device (raw pages). Uncharged; the
+    /// `(page id, bytes)` images of every live **model** page of the
+    /// stabbing structure's point store (pages encoded via
+    /// [`FixedBytes`]), in a deterministic order. Uncharged; the
     /// differential backend suite compares these across backends.
-    pub fn model_page_images(&self) -> Vec<(u32, u32, Vec<u8>)> {
-        let mut out: Vec<(u32, u32, Vec<u8>)> = self
-            .stab
-            .store_page_images()
-            .into_iter()
-            .map(|(id, bytes)| (0, id, bytes))
-            .collect();
-        if let Some((disk, _)) = &self.endpoints {
-            out.extend(
-                disk.live_page_ids()
-                    .into_iter()
-                    .map(|id| (1, id.0, disk.read_unbilled(id).to_vec())),
-            );
-        }
-        out
+    pub fn model_page_images(&self) -> Vec<(u32, Vec<u8>)> {
+        self.stab.store_page_images()
     }
 
     /// As [`IntervalIndex::model_page_images`], but reading each page's
     /// bytes back from the **file** backend (cache bypassed). `None` on
     /// the model backend.
-    pub fn file_page_images(&self) -> Option<Vec<(u32, u32, Vec<u8>)>> {
-        if !self.is_file_backed() {
-            return None;
-        }
-        let mut out: Vec<(u32, u32, Vec<u8>)> = self
-            .stab
-            .store_file_page_images()?
-            .into_iter()
-            .map(|(id, bytes)| (0, id, bytes))
-            .collect();
-        if let Some((disk, _)) = &self.endpoints {
-            for id in disk.live_page_ids() {
-                out.push((1, id.0, disk.file_page_bytes(id)?));
-            }
-        }
-        Some(out)
+    pub fn file_page_images(&self) -> Option<Vec<(u32, Vec<u8>)>> {
+        self.stab.store_file_page_images()
     }
 
     /// Advance the stabbing structure's deferred reorganisation by one
@@ -383,39 +278,22 @@ impl IntervalIndex {
         self.stab.reorg_in_progress()
     }
 
-    /// Walk every component unbilled and assert its structural invariants
-    /// (see [`ccix_core::MetablockTree::validate_unbilled`]); the endpoint
-    /// B+-tree, when present, must hold exactly the live intervals.
+    /// Walk the stabbing structure unbilled and assert its structural
+    /// invariants (see [`ccix_core::MetablockTree::validate_unbilled`]).
     /// Test/debug only.
     pub fn validate_unbilled(&self) {
         self.stab.validate_unbilled();
-        if let Some((disk, tree)) = &self.endpoints {
-            tree.validate_unbilled(disk);
-            assert_eq!(
-                tree.len(),
-                self.len as u64,
-                "endpoint tree out of step with the stabbing structure"
-            );
-        }
     }
 
-    /// Disk blocks occupied by all component structures.
+    /// Disk blocks occupied by the index.
     pub fn space_pages(&self) -> usize {
-        let endpoints = self
-            .endpoints
-            .as_ref()
-            .map_or(0, |(disk, _)| disk.pages_in_use());
-        endpoints + self.stab.space_pages()
+        self.stab.space_pages()
     }
 
     /// Insert `[lo, hi]` with `id`. Amortised
     /// `O(log_B n + (log_B n)²/B)` I/Os.
     pub fn insert(&mut self, lo: i64, hi: i64, id: u64) {
-        let iv = Interval::new(lo, hi, id);
-        if let Some((disk, tree)) = &mut self.endpoints {
-            tree.insert_entry(disk, Entry::with_aux(iv.lo, iv.id, iv.hi as u64));
-        }
-        self.stab.insert(iv.point());
+        self.stab.insert(Interval::new(lo, hi, id).point());
         self.len += 1;
     }
 
@@ -423,20 +301,14 @@ impl IntervalIndex {
     /// triple it was inserted with. Amortised within the insert budget,
     /// `O(log_B n + (log_B n)²/B)` I/Os: the metablock tree buffers a
     /// tombstone next to the live copy and annihilates the pair at the
-    /// next reorganisation; in [`EndpointMode::BTree`] the endpoint entry
-    /// is removed eagerly (`O(log_B n)`, standard rebalancing).
+    /// next reorganisation.
     ///
     /// # Panics
     /// Panics if the index is empty; deleting an interval that is not
     /// stored (or reusing a deleted id) is a contract violation caught by
     /// debug assertions.
     pub fn delete(&mut self, lo: i64, hi: i64, id: u64) {
-        let iv = Interval::new(lo, hi, id);
-        if let Some((disk, tree)) = &mut self.endpoints {
-            let removed = tree.delete(disk, iv.lo, iv.id);
-            debug_assert!(removed, "deleted interval has no endpoint entry");
-        }
-        self.stab.delete(iv.point());
+        self.stab.delete(Interval::new(lo, hi, id).point());
         self.len -= 1;
     }
 
@@ -450,12 +322,6 @@ impl IntervalIndex {
             .iter()
             .map(|&(lo, hi, id)| Interval::new(lo, hi, id).point())
             .collect();
-        if let Some((disk, tree)) = &mut self.endpoints {
-            for &(lo, _, id) in intervals {
-                let removed = tree.delete(disk, lo, id);
-                debug_assert!(removed, "deleted interval has no endpoint entry");
-            }
-        }
         self.stab.delete_batch(&pts);
         self.len -= intervals.len();
     }
@@ -465,25 +331,11 @@ impl IntervalIndex {
     /// sorted order over a shared pinned read context
     /// ([`ccix_core::MetablockTree::apply_batch`]), so a correlated mixed
     /// flood pays the shared descent prefix once per residency instead of
-    /// once per op; in [`EndpointMode::BTree`] the endpoint entries are
-    /// maintained eagerly, one at a time, exactly as for serial ops.
+    /// once per op.
     ///
     /// Ops must be independent: deleting an interval the same batch
     /// inserts is a contract violation.
     pub fn apply_batch(&mut self, ops: &[IntervalOp]) {
-        if let Some((disk, tree)) = &mut self.endpoints {
-            for op in ops {
-                match *op {
-                    IntervalOp::Insert(iv) => {
-                        tree.insert_entry(disk, Entry::with_aux(iv.lo, iv.id, iv.hi as u64));
-                    }
-                    IntervalOp::Delete(iv) => {
-                        let removed = tree.delete(disk, iv.lo, iv.id);
-                        debug_assert!(removed, "deleted interval has no endpoint entry");
-                    }
-                }
-            }
-        }
         let core_ops: Vec<Op> = ops
             .iter()
             .map(|op| match *op {
@@ -568,21 +420,11 @@ impl IntervalIndex {
     /// Report every stored interval whose **left endpoint** lies in
     /// `[x1, x2]`, in `O(log_B n + t/B)` I/Os — the one-dimensional
     /// x-range that an intersection query composes with a stabbing query
-    /// (Proposition 2.2). Answered from the endpoint B+-tree in
-    /// [`EndpointMode::BTree`], or the metablock tree's slab order in
-    /// [`EndpointMode::Slab`].
+    /// (Proposition 2.2), answered from the metablock tree's slab order.
     pub fn left_range(&self, x1: i64, x2: i64) -> Vec<Interval> {
         let mut out = Vec::new();
-        if x1 > x2 {
-            return out;
-        }
-        match &self.endpoints {
-            Some((disk, tree)) => {
-                for e in tree.range_entries(disk, x1, x2) {
-                    out.push(Interval::new(e.key, e.aux as i64, e.value));
-                }
-            }
-            None => self.stab.x_range_with(x1, x2, Interval::of_point, &mut out),
+        if x1 <= x2 {
+            self.stab.x_range_with(x1, x2, Interval::of_point, &mut out);
         }
         out
     }
@@ -605,19 +447,8 @@ impl IntervalIndex {
         // avoids double-reporting intervals with lo == q1, which the
         // stabbing query already returned.
         if q1 < q2 {
-            match &self.endpoints {
-                Some((disk, tree)) => {
-                    for e in tree.range_entries(disk, q1 + 1, q2) {
-                        // The leaf entry is a covering record: key = lo,
-                        // value = id, aux = hi, so full intervals are
-                        // reported with no extra I/O.
-                        out.push(Interval::new(e.key, e.aux as i64, e.value));
-                    }
-                }
-                None => self
-                    .stab
-                    .x_range_with(q1 + 1, q2, Interval::of_point, &mut out),
-            }
+            self.stab
+                .x_range_with(q1 + 1, q2, Interval::of_point, &mut out);
         }
         out
     }
@@ -637,30 +468,5 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn reversed_interval_rejected() {
         let _ = Interval::new(5, 2, 1);
-    }
-
-    #[test]
-    fn slab_and_btree_modes_agree() {
-        let ivs: Vec<Interval> = (0..300)
-            .map(|i| {
-                let lo = (i * 37) % 500;
-                Interval::new(lo, lo + (i * 13) % 90, i as u64)
-            })
-            .collect();
-        let slab = crate::IndexBuilder::new(Geometry::new(8)).bulk(IoCounter::new(), &ivs);
-        let btree = crate::IndexBuilder::new(Geometry::new(8))
-            .paper()
-            .bulk(IoCounter::new(), &ivs);
-        assert!(
-            slab.space_pages() < btree.space_pages(),
-            "slab mode drops a copy"
-        );
-        for q in (-10..610).step_by(7) {
-            let mut a = slab.intersecting(q, q + 25);
-            let mut b = btree.intersecting(q, q + 25);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "q={q}");
-        }
     }
 }

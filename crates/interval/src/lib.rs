@@ -8,7 +8,9 @@
 //! Proposition 2.2 and Fig. 3 split an intersection query `[x1, x2]` into:
 //!
 //! * **types 1 and 2** — intervals whose left endpoint lies in `(x1, x2]`:
-//!   a one-dimensional range query on a B+-tree over left endpoints;
+//!   a one-dimensional range query on left endpoints (the paper keeps a
+//!   B+-tree for it; this crate answers it from the metablock tree's
+//!   x-ordered slabs, see [`IntervalIndex::left_range`]);
 //! * **types 3 and 4** — intervals containing `x1` (a *stabbing* query):
 //!   mapping `[lo, hi]` to the point `(lo, hi)` above the diagonal turns
 //!   the stabbing query into a diagonal-corner query at `x1`, answered by
@@ -44,7 +46,7 @@ mod naive;
 mod sharded;
 
 pub use builder::IndexBuilder;
-pub use index::{EndpointMode, Interval, IntervalIndex, IntervalOp, IntervalOptions};
+pub use index::{Interval, IntervalIndex, IntervalOp, IntervalOptions};
 pub use naive::NaiveIntervalStore;
 pub use sharded::{
     split_points_from_sample, ShardedBuilder, ShardedIntervalIndex, FAN_OUT_MIN_OPS,

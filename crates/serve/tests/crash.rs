@@ -85,7 +85,6 @@ fn options(trial: usize, rng: &mut DetRng) -> IntervalOptions {
             shrink_deletes_pct: [10, 35][rng.gen_range(0usize..2)],
             ..Tuning::default()
         },
-        ..IntervalOptions::default()
     }
 }
 

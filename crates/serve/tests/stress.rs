@@ -79,11 +79,10 @@ fn snapshots_agree_with_oracle_under_flood() {
     check::trials("serve_stress", 4, 0x5eed_c0de, |rng| {
         let trial = trial.fetch_add(1, Relaxed) as usize;
         let builder = IndexBuilder::new(Geometry::new(8));
-        // The last trial serves the paper's §2.1 layout: every epoch then
-        // also forks the endpoint B+-tree's byte device, which the writer
-        // keeps rebalancing underneath the readers' `x_range` scans.
+        // The last trial serves the paper's buffer constants under the
+        // concurrent readers.
         let builder = if trial == 3 {
-            builder.paper()
+            builder.tuning(ccix_core::Tuning::paper())
         } else {
             builder.tuning(rand_tuning(rng, trial))
         };

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use ccix_core::Tuning;
 use ccix_durable::{FailFs, FaultPlan, RealFs, TempDir};
 use ccix_extmem::{BackendSpec, FileConfig, Geometry, IoCounter, PageId, PathPin, TypedStore};
-use ccix_interval::{IndexBuilder, IntervalIndex, IntervalOptions};
+use ccix_interval::{IndexBuilder, IntervalIndex};
 use ccix_testkit::check;
 use ccix_testkit::oracle;
 use ccix_testkit::rng::DetRng;
@@ -55,21 +55,13 @@ const FLOOD_OPS: usize = 400;
 /// Random tuning in the same spirit as the incremental-reorg suite: every
 /// knob that changes page traffic gets exercised, with the reorg budget
 /// drawn from the issue's `k ∈ {0, 1, 4}`.
-fn random_options(rng: &mut DetRng) -> IntervalOptions {
-    IntervalOptions {
-        tuning: Tuning {
-            reorg_pages_per_op: *rng.choose(&[0, 1, 4]).unwrap(),
-            update_batch_pages: *rng.choose(&[1, 2, 4]).unwrap(),
-            shrink_deletes_pct: *rng.choose(&[10, 35, 60]).unwrap(),
-            ..Tuning::default()
-        },
-        ..IntervalOptions::default()
+fn random_tuning(rng: &mut DetRng) -> Tuning {
+    Tuning {
+        reorg_pages_per_op: *rng.choose(&[0, 1, 4]).unwrap(),
+        update_batch_pages: *rng.choose(&[1, 2, 4]).unwrap(),
+        shrink_deletes_pct: *rng.choose(&[10, 35, 60]).unwrap(),
+        ..Tuning::default()
     }
-}
-
-fn sorted_images(mut imgs: Vec<(u32, u32, Vec<u8>)>) -> Vec<(u32, u32, Vec<u8>)> {
-    imgs.sort();
-    imgs
 }
 
 /// Shift every flood id by `base` so they stay disjoint from a separately
@@ -121,7 +113,7 @@ fn file_backend_agrees_with_model_under_mixed_floods() {
     check::trials("backends::mixed_flood", FLOOD_TRIALS, 0xbac_e0d1, |rng| {
         let b = *rng.choose(&[4usize, 8, 16]).unwrap();
         let tmp = TempDir::new("backends-flood");
-        let builder = IndexBuilder::new(Geometry::new(b)).options(random_options(rng));
+        let builder = IndexBuilder::new(Geometry::new(b)).tuning(random_tuning(rng));
         let initial = workloads::uniform_intervals(80, rng.next_u64(), 900, 60);
 
         let mut model = builder.bulk(IoCounter::new(), &initial);
@@ -167,13 +159,13 @@ fn file_backend_agrees_with_model_under_mixed_floods() {
 
         // Byte-identical page images: model vs file-backed model pages,
         // and the file's on-disk bytes vs its own model pages.
-        let model_imgs = sorted_images(model.model_page_images());
-        let file_model_imgs = sorted_images(file.model_page_images());
+        let model_imgs = model.model_page_images();
+        let file_model_imgs = file.model_page_images();
         assert_eq!(
             model_imgs, file_model_imgs,
             "page images diverge across backends"
         );
-        let file_disk_imgs = sorted_images(file.file_page_images().expect("file-backed"));
+        let file_disk_imgs = file.file_page_images().expect("file-backed");
         assert_eq!(
             file_model_imgs, file_disk_imgs,
             "on-disk bytes diverge from the model pages"
@@ -199,7 +191,7 @@ fn file_backend_agrees_with_model_under_mixed_floods() {
 fn sharded_file_backend_agrees_with_model() {
     check::trials("backends::sharded_flood", 4, 0xbac_e0d2, |rng| {
         let tmp = TempDir::new("backends-sharded");
-        let builder = IndexBuilder::new(Geometry::new(8)).options(random_options(rng));
+        let builder = IndexBuilder::new(Geometry::new(8)).tuning(random_tuning(rng));
         let initial = workloads::uniform_intervals(160, rng.next_u64(), 1_200, 50);
         let splits = vec![300, 600, 900];
 
@@ -254,8 +246,8 @@ fn sharded_file_backend_agrees_with_model() {
         // Parallel shard builds must have landed on distinct page files,
         // and every shard must mirror its model pages byte-exactly.
         for shard in file.shards() {
-            let model_imgs = sorted_images(shard.model_page_images());
-            let disk_imgs = sorted_images(shard.file_page_images().expect("file-backed shard"));
+            let model_imgs = shard.model_page_images();
+            let disk_imgs = shard.file_page_images().expect("file-backed shard");
             assert_eq!(model_imgs, disk_imgs, "shard on-disk bytes diverge");
         }
         let (cold, warm) = file.file_stats().unwrap();

@@ -10,7 +10,7 @@
 
 use ccix_core::{MetablockTree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point};
-use ccix_interval::{EndpointMode, IndexBuilder, IntervalOptions};
+use ccix_interval::IndexBuilder;
 use ccix_testkit::iocheck::{assert_read_only, IoProbe};
 use ccix_testkit::{check, oracle, workloads, DetRng};
 
@@ -87,7 +87,7 @@ fn mid_batch_queries_agree_with_oracle() {
     });
 }
 
-/// As above through the interval index in both endpoint modes, exercising
+/// As above through the interval index, exercising
 /// the intersection query's x-range path against pending buffers.
 #[test]
 fn mid_batch_intersections_agree_with_oracle() {
@@ -98,20 +98,11 @@ fn mid_batch_intersections_agree_with_oracle() {
         |rng| {
             let b = rng.gen_range(2usize..9);
             let geo = Geometry::new(b);
-            let options = IntervalOptions {
-                endpoints: if rng.gen_range(0..2u32) == 0 {
-                    EndpointMode::Slab
-                } else {
-                    EndpointMode::BTree
-                },
-                tuning: random_tuning(rng),
-            };
+            let tuning = random_tuning(rng);
             let n = rng.gen_range(1..400usize);
             let range = rng.gen_range(20i64..500);
             let ivs = workloads::uniform_intervals(n, rng.next_u64(), range, range / 3 + 1);
-            let mut idx = IndexBuilder::new(geo)
-                .options(options)
-                .open(IoCounter::new());
+            let mut idx = IndexBuilder::new(geo).tuning(tuning).open(IoCounter::new());
             for (i, iv) in ivs.iter().enumerate() {
                 idx.insert(iv.lo, iv.hi, iv.id);
                 if i % 5 == 0 {
@@ -125,7 +116,7 @@ fn mid_batch_intersections_agree_with_oracle() {
                     oracle::assert_same_ids(
                         got,
                         oracle::intersecting_ids(so_far, a, a + w),
-                        &format!("b={b} options={options:?} q=[{a},{}]", a + w),
+                        &format!("b={b} tuning={tuning:?} q=[{a},{}]", a + w),
                     );
                 }
             }

@@ -9,7 +9,7 @@
 //!   delete-aware linear-scan oracle at every query, including queries
 //!   issued while tombstone buffers and TD delete sides are partially
 //!   full, and the structural validators must pass mid-flood;
-//! * **the whole stack deletes** — `IntervalIndex` (both endpoint modes),
+//! * **the whole stack deletes** — `IntervalIndex`,
 //!   `ThreeSidedTree` and every `ClassIndex` strategy agree with their
 //!   oracles under the same interleavings;
 //! * **amortised delete budget** — across windows of `10·B` deletes, an
@@ -27,7 +27,7 @@ use ccix_class::{
 };
 use ccix_core::{MetablockTree, Op, ReorgCounts, Shape, ThreeSidedTree, Tree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point};
-use ccix_interval::{EndpointMode, IndexBuilder, IntervalOptions};
+use ccix_interval::IndexBuilder;
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::workloads::{IntervalOp, ObjectOp, PointOp};
 use ccix_testkit::{check, oracle, workloads, DetRng};
@@ -64,20 +64,13 @@ fn random_tuning(rng: &mut DetRng) -> Tuning {
 }
 
 /// Interval index vs the delete-aware oracle under random interleavings,
-/// both endpoint modes, random tunings, queries mid-buffer.
+/// random tunings, queries mid-buffer.
 #[test]
 fn interval_index_mixed_flood_agrees_with_oracle() {
     check::trials("deletions::interval_mixed", 40, 0xDE1E, |rng| {
         let b = rng.gen_range(2usize..9);
         let geo = Geometry::new(b);
-        let options = IntervalOptions {
-            endpoints: if rng.gen_bool(0.5) {
-                EndpointMode::Slab
-            } else {
-                EndpointMode::BTree
-            },
-            tuning: random_tuning(rng),
-        };
+        let tuning = random_tuning(rng);
         let range = rng.gen_range(30i64..500);
         let n_ops = rng.gen_range(10..700usize);
         let del_pct = rng.gen_range(10..45u32);
@@ -89,9 +82,7 @@ fn interval_index_mixed_flood_agrees_with_oracle() {
             del_pct,
             15,
         );
-        let mut idx = IndexBuilder::new(geo)
-            .options(options)
-            .open(IoCounter::new());
+        let mut idx = IndexBuilder::new(geo).tuning(tuning).open(IoCounter::new());
         let mut live = Vec::new();
         for op in ops {
             match op {
@@ -107,13 +98,13 @@ fn interval_index_mixed_flood_agrees_with_oracle() {
                     oracle::assert_same_ids(
                         idx.stabbing(q),
                         oracle::stabbing_ids(&live, q),
-                        &format!("b={b} options={options:?} stab({q})"),
+                        &format!("b={b} tuning={tuning:?} stab({q})"),
                     );
                     let w = rng.gen_range(0i64..40);
                     oracle::assert_same_ids(
                         idx.intersecting(q, q + w),
                         oracle::intersecting_ids(&live, q, q + w),
-                        &format!("b={b} options={options:?} intersect({q},{})", q + w),
+                        &format!("b={b} tuning={tuning:?} intersect({q},{})", q + w),
                     );
                 }
             }

@@ -24,9 +24,7 @@
 
 use ccix_core::{Op, ThreeSidedTree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, IoSnapshot, Point};
-use ccix_interval::{
-    EndpointMode, IndexBuilder, Interval, IntervalIndex, IntervalOp, IntervalOptions,
-};
+use ccix_interval::{IndexBuilder, Interval, IntervalIndex, IntervalOp};
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::workloads::{interval_points, IntervalFlood, IntervalOp as FloodOp};
 use ccix_testkit::{check, oracle, DetRng};
@@ -35,7 +33,7 @@ const ROUNDS: usize = 200;
 
 /// A forkable index the suite drives with interval operations.
 trait Subject: Sized {
-    fn open(geo: Geometry, tuning: Tuning, endpoints: EndpointMode) -> Self;
+    fn open(geo: Geometry, tuning: Tuning) -> Self;
     fn fork(&self) -> Self;
     fn counter(&self) -> &IoCounter;
     fn len(&self) -> usize;
@@ -55,11 +53,8 @@ trait Subject: Sized {
 }
 
 impl Subject for IntervalIndex {
-    fn open(geo: Geometry, tuning: Tuning, endpoints: EndpointMode) -> Self {
-        let options = IntervalOptions { endpoints, tuning };
-        IndexBuilder::new(geo)
-            .options(options)
-            .open(IoCounter::new())
+    fn open(geo: Geometry, tuning: Tuning) -> Self {
+        IndexBuilder::new(geo).tuning(tuning).open(IoCounter::new())
     }
     fn fork(&self) -> Self {
         self.fork_snapshot(IoCounter::new())
@@ -122,7 +117,7 @@ fn three_sided(q: i64) -> (i64, i64, i64) {
 }
 
 impl Subject for ThreeSidedTree {
-    fn open(geo: Geometry, tuning: Tuning, _: EndpointMode) -> Self {
+    fn open(geo: Geometry, tuning: Tuning) -> Self {
         ThreeSidedTree::new_tuned(geo, IoCounter::new(), tuning)
     }
     fn fork(&self) -> Self {
@@ -344,13 +339,9 @@ fn fork_trials<S: Subject>(
 ) {
     let mut mid_job_forks = 0usize;
     let mut continued_from_fork = 0usize;
-    let mut modes = [EndpointMode::Slab, EndpointMode::BTree]
-        .into_iter()
-        .cycle();
     check::trials(label, trials, seed, |rng| {
         let b = rng.gen_range(2usize..7);
         let geo = Geometry::new(b);
-        let endpoints = modes.next().expect("cycle never ends");
         let tuning = tuning(rng);
         let range = rng.gen_range(60i64..300);
         let max_len = range / 3 + 1;
@@ -360,7 +351,7 @@ fn fork_trials<S: Subject>(
         let mut history = IntervalFlood::new(rng.next_u64(), range, max_len, 30, 0);
         let prefix = history.next_ops(rng.gen_range(150..500usize));
         let replay = || {
-            let mut idx = S::open(geo, tuning, endpoints);
+            let mut idx = S::open(geo, tuning);
             for op in &prefix {
                 match *op {
                     FloodOp::Insert(iv) => idx.apply(&[IntervalOp::Insert(iv)], false),

@@ -22,7 +22,7 @@
 use ccix_class::{ClassIndex, ClassOp, RakeClassIndex, RangeTreeClassIndex};
 use ccix_core::{MetablockTree, Op, ThreeSidedTree, Tuning};
 use ccix_extmem::{Geometry, IoCounter, Point};
-use ccix_interval::{IndexBuilder, IntervalOp, IntervalOptions};
+use ccix_interval::{IndexBuilder, IntervalOp};
 use ccix_testkit::iocheck::IoProbe;
 use ccix_testkit::workloads::{IntervalOp as FloodOp, ObjectOp, PointOp};
 use ccix_testkit::{check, oracle, workloads, DetRng};
@@ -363,8 +363,7 @@ fn apply_batch_shares_the_descent_threesided() {
 }
 
 /// `IntervalIndex::apply_batch` agrees with the oracle across random
-/// chunked mixed floods, under random budgets (including finite ones) and
-/// both endpoint modes.
+/// chunked mixed floods, under random budgets (including finite ones).
 #[test]
 fn interval_apply_batch_agrees_with_oracle() {
     check::trials("incremental_reorg::interval_apply", 24, 0x1AC4, |rng| {
@@ -374,14 +373,6 @@ fn interval_apply_batch_agrees_with_oracle() {
         if rng.gen_bool(0.3) {
             tuning.reorg_pages_per_op = 0; // the all-at-once corner
         }
-        let options = IntervalOptions {
-            endpoints: if rng.gen_bool(0.5) {
-                ccix_interval::EndpointMode::Slab
-            } else {
-                ccix_interval::EndpointMode::BTree
-            },
-            tuning,
-        };
         let range = rng.gen_range(30i64..300);
         let flood = workloads::mixed_interval_flood(
             rng.gen_range(40..400usize),
@@ -391,9 +382,7 @@ fn interval_apply_batch_agrees_with_oracle() {
             35,
             0,
         );
-        let mut idx = IndexBuilder::new(geo)
-            .options(options)
-            .open(IoCounter::new());
+        let mut idx = IndexBuilder::new(geo).tuning(tuning).open(IoCounter::new());
         let mut live: Vec<ccix_interval::Interval> = Vec::new();
         let mut pending: Vec<IntervalOp> = Vec::new();
         let chunk = rng.gen_range(1..40usize);
