@@ -291,6 +291,29 @@ impl MetablockTree {
         Self::new_tuned_on(spec, geo, counter, options, tuning)
             .bulk_load(points, crate::par::cores())
     }
+
+    /// Build a tree over the x-sorted `run` on an explicit page backend,
+    /// planning over at most `budget` threads (the budget never changes a
+    /// bill or a byte of the tree). The caller has checked that no id
+    /// repeats, e.g. with [`ccix_extmem::first_repeat`] over
+    /// [`SortedRun::sorted_ids`]; debug builds check again.
+    ///
+    /// # Panics
+    /// Panics if any point has `y < x`.
+    pub fn build_run_on(
+        spec: &BackendSpec,
+        geo: Geometry,
+        counter: IoCounter,
+        run: SortedRun,
+        tuning: Tuning,
+        budget: usize,
+    ) -> Self {
+        debug_assert!(
+            ccix_extmem::first_repeat(&[run.sorted_ids()]).is_none(),
+            "duplicate point ids"
+        );
+        Self::new_tuned_on(spec, geo, counter, DiagOptions::default(), tuning).load_run(run, budget)
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,9 @@
 //! and a capped incremental merge instead of re-sorting a growing prefix
 //! per child.
 
-use ccix_extmem::{merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun, YRanks};
+use ccix_extmem::{
+    first_repeat, merge_y_desc_capped, near_equal_ranges, Geometry, Point, SortedRun, YRanks,
+};
 
 use super::{sealed::Hooks, ChildEntry, Children, MbId, MetaBlock, Shape, Tree, TsInfo};
 use crate::bbox::{BBox, Key};
@@ -167,18 +169,27 @@ impl<S: Shape> Tree<S> {
     ///
     /// # Panics
     /// Panics if the shape refuses a point or ids repeat.
-    pub(crate) fn bulk_load(mut self, points: Vec<Point>, budget: usize) -> Self {
-        for p in &points {
+    pub(crate) fn bulk_load(self, points: Vec<Point>, budget: usize) -> Self {
+        let run = SortedRun::from_unsorted(points);
+        assert!(
+            first_repeat(&[run.sorted_ids()]).is_none(),
+            "duplicate point ids"
+        );
+        self.load_run(run, budget)
+    }
+
+    /// Load the x-sorted `run`, whose ids the caller has found unique, into
+    /// this empty tree by one static build over at most `budget` planning
+    /// threads.
+    ///
+    /// # Panics
+    /// Panics if the shape refuses a point.
+    pub(crate) fn load_run(mut self, run: SortedRun, budget: usize) -> Self {
+        for p in run.iter() {
             self.shape.admit(p);
         }
-        {
-            // Scoped: the id copy is gone before the build allocates.
-            let mut ids: Vec<u64> = points.iter().map(|p| p.id).collect();
-            ids.sort_unstable();
-            assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate point ids");
-        }
-        self.len = points.len();
-        self.rebuild_root(SortedRun::from_unsorted(points), budget);
+        self.len = run.len();
+        self.rebuild_root(run, budget);
         self
     }
 

@@ -42,7 +42,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use ccix_extmem::ser::{decode_records, encode_records};
-use ccix_extmem::{Geometry, Point};
+use ccix_extmem::{FixedBytes, Geometry};
 use ccix_interval::{Interval, IntervalOptions};
 
 use crate::crc32;
@@ -162,26 +162,29 @@ pub struct Checkpoint {
     pub intervals: Vec<Interval>,
 }
 
-fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128 + ckpt.intervals.len() * 24);
-    ckpt.meta.encode_into(&mut body);
-    push_u64(&mut body, ckpt.shard_splits.len() as u64);
-    for &s in &ckpt.shard_splits {
-        push_u64(&mut body, s as u64);
-    }
-    push_u64(&mut body, ckpt.ops_applied);
-    push_u64(&mut body, ckpt.intervals.len() as u64);
-    let points: Vec<Point> = ckpt
-        .intervals
-        .iter()
-        .map(|iv| Point::new(iv.lo, iv.hi, iv.id))
-        .collect();
-    encode_records(&points, &mut body);
-    let mut out = Vec::with_capacity(20 + body.len());
+/// Header bytes before the body: magic, body length, CRC.
+const HEADER: usize = 20;
+
+/// Serialise a checkpoint into one buffer: the header with its length and
+/// CRC left blank, the body after it, then the two patched in.
+fn encode(meta: Meta, shard_splits: &[i64], ops_applied: u64, intervals: &[Interval]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(
+        HEADER + 128 + 8 * shard_splits.len() + Interval::SIZE * intervals.len(),
+    );
     out.extend_from_slice(&CKPT_MAGIC);
-    push_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.resize(HEADER, 0);
+    meta.encode_into(&mut out);
+    push_u64(&mut out, shard_splits.len() as u64);
+    for &s in shard_splits {
+        push_u64(&mut out, s as u64);
+    }
+    push_u64(&mut out, ops_applied);
+    push_u64(&mut out, intervals.len() as u64);
+    encode_records(intervals, &mut out);
+    let body_len = (out.len() - HEADER) as u64;
+    let crc = crc32(&out[HEADER..]);
+    out[8..16].copy_from_slice(&body_len.to_le_bytes());
+    out[16..HEADER].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -202,15 +205,12 @@ fn decode_checkpoint(body: &[u8]) -> Option<Checkpoint> {
         return None;
     }
     let ops_applied = r.u64()?;
-    let n = r.u64()? as usize;
-    let points = decode_records::<Point>(r.0)?;
-    if points.len() != n {
+    let n = r.u64()?;
+    // Rejects a record with `hi < lo`.
+    let intervals = decode_records::<Interval>(r.0)?;
+    if intervals.len() as u64 != n {
         return None;
     }
-    let intervals = points
-        .into_iter()
-        .map(|p| (p.y >= p.x).then(|| Interval::new(p.x, p.y, p.id)))
-        .collect::<Option<Vec<_>>>()?;
     Some(Checkpoint {
         meta,
         shard_splits,
@@ -222,7 +222,26 @@ fn decode_checkpoint(body: &[u8]) -> Option<Checkpoint> {
 /// Serialise `ckpt` and publish it atomically at `path` (tmp + fsync +
 /// rename + directory fsync).
 pub fn write_checkpoint(fs: &Arc<dyn Fs>, path: &Path, ckpt: &Checkpoint) -> io::Result<()> {
-    let bytes = encode_checkpoint(ckpt);
+    let Checkpoint {
+        meta,
+        ref shard_splits,
+        ops_applied,
+        ref intervals,
+    } = *ckpt;
+    write_checkpoint_of(fs, path, meta, shard_splits, ops_applied, intervals)
+}
+
+/// As [`write_checkpoint`], from borrowed parts: the live content is
+/// serialised where it lies, never copied into a [`Checkpoint`] first.
+pub(crate) fn write_checkpoint_of(
+    fs: &Arc<dyn Fs>,
+    path: &Path,
+    meta: Meta,
+    shard_splits: &[i64],
+    ops_applied: u64,
+    intervals: &[Interval],
+) -> io::Result<()> {
+    let bytes = encode(meta, shard_splits, ops_applied, intervals);
     let tmp = path.with_extension("tmp");
     {
         let mut file = fs.open(&tmp, true)?;
@@ -251,10 +270,10 @@ pub fn read_checkpoint(fs: &Arc<dyn Fs>, path: &Path) -> io::Result<Option<Check
         )
     };
     let len = file.len()?;
-    if len < 20 {
+    if len < HEADER as u64 {
         return Err(corrupt("too short"));
     }
-    let mut head = [0u8; 20];
+    let mut head = [0u8; HEADER];
     read_exact_at(file.as_ref(), 0, &mut head)?;
     if head[0..8] != CKPT_MAGIC {
         return Err(corrupt("bad magic"));
@@ -262,11 +281,11 @@ pub fn read_checkpoint(fs: &Arc<dyn Fs>, path: &Path) -> io::Result<Option<Check
     let body_len = u64::from_le_bytes(head[8..16].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(head[16..20].try_into().expect("4 bytes"));
     // `body_len` is bytes from disk: a flipped header must not overflow.
-    if body_len.checked_add(20) != Some(len) {
+    if body_len.checked_add(HEADER as u64) != Some(len) {
         return Err(corrupt("length mismatch"));
     }
     let mut body = vec![0u8; body_len as usize];
-    read_exact_at(file.as_ref(), 20, &mut body)?;
+    read_exact_at(file.as_ref(), HEADER as u64, &mut body)?;
     if crc32(&body) != crc {
         return Err(corrupt("checksum mismatch"));
     }
@@ -281,6 +300,15 @@ mod tests {
     use crate::fault::TempDir;
     use ccix_core::Tuning;
     use ccix_extmem::fs::RealFs;
+
+    fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
+        encode(
+            ckpt.meta,
+            &ckpt.shard_splits,
+            ckpt.ops_applied,
+            &ckpt.intervals,
+        )
+    }
 
     fn sample() -> Checkpoint {
         let options = IntervalOptions {
@@ -317,6 +345,20 @@ mod tests {
         write_checkpoint(&fs, &path, &ckpt).expect("write");
         let back = read_checkpoint(&fs, &path).expect("read").expect("present");
         assert_eq!(back, ckpt);
+    }
+
+    /// The bytes on disk do not move: `sample()` encodes to the length and
+    /// checksum the bytewise CRC of the format's first `\x04` writer gave.
+    #[test]
+    fn the_sample_checkpoint_encodes_to_its_pinned_length_and_checksum() {
+        let bytes = encode_checkpoint(&sample());
+        assert_eq!(bytes.len(), 213);
+        assert_eq!(u64::from_le_bytes(bytes[8..16].try_into().expect("8")), 193);
+        assert_eq!(
+            u32::from_le_bytes(bytes[16..20].try_into().expect("4")),
+            0x09F6_5075
+        );
+        assert_eq!(crc32(&bytes[20..]), 0x09F6_5075);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! * a [`checkpoint::Checkpoint`] periodically snapshots the index's live
 //!   content plus its construction [`checkpoint::Meta`], then truncates
 //!   the log;
-//! * recovery ([`DurableStore::open`]) loads the newest valid checkpoint,
-//!   folds the WAL suffix into its content in commit order
-//!   ([`Recovered::content`]) and rebuilds the index with one static bulk
-//!   load, tolerating a torn or garbage tail (a crash artifact, never an
-//!   error).
+//! * recovery ([`DurableStore::open`]) loads the newest valid checkpoint
+//!   and the WAL suffix, tolerating a torn or garbage tail (a crash
+//!   artifact, never an error); [`Recovered::try_rebuild_sharded_on`]
+//!   folds the suffix into the checkpoint's content shard by shard and
+//!   rebuilds the index with one static bulk load per shard.
 //!
 //! The recovery invariant — **acknowledged ⇒ recovered; torn tail ⇒
 //! truncated** — is enforced, not assumed: the [`fault::FailFs`]
@@ -33,14 +33,14 @@ pub mod checkpoint;
 pub mod fault;
 pub mod wal;
 
-use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ccix_extmem::{BackendSpec, IoCounter};
-use ccix_interval::{IndexBuilder, Interval, IntervalIndex, IntervalOp, ShardedIntervalIndex};
+use ccix_interval::{
+    IndexBuilder, Interval, IntervalIndex, IntervalOp, RepeatedId, ShardedIntervalIndex,
+};
 
 pub use ccix_extmem::fs::{Fs, RawFile, RealFs};
 pub use checkpoint::{Checkpoint, Meta};
@@ -48,10 +48,13 @@ pub use fault::{FailFs, FaultPlan, FsOp, FsOpKind, GateFs, TempDir};
 pub use wal::{CommitRecord, Wal};
 
 /// CRC-32 (IEEE 802.3, reflected) — the checksum framing every WAL record
-/// and checkpoint body. Table-driven; the table is built at compile time.
+/// and checkpoint body. Slicing-by-16: sixteen tables built at compile
+/// time fold sixteen bytes per step, so the loop-carried dependency is one
+/// step per 16 bytes instead of one per byte; the tail runs bytewise on
+/// the first table, the classic algorithm.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+    const TABLES: [[u32; 256]; 16] = {
+        let mut tables = [[0u32; 256]; 16];
         let mut i = 0;
         while i < 256 {
             let mut c = i as u32;
@@ -64,14 +67,33 @@ pub fn crc32(data: &[u8]) -> u32 {
                 };
                 k += 1;
             }
-            table[i] = c;
+            tables[0][i] = c;
             i += 1;
         }
-        table
+        // `tables[t][i]`: the CRC of byte `i` followed by `t` zero bytes.
+        let mut t = 1;
+        while t < 16 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = tables[t - 1][i];
+                tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+                i += 1;
+            }
+            t += 1;
+        }
+        tables
     };
     let mut crc = !0u32;
-    for &b in data {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let mut bytes: [u8; 16] = block.try_into().expect("a 16-byte block");
+        let head = crc ^ u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        bytes[..4].copy_from_slice(&head.to_le_bytes());
+        // Byte `j` has `15 − j` bytes after it in the block.
+        crc = (bytes.iter().enumerate()).fold(0, |acc, (j, &b)| acc ^ TABLES[15 - j][b as usize]);
+    }
+    for &b in blocks.remainder() {
+        crc = TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -177,53 +199,16 @@ impl Recovered {
             .unwrap_or(self.report.checkpoint_ops)
     }
 
-    /// The live content this state describes, in a deterministic order:
-    /// the checkpoint's intervals with the WAL suffix **folded in** in
-    /// commit order — an insert adds, a delete of a checkpoint id drops
-    /// it, a delete of an interval the suffix itself inserted annihilates
-    /// the pair. The suffix is hashed (`O(|WAL|)` time and space); the
-    /// checkpoint's intervals are only filtered, and borrowed as they are
-    /// when there is no suffix.
-    ///
-    /// A delete of an id that is neither in the checkpoint nor inserted
-    /// earlier in the suffix is a **no-op**: the log only holds batches the
-    /// engine applied, so such a record cannot be an acknowledged write,
-    /// and recovery keeps what it can account for rather than refuse the
-    /// directory.
-    pub fn content(&self) -> Cow<'_, [Interval]> {
-        let base: &[Interval] = self.checkpoint.as_ref().map_or(&[], |c| &c.intervals);
-        if self.replay.is_empty() {
-            return Cow::Borrowed(base);
-        }
-        // Suffix inserts in commit order (`None` once annihilated), where
-        // each live one sits, and the ids deleted from under the suffix.
-        let mut added: Vec<Option<Interval>> = Vec::new();
-        let mut slot_of: HashMap<u64, usize> = HashMap::new();
-        let mut dropped: HashSet<u64> = HashSet::new();
-        for op in self.replay.iter().flat_map(|rec| &rec.ops) {
-            match *op {
-                IntervalOp::Insert(iv) => {
-                    slot_of.insert(iv.id, added.len());
-                    added.push(Some(iv));
-                }
-                IntervalOp::Delete(iv) => match slot_of.remove(&iv.id) {
-                    Some(slot) => added[slot] = None,
-                    None => {
-                        dropped.insert(iv.id);
-                    }
-                },
-            }
-        }
-        let kept = base.iter().filter(|iv| !dropped.contains(&iv.id));
-        Cow::Owned(kept.chain(added.iter().flatten()).copied().collect())
-    }
-
     /// Deterministically rebuild the index this state describes: one
-    /// static bulk load of [`Recovered::content`] with the checkpointed
-    /// [`Meta`] (or `fallback` for a pre-checkpoint directory). The WAL
-    /// suffix is folded into the content first, never replayed through the
-    /// dynamic side, so the recovered tree carries no buffered updates or
-    /// tombstones.
+    /// static bulk load of the checkpoint's intervals with the WAL suffix
+    /// folded in, with the checkpointed [`Meta`] (or `fallback` for a
+    /// pre-checkpoint directory). The suffix is folded in, never replayed
+    /// through the dynamic side, so the recovered tree carries no buffered
+    /// updates or tombstones: see [`Recovered::try_rebuild_sharded_on`] for
+    /// the fold.
+    ///
+    /// # Panics
+    /// Panics if the folded content holds an id twice.
     pub fn rebuild(&self, counter: IoCounter, fallback: Meta) -> IntervalIndex {
         self.rebuild_on(&BackendSpec::Model, counter, fallback)
     }
@@ -234,6 +219,9 @@ impl Recovered {
     /// writes a fresh page file under the spec's directory rather than
     /// reopening an old one; the old file (if any) is garbage a caller may
     /// unlink.
+    ///
+    /// # Panics
+    /// Panics if the folded content holds an id twice.
     pub fn rebuild_on(
         &self,
         spec: &BackendSpec,
@@ -241,19 +229,18 @@ impl Recovered {
         fallback: Meta,
     ) -> IntervalIndex {
         let meta = self.checkpoint.as_ref().map_or(fallback, |c| c.meta);
-        IndexBuilder::new(meta.geometry)
-            .options(meta.options)
-            .backend(spec.clone())
-            .bulk(counter, &self.content())
+        builder(meta, spec)
+            .bulk_folded(counter, self.base(), self.suffix())
+            .unwrap_or_else(|id| panic!("{}", repeated(id)))
     }
 
     /// As [`Recovered::rebuild`], but restore the x-range sharding the
-    /// checkpoint recorded: the folded content is partitioned at the
-    /// checkpointed split points (or `fallback_splits` for a
-    /// pre-checkpoint directory) and the shards bulk-load in parallel
-    /// over the recovering machine's cores.
-    /// With no splits this is the unsharded rebuild behind a single-shard
-    /// directory.
+    /// checkpoint recorded (or `fallback_splits` for a pre-checkpoint
+    /// directory), each shard built on a thread of its own. With no splits
+    /// this is the unsharded rebuild behind a single-shard directory.
+    ///
+    /// # Panics
+    /// Panics if the folded content holds an id twice.
     pub fn rebuild_sharded(&self, fallback: Meta, fallback_splits: &[i64]) -> ShardedIntervalIndex {
         self.rebuild_sharded_on(&BackendSpec::Model, fallback, fallback_splits)
     }
@@ -261,23 +248,79 @@ impl Recovered {
     /// As [`Recovered::rebuild_sharded`], on an explicit page backend (see
     /// [`Recovered::rebuild_on`] — every shard's stores land as fresh page
     /// files under the spec's directory).
+    ///
+    /// # Panics
+    /// Panics if the folded content holds an id twice.
     pub fn rebuild_sharded_on(
         &self,
         spec: &BackendSpec,
         fallback: Meta,
         fallback_splits: &[i64],
     ) -> ShardedIntervalIndex {
+        self.try_rebuild_sharded_on(spec, fallback, fallback_splits)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The fold behind every rebuild. The checkpoint's intervals and the
+    /// suffix's operations are routed by the split points to per-shard
+    /// runs, each sized once; then on every shard's own build thread its
+    /// run is x-sorted and the suffix's deletes cancel the exact copies
+    /// they name ([`ccix_extmem::SortedRun::cancel`], the tree's own
+    /// tombstone cancellation), and the shard bulk-loads the run it owns.
+    ///
+    /// A delete that names no stored copy — an id that is neither in the
+    /// checkpoint nor inserted by the suffix, or one whose `(lo, hi)`
+    /// differs from the stored copy's — cancels nothing, as the index's own
+    /// delete contract has it: the log only holds batches the engine
+    /// applied, so such a record cannot be an acknowledged write, and
+    /// recovery keeps what it can account for rather than refuse the
+    /// directory.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidData`] naming the id when the folded content
+    /// holds an id twice — in one shard or in two — which no engine history
+    /// produces: the checksummed bytes describe an index that cannot exist.
+    pub fn try_rebuild_sharded_on(
+        &self,
+        spec: &BackendSpec,
+        fallback: Meta,
+        fallback_splits: &[i64],
+    ) -> io::Result<ShardedIntervalIndex> {
         let (meta, splits): (Meta, &[i64]) = match &self.checkpoint {
             Some(c) => (c.meta, &c.shard_splits),
             None => (fallback, fallback_splits),
         };
-        IndexBuilder::new(meta.geometry)
-            .options(meta.options)
-            .backend(spec.clone())
+        builder(meta, spec)
             .sharded()
             .splits(splits.to_vec())
-            .bulk(&self.content())
+            .bulk_folded(self.base(), self.suffix())
+            .map_err(repeated)
     }
+
+    /// The checkpoint's intervals (none before the first checkpoint).
+    fn base(&self) -> &[Interval] {
+        self.checkpoint.as_ref().map_or(&[], |c| &c.intervals)
+    }
+
+    /// The WAL suffix's operations, in commit order.
+    fn suffix(&self) -> impl Iterator<Item = &IntervalOp> + Clone {
+        self.replay.iter().flat_map(|rec| &rec.ops)
+    }
+}
+
+/// The builder a checkpoint's `meta` describes, on `spec`.
+fn builder(meta: Meta, spec: &BackendSpec) -> IndexBuilder {
+    IndexBuilder::new(meta.geometry)
+        .options(meta.options)
+        .backend(spec.clone())
+}
+
+/// The recovery error for content that holds an id twice.
+fn repeated(id: RepeatedId) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("recovered content is corrupt: {id}"),
+    )
 }
 
 /// The durable side of an engine: one WAL plus one checkpoint file in a
@@ -336,15 +379,13 @@ impl DurableStore {
                 ),
             ));
         }
-        checkpoint::write_checkpoint(
+        checkpoint::write_checkpoint_of(
             &fs,
             &ckpt_path(&config.dir),
-            &Checkpoint {
-                meta,
-                shard_splits: shard_splits.to_vec(),
-                ops_applied: 0,
-                intervals: intervals.to_vec(),
-            },
+            meta,
+            shard_splits,
+            0,
+            intervals,
         )?;
         let wal = Wal::create(&fs, &wal_path(&config.dir))?;
         Ok(DurableStore {
@@ -497,15 +538,13 @@ impl DurableStore {
         intervals: &[Interval],
     ) -> io::Result<()> {
         self.wal.sync()?;
-        checkpoint::write_checkpoint(
+        checkpoint::write_checkpoint_of(
             &self.fs,
             &ckpt_path(&self.dir),
-            &Checkpoint {
-                meta,
-                shard_splits: shard_splits.to_vec(),
-                ops_applied: self.ops_logged,
-                intervals: intervals.to_vec(),
-            },
+            meta,
+            shard_splits,
+            self.ops_logged,
+            intervals,
         )?;
         self.checkpoint_ops = self.ops_logged;
         self.wal.reset()
@@ -543,6 +582,53 @@ mod tests {
         Interval::new(lo, hi, id)
     }
 
+    /// The classic CRC-32, one byte and eight shifts at a time: the
+    /// reference the sliced [`crc32`] must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    fn random_bytes(rng: &mut ccix_testkit::DetRng, len: usize) -> Vec<u8> {
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_short_length_and_offset() {
+        // Every length up to four blocks, starting at every alignment of a
+        // block: each split between the sliced body and the bytewise tail.
+        let buf = random_bytes(&mut ccix_testkit::DetRng::new(0xC3C), 16 + 64);
+        for start in 0..16 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_random_buffers() {
+        ccix_testkit::check::trials("durable::crc32_sliced", 48, 0xC3D, |rng| {
+            let len = rng.gen_range(0..(64 << 10) + 1usize);
+            let data = random_bytes(rng, len);
+            assert_eq!(crc32(&data), crc32_bytewise(&data), "len {len}");
+        });
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE test vectors.
@@ -552,6 +638,9 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+        // Past one 16-byte block: the sliced body and a bytewise tail.
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 
     #[test]

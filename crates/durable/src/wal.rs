@@ -4,7 +4,7 @@
 //! operations, exactly as the serving engine's writer applies them — not
 //! physical page images. The batches determine the index's content
 //! (recovery folds them into the checkpoint's, see
-//! [`crate::Recovered::content`]), so logical logging is sufficient for
+//! [`crate::Recovered::try_rebuild_sharded_on`]), so logical logging is sufficient for
 //! the recovery invariant (*acknowledged ⇒ recovered*).
 //!
 //! ## On-disk format
@@ -305,6 +305,20 @@ mod tests {
                 ],
             ),
         ]
+    }
+
+    /// The bytes on disk do not move: one commit frame's payload and
+    /// checksum are the ones the bytewise CRC gave.
+    #[test]
+    fn a_commit_frame_encodes_to_its_pinned_checksum() {
+        let ops = [
+            IntervalOp::Insert(iv(1, 5, 10)),
+            IntervalOp::Delete(iv(-3, 2, 11)),
+        ];
+        let mut payload = Vec::new();
+        encode_commit(2, &ops, &mut payload);
+        assert_eq!(payload.len(), 63);
+        assert_eq!(crc32(&payload), 0x875C_FF83);
     }
 
     #[test]

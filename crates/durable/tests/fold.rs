@@ -4,16 +4,15 @@
 //! the WAL suffix deletes checkpoint ids, deletes its own inserts, or is
 //! empty — on every rebuild surface (unsharded, sharded at recorded
 //! splits, file-backed, no checkpoint + fallback), and twice over for
-//! determinism.
-
-use std::borrow::Cow;
+//! determinism. Every shard recovery builds is page for page the static
+//! build of the oracle's content on that shard.
 
 use ccix_durable::{
     Checkpoint, CommitRecord, DurabilityConfig, DurableStore, Meta, Recovered, RecoveryReport,
     TempDir,
 };
 use ccix_extmem::{BackendSpec, FileConfig, Geometry, IoCounter};
-use ccix_interval::{IndexBuilder, Interval, IntervalOp, IntervalOptions};
+use ccix_interval::{IndexBuilder, Interval, IntervalIndex, IntervalOp, IntervalOptions};
 use ccix_testkit::workloads::{self, CommitPlan, CommitPlanSpec};
 use ccix_testkit::{check, oracle, DetRng};
 
@@ -104,13 +103,6 @@ fn fold_then_build_equals_replay_equals_oracle_at_every_prefix() {
                 let ctx = format!("checkpoint at {ckpt_at}, crash after {upto}");
                 assert_eq!(rec.ops_applied(), (upto * plan.batches[0].len()) as u64);
 
-                // The fold itself is the oracle's state.
-                assert_eq!(
-                    sorted(rec.content().into_owned()),
-                    sorted(want.clone()),
-                    "{ctx}"
-                );
-
                 // The old recovery: bulk-load the checkpoint, replay commit
                 // by commit through the dynamic side.
                 let mut replayed = IndexBuilder::new(meta.geometry)
@@ -121,6 +113,13 @@ fn fold_then_build_equals_replay_equals_oracle_at_every_prefix() {
                 }
                 let built = rec.rebuild(IoCounter::new(), meta);
                 built.validate_unbilled();
+                // The fold itself is the oracle's state, interval for
+                // interval.
+                assert_eq!(
+                    sorted(built.intersecting_intervals(i64::MIN, i64::MAX)),
+                    sorted(want.clone()),
+                    "{ctx}"
+                );
                 assert_eq!(built.len(), want.len(), "{ctx}");
                 assert_eq!(built.reorg_debt(), 0, "{ctx}: a static tree owes nothing");
                 assert_eq!(built.pending_deletes(), 0, "{ctx}: no tombstones");
@@ -138,14 +137,60 @@ fn fold_then_build_equals_replay_equals_oracle_at_every_prefix() {
     });
 }
 
+/// The page images, space and shape of `index`: equal only for the same
+/// static build.
+fn layout(index: &IntervalIndex) -> impl PartialEq + std::fmt::Debug {
+    (
+        index.stats(),
+        index.space_pages(),
+        index.model_page_images(),
+    )
+}
+
 #[test]
-fn an_empty_suffix_borrows_the_checkpoint() {
+fn an_empty_suffix_rebuilds_the_checkpoint_as_bulk_does() {
     let mut rng = DetRng::new(0xF01E);
     let plan = random_plan(&mut rng, 50);
-    let rec = recovered(&plan, meta(&mut rng), &[], Some(0), 0);
-    assert!(matches!(rec.content(), Cow::Borrowed(c) if c == plan.initial.as_slice()));
-    let none = recovered(&plan, meta(&mut rng), &[], None, 0);
-    assert!(none.content().is_empty());
+    let meta = meta(&mut rng);
+    let rec = recovered(&plan, meta, &[], Some(0), 0);
+    let bulk = IndexBuilder::new(meta.geometry)
+        .options(meta.options)
+        .bulk(IoCounter::new(), &plan.initial);
+    assert_eq!(layout(&rec.rebuild(IoCounter::new(), meta)), layout(&bulk));
+    let none = recovered(&plan, meta, &[], None, 0);
+    assert!(none.rebuild(IoCounter::new(), meta).is_empty());
+}
+
+#[test]
+fn every_recovered_shard_is_the_static_build_of_its_oracle_content() {
+    check::trials("durable::fold_shard_layout", 12, 0xF023, |rng| {
+        let initial = rng.gen_range(0..150usize);
+        let plan = random_plan(rng, initial);
+        let meta = meta(rng);
+        let splits = [LO_RANGE / 3, 2 * LO_RANGE / 3];
+        let n = plan.batches.len();
+        let ckpt_at = rng.gen_range(0..n + 1);
+        for upto in ckpt_at..=n {
+            let rec = recovered(&plan, meta, &splits, Some(ckpt_at), upto);
+            let index = rec.rebuild_sharded(meta, &[]);
+            assert_eq!(index.len(), plan.states[upto].len());
+            for (s, shard) in index.shards().enumerate() {
+                let own: Vec<Interval> = (plan.states[upto].iter())
+                    .filter(|iv| splits.partition_point(|&p| p <= iv.lo) == s)
+                    .copied()
+                    .collect();
+                let bulk = IndexBuilder::new(meta.geometry)
+                    .options(meta.options)
+                    .bulk(IoCounter::new(), &own);
+                assert_eq!(
+                    layout(shard),
+                    layout(&bulk),
+                    "shard {s}, checkpoint at {ckpt_at}, crash after {upto}"
+                );
+                assert_eq!(shard.counter().snapshot(), bulk.counter().snapshot());
+            }
+        }
+    });
 }
 
 #[test]
@@ -259,19 +304,54 @@ fn a_delete_of_an_unknown_id_is_a_no_op() {
         }],
         report: RecoveryReport::default(),
     };
-    // Checkpoint order first, then the surviving suffix inserts in commit
-    // order.
-    assert_eq!(
-        rec.content().into_owned(),
-        vec![iv(3, 9, 2), iv(4, 4, 3), iv(10, 20, 1)]
-    );
     let index = rec.rebuild(
         IoCounter::new(),
         Meta::new(Geometry::new(4), Default::default()),
     );
-    assert_eq!(index.len(), 3);
+    assert_eq!(
+        sorted(index.intersecting_intervals(i64::MIN, i64::MAX)),
+        vec![iv(10, 20, 1), iv(3, 9, 2), iv(4, 4, 3)]
+    );
     oracle::assert_same_ids(index.stabbing(4), vec![2, 3], "stab 4");
     oracle::assert_same_ids(index.stabbing(15), vec![1], "stab 15");
+}
+
+/// A delete cancels the exact copy it names, as the index's own `delete`
+/// contract has it: one whose `(lo, hi)` differs from the stored copy of
+/// its id — by `hi` alone (the same `(lo, id)` key), by `lo`, or on
+/// another shard — cancels nothing, and the stored copy stays.
+#[test]
+fn a_delete_that_misnames_the_stored_copy_cancels_nothing() {
+    let iv = |lo, hi, id| Interval::new(lo, hi, id);
+    let meta = Meta::new(Geometry::new(4), IntervalOptions::default());
+    let live = vec![iv(0, 5, 1), iv(3, 9, 2), iv(60, 70, 3)];
+    let rec = Recovered {
+        checkpoint: Some(Checkpoint {
+            meta,
+            shard_splits: vec![50],
+            ops_applied: 3,
+            intervals: live.clone(),
+        }),
+        replay: vec![CommitRecord {
+            ops_after: 6,
+            ops: vec![
+                IntervalOp::Delete(iv(0, 6, 1)),
+                IntervalOp::Delete(iv(2, 9, 2)),
+                IntervalOp::Delete(iv(10, 70, 3)),
+            ],
+        }],
+        report: RecoveryReport::default(),
+    };
+    let sharded = rec.rebuild_sharded(meta, &[]);
+    assert_eq!(
+        sorted(sharded.intersecting_intervals(i64::MIN, i64::MAX)),
+        live
+    );
+    let single = rec.rebuild(IoCounter::new(), meta);
+    assert_eq!(
+        sorted(single.intersecting_intervals(i64::MIN, i64::MAX)),
+        live
+    );
 }
 
 #[test]
@@ -302,16 +382,16 @@ fn two_recoveries_of_one_directory_yield_the_same_interval_order() {
         drop(first_store);
         let (_store, second) = DurableStore::open(&cfg).expect("open 2");
         assert_eq!(first.report, second.report);
-        assert_eq!(first.content(), second.content(), "fold order repeats");
-        assert_eq!(
-            sorted(first.content().into_owned()),
-            sorted(plan.states[n].clone())
-        );
-        // Same input order into the same static build: same tree.
+        assert_eq!(first.replay, second.replay, "the suffix reads back alike");
+        // Same input into the same static build: same tree.
         let (a, b) = (
             first.rebuild(IoCounter::new(), meta),
             second.rebuild(IoCounter::new(), meta),
         );
-        assert_eq!(a.model_page_images(), b.model_page_images());
+        assert_eq!(
+            sorted(a.intersecting_intervals(i64::MIN, i64::MAX)),
+            sorted(plan.states[n].clone())
+        );
+        assert_eq!(layout(&a), layout(&b));
     });
 }

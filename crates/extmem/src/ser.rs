@@ -94,7 +94,12 @@ pub fn decode_records<T: FixedBytes>(bytes: &[u8]) -> Option<Vec<T>> {
     if !bytes.len().is_multiple_of(T::SIZE) {
         return None;
     }
-    bytes.chunks_exact(T::SIZE).map(T::decode).collect()
+    // Sized once: collecting through `Option` would start empty and regrow.
+    let mut out = Vec::with_capacity(bytes.len() / T::SIZE);
+    for record in bytes.chunks_exact(T::SIZE) {
+        out.push(T::decode(record)?);
+    }
+    Some(out)
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 
 use std::path::PathBuf;
 
+use ccix_core::par::cores;
 use ccix_core::Tuning;
-use ccix_extmem::{BackendSpec, Geometry, IoCounter};
+use ccix_extmem::{BackendSpec, Geometry, IoCounter, SortedRun};
 
-use crate::index::{Interval, IntervalIndex, IntervalOptions};
+use crate::index::{Interval, IntervalIndex, IntervalOp, IntervalOptions};
+use crate::sharded::{RepeatedId, ShardedBuilder};
 
 /// Configures and constructs [`IntervalIndex`] instances.
 ///
@@ -94,5 +96,32 @@ impl IndexBuilder {
     /// the build's I/O to `counter`.
     pub fn bulk(&self, counter: IoCounter, intervals: &[Interval]) -> IntervalIndex {
         IntervalIndex::bulk_impl(&self.backend, self.geo, counter, intervals, self.options)
+    }
+
+    /// Bulk-build the content `base` holds once `ops` are folded into it,
+    /// charging the build's I/O to `counter`: the single-shard case of
+    /// [`ShardedBuilder::bulk_folded`], whose fold rules it shares.
+    ///
+    /// # Errors
+    /// [`RepeatedId`] when the folded content holds an id twice.
+    pub fn bulk_folded<'a>(
+        &self,
+        counter: IoCounter,
+        base: &[Interval],
+        ops: impl Iterator<Item = &'a IntervalOp> + Clone,
+    ) -> Result<IntervalIndex, RepeatedId> {
+        let single = ShardedBuilder::new(self.clone()).fold(base, ops, vec![counter], cores())?;
+        Ok(single.into_shards().pop().expect("a directory has a shard"))
+    }
+
+    /// Build over the x-sorted `run` of interval points, whose ids the
+    /// caller has found unique, planning over at most `budget` threads.
+    pub(crate) fn build_run(
+        &self,
+        counter: IoCounter,
+        run: SortedRun,
+        budget: usize,
+    ) -> IntervalIndex {
+        IntervalIndex::from_run(&self.backend, self.geo, counter, run, self.options, budget)
     }
 }

@@ -10,8 +10,8 @@
 //! workload the copy cost 16.0k pages and ~4 I/Os per insert; the measured
 //! comparison is in `docs/tuning.md` § Slab endpoints).
 
-use ccix_core::{MetablockTree, Op, Tuning};
-use ccix_extmem::{BackendSpec, FixedBytes, Geometry, IoCounter, Point};
+use ccix_core::{MetablockTree, Op, TreeStats, Tuning};
+use ccix_extmem::{BackendSpec, FixedBytes, Geometry, IoCounter, Point, SortedRun};
 
 /// A closed interval with an application id (a *generalized key*: the
 /// projection of a generalized tuple on the indexed attribute).
@@ -36,7 +36,7 @@ impl Interval {
     }
 
     /// The point `(lo, hi)` above the diagonal (Fig. 3's mapping).
-    fn point(&self) -> Point {
+    pub(crate) fn point(&self) -> Point {
         Point::new(self.lo, self.hi, self.id)
     }
 
@@ -158,6 +158,29 @@ impl IntervalIndex {
             counter,
             stab,
             len: intervals.len(),
+            options,
+            backend: spec.clone(),
+        }
+    }
+
+    /// Build over the x-sorted `run` of interval points, whose ids the
+    /// caller has found unique, planning over at most `budget` threads.
+    pub(crate) fn from_run(
+        spec: &BackendSpec,
+        geo: Geometry,
+        counter: IoCounter,
+        run: SortedRun,
+        options: IntervalOptions,
+        budget: usize,
+    ) -> Self {
+        let len = run.len();
+        let stab =
+            MetablockTree::build_run_on(spec, geo, counter.clone(), run, options.tuning, budget);
+        Self {
+            geo,
+            counter,
+            stab,
+            len,
             options,
             backend: spec.clone(),
         }
@@ -288,6 +311,12 @@ impl IntervalIndex {
     /// Disk blocks occupied by the index.
     pub fn space_pages(&self) -> usize {
         self.stab.space_pages()
+    }
+
+    /// Shape statistics of the stabbing structure, without charging I/Os
+    /// (see [`MetablockTree::stats`]).
+    pub fn stats(&self) -> TreeStats {
+        self.stab.stats()
     }
 
     /// Insert `[lo, hi]` with `id`. Amortised

@@ -49,5 +49,5 @@ pub use builder::IndexBuilder;
 pub use index::{Interval, IntervalIndex, IntervalOp, IntervalOptions};
 pub use naive::NaiveIntervalStore;
 pub use sharded::{
-    split_points_from_sample, ShardedBuilder, ShardedIntervalIndex, FAN_OUT_MIN_OPS,
+    split_points_from_sample, RepeatedId, ShardedBuilder, ShardedIntervalIndex, FAN_OUT_MIN_OPS,
 };

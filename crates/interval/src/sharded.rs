@@ -51,7 +51,7 @@
 use std::sync::Arc;
 
 use ccix_core::par::{cores, run_parallel, run_pooled};
-use ccix_extmem::{Geometry, IoCounter, IoSnapshot};
+use ccix_extmem::{first_repeat, Geometry, IoCounter, IoSnapshot, Point, SortedRun};
 
 use crate::builder::IndexBuilder;
 use crate::index::{Interval, IntervalIndex, IntervalOp, IntervalOptions};
@@ -170,6 +170,9 @@ impl ShardedBuilder {
     /// Bulk-build over `intervals` (ids must be unique): the set is
     /// partitioned by the routing directory and the per-shard builds fan
     /// out over the machine's cores, each charging its own fresh counter.
+    ///
+    /// # Panics
+    /// Panics if an id repeats.
     pub fn bulk(&self, intervals: &[Interval]) -> ShardedIntervalIndex {
         self.bulk_within(intervals, cores())
     }
@@ -181,36 +184,138 @@ impl ShardedBuilder {
         intervals: &[Interval],
         budget: usize,
     ) -> ShardedIntervalIndex {
+        self.fold(intervals, [].iter(), self.fresh_counters(), budget)
+            .unwrap_or_else(|e| panic!("duplicate point ids: {e}"))
+    }
+
+    /// Bulk-build the content `base` holds once `ops` are folded into it:
+    /// an insert adds its interval, and a delete cancels one exact copy of
+    /// its own interval (`lo`, `hi` and `id`) from `base` or from the
+    /// inserts; a delete that finds no copy cancels nothing. For a history
+    /// whose every delete removes a live interval — all an engine logs —
+    /// that is the content after applying `ops` in order. The content is
+    /// partitioned by the routing directory and every shard's run is
+    /// sorted, cancelled and built on a thread of its own, as
+    /// [`ShardedBuilder::bulk`]'s are.
+    ///
+    /// # Errors
+    /// [`RepeatedId`] when the folded content holds an id twice, in one
+    /// shard or in two; nothing is built then.
+    pub fn bulk_folded<'a>(
+        &self,
+        base: &[Interval],
+        ops: impl Iterator<Item = &'a IntervalOp> + Clone,
+    ) -> Result<ShardedIntervalIndex, RepeatedId> {
+        self.fold(base, ops, self.fresh_counters(), cores())
+    }
+
+    /// One fresh counter per shard.
+    fn fresh_counters(&self) -> Vec<IoCounter> {
+        (0..=self.splits.len()).map(|_| IoCounter::new()).collect()
+    }
+
+    /// The one bulk path: route `base` and `ops` to their shards' runs,
+    /// each sized once, then per shard and over at most `budget` threads
+    /// x-sort the run, cancel the deletes, sort the ids — one merge of the
+    /// shards' id lists finds an id live twice — and build the shard,
+    /// charging `counters[shard]`.
+    pub(crate) fn fold<'a>(
+        &self,
+        base: &[Interval],
+        ops: impl Iterator<Item = &'a IntervalOp> + Clone,
+        counters: Vec<IoCounter>,
+        budget: usize,
+    ) -> Result<ShardedIntervalIndex, RepeatedId> {
         let k = self.splits.len() + 1;
-        let mut parts: Vec<Vec<Interval>> = vec![Vec::new(); k];
-        let mut max_hi = initial_max_hi(k);
-        for &iv in intervals {
-            let s = self.splits.partition_point(|&p| p <= iv.lo);
-            max_hi[s] = max_hi[s].max(iv.hi);
-            parts[s].push(iv);
+        let shard = |iv: &Interval| shard_of(&self.splits, iv.lo);
+        let mut sizes = vec![(0usize, 0usize); k];
+        for iv in base {
+            sizes[shard(iv)].0 += 1;
         }
-        let tasks: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
+        for op in ops.clone() {
+            match op {
+                IntervalOp::Insert(iv) => sizes[shard(iv)].0 += 1,
+                IntervalOp::Delete(iv) => sizes[shard(iv)].1 += 1,
+            }
+        }
+        let mut parts: Vec<(Vec<Point>, Vec<Point>)> = (sizes.iter())
+            .map(|&(live, tombs)| (Vec::with_capacity(live), Vec::with_capacity(tombs)))
+            .collect();
+        for iv in base {
+            parts[shard(iv)].0.push(iv.point());
+        }
+        for op in ops {
+            match op {
+                IntervalOp::Insert(iv) => parts[shard(iv)].0.push(iv.point()),
+                IntervalOp::Delete(iv) => parts[shard(iv)].1.push(iv.point()),
+            }
+        }
+
+        let settle: Vec<_> = (parts.into_iter())
+            .map(|(live, tombs)| {
+                move |_: usize| {
+                    let tombs = SortedRun::from_unsorted(tombs);
+                    let (run, _) = SortedRun::from_unsorted(live).cancel(&tombs);
+                    let max_hi = run.iter().map(|p| p.y).max().unwrap_or(i64::MIN);
+                    let ids = run.sorted_ids();
+                    (run, ids, max_hi)
+                }
+            })
+            .collect();
+        let mut runs = Vec::with_capacity(k);
+        let mut ids = Vec::with_capacity(k);
+        let mut max_hi = initial_max_hi(k);
+        for (s, (run, run_ids, hi)) in run_parallel(settle, budget).into_iter().enumerate() {
+            runs.push(run);
+            ids.push(run_ids);
+            max_hi[s] = max_hi[s].max(hi);
+        }
+        if let Some(id) = first_repeat(&ids) {
+            return Err(RepeatedId(id));
+        }
+        drop(ids);
+
+        let len = runs.iter().map(|run| run.len()).sum();
+        let tasks: Vec<_> = (runs.into_iter().zip(counters))
+            .map(|(run, counter)| {
                 // Each shard's build task owns a clone of the builder; a
                 // file-backed spec shares its name sequence across clones,
                 // so parallel shard builds never collide on file names.
                 let builder = self.inner.clone();
-                move |_inner: usize| builder.bulk(IoCounter::new(), &part)
+                move |inner: usize| builder.build_run(counter, run, inner)
             })
             .collect();
         let shards = run_parallel(tasks, budget)
             .into_iter()
             .map(Arc::new)
             .collect();
-        ShardedIntervalIndex {
+        Ok(ShardedIntervalIndex {
             splits: self.splits.clone(),
             shards,
             max_hi,
-            len: intervals.len(),
+            len,
             budget,
-        }
+        })
     }
+}
+
+/// An id that a folded content holds twice (see
+/// [`ShardedBuilder::bulk_folded`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RepeatedId(pub u64);
+
+impl std::fmt::Display for RepeatedId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "id {} is live twice", self.0)
+    }
+}
+
+impl std::error::Error for RepeatedId {}
+
+/// The shard of a directory split at `splits` that owns left endpoint
+/// `lo`.
+fn shard_of(splits: &[i64], lo: i64) -> usize {
+    splits.partition_point(|&p| p <= lo)
 }
 
 impl IndexBuilder {
@@ -305,7 +410,7 @@ impl ShardedIntervalIndex {
 
     /// The shard owning left endpoint `lo`.
     fn shard_of(&self, lo: i64) -> usize {
-        self.splits.partition_point(|&p| p <= lo)
+        shard_of(&self.splits, lo)
     }
 
     /// Thread budget for a write that routed `work` operations: the fan-out

@@ -340,11 +340,13 @@ impl Engine {
     }
 
     /// Bring an engine up from a durable directory: load the newest valid
-    /// checkpoint, fold the WAL suffix into its content in commit order
-    /// ([`ccix_durable::Recovered::content`]), bulk-load the index that
-    /// describes once (including its recorded sharding), and start
+    /// checkpoint, fold the WAL suffix into its content shard by shard
+    /// ([`ccix_durable::Recovered::try_rebuild_sharded_on`]), bulk-load
+    /// each shard once (at its recorded sharding), and start
     /// serving — from a static tree, with nothing replayed. A torn or
-    /// garbage WAL tail is truncated, never an error. `fallback` supplies
+    /// garbage WAL tail is truncated, never an error; checksummed content
+    /// that holds a live id twice is [`io::ErrorKind::InvalidData`].
+    /// `fallback` supplies
     /// the construction parameters when the directory has no checkpoint
     /// yet (it was never fully initialised — nothing was ever acknowledged
     /// from it); the fallback is unsharded — see
@@ -371,7 +373,7 @@ impl Engine {
             .expect("Engine::recover requires EngineConfig::durability")
             .clone();
         let (store, recovered) = DurableStore::open_or_create(&dcfg, fallback)?;
-        let index = recovered.rebuild_sharded_on(&config.backend, fallback, fallback_splits);
+        let index = recovered.try_rebuild_sharded_on(&config.backend, fallback, fallback_splits)?;
         let ops_applied = recovered.ops_applied();
         let report = recovered.report;
         Ok((

@@ -191,6 +191,81 @@ fn recovery_refuses_a_checkpoint_with_a_block_size_below_two() {
     }
 }
 
+/// Recover the sharded engine directory at `dir`, which must fail without
+/// a panic; the error.
+fn refused_recovery(dir: &std::path::Path) -> std::io::Error {
+    let recovered = std::panic::catch_unwind(|| {
+        Engine::recover_sharded(meta(), &[], config(dir, FsyncPolicy::default())).map(|_| ())
+    });
+    recovered
+        .expect("recovery must not panic")
+        .expect_err("a repeated live id must not recover")
+}
+
+/// 200 intervals `[10 i, 10 i + 5]` with id `i`, in two shards split at
+/// 1000, behind a shut-down durable engine in `dir`.
+fn two_shard_directory(dir: &std::path::Path) {
+    let content: Vec<Interval> = (0..200u64)
+        .map(|i| Interval::new(i as i64 * 10, i as i64 * 10 + 5, i))
+        .collect();
+    let idx = IndexBuilder::new(geometry())
+        .sharded()
+        .splits(vec![1000])
+        .bulk(&content);
+    Engine::start_sharded(idx, config(dir, FsyncPolicy::EveryCommits(1))).shutdown_sharded();
+}
+
+/// Checksummed content that holds a live id twice is `InvalidData` naming
+/// the id, wherever the second copy lands: beside the first in shard 0
+/// (which reached the static build's duplicate-id assert) or in shard 1
+/// (which recovered an index answering for id 7 at two places).
+#[test]
+fn a_checkpoint_that_repeats_a_live_id_is_refused_in_one_shard_or_two() {
+    let tmp = TempDir::new("durable-ckpt-repeat");
+    two_shard_directory(tmp.path());
+    let path = tmp.path().join("checkpoint");
+    let good = std::fs::read(&path).expect("read checkpoint");
+    for lo in [72i64, 1900] {
+        // [magic 8B][len u64][crc u32][body]; the body ends with
+        // `n u64 || n × (lo, hi, id)`. Append a record, count it, reframe.
+        let mut bytes = good.clone();
+        let n_at = bytes.len() - 200 * 24 - 8;
+        assert_eq!(bytes[n_at..n_at + 8], 200u64.to_le_bytes());
+        bytes[n_at..n_at + 8].copy_from_slice(&201u64.to_le_bytes());
+        for word in [lo, lo + 50, 7] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        let body_len = (bytes.len() - 20) as u64;
+        bytes[8..16].copy_from_slice(&body_len.to_le_bytes());
+        let crc = ccix_durable::crc32(&bytes[20..]);
+        bytes[16..20].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("patch checkpoint");
+        let err = refused_recovery(tmp.path());
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "lo = {lo}");
+        assert!(err.to_string().contains("id 7 "), "lo = {lo}: {err}");
+    }
+}
+
+/// The same for a WAL suffix that inserts a live id again, in either shard.
+#[test]
+fn a_wal_suffix_that_repeats_a_live_id_is_refused_in_one_shard_or_two() {
+    for lo in [72i64, 1900] {
+        let tmp = TempDir::new("durable-wal-repeat");
+        two_shard_directory(tmp.path());
+        let fs = RealFs::shared();
+        let mut wal = ccix_durable::Wal::open(&fs, &tmp.path().join("wal"))
+            .expect("open WAL")
+            .wal;
+        let again = IntervalOp::Insert(Interval::new(lo, lo + 50, 7));
+        wal.append_commit(1, &[again]).expect("append");
+        wal.sync().expect("sync");
+        drop(wal);
+        let err = refused_recovery(tmp.path());
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "lo = {lo}");
+        assert!(err.to_string().contains("id 7 "), "lo = {lo}: {err}");
+    }
+}
+
 #[test]
 fn durable_acks_survive_a_drop_without_shutdown() {
     let tmp = TempDir::new("durable-drop");
